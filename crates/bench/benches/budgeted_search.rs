@@ -1,6 +1,6 @@
 //! Benchmark of budgeted anytime search on the op-amp pipeline — the
-//! quality-vs-budget curve, plus wall time per budget point and for the two
-//! stochastic strategies.
+//! quality-vs-budget curve, plus wall time per budget point and for the
+//! stochastic annealing strategy.
 //!
 //! The 0.6 `SearchBudget` is enforced centrally by the `CandidateEvaluator`,
 //! so a budgeted run pays for exactly the trainings it admits and a
@@ -8,15 +8,12 @@
 //! timing, the harness sweeps the training budget over the paper's greedy
 //! elimination and prints how much of the unbudgeted answer each budget
 //! buys (eliminated tests, cost reduction, solver iterations, exhaustion),
-//! then does the same for seeded simulated annealing and the
-//! incumbent-pinned genetic search.  `STC_SCALE` scales the population
-//! sizes as in the other benches.
+//! then does the same for seeded simulated annealing.  `STC_SCALE` scales
+//! the population sizes as in the other benches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spec_test_compaction::adapters::OpAmpDevice;
-use stc_core::search::{
-    GeneticSearch, GreedyBackward, SearchBudget, SearchStrategy, SimulatedAnnealing,
-};
+use stc_core::search::{GreedyBackward, SearchBudget, SearchStrategy, SimulatedAnnealing};
 use stc_core::{
     generate_train_test, CompactionConfig, CompactionResult, Compactor, MonteCarloConfig,
     TestCostModel,
@@ -94,13 +91,11 @@ fn bench_budgeted_search(c: &mut Criterion) {
         describe(label, &cost, &result);
     }
     let annealing = SimulatedAnnealing::new(404);
-    let genetic = GeneticSearch { seed: 404, population: 8, generations: 4 };
     describe(
         "simulated-annealing",
         &cost,
         &run(&compactor, &annealing, &cost, SearchBudget::unlimited()),
     );
-    describe("genetic", &cost, &run(&compactor, &genetic, &cost, SearchBudget::unlimited()));
 
     let mut group = c.benchmark_group("budgeted_search");
     group.sample_size(10);
@@ -111,9 +106,6 @@ fn bench_budgeted_search(c: &mut Criterion) {
     }
     group.bench_with_input(BenchmarkId::new("op-amp", "simulated-annealing"), &(), |b, ()| {
         b.iter(|| run(&compactor, &annealing, &cost, SearchBudget::unlimited()));
-    });
-    group.bench_with_input(BenchmarkId::new("op-amp", "genetic"), &(), |b, ()| {
-        b.iter(|| run(&compactor, &genetic, &cost, SearchBudget::unlimited()));
     });
     group.finish();
 }

@@ -25,8 +25,8 @@
 //!   (`BENCH_batch.json` is the reference measurement, CI regenerates and
 //!   structure-checks).
 //! * [`SearchTimingReport`] — **wall-clock timings** of the search stack
-//!   (full pipeline, warm-started greedy, the bundled non-greedy strategies
-//!   and a budget-truncated run), gated like the kernel report
+//!   (full pipeline, the bundled non-greedy strategies and a
+//!   budget-truncated run), gated like the kernel report
 //!   (`BENCH_search.json` is the reference, CI regenerates and
 //!   structure-checks).
 //! * [`ScreeningReport`] — **deterministic screen-then-verify counters**
@@ -47,8 +47,8 @@ use serde::{Deserialize, Serialize};
 use spec_test_compaction::adapters::OpAmpDevice;
 use stc_core::pipeline::{CompactionPipeline, PipelineReport};
 use stc_core::search::{
-    BeamSearch, CmaEs, CostAwareGreedy, ForwardSelection, GeneticSearch, GreedyBackward,
-    ParticleSwarm, ScreeningConfig, SearchBudget, SearchStrategy,
+    CostAwareGreedy, GreedyBackward, ScreeningConfig, SearchBudget, SearchStrategy,
+    SimulatedAnnealing,
 };
 use stc_core::{
     generate_train_test, CompactionConfig, CompactionResult, Compactor, DeviceUnderTest,
@@ -157,8 +157,7 @@ impl TrajectoryReport {
 
 /// The fixed workload behind [`TrajectoryReport`]: two synthetic populations
 /// (fixed seeds, sizes independent of `STC_SCALE`), each compacted with the
-/// greedy loop and every bundled search strategy on the paper's ε-SVM
-/// backend.  Pure integer counters out of a deterministic stack: running
+/// greedy loop and the cost-aware strategy on the paper's ε-SVM backend.  Pure integer counters out of a deterministic stack: running
 /// this twice — or on two machines — produces byte-identical reports.
 ///
 /// # Panics
@@ -187,21 +186,17 @@ pub fn collect_trajectory() -> TrajectoryReport {
             &greedy,
         ));
 
-        let strategies: [&dyn SearchStrategy; 3] =
-            [&BeamSearch::new(2), &ForwardSelection, &CostAwareGreedy];
-        for strategy in strategies {
-            let result = compactor
-                .compact_with_strategy(&backend, &config, strategy, None)
-                .expect("strategy compaction runs");
-            points.push(TrajectoryPoint::from_result(
-                train_devices,
-                test_devices,
-                specs,
-                strategy.name(),
-                tolerance,
-                &result,
-            ));
-        }
+        let aware = compactor
+            .compact_with_strategy(&backend, &config, &CostAwareGreedy, None)
+            .expect("strategy compaction runs");
+        points.push(TrajectoryPoint::from_result(
+            train_devices,
+            test_devices,
+            specs,
+            CostAwareGreedy.name(),
+            tolerance,
+            &aware,
+        ));
     }
     TrajectoryReport { points }
 }
@@ -629,22 +624,12 @@ pub struct SearchTimingReport {
 impl SearchTimingReport {
     /// Scenarios every valid report must cover, mirroring the criterion
     /// benches of the same names.
-    pub const SCENARIOS: [&'static str; 4] =
-        ["pipeline", "warm_start", "search_strategies", "budgeted_search"];
+    pub const SCENARIOS: [&'static str; 2] = ["pipeline", "budgeted_search"];
 
     /// Per-strategy series rows every valid report must additionally cover:
-    /// the `search_strategies` aggregate stays for continuity, but each
-    /// bundled non-greedy strategy also records its own wall-time row, so a
-    /// new strategy lands as a new series instead of disappearing into the
-    /// sum.
-    pub const STRATEGY_SERIES: [&'static str; 6] = [
-        "strategy:beam",
-        "strategy:forward-selection",
-        "strategy:cost-aware-greedy",
-        "strategy:genetic",
-        "strategy:cma-es",
-        "strategy:particle-swarm",
-    ];
+    /// each bundled non-greedy strategy records its own wall-time row.
+    pub const STRATEGY_SERIES: [&'static str; 2] =
+        ["strategy:cost-aware-greedy", "strategy:simulated-annealing"];
 
     /// Structural sanity of a decoded report (used by `trajectory --check`).
     ///
@@ -676,12 +661,11 @@ impl SearchTimingReport {
 }
 
 /// Times the search stack end to end on one synthetic population: the full
-/// staged pipeline, the warm-started greedy loop, the bundled non-greedy
-/// strategies (one `strategy:<name>` series row each, plus the historical
-/// `search_strategies` aggregate of the first three), and a
-/// budget-truncated greedy run.  The aggregate scenario names mirror the
-/// criterion benches (`pipeline`, `warm_start`, `search_strategies`,
-/// `budgeted_search`) so the two views of the same hot paths line up.
+/// staged pipeline (warm-started greedy, the default), the bundled
+/// non-greedy strategies (one `strategy:<name>` series row each), and a
+/// budget-truncated greedy run.  The scenario names mirror the criterion
+/// benches (`pipeline`, `budgeted_search`) so the two views of the same hot
+/// paths line up.
 ///
 /// # Panics
 ///
@@ -714,7 +698,6 @@ pub fn measure_search(train_devices: usize, test_devices: usize) -> SearchTiming
     let base = CompactionConfig::paper_default().with_tolerance(tolerance);
     let mut timings = vec![
         pipeline_scenario("pipeline", base.clone()),
-        pipeline_scenario("warm_start", base.clone().with_warm_start(true)),
         pipeline_scenario(
             "budgeted_search",
             base.clone().with_budget(SearchBudget::unlimited().with_max_trainings(12)),
@@ -726,32 +709,14 @@ pub fn measure_search(train_devices: usize, test_devices: usize) -> SearchTiming
     let compactor = Compactor::new(train, test).expect("populations are valid");
     let backend = SvmBackend::paper_default();
     // Each bundled non-greedy strategy gets its own wall-time series row
-    // (`strategy:<name>`); the first three also feed the historical
-    // `search_strategies` aggregate.
-    let cma = CmaEs { population: 8, generations: 6, ..CmaEs::new(11) };
-    let swarm = ParticleSwarm { particles: 8, iterations: 6, ..ParticleSwarm::new(11) };
-    let series: [&dyn SearchStrategy; 6] = [
-        &BeamSearch::new(2),
-        &ForwardSelection,
-        &CostAwareGreedy,
-        &GeneticSearch::new(11),
-        &cma,
-        &swarm,
-    ];
-    let mut aggregate_ms = 0.0;
-    let mut aggregate_trainings = 0;
-    let mut aggregate_iterations = 0;
-    for (index, strategy) in series.iter().enumerate() {
+    // (`strategy:<name>`).
+    let series: [&dyn SearchStrategy; 2] = [&CostAwareGreedy, &SimulatedAnnealing::new(11)];
+    for strategy in series {
         let start = Instant::now();
         let result = compactor
-            .compact_with_strategy(&backend, &base, *strategy, None)
+            .compact_with_strategy(&backend, &base, strategy, None)
             .expect("strategy compaction runs");
         let total_ms = start.elapsed().as_secs_f64() * 1e3;
-        if index < 3 {
-            aggregate_ms += total_ms;
-            aggregate_trainings += result.budget.trainings;
-            aggregate_iterations += result.budget.solver_iterations;
-        }
         timings.push(SearchTiming {
             scenario: format!("strategy:{}", strategy.name()),
             specs,
@@ -762,15 +727,6 @@ pub fn measure_search(train_devices: usize, test_devices: usize) -> SearchTiming
             solver_iterations: result.budget.solver_iterations,
         });
     }
-    timings.push(SearchTiming {
-        scenario: "search_strategies".to_string(),
-        specs,
-        train_devices,
-        test_devices,
-        total_ms: aggregate_ms,
-        trainings: aggregate_trainings,
-        solver_iterations: aggregate_iterations,
-    });
     SearchTimingReport { timings }
 }
 
@@ -923,7 +879,7 @@ fn screened_pair(
 }
 
 /// The fixed workload behind [`ScreeningReport`]: a synthetic population
-/// compacted with the greedy loop and a beam search, plus the paper's
+/// compacted with the greedy loop, plus the paper's
 /// two-stage op-amp at production scale — 10^4 simulated devices — all on
 /// the ε-SVM backend with the 0.10 Nyström screen on.  Each workload also
 /// runs the exact path so the point pins byte-identical kept/eliminated
@@ -942,22 +898,17 @@ pub fn collect_screening() -> ScreeningReport {
     // Greedy examines `threads` candidates per speculative batch, so the
     // thread count must exceed the shortlist for the screen to activate.
     let config = CompactionConfig::paper_default().with_tolerance(0.05).with_threads(4);
-    let screening = ScreeningConfig::screened(32, 3);
-    let strategies: [(&str, Arc<dyn SearchStrategy>); 2] =
-        [("greedy", Arc::new(GreedyBackward)), ("beam-2", Arc::new(BeamSearch::new(2)))];
-    for (name, strategy) in strategies {
-        points.push(screened_pair(
-            &device,
-            "synthetic-6",
-            &monte_carlo,
-            400,
-            200,
-            &config,
-            name,
-            strategy,
-            screening,
-        ));
-    }
+    points.push(screened_pair(
+        &device,
+        "synthetic-6",
+        &monte_carlo,
+        400,
+        200,
+        &config,
+        "greedy",
+        Arc::new(GreedyBackward),
+        ScreeningConfig::screened(32, 3),
+    ));
 
     let opamp = OpAmpDevice::paper_setup();
     let monte_carlo =
@@ -1016,10 +967,10 @@ mod tests {
     fn search_validation_requires_every_scenario_and_series_row() {
         let report = measure_search(80, 40);
         let mut missing = report.clone();
-        missing.timings.retain(|timing| timing.scenario != "warm_start");
+        missing.timings.retain(|timing| timing.scenario != "budgeted_search");
         assert!(missing.validate().is_err());
         let mut no_series = report.clone();
-        no_series.timings.retain(|timing| timing.scenario != "strategy:cma-es");
+        no_series.timings.retain(|timing| timing.scenario != "strategy:simulated-annealing");
         assert!(no_series.validate().is_err());
         let mut stalled = report;
         stalled.timings[0].total_ms = 0.0;

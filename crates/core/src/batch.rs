@@ -581,11 +581,6 @@ pub struct BatchAggregate {
     /// when screening is off).
     #[serde(default)]
     pub screening: crate::ScreeningStats,
-    /// Runs whose guard band was co-optimized by a joint-mode search (zero
-    /// for staged-default strategies; see
-    /// [`JointGuardBand`](crate::search::JointGuardBand)).
-    #[serde(default)]
-    pub co_optimized_bands: usize,
 }
 
 impl BatchAggregate {
@@ -606,7 +601,6 @@ impl BatchAggregate {
             model_cache_misses: 0,
             warm_start: crate::WarmStartStats::default(),
             screening: crate::ScreeningStats::default(),
-            co_optimized_bands: 0,
         };
         for run in runs {
             let report = &run.report;
@@ -619,8 +613,6 @@ impl BatchAggregate {
             aggregate.model_cache_misses += report.compaction.cache.misses;
             aggregate.warm_start.merge(&report.compaction.warm_start);
             aggregate.screening.merge(&report.compaction.screening);
-            aggregate.co_optimized_bands +=
-                usize::from(report.compaction.co_optimized_guard_band.is_some());
         }
         if devices > 0 {
             aggregate.mean_compaction_ratio /= devices as f64;
@@ -680,18 +672,11 @@ impl BatchReport {
                 devices = self.aggregate.devices,
             ),
         };
-        let band_note = match self.aggregate.co_optimized_bands {
-            0 => String::new(),
-            bands => format!(
-                "; guard band co-optimized in {bands} of {devices} runs",
-                devices = self.aggregate.devices,
-            ),
-        };
         format!(
             "{devices} devices [{search}]: eliminated {eliminated} of {total} tests \
              (mean compaction {ratio}, mean cost reduction {cost}; \
              aggregate yield loss {yl}, defect escape {de}; \
-             model cache {hits} hits / {misses} misses){band_note}{budget_note}",
+             model cache {hits} hits / {misses} misses){budget_note}",
             devices = self.aggregate.devices,
             search = self.search_strategy(),
             eliminated = self.aggregate.total_eliminated,
@@ -897,16 +882,18 @@ mod tests {
 
     #[test]
     fn batch_carries_the_search_strategy_to_every_entry() {
-        use crate::search::BeamSearch;
+        use crate::search::CostAwareGreedy;
 
         let devices = devices();
-        let report = batch(&devices).search(BeamSearch::new(1)).batch_threads(2).run().unwrap();
+        let report = batch(&devices).search(CostAwareGreedy).batch_threads(2).run().unwrap();
         for run in &report.runs {
-            assert_eq!(run.report.search, "beam");
+            assert_eq!(run.report.search, "cost-aware-greedy");
         }
-        // A width-1 beam is the greedy loop: the batch equals the default.
-        let default_report = batch(&devices).run().unwrap();
-        for (a, b) in report.runs.iter().zip(default_report.runs.iter()) {
+        assert_eq!(report.search_strategy(), "cost-aware-greedy");
+        // Every entry runs the strategy it was given: the parallel batch
+        // equals a sequential one.
+        let sequential = batch(&devices).search(CostAwareGreedy).run().unwrap();
+        for (a, b) in report.runs.iter().zip(sequential.runs.iter()) {
             assert_eq!(a.report.compaction, b.report.compaction);
         }
     }

@@ -330,16 +330,14 @@ impl<'a> WarmStartContext<'a> {
 
     /// The columns this parent was trained on that a child kept set
     /// dropped.  In backward-elimination strategies this is exactly the
-    /// candidate under examination (one column); beam search hands larger
-    /// differences when a frontier warm-starts a cousin.
+    /// candidate under examination (one column).
     pub fn removed_columns(&self, child_kept: &[usize]) -> Vec<usize> {
         self.kept.iter().copied().filter(|column| !child_kept.contains(column)).collect()
     }
 
-    /// The columns a child kept set adds over this parent — the
-    /// forward-selection access pattern, where the parent is the committed
-    /// kept set and the child extends it by the candidate under
-    /// examination.
+    /// The columns a child kept set adds over this parent — the annealing
+    /// walk's restore moves, where the parent is the current kept set and
+    /// the child extends it by the restored test.
     pub fn added_columns(&self, child_kept: &[usize]) -> Vec<usize> {
         child_kept.iter().copied().filter(|column| !self.kept.contains(column)).collect()
     }

@@ -172,9 +172,8 @@ pub struct CompactionStep {
 /// Every successfully trained canonicalised kept set is trained at most once
 /// per run; re-requesting the same kept set — most prominently the
 /// final-model training after the loop, whose kept set was already evaluated
-/// when the last elimination was accepted, and frontiers revisited by the
-/// beam/forward/stochastic strategies — is a hit.  The counters are
-/// diagnostics: they depend
+/// when the last elimination was accepted, and kept sets revisited by the
+/// annealing walk — is a hit.  The counters are diagnostics: they depend
 /// on the speculative-evaluation thread count (discarded speculative
 /// trainings still count as misses) even though the compaction outcome does
 /// not.
@@ -241,8 +240,8 @@ impl WarmStartStats {
 
 /// Result of a compaction run.
 ///
-/// Equality compares the compaction outcome (kept/eliminated sets, steps,
-/// final breakdown and co-optimized guard band) and deliberately ignores the
+/// Equality compares the compaction outcome (kept/eliminated sets, steps and
+/// final breakdown) and deliberately ignores the
 /// [`CompactionResult::cache`],
 /// [`CompactionResult::warm_start`] and [`CompactionResult::budget`]
 /// diagnostics: those counters vary with the speculative thread count (and
@@ -272,14 +271,6 @@ pub struct CompactionResult {
     /// ignored by equality.
     #[serde(default)]
     pub screening: ScreeningStats,
-    /// Guard-band fraction co-optimized by the search, when the strategy ran
-    /// in joint guard-band mode (see
-    /// [`JointGuardBand`](crate::search::JointGuardBand)) and improved on
-    /// the incumbent; `None` on every staged-default run.  When set, the
-    /// final breakdown and deployed model were trained with this fraction
-    /// instead of the configured one.
-    #[serde(default)]
-    pub co_optimized_guard_band: Option<f64>,
 }
 
 impl PartialEq for CompactionResult {
@@ -288,7 +279,6 @@ impl PartialEq for CompactionResult {
             && self.eliminated == other.eliminated
             && self.steps == other.steps
             && self.final_breakdown == other.final_breakdown
-            && self.co_optimized_guard_band == other.co_optimized_guard_band
     }
 }
 
@@ -415,9 +405,9 @@ impl Compactor {
         self.compact_with_final_model(backend, config).map(|(result, _)| result)
     }
 
-    /// Runs the compaction with an explicit [`SearchStrategy`] — beam
-    /// search, forward selection, cost-aware greedy, or a user-defined
-    /// procedure — instead of the default greedy backward elimination.
+    /// Runs the compaction with an explicit [`SearchStrategy`] — cost-aware
+    /// greedy, simulated annealing, or a user-defined procedure — instead of
+    /// the default greedy backward elimination.
     ///
     /// `cost_model` feeds cost-aware strategies (and defaults to a uniform
     /// unit cost per test); strategies that do not consult costs ignore it.
@@ -505,7 +495,6 @@ impl Compactor {
             other => other?,
         };
         let provenance = outcome.provenance;
-        let co_optimized_guard_band = outcome.guard_band;
         let eliminated = outcome.eliminated;
         let steps = outcome.steps;
 
@@ -537,17 +526,8 @@ impl Compactor {
             // last elimination was accepted, so this is a guaranteed cache
             // hit: the search's last accepted model doubles as the deployed
             // model.  (A custom strategy that never evaluated it trains it
-            // here, cold.)  A joint-mode outcome names the band its winner
-            // was scored with; the deploy-stage model uses that band.
-            let banded;
-            let band = match co_optimized_guard_band {
-                Some(fraction) => {
-                    banded = config.guard_band.with_guard_band(fraction)?;
-                    Some(&banded)
-                }
-                None => None,
-            };
-            let entry = evaluator.final_entry(&kept, band)?;
+            // here, cold.)
+            let entry = evaluator.final_entry(&kept)?;
             (entry.1, Some(entry.0.clone()))
         };
 
@@ -560,7 +540,6 @@ impl Compactor {
             warm_start: evaluator.warm_start_stats(),
             budget: evaluator.budget_stats(provenance),
             screening: evaluator.screening_stats(),
-            co_optimized_guard_band,
         };
         Ok((result, final_model))
     }

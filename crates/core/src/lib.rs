@@ -16,8 +16,8 @@
 //!    classifier per candidate that predicts overall pass/fail from the
 //!    remaining measurements; the search procedure is pluggable (see
 //!    [`search`]): the paper's greedy elimination loop (Figure 2) is the
-//!    default, with beam, forward-selection, cost-aware, simulated-annealing
-//!    and genetic strategies bundled, and every strategy is *anytime* under
+//!    default, with cost-aware and simulated-annealing strategies bundled,
+//!    and every strategy is *anytime* under
 //!    an optional [`search::SearchBudget`] (a truncated run returns its best
 //!    committed frontier, never an error),
 //! 3. the **guard_band** stage brackets the decision boundary with a
@@ -105,10 +105,10 @@ pub use montecarlo::{
 pub use ordering::EliminationOrder;
 pub use pipeline::{CompactionPipeline, CostSummary, GuardBandStats, PipelineReport};
 pub use search::{
-    AnnealingSchedule, BeamSearch, BudgetStats, CandidateEvaluator, CandidateVerdict,
-    CostAwareGreedy, ForwardSelection, FrontierProvenance, FrontierSnapshot, GeneticSearch,
-    GreedyBackward, ProgressObserver, ScreeningConfig, ScreeningStats, SearchBudget, SearchContext,
-    SearchOutcome, SearchStrategy, SimulatedAnnealing, TrainingEvent,
+    AnnealingSchedule, BudgetStats, CandidateEvaluator, CandidateVerdict, CostAwareGreedy,
+    FrontierProvenance, FrontierSnapshot, GreedyBackward, ProgressObserver, ScreeningConfig,
+    ScreeningStats, SearchBudget, SearchContext, SearchOutcome, SearchStrategy, SimulatedAnnealing,
+    TrainingEvent,
 };
 pub use spec::{Specification, SpecificationSet};
 pub use tester::{

@@ -164,8 +164,8 @@ impl<'d> CompactionPipeline<'d> {
 
     /// Selects the search strategy the compaction stage runs (defaults to
     /// the paper's [`GreedyBackward`] elimination; see [`crate::search`]
-    /// for the bundled alternatives — beam, forward-selection and
-    /// cost-aware search — or plug in a custom [`SearchStrategy`]).
+    /// for the bundled alternatives — cost-aware greedy and simulated
+    /// annealing — or plug in a custom [`SearchStrategy`]).
     ///
     /// Cost-aware strategies read the pipeline's
     /// [`CompactionPipeline::cost_model`] stage (uniform unit costs when
@@ -318,14 +318,8 @@ impl<'d> CompactionPipeline<'d> {
         // from the loop's `final_breakdown`, and the report must describe the
         // tester that is actually deployed.
         let deployed = tester.try_evaluate(test)?;
-        // A joint-mode search co-optimizes the band with the kept set; the
-        // deployed model was trained with the co-optimized fraction, so the
-        // stats report it (and name the staged default it replaced).
         let guard_band = GuardBandStats {
-            band_fraction: compaction
-                .co_optimized_guard_band
-                .unwrap_or(config.guard_band.guard_band_fraction),
-            co_optimized: compaction.co_optimized_guard_band.is_some(),
+            band_fraction: config.guard_band.guard_band_fraction,
             retest_count: deployed.guard_band_count,
             retest_fraction: deployed.guard_band_fraction(),
         };
@@ -358,15 +352,8 @@ impl<'d> CompactionPipeline<'d> {
 /// Guard-band retest statistics of the final compacted test set.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GuardBandStats {
-    /// Guard-band half-width (fraction of each range) of the deployed model:
-    /// the configured width on staged runs, or the co-optimized width when a
-    /// joint-mode search improved on the incumbent.
+    /// Guard-band half-width (fraction of each range) of the deployed model.
     pub band_fraction: f64,
-    /// Whether [`GuardBandStats::band_fraction`] was co-optimized by the
-    /// search (joint guard-band mode) rather than staged from the
-    /// configuration.
-    #[serde(default)]
-    pub co_optimized: bool,
     /// Devices of the held-out population that fell in the band (candidates
     /// for retest with the full specification suite).
     pub retest_count: usize,
@@ -523,11 +510,10 @@ impl PipelineReport {
         } else {
             String::new()
         };
-        let band_kind = if self.guard_band.co_optimized { "co-optimized" } else { "staged" };
         format!(
             "{device} [{backend}, {search}]: eliminated {eliminated} of {total} tests \
              (yield loss {yl}, defect escape {de}, {retest} retested in a {band} \
-             {band_kind} band), cost reduced by \
+             band), cost reduced by \
              {cost}{budget_note}{bank_note}{screening_note}{sequential_note}",
             device = self.device,
             backend = self.backend,
@@ -619,21 +605,20 @@ mod tests {
 
     #[test]
     fn search_stage_selects_the_strategy() {
-        use crate::search::{BeamSearch, ForwardSelection};
+        use crate::search::{CostAwareGreedy, SimulatedAnnealing};
 
         let device = SyntheticDevice::new(5, 1.8, 0.92);
         let default_run = pipeline(&device).run().unwrap();
         assert_eq!(default_run.search, "greedy-backward");
         assert!(default_run.summary().contains("greedy-backward"));
 
-        let beam_run = pipeline(&device).search(BeamSearch::new(1)).run().unwrap();
-        assert_eq!(beam_run.search, "beam");
-        // A width-1 beam is the greedy loop: identical compaction.
-        assert_eq!(beam_run.compaction, default_run.compaction);
+        let aware_run = pipeline(&device).search(CostAwareGreedy).run().unwrap();
+        assert_eq!(aware_run.search, "cost-aware-greedy");
+        assert!(aware_run.final_breakdown().prediction_error() <= 0.05 + 1e-9);
 
-        let forward_run = pipeline(&device).search(ForwardSelection).run().unwrap();
-        assert_eq!(forward_run.search, "forward-selection");
-        assert!(forward_run.final_breakdown().prediction_error() <= 0.05 + 1e-9);
+        let annealing_run = pipeline(&device).search(SimulatedAnnealing::new(3)).run().unwrap();
+        assert_eq!(annealing_run.search, "simulated-annealing");
+        assert!(annealing_run.final_breakdown().prediction_error() <= 0.05 + 1e-9);
     }
 
     #[test]

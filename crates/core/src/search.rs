@@ -18,29 +18,20 @@
 //!   [`SearchOutcome`] that the [`Compactor`](crate::Compactor) shell turns
 //!   into a [`CompactionResult`](crate::CompactionResult).
 //!
-//! Eight strategies ship with the crate:
+//! Three strategies ship with the crate, each kept because it ships the
+//! cheapest tester on some measured workload:
 //!
 //! * [`GreedyBackward`] — the paper's Figure 2 loop, byte-identical to the
 //!   pre-0.5 hard-coded implementation (pinned by the property tests),
-//! * [`BeamSearch`] — keeps the `width` best frontiers per elimination
-//!   depth, escaping the greedy loop's local minima; `width: 1` reduces
-//!   exactly to [`GreedyBackward`],
-//! * [`ForwardSelection`] — grows the kept set from the other direction,
-//!   which converges faster when only a few specifications must survive,
 //! * [`CostAwareGreedy`] — accepts the elimination maximising
 //!   [`TestCostModel`] saving per unit prediction error instead of raw spec
-//!   count, so expensive insertions are dismantled first,
+//!   count, so expensive insertions are dismantled first (strictly cheaper
+//!   than greedy on the op-amp under a per-insertion cost model),
 //! * [`SimulatedAnnealing`] — seeded single-flip annealing over kept sets,
-//!   escaping greedy local minima without beam-style breadth,
-//! * [`GeneticSearch`] — seeded tournament/crossover/mutation evolution with
-//!   elitism pinned to the greedy-lineage incumbent, so it never finishes
-//!   worse than [`GreedyBackward`] under the same budget,
-//! * [`CmaEs`] and [`ParticleSwarm`] — population-based global optimizers
-//!   over the continuous relaxation of kept-set membership provided by
-//!   [`relaxed::RelaxedObjective`], with the same incumbent-pinning
-//!   contract as [`GeneticSearch`] and an optional
-//!   [`relaxed::JointGuardBand`] mode that co-optimizes the guard-band
-//!   fraction together with the kept set.
+//!   escaping greedy local minima (on the accelerometer it drops both the
+//!   hot and the cold insertion, which greedy cannot).
+//!
+//! Custom procedures plug in through the [`SearchStrategy`] trait.
 //!
 //! # Budgeted, anytime search
 //!
@@ -71,12 +62,6 @@ use crate::guardband::{GuardBandConfig, GuardBandedClassifier};
 use crate::metrics::ErrorBreakdown;
 use crate::{CompactionError, Result};
 
-pub mod relaxed;
-
-pub use relaxed::{
-    CmaEs, JointGuardBand, ParticleSwarm, RelaxedCandidate, RelaxedObjective, RelaxedScore,
-};
-
 /// Deterministic limits on the training effort one search may spend, plus an
 /// opt-in wall-clock deadline.
 ///
@@ -95,13 +80,13 @@ pub use relaxed::{
 ///   `max_trainings` trainings, while `max_solver_iterations` may overshoot
 ///   by the iterations of the trainings already admitted but not yet
 ///   finished — up to a whole evaluation batch (one speculative greedy
-///   batch, or one genetic generation), since iteration counts are only
+///   batch, or one cost-aware round), since iteration counts are only
 ///   known after each training completes,
 /// * with speculative evaluation threads, discarded speculative trainings
-///   consume budget too, so a budgeted [`GreedyBackward`]/[`BeamSearch`] run
-///   may stop at a different frontier depending on the thread count.
-///   [`SimulatedAnnealing`] and [`GeneticSearch`] evaluate deterministically
-///   composed batches and stay thread-count invariant under any budget,
+///   consume budget too, so a budgeted [`GreedyBackward`] run may stop at a
+///   different frontier depending on the thread count.
+///   [`SimulatedAnnealing`] evaluates one kept set at a time and stays
+///   thread-count invariant under any budget,
 /// * the deploy-stage model of the final kept set is exempt: shipping the
 ///   result of a truncated search never fails on the budget.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -309,9 +294,6 @@ pub enum FrontierProvenance {
     /// The budget ran out mid-search: the frontier is the best one the
     /// strategy had committed before exhaustion.
     Truncated,
-    /// The greedy-lineage incumbent survived as the best frontier (genetic
-    /// elitism: no evolved kept set beat the greedy answer).
-    Incumbent,
 }
 
 impl std::fmt::Display for FrontierProvenance {
@@ -319,7 +301,6 @@ impl std::fmt::Display for FrontierProvenance {
         let label = match self {
             FrontierProvenance::Completed => "completed",
             FrontierProvenance::Truncated => "truncated",
-            FrontierProvenance::Incumbent => "greedy-incumbent",
         };
         write!(f, "{label}")
     }
@@ -476,46 +457,33 @@ pub trait ProgressObserver: Send + Sync + std::fmt::Debug {
 /// A cached trained model together with its held-out error breakdown.
 pub(crate) type CachedModel = Arc<(GuardBandedClassifier, ErrorBreakdown)>;
 
-/// Per-run cache of guard-banded models keyed by canonicalised kept set
-/// plus the exact guard-band fraction the pair was trained with.
+/// Per-run cache of guard-banded models keyed by canonicalised kept set.
 ///
 /// Training is deterministic for a fixed kept set, training population and
 /// guard-band configuration, so reusing a cached model is byte-identical to
-/// retraining it — the cache changes wall-clock time, never results.  Runs
-/// that never override the guard band (everything except the
-/// [`relaxed::JointGuardBand`] mode) see exactly the pre-0.11 behaviour:
-/// one fraction, so the band component of the key is constant.
+/// retraining it — the cache changes wall-clock time, never results.
 ///
-/// Memory: at most one model pair per *distinct* evaluated (kept set,
-/// band) combination is retained for the duration of the run.  For the
-/// greedy loop that is bounded by the examined-candidate count; beam and
-/// forward searches revisit overlapping frontiers, which is exactly where
-/// the cache pays off.
+/// Memory: at most one model pair per *distinct* evaluated kept set is
+/// retained for the duration of the run.  For the greedy loop that is
+/// bounded by the examined-candidate count; the annealing walk revisits
+/// kept sets, which is exactly where the cache pays off.
 #[derive(Debug, Default)]
 struct ModelCache {
-    models: Mutex<HashMap<BandedSetKey, CachedModel>>,
+    models: Mutex<HashMap<Vec<usize>, CachedModel>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
 
-/// Canonical identity of one banded evaluation: the kept set in ascending
-/// order plus the bit pattern of the guard-band fraction it trains with.
-pub(crate) type BandedSetKey = (Vec<usize>, u64);
-
 impl ModelCache {
-    /// Canonical cache key: the kept set in ascending order plus the bit
-    /// pattern of the guard-band fraction the model is trained with (the
-    /// joint-band decoder quantizes fractions onto a grid, so nearby points
-    /// share keys instead of fragmenting the cache).
-    fn key(kept: &[usize], band: &GuardBandConfig) -> BandedSetKey {
+    /// Canonical cache key: the kept set in ascending order.
+    fn key(kept: &[usize]) -> Vec<usize> {
         let mut sorted = kept.to_vec();
         sorted.sort_unstable();
-        (sorted, band.guard_band_fraction.to_bits())
+        sorted
     }
 
-    fn lookup(&self, kept: &[usize], band: &GuardBandConfig) -> Option<CachedModel> {
-        let found =
-            self.models.lock().expect("model cache poisoned").get(&Self::key(kept, band)).cloned();
+    fn lookup(&self, kept: &[usize]) -> Option<CachedModel> {
+        let found = self.peek(kept);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -526,19 +494,19 @@ impl ModelCache {
     /// [`ModelCache::lookup`] without touching the hit/miss counters — used
     /// to fetch warm-start sources, which are an accelerator rather than a
     /// kept-set request and must not distort the cache diagnostics.
-    fn peek(&self, kept: &[usize], band: &GuardBandConfig) -> Option<CachedModel> {
-        self.models.lock().expect("model cache poisoned").get(&Self::key(kept, band)).cloned()
+    fn peek(&self, kept: &[usize]) -> Option<CachedModel> {
+        self.models.lock().expect("model cache poisoned").get(&Self::key(kept)).cloned()
     }
 
     /// Whether a kept set is cached, without touching the hit/miss counters
     /// — used by the budget pre-pass, which must not distort the
     /// diagnostics.
-    fn contains(&self, kept: &[usize], band: &GuardBandConfig) -> bool {
-        self.models.lock().expect("model cache poisoned").contains_key(&Self::key(kept, band))
+    fn contains(&self, kept: &[usize]) -> bool {
+        self.models.lock().expect("model cache poisoned").contains_key(&Self::key(kept))
     }
 
-    fn insert(&self, kept: &[usize], band: &GuardBandConfig, entry: CachedModel) {
-        self.models.lock().expect("model cache poisoned").insert(Self::key(kept, band), entry);
+    fn insert(&self, kept: &[usize], entry: CachedModel) {
+        self.models.lock().expect("model cache poisoned").insert(Self::key(kept), entry);
     }
 
     fn stats(&self) -> ModelCacheStats {
@@ -672,10 +640,9 @@ pub struct CandidateEvaluator<'a> {
     cache: ModelCache,
     tracker: WarmStartTracker,
     screen_tracker: ScreeningTracker,
-    /// Memoized approximate screen scores keyed by canonical kept set and
-    /// guard band (`None` = the screen could not train a model for that
-    /// set).
-    screen_scores: Mutex<HashMap<BandedSetKey, Option<f64>>>,
+    /// Memoized approximate screen scores keyed by canonical kept set
+    /// (`None` = the screen could not train a model for that set).
+    screen_scores: Mutex<HashMap<Vec<usize>, Option<f64>>>,
     ledger: BudgetLedger,
     observer: Option<Arc<dyn ProgressObserver>>,
 }
@@ -833,33 +800,31 @@ impl<'a> CandidateEvaluator<'a> {
     /// Evaluates one kept set through the cache, warm-started from the
     /// cached model of `warm_parent` when warm starts are enabled and the
     /// parent was evaluated earlier in this run.  `mode` decides how a
-    /// cache-missing training settles its [`SearchBudget`] claim; `band` is
-    /// the guard-band configuration the model is trained with (the run's
-    /// configured band everywhere except a joint-band override).
+    /// cache-missing training settles its [`SearchBudget`] claim.
     fn evaluate_cached(
         &self,
         kept: &[usize],
         warm_parent: Option<&[usize]>,
         mode: BudgetMode,
-        band: &GuardBandConfig,
     ) -> Result<CachedModel> {
-        if let Some(entry) = self.cache.lookup(kept, band) {
+        if let Some(entry) = self.cache.lookup(kept) {
             return Ok(entry);
         }
         if mode == BudgetMode::Charged && !self.ledger.try_claim_training() {
             return Err(CompactionError::BudgetExhausted);
         }
-        // A banded candidate's parent may only be cached under the run's
-        // configured band (the incumbent always is), so fall back to it.
         let warm_entry = match warm_parent {
-            Some(parent) if self.warm_start => {
-                self.cache.peek(parent, band).or_else(|| self.cache.peek(parent, &self.guard_band))
-            }
+            Some(parent) if self.warm_start => self.cache.peek(parent),
             _ => None,
         };
         let warm = warm_entry.as_ref().map(|entry| &entry.0);
-        let classifier =
-            GuardBandedClassifier::train_with_warm(self.backend, self.training, kept, band, warm)?;
+        let classifier = GuardBandedClassifier::train_with_warm(
+            self.backend,
+            self.training,
+            kept,
+            &self.guard_band,
+            warm,
+        )?;
         let breakdown = classifier.evaluate(self.testing);
         let iterations = classifier.solver_iterations();
         self.tracker.record(warm.is_some(), iterations, classifier.bank_stats());
@@ -874,7 +839,7 @@ impl<'a> CandidateEvaluator<'a> {
             });
         }
         let entry = Arc::new((classifier, breakdown));
-        self.cache.insert(kept, band, Arc::clone(&entry));
+        self.cache.insert(kept, Arc::clone(&entry));
         Ok(entry)
     }
 
@@ -895,7 +860,7 @@ impl<'a> CandidateEvaluator<'a> {
         kept: &[usize],
         warm_parent: Option<&[usize]>,
     ) -> Result<ErrorBreakdown> {
-        Ok(self.evaluate_cached(kept, warm_parent, BudgetMode::Charged, &self.guard_band)?.1)
+        Ok(self.evaluate_cached(kept, warm_parent, BudgetMode::Charged)?.1)
     }
 
     /// [`CandidateEvaluator::evaluate`], treating "the backend cannot build
@@ -917,7 +882,7 @@ impl<'a> CandidateEvaluator<'a> {
         kept: &[usize],
         warm_parent: Option<&[usize]>,
     ) -> Result<Option<ErrorBreakdown>> {
-        match self.evaluate_cached(kept, warm_parent, BudgetMode::Charged, &self.guard_band) {
+        match self.evaluate_cached(kept, warm_parent, BudgetMode::Charged) {
             Ok(entry) => Ok(Some(entry.1)),
             Err(CompactionError::Classifier { .. })
             | Err(CompactionError::InsufficientData { .. })
@@ -942,8 +907,7 @@ impl<'a> CandidateEvaluator<'a> {
     pub fn notify_frontier(&self, eliminated: &[usize]) {
         let Some(observer) = &self.observer else { return };
         let kept = self.kept_without(eliminated, None);
-        let prediction_error =
-            self.cache.peek(&kept, &self.guard_band).map(|entry| entry.1.prediction_error());
+        let prediction_error = self.cache.peek(&kept).map(|entry| entry.1.prediction_error());
         observer
             .on_frontier(&FrontierSnapshot { eliminated: eliminated.to_vec(), prediction_error });
     }
@@ -976,116 +940,33 @@ impl<'a> CandidateEvaluator<'a> {
         candidates: &[usize],
     ) -> Result<Vec<CandidateVerdict>> {
         let parent = self.kept_without(eliminated, None);
-        let kept_sets: Vec<Option<(Vec<usize>, Option<GuardBandConfig>)>> = candidates
+        let kept_sets: Vec<Option<Vec<usize>>> = candidates
             .iter()
             .map(|&candidate| {
                 let kept = self.kept_without(eliminated, Some(candidate));
                 // Never eliminate the last remaining test.
-                (!kept.is_empty()).then_some((kept, None))
+                (!kept.is_empty()).then_some(kept)
             })
             .collect();
-        self.evaluate_candidate_sets(&kept_sets, Some(&parent))
+        self.evaluate_candidate_sets(&kept_sets, &parent)
     }
 
-    /// Evaluates adding each candidate to the frontier committed by `kept`
-    /// (the forward-selection direction), in parallel when the evaluator
-    /// has worker threads.  Trainings warm-start from the frontier's own
-    /// cached model; an empty frontier trains cold.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and data errors; per-candidate training
-    /// failures surface as [`CandidateVerdict::Untrainable`] and budget
-    /// denials as [`CandidateVerdict::Exhausted`].
-    pub fn evaluate_additions(
-        &self,
-        kept: &[usize],
-        candidates: &[usize],
-    ) -> Result<Vec<CandidateVerdict>> {
-        let parent: Option<&[usize]> = if kept.is_empty() { None } else { Some(kept) };
-        let kept_sets: Vec<Option<(Vec<usize>, Option<GuardBandConfig>)>> = candidates
-            .iter()
-            .map(|&candidate| {
-                let mut child: Vec<usize> = kept.to_vec();
-                child.push(candidate);
-                child.sort_unstable();
-                child.dedup();
-                Some((child, None))
-            })
-            .collect();
-        self.evaluate_candidate_sets(&kept_sets, parent)
-    }
-
-    /// Evaluates a batch of explicit kept sets (the population-based
-    /// direction used by [`GeneticSearch`]), in parallel when the evaluator
-    /// has worker threads.  Trainings warm-start from `warm_parent`'s cached
-    /// model when one is named; an empty kept set reports
-    /// [`CandidateVerdict::LastTest`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and data errors; per-candidate training
-    /// failures surface as [`CandidateVerdict::Untrainable`] and budget
-    /// denials as [`CandidateVerdict::Exhausted`].
-    pub fn evaluate_kept_sets(
-        &self,
-        kept_sets: &[Vec<usize>],
-        warm_parent: Option<&[usize]>,
-    ) -> Result<Vec<CandidateVerdict>> {
-        let kept_sets: Vec<Option<(Vec<usize>, Option<GuardBandConfig>)>> =
-            kept_sets.iter().map(|kept| (!kept.is_empty()).then(|| (kept.clone(), None))).collect();
-        self.evaluate_candidate_sets(&kept_sets, warm_parent)
-    }
-
-    /// [`CandidateEvaluator::evaluate_kept_sets`] with an optional
-    /// per-candidate [`GuardBandConfig`] override (`None` = the run's
-    /// configured band).  This is the joint guard-band seam: strategies
-    /// searching the band together with the kept set — the
-    /// [`relaxed::JointGuardBand`] mode of [`CmaEs`] / [`ParticleSwarm`] —
-    /// score each candidate with the guard-banded breakdown of its *own*
-    /// band.  Models are cached per (kept set, band) pair, duplicates
-    /// collapse onto their first occurrence, and the budget pre-pass stays
-    /// deterministic, so banded batches keep the thread-count-invariance
-    /// contract of the plain path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and data errors; per-candidate training
-    /// failures surface as [`CandidateVerdict::Untrainable`] and budget
-    /// denials as [`CandidateVerdict::Exhausted`].
-    pub fn evaluate_banded_kept_sets(
-        &self,
-        candidates: &[(Vec<usize>, Option<GuardBandConfig>)],
-        warm_parent: Option<&[usize]>,
-    ) -> Result<Vec<CandidateVerdict>> {
-        let kept_sets: Vec<Option<(Vec<usize>, Option<GuardBandConfig>)>> = candidates
-            .iter()
-            .map(|(kept, band)| (!kept.is_empty()).then(|| (kept.clone(), *band)))
-            .collect();
-        self.evaluate_candidate_sets(&kept_sets, warm_parent)
-    }
-
-    /// The guard-band configuration this run trains with unless a candidate
-    /// overrides it (see
-    /// [`CandidateEvaluator::evaluate_banded_kept_sets`]).
-    pub fn guard_band(&self) -> &GuardBandConfig {
-        &self.guard_band
-    }
-
-    /// The shared batch core: a deduplication pass, an optional
-    /// screen-then-verify shortlist pass ([`ScreeningConfig`]), then a
-    /// deterministic budget pre-pass on the caller's thread (in
-    /// first-occurrence order: cache hits are free, misses claim a training
-    /// slot, denials become [`CandidateVerdict::Exhausted`]) followed by
-    /// the admitted evaluations over the worker pool.  `None` entries stand
-    /// for "the removal would leave no test" and report
-    /// [`CandidateVerdict::LastTest`].  Duplicates of the same canonical
-    /// kept set collapse onto their first occurrence: one claim, one
-    /// training, one shared verdict.
+    /// The batch core behind [`CandidateEvaluator::evaluate_removals`]: a
+    /// deduplication pass, an optional screen-then-verify shortlist pass
+    /// ([`ScreeningConfig`]), then a deterministic budget pre-pass on the
+    /// caller's thread (in first-occurrence order: cache hits are free,
+    /// misses claim a training slot, denials become
+    /// [`CandidateVerdict::Exhausted`]) followed by the admitted
+    /// evaluations over the worker pool.  `None` entries stand for "the
+    /// removal would leave no test" and report
+    /// [`CandidateVerdict::LastTest`].  Duplicates of the same kept set
+    /// (ascending, as [`CandidateEvaluator::kept_without`] builds them)
+    /// collapse onto their first occurrence: one claim, one training, one
+    /// shared verdict.
     fn evaluate_candidate_sets(
         &self,
-        kept_sets: &[Option<(Vec<usize>, Option<GuardBandConfig>)>],
-        warm_parent: Option<&[usize]>,
+        kept_sets: &[Option<Vec<usize>>],
+        warm_parent: &[usize],
     ) -> Result<Vec<CandidateVerdict>> {
         /// What the admission passes decided for one distinct kept set.
         #[derive(Clone, Copy, PartialEq, Eq)]
@@ -1098,22 +979,17 @@ impl<'a> CandidateEvaluator<'a> {
             Screened,
         }
         // Pass 1 — deduplicate, with no side effects on the budget: each
-        // candidate maps onto the first occurrence of its canonical
-        // (kept set, effective band) pair (`None` = the removal would
-        // leave no test).
-        let mut unique: Vec<(&[usize], GuardBandConfig)> = Vec::new();
-        let mut unique_keys: Vec<BandedSetKey> = Vec::new();
+        // candidate maps onto the first occurrence of its kept set (`None`
+        // = the removal would leave no test).
+        let mut unique: Vec<&[usize]> = Vec::new();
         let slots: Vec<Option<usize>> = kept_sets
             .iter()
             .map(|candidate| {
-                let (kept, band) = candidate.as_ref()?;
-                let band = band.unwrap_or(self.guard_band);
-                let key = ModelCache::key(kept, &band);
-                Some(match unique_keys.iter().position(|seen| *seen == key) {
+                let kept = candidate.as_deref()?;
+                Some(match unique.iter().position(|seen| *seen == kept) {
                     Some(found) => found,
                     None => {
-                        unique.push((kept.as_slice(), band));
-                        unique_keys.push(key);
+                        unique.push(kept);
                         unique.len() - 1
                     }
                 })
@@ -1129,10 +1005,10 @@ impl<'a> CandidateEvaluator<'a> {
         let statuses: Vec<Status> = unique
             .iter()
             .enumerate()
-            .map(|(index, (kept, band))| {
+            .map(|(index, kept)| {
                 if screen.as_ref().is_some_and(|pass| pass.rejected[index]) {
                     Status::Screened
-                } else if self.cache.contains(kept, band) || self.ledger.try_claim_training() {
+                } else if self.cache.contains(kept) || self.ledger.try_claim_training() {
                     jobs.push(index);
                     Status::Run(jobs.len() - 1)
                 } else {
@@ -1141,8 +1017,7 @@ impl<'a> CandidateEvaluator<'a> {
             })
             .collect();
         let verdicts = self.run_jobs(jobs.len(), |job| {
-            let (kept, band) = &unique[jobs[job]];
-            match self.evaluate_cached(kept, warm_parent, BudgetMode::Prepaid, band) {
+            match self.evaluate_cached(unique[jobs[job]], Some(warm_parent), BudgetMode::Prepaid) {
                 Ok(entry) => Ok(CandidateVerdict::Scored(entry.1)),
                 Err(CompactionError::Classifier { .. })
                 | Err(CompactionError::InsufficientData { .. }) => {
@@ -1185,10 +1060,7 @@ impl<'a> CandidateEvaluator<'a> {
     /// when screening does not apply to this batch (disabled, unsupported
     /// backend, or not enough cache misses to outgrow the shortlist) — the
     /// caller then takes the exact path untouched.
-    fn screen_shortlist(
-        &self,
-        unique: &[(&[usize], GuardBandConfig)],
-    ) -> Result<Option<ScreenPass>> {
+    fn screen_shortlist(&self, unique: &[&[usize]]) -> Result<Option<ScreenPass>> {
         let config = self.screening;
         if !config.enabled || !self.backend.supports_screening() || unique.len() <= config.shortlist
         {
@@ -1197,12 +1069,8 @@ impl<'a> CandidateEvaluator<'a> {
         // Cache hits are admitted for free by the budget pass and never
         // screened; only the candidates that would cost an exact training
         // compete for shortlist slots.
-        let misses: Vec<usize> = (0..unique.len())
-            .filter(|&index| {
-                let (kept, band) = &unique[index];
-                !self.cache.contains(kept, band)
-            })
-            .collect();
+        let misses: Vec<usize> =
+            (0..unique.len()).filter(|&index| !self.cache.contains(unique[index])).collect();
         if misses.len() <= config.shortlist {
             return Ok(None);
         }
@@ -1211,10 +1079,8 @@ impl<'a> CandidateEvaluator<'a> {
         // count).  A candidate the screen cannot train scores `None` and is
         // conservatively ranked ahead of every scored candidate, so it is
         // always verified exactly.
-        let scores: Vec<Option<f64>> = self.run_jobs(misses.len(), |job| {
-            let (kept, band) = &unique[misses[job]];
-            Ok(self.screen_score(kept, band))
-        })?;
+        let scores: Vec<Option<f64>> =
+            self.run_jobs(misses.len(), |job| Ok(self.screen_score(unique[misses[job]])))?;
         let mut ranked: Vec<usize> = (0..misses.len()).collect();
         ranked.sort_by(|&a, &b| {
             let score_a = scores[a].unwrap_or(f64::NEG_INFINITY);
@@ -1224,7 +1090,8 @@ impl<'a> CandidateEvaluator<'a> {
         // Two winner notions share the shortlist: the *earliest* candidate
         // the screen predicts acceptable takes the first slot (the winner
         // under the greedy commit-in-order rule), the remaining slots fill
-        // by ascending score (the argmin winner of the frontier searches).
+        // by ascending score (the low-error candidates a cost-aware round
+        // chooses among).
         // An unscorable candidate (`None`) counts as predicted-acceptable —
         // conservative on both axes.
         if let Some(earliest) = (0..misses.len())
@@ -1247,17 +1114,17 @@ impl<'a> CandidateEvaluator<'a> {
     /// Trains (or recalls) the approximate screening model of one kept set
     /// and returns its held-out prediction error, `None` when the screen
     /// cannot build a model for the set.  Scores are memoized for the run:
-    /// revisited kept sets (beam overlaps, genetic revisits) screen for
-    /// free.
-    fn screen_score(&self, kept: &[usize], band: &GuardBandConfig) -> Option<f64> {
-        let key = ModelCache::key(kept, band);
+    /// kept sets revisited by later rounds screen for free.
+    fn screen_score(&self, kept: &[usize]) -> Option<f64> {
+        let key = ModelCache::key(kept);
         if let Some(score) = self.screen_scores.lock().expect("screen memo poisoned").get(&key) {
             return *score;
         }
         let screen = ScreenFactory { inner: self.backend, landmarks: self.screening.landmarks };
-        let score = GuardBandedClassifier::train_with(&screen, self.training, kept, band)
-            .ok()
-            .map(|classifier| classifier.evaluate(self.testing).prediction_error());
+        let score =
+            GuardBandedClassifier::train_with(&screen, self.training, kept, &self.guard_band)
+                .ok()
+                .map(|classifier| classifier.evaluate(self.testing).prediction_error());
         self.screen_scores.lock().expect("screen memo poisoned").insert(key, score);
         score
     }
@@ -1344,18 +1211,13 @@ impl<'a> CandidateEvaluator<'a> {
         collected.into_iter().map(|(_, result)| result).collect()
     }
 
-    /// The deploy-stage model of the final kept set, trained with `band`
-    /// when the search co-optimized a guard band (`None` = the run's
-    /// configured band).  For every bundled strategy the final kept set was
-    /// already evaluated when its last elimination was accepted, so this is
-    /// a guaranteed cache hit.  Exempt from the [`SearchBudget`]: shipping
-    /// the result of a truncated search never fails on the budget.
-    pub(crate) fn final_entry(
-        &self,
-        kept: &[usize],
-        band: Option<&GuardBandConfig>,
-    ) -> Result<CachedModel> {
-        self.evaluate_cached(kept, None, BudgetMode::Exempt, band.unwrap_or(&self.guard_band))
+    /// The deploy-stage model of the final kept set.  For every bundled
+    /// strategy the final kept set was already evaluated when its last
+    /// elimination was accepted, so this is a guaranteed cache hit.  Exempt
+    /// from the [`SearchBudget`]: shipping the result of a truncated search
+    /// never fails on the budget.
+    pub(crate) fn final_entry(&self, kept: &[usize]) -> Result<CachedModel> {
+        self.evaluate_cached(kept, None, BudgetMode::Exempt)
     }
 
     /// Model-cache hit/miss counters accumulated so far.
@@ -1454,59 +1316,33 @@ pub struct SearchOutcome {
     /// Indices of the eliminated specifications, in elimination order.
     /// Must be duplicate-free, in range, and leave at least one test kept.
     pub eliminated: Vec<usize>,
-    /// Per-examination log (strategy-specific granularity: the greedy and
-    /// beam strategies log every examined candidate along the winning path,
-    /// forward selection logs each adopted specification, cost-aware greedy
-    /// logs each accepted elimination, the annealing strategy logs each
-    /// accepted move and the genetic strategy logs its greedy incumbent
-    /// phase).
+    /// Per-examination log (strategy-specific granularity: the greedy loop
+    /// logs every examined candidate, cost-aware greedy logs each accepted
+    /// elimination and the annealing strategy logs each accepted move).
     pub steps: Vec<CompactionStep>,
-    /// How the frontier came to be: a natural completion, a
-    /// budget-truncated best-committed frontier, or the pinned greedy
-    /// incumbent ([`FrontierProvenance::Completed`] by default; surfaced as
+    /// How the frontier came to be: a natural completion or a
+    /// budget-truncated best-committed frontier
+    /// ([`FrontierProvenance::Completed`] by default; surfaced as
     /// [`BudgetStats::provenance`]).
     pub provenance: FrontierProvenance,
-    /// The co-optimized guard-band fraction the returned frontier was
-    /// scored with, when the strategy searched the band jointly with the
-    /// kept set (the [`relaxed::JointGuardBand`] mode); `None` = the run's
-    /// configured guard band applies.  The shell trains the deploy-stage
-    /// model with this fraction.
-    pub guard_band: Option<f64>,
 }
 
 impl SearchOutcome {
     /// An outcome that ran to natural completion.
     pub fn completed(eliminated: Vec<usize>, steps: Vec<CompactionStep>) -> Self {
-        SearchOutcome {
-            eliminated,
-            steps,
-            provenance: FrontierProvenance::Completed,
-            guard_band: None,
-        }
+        SearchOutcome { eliminated, steps, provenance: FrontierProvenance::Completed }
     }
 
     /// A budget-truncated outcome: the best frontier committed before
     /// exhaustion.
     pub fn truncated(eliminated: Vec<usize>, steps: Vec<CompactionStep>) -> Self {
-        SearchOutcome {
-            eliminated,
-            steps,
-            provenance: FrontierProvenance::Truncated,
-            guard_band: None,
-        }
+        SearchOutcome { eliminated, steps, provenance: FrontierProvenance::Truncated }
     }
 
     /// The conservative outcome: eliminate nothing, keep the complete
     /// suite.
     pub fn keep_everything() -> Self {
         SearchOutcome::default()
-    }
-
-    /// Stamps the outcome with the co-optimized guard-band fraction its
-    /// frontier was scored with (joint-band strategies only).
-    pub fn with_guard_band(mut self, fraction: f64) -> Self {
-        self.guard_band = Some(fraction);
-        self
     }
 
     /// [`SearchOutcome::completed`] or [`SearchOutcome::truncated`],
@@ -1586,89 +1422,9 @@ impl SearchOutcome {
 /// # Ok(())
 /// # }
 /// ```
-///
-/// # Custom strategies over the continuous relaxation
-///
-/// Discrete moves are not the only option: a [`RelaxedObjective`] maps
-/// continuous
-/// membership vectors in `[0, 1]^dims` onto memoized kept-set evaluations
-/// (decoding, validity repair and model caching all handled), so a custom
-/// global optimizer only has to move points around the unit cube.  This is
-/// the seam [`CmaEs`] and [`ParticleSwarm`] are built on; a minimal random
-/// sampler looks like this:
-///
-/// ```
-/// use rand::rngs::StdRng;
-/// use rand::{Rng, SeedableRng};
-/// use stc_core::classifier::GridBackend;
-/// use stc_core::search::relaxed::{RelaxedObjective, RelaxedScore};
-/// use stc_core::search::{CandidateEvaluator, SearchContext, SearchOutcome, SearchStrategy};
-/// use stc_core::{
-///     generate_train_test, CompactionConfig, Compactor, MonteCarloConfig, SyntheticDevice,
-/// };
-///
-/// /// Best of `samples` uniformly random relaxed points.
-/// #[derive(Debug)]
-/// struct RandomRelaxed {
-///     seed: u64,
-///     samples: usize,
-/// }
-///
-/// impl SearchStrategy for RandomRelaxed {
-///     fn name(&self) -> &str {
-///         "random-relaxed"
-///     }
-///
-///     fn search(
-///         &self,
-///         eval: &mut CandidateEvaluator<'_>,
-///         ctx: &SearchContext<'_>,
-///     ) -> stc_core::Result<SearchOutcome> {
-///         let mut objective = RelaxedObjective::new(eval, ctx);
-///         // All draws on the search thread: seed-deterministic at any
-///         // speculative thread count.
-///         let mut rng = StdRng::seed_from_u64(self.seed);
-///         let points: Vec<Vec<f64>> = (0..self.samples)
-///             .map(|_| (0..objective.dims()).map(|_| rng.gen::<f64>()).collect())
-///             .collect();
-///         let mut best: Option<(Vec<usize>, f64)> = None;
-///         for (candidate, score) in objective.score_batch(&points)? {
-///             match score {
-///                 RelaxedScore::Feasible { fitness, .. }
-///                     if best.as_ref().is_none_or(|(_, f)| fitness > *f) =>
-///                 {
-///                     best = Some((candidate.eliminated, fitness));
-///                 }
-///                 RelaxedScore::Exhausted => break,
-///                 _ => {}
-///             }
-///         }
-///         Ok(match best {
-///             Some((eliminated, _)) => SearchOutcome::completed(eliminated, Vec::new()),
-///             None => SearchOutcome::keep_everything(),
-///         })
-///     }
-/// }
-///
-/// # fn main() -> Result<(), stc_core::CompactionError> {
-/// let device = SyntheticDevice::new(4, 1.8, 0.9);
-/// let (train, test) =
-///     generate_train_test(&device, &MonteCarloConfig::new(200).with_seed(1), 100)?;
-/// let compactor = Compactor::new(train, test)?;
-/// let config = CompactionConfig::paper_default().with_tolerance(0.2);
-/// let result = compactor.compact_with_strategy(
-///     &GridBackend::default(),
-///     &config,
-///     &RandomRelaxed { seed: 7, samples: 32 },
-///     None,
-/// )?;
-/// assert_eq!(result.kept.len() + result.eliminated.len(), 4);
-/// # Ok(())
-/// # }
-/// ```
 pub trait SearchStrategy: std::fmt::Debug + Send + Sync {
     /// Short strategy name used in reports (for example `"greedy-backward"`
-    /// or `"beam-4"`-style labels).
+    /// or `"simulated-annealing"`).
     fn name(&self) -> &str;
 
     /// Runs the search over the evaluator and returns the committed
@@ -1684,28 +1440,6 @@ pub trait SearchStrategy: std::fmt::Debug + Send + Sync {
         eval: &mut CandidateEvaluator<'_>,
         ctx: &SearchContext<'_>,
     ) -> Result<SearchOutcome>;
-}
-
-/// The next speculative examination batch of a backward scan: up to
-/// `threads` order positions at or after `start` whose candidates are not
-/// yet eliminated, plus the position the scan stopped at.  Shared by
-/// [`GreedyBackward`] and [`BeamSearch`] so their scans cannot drift apart
-/// (the width-1-beam ≡ greedy invariant depends on it).
-fn next_examination_batch(
-    order: &[usize],
-    eliminated: &[usize],
-    start: usize,
-    threads: usize,
-) -> (Vec<usize>, usize) {
-    let mut batch: Vec<usize> = Vec::new();
-    let mut scan = start;
-    while scan < order.len() && batch.len() < threads {
-        if !eliminated.contains(&order[scan]) {
-            batch.push(scan);
-        }
-        scan += 1;
-    }
-    (batch, scan)
 }
 
 /// The paper's greedy backward elimination (Figure 2), byte-identical to
@@ -1739,9 +1473,17 @@ impl SearchStrategy for GreedyBackward {
             if !ctx.within_budget(eliminated.len()) {
                 break;
             }
-            // The next batch of examinations, all speculatively assuming the
-            // current eliminated set.
-            let (batch, scan) = next_examination_batch(order, &eliminated, index, threads);
+            // The next batch of examinations: up to `threads` order positions
+            // whose candidates are not yet eliminated, all speculatively
+            // assuming the current eliminated set.
+            let mut batch: Vec<usize> = Vec::new();
+            let mut scan = index;
+            while scan < order.len() && batch.len() < threads {
+                if !eliminated.contains(&order[scan]) {
+                    batch.push(scan);
+                }
+                scan += 1;
+            }
             if batch.is_empty() {
                 break;
             }
@@ -1784,330 +1526,6 @@ impl SearchStrategy for GreedyBackward {
             }
         }
         Ok(SearchOutcome::finished(eliminated, steps, eval.budget_exhausted()))
-    }
-}
-
-/// One live path of a beam search: a committed eliminated set, the order
-/// position its scan resumes from, its examination log and the prediction
-/// error of its kept-set model.
-#[derive(Debug, Clone)]
-struct Frontier {
-    eliminated: Vec<usize>,
-    steps: Vec<CompactionStep>,
-    index: usize,
-    error: f64,
-    /// Whether this frontier is the greedy lineage: the path that always
-    /// takes the first acceptable elimination.  One lineage frontier is
-    /// reserved a beam slot per depth, so the beam can never finish worse
-    /// than [`GreedyBackward`].
-    greedy_lineage: bool,
-}
-
-impl Frontier {
-    fn root() -> Self {
-        // The complete suite has zero prediction error by construction.
-        Frontier {
-            eliminated: Vec::new(),
-            steps: Vec::new(),
-            index: 0,
-            error: 0.0,
-            greedy_lineage: true,
-        }
-    }
-
-    fn canonical_eliminated(&self) -> Vec<usize> {
-        let mut canonical = self.eliminated.clone();
-        canonical.sort_unstable();
-        canonical
-    }
-}
-
-/// Beam search over elimination frontiers: at every depth each live
-/// frontier proposes up to `width` accepted eliminations (scanning the
-/// order exactly like the greedy loop), and the `width` lowest-error
-/// frontiers survive to the next depth.
-///
-/// Greedy backward elimination commits to the *first* acceptable
-/// elimination and can strand itself in a local minimum where no further
-/// candidate passes the tolerance; the beam keeps alternatives alive and
-/// finally returns the terminal frontier with the most eliminations
-/// (lowest prediction error on ties).  `BeamSearch { width: 1 }` reduces
-/// exactly to [`GreedyBackward`] — pinned by the property tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BeamSearch {
-    /// Number of frontiers kept alive per elimination depth (clamped to at
-    /// least 1).
-    pub width: usize,
-}
-
-impl BeamSearch {
-    /// A beam of the given width (width 0 is clamped to 1).
-    pub fn new(width: usize) -> Self {
-        BeamSearch { width: width.max(1) }
-    }
-}
-
-impl BeamSearch {
-    /// Expands one frontier: scans the order from the frontier's resume
-    /// position, turning up to `width` accepted eliminations into child
-    /// frontiers.  A frontier producing no child is terminal and absorbs
-    /// the remaining examination log (exactly like the greedy loop's final
-    /// rejected examinations).
-    fn expand(
-        &self,
-        eval: &CandidateEvaluator<'_>,
-        ctx: &SearchContext<'_>,
-        frontier: &Frontier,
-        children: &mut Vec<Frontier>,
-        terminals: &mut Vec<Frontier>,
-    ) -> Result<()> {
-        let width = self.width.max(1);
-        if !ctx.within_budget(frontier.eliminated.len()) {
-            terminals.push(frontier.clone());
-            return Ok(());
-        }
-        let order = ctx.order();
-        let mut trail = frontier.steps.clone();
-        let mut produced = 0usize;
-        let mut index = frontier.index;
-        'scan: while index < order.len() {
-            let (batch, scan) =
-                next_examination_batch(order, &frontier.eliminated, index, eval.threads());
-            if batch.is_empty() {
-                break;
-            }
-            let candidates: Vec<usize> = batch.iter().map(|&position| order[position]).collect();
-            let verdicts = eval.evaluate_removals(&frontier.eliminated, &candidates)?;
-            for (&position, verdict) in batch.iter().zip(verdicts) {
-                let candidate = order[position];
-                index = position + 1;
-                match verdict {
-                    CandidateVerdict::LastTest => break 'scan,
-                    // Budget spent: this path stops where it stands; the
-                    // outer loop collects every live frontier as terminal.
-                    CandidateVerdict::Exhausted => break 'scan,
-                    CandidateVerdict::Scored(breakdown) => {
-                        let error = breakdown.prediction_error();
-                        if error <= ctx.tolerance() && produced < width {
-                            let mut child_steps = trail.clone();
-                            child_steps.push(eval.step(candidate, true, breakdown));
-                            let mut child_eliminated = frontier.eliminated.clone();
-                            child_eliminated.push(candidate);
-                            eval.notify_frontier(&child_eliminated);
-                            children.push(Frontier {
-                                eliminated: child_eliminated,
-                                steps: child_steps,
-                                index,
-                                error,
-                                // The first acceptance continues the greedy
-                                // path; the alternatives branch off it.
-                                greedy_lineage: frontier.greedy_lineage && produced == 0,
-                            });
-                            produced += 1;
-                            if produced == width {
-                                // Enough alternatives from this path; the
-                                // survivors are selected across frontiers.
-                                break 'scan;
-                            }
-                            // On the paths that decline this elimination the
-                            // candidate was examined and retained.
-                            trail.push(eval.step(candidate, false, breakdown));
-                        } else {
-                            trail.push(eval.step(candidate, false, breakdown));
-                        }
-                    }
-                    CandidateVerdict::Untrainable => {
-                        trail.push(eval.step(candidate, false, ErrorBreakdown::default()));
-                    }
-                    // Screened out: this path declines the candidate with no
-                    // exact examination to log.
-                    CandidateVerdict::Screened => {}
-                }
-            }
-            index = index.max(scan);
-        }
-        if produced == 0 {
-            // No acceptable elimination remains on this path: it is complete,
-            // and its log ends with the trailing rejected examinations.
-            let mut terminal = frontier.clone();
-            terminal.steps = trail;
-            terminal.index = index;
-            terminals.push(terminal);
-        }
-        Ok(())
-    }
-}
-
-impl SearchStrategy for BeamSearch {
-    fn name(&self) -> &str {
-        "beam"
-    }
-
-    fn search(
-        &self,
-        eval: &mut CandidateEvaluator<'_>,
-        ctx: &SearchContext<'_>,
-    ) -> Result<SearchOutcome> {
-        let width = self.width.max(1);
-        let mut beam = vec![Frontier::root()];
-        let mut terminals: Vec<Frontier> = Vec::new();
-        while !beam.is_empty() {
-            let mut children: Vec<Frontier> = Vec::new();
-            for frontier in &beam {
-                self.expand(eval, ctx, frontier, &mut children, &mut terminals)?;
-            }
-            if eval.budget_exhausted() {
-                // Budget spent mid-depth: every committed frontier still
-                // alive competes as a terminal, and the best one is returned.
-                terminals.extend(children);
-                break;
-            }
-            // Deduplicate children reaching the same eliminated *set* along
-            // different acceptance orders, then keep the `width` best by
-            // (prediction error, canonical set) — fully deterministic.
-            // Equal sets have equal errors (one cached model per kept set),
-            // so the lineage flag is the only meaningful tiebreak: the
-            // greedy-lineage child must win its duplicate, because a cousin
-            // with the same set resumes its scan from a different order
-            // position and would silently derail the greedy guarantee.
-            children.sort_by(|a, b| {
-                a.error
-                    .partial_cmp(&b.error)
-                    .expect("finite prediction errors")
-                    .then_with(|| a.canonical_eliminated().cmp(&b.canonical_eliminated()))
-                    .then_with(|| b.greedy_lineage.cmp(&a.greedy_lineage))
-            });
-            let mut seen: Vec<Vec<usize>> = Vec::new();
-            children.retain(|child| {
-                let canonical = child.canonical_eliminated();
-                if seen.contains(&canonical) {
-                    false
-                } else {
-                    seen.push(canonical);
-                    true
-                }
-            });
-            // Reserve a slot for the greedy lineage so the beam never
-            // finishes with fewer eliminations than the greedy loop.
-            if let Some(position) = children.iter().position(|child| child.greedy_lineage) {
-                if position >= width {
-                    let lineage = children.remove(position);
-                    children.truncate(width.saturating_sub(1));
-                    children.push(lineage);
-                } else {
-                    children.truncate(width);
-                }
-            } else {
-                children.truncate(width);
-            }
-            beam = children;
-        }
-        // The best complete path: most eliminations, then lowest final
-        // error, then the lexicographically smallest eliminated set.
-        let winner = terminals
-            .into_iter()
-            .min_by(|a, b| {
-                b.eliminated
-                    .len()
-                    .cmp(&a.eliminated.len())
-                    .then_with(|| a.error.partial_cmp(&b.error).expect("finite prediction errors"))
-                    .then_with(|| a.canonical_eliminated().cmp(&b.canonical_eliminated()))
-            })
-            .unwrap_or_else(Frontier::root);
-        Ok(SearchOutcome::finished(winner.eliminated, winner.steps, eval.budget_exhausted()))
-    }
-}
-
-/// Forward selection: grows the kept set from the empty set instead of
-/// shrinking it from the complete suite.
-///
-/// Each round evaluates adding every remaining candidate to the committed
-/// kept set (warm-started from the kept set's own model) and adopts the
-/// one whose model has the lowest held-out prediction error, until that
-/// error meets the tolerance (and the elimination budget is respected).
-/// Everything never adopted is eliminated.  When few specifications must
-/// survive, this reaches the answer in far fewer trainings than backward
-/// elimination.
-///
-/// Specifications absent from the configured order are adopted
-/// unconditionally before the first round (they are not elimination
-/// candidates, exactly as in the backward strategies).  If no extension of
-/// the kept set can be trained, or the finished kept set misses the
-/// tolerance, the strategy falls back to keeping everything — the same
-/// "cannot certify, cannot eliminate" rule the greedy loop applies per
-/// candidate.  [`SearchOutcome::steps`] logs one entry per adopted
-/// specification (with `eliminated: false`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ForwardSelection;
-
-impl SearchStrategy for ForwardSelection {
-    fn name(&self) -> &str {
-        "forward-selection"
-    }
-
-    fn search(
-        &self,
-        eval: &mut CandidateEvaluator<'_>,
-        ctx: &SearchContext<'_>,
-    ) -> Result<SearchOutcome> {
-        let spec_count = eval.spec_count();
-        let pool = ctx.candidate_pool();
-        // Tests never offered for elimination are kept from the start.
-        let mut kept: Vec<usize> = (0..spec_count).filter(|c| !pool.contains(c)).collect();
-        let mut steps: Vec<CompactionStep> = Vec::new();
-        let min_kept = ctx.max_eliminated().map_or(0, |max| spec_count.saturating_sub(max));
-        let mut current: Option<ErrorBreakdown> =
-            if kept.is_empty() { None } else { eval.try_evaluate(&kept, None)? };
-        loop {
-            let tolerance_met =
-                current.as_ref().is_some_and(|b| b.prediction_error() <= ctx.tolerance());
-            if tolerance_met && kept.len() >= min_kept.max(1) {
-                break;
-            }
-            let remaining: Vec<usize> =
-                pool.iter().copied().filter(|c| !kept.contains(c)).collect();
-            if remaining.is_empty() {
-                // Everything adopted: the kept set is the complete suite.
-                return Ok(SearchOutcome::completed(Vec::new(), steps));
-            }
-            let verdicts = eval.evaluate_additions(&kept, &remaining)?;
-            if verdicts.iter().any(|v| matches!(v, CandidateVerdict::Exhausted)) {
-                // Budget spent before the kept set was certified: the only
-                // committed (tolerance-proven) frontier is the complete
-                // suite, so nothing may be eliminated.
-                return Ok(SearchOutcome::truncated(Vec::new(), steps));
-            }
-            let mut best: Option<(usize, ErrorBreakdown)> = None;
-            for (&candidate, verdict) in remaining.iter().zip(verdicts) {
-                if let CandidateVerdict::Scored(breakdown) = verdict {
-                    let better = match &best {
-                        None => true,
-                        Some((_, incumbent)) => {
-                            breakdown.prediction_error() < incumbent.prediction_error()
-                        }
-                    };
-                    if better {
-                        best = Some((candidate, breakdown));
-                    }
-                }
-            }
-            let Some((candidate, breakdown)) = best else {
-                // No extension is trainable: nothing can be certified, so
-                // nothing may be eliminated.
-                return Ok(SearchOutcome::completed(Vec::new(), steps));
-            };
-            kept.push(candidate);
-            kept.sort_unstable();
-            steps.push(eval.step(candidate, false, breakdown));
-            current = Some(breakdown);
-        }
-        // Adopted enough: everything else in the pool is eliminated, in
-        // examination-preference order.  Only this final frontier is
-        // tolerance-certified, so only it is reported — intermediate kept
-        // sets were growth states, not committed answers.
-        let eliminated: Vec<usize> = pool.into_iter().filter(|c| !kept.contains(c)).collect();
-        eval.notify_frontier(&eliminated);
-        Ok(SearchOutcome::completed(eliminated, steps))
     }
 }
 
@@ -2369,250 +1787,6 @@ impl SearchStrategy for SimulatedAnnealing {
     }
 }
 
-/// Seeded genetic search over kept sets: tournament selection, uniform
-/// crossover and flip mutation over bit-genomes of the candidate pool, with
-/// elitism pinned to the greedy-lineage incumbent.
-///
-/// The search first runs [`GreedyBackward`] inside the same evaluator (and
-/// the same [`SearchBudget`]) to obtain the incumbent frontier, then evolves
-/// a population seeded around it.  Fitness is the [`TestCostModel`] saving
-/// of a genome's kept set; genomes whose model misses the tolerance, cannot
-/// be trained, violates the elimination cap or keeps nothing are infeasible
-/// and never selected as the answer.  The best feasible genome ever
-/// evaluated — the incumbent included — survives every generation unchanged
-/// and is returned at the end, so the strategy **never finishes worse than
-/// greedy under the same budget**; when no evolved genome beats the
-/// incumbent the outcome carries [`FrontierProvenance::Incumbent`].
-///
-/// Determinism mirrors [`SimulatedAnnealing`]: every random draw happens on
-/// the search thread, each generation evaluates a deterministically
-/// composed batch, and the incumbent phase scans the order one candidate at
-/// a time (so budget consumption cannot depend on speculative batch
-/// sizes) — results are byte-identical for a fixed seed across any
-/// speculative thread count, budgeted or not.  Evolved generations still
-/// use the worker pool: within a generation the admitted trainings run in
-/// parallel.  [`SearchOutcome::steps`] logs the greedy incumbent phase (the
-/// evolved eliminations have no per-candidate examination trail).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GeneticSearch {
-    /// RNG seed driving population initialisation, selection, crossover and
-    /// mutation.
-    pub seed: u64,
-    /// Number of genomes per generation (clamped to at least 2).
-    pub population: usize,
-    /// Number of bred generations evaluated after the initial scatter
-    /// around the incumbent (each is selected, crossed and mutated from
-    /// its predecessor, then scored; `0` skips evolution entirely and
-    /// returns the greedy incumbent).
-    pub generations: usize,
-}
-
-impl GeneticSearch {
-    /// A genetic search with the default population (16) and generation
-    /// count (12).
-    pub fn new(seed: u64) -> Self {
-        GeneticSearch { seed, population: 16, generations: 12 }
-    }
-}
-
-/// The greedy incumbent phase shared by the population-based strategies
-/// ([`GeneticSearch`], [`CmaEs`], [`ParticleSwarm`]), scanning one
-/// candidate per evaluation batch.  Acceptance-for-acceptance this is
-/// [`GreedyBackward`] (pinned by the tests), but it never spends budget on
-/// discarded speculative evaluations, so the incumbent — and with it the
-/// whole population search — consumes the [`SearchBudget`] identically for
-/// any thread count, and is never shallower than the speculative greedy
-/// loop under the same budget.
-fn sequential_incumbent(
-    eval: &CandidateEvaluator<'_>,
-    ctx: &SearchContext<'_>,
-) -> Result<SearchOutcome> {
-    let order = ctx.order();
-    let mut eliminated: Vec<usize> = Vec::new();
-    let mut steps = Vec::new();
-    'scan: for &candidate in order {
-        if !ctx.within_budget(eliminated.len()) {
-            break;
-        }
-        let verdicts = eval.evaluate_removals(&eliminated, &[candidate])?;
-        for verdict in verdicts {
-            match verdict {
-                CandidateVerdict::LastTest => break 'scan,
-                CandidateVerdict::Exhausted => break 'scan,
-                CandidateVerdict::Scored(breakdown) => {
-                    let eliminate = breakdown.prediction_error() <= ctx.tolerance();
-                    if eliminate {
-                        eliminated.push(candidate);
-                        eval.notify_frontier(&eliminated);
-                    }
-                    steps.push(eval.step(candidate, eliminate, breakdown));
-                }
-                CandidateVerdict::Untrainable => {
-                    steps.push(eval.step(candidate, false, ErrorBreakdown::default()));
-                }
-                // Unreachable for single-candidate batches (the screen
-                // only engages past the shortlist size), but the
-                // semantics are the same: not eliminated, keep scanning.
-                CandidateVerdict::Screened => {}
-            }
-        }
-    }
-    Ok(SearchOutcome::finished(eliminated, steps, eval.budget_exhausted()))
-}
-
-impl SearchStrategy for GeneticSearch {
-    fn name(&self) -> &str {
-        "genetic"
-    }
-
-    fn search(
-        &self,
-        eval: &mut CandidateEvaluator<'_>,
-        ctx: &SearchContext<'_>,
-    ) -> Result<SearchOutcome> {
-        // Phase 1: the greedy incumbent, under the same budget.  Its final
-        // kept set's model is cached, seeding the evolved trainings.
-        let incumbent = sequential_incumbent(eval, ctx)?;
-        let pool = ctx.candidate_pool();
-        if eval.budget_exhausted() || pool.is_empty() || self.generations == 0 {
-            return Ok(incumbent);
-        }
-        let cost_model = ctx.cost_model();
-        let full_cost = cost_model.full_cost();
-        let incumbent_genome: Vec<bool> =
-            pool.iter().map(|c| incumbent.eliminated.contains(c)).collect();
-        let incumbent_kept = eval.kept_without(&incumbent.eliminated, None);
-        let warm_parent = (!incumbent.eliminated.is_empty()).then_some(incumbent_kept.as_slice());
-        let eliminated_of = |genome: &[bool]| -> Vec<usize> {
-            pool.iter().zip(genome).filter_map(|(&c, &bit)| bit.then_some(c)).collect()
-        };
-        let feasible_count =
-            |eliminated: &[usize]| ctx.max_eliminated().is_none_or(|max| eliminated.len() <= max);
-
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let size = self.population.max(2);
-        // Generation zero: the incumbent plus mutants scattered around it.
-        let mut population: Vec<Vec<bool>> = vec![incumbent_genome.clone()];
-        while population.len() < size {
-            let mutant: Vec<bool> = incumbent_genome
-                .iter()
-                .map(|&bit| if rng.gen::<f64>() < 0.25 { !bit } else { bit })
-                .collect();
-            population.push(mutant);
-        }
-
-        let mut best_genome = incumbent_genome.clone();
-        let mut best_fitness = full_cost - cost_model.cost_of(&incumbent_kept)?;
-        let mut memo: HashMap<Vec<bool>, f64> = HashMap::new();
-        memo.insert(incumbent_genome.clone(), best_fitness);
-        let mutation_rate = 1.0 / pool.len() as f64;
-        let mut exhausted = false;
-
-        // Generation 0 evaluates the initial scatter; each following
-        // generation breeds from the previous one, then evaluates.  Every
-        // bred generation is evaluated — nothing is wasted on a final
-        // unscored brood.
-        for generation in 0..=self.generations {
-            if generation > 0 {
-                // Breed this generation: the elite survives unchanged,
-                // every other slot is tournament selection + uniform
-                // crossover + flip mutation.
-                let fitness: Vec<f64> = population
-                    .iter()
-                    .map(|genome| memo.get(genome).copied().unwrap_or(f64::NEG_INFINITY))
-                    .collect();
-                let mut next: Vec<Vec<bool>> = vec![best_genome.clone()];
-                while next.len() < size {
-                    let tournament = |rng: &mut StdRng| -> usize {
-                        let a = rng.gen_range(0..population.len());
-                        let b = rng.gen_range(0..population.len());
-                        if fitness[b] > fitness[a] {
-                            b
-                        } else {
-                            a
-                        }
-                    };
-                    let mother = tournament(&mut rng);
-                    let father = tournament(&mut rng);
-                    let child: Vec<bool> = (0..pool.len())
-                        .map(|bit| {
-                            let from = if rng.gen::<bool>() { mother } else { father };
-                            let inherited = population[from][bit];
-                            if rng.gen::<f64>() < mutation_rate {
-                                !inherited
-                            } else {
-                                inherited
-                            }
-                        })
-                        .collect();
-                    next.push(child);
-                }
-                population = next;
-            }
-            // Evaluate the genomes this generation introduced, as one
-            // deterministically composed batch (duplicates collapse onto
-            // their first occurrence; statically infeasible genomes are
-            // scored without spending budget).
-            let mut jobs: Vec<(Vec<bool>, Vec<usize>)> = Vec::new();
-            for genome in &population {
-                if memo.contains_key(genome) || jobs.iter().any(|(g, _)| g == genome) {
-                    continue;
-                }
-                let eliminated = eliminated_of(genome);
-                let kept = eval.kept_without(&eliminated, None);
-                if kept.is_empty() || !feasible_count(&eliminated) {
-                    memo.insert(genome.clone(), f64::NEG_INFINITY);
-                    continue;
-                }
-                jobs.push((genome.clone(), kept));
-            }
-            let kept_sets: Vec<Vec<usize>> = jobs.iter().map(|(_, kept)| kept.clone()).collect();
-            let verdicts = eval.evaluate_kept_sets(&kept_sets, warm_parent)?;
-            for ((genome, kept), verdict) in jobs.into_iter().zip(verdicts) {
-                let fitness = match verdict {
-                    CandidateVerdict::Scored(breakdown)
-                        if breakdown.prediction_error() <= ctx.tolerance() =>
-                    {
-                        full_cost - cost_model.cost_of(&kept)?
-                    }
-                    CandidateVerdict::Exhausted => {
-                        exhausted = true;
-                        continue;
-                    }
-                    _ => f64::NEG_INFINITY,
-                };
-                memo.insert(genome, fitness);
-            }
-            // Update the elite from this generation, in population order.
-            for genome in &population {
-                let Some(&fitness) = memo.get(genome) else { continue };
-                if fitness > best_fitness {
-                    best_fitness = fitness;
-                    best_genome = genome.clone();
-                    eval.notify_frontier(&eliminated_of(&best_genome));
-                }
-            }
-            if exhausted {
-                break;
-            }
-        }
-
-        let provenance = if exhausted || eval.budget_exhausted() {
-            FrontierProvenance::Truncated
-        } else if best_genome == incumbent_genome {
-            FrontierProvenance::Incumbent
-        } else {
-            FrontierProvenance::Completed
-        };
-        Ok(SearchOutcome {
-            eliminated: eliminated_of(&best_genome),
-            steps: incumbent.steps,
-            provenance,
-            guard_band: None,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2633,81 +1807,6 @@ mod tests {
         let (train, test) =
             generate_train_test(&device, &MonteCarloConfig::new(500).with_seed(31), 300).unwrap();
         Compactor::new(train, test).unwrap()
-    }
-
-    #[test]
-    fn beam_width_one_equals_greedy_for_all_thread_counts() {
-        let compactor = redundant_population();
-        for tolerance in [0.01, 0.05, 0.3] {
-            for threads in [1usize, 4] {
-                let config = CompactionConfig::paper_default()
-                    .with_tolerance(tolerance)
-                    .with_threads(threads);
-                let greedy = compactor
-                    .compact_with_strategy(&grid(), &config, &GreedyBackward, None)
-                    .unwrap();
-                let beam = compactor
-                    .compact_with_strategy(&grid(), &config, &BeamSearch::new(1), None)
-                    .unwrap();
-                assert_eq!(greedy, beam, "tolerance {tolerance} threads {threads}");
-                assert_eq!(greedy.steps, beam.steps, "tolerance {tolerance} threads {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn wider_beams_never_eliminate_fewer_tests() {
-        let compactor = redundant_population();
-        let config = CompactionConfig::paper_default().with_tolerance(0.05);
-        let narrow =
-            compactor.compact_with_strategy(&grid(), &config, &BeamSearch::new(1), None).unwrap();
-        let wide =
-            compactor.compact_with_strategy(&grid(), &config, &BeamSearch::new(4), None).unwrap();
-        assert!(
-            wide.eliminated.len() >= narrow.eliminated.len(),
-            "wide {:?} narrow {:?}",
-            wide.eliminated,
-            narrow.eliminated
-        );
-        assert!(wide.final_breakdown.prediction_error() <= 0.05 + 1e-9);
-    }
-
-    #[test]
-    fn forward_selection_meets_the_tolerance() {
-        let compactor = redundant_population();
-        let config = CompactionConfig::paper_default().with_tolerance(0.05);
-        let result =
-            compactor.compact_with_strategy(&grid(), &config, &ForwardSelection, None).unwrap();
-        assert!(!result.kept.is_empty());
-        assert_eq!(result.kept.len() + result.eliminated.len(), 5);
-        assert!(result.final_breakdown.prediction_error() <= 0.05 + 1e-9);
-        // Each adopted spec logs one non-eliminating step.
-        assert_eq!(result.steps.len(), result.kept.len());
-        assert!(result.steps.iter().all(|s| !s.eliminated));
-    }
-
-    #[test]
-    fn forward_selection_respects_the_elimination_budget() {
-        let compactor = redundant_population();
-        let config = CompactionConfig::paper_default().with_tolerance(0.5).with_max_eliminated(2);
-        let result =
-            compactor.compact_with_strategy(&grid(), &config, &ForwardSelection, None).unwrap();
-        assert!(result.eliminated.len() <= 2, "eliminated {:?}", result.eliminated);
-    }
-
-    #[test]
-    fn forward_selection_keeps_specs_outside_the_order() {
-        let compactor = redundant_population();
-        let config = CompactionConfig::paper_default()
-            .with_tolerance(0.5)
-            .with_order(EliminationOrder::Functional(vec![2, 0]));
-        let result =
-            compactor.compact_with_strategy(&grid(), &config, &ForwardSelection, None).unwrap();
-        // Specs 1, 3 and 4 were never candidates: they must be kept.
-        for spec in [1usize, 3, 4] {
-            assert!(result.kept.contains(&spec), "kept {:?}", result.kept);
-        }
-        assert!(result.eliminated.iter().all(|c| *c == 0 || *c == 2));
     }
 
     /// The acceptance-criterion fixture: with a cost model whose expensive
@@ -2765,8 +1864,7 @@ mod tests {
     fn alternative_strategies_are_thread_count_invariant() {
         let compactor = redundant_population();
         let base = CompactionConfig::paper_default().with_tolerance(0.1);
-        let strategies: [&dyn SearchStrategy; 3] =
-            [&BeamSearch::new(3), &ForwardSelection, &CostAwareGreedy];
+        let strategies: [&dyn SearchStrategy; 2] = [&CostAwareGreedy, &SimulatedAnnealing::new(7)];
         for strategy in strategies {
             let sequential =
                 compactor.compact_with_strategy(&grid(), &base, strategy, None).unwrap();
@@ -2782,16 +1880,8 @@ mod tests {
         let compactor = redundant_population();
         let base = CompactionConfig::paper_default().with_tolerance(0.1);
         let budgeted = base.clone().with_budget(SearchBudget::unlimited());
-        let strategies: [&dyn SearchStrategy; 8] = [
-            &GreedyBackward,
-            &BeamSearch::new(3),
-            &ForwardSelection,
-            &CostAwareGreedy,
-            &SimulatedAnnealing::new(7),
-            &GeneticSearch::new(7),
-            &CmaEs::new(7),
-            &ParticleSwarm::new(7),
-        ];
+        let strategies: [&dyn SearchStrategy; 3] =
+            [&GreedyBackward, &CostAwareGreedy, &SimulatedAnnealing::new(7)];
         for strategy in strategies {
             let default = compactor.compact_with_strategy(&grid(), &base, strategy, None).unwrap();
             let unlimited =
@@ -2879,16 +1969,8 @@ mod tests {
     fn every_strategy_is_anytime_under_any_training_budget() {
         let compactor = redundant_population();
         let base = CompactionConfig::paper_default().with_tolerance(0.3);
-        let strategies: [&dyn SearchStrategy; 8] = [
-            &GreedyBackward,
-            &BeamSearch::new(3),
-            &ForwardSelection,
-            &CostAwareGreedy,
-            &SimulatedAnnealing::new(3),
-            &GeneticSearch::new(3),
-            &CmaEs::new(3),
-            &ParticleSwarm::new(3),
-        ];
+        let strategies: [&dyn SearchStrategy; 3] =
+            [&GreedyBackward, &CostAwareGreedy, &SimulatedAnnealing::new(3)];
         for strategy in strategies {
             for budget in [0usize, 1, 2, 3, 5, 8, 13] {
                 let config =
@@ -2923,8 +2005,8 @@ mod tests {
             ScreeningConfig::default(),
             0.05,
         );
-        let kept = vec![0usize, 1, 2];
-        let verdicts = eval.evaluate_kept_sets(&[kept.clone(), kept], None).unwrap();
+        // Removing the same candidate twice names the same kept set twice.
+        let verdicts = eval.evaluate_removals(&[], &[3, 3]).unwrap();
         // The duplicate collapses onto the first occurrence: both score,
         // only one training slot is claimed, and the budget never latches.
         assert!(matches!(verdicts[0], CandidateVerdict::Scored(_)));
@@ -2997,220 +2079,6 @@ mod tests {
                 "schedule {schedule:?} must be rejected"
             );
         }
-    }
-
-    #[test]
-    fn genetic_search_never_finishes_worse_than_greedy_under_the_same_budget() {
-        let compactor = redundant_population();
-        let cost =
-            TestCostModel::new(vec![1.0, 1.0, 1.0, 1.0, 100.0], vec![0; 5], vec![0.0]).unwrap();
-        for budget in [None, Some(2), Some(5), Some(10), Some(40)] {
-            let mut config = CompactionConfig::paper_default()
-                .with_tolerance(0.4)
-                .with_order(EliminationOrder::Functional(vec![0, 1, 2, 3, 4]));
-            if let Some(max) = budget {
-                config = config.with_budget(SearchBudget::unlimited().with_max_trainings(max));
-            }
-            let greedy = compactor
-                .compact_with_strategy(&grid(), &config, &GreedyBackward, Some(&cost))
-                .unwrap();
-            let genetic = compactor
-                .compact_with_strategy(&grid(), &config, &GeneticSearch::new(9), Some(&cost))
-                .unwrap();
-            let greedy_cost = cost.cost_of(&greedy.kept).unwrap();
-            let genetic_cost = cost.cost_of(&genetic.kept).unwrap();
-            assert!(
-                genetic_cost <= greedy_cost,
-                "budget {budget:?}: genetic kept {:?} (cost {genetic_cost}) worse than greedy \
-                 kept {:?} (cost {greedy_cost})",
-                genetic.kept,
-                greedy.kept
-            );
-            if !genetic.eliminated.is_empty() {
-                assert!(genetic.final_breakdown.prediction_error() <= 0.4 + 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn genetic_search_is_seed_deterministic_and_thread_invariant() {
-        let compactor = redundant_population();
-        let strategy = GeneticSearch { seed: 21, population: 8, generations: 5 };
-        for budget in [None, Some(4), Some(30)] {
-            let mut base = CompactionConfig::paper_default().with_tolerance(0.3);
-            if let Some(max) = budget {
-                base = base.with_budget(SearchBudget::unlimited().with_max_trainings(max));
-            }
-            let sequential =
-                compactor.compact_with_strategy(&grid(), &base, &strategy, None).unwrap();
-            let threaded = compactor
-                .compact_with_strategy(&grid(), &base.clone().with_threads(4), &strategy, None)
-                .unwrap();
-            assert_eq!(sequential, threaded, "budget {budget:?}");
-            assert_eq!(sequential.steps, threaded.steps, "budget {budget:?}");
-            // Deterministically composed generation batches: the consumed
-            // budget agrees too.
-            assert_eq!(sequential.budget, threaded.budget, "budget {budget:?}");
-        }
-    }
-
-    #[test]
-    fn genetic_incumbent_provenance_is_reported() {
-        let compactor = redundant_population();
-        // A zero-generation genetic search is exactly the greedy incumbent.
-        let config = CompactionConfig::paper_default().with_tolerance(0.1);
-        let incumbent_only = compactor
-            .compact_with_strategy(
-                &grid(),
-                &config,
-                &GeneticSearch { seed: 1, population: 6, generations: 0 },
-                None,
-            )
-            .unwrap();
-        let greedy =
-            compactor.compact_with_strategy(&grid(), &config, &GreedyBackward, None).unwrap();
-        assert_eq!(incumbent_only, greedy);
-        // With generations, the uniform cost model leaves greedy's maximal
-        // elimination count unbeatable in savings only if no cheaper set
-        // exists; either way the provenance names how the frontier arose.
-        let evolved = compactor
-            .compact_with_strategy(&grid(), &config, &GeneticSearch::new(1), None)
-            .unwrap();
-        assert!(matches!(
-            evolved.budget.provenance,
-            FrontierProvenance::Completed | FrontierProvenance::Incumbent
-        ));
-    }
-
-    #[test]
-    fn relaxed_strategies_never_finish_worse_than_greedy_under_the_same_budget() {
-        let compactor = redundant_population();
-        let cost =
-            TestCostModel::new(vec![1.0, 1.0, 1.0, 1.0, 100.0], vec![0; 5], vec![0.0]).unwrap();
-        let strategies: [&dyn SearchStrategy; 2] = [&CmaEs::new(9), &ParticleSwarm::new(9)];
-        for strategy in strategies {
-            for budget in [None, Some(2), Some(5), Some(10), Some(40)] {
-                let mut config = CompactionConfig::paper_default()
-                    .with_tolerance(0.4)
-                    .with_order(EliminationOrder::Functional(vec![0, 1, 2, 3, 4]));
-                if let Some(max) = budget {
-                    config = config.with_budget(SearchBudget::unlimited().with_max_trainings(max));
-                }
-                let greedy = compactor
-                    .compact_with_strategy(&grid(), &config, &GreedyBackward, Some(&cost))
-                    .unwrap();
-                let relaxed = compactor
-                    .compact_with_strategy(&grid(), &config, strategy, Some(&cost))
-                    .unwrap();
-                let greedy_cost = cost.cost_of(&greedy.kept).unwrap();
-                let relaxed_cost = cost.cost_of(&relaxed.kept).unwrap();
-                assert!(
-                    relaxed_cost <= greedy_cost,
-                    "strategy {:?}, budget {budget:?}: kept {:?} (cost {relaxed_cost}) worse \
-                     than greedy kept {:?} (cost {greedy_cost})",
-                    strategy,
-                    relaxed.kept,
-                    greedy.kept
-                );
-                if !relaxed.eliminated.is_empty() {
-                    assert!(relaxed.final_breakdown.prediction_error() <= 0.4 + 1e-9);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn relaxed_strategies_are_seed_deterministic_and_thread_invariant() {
-        let compactor = redundant_population();
-        let cma =
-            CmaEs { seed: 21, population: 8, generations: 4, sigma: 0.3, joint_guard_band: None };
-        let swarm = ParticleSwarm {
-            seed: 21,
-            particles: 8,
-            iterations: 4,
-            inertia: 0.7,
-            joint_guard_band: None,
-        };
-        let strategies: [&dyn SearchStrategy; 2] = [&cma, &swarm];
-        for strategy in strategies {
-            for budget in [None, Some(4), Some(30)] {
-                let mut base = CompactionConfig::paper_default().with_tolerance(0.3);
-                if let Some(max) = budget {
-                    base = base.with_budget(SearchBudget::unlimited().with_max_trainings(max));
-                }
-                let sequential =
-                    compactor.compact_with_strategy(&grid(), &base, strategy, None).unwrap();
-                let repeated =
-                    compactor.compact_with_strategy(&grid(), &base, strategy, None).unwrap();
-                let threaded = compactor
-                    .compact_with_strategy(&grid(), &base.clone().with_threads(4), strategy, None)
-                    .unwrap();
-                assert_eq!(sequential, repeated, "strategy {:?}, budget {budget:?}", strategy);
-                assert_eq!(sequential, threaded, "strategy {:?}, budget {budget:?}", strategy);
-                assert_eq!(sequential.steps, threaded.steps, "budget {budget:?}");
-                // Deterministically composed batches: the consumed budget
-                // agrees too.
-                assert_eq!(sequential.budget, threaded.budget, "budget {budget:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn relaxed_incumbent_provenance_is_reported() {
-        let compactor = redundant_population();
-        // A zero-generation CMA-ES run is exactly the greedy incumbent, and
-        // never reports a co-optimized band.
-        let config = CompactionConfig::paper_default().with_tolerance(0.1);
-        let incumbent_only = compactor
-            .compact_with_strategy(
-                &grid(),
-                &config,
-                &CmaEs { generations: 0, ..CmaEs::new(1) },
-                None,
-            )
-            .unwrap();
-        let greedy =
-            compactor.compact_with_strategy(&grid(), &config, &GreedyBackward, None).unwrap();
-        assert_eq!(incumbent_only, greedy);
-        assert_eq!(incumbent_only.co_optimized_guard_band, None);
-        for strategy in
-            [&CmaEs::new(1) as &dyn SearchStrategy, &ParticleSwarm::new(1) as &dyn SearchStrategy]
-        {
-            let evolved =
-                compactor.compact_with_strategy(&grid(), &config, strategy, None).unwrap();
-            assert!(matches!(
-                evolved.budget.provenance,
-                FrontierProvenance::Completed | FrontierProvenance::Incumbent
-            ));
-        }
-    }
-
-    #[test]
-    fn joint_guard_band_never_ships_a_worse_breakdown_than_the_staged_default() {
-        let compactor = redundant_population();
-        let config = CompactionConfig::paper_default().with_tolerance(0.4);
-        let staged =
-            compactor.compact_with_strategy(&grid(), &config, &GreedyBackward, None).unwrap();
-        let strategy = CmaEs::new(5).with_joint_guard_band(JointGuardBand::paper_default());
-        let joint = compactor.compact_with_strategy(&grid(), &config, &strategy, None).unwrap();
-        // A joint winner names the band its deployed model was trained
-        // with; falling back to the incumbent names none.
-        match joint.co_optimized_guard_band {
-            Some(fraction) => {
-                assert!((0.0..0.5).contains(&fraction), "fraction {fraction}");
-                assert_eq!(joint.budget.provenance, FrontierProvenance::Completed);
-            }
-            None => assert_eq!(joint.budget.provenance, FrontierProvenance::Incumbent),
-        }
-        // The joint feasibility ceiling is pinned to the incumbent's error,
-        // so the shipped breakdown is never worse than the staged default.
-        assert!(
-            joint.final_breakdown.prediction_error()
-                <= staged.final_breakdown.prediction_error() + 1e-9,
-            "joint {} vs staged {}",
-            joint.final_breakdown.prediction_error(),
-            staged.final_breakdown.prediction_error()
-        );
     }
 
     #[test]

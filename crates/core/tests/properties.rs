@@ -5,10 +5,7 @@
 
 use proptest::prelude::*;
 use stc_core::classifier::{ClassifierFactory, GridBackend};
-use stc_core::search::{
-    BeamSearch, CostAwareGreedy, ForwardSelection, GeneticSearch, GreedyBackward, SearchBudget,
-    SimulatedAnnealing,
-};
+use stc_core::search::{CostAwareGreedy, GreedyBackward, SearchBudget, SimulatedAnnealing};
 use stc_core::{
     baseline, generate_train_test, CompactionConfig, CompactionError, CompactionStep, Compactor,
     DeviceLabel, ErrorBreakdown, GuardBandConfig, MeasurementSet, MonteCarloConfig, Specification,
@@ -322,32 +319,6 @@ proptest! {
         }
     }
 
-    /// A beam of width 1 *is* the greedy loop: identical results (including
-    /// the step log) for arbitrary populations, tolerances and thread
-    /// counts.
-    #[test]
-    fn beam_width_one_is_greedy_backward(
-        seed in 0u64..10_000,
-        correlation in 0.3f64..0.95,
-        tolerance in 0.01f64..0.3,
-        threads in 1usize..5,
-    ) {
-        let device = SyntheticDevice::new(4, 1.6, correlation);
-        let (train, test) =
-            generate_train_test(&device, &MonteCarloConfig::new(160).with_seed(seed), 80).unwrap();
-        let compactor = Compactor::new(train, test).unwrap();
-        let backend = GridBackend::default();
-        let config = CompactionConfig::paper_default()
-            .with_tolerance(tolerance)
-            .with_threads(threads);
-        let greedy = compactor.compact_with(&backend, &config).unwrap();
-        let beam = compactor
-            .compact_with_strategy(&backend, &config, &BeamSearch::new(1), None)
-            .unwrap();
-        prop_assert_eq!(&greedy, &beam);
-        prop_assert_eq!(&greedy.steps, &beam.steps);
-    }
-
     /// The model-cache and warm-start invariants restated per strategy:
     /// every bundled search is byte-identical across speculative thread
     /// counts (the warm source depends only on accepted frontiers), and the
@@ -365,15 +336,8 @@ proptest! {
         let backend = GridBackend::default();
         let base = CompactionConfig::paper_default().with_tolerance(tolerance);
         let annealing = SimulatedAnnealing::new(seed);
-        let genetic = GeneticSearch { seed, population: 6, generations: 4 };
-        let strategies: [&dyn stc_core::SearchStrategy; 6] = [
-            &GreedyBackward,
-            &BeamSearch::new(3),
-            &ForwardSelection,
-            &CostAwareGreedy,
-            &annealing,
-            &genetic,
-        ];
+        let strategies: [&dyn stc_core::SearchStrategy; 3] =
+            [&GreedyBackward, &CostAwareGreedy, &annealing];
         for strategy in strategies {
             let sequential =
                 compactor.compact_with_strategy(&backend, &base, strategy, None).unwrap();
@@ -441,10 +405,10 @@ proptest! {
         }
     }
 
-    /// The stochastic strategies are byte-identical across speculative
-    /// thread counts for a fixed seed, under any training budget — the
-    /// evaluator owns all training and budget claims are made
-    /// deterministically on the search thread.
+    /// The stochastic strategy is byte-identical across speculative thread
+    /// counts for a fixed seed, under any training budget — the evaluator
+    /// owns all training and budget claims are made deterministically on
+    /// the search thread.
     #[test]
     fn stochastic_strategies_are_thread_invariant_under_any_budget(
         seed in 0u64..10_000,
@@ -461,20 +425,15 @@ proptest! {
             SearchBudget::unlimited().with_max_trainings(max_trainings),
         );
         let annealing = SimulatedAnnealing::new(seed ^ 0x5eed);
-        let genetic = GeneticSearch { seed: seed ^ 0x6e6e, population: 5, generations: 3 };
-        let strategies: [&dyn stc_core::SearchStrategy; 2] = [&annealing, &genetic];
-        for strategy in strategies {
-            let sequential =
-                compactor.compact_with_strategy(&backend, &base, strategy, None).unwrap();
-            let parallel = compactor
-                .compact_with_strategy(&backend, &base.clone().with_threads(threads), strategy, None)
-                .unwrap();
-            prop_assert_eq!(&sequential, &parallel);
-            prop_assert_eq!(&sequential.steps, &parallel.steps);
-            // For these strategies even the consumed budget is invariant.
-            prop_assert_eq!(sequential.budget, parallel.budget);
-            prop_assert!(sequential.budget.trainings <= max_trainings);
-        }
+        let sequential = compactor.compact_with_strategy(&backend, &base, &annealing, None).unwrap();
+        let parallel = compactor
+            .compact_with_strategy(&backend, &base.clone().with_threads(threads), &annealing, None)
+            .unwrap();
+        prop_assert_eq!(&sequential, &parallel);
+        prop_assert_eq!(&sequential.steps, &parallel.steps);
+        // Even the consumed budget is invariant.
+        prop_assert_eq!(sequential.budget, parallel.budget);
+        prop_assert!(sequential.budget.trainings <= max_trainings);
     }
 }
 

@@ -285,7 +285,7 @@ fn single_class_population_compacts_to_the_complete_suite() {
 /// accept/reject decision.
 #[test]
 fn blocked_kernel_path_reproduces_the_naive_kept_sets() {
-    use stc_core::search::{BeamSearch, CostAwareGreedy, ForwardSelection, SearchStrategy};
+    use stc_core::search::{CostAwareGreedy, SearchStrategy};
     use stc_core::CompactionResult;
     use stc_svm::{Kernel, KernelPath, SvcParams};
 
@@ -319,40 +319,31 @@ fn blocked_kernel_path_reproduces_the_naive_kept_sets() {
                 "greedy seed {seed} threads {threads}"
             );
 
-            let strategies: [&dyn SearchStrategy; 3] =
-                [&BeamSearch::new(2), &ForwardSelection, &CostAwareGreedy];
-            for strategy in strategies {
-                let fast =
-                    compactor.compact_with_strategy(&svm(), &config, strategy, None).unwrap();
-                let reference =
-                    compactor.compact_with_strategy(&naive, &config, strategy, None).unwrap();
-                assert_eq!(
-                    decisions(&fast),
-                    decisions(&reference),
-                    "strategy {} seed {seed} threads {threads}",
-                    strategy.name()
-                );
-            }
+            let fast =
+                compactor.compact_with_strategy(&svm(), &config, &CostAwareGreedy, None).unwrap();
+            let reference =
+                compactor.compact_with_strategy(&naive, &config, &CostAwareGreedy, None).unwrap();
+            assert_eq!(
+                decisions(&fast),
+                decisions(&reference),
+                "strategy {} seed {seed} threads {threads}",
+                CostAwareGreedy.name()
+            );
         }
     }
 }
 
-/// The 0.5 search seam on the paper's backend: a width-1 beam is the greedy
-/// loop, and every bundled strategy is thread-count invariant with the
-/// ε-SVM, warm starts and all.
+/// The 0.5 search seam on the paper's backend: every bundled strategy is
+/// thread-count invariant with the ε-SVM, warm starts and all, and meets
+/// the tolerance.
 #[test]
 fn search_strategies_are_consistent_with_the_svm_backend() {
-    use stc_core::search::{BeamSearch, CostAwareGreedy, ForwardSelection, SearchStrategy};
+    use stc_core::search::{CostAwareGreedy, GreedyBackward, SearchStrategy, SimulatedAnnealing};
 
     let compactor = redundant_population();
     let config = CompactionConfig::paper_default().with_tolerance(0.05);
-    let greedy = compactor.compact_with(&svm(), &config).unwrap();
-    let beam = compactor.compact_with_strategy(&svm(), &config, &BeamSearch::new(1), None).unwrap();
-    assert_eq!(greedy, beam);
-    assert_eq!(greedy.steps, beam.steps);
-
     let strategies: [&dyn SearchStrategy; 3] =
-        [&BeamSearch::new(2), &ForwardSelection, &CostAwareGreedy];
+        [&GreedyBackward, &CostAwareGreedy, &SimulatedAnnealing::new(5)];
     for strategy in strategies {
         let sequential = compactor.compact_with_strategy(&svm(), &config, strategy, None).unwrap();
         let threaded = compactor
@@ -375,9 +366,7 @@ fn search_strategies_are_consistent_with_the_svm_backend() {
 /// bundled fixture and strategy at every thread count.
 #[test]
 fn oversized_shortlist_screening_is_byte_identical_to_exact() {
-    use stc_core::search::{
-        BeamSearch, CostAwareGreedy, ForwardSelection, ScreeningConfig, SearchStrategy,
-    };
+    use stc_core::search::{CostAwareGreedy, ScreeningConfig};
 
     let device = SyntheticDevice::new(5, 1.8, 0.92);
     for seed in [31u64, 99] {
@@ -397,22 +386,14 @@ fn oversized_shortlist_screening_is_byte_identical_to_exact() {
             assert_eq!(screened.budget.trainings, exact.budget.trainings);
             assert_eq!(screened.screening.batches, 0, "an oversized shortlist never activates");
 
-            let strategies: [&dyn SearchStrategy; 3] =
-                [&BeamSearch::new(2), &ForwardSelection, &CostAwareGreedy];
-            for strategy in strategies {
-                let exact =
-                    compactor.compact_with_strategy(&svm(), &exact_config, strategy, None).unwrap();
-                let screened = compactor
-                    .compact_with_strategy(&svm(), &screened_config, strategy, None)
-                    .unwrap();
-                assert_eq!(
-                    screened,
-                    exact,
-                    "strategy {} seed {seed} threads {threads}",
-                    strategy.name()
-                );
-                assert_eq!(screened.steps, exact.steps);
-            }
+            let exact = compactor
+                .compact_with_strategy(&svm(), &exact_config, &CostAwareGreedy, None)
+                .unwrap();
+            let screened = compactor
+                .compact_with_strategy(&svm(), &screened_config, &CostAwareGreedy, None)
+                .unwrap();
+            assert_eq!(screened, exact, "cost-aware seed {seed} threads {threads}");
+            assert_eq!(screened.steps, exact.steps);
         }
     }
 }

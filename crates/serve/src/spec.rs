@@ -14,9 +14,8 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use spec_test_compaction::adapters::{AccelerometerDevice, OpAmpDevice};
 use stc_core::search::{
-    AnnealingSchedule, BeamSearch, CmaEs, CostAwareGreedy, ForwardSelection, GeneticSearch,
-    GreedyBackward, JointGuardBand, ParticleSwarm, ScreeningConfig, SearchBudget, SearchStrategy,
-    SimulatedAnnealing,
+    AnnealingSchedule, CostAwareGreedy, GreedyBackward, ScreeningConfig, SearchBudget,
+    SearchStrategy, SimulatedAnnealing,
 };
 use stc_core::{
     ClassifierFactory, CompactionConfig, DeviceUnderTest, GridBackend, GuardBandConfig,
@@ -120,19 +119,13 @@ impl DeviceSpec {
 }
 
 /// The search strategy a job runs, by name (resolved via
-/// [`StrategySpec::build`]).
+/// [`StrategySpec::build`]).  A spec naming any other strategy fails to
+/// decode with a typed error.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub enum StrategySpec {
     /// The paper's greedy backward elimination ([`GreedyBackward`]).
     #[default]
     Greedy,
-    /// Beam search over elimination frontiers ([`BeamSearch`]).
-    Beam {
-        /// Number of frontiers kept per depth.
-        width: usize,
-    },
-    /// Forward selection growing the kept set ([`ForwardSelection`]).
-    ForwardSelection,
     /// Cost-weighted greedy elimination ([`CostAwareGreedy`]).
     CostAware,
     /// Seeded simulated annealing ([`SimulatedAnnealing`]).
@@ -143,46 +136,6 @@ pub enum StrategySpec {
         #[serde(default)]
         schedule: AnnealingSchedule,
     },
-    /// Seeded genetic search ([`GeneticSearch`]).
-    Genetic {
-        /// RNG seed of the evolution.
-        seed: u64,
-        /// Genomes per generation.
-        population: usize,
-        /// Bred generations after the initial scatter.
-        generations: usize,
-    },
-    /// Seeded CMA-ES over the continuous relaxation ([`CmaEs`]).
-    CmaEs {
-        /// RNG seed of the sampled generations.
-        seed: u64,
-        /// Samples per generation.
-        population: usize,
-        /// Sampled generations after the greedy incumbent.
-        generations: usize,
-        /// Initial step size in the unit cube.
-        sigma: f64,
-        /// Joint guard-band co-optimization (`None` stages the configured
-        /// band as usual).
-        #[serde(default)]
-        joint_guard_band: Option<JointGuardBand>,
-    },
-    /// Seeded particle-swarm optimization over the continuous relaxation
-    /// ([`ParticleSwarm`]).
-    ParticleSwarm {
-        /// RNG seed of the swarm.
-        seed: u64,
-        /// Swarm size.
-        particles: usize,
-        /// Velocity/position update rounds.
-        iterations: usize,
-        /// Inertia weight of the velocity update.
-        inertia: f64,
-        /// Joint guard-band co-optimization (`None` stages the configured
-        /// band as usual).
-        #[serde(default)]
-        joint_guard_band: Option<JointGuardBand>,
-    },
 }
 
 impl StrategySpec {
@@ -190,39 +143,10 @@ impl StrategySpec {
     pub fn build(&self) -> Arc<dyn SearchStrategy> {
         match self {
             StrategySpec::Greedy => Arc::new(GreedyBackward),
-            StrategySpec::Beam { width } => Arc::new(BeamSearch::new(*width)),
-            StrategySpec::ForwardSelection => Arc::new(ForwardSelection),
             StrategySpec::CostAware => Arc::new(CostAwareGreedy),
             StrategySpec::Annealing { seed, schedule } => {
                 Arc::new(SimulatedAnnealing::new(*seed).with_schedule(*schedule))
             }
-            StrategySpec::Genetic { seed, population, generations } => Arc::new(GeneticSearch {
-                seed: *seed,
-                population: *population,
-                generations: *generations,
-            }),
-            StrategySpec::CmaEs { seed, population, generations, sigma, joint_guard_band } => {
-                Arc::new(CmaEs {
-                    seed: *seed,
-                    population: *population,
-                    generations: *generations,
-                    sigma: *sigma,
-                    joint_guard_band: *joint_guard_band,
-                })
-            }
-            StrategySpec::ParticleSwarm {
-                seed,
-                particles,
-                iterations,
-                inertia,
-                joint_guard_band,
-            } => Arc::new(ParticleSwarm {
-                seed: *seed,
-                particles: *particles,
-                iterations: *iterations,
-                inertia: *inertia,
-                joint_guard_band: *joint_guard_band,
-            }),
         }
     }
 }
@@ -327,19 +251,30 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Rejects an empty device list and measured entries with empty labels.
+    /// Rejects an empty device list, measured entries with empty labels, and
+    /// synthetic devices without specifications, with a limit that is not
+    /// finite and positive, or with a non-finite correlation.
     pub fn validate(&self) -> Result<(), ServeError> {
         if self.devices.is_empty() {
             return Err(ServeError::InvalidSpec("a job needs at least one device".into()));
         }
         for device in &self.devices {
-            if let DeviceSpec::Measured { label, .. } = device {
-                if label.is_empty() {
-                    return Err(ServeError::InvalidSpec(
-                        "measured devices need a non-empty label".into(),
-                    ));
+            let problem = match device {
+                DeviceSpec::Measured { label, .. } if label.is_empty() => {
+                    "measured devices need a non-empty label"
                 }
-            }
+                DeviceSpec::Synthetic { specs: 0, .. } => {
+                    "synthetic devices need at least one specification"
+                }
+                DeviceSpec::Synthetic { limit, .. } if !(limit.is_finite() && *limit > 0.0) => {
+                    "synthetic device limits must be finite and positive"
+                }
+                DeviceSpec::Synthetic { correlation, .. } if !correlation.is_finite() => {
+                    "synthetic device correlations must be finite"
+                }
+                _ => continue,
+            };
+            return Err(ServeError::InvalidSpec(problem.into()));
         }
         Ok(())
     }

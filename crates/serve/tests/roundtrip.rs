@@ -6,11 +6,9 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use stc_core::pipeline::CompactionPipeline;
-use stc_core::search::{
-    BeamSearch, FrontierSnapshot, JointGuardBand, ScreeningConfig, SearchBudget,
-};
+use stc_core::search::{CostAwareGreedy, FrontierSnapshot, ScreeningConfig, SearchBudget};
 use stc_core::{
-    CacheStats, CompactionConfig, EliminationOrder, GuardBandConfig, MeasurementSet,
+    BatchReport, CacheStats, CompactionConfig, EliminationOrder, GuardBandConfig, MeasurementSet,
     MonteCarloConfig, PipelineBatch, PipelineReport, Specification, SpecificationSet,
     SyntheticDevice, TestCostModel,
 };
@@ -131,36 +129,15 @@ proptest! {
         instances in 20usize..400,
         seed in 0u64..1_000_000,
         tolerance in 0.01f64..0.3,
-        strategy_choice in 0usize..8,
+        strategy_choice in 0usize..3,
         classifier_choice in 0usize..2,
         shard_threads in 0usize..4,
         sequential_choice in 0usize..3,
-        joint_choice in 0usize..2,
-        joint_max in 0.05f64..0.4,
     ) {
-        let joint_guard_band = (joint_choice == 1)
-            .then(|| JointGuardBand::new(joint_max).expect("valid joint band"));
         let strategy = match strategy_choice {
             0 => StrategySpec::Greedy,
-            1 => StrategySpec::Beam { width: 3 },
-            2 => StrategySpec::ForwardSelection,
-            3 => StrategySpec::CostAware,
-            4 => StrategySpec::Annealing { seed, schedule: Default::default() },
-            5 => StrategySpec::Genetic { seed, population: 8, generations: 4 },
-            6 => StrategySpec::CmaEs {
-                seed,
-                population: 8,
-                generations: 4,
-                sigma: 0.3,
-                joint_guard_band,
-            },
-            _ => StrategySpec::ParticleSwarm {
-                seed,
-                particles: 8,
-                iterations: 4,
-                inertia: 0.7,
-                joint_guard_band,
-            },
+            1 => StrategySpec::CostAware,
+            _ => StrategySpec::Annealing { seed, schedule: Default::default() },
         };
         let mut spec = JobSpec::new(
             vec![
@@ -241,27 +218,57 @@ fn pre_0_10_job_specs_still_parse() {
 }
 
 #[test]
-fn pre_0_11_relaxed_strategy_specs_still_parse() {
-    // A relaxed-strategy spec written without the `joint_guard_band` field
-    // (or serialized before it existed) must keep parsing, with joint
-    // co-optimization off.
-    let mut spec = JobSpec::new(
+fn removed_strategy_specs_fail_with_a_typed_error() {
+    // Job specs naming a strategy removed in 0.12 must be refused by the
+    // decoder with a typed error, never a panic or a silent fallback.
+    let spec = JobSpec::new(
         vec![DeviceSpec::OpAmp],
         MonteCarloConfig::new(50).with_seed(5),
         CompactionConfig::paper_default().with_tolerance(0.1),
     );
-    spec.strategy = StrategySpec::CmaEs {
-        seed: 7,
-        population: 8,
-        generations: 4,
-        sigma: 0.3,
-        joint_guard_band: None,
-    };
-    let json = stc_serve::json::to_string(&spec).expect("serializes");
-    let legacy = json.replacen(r#","joint_guard_band":null"#, "", 1);
-    assert_ne!(json, legacy, "the joint_guard_band field must be present to strip");
-    let back: JobSpec = stc_serve::json::from_str(&legacy).expect("legacy spec parses");
-    assert_eq!(back, spec);
+    let encoded = envelope::encode(&spec).expect("encodes");
+    let greedy = r#""strategy":"Greedy""#;
+    assert!(encoded.contains(greedy), "the strategy field must be present to replace");
+    for removed in [
+        r#"{"Beam":{"width":3}}"#,
+        r#""ForwardSelection""#,
+        r#"{"Genetic":{"seed":7,"population":8,"generations":4}}"#,
+        r#"{"CmaEs":{"seed":7,"population":8,"generations":4,"sigma":0.3,"joint_guard_band":null}}"#,
+        r#"{"ParticleSwarm":{"seed":7,"particles":8,"iterations":4,"inertia":0.7}}"#,
+    ] {
+        let legacy = encoded.replacen(greedy, &format!(r#""strategy":{removed}"#), 1);
+        match envelope::decode::<JobSpec>(&legacy) {
+            Err(ServeError::Json(_)) => {}
+            other => panic!("{removed} must fail to decode with a JSON error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn pre_0_12_batch_reports_with_co_optimized_keys_still_decode() {
+    // 0.11 reports carried a co-optimized guard band on every run and a
+    // count in the aggregate; unknown fields are skipped, so they decode.
+    let device = SyntheticDevice::new(4, 1.8, 0.9);
+    let report = PipelineBatch::new()
+        .device(&device)
+        .monte_carlo(MonteCarloConfig::new(80).with_seed(3))
+        .compaction(CompactionConfig::paper_default().with_tolerance(0.1))
+        .run()
+        .expect("tiny batch runs");
+    let encoded = envelope::encode(&report).expect("encodes");
+    let legacy = encoded
+        .replacen(r#""guard_band":{"#, r#""guard_band":{"co_optimized":false,"#, 1)
+        .replacen(r#""screening":{"#, r#""co_optimized_guard_band":null,"screening":{"#, 1)
+        .replacen(
+            r#"}},"population_cache_hits""#,
+            r#"},"co_optimized_bands":0},"population_cache_hits""#,
+            1,
+        );
+    for key in ["co_optimized", "co_optimized_guard_band", "co_optimized_bands"] {
+        assert!(legacy.contains(&format!(r#""{key}":"#)), "the legacy report must carry {key}");
+    }
+    let decoded: BatchReport = envelope::decode(&legacy).expect("0.11 report decodes");
+    assert_eq!(envelope::encode(&decoded).expect("re-encodes"), encoded);
 }
 
 #[test]
@@ -273,12 +280,12 @@ fn batch_report_round_trips_byte_for_byte() {
         .device(&beta)
         .monte_carlo(MonteCarloConfig::new(80).with_seed(3))
         .compaction(CompactionConfig::paper_default().with_tolerance(0.1))
-        .search(BeamSearch::new(2))
+        .search(CostAwareGreedy)
         .run()
         .expect("tiny batch runs");
     let back = json_round_trip(&report);
     assert_eq!(back.summary(), report.summary());
-    assert_eq!(back.search_strategy(), "beam");
+    assert_eq!(back.search_strategy(), "cost-aware-greedy");
 }
 
 #[test]

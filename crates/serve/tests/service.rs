@@ -1,7 +1,7 @@
 //! Service-level behaviour: shard/direct parity, cancellation semantics,
 //! budget exhaustion, and streaming progress.
 
-use stc_core::search::{CmaEs, JointGuardBand, SearchBudget};
+use stc_core::search::{SearchBudget, SimulatedAnnealing};
 use stc_core::{CompactionConfig, MonteCarloConfig, PipelineBatch, SyntheticDevice};
 use stc_serve::{
     envelope, ClassifierSpec, CompactionService, DeviceSpec, JobSpec, JobStatus, ServeError,
@@ -146,22 +146,16 @@ fn unknown_jobs_and_empty_specs_are_rejected() {
     assert!(matches!(service.status(bogus), Err(ServeError::UnknownJob(_))));
 }
 
-/// The relaxed global strategies run end to end through a serve job spec:
-/// a CMA-ES job with joint guard-band co-optimization produces the same
-/// report as a direct batch run with the equivalent strategy value.
+/// A seeded stochastic strategy runs end to end through a serve job spec:
+/// an annealing job produces the same report as a direct batch run with the
+/// equivalent strategy value.
 #[test]
-fn relaxed_strategy_jobs_match_direct_batches() {
+fn annealing_jobs_match_direct_batches() {
     let mut spec = synthetic_pair_spec();
-    spec.strategy = StrategySpec::CmaEs {
-        seed: 11,
-        population: 6,
-        generations: 2,
-        sigma: 0.3,
-        joint_guard_band: Some(JointGuardBand::paper_default()),
-    };
+    spec.strategy = StrategySpec::Annealing { seed: 11, schedule: Default::default() };
     let service = CompactionService::new(1);
-    let report = service.run_blocking(spec).expect("cma-es job runs");
-    assert_eq!(report.search_strategy(), "cma-es");
+    let report = service.run_blocking(spec).expect("annealing job runs");
+    assert_eq!(report.search_strategy(), "simulated-annealing");
 
     let alpha = SyntheticDevice::new(4, 1.8, 0.9);
     let beta = SyntheticDevice::new(5, 1.5, 0.8);
@@ -170,19 +164,39 @@ fn relaxed_strategy_jobs_match_direct_batches() {
         .device(&beta)
         .monte_carlo(MonteCarloConfig::new(120).with_seed(42))
         .compaction(CompactionConfig::paper_default().with_tolerance(0.1))
-        .search(CmaEs {
-            seed: 11,
-            population: 6,
-            generations: 2,
-            sigma: 0.3,
-            joint_guard_band: Some(JointGuardBand::paper_default()),
-        })
+        .search(SimulatedAnnealing::new(11))
         .run()
         .expect("direct batch runs");
     let direct_json = envelope::encode(&direct).expect("direct encodes");
     let service_json = envelope::encode(&report).expect("service encodes");
     assert_eq!(direct_json, service_json);
-    let co_optimized =
-        report.reports().filter(|run| run.compaction.co_optimized_guard_band.is_some()).count();
-    assert_eq!(report.aggregate.co_optimized_bands, co_optimized);
+}
+
+/// Malformed synthetic devices are refused at submission with a typed
+/// error: inside a shard they would panic the worker thread and leave the
+/// job `Running` forever.
+#[test]
+fn malformed_synthetic_devices_are_rejected_at_submission() {
+    let service = CompactionService::new(1);
+    for (specs, limit, correlation) in [
+        (0, 1.8, 0.9),
+        (4, -1.0, 0.9),
+        (4, 0.0, 0.9),
+        (4, f64::NAN, 0.9),
+        (4, f64::INFINITY, 0.9),
+        (4, 1.8, f64::NAN),
+        (4, 1.8, f64::NEG_INFINITY),
+    ] {
+        let mut spec = synthetic_pair_spec();
+        spec.devices.push(DeviceSpec::Synthetic { specs, limit, correlation });
+        match service.submit(spec) {
+            Err(ServeError::InvalidSpec(_)) => {}
+            other => panic!(
+                "synthetic device ({specs}, {limit}, {correlation}) must be rejected, got {other:?}"
+            ),
+        }
+    }
+    // The service is still healthy afterwards.
+    let report = service.run_blocking(synthetic_pair_spec()).expect("valid job runs");
+    assert_eq!(report.aggregate.devices, 2);
 }

@@ -23,8 +23,8 @@
 //!    distance vanishes).  Polynomial and sigmoid rows likewise become one
 //!    `powi`/`tanh` loop over the dot row, and those two are *exactly* equal
 //!    to the naive path (same dot value, same scalar postprocessing).
-//! 3. **Incremental candidate rows.** Consecutive candidates of the greedy /
-//!    beam searches differ from their committed parent by one feature
+//! 3. **Incremental candidate rows.** Consecutive candidates of the
+//!    backward searches differ from their committed parent by one feature
 //!    column, and every candidate dataset of a run shares its column
 //!    allocations through the `stc_core` normalized-column cache.  A parent
 //!    training therefore *banks* its hottest dot rows ([`DotRowBank`]), and

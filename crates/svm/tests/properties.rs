@@ -115,9 +115,9 @@ proptest! {
         }
     }
 
-    /// Warm-starting across an *added* feature column — the forward-selection
-    /// strategy's access pattern, where the committed kept set is a subset of
-    /// the candidate kept set — always converges to decisions that agree with
+    /// Warm-starting across an *added* feature column — the annealing walk's
+    /// restore moves, where the committed kept set is a subset of the
+    /// candidate kept set — always converges to decisions that agree with
     /// the cold-started model wherever the cold model is confident.  Alphas
     /// are mapped by training-instance index, so the direction of the column
     /// difference must not matter.

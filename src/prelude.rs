@@ -5,12 +5,10 @@
 //! ```
 //!
 //! brings in the [`CompactionPipeline`] builder, both bundled classifier
-//! backends ([`SvmBackend`], [`GridBackend`]), the eight bundled search
-//! strategies ([`GreedyBackward`], [`BeamSearch`], [`ForwardSelection`],
-//! [`CostAwareGreedy`], [`SimulatedAnnealing`], [`GeneticSearch`],
-//! [`CmaEs`], [`ParticleSwarm`] — the latter two optionally co-optimizing
-//! the guard band via [`JointGuardBand`]), the
-//! [`SearchBudget`] limits that make every search anytime, the
+//! backends ([`SvmBackend`], [`GridBackend`]), the three bundled search
+//! strategies (the paper's [`GreedyBackward`], [`CostAwareGreedy`] for
+//! insertion-heavy cost models and the seeded [`SimulatedAnnealing`] walk),
+//! the [`SearchBudget`] limits that make every search anytime, the
 //! [`ScreeningConfig`] screen-then-verify switch, the staged
 //! sequential deploy types ([`TestPlan`], [`SequentialSession`],
 //! [`StepVerdict`], [`SequentialStats`]), the device adapters and every
@@ -23,11 +21,9 @@ pub use stc_core::classifier::{
 };
 pub use stc_core::pipeline::{CompactionPipeline, CostSummary, GuardBandStats, PipelineReport};
 pub use stc_core::search::{
-    AnnealingSchedule, BeamSearch, BudgetStats, CandidateEvaluator, CandidateVerdict, CmaEs,
-    CostAwareGreedy, ForwardSelection, FrontierProvenance, GeneticSearch, GreedyBackward,
-    JointGuardBand, ParticleSwarm, RelaxedCandidate, RelaxedObjective, RelaxedScore,
-    ScreeningConfig, ScreeningStats, SearchBudget, SearchContext, SearchOutcome, SearchStrategy,
-    SimulatedAnnealing,
+    AnnealingSchedule, BudgetStats, CandidateEvaluator, CandidateVerdict, CostAwareGreedy,
+    FrontierProvenance, GreedyBackward, ScreeningConfig, ScreeningStats, SearchBudget,
+    SearchContext, SearchOutcome, SearchStrategy, SimulatedAnnealing,
 };
 pub use stc_core::{
     baseline, generate_measurement_set, generate_train_test, gridmodel, run_monte_carlo,

@@ -7,8 +7,6 @@
 //! shortlist at least as large as the candidate batch leaves the whole
 //! pipeline byte-identical to the exact path.
 
-use std::sync::Arc;
-
 use spec_test_compaction::prelude::*;
 
 /// Fraction of training instances on which the Nyström screen's sign must
@@ -66,7 +64,7 @@ fn nystrom_screen_sign_agrees_with_the_exact_svm_on_the_opamp_fixture() {
 /// With the shortlist at least as large as any candidate batch the screen
 /// verifies everything exactly, so the op-amp pipeline must produce a
 /// byte-identical [`CompactionResult`] — same kept and eliminated sets,
-/// same steps, same training count — for every bundled search strategy.
+/// same steps, same training count.
 #[test]
 fn oversized_shortlist_keeps_the_opamp_pipeline_byte_identical() {
     let device = OpAmpDevice::paper_setup();
@@ -79,27 +77,21 @@ fn oversized_shortlist_keeps_the_opamp_pipeline_byte_identical() {
         .with_tolerance(0.10)
         .with_order(EliminationOrder::Functional(vec![4, 6, 5]))
         .with_threads(2);
-    let strategies: [(&str, Arc<dyn SearchStrategy>); 2] =
-        [("greedy", Arc::new(GreedyBackward)), ("beam-2", Arc::new(BeamSearch::new(2)))];
-
-    for (name, strategy) in strategies {
-        let run = |screening: Option<ScreeningConfig>| {
-            let mut pipeline = CompactionPipeline::for_device(&device)
-                .monte_carlo(monte_carlo)
-                .test_instances(80)
-                .compaction(config.clone())
-                .classifier(SvmBackend::paper_default())
-                .search_arc(Arc::clone(&strategy));
-            if let Some(screening) = screening {
-                pipeline = pipeline.screening(screening);
-            }
-            pipeline.run().expect("op-amp pipeline runs").compaction
-        };
-        let exact = run(None);
-        let screened = run(Some(ScreeningConfig::screened(24, 64)));
-        assert_eq!(screened, exact, "{name}: oversized shortlist must change nothing");
-        assert_eq!(screened.screening.batches, 0, "{name}: the screen must never engage");
-    }
+    let run = |screening: Option<ScreeningConfig>| {
+        let mut pipeline = CompactionPipeline::for_device(&device)
+            .monte_carlo(monte_carlo)
+            .test_instances(80)
+            .compaction(config.clone())
+            .classifier(SvmBackend::paper_default());
+        if let Some(screening) = screening {
+            pipeline = pipeline.screening(screening);
+        }
+        pipeline.run().expect("op-amp pipeline runs").compaction
+    };
+    let exact = run(None);
+    let screened = run(Some(ScreeningConfig::screened(24, 64)));
+    assert_eq!(screened, exact, "oversized shortlist must change nothing");
+    assert_eq!(screened.screening.batches, 0, "the screen must never engage");
 }
 
 /// An *active* screen (shortlist smaller than the greedy batch) still

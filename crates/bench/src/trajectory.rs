@@ -835,20 +835,18 @@ fn screened_pair(
     strategy: Arc<dyn SearchStrategy>,
     screening: ScreeningConfig,
 ) -> ScreeningPoint {
-    let run = |screen: Option<ScreeningConfig>| -> PipelineReport {
-        let mut pipeline = CompactionPipeline::for_device(device)
+    let run = |screen: ScreeningConfig| -> PipelineReport {
+        CompactionPipeline::for_device(device)
             .monte_carlo(*monte_carlo)
             .test_instances(test_devices)
-            .compaction(config.clone())
+            .compaction(config.clone().with_screening(screen))
             .classifier(SvmBackend::paper_default())
-            .search_arc(Arc::clone(&strategy));
-        if let Some(screen) = screen {
-            pipeline = pipeline.screening(screen);
-        }
-        pipeline.run().expect("screening workload pipeline runs")
+            .search_arc(Arc::clone(&strategy))
+            .run()
+            .expect("screening workload pipeline runs")
     };
-    let exact = run(None);
-    let screened = run(Some(screening));
+    let exact = run(config.screening);
+    let screened = run(screening);
     eprintln!(
         "screening workload {device_label}/{strategy_label}: exact {} vs screened {} trainings",
         exact.compaction.budget.trainings, screened.compaction.budget.trainings,

@@ -4,11 +4,11 @@
 //! A production test-development flow rarely compacts a single device: it
 //! sweeps a device family (corners, variants, temperature splits) under one
 //! methodology configuration and compares the outcomes.  [`PipelineBatch`]
-//! runs one [`CompactionPipeline`] configuration across many
-//! [`DeviceUnderTest`] entries, spreading the runs over a work-stealing
-//! worker pool (each worker may additionally use the speculative
-//! candidate-evaluation threads of
-//! [`CompactionConfig::with_threads`](crate::CompactionConfig::with_threads))
+//! runs one [`CompactionPipeline`](crate::CompactionPipeline) configuration
+//! across many [`DeviceUnderTest`] entries and measured populations,
+//! spreading the runs over the shared work-stealing [`crate::pool`] (each
+//! worker may additionally use the speculative candidate-evaluation threads
+//! of [`CompactionConfig::with_threads`](crate::CompactionConfig::with_threads))
 //! and sharing one Monte-Carlo [`PopulationCache`] so repeated runs over the
 //! same device + configuration never re-simulate.
 //!
@@ -37,24 +37,18 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
-use crate::classifier::{ClassifierFactory, GridBackend};
-use crate::compaction::CompactionConfig;
-use crate::costmodel::TestCostModel;
 use crate::dataset::MeasurementSet;
 use crate::device::DeviceUnderTest;
-use crate::guardband::GuardBandConfig;
 use crate::metrics::ErrorBreakdown;
 use crate::montecarlo::{generate_train_test, MonteCarloConfig};
-use crate::pipeline::{CompactionPipeline, PipelineReport};
+use crate::pipeline::{stage_setters, PipelineReport, Stages};
+use crate::pool;
 use crate::report::percent;
-use crate::search::{
-    GreedyBackward, ProgressObserver, ScreeningConfig, SearchBudget, SearchStrategy,
-};
 use crate::Result;
 
 /// Cache key for one generated population: the batch entry label, a device
@@ -166,56 +160,47 @@ pub struct CacheStats {
     pub misses: usize,
 }
 
-/// One device entry of a batch.
+/// One entry of a batch.
 struct BatchEntry<'d> {
     label: String,
-    device: &'d dyn DeviceUnderTest,
-    /// Per-entry Monte-Carlo seed override (`None` = the shared seed), so one
-    /// device model can contribute several independent populations.
-    seed: Option<u64>,
+    population: Population<'d>,
 }
 
-/// Runs one [`CompactionPipeline`] configuration across many devices.
+/// Where an entry's population comes from.
+enum Population<'d> {
+    /// Simulated through the shared Monte-Carlo stage and population cache,
+    /// optionally under a per-entry seed (`None` = the shared seed), so one
+    /// device model can contribute several independent populations.
+    Simulated { device: &'d dyn DeviceUnderTest, seed: Option<u64> },
+    /// Measured data: no simulation, no population cache.
+    Measured { train: MeasurementSet, test: MeasurementSet },
+}
+
+/// Runs one [`CompactionPipeline`](crate::CompactionPipeline) configuration
+/// across many devices.
 ///
-/// Builder methods mirror the single-device pipeline stages; devices are
-/// appended with [`PipelineBatch::device`] (and friends) and the whole batch
-/// executes with [`PipelineBatch::run`].  See the [module docs](self) for an
-/// example.
+/// The stage setters are the single-device pipeline's, and every stage
+/// applies to each entry on its own: a search budget caps each entry's run,
+/// it is not shared across the batch.  With several batch threads, observer
+/// events of different entries interleave; observers that need per-entry
+/// streams should run entries through per-entry batches (or pipelines) with
+/// distinct observers.  Devices are appended with [`PipelineBatch::device`]
+/// (and friends), measured populations with [`PipelineBatch::measured`], and
+/// the whole batch executes with [`PipelineBatch::run`].  See the
+/// [module docs](self) for an example.
 pub struct PipelineBatch<'d> {
     entries: Vec<BatchEntry<'d>>,
-    monte_carlo: MonteCarloConfig,
-    test_instances: Option<usize>,
-    compaction: CompactionConfig,
-    guard_band: Option<GuardBandConfig>,
-    budget: Option<SearchBudget>,
-    screening: Option<ScreeningConfig>,
-    cost_model: Option<TestCostModel>,
-    classifier: Arc<dyn ClassifierFactory>,
-    search: Arc<dyn SearchStrategy>,
-    lookup_table: Option<usize>,
+    stages: Stages,
     batch_threads: usize,
     populations: Arc<PopulationCache>,
-    observer: Option<Arc<dyn ProgressObserver>>,
-    sequential: bool,
 }
 
 impl std::fmt::Debug for PipelineBatch<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PipelineBatch")
             .field("devices", &self.entries.iter().map(|e| e.label.as_str()).collect::<Vec<_>>())
-            .field("monte_carlo", &self.monte_carlo)
-            .field("test_instances", &self.test_instances)
-            .field("compaction", &self.compaction)
-            .field("guard_band", &self.guard_band)
-            .field("budget", &self.budget)
-            .field("screening", &self.screening)
-            .field("cost_model", &self.cost_model)
-            .field("classifier", &self.classifier)
-            .field("search", &self.search)
-            .field("lookup_table", &self.lookup_table)
+            .field("stages", &self.stages)
             .field("batch_threads", &self.batch_threads)
-            .field("observer", &self.observer)
-            .field("sequential", &self.sequential)
             .finish()
     }
 }
@@ -228,32 +213,21 @@ impl Default for PipelineBatch<'_> {
 
 impl<'d> PipelineBatch<'d> {
     /// An empty batch with the paper's default configuration and the built-in
-    /// [`GridBackend`] classifier (mirrors
-    /// [`CompactionPipeline::for_device`]).
+    /// [`GridBackend`](crate::GridBackend) classifier (mirrors
+    /// [`CompactionPipeline::for_device`](crate::CompactionPipeline::for_device)).
     pub fn new() -> Self {
         PipelineBatch {
             entries: Vec::new(),
-            monte_carlo: MonteCarloConfig::new(400),
-            test_instances: None,
-            compaction: CompactionConfig::paper_default(),
-            guard_band: None,
-            budget: None,
-            screening: None,
-            cost_model: None,
-            classifier: Arc::new(GridBackend::default()),
-            search: Arc::new(GreedyBackward),
-            lookup_table: None,
+            stages: Stages::default(),
             batch_threads: 1,
             populations: Arc::new(PopulationCache::new()),
-            observer: None,
-            sequential: true,
         }
     }
 
     /// Appends a device, labelled `"<device name>#<index>"`.
     pub fn device(self, device: &'d dyn DeviceUnderTest) -> Self {
         let label = format!("{}#{}", device.name(), self.entries.len());
-        self.push(label, device, None)
+        self.push(label, Population::Simulated { device, seed: None })
     }
 
     /// Appends a device under an explicit label (the label keys the
@@ -263,7 +237,7 @@ impl<'d> PipelineBatch<'d> {
         label: impl Into<String>,
         device: &'d dyn DeviceUnderTest,
     ) -> Self {
-        self.push(label.into(), device, None)
+        self.push(label.into(), Population::Simulated { device, seed: None })
     }
 
     /// Appends an independent *population* of an already-used device model:
@@ -271,98 +245,32 @@ impl<'d> PipelineBatch<'d> {
     /// one, so N seeds of one device model behave like N devices.
     pub fn device_seeded(self, device: &'d dyn DeviceUnderTest, seed: u64) -> Self {
         let label = format!("{}#{}@{seed}", device.name(), self.entries.len());
-        self.push(label, device, Some(seed))
+        self.push(label, Population::Simulated { device, seed: Some(seed) })
     }
 
-    fn push(mut self, label: String, device: &'d dyn DeviceUnderTest, seed: Option<u64>) -> Self {
-        self.entries.push(BatchEntry { label, device, seed });
+    /// Appends a measured (non-simulated) population, for example production
+    /// data: the entry skips the Monte-Carlo stage and the population cache
+    /// (it counts neither a hit nor a miss) and reports `label` as its
+    /// device.  Measurement sets are zero-copy views over `Arc`-shared
+    /// columnar storage, so they are cheap to pass by value.
+    pub fn measured(
+        self,
+        label: impl Into<String>,
+        train: MeasurementSet,
+        test: MeasurementSet,
+    ) -> Self {
+        self.push(label.into(), Population::Measured { train, test })
+    }
+
+    fn push(mut self, label: String, population: Population<'d>) -> Self {
+        self.entries.push(BatchEntry { label, population });
         self
     }
 
-    /// Configures the shared Monte-Carlo stage (per-entry seeds from
-    /// [`PipelineBatch::device_seeded`] override its seed).
-    pub fn monte_carlo(mut self, config: MonteCarloConfig) -> Self {
-        self.monte_carlo = config;
-        self
-    }
-
-    /// Sets the held-out population size (defaults to half the training
-    /// population).
-    pub fn test_instances(mut self, instances: usize) -> Self {
-        self.test_instances = Some(instances);
-        self
-    }
-
-    /// Configures the greedy compaction stage.
-    pub fn compaction(mut self, config: CompactionConfig) -> Self {
-        self.compaction = config;
-        self
-    }
-
-    /// Configures guard banding (see [`CompactionPipeline::guard_band`]).
-    pub fn guard_band(mut self, config: GuardBandConfig) -> Self {
-        self.guard_band = Some(config);
-        self
-    }
-
-    /// Attaches a test-cost model shared by every entry.
-    pub fn cost_model(mut self, model: TestCostModel) -> Self {
-        self.cost_model = Some(model);
-        self
-    }
-
-    /// Selects the classifier backend shared by every entry.
-    pub fn classifier(mut self, factory: impl ClassifierFactory + 'static) -> Self {
-        self.classifier = Arc::new(factory);
-        self
-    }
-
-    /// Selects an already-shared classifier backend.
-    pub fn classifier_arc(mut self, factory: Arc<dyn ClassifierFactory>) -> Self {
-        self.classifier = factory;
-        self
-    }
-
-    /// Selects the search strategy shared by every entry of the batch
-    /// (defaults to the paper's greedy backward elimination; see
-    /// [`crate::search`] for the bundled alternatives).
-    pub fn search(mut self, strategy: impl SearchStrategy + 'static) -> Self {
-        self.search = Arc::new(strategy);
-        self
-    }
-
-    /// Selects an already-shared search strategy.
-    pub fn search_arc(mut self, strategy: Arc<dyn SearchStrategy>) -> Self {
-        self.search = strategy;
-        self
-    }
-
-    /// Caps the training effort *each entry's* compaction search may spend
-    /// (see [`CompactionPipeline::budget`]; the budget is per run, not
-    /// shared across the batch, and overrides the budget embedded in the
-    /// compaction configuration, so stages stay order-independent).
-    pub fn budget(mut self, budget: SearchBudget) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Configures screen-then-verify candidate evaluation for every entry
-    /// (see [`CompactionPipeline::screening`]; overrides the screening
-    /// embedded in the compaction configuration, so stages stay
-    /// order-independent).
-    pub fn screening(mut self, config: ScreeningConfig) -> Self {
-        self.screening = Some(config);
-        self
-    }
-
-    /// Deploys every final model as a lookup table with the given resolution.
-    pub fn lookup_table(mut self, cells_per_dim: usize) -> Self {
-        self.lookup_table = Some(cells_per_dim);
-        self
-    }
+    stage_setters!();
 
     /// Number of worker threads running whole pipelines concurrently
-    /// (1 = sequential).  Workers steal the next unstarted device from a
+    /// (1 = sequential).  Workers steal the next unstarted entry from a
     /// shared queue, so slow devices never serialise the batch behind them.
     pub fn batch_threads(mut self, threads: usize) -> Self {
         self.batch_threads = threads.max(1);
@@ -376,77 +284,31 @@ impl<'d> PipelineBatch<'d> {
         self
     }
 
-    /// The population cache this batch reads and fills.
-    pub fn population_cache(&self) -> &Arc<PopulationCache> {
-        &self.populations
-    }
-
-    /// Attaches a [`ProgressObserver`] shared by every entry's compaction
-    /// stage (see [`CompactionPipeline::observer`]).  With several batch
-    /// threads, events of different entries interleave; observers that need
-    /// per-entry streams should run entries through per-entry batches (or
-    /// pipelines) with distinct observers.
-    pub fn observer(mut self, observer: Arc<dyn ProgressObserver>) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Enables or disables the staged sequential deploy accounting for every
-    /// entry (see [`CompactionPipeline::sequential_deploy`]; default:
-    /// enabled).
-    pub fn sequential_deploy(mut self, enabled: bool) -> Self {
-        self.sequential = enabled;
-        self
-    }
-
-    /// The single-device pipeline for entry `index` — exactly what
-    /// [`PipelineBatch::run`] executes for that entry.
-    fn pipeline_for(&self, entry: &BatchEntry<'d>) -> (CompactionPipeline<'d>, MonteCarloConfig) {
-        let mut monte_carlo = self.monte_carlo;
-        if let Some(seed) = entry.seed {
-            monte_carlo = monte_carlo.with_seed(seed);
-        }
-        let mut pipeline = CompactionPipeline::for_device(entry.device)
-            .monte_carlo(monte_carlo)
-            .compaction(self.compaction.clone())
-            .classifier_arc(Arc::clone(&self.classifier))
-            .search_arc(Arc::clone(&self.search));
-        if let Some(instances) = self.test_instances {
-            pipeline = pipeline.test_instances(instances);
-        }
-        if let Some(guard_band) = self.guard_band {
-            pipeline = pipeline.guard_band(guard_band);
-        }
-        if let Some(budget) = self.budget {
-            pipeline = pipeline.budget(budget);
-        }
-        if let Some(screening) = self.screening {
-            pipeline = pipeline.screening(screening);
-        }
-        if let Some(cost_model) = &self.cost_model {
-            pipeline = pipeline.cost_model(cost_model.clone());
-        }
-        if let Some(cells) = self.lookup_table {
-            pipeline = pipeline.lookup_table(cells);
-        }
-        if let Some(observer) = &self.observer {
-            pipeline = pipeline.observer(Arc::clone(observer));
-        }
-        pipeline = pipeline.sequential_deploy(self.sequential);
-        (pipeline, monte_carlo)
-    }
-
-    /// Runs one entry: cached (or freshly generated) population, then the
-    /// compaction pipeline stages.
+    /// Runs one entry: its measured population, or the cached (or freshly
+    /// generated) simulated one, then the compaction pipeline stages.
     fn run_entry(&self, entry: &BatchEntry<'d>) -> Result<PipelineReport> {
-        let (pipeline, monte_carlo) = self.pipeline_for(entry);
-        let population = self.populations.get_or_generate(
-            &entry.label,
-            entry.device,
-            &monte_carlo,
-            pipeline.resolved_test_instances(),
-        )?;
-        pipeline.run_with_population(population.0.clone(), population.1.clone())
+        match &entry.population {
+            Population::Measured { train, test } => {
+                self.stages.run_with_population(&entry.label, train.clone(), test.clone())
+            }
+            Population::Simulated { device, seed } => {
+                let mut monte_carlo = self.stages.monte_carlo;
+                if let Some(seed) = seed {
+                    monte_carlo = monte_carlo.with_seed(*seed);
+                }
+                let population = self.populations.get_or_generate(
+                    &entry.label,
+                    *device,
+                    &monte_carlo,
+                    self.stages.resolved_test_instances(),
+                )?;
+                self.stages.run_with_population(
+                    device.name(),
+                    population.0.clone(),
+                    population.1.clone(),
+                )
+            }
+        }
     }
 
     /// Runs every entry and aggregates the outcome.
@@ -462,7 +324,9 @@ impl<'d> PipelineBatch<'d> {
     /// [`CompactionError::DuplicateBatchLabel`](crate::CompactionError) when
     /// two entries share a label (labels key the population cache, so a
     /// collision would silently run one entry on the other's population);
-    /// propagates the first per-entry error in entry order.
+    /// propagates the lowest-index per-entry error.  An entry failure
+    /// cancels the entries that have not started yet, so the error path
+    /// does not pay for simulating the rest of the batch.
     pub fn run(&self) -> Result<BatchReport> {
         if self.entries.is_empty() {
             return Err(crate::CompactionError::EmptyBatch);
@@ -474,66 +338,15 @@ impl<'d> PipelineBatch<'d> {
                 });
             }
         }
-        let workers = self.batch_threads.min(self.entries.len()).max(1);
-        // An entry failure cancels the entries that have not *started* yet
-        // (in-flight ones finish and are discarded) so the error path does
-        // not pay for simulating the rest of the batch.
-        let cancelled = AtomicBool::new(false);
-        let run_one = |index: usize, entry: &BatchEntry<'d>| {
-            let outcome = self.run_entry(entry);
-            if outcome.is_err() {
-                cancelled.store(true, Ordering::Relaxed);
-            }
-            (index, outcome)
-        };
-        let mut outcomes: Vec<(usize, Result<PipelineReport>)> = if workers <= 1 {
-            let mut collected = Vec::with_capacity(self.entries.len());
-            for (index, entry) in self.entries.iter().enumerate() {
-                collected.push(run_one(index, entry));
-                if cancelled.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
-            collected
-        } else {
-            // Work stealing: each worker pulls the next unstarted entry from
-            // a shared counter until the queue drains (or an error cancels
-            // the remainder).
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let cancelled = &cancelled;
-                        let run_one = &run_one;
-                        scope.spawn(move || {
-                            let mut local = Vec::new();
-                            while !cancelled.load(Ordering::Relaxed) {
-                                let index = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(entry) = self.entries.get(index) else { break };
-                                local.push(run_one(index, entry));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|handle| handle.join().expect("batch worker panicked"))
-                    .collect()
-            })
-        };
-        outcomes.sort_by_key(|(index, _)| *index);
-
-        // Propagate the lowest-index error that was collected.  When several
-        // entries fail, cancellation timing decides which failures were
-        // collected, so the *reported* error may vary with scheduling; the
-        // success path is unaffected (all entries completed, in order).
-        let mut runs = Vec::with_capacity(self.entries.len());
-        for (index, outcome) in outcomes {
-            runs.push(BatchRun { label: self.entries[index].label.clone(), report: outcome? });
-        }
-        debug_assert_eq!(runs.len(), self.entries.len(), "no entry may be skipped on success");
+        let reports = pool::try_run_indexed(self.entries.len(), self.batch_threads, |index| {
+            self.run_entry(&self.entries[index])
+        })?;
+        let runs: Vec<BatchRun> = self
+            .entries
+            .iter()
+            .zip(reports)
+            .map(|(entry, report)| BatchRun { label: entry.label.clone(), report })
+            .collect();
         let aggregate = BatchAggregate::from_runs(&runs);
         let population_cache = self.populations.stats();
         Ok(BatchReport {
@@ -695,6 +508,8 @@ impl BatchReport {
 mod tests {
     use super::*;
     use crate::device::SyntheticDevice;
+    use crate::pipeline::CompactionPipeline;
+    use crate::CompactionConfig;
 
     fn batch(devices: &[SyntheticDevice]) -> PipelineBatch<'_> {
         let mut batch = PipelineBatch::new()

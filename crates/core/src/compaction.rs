@@ -402,7 +402,8 @@ impl Compactor {
         backend: &dyn ClassifierFactory,
         config: &CompactionConfig,
     ) -> Result<CompactionResult> {
-        self.compact_with_final_model(backend, config).map(|(result, _)| result)
+        self.compact_search_observed(backend, config, &GreedyBackward, None, None)
+            .map(|(result, _)| result)
     }
 
     /// Runs the compaction with an explicit [`SearchStrategy`] — cost-aware
@@ -428,40 +429,19 @@ impl Compactor {
         strategy: &dyn SearchStrategy,
         cost_model: Option<&TestCostModel>,
     ) -> Result<CompactionResult> {
-        self.compact_search_with_final_model(backend, config, strategy, cost_model)
+        self.compact_search_observed(backend, config, strategy, cost_model, None)
             .map(|(result, _)| result)
-    }
-
-    /// [`Compactor::compact_with`], additionally returning the guard-banded
-    /// classifier trained on the final kept set (`None` when nothing was
-    /// eliminated, in which case the complete suite needs no model).  Lets
-    /// the pipeline reuse the final model instead of retraining it.
-    pub(crate) fn compact_with_final_model(
-        &self,
-        backend: &dyn ClassifierFactory,
-        config: &CompactionConfig,
-    ) -> Result<(CompactionResult, Option<GuardBandedClassifier>)> {
-        self.compact_search_with_final_model(backend, config, &GreedyBackward, None)
     }
 
     /// The strategy-driven core every compaction entry point funnels into:
     /// resolve the order, hand a [`CandidateEvaluator`] to the strategy,
     /// validate its [`SearchOutcome`](crate::search::SearchOutcome) and
-    /// assemble the [`CompactionResult`] plus deploy-stage model.
-    pub(crate) fn compact_search_with_final_model(
-        &self,
-        backend: &dyn ClassifierFactory,
-        config: &CompactionConfig,
-        strategy: &dyn SearchStrategy,
-        cost_model: Option<&TestCostModel>,
-    ) -> Result<(CompactionResult, Option<GuardBandedClassifier>)> {
-        self.compact_search_observed(backend, config, strategy, cost_model, None)
-    }
-
-    /// [`Compactor::compact_search_with_final_model`] with a
-    /// [`ProgressObserver`](crate::search::ProgressObserver) attached to the
-    /// evaluator, streaming per-training events and committed-frontier
-    /// snapshots while the search runs.
+    /// assemble the [`CompactionResult`] plus the deploy-stage model (`None`
+    /// when nothing was eliminated, in which case the complete suite needs
+    /// no model).  An attached
+    /// [`ProgressObserver`](crate::search::ProgressObserver) streams
+    /// per-training events and committed-frontier snapshots while the
+    /// search runs.
     pub(crate) fn compact_search_observed(
         &self,
         backend: &dyn ClassifierFactory,
@@ -571,17 +551,9 @@ impl Compactor {
         if let Some(&bad) = order.iter().find(|&&c| c >= spec_count) {
             return Err(CompactionError::UnknownSpecification { index: bad, count: spec_count });
         }
-        let evaluator = CandidateEvaluator::with_settings(
-            &self.training,
-            &self.testing,
-            backend,
-            *guard_band,
-            1,
-            true,
-            SearchBudget::unlimited(),
-            ScreeningConfig::default(),
-            0.0,
-        );
+        let config =
+            CompactionConfig::paper_default().with_guard_band(*guard_band).with_warm_start(true);
+        let evaluator = CandidateEvaluator::new(&self.training, &self.testing, backend, &config);
         let mut eliminated: Vec<usize> = Vec::new();
         let mut steps = Vec::new();
         for &candidate in order {
@@ -628,17 +600,9 @@ impl Compactor {
         }
         let kept: Vec<usize> = (0..spec_count).filter(|&c| c != spec_index).collect();
         let truncated = self.training.truncated(training_instances.max(1));
-        let evaluator = CandidateEvaluator::with_settings(
-            &truncated,
-            &self.testing,
-            backend,
-            *guard_band,
-            1,
-            false,
-            SearchBudget::unlimited(),
-            ScreeningConfig::default(),
-            0.0,
-        );
+        let config =
+            CompactionConfig::paper_default().with_guard_band(*guard_band).with_warm_start(false);
+        let evaluator = CandidateEvaluator::new(&truncated, &self.testing, backend, &config);
         evaluator.evaluate(&kept, None)
     }
 
@@ -664,17 +628,9 @@ impl Compactor {
         if kept.is_empty() {
             return Err(CompactionError::EmptyTestSet);
         }
-        let evaluator = CandidateEvaluator::with_settings(
-            &self.training,
-            &self.testing,
-            backend,
-            *guard_band,
-            1,
-            false,
-            SearchBudget::unlimited(),
-            ScreeningConfig::default(),
-            0.0,
-        );
+        let config =
+            CompactionConfig::paper_default().with_guard_band(*guard_band).with_warm_start(false);
+        let evaluator = CandidateEvaluator::new(&self.training, &self.testing, backend, &config);
         evaluator.evaluate(&kept, None)
     }
 }

@@ -20,9 +20,10 @@
 //!    and every strategy is *anytime* under
 //!    an optional [`search::SearchBudget`] (a truncated run returns its best
 //!    committed frontier, never an error),
-//! 3. the **guard_band** stage brackets the decision boundary with a
-//!    strict/loose model pair (Section 4.2); devices on which they disagree
-//!    are routed to retest,
+//! 3. the guard band, set in the same compaction configuration
+//!    ([`CompactionConfig::with_guard_band`]), brackets the decision boundary
+//!    with a strict/loose model pair (Section 4.2); devices on which they
+//!    disagree are routed to retest,
 //! 4. the **classifier** stage picks the model family: the ε-SVM backend of
 //!    `stc-svm` (the paper's choice) or the built-in
 //!    [`GridBackend`] — any
@@ -80,6 +81,7 @@ pub mod classifier;
 pub mod gridmodel;
 pub mod montecarlo;
 pub mod pipeline;
+pub mod pool;
 pub mod report;
 pub mod search;
 pub mod tester;

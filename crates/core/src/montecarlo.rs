@@ -1,11 +1,14 @@
 //! Monte-Carlo training-data generation (Figure 1 of the paper).
 
+use std::sync::atomic::AtomicBool;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::MeasurementSet;
 use crate::device::DeviceUnderTest;
+use crate::pool;
 use crate::spec::SpecificationSet;
 use crate::{CompactionError, Result};
 
@@ -95,22 +98,17 @@ pub fn run_monte_carlo(
     let mut master = StdRng::seed_from_u64(config.seed);
     let seeds: Vec<u64> = (0..attempt_budget).map(|_| master.gen()).collect();
 
-    let results: Vec<(usize, std::result::Result<Vec<f64>, String>)> = if config.threads <= 1 {
-        seeds
-            .iter()
-            .enumerate()
-            .map(|(index, &seed)| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                (index, device.simulate_instance(&mut rng))
-            })
-            .collect()
-    } else {
-        simulate_parallel(device, &seeds, config.threads)
-    };
+    // Every attempt is simulated; outcomes come back in attempt order, so
+    // the kept rows are the same for any thread count.
+    let results =
+        pool::run_indexed(seeds.len(), config.threads, &AtomicBool::new(false), |index| {
+            device.simulate_instance(&mut StdRng::seed_from_u64(seeds[index]))
+        });
 
     let mut rows = Vec::with_capacity(config.instances);
     let mut skipped = 0usize;
-    for (index, result) in results {
+    // Nothing sets the stop flag, so every attempt has an outcome.
+    for (index, result) in results.into_iter().flatten().enumerate() {
         if rows.len() == config.instances {
             break;
         }
@@ -136,40 +134,6 @@ pub fn run_monte_carlo(
         });
     }
     Ok(MonteCarloRun { rows, skipped })
-}
-
-/// Runs the simulations on `threads` worker threads, preserving attempt order.
-fn simulate_parallel(
-    device: &dyn DeviceUnderTest,
-    seeds: &[u64],
-    threads: usize,
-) -> Vec<(usize, std::result::Result<Vec<f64>, String>)> {
-    let mut results: Vec<(usize, std::result::Result<Vec<f64>, String>)> =
-        Vec::with_capacity(seeds.len());
-    std::thread::scope(|scope| {
-        let chunk_size = seeds.len().div_ceil(threads);
-        let handles: Vec<_> = seeds
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(chunk_index, chunk)| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(offset, &seed)| {
-                            let mut rng = StdRng::seed_from_u64(seed);
-                            (chunk_index * chunk_size + offset, device.simulate_instance(&mut rng))
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            results.extend(handle.join().expect("simulation worker panicked"));
-        }
-    });
-    results.sort_by_key(|(index, _)| *index);
-    results
 }
 
 /// Generates a labelled [`MeasurementSet`] for a device: runs the Monte-Carlo

@@ -16,8 +16,11 @@
 //! let device = SyntheticDevice::new(4, 1.8, 0.9);
 //! let report = CompactionPipeline::for_device(&device)
 //!     .monte_carlo(MonteCarloConfig::new(300).with_seed(1))
-//!     .compaction(CompactionConfig::paper_default().with_tolerance(0.05))
-//!     .guard_band(GuardBandConfig::paper_default())
+//!     .compaction(
+//!         CompactionConfig::paper_default()
+//!             .with_tolerance(0.05)
+//!             .with_guard_band(GuardBandConfig::paper_default()),
+//!     )
 //!     .classifier(GridBackend::default())
 //!     .run()?;
 //! assert_eq!(report.kept().len() + report.eliminated().len(), 4);
@@ -37,72 +40,38 @@ use crate::compaction::{CompactionConfig, CompactionResult, Compactor};
 use crate::costmodel::TestCostModel;
 use crate::dataset::MeasurementSet;
 use crate::device::DeviceUnderTest;
-use crate::guardband::GuardBandConfig;
 use crate::metrics::ErrorBreakdown;
 use crate::montecarlo::{generate_train_test, MonteCarloConfig};
 use crate::report::percent;
 use crate::search::{
-    BudgetStats, GreedyBackward, ProgressObserver, ScreeningConfig, ScreeningStats, SearchBudget,
-    SearchStrategy,
+    BudgetStats, GreedyBackward, ProgressObserver, ScreeningStats, SearchStrategy,
 };
 use crate::tester::{SequentialStats, TestPlan, TesterProgram};
 use crate::Result;
 
-/// Staged builder for the end-to-end compaction flow.
-///
-/// Stages may be configured in any order; [`CompactionPipeline::run`]
-/// executes Monte-Carlo generation → greedy compaction → guard-banded final
-/// model → tester-program deployment → cost accounting and bundles everything
-/// into a [`PipelineReport`].
-#[derive(Clone)]
-pub struct CompactionPipeline<'d> {
-    device: &'d dyn DeviceUnderTest,
-    monte_carlo: MonteCarloConfig,
-    test_instances: Option<usize>,
-    compaction: CompactionConfig,
-    guard_band: Option<GuardBandConfig>,
-    budget: Option<SearchBudget>,
-    screening: Option<ScreeningConfig>,
-    cost_model: Option<TestCostModel>,
-    classifier: Arc<dyn ClassifierFactory>,
-    search: Arc<dyn SearchStrategy>,
-    lookup_table: Option<usize>,
-    observer: Option<Arc<dyn ProgressObserver>>,
-    sequential: bool,
+/// The stage configuration [`CompactionPipeline`] and
+/// [`crate::batch::PipelineBatch`] share: everything a run needs besides the
+/// population it runs on.
+#[derive(Debug, Clone)]
+pub(crate) struct Stages {
+    pub(crate) monte_carlo: MonteCarloConfig,
+    pub(crate) test_instances: Option<usize>,
+    pub(crate) compaction: CompactionConfig,
+    pub(crate) cost_model: Option<TestCostModel>,
+    pub(crate) classifier: Arc<dyn ClassifierFactory>,
+    pub(crate) search: Arc<dyn SearchStrategy>,
+    pub(crate) lookup_table: Option<usize>,
+    pub(crate) observer: Option<Arc<dyn ProgressObserver>>,
+    pub(crate) sequential: bool,
 }
 
-impl std::fmt::Debug for CompactionPipeline<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompactionPipeline")
-            .field("device", &self.device.name())
-            .field("monte_carlo", &self.monte_carlo)
-            .field("test_instances", &self.test_instances)
-            .field("compaction", &self.compaction)
-            .field("guard_band", &self.guard_band)
-            .field("budget", &self.budget)
-            .field("screening", &self.screening)
-            .field("cost_model", &self.cost_model)
-            .field("classifier", &self.classifier)
-            .field("search", &self.search)
-            .field("lookup_table", &self.lookup_table)
-            .field("observer", &self.observer)
-            .field("sequential", &self.sequential)
-            .finish()
-    }
-}
-
-impl<'d> CompactionPipeline<'d> {
-    /// Starts a pipeline for a device with the paper's default configuration
-    /// and the built-in [`GridBackend`] classifier.
-    pub fn for_device(device: &'d dyn DeviceUnderTest) -> Self {
-        CompactionPipeline {
-            device,
+impl Default for Stages {
+    /// The paper's default configuration with the built-in [`GridBackend`].
+    fn default() -> Self {
+        Stages {
             monte_carlo: MonteCarloConfig::new(400),
             test_instances: None,
             compaction: CompactionConfig::paper_default(),
-            guard_band: None,
-            budget: None,
-            screening: None,
             cost_model: None,
             classifier: Arc::new(GridBackend::default()),
             search: Arc::new(GreedyBackward),
@@ -111,179 +80,29 @@ impl<'d> CompactionPipeline<'d> {
             sequential: true,
         }
     }
+}
 
-    /// Configures the Monte-Carlo training-data generation stage.
-    pub fn monte_carlo(mut self, config: MonteCarloConfig) -> Self {
-        self.monte_carlo = config;
-        self
-    }
-
-    /// Sets the size of the held-out test population (defaults to half the
-    /// training population).
-    pub fn test_instances(mut self, instances: usize) -> Self {
-        self.test_instances = Some(instances);
-        self
-    }
-
-    /// Configures the greedy compaction stage.
-    pub fn compaction(mut self, config: CompactionConfig) -> Self {
-        self.compaction = config;
-        self
-    }
-
-    /// Configures guard banding (overrides the guard-band settings embedded
-    /// in the compaction configuration).
-    ///
-    /// Only `guard_band_fraction` and `enforce_kept_ranges` act here: the
-    /// `svm_c` / `svm_gamma` fields are *hints for SVM backends* and are not
-    /// applied to the classifier stage automatically.  To adopt them,
-    /// construct the backend from the same config —
-    /// `.classifier(SvmBackend::from_guard_band(&gb))`.
-    pub fn guard_band(mut self, config: GuardBandConfig) -> Self {
-        self.guard_band = Some(config);
-        self
-    }
-
-    /// Attaches a test-cost model (defaults to a uniform unit cost per test).
-    pub fn cost_model(mut self, model: TestCostModel) -> Self {
-        self.cost_model = Some(model);
-        self
-    }
-
-    /// Selects the classifier backend trained at every elimination step.
-    pub fn classifier(mut self, factory: impl ClassifierFactory + 'static) -> Self {
-        self.classifier = Arc::new(factory);
-        self
-    }
-
-    /// Selects an already-shared classifier backend.
-    pub fn classifier_arc(mut self, factory: Arc<dyn ClassifierFactory>) -> Self {
-        self.classifier = factory;
-        self
-    }
-
-    /// Selects the search strategy the compaction stage runs (defaults to
-    /// the paper's [`GreedyBackward`] elimination; see [`crate::search`]
-    /// for the bundled alternatives — cost-aware greedy and simulated
-    /// annealing — or plug in a custom [`SearchStrategy`]).
-    ///
-    /// Cost-aware strategies read the pipeline's
-    /// [`CompactionPipeline::cost_model`] stage (uniform unit costs when
-    /// none is attached).
-    pub fn search(mut self, strategy: impl SearchStrategy + 'static) -> Self {
-        self.search = Arc::new(strategy);
-        self
-    }
-
-    /// Selects an already-shared search strategy.
-    pub fn search_arc(mut self, strategy: Arc<dyn SearchStrategy>) -> Self {
-        self.search = strategy;
-        self
-    }
-
-    /// Caps the training effort the compaction search may spend (overrides
-    /// the budget embedded in the compaction configuration, like
-    /// [`CompactionPipeline::guard_band`] — stages stay order-independent).
-    /// Every strategy is anytime under a budget: a truncated run returns
-    /// its best committed frontier with [`BudgetStats::exhausted`] set,
-    /// never an error.
-    pub fn budget(mut self, budget: SearchBudget) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Configures screen-then-verify candidate evaluation (overrides the
-    /// screening settings embedded in the compaction configuration, like
-    /// [`CompactionPipeline::guard_band`] — stages stay order-independent).
-    /// Off by default; inert on backends without screening support.  See
-    /// [`ScreeningConfig`] for the exactness guarantees.
-    pub fn screening(mut self, config: ScreeningConfig) -> Self {
-        self.screening = Some(config);
-        self
-    }
-
-    /// Deploys the final model as a grid lookup table with the given
-    /// resolution instead of shipping the model itself (paper Section 3.3).
-    pub fn lookup_table(mut self, cells_per_dim: usize) -> Self {
-        self.lookup_table = Some(cells_per_dim);
-        self
-    }
-
-    /// Attaches a [`ProgressObserver`] to the compaction stage: one event
-    /// per model training and one snapshot per committed frontier, streamed
-    /// while the search runs (see the trait for the callback contract).
-    pub fn observer(mut self, observer: Arc<dyn ProgressObserver>) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Enables or disables the staged sequential deploy accounting
-    /// (default: enabled).
-    ///
-    /// When enabled, the report's [`PipelineReport::sequential`] carries the
-    /// per-device expected-cost statistics of driving the deployed program
-    /// through a cheapest-first [`TestPlan`] instead of measuring every kept
-    /// test up front: decision-depth histogram, early-exit fraction and the
-    /// expected cost per device next to the static kept-set cost.  One-shot
-    /// deployment numbers ([`PipelineReport::deployed`]) are unaffected —
-    /// the sequential session is verdict-identical by construction.
-    pub fn sequential_deploy(mut self, enabled: bool) -> Self {
-        self.sequential = enabled;
-        self
-    }
-
-    /// The held-out population size the pipeline will simulate (the explicit
-    /// [`CompactionPipeline::test_instances`] or the default of half the
-    /// training population).
+impl Stages {
+    /// The held-out population size (the explicit test-instance count or
+    /// the default of half the training population).
     pub(crate) fn resolved_test_instances(&self) -> usize {
         self.test_instances.unwrap_or_else(|| (self.monte_carlo.instances / 2).max(1))
     }
 
-    /// Runs every stage and bundles the outcome.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation, configuration and training errors from the
-    /// individual stages.
-    pub fn run(&self) -> Result<PipelineReport> {
-        let (train, test) =
-            generate_train_test(self.device, &self.monte_carlo, self.resolved_test_instances())?;
-        self.run_with_population(train, test)
-    }
-
     /// Runs the compaction/guard-band/deployment/cost stages on an existing
-    /// training and held-out population, skipping Monte-Carlo generation.
-    ///
-    /// This is how [`crate::batch::PipelineBatch`] reuses cached populations
-    /// across runs, and how measured (non-simulated) production data enters
-    /// the pipeline.  Measurement sets are cheap to pass by value: they are
-    /// zero-copy views over `Arc`-shared columnar storage.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and training errors; the populations must be
-    /// non-empty and share a specification set.
-    pub fn run_with_population(
+    /// population and reports it under `device_name`.
+    pub(crate) fn run_with_population(
         &self,
+        device_name: &str,
         train: MeasurementSet,
         test: MeasurementSet,
     ) -> Result<PipelineReport> {
-        let mut config = self.compaction.clone();
-        if let Some(guard_band) = self.guard_band {
-            config.guard_band = guard_band;
-        }
-        if let Some(budget) = self.budget {
-            config.budget = budget;
-        }
-        if let Some(screening) = self.screening {
-            config.screening = screening;
-        }
-
+        let config = &self.compaction;
         let compactor = Compactor::new(train, test)?;
         let backend = self.classifier.as_ref();
         let (compaction, final_model) = compactor.compact_search_observed(
             backend,
-            &config,
+            config,
             self.search.as_ref(),
             self.cost_model.as_ref(),
             self.observer.clone(),
@@ -332,7 +151,7 @@ impl<'d> CompactionPipeline<'d> {
         };
 
         Ok(PipelineReport {
-            device: self.device.name().to_string(),
+            device: device_name.to_string(),
             backend: self.classifier.name().to_string(),
             search: self.search.name().to_string(),
             train_instances: train.len(),
@@ -346,6 +165,192 @@ impl<'d> CompactionPipeline<'d> {
             cost,
             sequential,
         })
+    }
+}
+
+/// The stage setters [`CompactionPipeline`] and
+/// [`PipelineBatch`](crate::batch::PipelineBatch) share, written once over
+/// their `stages: Stages` field.
+macro_rules! stage_setters {
+    () => {
+        /// Configures the Monte-Carlo training-data generation stage.
+        pub fn monte_carlo(mut self, config: $crate::MonteCarloConfig) -> Self {
+            self.stages.monte_carlo = config;
+            self
+        }
+
+        /// Sets the size of the held-out test population (defaults to half
+        /// the training population).
+        pub fn test_instances(mut self, instances: usize) -> Self {
+            self.stages.test_instances = Some(instances);
+            self
+        }
+
+        /// Configures the compaction stage: tolerance, order, guard band,
+        /// search budget, screening and speculative threads.
+        ///
+        /// Of the guard band, only `guard_band_fraction` and
+        /// `enforce_kept_ranges` act here: the `svm_c` / `svm_gamma` fields
+        /// are *hints for SVM backends* and are not applied to the classifier
+        /// stage automatically.  To adopt them, construct the backend from
+        /// the same config — `.classifier(SvmBackend::from_guard_band(&gb))`.
+        pub fn compaction(mut self, config: $crate::CompactionConfig) -> Self {
+            self.stages.compaction = config;
+            self
+        }
+
+        /// Attaches a test-cost model (defaults to a uniform unit cost per
+        /// test).
+        pub fn cost_model(mut self, model: $crate::TestCostModel) -> Self {
+            self.stages.cost_model = Some(model);
+            self
+        }
+
+        /// Selects the classifier backend trained at every elimination step.
+        pub fn classifier(mut self, factory: impl $crate::ClassifierFactory + 'static) -> Self {
+            self.stages.classifier = std::sync::Arc::new(factory);
+            self
+        }
+
+        /// Selects an already-shared classifier backend.
+        pub fn classifier_arc(
+            mut self,
+            factory: std::sync::Arc<dyn $crate::ClassifierFactory>,
+        ) -> Self {
+            self.stages.classifier = factory;
+            self
+        }
+
+        /// Selects the search strategy the compaction stage runs (defaults to
+        /// the paper's [`GreedyBackward`](crate::GreedyBackward) elimination;
+        /// see [`crate::search`] for the bundled alternatives — cost-aware
+        /// greedy and simulated annealing — or plug in a custom
+        /// [`SearchStrategy`](crate::SearchStrategy)).
+        ///
+        /// Cost-aware strategies read the [`cost_model`](Self::cost_model)
+        /// stage (uniform unit costs when none is attached).  Every strategy
+        /// is anytime under a
+        /// [`CompactionConfig::with_budget`](crate::CompactionConfig::with_budget)
+        /// budget: a truncated run returns its best committed frontier with
+        /// [`BudgetStats::exhausted`](crate::BudgetStats::exhausted) set,
+        /// never an error.
+        pub fn search(mut self, strategy: impl $crate::SearchStrategy + 'static) -> Self {
+            self.stages.search = std::sync::Arc::new(strategy);
+            self
+        }
+
+        /// Selects an already-shared search strategy.
+        pub fn search_arc(mut self, strategy: std::sync::Arc<dyn $crate::SearchStrategy>) -> Self {
+            self.stages.search = strategy;
+            self
+        }
+
+        /// Deploys the final model as a grid lookup table with the given
+        /// resolution instead of shipping the model itself (paper Section
+        /// 3.3).
+        pub fn lookup_table(mut self, cells_per_dim: usize) -> Self {
+            self.stages.lookup_table = Some(cells_per_dim);
+            self
+        }
+
+        /// Attaches a [`ProgressObserver`](crate::ProgressObserver) to the
+        /// compaction stage: one event per model training and one snapshot
+        /// per committed frontier, streamed while the search runs (see the
+        /// trait for the callback contract).
+        pub fn observer(mut self, observer: std::sync::Arc<dyn $crate::ProgressObserver>) -> Self {
+            self.stages.observer = Some(observer);
+            self
+        }
+
+        /// Enables or disables the staged sequential deploy accounting
+        /// (default: enabled).
+        ///
+        /// When enabled, the report's
+        /// [`PipelineReport::sequential`](crate::PipelineReport::sequential)
+        /// carries the per-device expected-cost statistics of driving the
+        /// deployed program through a cheapest-first
+        /// [`TestPlan`](crate::TestPlan) instead of measuring every kept test
+        /// up front: decision-depth histogram, early-exit fraction and the
+        /// expected cost per device next to the static kept-set cost.
+        /// One-shot deployment numbers
+        /// ([`PipelineReport::deployed`](crate::PipelineReport::deployed)) are
+        /// unaffected — the sequential session is verdict-identical by
+        /// construction.
+        pub fn sequential_deploy(mut self, enabled: bool) -> Self {
+            self.stages.sequential = enabled;
+            self
+        }
+    };
+}
+pub(crate) use stage_setters;
+
+/// Staged builder for the end-to-end compaction flow.
+///
+/// Stages may be configured in any order; [`CompactionPipeline::run`]
+/// executes Monte-Carlo generation → greedy compaction → guard-banded final
+/// model → tester-program deployment → cost accounting and bundles everything
+/// into a [`PipelineReport`].  The guard band, the search budget and
+/// screening are part of the compaction stage
+/// ([`CompactionConfig::with_guard_band`], [`CompactionConfig::with_budget`],
+/// [`CompactionConfig::with_screening`]).
+#[derive(Clone)]
+pub struct CompactionPipeline<'d> {
+    device: &'d dyn DeviceUnderTest,
+    stages: Stages,
+}
+
+impl std::fmt::Debug for CompactionPipeline<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompactionPipeline")
+            .field("device", &self.device.name())
+            .field("stages", &self.stages)
+            .finish()
+    }
+}
+
+impl<'d> CompactionPipeline<'d> {
+    /// Starts a pipeline for a device with the paper's default configuration
+    /// and the built-in [`GridBackend`] classifier.
+    pub fn for_device(device: &'d dyn DeviceUnderTest) -> Self {
+        CompactionPipeline { device, stages: Stages::default() }
+    }
+
+    stage_setters!();
+
+    /// Runs every stage and bundles the outcome.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation, configuration and training errors from the
+    /// individual stages.
+    pub fn run(&self) -> Result<PipelineReport> {
+        let (train, test) = generate_train_test(
+            self.device,
+            &self.stages.monte_carlo,
+            self.stages.resolved_test_instances(),
+        )?;
+        self.run_with_population(train, test)
+    }
+
+    /// Runs the compaction/guard-band/deployment/cost stages on an existing
+    /// training and held-out population, skipping Monte-Carlo generation.
+    ///
+    /// Measurement sets are cheap to pass by value: they are zero-copy views
+    /// over `Arc`-shared columnar storage.  (To compact measured production
+    /// data without a device model, add it to a
+    /// [`crate::batch::PipelineBatch`] with
+    /// [`measured`](crate::batch::PipelineBatch::measured).)
+    ///
+    /// # Errors
+    ///
+    /// Propagates configuration and training errors; the populations must be
+    /// non-empty and share a specification set.
+    pub fn run_with_population(
+        &self,
+        train: MeasurementSet,
+        test: MeasurementSet,
+    ) -> Result<PipelineReport> {
+        self.stages.run_with_population(self.device.name(), train, test)
     }
 }
 

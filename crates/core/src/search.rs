@@ -60,6 +60,7 @@ use crate::costmodel::TestCostModel;
 use crate::dataset::MeasurementSet;
 use crate::guardband::{GuardBandConfig, GuardBandedClassifier};
 use crate::metrics::ErrorBreakdown;
+use crate::pool;
 use crate::{CompactionError, Result};
 
 /// Deterministic limits on the training effort one search may spend, plus an
@@ -695,38 +696,6 @@ impl ClassifierFactory for ScreenFactory<'_> {
 }
 
 impl<'a> CandidateEvaluator<'a> {
-    /// An evaluator over explicit settings (the compaction shell and the
-    /// thin experiment wrappers construct these).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn with_settings(
-        training: &'a MeasurementSet,
-        testing: &'a MeasurementSet,
-        backend: &'a dyn ClassifierFactory,
-        guard_band: GuardBandConfig,
-        threads: usize,
-        warm_start: bool,
-        budget: SearchBudget,
-        screening: ScreeningConfig,
-        tolerance: f64,
-    ) -> Self {
-        CandidateEvaluator {
-            training,
-            testing,
-            backend,
-            guard_band,
-            threads: threads.max(1),
-            warm_start,
-            screening,
-            tolerance,
-            cache: ModelCache::default(),
-            tracker: WarmStartTracker::default(),
-            screen_tracker: ScreeningTracker::default(),
-            screen_scores: Mutex::new(HashMap::new()),
-            ledger: BudgetLedger::new(budget),
-            observer: None,
-        }
-    }
-
     /// Attaches (or clears) the progress observer subsequent evaluations
     /// report to (see [`ProgressObserver`] for the callback contract).
     pub(crate) fn set_observer(&mut self, observer: Option<Arc<dyn ProgressObserver>>) {
@@ -740,17 +709,22 @@ impl<'a> CandidateEvaluator<'a> {
         backend: &'a dyn ClassifierFactory,
         config: &CompactionConfig,
     ) -> Self {
-        CandidateEvaluator::with_settings(
+        CandidateEvaluator {
             training,
             testing,
             backend,
-            config.guard_band,
-            config.threads,
-            config.warm_start,
-            config.budget,
-            config.screening,
-            config.error_tolerance,
-        )
+            guard_band: config.guard_band,
+            threads: config.threads.max(1),
+            warm_start: config.warm_start,
+            screening: config.screening,
+            tolerance: config.error_tolerance,
+            cache: ModelCache::default(),
+            tracker: WarmStartTracker::default(),
+            screen_tracker: ScreeningTracker::default(),
+            screen_scores: Mutex::new(HashMap::new()),
+            ledger: BudgetLedger::new(config.budget),
+            observer: None,
+        }
     }
 
     /// Number of specifications in the populations.
@@ -1016,7 +990,7 @@ impl<'a> CandidateEvaluator<'a> {
                 }
             })
             .collect();
-        let verdicts = self.run_jobs(jobs.len(), |job| {
+        let verdicts = pool::try_run_indexed(jobs.len(), self.threads, |job| {
             match self.evaluate_cached(unique[jobs[job]], Some(warm_parent), BudgetMode::Prepaid) {
                 Ok(entry) => Ok(CandidateVerdict::Scored(entry.1)),
                 Err(CompactionError::Classifier { .. })
@@ -1079,8 +1053,9 @@ impl<'a> CandidateEvaluator<'a> {
         // count).  A candidate the screen cannot train scores `None` and is
         // conservatively ranked ahead of every scored candidate, so it is
         // always verified exactly.
-        let scores: Vec<Option<f64>> =
-            self.run_jobs(misses.len(), |job| Ok(self.screen_score(unique[misses[job]])))?;
+        let scores: Vec<Option<f64>> = pool::try_run_indexed(misses.len(), self.threads, |job| {
+            Ok::<_, CompactionError>(self.screen_score(unique[misses[job]]))
+        })?;
         let mut ranked: Vec<usize> = (0..misses.len()).collect();
         ranked.sort_by(|&a, &b| {
             let score_a = scores[a].unwrap_or(f64::NEG_INFINITY);
@@ -1170,45 +1145,6 @@ impl<'a> CandidateEvaluator<'a> {
                 self.screen_tracker.agreed.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Runs `count` independent evaluation jobs, over the worker pool when
-    /// speculation is enabled, collecting results in job order.
-    fn run_jobs<T, F>(&self, count: usize, job: F) -> Result<Vec<T>>
-    where
-        T: Send,
-        F: Fn(usize) -> Result<T> + Sync,
-    {
-        if self.threads <= 1 || count <= 1 {
-            return (0..count).map(&job).collect();
-        }
-        let workers = self.threads.min(count);
-        let next = AtomicUsize::new(0);
-        let mut collected: Vec<(usize, Result<T>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let job = &job;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            if index >= count {
-                                break;
-                            }
-                            local.push((index, job(index)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|handle| handle.join().expect("candidate evaluation worker panicked"))
-                .collect()
-        });
-        collected.sort_by_key(|(index, _)| *index);
-        collected.into_iter().map(|(_, result)| result).collect()
     }
 
     /// The deploy-stage model of the final kept set.  For every bundled
@@ -1994,17 +1930,12 @@ mod tests {
     fn duplicate_kept_sets_in_a_batch_share_one_claim_and_one_training() {
         let compactor = redundant_population();
         let backend = grid();
-        let eval = CandidateEvaluator::with_settings(
-            compactor.training(),
-            compactor.testing(),
-            &backend,
-            GuardBandConfig::paper_default(),
-            4,
-            true,
-            SearchBudget::unlimited().with_max_trainings(1),
-            ScreeningConfig::default(),
-            0.05,
-        );
+        let config = CompactionConfig::paper_default()
+            .with_tolerance(0.05)
+            .with_threads(4)
+            .with_budget(SearchBudget::unlimited().with_max_trainings(1));
+        let eval =
+            CandidateEvaluator::new(compactor.training(), compactor.testing(), &backend, &config);
         // Removing the same candidate twice names the same kept set twice.
         let verdicts = eval.evaluate_removals(&[], &[3, 3]).unwrap();
         // The duplicate collapses onto the first occurrence: both score,

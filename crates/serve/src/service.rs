@@ -1,11 +1,13 @@
 //! The compaction job queue.
 //!
 //! [`CompactionService`] owns a bounded pool of worker threads draining a
-//! FIFO queue of [`JobSpec`]s.  Each job is sharded into one sub-job per
-//! device; the shards share a single fresh [`PopulationCache`] and run on a
-//! per-job work-stealing pool (`shard_threads` wide), so the assembled
+//! FIFO queue of [`JobSpec`]s.  Each job is sharded into one single-entry
+//! [`PipelineBatch`](stc_core::PipelineBatch) per device; the shards share
+//! a single fresh [`PopulationCache`] and run on the shared work-stealing
+//! [`stc_core::pool`] (`shard_threads` wide), so the assembled
 //! [`BatchReport`] is *identical* — field for field, byte for byte once
-//! serialized — to what a direct [`PipelineBatch::run`] over the same
+//! serialized — to what a direct
+//! [`PipelineBatch::run`](stc_core::PipelineBatch::run) over the same
 //! devices would produce.
 //!
 //! While a job runs, a [`ProgressObserver`] per shard streams training
@@ -14,21 +16,21 @@
 //! anytime view of the search: the best frontier so far, per device, long
 //! before the job completes.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use serde::{Deserialize, Serialize};
-use stc_core::pipeline::CompactionPipeline;
+use stc_core::pool;
 use stc_core::search::{FrontierSnapshot, ProgressObserver, TrainingEvent};
-use stc_core::{
-    BatchAggregate, BatchReport, BatchRun, CompactionError, PipelineBatch, PopulationCache,
-};
+use stc_core::{BatchAggregate, BatchReport, CompactionError, PopulationCache};
 
 use crate::error::ServeError;
-use crate::spec::{DeviceSpec, JobSpec, MeasuredDevice};
+use crate::spec::{DeviceSpec, JobSpec, ResolvedDevice};
 
 /// Handle to a submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -362,7 +364,10 @@ fn worker_loop(shared: &ServiceShared) {
             }
         };
         let Some((id, spec, progress, cancelled)) = claimed else { return };
-        let outcome = run_job(&spec, &progress, &cancelled);
+        // A panicking job fails alone: the worker survives to run the next.
+        let outcome =
+            panic::catch_unwind(AssertUnwindSafe(|| run_job(&spec, &progress, &cancelled)))
+                .unwrap_or_else(|payload| Err(JobError::Panicked(panic_message(payload.as_ref()))));
         {
             let mut state = shared.state.lock().expect("service state poisoned");
             let entry = state.jobs.get_mut(&id).expect("running job must exist");
@@ -370,6 +375,9 @@ fn worker_loop(shared: &ServiceShared) {
                 Ok(report) => JobState::Done(report),
                 Err(JobError::Cancelled) => JobState::Cancelled,
                 Err(JobError::Shard(error)) => JobState::Failed(error.to_string()),
+                Err(JobError::Panicked(message)) => {
+                    JobState::Failed(format!("job panicked: {message}"))
+                }
             };
         }
         shared.done.notify_all();
@@ -379,6 +387,16 @@ fn worker_loop(shared: &ServiceShared) {
 enum JobError {
     Cancelled,
     Shard(CompactionError),
+    Panicked(String),
+}
+
+/// The message of a panic payload (`panic!` carries a `&str` or a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(message), _) => message.to_string(),
+        (_, Some(message)) => message.clone(),
+        _ => "non-string panic payload".to_string(),
+    }
 }
 
 /// Observer bridging one shard's search events into the job's progress.
@@ -404,88 +422,44 @@ impl ProgressObserver for ShardObserver {
     }
 }
 
-/// Runs every shard of one job over a shared population cache and assembles
-/// the batch report ([`BatchAggregate::from_runs`] keeps the statistics
-/// identical to a direct [`PipelineBatch::run`]).
+/// Runs every shard of one job on the shared pool over one population cache
+/// and assembles the batch report ([`BatchAggregate::from_runs`] keeps the
+/// statistics identical to a direct
+/// [`PipelineBatch::run`](stc_core::PipelineBatch::run)).  Each shard is a
+/// single-entry batch, so it streams into its own progress slot.
 fn run_job(
     spec: &JobSpec,
     progress: &Arc<Mutex<JobProgress>>,
     cancelled: &AtomicBool,
 ) -> Result<BatchReport, JobError> {
-    let shard_count = spec.devices.len();
-    let labels: Vec<String> = spec
-        .devices
+    let devices: Vec<ResolvedDevice<'_>> = spec.devices.iter().map(DeviceSpec::resolve).collect();
+    let labels: Vec<String> =
+        devices.iter().enumerate().map(|(index, device)| device.label(index)).collect();
+    progress.lock().expect("progress poisoned").shards = labels
         .iter()
-        .enumerate()
-        .map(|(index, device)| match device {
-            DeviceSpec::Measured { label, .. } => label.clone(),
-            simulated => {
-                let resolved = simulated.resolve().expect("simulated spec must resolve");
-                format!("{}#{index}", resolved.as_device().name())
-            }
-        })
+        .map(|label| ShardProgress { label: label.clone(), ..ShardProgress::default() })
         .collect();
-    {
-        let mut snapshot = progress.lock().expect("progress poisoned");
-        snapshot.shards = labels
-            .iter()
-            .map(|label| ShardProgress { label: label.clone(), ..ShardProgress::default() })
-            .collect();
-    }
     if cancelled.load(Ordering::SeqCst) {
         return Err(JobError::Cancelled);
     }
 
-    let strategy = spec.strategy.build();
-    let classifier = spec.classifier.build();
     let populations = Arc::new(PopulationCache::new());
-    let threads = spec.shard_threads.clamp(1, shard_count.max(1));
-
-    let next_shard = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Result<BatchRun, CompactionError>>>> =
-        (0..shard_count).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                if cancelled.load(Ordering::SeqCst) {
-                    break;
-                }
-                let index = next_shard.fetch_add(1, Ordering::SeqCst);
-                if index >= shard_count {
-                    break;
-                }
-                {
-                    let mut snapshot = progress.lock().expect("progress poisoned");
-                    snapshot.shards[index].started = true;
-                }
-                let observer: Arc<dyn ProgressObserver> =
-                    Arc::new(ShardObserver { index, progress: Arc::clone(progress) });
-                let outcome = run_shard(
-                    spec,
-                    &spec.devices[index],
-                    &labels[index],
-                    &populations,
-                    Arc::clone(&strategy),
-                    Arc::clone(&classifier),
-                    observer,
-                );
-                {
-                    let mut snapshot = progress.lock().expect("progress poisoned");
-                    snapshot.shards[index].finished = outcome.is_ok();
-                }
-                *results[index].lock().expect("shard result poisoned") = Some(outcome);
-            });
-        }
+    let outcomes = pool::run_indexed(devices.len(), spec.shard_threads, cancelled, |index| {
+        progress.lock().expect("progress poisoned").shards[index].started = true;
+        let observer = Arc::new(ShardObserver { index, progress: Arc::clone(progress) });
+        let batch = spec.batch().with_population_cache(Arc::clone(&populations)).observer(observer);
+        let outcome = devices[index].add_to(batch, &labels[index]).run();
+        progress.lock().expect("progress poisoned").shards[index].finished = outcome.is_ok();
+        outcome
     });
 
     if cancelled.load(Ordering::SeqCst) {
         return Err(JobError::Cancelled);
     }
-    let mut runs = Vec::with_capacity(shard_count);
-    for cell in results {
-        match cell.into_inner().expect("shard result poisoned") {
-            Some(Ok(run)) => runs.push(run),
+    let mut runs = Vec::with_capacity(outcomes.len());
+    for outcome in outcomes {
+        match outcome {
+            Some(Ok(shard)) => runs.extend(shard.runs),
             // Report the lowest-index failure, like `PipelineBatch::run`.
             Some(Err(error)) => return Err(JobError::Shard(error)),
             None => return Err(JobError::Cancelled),
@@ -499,80 +473,4 @@ fn run_job(
         population_cache_hits: population_cache.hits,
         population_cache_misses: population_cache.misses,
     })
-}
-
-/// Runs one device shard: simulated devices go through a single-entry
-/// [`PipelineBatch`] sharing the job's population cache, measured data goes
-/// straight into [`CompactionPipeline::run_with_population`].
-fn run_shard(
-    spec: &JobSpec,
-    device: &DeviceSpec,
-    label: &str,
-    populations: &Arc<PopulationCache>,
-    strategy: Arc<dyn stc_core::SearchStrategy>,
-    classifier: Arc<dyn stc_core::ClassifierFactory>,
-    observer: Arc<dyn ProgressObserver>,
-) -> Result<BatchRun, CompactionError> {
-    if let DeviceSpec::Measured { label: measured_label, train, test } = device {
-        let stub = MeasuredDevice { label: measured_label.clone() };
-        let mut pipeline = CompactionPipeline::for_device(&stub)
-            .compaction(spec.compaction.clone())
-            .search_arc(strategy)
-            .classifier_arc(classifier)
-            .observer(observer);
-        if let Some(guard_band) = spec.guard_band {
-            pipeline = pipeline.guard_band(guard_band);
-        }
-        if let Some(budget) = spec.budget {
-            pipeline = pipeline.budget(budget);
-        }
-        if let Some(screening) = spec.screening {
-            pipeline = pipeline.screening(screening);
-        }
-        if let Some(cost_model) = &spec.cost_model {
-            pipeline = pipeline.cost_model(cost_model.clone());
-        }
-        if let Some(cells) = spec.lookup_table {
-            pipeline = pipeline.lookup_table(cells);
-        }
-        if let Some(sequential) = spec.sequential {
-            pipeline = pipeline.sequential_deploy(sequential);
-        }
-        let report = pipeline.run_with_population(train.clone(), test.clone())?;
-        return Ok(BatchRun { label: label.to_string(), report });
-    }
-
-    let resolved = device.resolve().expect("non-measured spec must resolve");
-    let mut batch = PipelineBatch::new()
-        .device_labelled(label, resolved.as_device())
-        .monte_carlo(spec.monte_carlo)
-        .compaction(spec.compaction.clone())
-        .search_arc(strategy)
-        .classifier_arc(classifier)
-        .with_population_cache(Arc::clone(populations))
-        .observer(observer);
-    if let Some(instances) = spec.test_instances {
-        batch = batch.test_instances(instances);
-    }
-    if let Some(guard_band) = spec.guard_band {
-        batch = batch.guard_band(guard_band);
-    }
-    if let Some(budget) = spec.budget {
-        batch = batch.budget(budget);
-    }
-    if let Some(screening) = spec.screening {
-        batch = batch.screening(screening);
-    }
-    if let Some(cost_model) = &spec.cost_model {
-        batch = batch.cost_model(cost_model.clone());
-    }
-    if let Some(cells) = spec.lookup_table {
-        batch = batch.lookup_table(cells);
-    }
-    if let Some(sequential) = spec.sequential {
-        batch = batch.sequential_deploy(sequential);
-    }
-    let report = batch.run()?;
-    let run = report.runs.into_iter().next().expect("single-entry batch yields one run");
-    Ok(run)
 }

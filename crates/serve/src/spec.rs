@@ -10,7 +10,6 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use spec_test_compaction::adapters::{AccelerometerDevice, OpAmpDevice};
 use stc_core::search::{
@@ -19,7 +18,7 @@ use stc_core::search::{
 };
 use stc_core::{
     ClassifierFactory, CompactionConfig, DeviceUnderTest, GridBackend, GuardBandConfig,
-    MeasurementSet, MonteCarloConfig, SyntheticDevice, TestCostModel,
+    MeasurementSet, MonteCarloConfig, PipelineBatch, SyntheticDevice, TestCostModel,
 };
 use stc_svm::SvmBackend;
 
@@ -56,64 +55,49 @@ pub enum DeviceSpec {
     },
 }
 
-/// A name-only [`DeviceUnderTest`] stub standing in for measured data: the
-/// service runs measured entries through
-/// [`stc_core::CompactionPipeline::run_with_population`], which never
-/// simulates, so only [`DeviceUnderTest::name`] is ever consulted.
-#[derive(Debug)]
-pub(crate) struct MeasuredDevice {
-    pub(crate) label: String,
+/// A [`DeviceSpec`] resolved for one job: a simulatable device model, or
+/// the measured population as it is.
+pub(crate) enum ResolvedDevice<'s> {
+    Model(Box<dyn DeviceUnderTest>),
+    Measured { label: &'s str, train: &'s MeasurementSet, test: &'s MeasurementSet },
 }
 
-impl DeviceUnderTest for MeasuredDevice {
-    fn name(&self) -> &str {
-        &self.label
-    }
-
-    fn spec_names(&self) -> Vec<String> {
-        Vec::new()
-    }
-
-    fn spec_units(&self) -> Vec<String> {
-        Vec::new()
-    }
-
-    fn simulate_instance(&self, _rng: &mut StdRng) -> Result<Vec<f64>, String> {
-        Err(format!("measured device `{}` cannot be simulated", self.label))
-    }
-}
-
-/// Simulatable devices a [`DeviceSpec`] can resolve to.
-#[derive(Debug)]
-pub(crate) enum ResolvedDevice {
-    OpAmp(Box<OpAmpDevice>),
-    Mems(Box<AccelerometerDevice>),
-    Synthetic(SyntheticDevice),
-}
-
-impl ResolvedDevice {
-    pub(crate) fn as_device(&self) -> &dyn DeviceUnderTest {
+impl ResolvedDevice<'_> {
+    /// The shard's batch label: a measured entry's own label, or
+    /// `"<device name>#<index>"` like [`PipelineBatch::device`].
+    pub(crate) fn label(&self, index: usize) -> String {
         match self {
-            ResolvedDevice::OpAmp(device) => device.as_ref(),
-            ResolvedDevice::Mems(device) => device.as_ref(),
-            ResolvedDevice::Synthetic(device) => device,
+            ResolvedDevice::Model(device) => format!("{}#{index}", device.name()),
+            ResolvedDevice::Measured { label, .. } => label.to_string(),
+        }
+    }
+
+    /// Appends this device to `batch` as its entry labelled `label`.
+    pub(crate) fn add_to<'d>(&'d self, batch: PipelineBatch<'d>, label: &str) -> PipelineBatch<'d> {
+        match self {
+            ResolvedDevice::Model(device) => batch.device_labelled(label, device.as_ref()),
+            ResolvedDevice::Measured { train, test, .. } => {
+                batch.measured(label, (*train).clone(), (*test).clone())
+            }
         }
     }
 }
 
 impl DeviceSpec {
-    /// Builds the simulatable device for this spec, or `None` for measured
-    /// data (which bypasses simulation entirely).
-    pub(crate) fn resolve(&self) -> Option<ResolvedDevice> {
+    /// Resolves the spec: bundled fixtures and synthetic models become
+    /// device models, measured data passes through.
+    pub(crate) fn resolve(&self) -> ResolvedDevice<'_> {
         match self {
-            DeviceSpec::OpAmp => Some(ResolvedDevice::OpAmp(Box::new(OpAmpDevice::paper_setup()))),
+            DeviceSpec::OpAmp => ResolvedDevice::Model(Box::new(OpAmpDevice::paper_setup())),
             DeviceSpec::MemsAccelerometer => {
-                Some(ResolvedDevice::Mems(Box::new(AccelerometerDevice::paper_setup())))
+                ResolvedDevice::Model(Box::new(AccelerometerDevice::paper_setup()))
             }
             DeviceSpec::Synthetic { specs, limit, correlation } => {
-                Some(ResolvedDevice::Synthetic(SyntheticDevice::new(*specs, *limit, *correlation)))
+                ResolvedDevice::Model(Box::new(SyntheticDevice::new(*specs, *limit, *correlation)))
             }
-            DeviceSpec::Measured { .. } => None,
+            DeviceSpec::Measured { label, train, test } => {
+                ResolvedDevice::Measured { label, train, test }
+            }
         }
     }
 }
@@ -194,14 +178,16 @@ pub struct JobSpec {
     /// Classifier backend (defaults to the grid model).
     #[serde(default)]
     pub classifier: ClassifierSpec,
-    /// Guard-band override applied on top of `compaction`.
+    /// Guard-band override folded into `compaction`
+    /// ([`CompactionConfig::with_guard_band`]).
     #[serde(default)]
     pub guard_band: Option<GuardBandConfig>,
-    /// Search-budget override applied on top of `compaction`.
+    /// Search-budget override folded into `compaction`
+    /// ([`CompactionConfig::with_budget`]).
     #[serde(default)]
     pub budget: Option<SearchBudget>,
-    /// Screen-then-verify override applied on top of `compaction` (see
-    /// [`stc_core::CompactionPipeline::screening`]).
+    /// Screen-then-verify override folded into `compaction`
+    /// ([`CompactionConfig::with_screening`]).
     #[serde(default)]
     pub screening: Option<ScreeningConfig>,
     /// Test-cost model (defaults to uniform unit costs).
@@ -245,6 +231,40 @@ impl JobSpec {
             sequential: None,
             shard_threads: 0,
         }
+    }
+
+    /// The job's stages as an empty batch: the one place a spec turns into
+    /// pipeline configuration.  The guard-band, budget and screening
+    /// overrides fold into the compaction stage.
+    pub(crate) fn batch<'d>(&self) -> PipelineBatch<'d> {
+        let mut compaction = self.compaction.clone();
+        if let Some(guard_band) = self.guard_band {
+            compaction = compaction.with_guard_band(guard_band);
+        }
+        if let Some(budget) = self.budget {
+            compaction = compaction.with_budget(budget);
+        }
+        if let Some(screening) = self.screening {
+            compaction = compaction.with_screening(screening);
+        }
+        let mut batch = PipelineBatch::new()
+            .monte_carlo(self.monte_carlo)
+            .compaction(compaction)
+            .search_arc(self.strategy.build())
+            .classifier_arc(self.classifier.build());
+        if let Some(instances) = self.test_instances {
+            batch = batch.test_instances(instances);
+        }
+        if let Some(cost_model) = &self.cost_model {
+            batch = batch.cost_model(cost_model.clone());
+        }
+        if let Some(cells) = self.lookup_table {
+            batch = batch.lookup_table(cells);
+        }
+        if let Some(sequential) = self.sequential {
+            batch = batch.sequential_deploy(sequential);
+        }
+        batch
     }
 
     /// Checks the parts of a spec the service cannot discover lazily.

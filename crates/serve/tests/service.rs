@@ -1,8 +1,12 @@
 //! Service-level behaviour: shard/direct parity, cancellation semantics,
 //! budget exhaustion, and streaming progress.
 
+use stc_core::montecarlo::generate_train_test;
 use stc_core::search::{SearchBudget, SimulatedAnnealing};
-use stc_core::{CompactionConfig, MonteCarloConfig, PipelineBatch, SyntheticDevice};
+use stc_core::{
+    CompactionConfig, CompactionPipeline, DeviceUnderTest, MonteCarloConfig, PipelineBatch,
+    SyntheticDevice,
+};
 use stc_serve::{
     envelope, ClassifierSpec, CompactionService, DeviceSpec, JobSpec, JobStatus, ServeError,
     StrategySpec,
@@ -170,6 +174,82 @@ fn annealing_jobs_match_direct_batches() {
     let direct_json = envelope::encode(&direct).expect("direct encodes");
     let service_json = envelope::encode(&report).expect("service encodes");
     assert_eq!(direct_json, service_json);
+}
+
+/// A name-only device standing in for measured data in the direct run.
+#[derive(Debug)]
+struct NameOnly(String);
+
+impl DeviceUnderTest for NameOnly {
+    fn name(&self) -> &str {
+        &self.0
+    }
+
+    fn spec_names(&self) -> Vec<String> {
+        Vec::new()
+    }
+
+    fn spec_units(&self) -> Vec<String> {
+        Vec::new()
+    }
+
+    fn simulate_instance(&self, _rng: &mut rand::rngs::StdRng) -> Result<Vec<f64>, String> {
+        Err("measured data is never simulated".to_string())
+    }
+}
+
+/// A measured population runs through the service exactly like a direct
+/// `run_with_population` on the same sets, and never touches the
+/// population cache: the job's one synthetic device is its only miss.
+#[test]
+fn measured_job_matches_a_direct_run_and_skips_the_population_cache() {
+    let (train, test) = generate_train_test(
+        &SyntheticDevice::new(5, 1.5, 0.8),
+        &MonteCarloConfig::new(150).with_seed(77),
+        90,
+    )
+    .expect("population simulates");
+    let mut spec = synthetic_pair_spec();
+    spec.devices.truncate(1);
+    spec.devices.push(DeviceSpec::Measured {
+        label: "lot-7".to_string(),
+        train: train.clone(),
+        test: test.clone(),
+    });
+    let service = CompactionService::new(1);
+    let report = service.run_blocking(spec.clone()).expect("measured job runs");
+    assert_eq!(report.population_cache_hits, 0);
+    assert_eq!(report.population_cache_misses, 1);
+
+    let measured = &report.runs[1];
+    assert_eq!(measured.label, "lot-7");
+    let direct = CompactionPipeline::for_device(&NameOnly("lot-7".to_string()))
+        .compaction(spec.compaction.clone())
+        .run_with_population(train, test)
+        .expect("direct run");
+    assert_eq!(
+        envelope::encode(&measured.report).expect("service encodes"),
+        envelope::encode(&direct).expect("direct encodes")
+    );
+}
+
+/// A job that panics inside its pipeline fails alone: it ends `Failed`
+/// with the panic message, and the one worker survives to run the next job.
+#[test]
+fn a_panicking_job_fails_and_the_worker_survives() {
+    let service = CompactionService::new(1);
+    let mut doomed = synthetic_pair_spec();
+    // Valid on the wire, but pre-drawing the attempt seeds overflows the
+    // allocator's capacity and panics.
+    doomed.monte_carlo = MonteCarloConfig::new(1 << 62);
+    let doomed = service.submit(doomed).expect("job queues");
+    let next = service.submit(synthetic_pair_spec()).expect("second job queues");
+    match service.await_result(doomed).expect("await") {
+        JobStatus::Failed { error } => assert!(error.contains("panicked"), "{error}"),
+        other => panic!("expected Failed, got {other:?}"),
+    }
+    let report = service.await_result(next).expect("await").report().cloned();
+    assert_eq!(report.expect("the next job completes").aggregate.devices, 2);
 }
 
 /// Malformed synthetic devices are refused at submission with a typed

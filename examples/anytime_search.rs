@@ -20,21 +20,21 @@ use spec_test_compaction::prelude::*;
 fn main() -> Result<(), CompactionError> {
     // Six specs, strongly correlated: most of them are redundant.
     let device = SyntheticDevice::new(6, 1.8, 0.92);
-    let pipeline = || {
+    let pipeline = |budget: SearchBudget| {
         CompactionPipeline::for_device(&device)
             .monte_carlo(MonteCarloConfig::new(400).with_seed(2005))
             .test_instances(200)
-            .compaction(CompactionConfig::paper_default().with_tolerance(0.1))
+            .compaction(CompactionConfig::paper_default().with_tolerance(0.1).with_budget(budget))
             .classifier(SvmBackend::paper_default())
     };
+    let capped_at = |trainings: usize| SearchBudget::unlimited().with_max_trainings(trainings);
 
     // The quality-vs-budget curve: how much of the greedy answer each
     // training budget buys.
-    let full = pipeline().run()?;
+    let full = pipeline(SearchBudget::unlimited()).run()?;
     println!("budget (trainings)   eliminated   cost reduction   exhausted");
     for budget in [1usize, 2, 4, 8, 16] {
-        let report =
-            pipeline().budget(SearchBudget::unlimited().with_max_trainings(budget)).run()?;
+        let report = pipeline(capped_at(budget)).run()?;
         assert!(report.budget().trainings <= budget, "budget {budget} exceeded");
         assert!(!report.kept().is_empty(), "a truncated run is still a valid result");
         println!(
@@ -53,7 +53,7 @@ fn main() -> Result<(), CompactionError> {
     );
 
     // A hard truncation still ships a deployable program and says so.
-    let truncated = pipeline().budget(SearchBudget::unlimited().with_max_trainings(1)).run()?;
+    let truncated = pipeline(capped_at(1)).run()?;
     assert!(truncated.budget().exhausted);
     assert_eq!(truncated.budget().provenance, FrontierProvenance::Truncated);
     println!("{}\n", truncated.summary());
@@ -61,9 +61,8 @@ fn main() -> Result<(), CompactionError> {
     // The stochastic walk under the same configuration, uncapped and capped.
     let walk = SimulatedAnnealing::new(7)
         .with_schedule(AnnealingSchedule { steps: 60, ..AnnealingSchedule::default() });
-    let annealing = pipeline().search(walk).run()?;
-    let capped =
-        pipeline().search(walk).budget(SearchBudget::unlimited().with_max_trainings(4)).run()?;
+    let annealing = pipeline(SearchBudget::unlimited()).search(walk).run()?;
+    let capped = pipeline(capped_at(4)).search(walk).run()?;
     println!("strategy             eliminated   cost reduction   trainings   provenance");
     for report in [&full, &annealing, &capped] {
         println!(

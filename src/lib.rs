@@ -32,8 +32,11 @@
 //! let report = CompactionPipeline::for_device(&device)
 //!     .monte_carlo(MonteCarloConfig::new(500).with_seed(7).with_threads(4))
 //!     .test_instances(200)
-//!     .compaction(CompactionConfig::paper_default().with_tolerance(0.01))
-//!     .guard_band(GuardBandConfig::paper_default())
+//!     .compaction(
+//!         CompactionConfig::paper_default()
+//!             .with_tolerance(0.01)
+//!             .with_guard_band(GuardBandConfig::paper_default()),
+//!     )
 //!     .classifier(SvmBackend::paper_default())
 //!     .run()?;
 //! println!("{}", report.summary());

@@ -1,15 +1,19 @@
 //! Integration tests of the anytime/budgeted search through the public
-//! pipeline API: the `budget` stage on pipeline and batch, `BudgetStats` on
-//! the report, the summary's exhaustion note, and the stochastic strategy
-//! end to end on the ε-SVM backend.
+//! pipeline API: a budget in the compaction stage of pipeline and batch,
+//! `BudgetStats` on the report, the summary's exhaustion note, and the
+//! stochastic strategy end to end on the ε-SVM backend.
 
 use spec_test_compaction::prelude::*;
+
+fn base_config() -> CompactionConfig {
+    CompactionConfig::paper_default().with_tolerance(0.1)
+}
 
 fn base_pipeline(device: &SyntheticDevice) -> CompactionPipeline<'_> {
     CompactionPipeline::for_device(device)
         .monte_carlo(MonteCarloConfig::new(200).with_seed(29))
         .test_instances(100)
-        .compaction(CompactionConfig::paper_default().with_tolerance(0.1))
+        .compaction(base_config())
 }
 
 #[test]
@@ -29,7 +33,7 @@ fn budget_stage_truncates_the_search_and_the_summary_says_so() {
     assert!(!full.eliminated().is_empty(), "population is redundant by construction");
 
     let budgeted = base_pipeline(&device)
-        .budget(SearchBudget::unlimited().with_max_trainings(1))
+        .compaction(base_config().with_budget(SearchBudget::unlimited().with_max_trainings(1)))
         .run()
         .unwrap();
     // A truncated run is a valid, conservative result — never an error.
@@ -44,22 +48,6 @@ fn budget_stage_truncates_the_search_and_the_summary_says_so() {
 }
 
 #[test]
-fn budget_stage_is_order_independent() {
-    // Like every other stage, `.budget(...)` must survive a later
-    // `.compaction(...)` call.
-    let device = SyntheticDevice::new(5, 1.8, 0.92);
-    let report = CompactionPipeline::for_device(&device)
-        .monte_carlo(MonteCarloConfig::new(200).with_seed(29))
-        .test_instances(100)
-        .budget(SearchBudget::unlimited().with_max_trainings(1))
-        .compaction(CompactionConfig::paper_default().with_tolerance(0.1))
-        .run()
-        .unwrap();
-    assert!(report.budget().trainings <= 1);
-    assert!(report.budget().exhausted);
-}
-
-#[test]
 fn solver_iteration_budget_bites_on_the_svm_backend() {
     let device = SyntheticDevice::new(5, 1.8, 0.92);
     let full = base_pipeline(&device).classifier(SvmBackend::paper_default()).run().unwrap();
@@ -69,7 +57,10 @@ fn solver_iteration_budget_bites_on_the_svm_backend() {
     // A fraction of the full run's iterations must truncate the search.
     let budgeted = base_pipeline(&device)
         .classifier(SvmBackend::paper_default())
-        .budget(SearchBudget::unlimited().with_max_solver_iterations(consumed / 4))
+        .compaction(
+            base_config()
+                .with_budget(SearchBudget::unlimited().with_max_solver_iterations(consumed / 4)),
+        )
         .run()
         .unwrap();
     assert!(budgeted.budget().exhausted);
@@ -97,7 +88,7 @@ fn stochastic_strategies_run_end_to_end_on_the_svm_backend() {
     let capped = base_pipeline(&device)
         .classifier(SvmBackend::paper_default())
         .search(SimulatedAnnealing::new(11))
-        .budget(SearchBudget::unlimited().with_max_trainings(3))
+        .compaction(base_config().with_budget(SearchBudget::unlimited().with_max_trainings(3)))
         .run()
         .unwrap();
     assert!(capped.budget().trainings <= 3);
@@ -111,8 +102,7 @@ fn batch_budget_stage_applies_per_entry() {
     let report = PipelineBatch::new()
         .monte_carlo(MonteCarloConfig::new(150).with_seed(5))
         .test_instances(80)
-        .compaction(CompactionConfig::paper_default().with_tolerance(0.1))
-        .budget(SearchBudget::unlimited().with_max_trainings(1))
+        .compaction(base_config().with_budget(SearchBudget::unlimited().with_max_trainings(1)))
         .device(&a)
         .device(&b)
         .batch_threads(2)

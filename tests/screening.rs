@@ -77,19 +77,18 @@ fn oversized_shortlist_keeps_the_opamp_pipeline_byte_identical() {
         .with_tolerance(0.10)
         .with_order(EliminationOrder::Functional(vec![4, 6, 5]))
         .with_threads(2);
-    let run = |screening: Option<ScreeningConfig>| {
-        let mut pipeline = CompactionPipeline::for_device(&device)
+    let run = |screening: ScreeningConfig| {
+        CompactionPipeline::for_device(&device)
             .monte_carlo(monte_carlo)
             .test_instances(80)
-            .compaction(config.clone())
-            .classifier(SvmBackend::paper_default());
-        if let Some(screening) = screening {
-            pipeline = pipeline.screening(screening);
-        }
-        pipeline.run().expect("op-amp pipeline runs").compaction
+            .compaction(config.clone().with_screening(screening))
+            .classifier(SvmBackend::paper_default())
+            .run()
+            .expect("op-amp pipeline runs")
+            .compaction
     };
-    let exact = run(None);
-    let screened = run(Some(ScreeningConfig::screened(24, 64)));
+    let exact = run(config.screening);
+    let screened = run(ScreeningConfig::screened(24, 64));
     assert_eq!(screened, exact, "oversized shortlist must change nothing");
     assert_eq!(screened.screening.batches, 0, "the screen must never engage");
 }
@@ -109,19 +108,18 @@ fn active_screening_reproduces_exact_opamp_decisions_with_fewer_trainings() {
         .with_tolerance(0.10)
         .with_order(EliminationOrder::Functional(vec![4, 6, 5]))
         .with_threads(3);
-    let run = |screening: Option<ScreeningConfig>| {
-        let mut pipeline = CompactionPipeline::for_device(&device)
+    let run = |screening: ScreeningConfig| {
+        CompactionPipeline::for_device(&device)
             .monte_carlo(monte_carlo)
             .test_instances(80)
-            .compaction(config.clone())
-            .classifier(SvmBackend::paper_default());
-        if let Some(screening) = screening {
-            pipeline = pipeline.screening(screening);
-        }
-        pipeline.run().expect("op-amp pipeline runs").compaction
+            .compaction(config.clone().with_screening(screening))
+            .classifier(SvmBackend::paper_default())
+            .run()
+            .expect("op-amp pipeline runs")
+            .compaction
     };
-    let exact = run(None);
-    let screened = run(Some(ScreeningConfig::screened(32, 1)));
+    let exact = run(config.screening);
+    let screened = run(ScreeningConfig::screened(32, 1));
 
     assert_eq!(screened.kept, exact.kept);
     assert_eq!(screened.eliminated, exact.eliminated);

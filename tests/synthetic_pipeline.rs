@@ -13,8 +13,11 @@ fn pipeline(device: &SyntheticDevice) -> CompactionPipeline<'_> {
     CompactionPipeline::for_device(device)
         .monte_carlo(MonteCarloConfig::new(600).with_seed(99))
         .test_instances(300)
-        .compaction(CompactionConfig::paper_default().with_tolerance(0.03))
-        .guard_band(GuardBandConfig::paper_default())
+        .compaction(
+            CompactionConfig::paper_default()
+                .with_tolerance(0.03)
+                .with_guard_band(GuardBandConfig::paper_default()),
+        )
 }
 
 #[test]

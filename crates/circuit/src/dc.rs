@@ -1,6 +1,6 @@
 //! DC operating-point analysis (Newton–Raphson with gmin and source stepping).
 
-use crate::linalg::solve_real;
+use crate::linalg::{lu_solve_into, Matrix};
 use crate::mna::{assemble_real, AssemblyOptions, DynamicState, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
 use crate::{CircuitError, Result};
@@ -51,20 +51,41 @@ impl DcSolution {
     }
 }
 
-/// Runs one Newton–Raphson solve from the initial guess `x0`.
+/// The buffers one analysis's Newton iterations assemble, factorize and
+/// solve into, allocated once per analysis.
+pub(crate) struct NewtonWorkspace {
+    jacobian: Matrix<f64>,
+    rhs: Vec<f64>,
+    next: Vec<f64>,
+}
+
+impl NewtonWorkspace {
+    pub(crate) fn new(size: usize) -> Self {
+        NewtonWorkspace {
+            jacobian: Matrix::zeros(size),
+            rhs: vec![0.0; size],
+            next: vec![0.0; size],
+        }
+    }
+}
+
+/// Runs one Newton–Raphson solve, iterating in place from the initial guess
+/// in `x`.  On success `x` holds the solution; on failure its contents are
+/// unspecified.
 pub(crate) fn newton_solve(
     circuit: &Circuit,
     layout: &MnaLayout,
-    x0: &[f64],
+    x: &mut Vec<f64>,
     dynamic: Option<&DynamicState>,
     options: &AssemblyOptions,
-) -> Result<Vec<f64>> {
-    let mut x = x0.to_vec();
+    work: &mut NewtonWorkspace,
+) -> Result<()> {
     let node_rows = layout.node_count() - 1;
     let analysis = if options.time_step.is_some() { "transient" } else { "dc" };
     for _iteration in 0..MAX_NEWTON_ITERATIONS {
-        let (a, b) = assemble_real(circuit, layout, &x, dynamic, options);
-        let x_new = solve_real(a, b)?;
+        assemble_real(circuit, layout, x, dynamic, options, &mut work.jacobian, &mut work.rhs);
+        lu_solve_into(&mut work.jacobian, &mut work.rhs, &mut work.next)?;
+        let x_new = &work.next;
         // Largest node-voltage change decides convergence and damping; branch
         // currents follow the voltages.
         let mut max_delta = 0.0f64;
@@ -79,10 +100,10 @@ pub(crate) fn newton_solve(
                 x[row] += (x_new[row] - x[row]) * scale;
             }
         } else {
-            x = x_new;
+            std::mem::swap(x, &mut work.next);
         }
         if converged {
-            return Ok(x);
+            return Ok(());
         }
     }
     Err(CircuitError::NoConvergence { analysis, iterations: MAX_NEWTON_ITERATIONS })
@@ -140,26 +161,23 @@ pub fn dc_operating_point_from(
         Some(guess) if guess.len() == layout.size() => guess.to_vec(),
         _ => vec![0.0; layout.size()],
     };
+    let mut work = NewtonWorkspace::new(layout.size());
 
     // 1. Plain Newton.
-    let options = AssemblyOptions::default();
-    if let Ok(x) = newton_solve(circuit, &layout, &x0, None, &options) {
+    let mut x = x0.clone();
+    if newton_solve(circuit, &layout, &mut x, None, &AssemblyOptions::default(), &mut work).is_ok()
+    {
         return Ok(DcSolution::new(layout, x));
     }
 
     // 2. gmin stepping: start with a heavily damped circuit and relax.
-    let mut x = x0.clone();
-    let mut gmin_ok = true;
-    for exponent in [-3.0f64, -4.0, -5.0, -6.0, -7.0, -8.0, -9.0, -10.0, -11.0, -12.0] {
-        let options = AssemblyOptions { gmin: 10f64.powf(exponent), ..AssemblyOptions::default() };
-        match newton_solve(circuit, &layout, &x, None, &options) {
-            Ok(next) => x = next,
-            Err(_) => {
-                gmin_ok = false;
-                break;
-            }
-        }
-    }
+    x.copy_from_slice(&x0);
+    let gmin_ok =
+        [-3.0f64, -4.0, -5.0, -6.0, -7.0, -8.0, -9.0, -10.0, -11.0, -12.0].iter().all(|exponent| {
+            let options =
+                AssemblyOptions { gmin: 10f64.powf(*exponent), ..AssemblyOptions::default() };
+            newton_solve(circuit, &layout, &mut x, None, &options, &mut work).is_ok()
+        });
     if gmin_ok {
         return Ok(DcSolution::new(layout, x));
     }
@@ -169,7 +187,7 @@ pub fn dc_operating_point_from(
     for step in 1..=10 {
         let options =
             AssemblyOptions { source_scale: step as f64 / 10.0, ..AssemblyOptions::default() };
-        x = newton_solve(circuit, &layout, &x, None, &options)?;
+        newton_solve(circuit, &layout, &mut x, None, &options, &mut work)?;
     }
     Ok(DcSolution::new(layout, x))
 }

@@ -84,8 +84,26 @@ impl Matrix<Complex> {
 /// zero, which for MNA systems indicates a floating node or an inconsistent
 /// source loop.
 pub fn solve_real(mut a: Matrix<f64>, mut b: Vec<f64>) -> Result<Vec<f64>, CircuitError> {
+    let mut x = vec![0.0; a.size()];
+    lu_solve_into(&mut a, &mut b, &mut x)?;
+    Ok(x)
+}
+
+/// [`solve_real`] into caller buffers: factorizes `a` in place, overwrites
+/// `b` with the forward-eliminated right-hand side and writes the solution
+/// to `x`, whose previous contents are never read.
+///
+/// # Errors
+///
+/// See [`solve_real`].
+pub(crate) fn lu_solve_into(
+    a: &mut Matrix<f64>,
+    b: &mut [f64],
+    x: &mut [f64],
+) -> Result<(), CircuitError> {
     let n = a.size();
     assert_eq!(b.len(), n, "rhs length must match matrix size");
+    assert_eq!(x.len(), n, "solution length must match matrix size");
     for k in 0..n {
         // Partial pivoting.
         let mut pivot_row = k;
@@ -101,28 +119,25 @@ pub fn solve_real(mut a: Matrix<f64>, mut b: Vec<f64>) -> Result<Vec<f64>, Circu
             return Err(CircuitError::SingularMatrix { pivot: k });
         }
         if pivot_row != k {
-            for c in 0..n {
-                let tmp = a[(k, c)];
-                a[(k, c)] = a[(pivot_row, c)];
-                a[(pivot_row, c)] = tmp;
-            }
+            let (above, from_pivot) = a.values.split_at_mut(pivot_row * n);
+            above[k * n..(k + 1) * n].swap_with_slice(&mut from_pivot[..n]);
             b.swap(k, pivot_row);
         }
-        let pivot = a[(k, k)];
-        for r in (k + 1)..n {
-            let factor = a[(r, k)] / pivot;
+        let (upper, lower) = a.values.split_at_mut((k + 1) * n);
+        let pivot_slice = &upper[k * n + k..];
+        let pivot = pivot_slice[0];
+        for (r, row) in lower.chunks_exact_mut(n).enumerate() {
+            let factor = row[k] / pivot;
             if factor == 0.0 {
                 continue;
             }
-            for c in k..n {
-                let v = a[(k, c)];
-                a[(r, c)] -= factor * v;
+            for (entry, &v) in row[k..].iter_mut().zip(pivot_slice) {
+                *entry -= factor * v;
             }
-            b[r] -= factor * b[k];
+            b[k + 1 + r] -= factor * b[k];
         }
     }
     // Back substitution.
-    let mut x = vec![0.0; n];
     for k in (0..n).rev() {
         let mut sum = b[k];
         for c in (k + 1)..n {
@@ -130,7 +145,7 @@ pub fn solve_real(mut a: Matrix<f64>, mut b: Vec<f64>) -> Result<Vec<f64>, Circu
         }
         x[k] = sum / a[(k, k)];
     }
-    Ok(x)
+    Ok(())
 }
 
 /// Solves `A x = b` for complex `A` by LU factorization with partial pivoting.

@@ -111,17 +111,13 @@ impl Default for AssemblyOptions {
     }
 }
 
-/// Real stamps accumulator with ground-row elision.
-struct RealStamps {
-    a: Matrix<f64>,
-    b: Vec<f64>,
+/// Real stamps accumulator with ground-row elision, over borrowed buffers.
+struct RealStamps<'a> {
+    a: &'a mut Matrix<f64>,
+    b: &'a mut [f64],
 }
 
-impl RealStamps {
-    fn new(size: usize) -> Self {
-        RealStamps { a: Matrix::zeros(size), b: vec![0.0; size] }
-    }
-
+impl RealStamps<'_> {
     fn add_a(&mut self, row: Option<usize>, col: Option<usize>, value: f64) {
         if let (Some(r), Some(c)) = (row, col) {
             self.a.add(r, c, value);
@@ -143,16 +139,21 @@ impl RealStamps {
     }
 }
 
-/// Assembles the real MNA system for a DC or transient Newton iteration,
-/// linearised around the iterate `x_guess`.
+/// Assembles the real MNA system `a x = b` for a DC or transient Newton
+/// iteration, linearised around the iterate `x_guess`.  Both buffers are
+/// cleared first, so they can be reused from one iteration to the next.
 pub fn assemble_real(
     circuit: &Circuit,
     layout: &MnaLayout,
     x_guess: &[f64],
     dynamic: Option<&DynamicState>,
     options: &AssemblyOptions,
-) -> (Matrix<f64>, Vec<f64>) {
-    let mut stamps = RealStamps::new(layout.size());
+    a: &mut Matrix<f64>,
+    b: &mut [f64],
+) {
+    a.clear();
+    b.fill(0.0);
+    let mut stamps = RealStamps { a, b };
 
     // gmin from every node to ground keeps floating nodes and cut-off devices
     // from producing a singular Jacobian.
@@ -310,7 +311,6 @@ pub fn assemble_real(
             }
         }
     }
-    (stamps.a, stamps.b)
 }
 
 /// Complex stamps accumulator with ground-row elision.
@@ -485,7 +485,8 @@ mod tests {
         c.resistor("R2", vout, Circuit::ground(), 1000.0).unwrap();
         let layout = MnaLayout::new(&c);
         let x0 = vec![0.0; layout.size()];
-        let (a, b) = assemble_real(&c, &layout, &x0, None, &AssemblyOptions::default());
+        let (mut a, mut b) = (Matrix::zeros(layout.size()), vec![0.0; layout.size()]);
+        assemble_real(&c, &layout, &x0, None, &AssemblyOptions::default(), &mut a, &mut b);
         let x = solve_real(a, b).unwrap();
         assert!((layout.voltage(&x, vin) - 2.0).abs() < 1e-9);
         assert!((layout.voltage(&x, vout) - 1.0).abs() < 1e-6);
@@ -502,7 +503,8 @@ mod tests {
         c.resistor("R1", a, Circuit::ground(), 1.0).unwrap();
         let layout = MnaLayout::new(&c);
         let x0 = vec![0.0; layout.size()];
-        let (m, b) = assemble_real(&c, &layout, &x0, None, &AssemblyOptions::default());
+        let (mut m, mut b) = (Matrix::zeros(layout.size()), vec![0.0; layout.size()]);
+        assemble_real(&c, &layout, &x0, None, &AssemblyOptions::default(), &mut m, &mut b);
         let x = solve_real(m, b).unwrap();
         // Current leaves node a through the source => node a is pulled low.
         assert!((layout.voltage(&x, a) + 1.0).abs() < 1e-9);

@@ -1,6 +1,6 @@
 //! Fixed-step transient analysis.
 
-use crate::dc::{dc_operating_point, newton_solve, DcSolution};
+use crate::dc::{dc_operating_point, newton_solve, DcSolution, NewtonWorkspace};
 use crate::elements::Element;
 use crate::mna::{AssemblyOptions, DynamicState, IntegrationMethod, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
@@ -36,7 +36,8 @@ impl TransientParams {
 pub struct TransientResult {
     layout: MnaLayout,
     times: Vec<f64>,
-    solutions: Vec<Vec<f64>>,
+    /// The accepted solution vectors back to back, `layout.size()` each.
+    solutions: Vec<f64>,
 }
 
 impl TransientResult {
@@ -57,7 +58,7 @@ impl TransientResult {
 
     /// Voltage of `node` at time-point index `index`.
     pub fn voltage(&self, node: NodeId, index: usize) -> f64 {
-        self.layout.voltage(&self.solutions[index], node)
+        self.layout.voltage(self.solution(index), node)
     }
 
     /// Full waveform of a node voltage.
@@ -69,7 +70,13 @@ impl TransientResult {
     /// Branch current of element `element_index` at time-point `index`
     /// (only for elements carrying a branch unknown).
     pub fn branch_current(&self, element_index: usize, index: usize) -> Option<f64> {
-        self.layout.branch_row(element_index).map(|row| self.solutions[index][row])
+        self.layout.branch_row(element_index).map(|row| self.solution(index)[row])
+    }
+
+    /// The solution vector at time-point index `index`.
+    fn solution(&self, index: usize) -> &[f64] {
+        let size = self.layout.size();
+        &self.solutions[index * size..(index + 1) * size]
     }
 }
 
@@ -142,7 +149,9 @@ pub fn transient_analysis_from(
     let mut state =
         DynamicState { x: initial_x.to_vec(), capacitor_currents: vec![0.0; element_count] };
     let mut times = vec![0.0];
-    let mut solutions = vec![state.x.clone()];
+    let mut solutions = state.x.clone();
+    let mut work = NewtonWorkspace::new(layout.size());
+    let mut x_new = vec![0.0; layout.size()];
 
     let mut time = 0.0;
     let mut first_step = true;
@@ -150,74 +159,63 @@ pub fn transient_analysis_from(
         let h = params.time_step;
         let t_new = time + h;
         let method = if first_step { IntegrationMethod::BackwardEuler } else { params.method };
-        let x_new = step(circuit, &layout, &state, t_new, h, method).or_else(|_| {
+        if step(circuit, &layout, &state, &mut x_new, (t_new, h, method), &mut work).is_err() {
             // Retry with the more robust combination: backward Euler and
             // two half-steps.
             let half = h / 2.0;
-            let x_mid = step(
-                circuit,
-                &layout,
-                &state,
-                time + half,
-                half,
-                IntegrationMethod::BackwardEuler,
-            )?;
-            let mid_state = advance_state(
-                circuit,
-                &layout,
-                &state,
-                x_mid,
-                half,
-                IntegrationMethod::BackwardEuler,
-            );
-            step(circuit, &layout, &mid_state, t_new, half, IntegrationMethod::BackwardEuler)
-        })?;
-        state = advance_state(circuit, &layout, &state, x_new, h, method);
+            let be = IntegrationMethod::BackwardEuler;
+            let mut mid_state = state.clone();
+            step(circuit, &layout, &mid_state, &mut x_new, (time + half, half, be), &mut work)?;
+            advance_state(circuit, &layout, &mut mid_state, &mut x_new, half, be);
+            step(circuit, &layout, &mid_state, &mut x_new, (t_new, half, be), &mut work)?;
+        }
+        advance_state(circuit, &layout, &mut state, &mut x_new, h, method);
         times.push(t_new);
-        solutions.push(state.x.clone());
+        solutions.extend_from_slice(&state.x);
         time = t_new;
         first_step = false;
     }
     Ok(TransientResult { layout, times, solutions })
 }
 
-/// Solves one time step and returns the new solution vector.
+/// Solves the time step `(t_new, h, method)` from `state` into `x_new`.
 fn step(
     circuit: &Circuit,
     layout: &MnaLayout,
     state: &DynamicState,
-    t_new: f64,
-    h: f64,
-    method: IntegrationMethod,
-) -> Result<Vec<f64>> {
-    let options =
-        AssemblyOptions { gmin: 1e-12, source_scale: 1.0, time_step: Some((t_new, h, method)) };
-    newton_solve(circuit, layout, &state.x, Some(state), &options)
+    x_new: &mut Vec<f64>,
+    time_step: (f64, f64, IntegrationMethod),
+    work: &mut NewtonWorkspace,
+) -> Result<()> {
+    let options = AssemblyOptions { gmin: 1e-12, source_scale: 1.0, time_step: Some(time_step) };
+    x_new.copy_from_slice(&state.x);
+    newton_solve(circuit, layout, x_new, Some(state), &options, work)
 }
 
-/// Computes the dynamic state (capacitor currents) after an accepted step.
+/// Accepts the step to `x_new`: updates the capacitor currents in place and
+/// swaps `x_new` into the state (leaving the previous solution in `x_new`).
 fn advance_state(
     circuit: &Circuit,
     layout: &MnaLayout,
-    previous: &DynamicState,
-    x_new: Vec<f64>,
+    state: &mut DynamicState,
+    x_new: &mut Vec<f64>,
     h: f64,
     method: IntegrationMethod,
-) -> DynamicState {
-    let mut capacitor_currents = previous.capacitor_currents.clone();
+) {
     for (index, element) in circuit.elements().iter().enumerate() {
         if let Element::Capacitor { a, b, capacitance, .. } = element {
-            let v_new = layout.voltage(&x_new, *a) - layout.voltage(&x_new, *b);
-            let v_old = layout.voltage(&previous.x, *a) - layout.voltage(&previous.x, *b);
-            capacitor_currents[index] = match method {
+            let v_new = layout.voltage(x_new, *a) - layout.voltage(x_new, *b);
+            let v_old = layout.voltage(&state.x, *a) - layout.voltage(&state.x, *b);
+            let current = &mut state.capacitor_currents[index];
+            *current = match method {
                 IntegrationMethod::BackwardEuler => capacitance / h * (v_new - v_old),
                 IntegrationMethod::Trapezoidal => {
-                    2.0 * capacitance / h * (v_new - v_old) - previous.capacitor_currents[index]
+                    2.0 * capacitance / h * (v_new - v_old) - *current
                 }
             };
         }
     }
-    DynamicState { x: x_new, capacitor_currents }
+    std::mem::swap(&mut state.x, x_new);
 }
 
 #[cfg(test)]

@@ -1,0 +1,75 @@
+//! Golden bits of the op-amp simulator: all eleven Table 1 measurements of
+//! three fixed instances, compared by `to_bits()`.  Buffer reuse and other
+//! pure refactors of the DC, AC and transient analyses must leave every bit
+//! in place; a change to the arithmetic or its order shows up here.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use stc_circuit::devices::opamp::{OpAmp, OpAmpParams};
+use stc_circuit::variation::VariationModel;
+
+/// The op-amp perturbed by the paper's ±10 % variation drawn from `seed`.
+fn perturbed(seed: u64) -> OpAmp {
+    let params = VariationModel::paper_default()
+        .perturb_opamp(&OpAmpParams::nominal(), &mut StdRng::seed_from_u64(seed));
+    OpAmp::new(params)
+}
+
+fn measurement_bits(opamp: &OpAmp) -> Vec<u64> {
+    let measurements = opamp.measure().expect("instance simulates");
+    measurements.to_vec().iter().map(|value| value.to_bits()).collect()
+}
+
+#[test]
+fn opamp_measurements_keep_their_golden_bits() {
+    let cases: [(&str, OpAmp, [u64; 11]); 3] = [
+        ("nominal", OpAmp::default(), GOLDEN_NOMINAL),
+        ("seed 17", perturbed(17), GOLDEN_SEED_17),
+        ("seed 2005", perturbed(2005), GOLDEN_SEED_2005),
+    ];
+    for (label, opamp, golden) in cases {
+        assert_eq!(measurement_bits(&opamp), golden, "{label}");
+    }
+}
+
+// Captured from the simulator before its Newton buffers were reused, in the
+// canonical Table 1 order of `OpAmpMeasurements::to_vec`.
+const GOLDEN_NOMINAL: [u64; 11] = [
+    0x40c4835e0ea1e92f, // 1.0502734821547374e4
+    0x408063344221254e, // 5.244005167569646e2
+    0x415435dc0b27c9d3, // 5.29803217430349e6
+    0x4024d82f9329a5e5, // 1.0422237967332828e1
+    0x3fa5dd5f0b470633, // 4.2704553724899695e-2
+    0x3ff1eb9af9e8cc54, // 1.12002084370467e0
+    0x3fd374bc6a7ef9db, // 3.04e-1
+    0x4063e34b4a774660, // 1.5910294078155403e2
+    0x3fdfec813e3b927e, // 4.9881011083042626e-1
+    0x3f0aaa706664d3b2, // 5.0860934424446806e-5
+    0x40d32b6b69e0a62f, // 1.962967833725194e4
+];
+const GOLDEN_SEED_17: [u64; 11] = [
+    0x40c425223ea8c333, // 1.0314267537207901e4
+    0x40826ce66c056c57, // 5.896125107215584e2
+    0x4155e0f1422352ec, // 5.735365033406001e6
+    0x40271fc6b345c270, // 1.1562062837853972e1
+    0x3fa3805e8e3c3e8e, // 3.80887554766761e-2
+    0x400396c9b35fa15d, // 2.448626901012331e0
+    0x3fd3f7ced916872a, // 3.1199999999999994e-1
+    0x40643c30956152d8, // 1.6188093060501592e2
+    0x3fde7a0bc65b771d, // 4.7619909640148866e-1
+    0x3f0bb1400fd9dbc4, // 5.2819030298793405e-5
+    0x40d320e68b0d375c, // 1.9587602237037718e4
+];
+const GOLDEN_SEED_2005: [u64; 11] = [
+    0x40c372a84a2d772e, // 9.957314763720697e3
+    0x407fb29fcd5e5eb8, // 5.071640142141655e2
+    0x4152b98572819cb9, // 4.908565789160901e6
+    0x40237f8be0dc8d39, // 9.74911406223565e0
+    0x3fa86199cbf5a813, // 4.761963476887856e-2
+    0x3fd7d3cfb55e2b2b, // 3.723029395265935e-1
+    0x3fd22d0e56041894, // 2.8400000000000003e-1
+    0x406452a682851f54, // 1.625828259086653e2
+    0x3fdf5b8dddf9dbb8, // 4.899630229696714e-1
+    0x3f0c591ad5df82bf, // 5.406964440602323e-5
+    0x40d294c8ab01f02d, // 1.902713543747382e4
+];

@@ -1,5 +1,6 @@
 //! Monte-Carlo training-data generation (Figure 1 of the paper).
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 
 use rand::rngs::StdRng;
@@ -21,8 +22,11 @@ pub struct MonteCarloConfig {
     pub seed: u64,
     /// Number of worker threads (1 = sequential).
     pub threads: usize,
-    /// If `true`, instances whose simulation fails are skipped (and replaced
-    /// by additional draws); if `false` the first failure aborts the run.
+    /// If `true`, instances whose simulation fails are skipped and replaced by
+    /// the next pre-drawn seeds; if `false` the first failure aborts the run.
+    /// A failure is an error returned by the device model, a panic inside
+    /// it, a row whose length differs from the device's specification count,
+    /// or a row with a NaN or infinite value.
     pub skip_failures: bool,
     /// Quantiles used to calibrate acceptability ranges when the device does
     /// not define explicit ranges (see DESIGN.md on range calibration).
@@ -79,11 +83,19 @@ pub struct MonteCarloRun {
 /// measurement rows (the Figure 1 loop: inject process disturbances, set up
 /// and run the device simulation, take measurements, store).
 ///
+/// One seed per attempt is pre-drawn from `config.seed`, `3 × instances + 32`
+/// of them: that list is the attempt budget.  The first `instances` seeds are
+/// simulated; each later round simulates only as many further seeds, in list
+/// order, as failures left rows missing.  The rows are therefore the first
+/// `instances` successes of the seed list at any thread count, and a run
+/// simulates `rows.len() + skipped` instances.
+///
 /// # Errors
 ///
 /// Returns [`CompactionError::SimulationFailed`] when `skip_failures` is off
-/// and an instance fails, or when so many instances fail that the requested
-/// count cannot be reached within a 2× attempt budget.
+/// and an instance fails (the lowest failing attempt is reported), or when
+/// so many instances fail that the seed list runs out before `instances`
+/// rows are complete.
 pub fn run_monte_carlo(
     device: &dyn DeviceUnderTest,
     config: &MonteCarloConfig,
@@ -97,31 +109,35 @@ pub fn run_monte_carlo(
     let attempt_budget = config.instances * 3 + 32;
     let mut master = StdRng::seed_from_u64(config.seed);
     let seeds: Vec<u64> = (0..attempt_budget).map(|_| master.gen()).collect();
-
-    // Every attempt is simulated; outcomes come back in attempt order, so
-    // the kept rows are the same for any thread count.
-    let results =
-        pool::run_indexed(seeds.len(), config.threads, &AtomicBool::new(false), |index| {
-            device.simulate_instance(&mut StdRng::seed_from_u64(seeds[index]))
-        });
+    let spec_count = device.spec_names().len();
 
     let mut rows = Vec::with_capacity(config.instances);
     let mut skipped = 0usize;
-    // Nothing sets the stop flag, so every attempt has an outcome.
-    for (index, result) in results.into_iter().flatten().enumerate() {
-        if rows.len() == config.instances {
-            break;
-        }
-        match result {
-            Ok(row) => rows.push(row),
-            Err(message) => {
-                if config.skip_failures {
-                    skipped += 1;
-                } else {
-                    return Err(CompactionError::SimulationFailed { instance: index, message });
+    let mut next = 0;
+    while rows.len() < config.instances && next < seeds.len() {
+        // A round simulates exactly as many seeds as rows are missing, so the
+        // rows never overshoot and `skipped` counts only the failures before
+        // the last kept row.
+        let round = (config.instances - rows.len()).min(seeds.len() - next);
+        let outcomes =
+            pool::run_indexed(round, config.threads, &AtomicBool::new(false), |offset| {
+                simulate_attempt(device, seeds[next + offset], spec_count)
+            });
+        // Nothing sets the stop flag, so every attempt has an outcome, and
+        // walking them in attempt order keeps the rows thread-count free.
+        for (offset, outcome) in outcomes.into_iter().flatten().enumerate() {
+            match outcome {
+                Ok(row) => rows.push(row),
+                Err(_) if config.skip_failures => skipped += 1,
+                Err(message) => {
+                    return Err(CompactionError::SimulationFailed {
+                        instance: next + offset,
+                        message,
+                    })
                 }
             }
         }
+        next += round;
     }
     if rows.len() < config.instances {
         return Err(CompactionError::SimulationFailed {
@@ -134,6 +150,32 @@ pub fn run_monte_carlo(
         });
     }
     Ok(MonteCarloRun { rows, skipped })
+}
+
+/// Simulates the instance drawn from `seed`.  A panicking device model, a
+/// row without one value per specification and a non-finite value all fail
+/// the attempt like an ordinary simulation error.
+fn simulate_attempt(
+    device: &dyn DeviceUnderTest,
+    seed: u64,
+    spec_count: usize,
+) -> std::result::Result<Vec<f64>, String> {
+    let row = panic::catch_unwind(AssertUnwindSafe(|| {
+        device.simulate_instance(&mut StdRng::seed_from_u64(seed))
+    }))
+    .map_err(|payload| {
+        format!("simulation panicked: {}", pool::panic_message(payload.as_ref()))
+    })??;
+    if row.len() != spec_count {
+        return Err(format!(
+            "measurement row has {} values for {spec_count} specifications",
+            row.len()
+        ));
+    }
+    if let Some(index) = row.iter().position(|value| !value.is_finite()) {
+        return Err(format!("measurement {index} is not finite ({})", row[index]));
+    }
+    Ok(row)
 }
 
 /// Generates a labelled [`MeasurementSet`] for a device: runs the Monte-Carlo
@@ -158,7 +200,9 @@ pub fn generate_measurement_set(
             let nominals: Vec<f64> = (0..names.len())
                 .map(|c| {
                     let mut values: Vec<f64> = run.rows.iter().map(|r| r[c]).collect();
-                    values.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
+                    values.sort_by(|a, b| {
+                        a.partial_cmp(b).expect("run_monte_carlo keeps only finite rows")
+                    });
                     values[values.len() / 2]
                 })
                 .collect();
@@ -200,6 +244,8 @@ pub fn generate_train_test(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
     use crate::device::SyntheticDevice;
 
@@ -212,6 +258,12 @@ mod tests {
                 .unwrap();
         assert_eq!(sequential.rows, parallel.rows);
         assert_eq!(sequential.skipped, 0);
+        // Topped-up runs agree too.
+        let config = MonteCarloConfig::new(50).with_seed(9);
+        let sequential = run_monte_carlo(&FlakyDevice, &config).unwrap();
+        let parallel = run_monte_carlo(&FlakyDevice, &config.with_threads(4)).unwrap();
+        assert_eq!(sequential, parallel);
+        assert!(sequential.skipped > 0);
     }
 
     #[test]
@@ -267,6 +319,68 @@ mod tests {
         }
     }
 
+    /// Counts the simulations of the wrapped device.
+    struct Counted<D> {
+        inner: D,
+        simulations: AtomicUsize,
+    }
+
+    impl<D: DeviceUnderTest> DeviceUnderTest for Counted<D> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn spec_names(&self) -> Vec<String> {
+            self.inner.spec_names()
+        }
+        fn spec_units(&self) -> Vec<String> {
+            self.inner.spec_units()
+        }
+        fn simulate_instance(&self, rng: &mut StdRng) -> std::result::Result<Vec<f64>, String> {
+            self.simulations.fetch_add(1, Ordering::Relaxed);
+            self.inner.simulate_instance(rng)
+        }
+    }
+
+    /// Simulates every pre-drawn seed in order and keeps the first
+    /// `instances` successes, counting the failures before the last kept row.
+    fn simulate_every_seed(
+        device: &dyn DeviceUnderTest,
+        config: &MonteCarloConfig,
+    ) -> MonteCarloRun {
+        let mut master = StdRng::seed_from_u64(config.seed);
+        let seeds: Vec<u64> = (0..config.instances * 3 + 32).map(|_| master.gen()).collect();
+        let mut run = MonteCarloRun { rows: Vec::new(), skipped: 0 };
+        for outcome in
+            seeds.iter().map(|&seed| device.simulate_instance(&mut StdRng::seed_from_u64(seed)))
+        {
+            if run.rows.len() == config.instances {
+                break;
+            }
+            match outcome {
+                Ok(row) => run.rows.push(row),
+                Err(_) => run.skipped += 1,
+            }
+        }
+        run
+    }
+
+    #[test]
+    fn failures_are_topped_up_from_the_seed_list() {
+        let config = MonteCarloConfig::new(20).with_seed(3);
+        let reference = simulate_every_seed(&FlakyDevice, &config);
+        assert_eq!(reference.rows.len(), 20);
+        for threads in [1, 4] {
+            let device = Counted { inner: FlakyDevice, simulations: AtomicUsize::new(0) };
+            let run = run_monte_carlo(&device, &config.with_threads(threads)).unwrap();
+            assert_eq!(run, reference, "{threads} threads");
+            assert_eq!(
+                device.simulations.load(Ordering::Relaxed),
+                run.rows.len() + run.skipped,
+                "{threads} threads"
+            );
+        }
+    }
+
     #[test]
     fn failures_are_skipped_or_fatal_depending_on_config() {
         let skipping = run_monte_carlo(&FlakyDevice, &MonteCarloConfig::new(20)).unwrap();
@@ -298,5 +412,64 @@ mod tests {
     fn exhausted_attempt_budget_is_an_error() {
         let result = run_monte_carlo(&BrokenDevice, &MonteCarloConfig::new(10));
         assert!(matches!(result, Err(CompactionError::SimulationFailed { .. })));
+    }
+
+    /// How [`FaultyDevice`] goes wrong.
+    #[derive(Debug, Clone, Copy)]
+    enum Fault {
+        NonFinite,
+        ShortRow,
+        Panic,
+    }
+
+    /// A two-specification device without explicit ranges whose model
+    /// misbehaves on about one draw in ten.
+    struct FaultyDevice(Fault);
+
+    impl DeviceUnderTest for FaultyDevice {
+        fn name(&self) -> &str {
+            "faulty"
+        }
+        fn spec_names(&self) -> Vec<String> {
+            vec!["x".to_string(), "y".to_string()]
+        }
+        fn spec_units(&self) -> Vec<String> {
+            vec!["-".to_string(), "-".to_string()]
+        }
+        fn simulate_instance(&self, rng: &mut StdRng) -> std::result::Result<Vec<f64>, String> {
+            let x: f64 = rng.gen_range(-1.0..1.0);
+            let y: f64 = rng.gen_range(-1.0..1.0);
+            if x > 0.8 {
+                match self.0 {
+                    Fault::NonFinite => return Ok(vec![f64::NAN, y]),
+                    Fault::ShortRow => return Ok(vec![x]),
+                    Fault::Panic => panic!("model diverged"),
+                }
+            }
+            Ok(vec![x, y])
+        }
+    }
+
+    #[test]
+    fn device_faults_fail_their_attempt_instead_of_panicking() {
+        for (fault, message) in [
+            (Fault::NonFinite, "measurement 0 is not finite (NaN)"),
+            (Fault::ShortRow, "measurement row has 1 values for 2 specifications"),
+            (Fault::Panic, "simulation panicked: model diverged"),
+        ] {
+            let device = FaultyDevice(fault);
+            let set = generate_measurement_set(&device, &MonteCarloConfig::new(200)).unwrap();
+            assert_eq!(set.len(), 200, "{fault:?}");
+            let run =
+                run_monte_carlo(&device, &MonteCarloConfig::new(200).with_threads(4)).unwrap();
+            assert!(run.skipped > 0, "{fault:?}");
+            assert!(run.rows.iter().all(|row| row.len() == 2 && row.iter().all(|v| v.is_finite())));
+            match run_monte_carlo(&device, &MonteCarloConfig::new(200).fail_fast()) {
+                Err(CompactionError::SimulationFailed { message: reported, .. }) => {
+                    assert_eq!(reported, message, "{fault:?}");
+                }
+                other => panic!("{fault:?}: expected SimulationFailed, got {other:?}"),
+            }
+        }
     }
 }

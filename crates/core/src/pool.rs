@@ -6,6 +6,7 @@
 //! jobs never serialise the rest behind them, and outcomes come back in
 //! index order, so results never depend on the thread count.
 
+use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -100,6 +101,15 @@ where
     // Every index below a failing one started, so the lowest error comes
     // before the first index the stop left unstarted.
     outcomes.into_iter().map_while(|outcome| outcome).collect()
+}
+
+/// The message of a panic payload (`panic!` carries a `&str` or a `String`).
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(message), _) => message.to_string(),
+        (_, Some(message)) => message.clone(),
+        _ => "non-string panic payload".to_string(),
+    }
 }
 
 #[cfg(test)]

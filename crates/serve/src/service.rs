@@ -16,7 +16,6 @@
 //! anytime view of the search: the best frontier so far, per device, long
 //! before the job completes.
 
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -367,7 +366,9 @@ fn worker_loop(shared: &ServiceShared) {
         // A panicking job fails alone: the worker survives to run the next.
         let outcome =
             panic::catch_unwind(AssertUnwindSafe(|| run_job(&spec, &progress, &cancelled)))
-                .unwrap_or_else(|payload| Err(JobError::Panicked(panic_message(payload.as_ref()))));
+                .unwrap_or_else(|payload| {
+                    Err(JobError::Panicked(pool::panic_message(payload.as_ref())))
+                });
         {
             let mut state = shared.state.lock().expect("service state poisoned");
             let entry = state.jobs.get_mut(&id).expect("running job must exist");
@@ -388,15 +389,6 @@ enum JobError {
     Cancelled,
     Shard(CompactionError),
     Panicked(String),
-}
-
-/// The message of a panic payload (`panic!` carries a `&str` or a `String`).
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
-        (Some(message), _) => message.to_string(),
-        (_, Some(message)) => message.clone(),
-        _ => "non-string panic payload".to_string(),
-    }
 }
 
 /// Observer bridging one shard's search events into the job's progress.

@@ -1,4 +1,4 @@
-//! Runs the ablation studies listed in DESIGN.md:
+//! Runs the ablation studies of `stc_bench::experiments` (`ablation_*`):
 //!
 //! * A — classification versus regression modelling (Section 4.1),
 //! * B — guard-band width trade-off (Section 4.2),

@@ -5,29 +5,21 @@
 //! trajectory --sequential <path>      # deterministic sequential-deploy stats
 //! trajectory --screening <path>       # deterministic screen-then-verify
 //!                                     # counters (exact-paired workloads)
-//! trajectory --kernel <path> [n..]    # wall-clock kernel timings (default
-//!                                     # sizes 2000 10000, 24 features)
-//! trajectory --batch <path> [t..]     # wall-clock pipeline-batch timings
-//!                                     # (default thread counts 1 4)
-//! trajectory --search <path>          # wall-clock search-stack timings
 //! trajectory --check <path>           # decode + validate any report
 //! ```
 //!
 //! Output is wrapped in the versioned `{"schema_version": N, "payload": ...}`
-//! `stc-serve` envelope.  `--emit`, `--sequential` and `--screening` are
-//! byte-deterministic across machines (CI diffs them against
+//! `stc-serve` envelope.  All three reports are byte-deterministic across
+//! machines: CI diffs them against
 //! `crates/bench/snapshots/BENCH_trajectory.json`, `BENCH_sequential.json`
-//! and `BENCH_screening.json`); `--kernel`, `--batch` and `--search` measure
-//! wall time and are therefore only structure-checked on CI, with the
-//! committed `BENCH_kernel.json`, `BENCH_batch.json` and `BENCH_search.json`
-//! as the reference measurements.
+//! and `BENCH_screening.json`.  Wall time is measured by `perfbench`, not
+//! here.
 
 use std::process::ExitCode;
 
 use stc_bench::trajectory::{
-    collect_screening, collect_sequential, collect_trajectory, measure_batch, measure_kernel,
-    measure_search, BatchTimingReport, KernelReport, ScreeningReport, SearchTimingReport,
-    SequentialReport, TrajectoryReport,
+    collect_screening, collect_sequential, collect_trajectory, ScreeningReport, SequentialReport,
+    TrajectoryReport,
 };
 use stc_serve::envelope;
 
@@ -36,7 +28,7 @@ fn write_enveloped<T: serde::Serialize>(report: &T, path: &str) -> Result<(), St
     std::fs::write(path, encoded + "\n").map_err(|error| format!("cannot write {path}: {error}"))
 }
 
-/// Checks a decoded report, whichever of the six kinds the file holds.
+/// Checks a decoded report, whichever of the three kinds the file holds.
 fn check(path: &str) -> Result<(), String> {
     let text =
         std::fs::read_to_string(path).map_err(|error| format!("cannot read {path}: {error}"))?;
@@ -61,68 +53,21 @@ fn check(path: &str) -> Result<(), String> {
         }
         return Ok(());
     }
-    if let Ok(report) = envelope::decode::<ScreeningReport>(&text) {
-        report.validate()?;
-        for point in &report.points {
-            eprintln!(
-                "{path}: {} x {} devices [{}]: {} screened, {} verified over {} batches, \
-                 {} exact trainings saved ({} -> {}), kept sets identical",
-                point.device,
-                point.train_devices,
-                point.strategy,
-                point.screened,
-                point.verified,
-                point.batches,
-                point.trainings_saved,
-                point.exact_trainings,
-                point.screened_trainings,
-            );
-        }
-        return Ok(());
-    }
-    if let Ok(report) = envelope::decode::<SearchTimingReport>(&text) {
-        report.validate()?;
-        for timing in &report.timings {
-            eprintln!(
-                "{path}: {} ({} specs x {} devices): {:.0} ms, {} trainings / {} iterations",
-                timing.scenario,
-                timing.specs,
-                timing.train_devices,
-                timing.total_ms,
-                timing.trainings,
-                timing.solver_iterations,
-            );
-        }
-        return Ok(());
-    }
-    if let Ok(report) = envelope::decode::<BatchTimingReport>(&text) {
-        report.validate()?;
-        for timing in &report.timings {
-            eprintln!(
-                "{path}: {} devices x {} instances on {} thread(s): {:.0} ms total, \
-                 {:.0} ms/device",
-                timing.devices,
-                timing.train_devices,
-                timing.batch_threads,
-                timing.total_ms,
-                timing.ms_per_device,
-            );
-        }
-        return Ok(());
-    }
-    let report: KernelReport = envelope::decode(&text).map_err(|error| error.to_string())?;
+    let report: ScreeningReport = envelope::decode(&text).map_err(|error| error.to_string())?;
     report.validate()?;
-    for timing in &report.timings {
+    for point in &report.points {
         eprintln!(
-            "{path}: {} devices x {} features: naive {:.0} ns/row, blocked {:.0} ns/row \
-             ({:.2}x), banked {:.0} ns/row ({:.2}x)",
-            timing.samples,
-            timing.dimension,
-            timing.naive_ns_per_row,
-            timing.blocked_ns_per_row,
-            timing.blocked_speedup,
-            timing.banked_ns_per_row,
-            timing.banked_speedup,
+            "{path}: {} x {} devices [{}]: {} screened, {} verified over {} batches, \
+             {} exact trainings saved ({} -> {}), kept sets identical",
+            point.device,
+            point.train_devices,
+            point.strategy,
+            point.screened,
+            point.verified,
+            point.batches,
+            point.trainings_saved,
+            point.exact_trainings,
+            point.screened_trainings,
         );
     }
     Ok(())
@@ -150,41 +95,9 @@ fn run() -> Result<(), String> {
             eprintln!("wrote {} screening points to {path}", report.points.len());
             Ok(())
         }
-        [flag, path] if flag == "--search" => {
-            let report = measure_search(300, 150);
-            write_enveloped(&report, path)?;
-            check(path)
-        }
-        [flag, path, sizes @ ..] if flag == "--kernel" => {
-            let sizes: Vec<usize> = if sizes.is_empty() {
-                vec![2_000, 10_000]
-            } else {
-                sizes
-                    .iter()
-                    .map(|s| s.parse().map_err(|_| format!("bad size {s}")))
-                    .collect::<Result<_, _>>()?
-            };
-            let report = measure_kernel(&sizes, 24);
-            write_enveloped(&report, path)?;
-            check(path)
-        }
-        [flag, path, threads @ ..] if flag == "--batch" => {
-            let threads: Vec<usize> = if threads.is_empty() {
-                vec![1, 4]
-            } else {
-                threads
-                    .iter()
-                    .map(|t| t.parse().map_err(|_| format!("bad thread count {t}")))
-                    .collect::<Result<_, _>>()?
-            };
-            let report = measure_batch(6, 200, &threads);
-            write_enveloped(&report, path)?;
-            check(path)
-        }
         [flag, path] if flag == "--check" => check(path),
         _ => Err("usage: trajectory --emit <path> | --sequential <path> | \
-                  --screening <path> | --kernel <path> [sizes..] | \
-                  --batch <path> [threads..] | --search <path> | --check <path>"
+                  --screening <path> | --check <path>"
             .to_string()),
     }
 }

@@ -1,5 +1,5 @@
 //! The experiments of the paper, one function per table/figure plus the
-//! ablations described in DESIGN.md.
+//! ablations (`ablation_*`: four design choices and the ad-hoc baseline).
 
 use spec_test_compaction::adapters::AccelerometerDevice;
 use stc_core::report::{percent, render_breakdown, render_specification_table, render_table};

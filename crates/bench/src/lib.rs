@@ -1,11 +1,10 @@
 //! # stc-bench
 //!
 //! Experiment harness reproducing every table and figure of the DATE 2005
-//! paper, plus the ablations listed in DESIGN.md.
+//! paper, plus the ablations in [`experiments`] (the `ablation_*` functions).
 //!
-//! Each experiment is exposed as a library function (so the Criterion benches
-//! and the integration tests can exercise it at reduced scale) and as a
-//! binary that prints the same rows/series the paper reports:
+//! Each experiment is exposed as a library function and as a binary that
+//! prints the same rows/series the paper reports:
 //!
 //! ```text
 //! cargo run --release -p stc-bench --bin table1
@@ -18,6 +17,12 @@
 //!
 //! The `STC_SCALE` environment variable scales the population sizes
 //! (1.0 = the paper's instance counts; 0.2 = a quick smoke run).
+//!
+//! Two more binaries write the deterministic reports CI byte-diffs against
+//! `crates/bench/snapshots/`: `jobs` runs a job-spec file through the
+//! service, and `trajectory` emits the solver, sequential-deploy and
+//! screening counters ([`trajectory`]).  Wall time is measured by the
+//! separate `perfbench` workspace, not by this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,60 +1,41 @@
 //! Machine-readable performance trajectories for the compaction stack.
 //!
-//! Six reports, two gating disciplines:
+//! Three reports, all deterministic and byte-diffed on CI:
 //!
-//! * [`TrajectoryReport`] — **deterministic solver counters** (trainings,
-//!   SMO iterations, warm-start and cache statistics) for a fixed compaction
-//!   workload across population scales and search strategies.  Every field
-//!   is an exact integer or a literal configuration constant, so the
-//!   enveloped JSON is byte-identical across machines and CI *diffs* the
-//!   regenerated file against the committed
-//!   `crates/bench/snapshots/BENCH_trajectory.json`, exactly like
-//!   `BENCH_pipeline.json`.
-//! * [`SequentialReport`] — **deterministic sequential-deploy accounting**
-//!   (stage orders, decision-depth histograms, expected versus static cost)
-//!   for fixed pipelines under uniform and non-uniform cost models.  The
-//!   whole stack is deterministic, so the committed
-//!   `BENCH_sequential.json` is byte-diffed like the trajectory.
-//! * [`KernelReport`] — **wall-clock timings** of naive versus blocked
-//!   versus bank-seeded RBF kernel-row assembly.  Timings are machine
-//!   dependent, so the committed `BENCH_kernel.json` records the reference
-//!   measurement and CI regenerates a fresh copy and *validates its
-//!   structure* ([`KernelReport::validate`]) instead of byte-diffing it.
-//! * [`BatchTimingReport`] — **wall-clock timings** of the `pipeline_batch`
-//!   workload across worker-thread counts, gated like the kernel report
-//!   (`BENCH_batch.json` is the reference measurement, CI regenerates and
-//!   structure-checks).
-//! * [`SearchTimingReport`] — **wall-clock timings** of the search stack
-//!   (full pipeline, the bundled non-greedy strategies and a
-//!   budget-truncated run), gated like the kernel report
-//!   (`BENCH_search.json` is the reference, CI regenerates and
-//!   structure-checks).
-//! * [`ScreeningReport`] — **deterministic screen-then-verify counters**
-//!   (candidates screened, verified and agreed, exact trainings saved) for
-//!   fixed workloads with the 0.10 Nyström screen on, including the paper's
-//!   op-amp at 10^4 simulated devices.  Every run is paired with the exact
-//!   path and the kept/eliminated sets are asserted byte-identical, so the
-//!   committed `BENCH_screening.json` is byte-diffed like the trajectory.
+//! * [`TrajectoryReport`] — **solver counters** (trainings, SMO iterations,
+//!   warm-start and cache statistics) for a fixed compaction workload across
+//!   population scales and search strategies.  Every field is an exact
+//!   integer or a literal configuration constant, so the enveloped JSON is
+//!   byte-identical across machines and CI *diffs* the regenerated file
+//!   against the committed `crates/bench/snapshots/BENCH_trajectory.json`,
+//!   exactly like `BENCH_pipeline.json`.
+//! * [`SequentialReport`] — **sequential-deploy accounting** (stage orders,
+//!   decision-depth histograms, expected versus static cost) for fixed
+//!   pipelines under uniform and non-uniform cost models, diffed against
+//!   `BENCH_sequential.json`.
+//! * [`ScreeningReport`] — **screen-then-verify counters** (candidates
+//!   screened, verified and agreed, exact trainings saved) for fixed
+//!   workloads with the 0.10 Nyström screen on, including the paper's op-amp
+//!   at 10^4 simulated devices.  Every run is paired with the exact path and
+//!   the kept/eliminated sets are asserted byte-identical, so the committed
+//!   `BENCH_screening.json` is byte-diffed like the trajectory.
 //!
 //! All files are wrapped in the versioned `stc-serve` envelope
 //! (`{"schema_version": 1, "payload": ...}`), produced and checked by the
-//! `trajectory` binary.
+//! `trajectory` binary.  Wall time is not measured here: the `perfbench`
+//! workspace times the whole flow and each layer under it.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use spec_test_compaction::adapters::OpAmpDevice;
 use stc_core::pipeline::{CompactionPipeline, PipelineReport};
-use stc_core::search::{
-    CostAwareGreedy, GreedyBackward, ScreeningConfig, SearchBudget, SearchStrategy,
-    SimulatedAnnealing,
-};
+use stc_core::search::{CostAwareGreedy, GreedyBackward, ScreeningConfig, SearchStrategy};
 use stc_core::{
     generate_train_test, CompactionConfig, CompactionResult, Compactor, DeviceUnderTest,
-    MonteCarloConfig, PipelineBatch, SyntheticDevice, TestCostModel,
+    MonteCarloConfig, SyntheticDevice, TestCostModel,
 };
-use stc_svm::{Dataset, Kernel, KernelEngine, KernelPath, SvmBackend};
+use stc_svm::SvmBackend;
 
 /// Deterministic counters for one `(population, strategy)` compaction run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -336,400 +317,6 @@ pub fn collect_sequential() -> SequentialReport {
     SequentialReport { points }
 }
 
-/// Wall-clock timing of one `pipeline_batch` workload configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchTiming {
-    /// Batch entries (devices).
-    pub devices: usize,
-    /// Training population per entry.
-    pub train_devices: usize,
-    /// Worker threads running whole pipelines concurrently.
-    pub batch_threads: usize,
-    /// Total wall time of the batch run, in milliseconds.
-    pub total_ms: f64,
-    /// `total_ms / devices`.
-    pub ms_per_device: f64,
-}
-
-/// Wall-clock `pipeline_batch` measurements (machine dependent; CI validates
-/// structure, not bytes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchTimingReport {
-    /// One timing per thread count, in measurement order.
-    pub timings: Vec<BatchTiming>,
-}
-
-impl BatchTimingReport {
-    /// Structural sanity of a decoded report (used by `trajectory --check`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.timings.is_empty() {
-            return Err("batch timing report has no timings".to_string());
-        }
-        for (i, timing) in self.timings.iter().enumerate() {
-            if timing.devices == 0 || timing.batch_threads == 0 {
-                return Err(format!("timing {i}: empty workload"));
-            }
-            for (name, value) in
-                [("total_ms", timing.total_ms), ("ms_per_device", timing.ms_per_device)]
-            {
-                if !(value.is_finite() && value > 0.0) {
-                    return Err(format!("timing {i}: {name} = {value} is not positive"));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Times the `pipeline_batch` bench workload — a family of synthetic devices
-/// compacted on the grid backend with shared population caching — once per
-/// entry of `threads`.
-///
-/// # Panics
-///
-/// Panics if a batch run fails (a broken build, not bad input).
-pub fn measure_batch(devices: usize, train_devices: usize, threads: &[usize]) -> BatchTimingReport {
-    let family: Vec<SyntheticDevice> =
-        (0..devices).map(|i| SyntheticDevice::new(4 + i % 3, 1.8, 0.9)).collect();
-    let timings = threads
-        .iter()
-        .map(|&batch_threads| {
-            let mut batch = PipelineBatch::new()
-                .monte_carlo(MonteCarloConfig::new(train_devices).with_seed(23))
-                .compaction(CompactionConfig::paper_default().with_tolerance(0.05))
-                .batch_threads(batch_threads);
-            for device in &family {
-                batch = batch.device(device);
-            }
-            let start = Instant::now();
-            let report = batch.run().expect("batch workload runs");
-            let total_ms = start.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(report.runs.len(), devices);
-            BatchTiming {
-                devices,
-                train_devices,
-                batch_threads,
-                total_ms,
-                ms_per_device: total_ms / devices as f64,
-            }
-        })
-        .collect();
-    BatchTimingReport { timings }
-}
-
-/// Wall-clock timing of RBF kernel-row assembly at one population size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KernelTiming {
-    /// Devices (rows) in the dataset.
-    pub samples: usize,
-    /// Feature columns.
-    pub dimension: usize,
-    /// Kernel rows assembled per timed pass.
-    pub rows_assembled: usize,
-    /// Nanoseconds per row, naive per-element `Kernel::eval` assembly.
-    pub naive_ns_per_row: f64,
-    /// Nanoseconds per row, blocked columnar assembly with precomputed norms.
-    pub blocked_ns_per_row: f64,
-    /// Nanoseconds per row when seeded from a parent's [`stc_svm::DotRowBank`].
-    pub banked_ns_per_row: f64,
-    /// `naive_ns_per_row / blocked_ns_per_row`.
-    pub blocked_speedup: f64,
-    /// `naive_ns_per_row / banked_ns_per_row`.
-    pub banked_speedup: f64,
-    /// Largest `|blocked - naive|` kernel-row entry seen while timing.
-    pub max_abs_row_difference: f64,
-}
-
-/// Wall-clock kernel-engine measurements (machine dependent; CI validates
-/// structure, not bytes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KernelReport {
-    /// One timing per measured population size, ascending.
-    pub timings: Vec<KernelTiming>,
-}
-
-impl KernelReport {
-    /// Structural sanity of a decoded report (used by `trajectory --check`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.timings.is_empty() {
-            return Err("kernel report has no timings".to_string());
-        }
-        for (i, timing) in self.timings.iter().enumerate() {
-            for (name, value) in [
-                ("naive_ns_per_row", timing.naive_ns_per_row),
-                ("blocked_ns_per_row", timing.blocked_ns_per_row),
-                ("banked_ns_per_row", timing.banked_ns_per_row),
-                ("blocked_speedup", timing.blocked_speedup),
-                ("banked_speedup", timing.banked_speedup),
-            ] {
-                if !(value.is_finite() && value > 0.0) {
-                    return Err(format!("timing {i}: {name} = {value} is not positive"));
-                }
-            }
-            if timing.rows_assembled == 0 {
-                return Err(format!("timing {i}: no rows assembled"));
-            }
-            if timing.max_abs_row_difference > 1e-12 {
-                return Err(format!(
-                    "timing {i}: blocked rows diverge from naive by {}",
-                    timing.max_abs_row_difference
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Deterministic pseudo-random dataset for the kernel timings: `samples`
-/// devices over `dimension` correlated features, values in roughly `[0, 1]`
-/// (the compaction pipeline feeds the engine normalized measurements).
-fn timing_dataset(samples: usize, dimension: usize) -> Dataset {
-    let mut state = 0x5DEECE66Du64;
-    let mut next = move || {
-        // SplitMix64: cheap, dependency-free, stable across platforms.
-        state = state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        (z ^ (z >> 31)) as f64 / u64::MAX as f64
-    };
-    let columns: Vec<Vec<f64>> = (0..dimension)
-        .map(|c| {
-            let offset = c as f64 / dimension as f64;
-            (0..samples).map(|_| 0.8 * next() + 0.2 * offset).collect()
-        })
-        .collect();
-    let column_refs: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
-    let labels: Vec<f64> = (0..samples).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
-    Dataset::from_columns(&column_refs, &labels).expect("timing dataset is valid")
-}
-
-/// Assembles `rows` kernel rows on a fresh engine and returns the elapsed
-/// nanoseconds per row plus a checksum defeating dead-code elimination.
-fn time_assembly(
-    data: &Dataset,
-    path: KernelPath,
-    bank: Option<&stc_svm::DotRowBank>,
-    rows: usize,
-    out: &mut [f64],
-) -> (f64, f64) {
-    let start = Instant::now();
-    let engine = KernelEngine::with_bank(data, Kernel::rbf(1.0), path, bank);
-    let mut checksum = 0.0;
-    for i in 0..rows {
-        engine.kernel_row(i, out);
-        checksum += out[i];
-    }
-    let elapsed = start.elapsed().as_nanos() as f64;
-    (elapsed / rows as f64, checksum)
-}
-
-/// Times naive versus blocked versus bank-seeded RBF row assembly at each of
-/// `sizes` (devices), `dimension` features.  The bank variant reproduces the
-/// greedy loop's shape: the parent dataset has one extra column, its engine
-/// records the same rows, and the child adjusts them by the dropped column.
-pub fn measure_kernel(sizes: &[usize], dimension: usize) -> KernelReport {
-    let timings = sizes
-        .iter()
-        .map(|&samples| {
-            let parent = timing_dataset(samples, dimension + 1);
-            let kept: Vec<usize> = (0..dimension).collect();
-            let child = parent.select_columns(&kept).expect("child projection is valid");
-            let rows = samples.min(96);
-            let mut out = vec![0.0; samples];
-
-            // Warm-up pass (page in the columns), then one timed pass each.
-            let _ = time_assembly(&child, KernelPath::Blocked, None, rows, &mut out);
-            let (naive_ns_per_row, _) =
-                time_assembly(&child, KernelPath::Naive, None, rows, &mut out);
-            let (blocked_ns_per_row, _) =
-                time_assembly(&child, KernelPath::Blocked, None, rows, &mut out);
-
-            let parent_engine = KernelEngine::new(&parent, Kernel::rbf(1.0), KernelPath::Blocked);
-            for i in 0..rows {
-                parent_engine.kernel_row(i, &mut out);
-            }
-            let bank = parent_engine.into_bank();
-            let (banked_ns_per_row, _) =
-                time_assembly(&child, KernelPath::Blocked, Some(&bank), rows, &mut out);
-
-            let max_abs_row_difference = max_row_difference(&child, rows);
-            KernelTiming {
-                samples,
-                dimension,
-                rows_assembled: rows,
-                naive_ns_per_row,
-                blocked_ns_per_row,
-                banked_ns_per_row,
-                blocked_speedup: naive_ns_per_row / blocked_ns_per_row,
-                banked_speedup: naive_ns_per_row / banked_ns_per_row,
-                max_abs_row_difference,
-            }
-        })
-        .collect();
-    KernelReport { timings }
-}
-
-fn max_row_difference(data: &Dataset, rows: usize) -> f64 {
-    let blocked = KernelEngine::new(data, Kernel::rbf(1.0), KernelPath::Blocked);
-    let naive = KernelEngine::new(data, Kernel::rbf(1.0), KernelPath::Naive);
-    let mut fast = vec![0.0; data.len()];
-    let mut reference = vec![0.0; data.len()];
-    let mut max = 0.0f64;
-    for i in 0..rows {
-        blocked.kernel_row(i, &mut fast);
-        naive.kernel_row(i, &mut reference);
-        for (a, b) in fast.iter().zip(reference.iter()) {
-            max = max.max((a - b).abs());
-        }
-    }
-    max
-}
-
-/// Wall-clock timing of one search-stack scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SearchTiming {
-    /// Scenario name — one of [`SearchTimingReport::SCENARIOS`].
-    pub scenario: String,
-    /// Specification count of the synthetic device.
-    pub specs: usize,
-    /// Training population size (devices).
-    pub train_devices: usize,
-    /// Held-out population size (devices).
-    pub test_devices: usize,
-    /// Total wall time of the scenario, in milliseconds.
-    pub total_ms: f64,
-    /// Classifier trainings charged to the scenario's runs.
-    pub trainings: usize,
-    /// SMO iterations across all of the scenario's trainings.
-    pub solver_iterations: usize,
-}
-
-/// Wall-clock search-stack measurements (machine dependent; CI validates
-/// structure, not bytes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SearchTimingReport {
-    /// One timing per scenario, in measurement order.
-    pub timings: Vec<SearchTiming>,
-}
-
-impl SearchTimingReport {
-    /// Scenarios every valid report must cover, mirroring the criterion
-    /// benches of the same names.
-    pub const SCENARIOS: [&'static str; 2] = ["pipeline", "budgeted_search"];
-
-    /// Per-strategy series rows every valid report must additionally cover:
-    /// each bundled non-greedy strategy records its own wall-time row.
-    pub const STRATEGY_SERIES: [&'static str; 2] =
-        ["strategy:cost-aware-greedy", "strategy:simulated-annealing"];
-
-    /// Structural sanity of a decoded report (used by `trajectory --check`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.timings.is_empty() {
-            return Err("search timing report has no timings".to_string());
-        }
-        for required in Self::SCENARIOS.iter().chain(Self::STRATEGY_SERIES.iter()) {
-            if !self.timings.iter().any(|timing| &timing.scenario == required) {
-                return Err(format!("search timing report misses scenario {required}"));
-            }
-        }
-        for (i, timing) in self.timings.iter().enumerate() {
-            if timing.specs == 0 || timing.train_devices == 0 || timing.test_devices == 0 {
-                return Err(format!("timing {i}: empty workload"));
-            }
-            if !(timing.total_ms.is_finite() && timing.total_ms > 0.0) {
-                return Err(format!("timing {i}: total_ms = {} is not positive", timing.total_ms));
-            }
-            if timing.trainings == 0 || timing.solver_iterations == 0 {
-                return Err(format!("timing {i}: no solver work recorded"));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Times the search stack end to end on one synthetic population: the full
-/// staged pipeline (warm-started greedy, the default), the bundled
-/// non-greedy strategies (one `strategy:<name>` series row each), and a
-/// budget-truncated greedy run.  The scenario names mirror the criterion
-/// benches (`pipeline`, `budgeted_search`) so the two views of the same hot
-/// paths line up.
-///
-/// # Panics
-///
-/// Panics if a population cannot be generated or a compaction fails (both
-/// indicate a broken build, not bad input).
-pub fn measure_search(train_devices: usize, test_devices: usize) -> SearchTimingReport {
-    let specs = 6;
-    let tolerance = 0.05;
-    let device = SyntheticDevice::new(specs, 1.8, 0.92);
-    let monte_carlo = MonteCarloConfig::new(train_devices).with_seed(19);
-    let pipeline_scenario = |scenario: &str, config: CompactionConfig| {
-        let start = Instant::now();
-        let report = CompactionPipeline::for_device(&device)
-            .monte_carlo(monte_carlo)
-            .test_instances(test_devices)
-            .compaction(config)
-            .classifier(SvmBackend::paper_default())
-            .run()
-            .expect("search timing pipeline runs");
-        SearchTiming {
-            scenario: scenario.to_string(),
-            specs,
-            train_devices,
-            test_devices,
-            total_ms: start.elapsed().as_secs_f64() * 1e3,
-            trainings: report.compaction.budget.trainings,
-            solver_iterations: report.compaction.budget.solver_iterations,
-        }
-    };
-    let base = CompactionConfig::paper_default().with_tolerance(tolerance);
-    let mut timings = vec![
-        pipeline_scenario("pipeline", base.clone()),
-        pipeline_scenario(
-            "budgeted_search",
-            base.clone().with_budget(SearchBudget::unlimited().with_max_trainings(12)),
-        ),
-    ];
-
-    let (train, test) =
-        generate_train_test(&device, &monte_carlo, test_devices).expect("population generates");
-    let compactor = Compactor::new(train, test).expect("populations are valid");
-    let backend = SvmBackend::paper_default();
-    // Each bundled non-greedy strategy gets its own wall-time series row
-    // (`strategy:<name>`).
-    let series: [&dyn SearchStrategy; 2] = [&CostAwareGreedy, &SimulatedAnnealing::new(11)];
-    for strategy in series {
-        let start = Instant::now();
-        let result = compactor
-            .compact_with_strategy(&backend, &base, strategy, None)
-            .expect("strategy compaction runs");
-        let total_ms = start.elapsed().as_secs_f64() * 1e3;
-        timings.push(SearchTiming {
-            scenario: format!("strategy:{}", strategy.name()),
-            specs,
-            train_devices,
-            test_devices,
-            total_ms,
-            trainings: result.budget.trainings,
-            solver_iterations: result.budget.solver_iterations,
-        });
-    }
-    SearchTimingReport { timings }
-}
-
 /// Deterministic screen-then-verify counters for one `(device, strategy)`
 /// workload, paired with the exact run of the same workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -933,47 +520,6 @@ pub fn collect_screening() -> ScreeningReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kernel_measurement_is_structurally_valid_at_small_scale() {
-        let report = measure_kernel(&[64, 128], 8);
-        report.validate().expect("small-scale kernel report validates");
-        assert_eq!(report.timings.len(), 2);
-        assert!(report.timings[0].samples < report.timings[1].samples);
-    }
-
-    #[test]
-    fn batch_measurement_is_structurally_valid_at_small_scale() {
-        let report = measure_batch(2, 60, &[1, 2]);
-        report.validate().expect("small-scale batch report validates");
-        assert_eq!(report.timings.len(), 2);
-        assert_eq!(report.timings[0].batch_threads, 1);
-        assert_eq!(report.timings[1].batch_threads, 2);
-    }
-
-    #[test]
-    fn search_measurement_is_structurally_valid_at_small_scale() {
-        let report = measure_search(80, 40);
-        report.validate().expect("small-scale search report validates");
-        assert_eq!(
-            report.timings.len(),
-            SearchTimingReport::SCENARIOS.len() + SearchTimingReport::STRATEGY_SERIES.len()
-        );
-    }
-
-    #[test]
-    fn search_validation_requires_every_scenario_and_series_row() {
-        let report = measure_search(80, 40);
-        let mut missing = report.clone();
-        missing.timings.retain(|timing| timing.scenario != "budgeted_search");
-        assert!(missing.validate().is_err());
-        let mut no_series = report.clone();
-        no_series.timings.retain(|timing| timing.scenario != "strategy:simulated-annealing");
-        assert!(no_series.validate().is_err());
-        let mut stalled = report;
-        stalled.timings[0].total_ms = 0.0;
-        assert!(stalled.validate().is_err());
-    }
 
     #[test]
     fn screening_validation_rejects_divergence_and_no_savings() {

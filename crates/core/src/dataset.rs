@@ -114,11 +114,13 @@ impl MeasurementMatrix {
     /// # Errors
     ///
     /// Returns [`CompactionError::DimensionMismatch`] if any row does not
-    /// have `columns` values.
+    /// have `columns` values and [`CompactionError::NonFiniteMeasurement`]
+    /// for the first NaN or infinite value.
     pub fn from_rows(rows: Vec<Vec<f64>>, columns: usize) -> Result<Self> {
         if let Some(bad) = rows.iter().find(|r| r.len() != columns) {
             return Err(CompactionError::DimensionMismatch { expected: columns, found: bad.len() });
         }
+        check_finite_rows(&rows)?;
         let row_count = rows.len();
         let mut values = vec![0.0; columns * row_count];
         for (i, row) in rows.iter().enumerate() {
@@ -139,8 +141,10 @@ impl MeasurementMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`CompactionError::EmptyTestSet`] for zero columns and
-    /// [`CompactionError::DimensionMismatch`] for ragged column lengths.
+    /// Returns [`CompactionError::EmptyTestSet`] for zero columns,
+    /// [`CompactionError::DimensionMismatch`] for ragged column lengths and
+    /// [`CompactionError::NonFiniteMeasurement`] for the first NaN or
+    /// infinite value.
     pub fn from_columns(columns: Vec<Vec<f64>>) -> Result<Self> {
         if columns.is_empty() {
             return Err(CompactionError::EmptyTestSet);
@@ -151,6 +155,12 @@ impl MeasurementMatrix {
                 expected: row_count,
                 found: bad.len(),
             });
+        }
+        for (column, values) in columns.iter().enumerate() {
+            if let Some(row) = values.iter().position(|value| !value.is_finite()) {
+                let value = values[row];
+                return Err(CompactionError::NonFiniteMeasurement { row, column, value });
+            }
         }
         let column_count = columns.len();
         let mut values = Vec::with_capacity(column_count * row_count);
@@ -246,6 +256,18 @@ impl MeasurementMatrix {
     pub fn shares_allocation_with(&self, other: &MeasurementMatrix) -> bool {
         Arc::ptr_eq(&self.values, &other.values)
     }
+}
+
+/// Fails on the first NaN or infinite value of row-major `rows`, naming its
+/// row and column.
+pub(crate) fn check_finite_rows(rows: &[Vec<f64>]) -> Result<()> {
+    for (row, values) in rows.iter().enumerate() {
+        if let Some(column) = values.iter().position(|value| !value.is_finite()) {
+            let value = values[column];
+            return Err(CompactionError::NonFiniteMeasurement { row, column, value });
+        }
+    }
+    Ok(())
 }
 
 impl Serialize for MeasurementMatrix {
@@ -409,12 +431,14 @@ impl<'de> Deserialize<'de> for MeasurementSet {
 
 impl MeasurementSet {
     /// Creates a measurement set from row-major data, validating row
-    /// dimensions.
+    /// dimensions and values.
     ///
     /// # Errors
     ///
     /// Returns [`CompactionError::DimensionMismatch`] if any row does not have
-    /// one value per specification.
+    /// one value per specification and
+    /// [`CompactionError::NonFiniteMeasurement`] for the first NaN or infinite
+    /// value.
     pub fn new(specs: SpecificationSet, rows: Vec<Vec<f64>>) -> Result<Self> {
         let matrix = MeasurementMatrix::from_rows(rows, specs.len())?;
         MeasurementSet::from_matrix(specs, matrix)
@@ -710,6 +734,37 @@ mod tests {
         assert!(empty.is_empty());
         assert_eq!(empty.column_count(), 3);
         assert_eq!(empty.column(2), &[] as &[f64]);
+    }
+
+    #[test]
+    fn from_rows_rejects_non_finite_values_by_row_and_column() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let rows = vec![vec![0.5, 5.0], vec![0.9, bad], vec![0.5, 6.0]];
+            for error in [
+                MeasurementMatrix::from_rows(rows.clone(), 2).unwrap_err(),
+                MeasurementSet::new(two_spec_set(), rows).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(
+                        error,
+                        CompactionError::NonFiniteMeasurement { row: 1, column: 1, .. }
+                    ),
+                    "{error}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn from_columns_rejects_non_finite_values_by_row_and_column() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let columns = vec![vec![0.5, 0.9, 0.5], vec![5.0, 9.0, bad]];
+            let error = MeasurementMatrix::from_columns(columns).unwrap_err();
+            assert!(
+                matches!(error, CompactionError::NonFiniteMeasurement { row: 2, column: 1, .. }),
+                "{error}"
+            );
+        }
     }
 
     #[test]

@@ -35,6 +35,18 @@ pub enum CompactionError {
         /// Human-readable reason.
         reason: String,
     },
+    /// A measured value was NaN or infinite.  Measured data is checked where
+    /// it enters: both [`MeasurementMatrix`](crate::MeasurementMatrix)
+    /// constructors (and so `MeasurementSet::new` and deserialization) and
+    /// `SpecificationSet::from_population_quantiles`.
+    NonFiniteMeasurement {
+        /// Row (device instance) of the offending value.
+        row: usize,
+        /// Column (specification) of the offending value.
+        column: usize,
+        /// The offending value.
+        value: f64,
+    },
     /// An invalid configuration value (tolerance, guard band, grid size, …).
     InvalidConfig {
         /// Name of the configuration parameter.
@@ -98,6 +110,9 @@ impl fmt::Display for CompactionError {
             }
             CompactionError::InsufficientData { reason } => {
                 write!(f, "insufficient training data: {reason}")
+            }
+            CompactionError::NonFiniteMeasurement { row, column, value } => {
+                write!(f, "measurement at row {row}, column {column} is not finite ({value})")
             }
             CompactionError::InvalidConfig { parameter, value } => {
                 write!(f, "invalid configuration: {parameter} = {value}")

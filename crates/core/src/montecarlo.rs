@@ -29,7 +29,8 @@ pub struct MonteCarloConfig {
     /// or a row with a NaN or infinite value.
     pub skip_failures: bool,
     /// Quantiles used to calibrate acceptability ranges when the device does
-    /// not define explicit ranges (see DESIGN.md on range calibration).
+    /// not define explicit ranges (see
+    /// [`SpecificationSet::from_population_quantiles`]).
     pub calibration_quantiles: (f64, f64),
 }
 

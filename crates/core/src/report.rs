@@ -2,7 +2,7 @@
 //!
 //! The bench binaries print the same rows/series the paper reports; this
 //! module keeps the formatting in one place so tables look consistent across
-//! experiments and EXPERIMENTS.md.
+//! experiments.
 
 use crate::compaction::CompactionStep;
 use crate::metrics::ErrorBreakdown;

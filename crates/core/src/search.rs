@@ -1745,7 +1745,7 @@ mod tests {
         Compactor::new(train, test).unwrap()
     }
 
-    /// The acceptance-criterion fixture: with a cost model whose expensive
+    /// The acceptance fixture: with a cost model whose expensive
     /// test heads the examination order's survivors, count-greedy keeps an
     /// expensive test while the cost-aware strategy keeps a cheap one.
     #[test]

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::dataset::check_finite_rows;
 use crate::{CompactionError, Result};
 
 /// One device specification: a named performance parameter with an
@@ -201,14 +202,17 @@ impl SpecificationSet {
     ///
     /// The scanned table of the paper does not give machine-readable ranges,
     /// so the reproduction calibrates ranges from the simulated population
-    /// such that the resulting yield matches the paper's reported yield (see
-    /// DESIGN.md).  `names`, `units` and `nominals` describe the columns of
-    /// `rows`.
+    /// such that the resulting yield matches the paper's reported yield (the
+    /// `calibrate` binary of `stc-bench` sweeps the quantiles, and
+    /// `stc_bench::populations` pins the chosen ones).  `names`, `units` and
+    /// `nominals` describe the columns of `rows`.
     ///
     /// # Errors
     ///
-    /// Returns [`CompactionError::InsufficientData`] when `rows` is empty and
-    /// [`CompactionError::InvalidConfig`] for quantiles outside `(0, 1)`.
+    /// Returns [`CompactionError::InsufficientData`] when `rows` is empty,
+    /// [`CompactionError::InvalidConfig`] for quantiles outside `(0, 1)` and
+    /// [`CompactionError::NonFiniteMeasurement`] for the first NaN or infinite
+    /// value.
     pub fn from_population_quantiles(
         names: &[&str],
         units: &[&str],
@@ -235,6 +239,7 @@ impl SpecificationSet {
                 found: rows.first().map(|r| r.len()).unwrap_or(0),
             });
         }
+        check_finite_rows(rows)?;
         let mut specs = Vec::with_capacity(dims);
         for column in 0..dims {
             let mut values: Vec<f64> = rows.iter().map(|r| r[column]).collect();
@@ -397,5 +402,25 @@ mod tests {
             0.95
         )
         .is_err());
+    }
+
+    #[test]
+    fn quantile_calibration_rejects_non_finite_measurements() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let rows = vec![vec![0.1, 0.2], vec![bad, 0.3], vec![0.4, 0.5], vec![0.6, 0.7]];
+            let error = SpecificationSet::from_population_quantiles(
+                &["a", "b"],
+                &["-", "-"],
+                &[0.5, 0.5],
+                &rows,
+                0.05,
+                0.95,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(error, CompactionError::NonFiniteMeasurement { row: 1, column: 0, .. }),
+                "{error}"
+            );
+        }
     }
 }

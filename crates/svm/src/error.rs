@@ -34,13 +34,6 @@ pub enum SvmError {
         /// Iterations performed before giving up.
         iterations: usize,
     },
-    /// Cross-validation was asked for an impossible number of folds.
-    InvalidFolds {
-        /// Requested number of folds.
-        folds: usize,
-        /// Number of available samples.
-        samples: usize,
-    },
     /// A feature vector contained a non-finite value.
     NonFiniteFeature {
         /// Index of the offending feature.
@@ -69,9 +62,6 @@ impl fmt::Display for SvmError {
             }
             SvmError::NotConverged { iterations } => {
                 write!(f, "SMO solver did not converge after {iterations} iterations")
-            }
-            SvmError::InvalidFolds { folds, samples } => {
-                write!(f, "cannot split {samples} samples into {folds} folds")
             }
             SvmError::NonFiniteFeature { index, value } => {
                 write!(f, "feature {index} is not finite ({value})")

@@ -16,10 +16,7 @@
 //!   LIBSVM-style SMO solver ([`smo`]),
 //! * [`Svr`] — ε-support-vector regression, used only for the
 //!   classification-vs-regression ablation of Section 4.1,
-//! * [`Kernel`] — linear, polynomial, RBF and sigmoid kernels,
-//! * [`Scaler`] — per-feature range scaling (the paper normalises every
-//!   specification to its acceptability range, Section 4.3),
-//! * [`cross_validation`] and [`grid_search`] — model selection helpers.
+//! * [`Kernel`] — linear, polynomial, RBF and sigmoid kernels.
 //!
 //! ## Example
 //!
@@ -48,14 +45,11 @@
 mod dataset;
 mod error;
 mod kernel;
-mod scaler;
 mod svc;
 mod svr;
 
 pub mod backend;
-pub mod cross_validation;
 pub mod engine;
-pub mod grid_search;
 pub mod nystrom;
 pub mod smo;
 
@@ -65,7 +59,6 @@ pub use engine::{DotRowBank, EngineUsage, KernelEngine, KernelPath};
 pub use error::SvmError;
 pub use kernel::Kernel;
 pub use nystrom::{NystromModel, NystromParams};
-pub use scaler::{ScaleMethod, Scaler};
 pub use svc::{Svc, SvcParams};
 pub use svr::{Svr, SvrParams};
 

@@ -13,11 +13,11 @@
 //!
 //! The working-set selection picks the maximal violator and pairs it by
 //! *second-order gain* (LIBSVM's WSS 2: maximise the two-variable objective
-//! decrease); the stopping criterion is the duality-gap surrogate
+//! decrease); the stopping condition is the duality-gap surrogate
 //! `m(a) - M(a) <= tolerance` from Keerthi et al.  Variables pinned at a
 //! bound are periodically *shrunk* out of the working set (the standard
 //! LIBSVM heuristic); before the solver accepts convergence of a shrunk
-//! problem it restores every variable and re-checks the stopping criterion
+//! problem it restores every variable and re-checks the stopping condition
 //! on the full set, so the returned solution always satisfies the global
 //! KKT tolerance.
 //!

@@ -4,7 +4,8 @@
 //! as a *classification* problem rather than the regression formulation used
 //! by earlier alternate-test work, because classification only needs training
 //! coverage near the class boundary.  This module provides the regression
-//! counterpart so the comparison can be reproduced (ablation A in DESIGN.md).
+//! counterpart so the comparison can be reproduced (ablation A,
+//! `stc_bench::experiments::ablation_classification_vs_regression`).
 
 use std::cell::RefCell;
 

@@ -1,7 +1,7 @@
 //! Property-based tests of the SVM building blocks.
 
 use proptest::prelude::*;
-use stc_svm::{Dataset, Kernel, KernelEngine, KernelPath, ScaleMethod, Scaler, Svc, SvcParams};
+use stc_svm::{Dataset, Kernel, KernelEngine, KernelPath, Svc, SvcParams};
 
 fn finite_vector(len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e3f64..1e3, len)
@@ -37,33 +37,6 @@ proptest! {
         prop_assert!((0.0..=1.0 + 1e-12).contains(&value));
         let self_value = Kernel::rbf(gamma).eval(&x, &x);
         prop_assert!((self_value - 1.0).abs() < 1e-12);
-    }
-
-    /// Min-max scaling maps every training sample into the unit hyper-cube and
-    /// the inverse transform recovers the original vector.
-    #[test]
-    fn minmax_scaling_round_trips(rows in prop::collection::vec(finite_vector(3), 2..40)) {
-        let labels = vec![1.0; rows.len()];
-        let data = Dataset::from_rows(&rows, &labels).unwrap();
-        let scaler = Scaler::fit(&data, ScaleMethod::MinMax).unwrap();
-        for row in &rows {
-            let scaled = scaler.transform_vector(row);
-            for &value in &scaled {
-                prop_assert!((-1e-9..=1.0 + 1e-9).contains(&value));
-            }
-            let back = scaler.inverse_transform_vector(&scaled);
-            for (a, b) in row.iter().zip(back.iter()) {
-                prop_assert!((a - b).abs() <= 1e-6 * a.abs().max(1.0));
-            }
-        }
-    }
-
-    /// Range scaling maps the range bounds exactly to 0 and 1.
-    #[test]
-    fn range_scaling_maps_bounds(lo in -1e3f64..1e3, width in 0.1f64..1e3) {
-        let scaler = Scaler::from_ranges(&[(lo, lo + width)]).unwrap();
-        prop_assert!(scaler.transform_vector(&[lo])[0].abs() < 1e-12);
-        prop_assert!((scaler.transform_vector(&[lo + width])[0] - 1.0).abs() < 1e-12);
     }
 
     /// A linearly separable problem with a generous margin is always solved

@@ -67,7 +67,7 @@
 //!
 //! The experiment harness reproducing every table and figure of the paper
 //! lives in the `stc-bench` crate (`cargo run -p stc-bench --bin table1`,
-//! `figure5`, …); EXPERIMENTS.md records paper-versus-measured results.
+//! `figure5`, …).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

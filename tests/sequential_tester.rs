@@ -172,7 +172,7 @@ fn expected_cost_never_exceeds_static_cost_under_uniform_model() {
 
 #[test]
 fn opamp_sequential_deploy_prices_below_the_static_kept_set() {
-    // Acceptance criterion: on the op-amp fixture, a non-uniform cost model
+    // Acceptance check: on the op-amp fixture, a non-uniform cost model
     // must make the cheapest-first sequential deploy strictly cheaper per
     // device than measuring the whole kept set up front.
     let fixture = fixtures().iter().find(|f| f.name == "opamp/svm").unwrap();

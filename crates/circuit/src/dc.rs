@@ -10,7 +10,7 @@ const MAX_NEWTON_ITERATIONS: usize = 300;
 /// Largest node-voltage update applied in one Newton step (volts).
 const VOLTAGE_STEP_LIMIT: f64 = 0.5;
 /// Absolute convergence tolerance on node voltages (volts).
-const ABSTOL: f64 = 1e-9;
+pub(crate) const ABSTOL: f64 = 1e-9;
 /// Relative convergence tolerance on node voltages.
 const RELTOL: f64 = 1e-6;
 

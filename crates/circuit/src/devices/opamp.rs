@@ -238,7 +238,9 @@ impl OpAmp {
     ///
     /// Creates the supply sources (`VDD = +supply`, `VSS = -supply`) and all
     /// transistors; returns the node bundle used by the testbenches.
-    fn build_core(&self, circuit: &mut Circuit) -> Result<CoreNodes> {
+    /// `vdd_ac_magnitude` is VDD's small-signal AC magnitude (1 for the
+    /// power-supply-gain measurement, 0 otherwise).
+    fn build_core(&self, circuit: &mut Circuit, vdd_ac_magnitude: f64) -> Result<CoreNodes> {
         let p = &self.params;
         let gnd = Circuit::ground();
         let vdd = circuit.node("vdd");
@@ -251,7 +253,13 @@ impl OpAmp {
         let ntail = circuit.node("ntail");
         let nbias = circuit.node("nbias");
 
-        circuit.voltage_source("VDD", vdd, gnd, SourceWaveform::dc(p.supply))?;
+        circuit.ac_voltage_source(
+            "VDD",
+            vdd,
+            gnd,
+            SourceWaveform::dc(p.supply),
+            vdd_ac_magnitude,
+        )?;
         circuit.voltage_source("VSS", vss, gnd, SourceWaveform::dc(-p.supply))?;
 
         // Bias chain: Iref from VDD into the diode-connected M8.
@@ -302,7 +310,7 @@ impl OpAmp {
     /// common-mode measurement.
     fn ac_testbench(&self, drive_both_inputs: bool) -> Result<(Circuit, NodeId)> {
         let mut circuit = Circuit::new();
-        let nodes = self.build_core(&mut circuit)?;
+        let nodes = self.build_core(&mut circuit, 0.0)?;
         let gnd = Circuit::ground();
         let vsrc = circuit.node("vac");
         circuit.ac_voltage_source("VAC", vsrc, gnd, SourceWaveform::dc(0.0), 1.0)?;
@@ -319,32 +327,20 @@ impl OpAmp {
     }
 
     /// Unity-gain buffer testbench (output tied to the inverting input) with
-    /// the non-inverting input driven by `input`; `ac_on_supply` adds a 1 V AC
-    /// stimulus in series with VDD for the power-supply-gain measurement.
+    /// the non-inverting input driven by `input`; `vdd_ac_magnitude` is passed
+    /// to `build_core`.
     fn buffer_testbench(
         &self,
         input: SourceWaveform,
-        ac_on_supply: bool,
+        vdd_ac_magnitude: f64,
     ) -> Result<(Circuit, CoreNodes)> {
         let mut circuit = Circuit::new();
-        let nodes = self.build_core(&mut circuit)?;
+        let nodes = self.build_core(&mut circuit, vdd_ac_magnitude)?;
         let gnd = Circuit::ground();
         circuit.voltage_source("VIN", nodes.inp, gnd, input)?;
         // Close the loop with an ideal short (0 V source) so the output branch
         // current is also observable if needed.
         circuit.voltage_source("VFB", nodes.out, nodes.inn, SourceWaveform::dc(0.0))?;
-        if ac_on_supply {
-            // Replace nothing: stack an AC source in series with VDD by
-            // inserting it between the ideal supply and the core supply node is
-            // not possible after the fact, so instead add the AC magnitude to
-            // the existing VDD source.
-            let index = circuit.find_element("VDD").expect("core always instantiates VDD");
-            if let Some(crate::elements::Element::VoltageSource { ac_magnitude, .. }) =
-                circuit_elements_mut(&mut circuit).get_mut(index)
-            {
-                *ac_magnitude = 1.0;
-            }
-        }
         Ok((circuit, nodes))
     }
 
@@ -373,7 +369,7 @@ impl OpAmp {
         let common_mode_gain = measure::dc_gain(&cm_sweep, cm_out);
 
         // --- Power-supply gain ---------------------------------------------
-        let (ps_circuit, ps_nodes) = self.buffer_testbench(SourceWaveform::dc(0.0), true)?;
+        let (ps_circuit, ps_nodes) = self.buffer_testbench(SourceWaveform::dc(0.0), 1.0)?;
         let ps_op = dc_operating_point(&ps_circuit)?;
         let ps_sweep = ac_analysis(&ps_circuit, &ps_op, &[10.0])?;
         let power_supply_gain = measure::dc_gain(&ps_sweep, ps_nodes.out);
@@ -383,7 +379,7 @@ impl OpAmp {
 
         // --- Small-signal step response (rise, overshoot, settling) ---------
         let small_step = SourceWaveform::step(0.0, 0.2, 0.2e-6);
-        let (step_circuit, step_nodes) = self.buffer_testbench(small_step, false)?;
+        let (step_circuit, step_nodes) = self.buffer_testbench(small_step, 0.0)?;
         let step_op = dc_operating_point(&step_circuit)?;
         let step_result = transient_analysis_from(
             &step_circuit,
@@ -397,7 +393,7 @@ impl OpAmp {
 
         // --- Slew rate -------------------------------------------------------
         let large_step = SourceWaveform::step(-1.0, 1.0, 0.2e-6);
-        let (slew_circuit, slew_nodes) = self.buffer_testbench(large_step, false)?;
+        let (slew_circuit, slew_nodes) = self.buffer_testbench(large_step, 0.0)?;
         let slew_op = dc_operating_point(&slew_circuit)?;
         let slew_result = transient_analysis_from(
             &slew_circuit,
@@ -437,7 +433,7 @@ impl OpAmp {
     /// Output short-circuit current with the input driven 1 V positive (µA).
     fn short_circuit_current(&self) -> Result<f64> {
         let mut circuit = Circuit::new();
-        let nodes = self.build_core(&mut circuit)?;
+        let nodes = self.build_core(&mut circuit, 0.0)?;
         let gnd = Circuit::ground();
         circuit.voltage_source("VIN", nodes.inp, gnd, SourceWaveform::dc(1.0))?;
         // Feedback wants the output to follow the input but the output is
@@ -456,17 +452,6 @@ impl Default for OpAmp {
     fn default() -> Self {
         OpAmp::new(OpAmpParams::nominal())
     }
-}
-
-/// Internal helper granting mutable access to a circuit's element list.
-///
-/// Only used to flip the AC magnitude of the already-instantiated supply
-/// source; kept private so the netlist's invariants stay encapsulated.
-fn circuit_elements_mut(circuit: &mut Circuit) -> &mut Vec<crate::elements::Element> {
-    // Safety/encapsulation note: `Circuit` exposes no public mutator for
-    // existing elements, so this module-level helper is implemented through a
-    // crate-internal accessor.
-    circuit.elements_mut()
 }
 
 #[cfg(test)]

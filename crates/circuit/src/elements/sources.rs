@@ -100,6 +100,21 @@ impl SourceWaveform {
         }
     }
 
+    /// The time after which the waveform never changes value again: 0 for
+    /// [`SourceWaveform::Dc`], the end of the ramp for a step, the last
+    /// breakpoint for a PWL, and `+∞` for the pulse train and the sinusoid,
+    /// which never stop changing.
+    pub(crate) fn last_change(&self) -> f64 {
+        match self {
+            SourceWaveform::Dc(_) => 0.0,
+            SourceWaveform::Step { delay, rise_time, .. } => delay + rise_time.max(0.0),
+            SourceWaveform::Pulse { .. } | SourceWaveform::Sine { .. } => f64::INFINITY,
+            SourceWaveform::Pwl { points } => {
+                points.iter().map(|point| point.0).fold(f64::NEG_INFINITY, f64::max)
+            }
+        }
+    }
+
     /// Value of the waveform at time `t` (seconds).
     pub fn value_at(&self, t: f64) -> f64 {
         match self {
@@ -210,6 +225,19 @@ mod tests {
         assert_eq!(w.dc_value(), 1.0);
         assert!((w.value_at(0.0) - 1.0).abs() < 1e-12);
         assert!((w.value_at(0.25e-3) - 1.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn last_change_is_where_each_waveform_turns_constant() {
+        assert_eq!(SourceWaveform::dc(1.0).last_change(), 0.0);
+        assert_eq!(SourceWaveform::step(0.0, 1.0, 2e-6).last_change(), 2e-6);
+        assert_eq!(SourceWaveform::ramp_step(0.0, 1.0, 1.0, 0.5).last_change(), 1.5);
+        assert_eq!(SourceWaveform::sine(0.0, 1.0, 1e3).last_change(), f64::INFINITY);
+        let pwl = SourceWaveform::Pwl { points: vec![(0.0, 0.0), (1.0, 2.0), (3.0, 2.0)] };
+        assert_eq!(pwl.last_change(), 3.0);
+        for t in [3.0, 4.0, 1e9] {
+            assert_eq!(pwl.value_at(t), pwl.value_at(pwl.last_change()));
+        }
     }
 
     #[test]

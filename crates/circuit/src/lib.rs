@@ -12,7 +12,9 @@
 //! * [`ac_analysis`] — small-signal frequency sweeps around the operating
 //!   point,
 //! * [`transient_analysis`] — fixed-step trapezoidal/backward-Euler time
-//!   integration.
+//!   integration that ends once the circuit has settled after its last
+//!   source change (no node moving by more than the 1 nV Newton tolerance
+//!   over the rest of the window).
 //!
 //! Circuits are built programmatically with [`Circuit`]; the element set
 //! (R, L, C, independent and controlled sources, diodes and level-1 MOSFETs)

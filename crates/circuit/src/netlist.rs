@@ -95,13 +95,6 @@ impl Circuit {
         &self.elements
     }
 
-    /// Crate-internal mutable access to the element list (used by device
-    /// builders that need to retarget an already-instantiated source, for
-    /// example to add an AC stimulus to a supply).
-    pub(crate) fn elements_mut(&mut self) -> &mut Vec<Element> {
-        &mut self.elements
-    }
-
     /// Finds an element index by instance name.
     pub fn find_element(&self, name: &str) -> Option<usize> {
         self.elements.iter().position(|e| e.name() == name)

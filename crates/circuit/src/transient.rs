@@ -1,6 +1,12 @@
-//! Fixed-step transient analysis.
+//! Fixed-step transient analysis that ends once the circuit has settled.
+//!
+//! After the last change of every independent source, the analysis stops at
+//! the first step that moved no node voltage by more than
+//! `ABSTOL · time_step / (stop_time − t)`, so the skipped steps could move the
+//! final value by at most `ABSTOL`, the 1 nV Newton tolerance (see
+//! [`transient_analysis`]).
 
-use crate::dc::{dc_operating_point, newton_solve, DcSolution, NewtonWorkspace};
+use crate::dc::{dc_operating_point, newton_solve, DcSolution, NewtonWorkspace, ABSTOL};
 use crate::elements::Element;
 use crate::mna::{AssemblyOptions, DynamicState, IntegrationMethod, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
@@ -10,7 +16,9 @@ use crate::{CircuitError, Result};
 /// Parameters of a transient run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientParams {
-    /// Simulation stop time in seconds.
+    /// Upper end of the simulated window in seconds.  The analysis ends
+    /// earlier once the circuit has settled after its last source change
+    /// (see [`transient_analysis`]).
     pub stop_time: f64,
     /// Fixed time step in seconds.
     pub time_step: f64,
@@ -88,10 +96,23 @@ impl TransientResult {
 /// a Newton solve fails at some time point, the step is retried with backward
 /// Euler and half the step size before giving up.
 ///
+/// The analysis ends before `stop_time` once the circuit has settled: at the
+/// first step that begins at or after the last change of every independent
+/// source and moves no node voltage by more than
+/// `ABSTOL · time_step / (stop_time − t)`, with `t` the step's end and
+/// `ABSTOL` the 1 nV Newton tolerance.  A DC source last changes at 0, a step
+/// at the end of its ramp and a PWL source at its last breakpoint; a circuit
+/// with a pulse or sine source always runs the full window.  While a circuit
+/// with constant sources settles towards a stable operating point, no node's
+/// per-step change grows again, so the skipped steps could move the final
+/// value by at most `ABSTOL`.  The result may therefore hold fewer than
+/// `1 + stop_time / time_step` points; [`Waveform::value_at`] past its last
+/// sample returns the settled value.
+///
 /// # Errors
 ///
-/// Returns [`CircuitError::InvalidAnalysis`] for non-positive step or stop
-/// times and propagates DC/Newton failures.
+/// Returns [`CircuitError::InvalidAnalysis`] unless `0 < time_step <
+/// stop_time < ∞`, and propagates DC/Newton failures.
 ///
 /// # Example
 ///
@@ -127,15 +148,20 @@ pub fn transient_analysis_from(
     params: &TransientParams,
     initial: Option<&DcSolution>,
 ) -> Result<TransientResult> {
-    if !(params.time_step > 0.0) || !(params.stop_time > params.time_step) {
+    if !(params.time_step > 0.0)
+        || !(params.stop_time > params.time_step)
+        || !params.stop_time.is_finite()
+    {
         return Err(CircuitError::InvalidAnalysis {
             reason: format!(
-                "transient needs 0 < time_step ({}) < stop_time ({})",
+                "transient needs 0 < time_step ({}) < stop_time ({}) < ∞",
                 params.time_step, params.stop_time
             ),
         });
     }
     let layout = MnaLayout::new(circuit);
+    let sources_constant_from = last_source_change(circuit);
+    let node_rows = layout.node_count() - 1;
     let op;
     let initial_x: &[f64] = match initial {
         Some(solution) if solution.layout().size() == layout.size() => solution.solution_vector(),
@@ -172,10 +198,35 @@ pub fn transient_analysis_from(
         advance_state(circuit, &layout, &mut state, &mut x_new, h, method);
         times.push(t_new);
         solutions.extend_from_slice(&state.x);
+        // `x_new` now holds the previous solution.
+        let tolerance = ABSTOL * h / (params.stop_time - t_new);
+        if time >= sources_constant_from
+            && state.x[..node_rows]
+                .iter()
+                .zip(&x_new[..node_rows])
+                .all(|(new, old)| (new - old).abs() <= tolerance)
+        {
+            break;
+        }
         time = t_new;
         first_step = false;
     }
     Ok(TransientResult { layout, times, solutions })
+}
+
+/// The time after which no independent source of `circuit` changes value
+/// (`+∞` if a pulse or sine source never stops changing).
+fn last_source_change(circuit: &Circuit) -> f64 {
+    circuit
+        .elements()
+        .iter()
+        .filter_map(|element| match element {
+            Element::VoltageSource { waveform, .. } | Element::CurrentSource { waveform, .. } => {
+                Some(waveform.last_change())
+            }
+            _ => None,
+        })
+        .fold(0.0, f64::max)
 }
 
 /// Solves the time step `(t_new, h, method)` from `state` into `x_new`.
@@ -297,6 +348,75 @@ mod tests {
         assert!(transient_analysis(&c, &TransientParams::new(0.0, 1e-6)).is_err());
         assert!(transient_analysis(&c, &TransientParams::new(1e-3, 0.0)).is_err());
         assert!(transient_analysis(&c, &TransientParams::new(1e-6, 1e-3)).is_err());
+        // A sine source never lets the settle rule end the run, so an infinite
+        // window would never return.
+        let (sine, _) = rc_driven_by(SourceWaveform::sine(0.0, 1.0, 1e3));
+        assert!(matches!(
+            transient_analysis(&sine, &TransientParams::new(f64::INFINITY, 1e-6)),
+            Err(CircuitError::InvalidAnalysis { .. })
+        ));
+    }
+
+    /// An RC low-pass (τ = 1 µs) driven by `source`, with its output node.
+    fn rc_driven_by(source: SourceWaveform) -> (Circuit, NodeId) {
+        let mut c = Circuit::new();
+        let vin = c.node("vin");
+        let vout = c.node("vout");
+        c.voltage_source("V1", vin, Circuit::ground(), source).unwrap();
+        c.resistor("R1", vin, vout, 1_000.0).unwrap();
+        c.capacitor("C1", vout, Circuit::ground(), 1e-9).unwrap();
+        (c, vout)
+    }
+
+    #[test]
+    fn a_delayed_step_is_never_cut_before_its_delay() {
+        // The circuit sits still at its operating point until the step.
+        let (c, vout) = rc_driven_by(SourceWaveform::step(0.0, 1.0, 50e-6));
+        let result = transient_analysis(&c, &TransientParams::new(200e-6, 0.1e-6)).unwrap();
+        let end = *result.times().last().unwrap();
+        assert!(end > 60e-6 && end < 200e-6, "ended at {end}");
+        let wave = result.waveform(vout);
+        assert_eq!(wave.value_at(49e-6), 0.0);
+        assert!((wave.final_value() - 1.0).abs() < 1e-6, "final {}", wave.final_value());
+    }
+
+    #[test]
+    fn pulse_and_sine_sources_run_the_full_window() {
+        let pulse = SourceWaveform::Pulse {
+            low: 0.0,
+            high: 1.0,
+            delay: 1e-6,
+            rise: 0.0,
+            fall: 0.0,
+            width: 1e-6,
+            period: 1.0,
+        };
+        for source in [pulse, SourceWaveform::sine(0.0, 1.0, 1e3)] {
+            let (c, _) = rc_driven_by(source.clone());
+            let result = transient_analysis(&c, &TransientParams::new(100e-6, 0.1e-6)).unwrap();
+            assert_eq!(result.len(), 1 + 1000, "{source:?}");
+        }
+    }
+
+    #[test]
+    fn a_settled_run_ends_early_within_abstol_of_the_full_window() {
+        let (stop_time, h) = (100e-6, 0.1e-6);
+        let params = TransientParams::new(stop_time, h);
+        let (c, vout) = rc_driven_by(SourceWaveform::step(0.0, 1.0, 0.0));
+        let settled = transient_analysis(&c, &params).unwrap();
+        // Per-step change 0.1·e^(−t/τ) meets 1e-9·h / (stop_time − t) near 25 τ.
+        let end = *settled.times().last().unwrap();
+        assert!(end > 20e-6 && end < 30e-6, "ended at {end}");
+        // The same drive at every sample time, but changing until `stop_time`,
+        // so the analysis runs the full window.
+        let pwl =
+            SourceWaveform::Pwl { points: vec![(0.0, 0.0), (h / 2.0, 1.0), (stop_time, 1.0)] };
+        let (reference_circuit, _) = rc_driven_by(pwl);
+        let reference = transient_analysis(&reference_circuit, &params).unwrap();
+        assert_eq!(reference.len(), 1 + 1000);
+        let (settled, reference) = (settled.waveform(vout), reference.waveform(vout));
+        assert!((settled.final_value() - reference.final_value()).abs() <= ABSTOL);
+        assert_eq!(settled.value_at(10e-6), reference.value_at(10e-6));
     }
 
     #[test]

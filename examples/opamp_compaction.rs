@@ -1,5 +1,7 @@
 //! Compacts the eleven-specification test suite of the two-stage CMOS op-amp
-//! (the paper's first case study) on a reduced population.
+//! (the paper's first case study) on 600 + 300 instances at seed 2005, and
+//! asserts the outcome: the kept tests, the number eliminated and the deployed
+//! tester's defect escapes and yield losses on the held-out instances.
 //!
 //! ```text
 //! cargo run --release --example opamp_compaction
@@ -50,5 +52,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.tester.kept_names()
     );
     println!("test-cost reduction: {:.0}%", report.cost.reduction * 100.0);
+    println!(
+        "deployed on {} held-out instances: {} defect escapes, {} yield losses",
+        report.deployed.total,
+        report.deployed.defect_escape_count,
+        report.deployed.yield_loss_count
+    );
+
+    // Slew rate, rise time, settling time, CM gain, PS gain and Isc stay.
+    assert_eq!(report.kept(), [3, 4, 6, 8, 9, 10]);
+    assert_eq!(report.eliminated().len(), 5);
+    assert_eq!(report.deployed.defect_escape_count, 2);
+    assert_eq!(report.deployed.yield_loss_count, 1);
     Ok(())
 }

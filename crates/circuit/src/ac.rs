@@ -1,8 +1,13 @@
 //! Small-signal AC analysis.
+//!
+//! A sweep linearises the circuit once around its DC operating point: one
+//! assembly yields the frequency-independent system and the reactive stamps,
+//! and each frequency adds `j·ω` times those stamps to a copy of that system
+//! and solves it in place, in buffers allocated once per sweep.
 
 use crate::dc::DcSolution;
-use crate::linalg::{solve_complex, Complex};
-use crate::mna::{assemble_ac, MnaLayout};
+use crate::linalg::{solve_complex_into, Complex, Matrix};
+use crate::mna::{AcSystem, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
 use crate::{CircuitError, Result};
 
@@ -11,7 +16,8 @@ use crate::{CircuitError, Result};
 pub struct AcSweep {
     layout: MnaLayout,
     frequencies: Vec<f64>,
-    solutions: Vec<Vec<Complex>>,
+    /// The solution vectors back to back, `layout.size()` each.
+    solutions: Vec<Complex>,
 }
 
 impl AcSweep {
@@ -22,7 +28,8 @@ impl AcSweep {
 
     /// Complex node voltage at sweep point `index`.
     pub fn phasor(&self, node: NodeId, index: usize) -> Complex {
-        self.layout.voltage_complex(&self.solutions[index], node)
+        let size = self.layout.size();
+        self.layout.voltage_complex(&self.solutions[index * size..(index + 1) * size], node)
     }
 
     /// Magnitude response of a node over the whole sweep.
@@ -66,13 +73,28 @@ pub fn log_frequency_sweep(start: f64, stop: f64, points: usize) -> Vec<f64> {
 }
 
 /// Runs an AC analysis at the given frequencies, linearising the circuit
-/// around the DC operating point `op`.
+/// once around the DC operating point `op`.
 ///
 /// # Errors
 ///
 /// Returns [`CircuitError::InvalidAnalysis`] for an empty frequency list or
 /// non-positive frequencies, and propagates matrix errors from the solver.
 pub fn ac_analysis(circuit: &Circuit, op: &DcSolution, frequencies: &[f64]) -> Result<AcSweep> {
+    ac_sweep_until(circuit, op, frequencies, |_| false)
+}
+
+/// [`ac_analysis`] that ends after the first frequency at which `stop`, given
+/// the sweep so far, returns `true`.
+///
+/// # Errors
+///
+/// See [`ac_analysis`].
+pub(crate) fn ac_sweep_until(
+    circuit: &Circuit,
+    op: &DcSolution,
+    frequencies: &[f64],
+    mut stop: impl FnMut(&AcSweep) -> bool,
+) -> Result<AcSweep> {
     if frequencies.is_empty() {
         return Err(CircuitError::InvalidAnalysis {
             reason: "AC sweep needs at least one frequency".to_string(),
@@ -84,25 +106,39 @@ pub fn ac_analysis(circuit: &Circuit, op: &DcSolution, frequencies: &[f64]) -> R
         });
     }
     let layout = MnaLayout::new(circuit);
-    if layout.size() != op.layout().size() {
+    let size = layout.size();
+    if size != op.layout().size() {
         return Err(CircuitError::InvalidAnalysis {
             reason: "operating point does not match circuit".to_string(),
         });
     }
-    let mut solutions = Vec::with_capacity(frequencies.len());
-    for &frequency in frequencies {
-        let omega = std::f64::consts::TAU * frequency;
-        let (a, b) = assemble_ac(circuit, &layout, op.solution_vector(), omega);
-        solutions.push(solve_complex(a, b)?);
+    let system = AcSystem::new(circuit, &layout, op.solution_vector());
+    let mut a = Matrix::zeros(size);
+    let mut b = vec![Complex::zero(); size];
+    let mut sweep = AcSweep {
+        layout,
+        frequencies: Vec::with_capacity(frequencies.len()),
+        solutions: vec![Complex::zero(); frequencies.len() * size],
+    };
+    for (index, &frequency) in frequencies.iter().enumerate() {
+        system.load(std::f64::consts::TAU * frequency, &mut a, &mut b);
+        let x = &mut sweep.solutions[index * size..(index + 1) * size];
+        solve_complex_into(&mut a, &mut b, x)?;
+        sweep.frequencies.push(frequency);
+        if stop(&sweep) {
+            break;
+        }
     }
-    Ok(AcSweep { layout, frequencies: frequencies.to_vec(), solutions })
+    sweep.solutions.truncate(sweep.frequencies.len() * size);
+    Ok(sweep)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dc::dc_operating_point;
-    use crate::elements::SourceWaveform;
+    use crate::elements::{MosfetModel, MosfetPolarity, SourceWaveform};
+    use crate::mna::assemble_ac;
 
     fn rc_low_pass() -> (Circuit, NodeId) {
         let mut c = Circuit::new();
@@ -149,6 +185,90 @@ mod tests {
         let f_peak = sweep.frequencies()[peak_index];
         assert!((f_peak / 5_033.0 - 1.0).abs() < 0.1, "peak at {f_peak}");
         assert!(*peak > 2.0 && *peak < 4.0, "Q-limited peak {peak}");
+    }
+
+    /// The per-frequency path the sweep replaces: every stamp assembled as a
+    /// complex number at each frequency, and an LU that divides by the pivot
+    /// for each factor.
+    fn per_frequency_reference(circuit: &Circuit, op: &DcSolution, frequency: f64) -> Vec<Complex> {
+        let layout = MnaLayout::new(circuit);
+        let omega = std::f64::consts::TAU * frequency;
+        let (mut a, mut b) = assemble_ac(circuit, &layout, op.solution_vector(), omega);
+        let n = a.size();
+        for k in 0..n {
+            let mut pivot_row = k;
+            let mut pivot_mag = a[(k, k)].norm();
+            for r in (k + 1)..n {
+                let mag = a[(r, k)].norm();
+                if mag > pivot_mag {
+                    pivot_mag = mag;
+                    pivot_row = r;
+                }
+            }
+            assert!(pivot_mag >= 1e-300, "singular at {frequency} Hz");
+            if pivot_row != k {
+                for c in 0..n {
+                    let tmp = a[(k, c)];
+                    a[(k, c)] = a[(pivot_row, c)];
+                    a[(pivot_row, c)] = tmp;
+                }
+                b.swap(k, pivot_row);
+            }
+            let pivot = a[(k, k)];
+            for r in (k + 1)..n {
+                let factor = a[(r, k)] / pivot;
+                if factor.norm() == 0.0 {
+                    continue;
+                }
+                for c in k..n {
+                    let v = a[(k, c)];
+                    a[(r, c)] -= factor * v;
+                }
+                b[r] = b[r] - factor * b[k];
+            }
+        }
+        let mut x = vec![Complex::zero(); n];
+        for k in (0..n).rev() {
+            let mut sum = b[k];
+            for c in (k + 1)..n {
+                sum -= a[(k, c)] * x[c];
+            }
+            x[k] = sum / a[(k, k)];
+        }
+        x
+    }
+
+    #[test]
+    fn the_once_linearised_sweep_matches_the_per_frequency_reference_bit_for_bit() {
+        // A common-source NMOS stage driven through an RC, with a Miller
+        // capacitor and an LC output filter.
+        let mut c = Circuit::new();
+        let (vdd, src, gate, drain, out) =
+            (c.node("vdd"), c.node("src"), c.node("gate"), c.node("drain"), c.node("out"));
+        let gnd = Circuit::ground();
+        c.voltage_source("VDD", vdd, gnd, SourceWaveform::dc(5.0)).unwrap();
+        c.ac_voltage_source("VIN", src, gnd, SourceWaveform::dc(1.2), 1.0).unwrap();
+        c.resistor("RG", src, gate, 1_000.0).unwrap();
+        c.capacitor("CG", gate, gnd, 1e-12).unwrap();
+        c.capacitor("CM", gate, drain, 0.5e-12).unwrap();
+        let nmos = MosfetModel::nmos_default();
+        c.mosfet("M1", drain, gate, gnd, MosfetPolarity::Nmos, nmos, 10e-6, 1e-6).unwrap();
+        c.resistor("RD", vdd, drain, 10_000.0).unwrap();
+        c.inductor("LO", drain, out, 1e-3).unwrap();
+        c.capacitor("CO", out, gnd, 1e-9).unwrap();
+        let op = dc_operating_point(&c).unwrap();
+        let frequencies = log_frequency_sweep(1.0, 1e9, 61);
+        let sweep = ac_analysis(&c, &op, &frequencies).unwrap();
+        let size = sweep.layout.size();
+        let bits = |x: &[Complex]| -> Vec<(u64, u64)> {
+            x.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for (index, &frequency) in frequencies.iter().enumerate() {
+            // Every node voltage and branch current.
+            let solution = &sweep.solutions[index * size..(index + 1) * size];
+            let reference = per_frequency_reference(&c, &op, frequency);
+            assert_eq!(bits(solution), bits(&reference), "at {frequency} Hz");
+        }
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! provided; each builds the appropriate testbench around the amplifier core
 //! and runs DC, AC or transient analysis with the simulator in this crate.
 
+use std::f64::consts::FRAC_1_SQRT_2;
+
 use serde::{Deserialize, Serialize};
 
-use crate::ac::{ac_analysis, log_frequency_sweep};
+use crate::ac::{ac_analysis, ac_sweep_until, log_frequency_sweep, AcSweep};
 use crate::dc::{dc_operating_point, DcSolution};
 use crate::elements::{MosfetModel, MosfetPolarity, SourceWaveform};
 use crate::measure;
@@ -26,6 +28,9 @@ const FEEDBACK_INDUCTANCE: f64 = 1e9;
 /// Very large capacitance used to couple the AC stimulus into the loop while
 /// blocking DC.
 const COUPLING_CAPACITANCE: f64 = 1e9;
+/// Time of the input step in the step-response and slew-rate testbenches
+/// (seconds).
+const STEP_DELAY: f64 = 0.2e-6;
 
 /// Geometry and bias parameters of the op-amp.
 ///
@@ -156,7 +161,8 @@ pub struct OpAmpMeasurements {
     pub rise_time: f64,
     /// Small-signal step overshoot (fraction of the step).
     pub overshoot: f64,
-    /// 1 % settling time (µs).
+    /// 1 % settling time (µs), from the input step to the time after which
+    /// the output stays within 1 % of the step of its final value.
     pub settling_time: f64,
     /// Quiescent supply current (µA).
     pub quiescent_current: f64,
@@ -354,10 +360,7 @@ impl OpAmp {
     /// failures.
     pub fn measure(&self) -> Result<OpAmpMeasurements> {
         // --- Open-loop differential response -----------------------------
-        let (ol_circuit, ol_out) = self.ac_testbench(false)?;
-        let ol_op = dc_operating_point(&ol_circuit)?;
-        let frequencies = log_frequency_sweep(1.0, 1e9, 121);
-        let ol_sweep = ac_analysis(&ol_circuit, &ol_op, &frequencies)?;
+        let (ol_sweep, ol_out) = self.open_loop_sweep()?;
         let gain = measure::dc_gain(&ol_sweep, ol_out);
         let bandwidth_3db = measure::bandwidth_3db(&ol_sweep, ol_out)?;
         let unity_gain_frequency = measure::unity_gain_frequency(&ol_sweep, ol_out)?;
@@ -378,21 +381,22 @@ impl OpAmp {
         let quiescent_current = self.quiescent_current(&ps_circuit, &ps_op)?;
 
         // --- Small-signal step response (rise, overshoot, settling) ---------
-        let small_step = SourceWaveform::step(0.0, 0.2, 0.2e-6);
+        let small_step = SourceWaveform::step(0.0, 0.2, STEP_DELAY);
         let (step_circuit, step_nodes) = self.buffer_testbench(small_step, 0.0)?;
-        let step_op = dc_operating_point(&step_circuit)?;
+        // At DC this is the power-supply testbench: VIN holds 0 V in both,
+        // and AC magnitudes do not enter the operating point.
         let step_result = transient_analysis_from(
             &step_circuit,
             &TransientParams::new(6e-6, 4e-9),
-            Some(&step_op),
+            Some(&ps_op),
         )?;
         let step_wave = step_result.waveform(step_nodes.out);
         let rise_time = step_wave.rise_time()? * 1e6;
         let overshoot = step_wave.overshoot() * 100.0;
-        let settling_time = step_wave.settling_time(0.01)? * 1e6;
+        let settling_time = (step_wave.settling_time(0.01)? - STEP_DELAY) * 1e6;
 
         // --- Slew rate -------------------------------------------------------
-        let large_step = SourceWaveform::step(-1.0, 1.0, 0.2e-6);
+        let large_step = SourceWaveform::step(-1.0, 1.0, STEP_DELAY);
         let (slew_circuit, slew_nodes) = self.buffer_testbench(large_step, 0.0)?;
         let slew_op = dc_operating_point(&slew_circuit)?;
         let slew_result = transient_analysis_from(
@@ -418,6 +422,26 @@ impl OpAmp {
             power_supply_gain,
             short_circuit_current,
         })
+    }
+
+    /// The open-loop testbench's output node and its AC sweep from 1 Hz to
+    /// 1 GHz, ended after the first point whose magnitude is below both unity
+    /// and the −3 dB level.
+    ///
+    /// The magnitude at 1 Hz is at or above both levels, so the first
+    /// downward crossing of each lies inside the points swept, and the gain,
+    /// bandwidth and unity-gain frequency read from them are those of the
+    /// full sweep.  A response that never meets both conditions sweeps every
+    /// point.
+    fn open_loop_sweep(&self) -> Result<(AcSweep, NodeId)> {
+        let (circuit, out) = self.ac_testbench(false)?;
+        let op = dc_operating_point(&circuit)?;
+        let sweep = ac_sweep_until(&circuit, &op, &open_loop_frequencies(), |sweep| {
+            let magnitude = sweep.phasor(out, sweep.len() - 1).norm();
+            // The levels `unity_gain_frequency` and `bandwidth_3db` test with `<`.
+            magnitude < 1.0 && magnitude < sweep.phasor(out, 0).norm() * FRAC_1_SQRT_2
+        })?;
+        Ok((sweep, out))
     }
 
     /// Quiescent current drawn from the positive supply (µA).
@@ -448,6 +472,11 @@ impl OpAmp {
     }
 }
 
+/// The open-loop sweep's grid: 121 points, logarithmic from 1 Hz to 1 GHz.
+fn open_loop_frequencies() -> Vec<f64> {
+    log_frequency_sweep(1.0, 1e9, 121)
+}
+
 impl Default for OpAmp {
     fn default() -> Self {
         OpAmp::new(OpAmpParams::nominal())
@@ -456,7 +485,11 @@ impl Default for OpAmp {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
     use super::*;
+    use crate::variation::VariationModel;
 
     #[test]
     fn nominal_opamp_measures_plausible_values() {
@@ -486,6 +519,30 @@ mod tests {
             "isc {}",
             m.short_circuit_current
         );
+    }
+
+    #[test]
+    fn the_open_loop_sweep_stops_early_without_moving_its_measurements() {
+        let model = VariationModel::paper_default();
+        for seed in 0..60 {
+            let params =
+                model.perturb_opamp(&OpAmpParams::nominal(), &mut StdRng::seed_from_u64(seed));
+            let opamp = OpAmp::new(params);
+            let (sweep, out) = opamp.open_loop_sweep().unwrap();
+            let (circuit, _) = opamp.ac_testbench(false).unwrap();
+            let op = dc_operating_point(&circuit).unwrap();
+            let full = ac_analysis(&circuit, &op, &open_loop_frequencies()).unwrap();
+            assert_eq!(full.len(), 121);
+            assert!(sweep.len() < 121, "seed {seed}: {} points", sweep.len());
+            let bits = |sweep: &AcSweep| {
+                [
+                    measure::dc_gain(sweep, out).to_bits(),
+                    measure::bandwidth_3db(sweep, out).unwrap().to_bits(),
+                    measure::unity_gain_frequency(sweep, out).unwrap().to_bits(),
+                ]
+            };
+            assert_eq!(bits(&sweep), bits(&full), "seed {seed}");
+        }
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //! * [`dc_operating_point`] — Newton–Raphson DC solution with gmin and source
 //!   stepping,
 //! * [`ac_analysis`] — small-signal frequency sweeps around the operating
-//!   point,
+//!   point, which is linearised once per sweep,
 //! * [`transient_analysis`] — fixed-step trapezoidal/backward-Euler time
-//!   integration that ends once the circuit has settled after its last
-//!   source change (no node moving by more than the 1 nV Newton tolerance
-//!   over the rest of the window).
+//!   integration that records the operating point, without solving, until a
+//!   source first leaves its DC value, and ends once the circuit has settled
+//!   after its last source change (no node moving by more than the 1 nV
+//!   Newton tolerance over the rest of the window).
 //!
 //! Circuits are built programmatically with [`Circuit`]; the element set
 //! (R, L, C, independent and controlled sources, diodes and level-1 MOSFETs)

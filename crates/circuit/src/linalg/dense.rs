@@ -44,6 +44,15 @@ impl<T: Copy + Default> Matrix<T> {
             *v = T::default();
         }
     }
+
+    /// Overwrites every entry with `other`'s, keeping the allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two matrices differ in size.
+    pub(crate) fn copy_from(&mut self, other: &Matrix<T>) {
+        self.values.copy_from_slice(&other.values);
+    }
 }
 
 impl<T> std::ops::Index<(usize, usize)> for Matrix<T> {
@@ -157,8 +166,26 @@ pub fn solve_complex(
     mut a: Matrix<Complex>,
     mut b: Vec<Complex>,
 ) -> Result<Vec<Complex>, CircuitError> {
+    let mut x = vec![Complex::zero(); a.size()];
+    solve_complex_into(&mut a, &mut b, &mut x)?;
+    Ok(x)
+}
+
+/// [`solve_complex`] into caller buffers, like [`lu_solve_into`]: factorizes
+/// `a` in place, overwrites `b` with the forward-eliminated right-hand side
+/// and writes the solution to `x`, whose previous contents are never read.
+///
+/// # Errors
+///
+/// See [`solve_complex`].
+pub(crate) fn solve_complex_into(
+    a: &mut Matrix<Complex>,
+    b: &mut [Complex],
+    x: &mut [Complex],
+) -> Result<(), CircuitError> {
     let n = a.size();
     assert_eq!(b.len(), n, "rhs length must match matrix size");
+    assert_eq!(x.len(), n, "solution length must match matrix size");
     for k in 0..n {
         let mut pivot_row = k;
         let mut pivot_mag = a[(k, k)].norm();
@@ -173,27 +200,25 @@ pub fn solve_complex(
             return Err(CircuitError::SingularMatrix { pivot: k });
         }
         if pivot_row != k {
-            for c in 0..n {
-                let tmp = a[(k, c)];
-                a[(k, c)] = a[(pivot_row, c)];
-                a[(pivot_row, c)] = tmp;
-            }
+            let (above, from_pivot) = a.values.split_at_mut(pivot_row * n);
+            above[k * n..(k + 1) * n].swap_with_slice(&mut from_pivot[..n]);
             b.swap(k, pivot_row);
         }
-        let pivot = a[(k, k)];
-        for r in (k + 1)..n {
-            let factor = a[(r, k)] / pivot;
-            if factor.norm() == 0.0 {
+        let (upper, lower) = a.values.split_at_mut((k + 1) * n);
+        let pivot_slice = &upper[k * n + k..];
+        // `Div` multiplies by the reciprocal, so each factor keeps its bits.
+        let inverse = pivot_slice[0].recip();
+        for (r, row) in lower.chunks_exact_mut(n).enumerate() {
+            let factor = row[k] * inverse;
+            if factor.re == 0.0 && factor.im == 0.0 {
                 continue;
             }
-            for c in k..n {
-                let v = a[(k, c)];
-                a[(r, c)] -= factor * v;
+            for (entry, &v) in row[k..].iter_mut().zip(pivot_slice) {
+                *entry -= factor * v;
             }
-            b[r] = b[r] - factor * b[k];
+            b[k + 1 + r] -= factor * b[k];
         }
     }
-    let mut x = vec![Complex::zero(); n];
     for k in (0..n).rev() {
         let mut sum = b[k];
         for c in (k + 1)..n {
@@ -201,7 +226,7 @@ pub fn solve_complex(
         }
         x[k] = sum / a[(k, k)];
     }
-    Ok(x)
+    Ok(())
 }
 
 #[cfg(test)]

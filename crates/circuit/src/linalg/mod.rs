@@ -8,5 +8,5 @@ mod complex;
 mod dense;
 
 pub use complex::Complex;
-pub(crate) use dense::lu_solve_into;
+pub(crate) use dense::{lu_solve_into, solve_complex_into};
 pub use dense::{solve_complex, solve_real, Matrix};

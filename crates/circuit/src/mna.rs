@@ -344,15 +344,80 @@ impl ComplexStamps {
     }
 }
 
-/// Assembles the complex small-signal MNA system at angular frequency `omega`,
-/// linearising nonlinear devices around the DC operating point `op_x`.
-pub fn assemble_ac(
+/// The small-signal MNA system of a circuit linearised once around a DC
+/// operating point, split into its frequency-independent part and the
+/// reactive stamps that scale with the angular frequency.
+pub struct AcSystem {
+    /// gmin, conductances, the linearised devices and the source and inductor
+    /// couplings.
+    a: Matrix<Complex>,
+    /// The AC source magnitudes.
+    b: Vec<Complex>,
+    /// `(row, col, value)` in element order: each capacitor's `±C` and each
+    /// inductor's `−L`, which add `j·ω·value` to entry `(row, col)`.
+    reactive: Vec<(usize, usize, f64)>,
+}
+
+impl AcSystem {
+    /// Assembles the system of `circuit`, linearising nonlinear devices
+    /// around the DC operating point `op_x`.
+    pub fn new(circuit: &Circuit, layout: &MnaLayout, op_x: &[f64]) -> Self {
+        let mut stamps = ComplexStamps::new(layout.size());
+        let mut reactive = Vec::new();
+        stamp_small_signal(circuit, layout, op_x, &mut stamps, |_, row, col, value| {
+            reactive.push((row, col, value));
+        });
+        AcSystem { a: stamps.a, b: stamps.b, reactive }
+    }
+
+    /// Writes the system at angular frequency `omega` into `a` and `b`.
+    ///
+    /// Each entry gets the bits that stamping at `omega` in element order
+    /// gives (`assemble_ac`): `Complex` addition adds the real and imaginary
+    /// parts separately, and no entry is ever `−0`.
+    pub fn load(&self, omega: f64, a: &mut Matrix<Complex>, b: &mut [Complex]) {
+        a.copy_from(&self.a);
+        b.copy_from_slice(&self.b);
+        for &(row, col, value) in &self.reactive {
+            a[(row, col)].im += omega * value;
+        }
+    }
+}
+
+/// Assembles the complex small-signal MNA system at angular frequency `omega`
+/// stamp by stamp, in element order: the per-frequency reference that
+/// [`AcSystem::load`] reproduces bit for bit.
+#[cfg(test)]
+pub(crate) fn assemble_ac(
     circuit: &Circuit,
     layout: &MnaLayout,
     op_x: &[f64],
     omega: f64,
 ) -> (Matrix<Complex>, Vec<Complex>) {
     let mut stamps = ComplexStamps::new(layout.size());
+    stamp_small_signal(circuit, layout, op_x, &mut stamps, |stamps, row, col, value| {
+        stamps.a.add(row, col, Complex::new(0.0, omega * value));
+    });
+    (stamps.a, stamps.b)
+}
+
+/// Stamps the small-signal model of every element of `circuit`, linearised
+/// around the DC operating point `op_x`, into `stamps` in element order, and
+/// hands each reactive stamp `(row, col, value)`, which adds `j·ω·value` to
+/// entry `(row, col)`, to `reactive` at its place in that order.
+fn stamp_small_signal(
+    circuit: &Circuit,
+    layout: &MnaLayout,
+    op_x: &[f64],
+    stamps: &mut ComplexStamps,
+    mut reactive: impl FnMut(&mut ComplexStamps, usize, usize, f64),
+) {
+    let mut add_reactive =
+        |stamps: &mut ComplexStamps, row: Option<usize>, col: Option<usize>, value: f64| {
+            if let (Some(r), Some(c)) = (row, col) {
+                reactive(stamps, r, c, value);
+            }
+        };
     let gmin = Complex::real(1e-12);
     for node in 1..layout.node_count() {
         let row = layout.node_row(NodeId(node));
@@ -369,11 +434,12 @@ pub fn assemble_ac(
                 );
             }
             Element::Capacitor { a, b, capacitance, .. } => {
-                stamps.admittance(
-                    layout.node_row(*a),
-                    layout.node_row(*b),
-                    Complex::new(0.0, omega * capacitance),
-                );
+                let ra = layout.node_row(*a);
+                let rb = layout.node_row(*b);
+                add_reactive(stamps, ra, ra, *capacitance);
+                add_reactive(stamps, rb, rb, *capacitance);
+                add_reactive(stamps, ra, rb, -capacitance);
+                add_reactive(stamps, rb, ra, -capacitance);
             }
             Element::Inductor { a, b, inductance, .. } => {
                 let ra = layout.node_row(*a);
@@ -383,7 +449,7 @@ pub fn assemble_ac(
                 stamps.add_a(rb, br, -Complex::one());
                 stamps.add_a(br, ra, Complex::one());
                 stamps.add_a(br, rb, -Complex::one());
-                stamps.add_a(br, br, Complex::new(0.0, -omega * inductance));
+                add_reactive(stamps, br, br, -inductance);
             }
             Element::VoltageSource { pos, neg, ac_magnitude, .. } => {
                 let rp = layout.node_row(*pos);
@@ -449,7 +515,6 @@ pub fn assemble_ac(
             }
         }
     }
-    (stamps.a, stamps.b)
 }
 
 #[cfg(test)]
@@ -522,7 +587,8 @@ mod tests {
         let op = vec![0.0; layout.size()];
         // At the corner frequency w = 1/RC the magnitude is 1/sqrt(2).
         let omega = 1.0 / (1000.0 * 1e-6);
-        let (a, b) = assemble_ac(&c, &layout, &op, omega);
+        let (mut a, mut b) = (Matrix::zeros(layout.size()), vec![Complex::zero(); layout.size()]);
+        AcSystem::new(&c, &layout, &op).load(omega, &mut a, &mut b);
         let x = crate::linalg::solve_complex(a, b).unwrap();
         let gain = layout.voltage_complex(&x, vout).norm();
         assert!((gain - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-3, "gain {gain}");

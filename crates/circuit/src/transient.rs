@@ -1,17 +1,24 @@
-//! Fixed-step transient analysis that ends once the circuit has settled.
+//! Fixed-step transient analysis that skips its quiet lead-in and ends once
+//! the circuit has settled.
 //!
-//! After the last change of every independent source, the analysis stops at
-//! the first step that moved no node voltage by more than
+//! Until the first step at whose end some independent source has left its DC
+//! value, the circuit rests at its operating point, which the analysis records
+//! instead of solving.  After the last change of every independent source, the
+//! analysis stops at the first step that moved no node voltage by more than
 //! `ABSTOL · time_step / (stop_time − t)`, so the skipped steps could move the
-//! final value by at most `ABSTOL`, the 1 nV Newton tolerance (see
-//! [`transient_analysis`]).
+//! final value by at most `ABSTOL`, the 1 nV Newton tolerance.  A window may
+//! hold at most a million steps (see [`transient_analysis`]).
 
 use crate::dc::{dc_operating_point, newton_solve, DcSolution, NewtonWorkspace, ABSTOL};
-use crate::elements::Element;
+use crate::elements::{Element, SourceWaveform};
 use crate::mna::{AssemblyOptions, DynamicState, IntegrationMethod, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
 use crate::waveform::Waveform;
 use crate::{CircuitError, Result};
+
+/// The most steps a window may hold, `stop_time / time_step`: a circuit
+/// whose sources never stop changing runs every step of its window.
+const MAX_TIME_STEPS: usize = 1_000_000;
 
 /// Parameters of a transient run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,6 +103,12 @@ impl TransientResult {
 /// a Newton solve fails at some time point, the step is retried with backward
 /// Euler and half the step size before giving up.
 ///
+/// Steps at whose end every independent source still holds its DC value,
+/// before any step has been solved, record the operating point exactly, with
+/// zero capacitor currents, instead of solving for it again: nothing has
+/// moved the circuit yet, and a solve would only add rounding.  The first
+/// solved step uses backward Euler only if it is the run's first step.
+///
 /// The analysis ends before `stop_time` once the circuit has settled: at the
 /// first step that begins at or after the last change of every independent
 /// source and moves no node voltage by more than
@@ -112,7 +125,8 @@ impl TransientResult {
 /// # Errors
 ///
 /// Returns [`CircuitError::InvalidAnalysis`] unless `0 < time_step <
-/// stop_time < ∞`, and propagates DC/Newton failures.
+/// stop_time < ∞` and the window holds at most a million steps
+/// (`stop_time / time_step ≤ 10⁶`), and propagates DC/Newton failures.
 ///
 /// # Example
 ///
@@ -159,8 +173,15 @@ pub fn transient_analysis_from(
             ),
         });
     }
+    let steps = params.stop_time / params.time_step;
+    if steps > MAX_TIME_STEPS as f64 {
+        return Err(CircuitError::InvalidAnalysis {
+            reason: format!("transient window of {steps:e} steps exceeds {MAX_TIME_STEPS}"),
+        });
+    }
     let layout = MnaLayout::new(circuit);
-    let sources_constant_from = last_source_change(circuit);
+    let sources_constant_from =
+        source_waveforms(circuit).map(SourceWaveform::last_change).fold(0.0, f64::max);
     let node_rows = layout.node_count() - 1;
     let op;
     let initial_x: &[f64] = match initial {
@@ -181,21 +202,29 @@ pub fn transient_analysis_from(
 
     let mut time = 0.0;
     let mut first_step = true;
+    let mut lead_in = true;
     while time < params.stop_time - 0.5 * params.time_step {
         let h = params.time_step;
         let t_new = time + h;
-        let method = if first_step { IntegrationMethod::BackwardEuler } else { params.method };
-        if step(circuit, &layout, &state, &mut x_new, (t_new, h, method), &mut work).is_err() {
-            // Retry with the more robust combination: backward Euler and
-            // two half-steps.
-            let half = h / 2.0;
-            let be = IntegrationMethod::BackwardEuler;
-            let mut mid_state = state.clone();
-            step(circuit, &layout, &mid_state, &mut x_new, (time + half, half, be), &mut work)?;
-            advance_state(circuit, &layout, &mut mid_state, &mut x_new, half, be);
-            step(circuit, &layout, &mid_state, &mut x_new, (t_new, half, be), &mut work)?;
+        lead_in = lead_in
+            && source_waveforms(circuit).all(|source| source.value_at(t_new) == source.dc_value());
+        if lead_in {
+            // Nothing has moved the circuit off its operating point yet.
+            x_new.copy_from_slice(&state.x);
+        } else {
+            let method = if first_step { IntegrationMethod::BackwardEuler } else { params.method };
+            if step(circuit, &layout, &state, &mut x_new, (t_new, h, method), &mut work).is_err() {
+                // Retry with the more robust combination: backward Euler and
+                // two half-steps.
+                let half = h / 2.0;
+                let be = IntegrationMethod::BackwardEuler;
+                let mut mid_state = state.clone();
+                step(circuit, &layout, &mid_state, &mut x_new, (time + half, half, be), &mut work)?;
+                advance_state(circuit, &layout, &mut mid_state, &mut x_new, half, be);
+                step(circuit, &layout, &mid_state, &mut x_new, (t_new, half, be), &mut work)?;
+            }
+            advance_state(circuit, &layout, &mut state, &mut x_new, h, method);
         }
-        advance_state(circuit, &layout, &mut state, &mut x_new, h, method);
         times.push(t_new);
         solutions.extend_from_slice(&state.x);
         // `x_new` now holds the previous solution.
@@ -214,19 +243,14 @@ pub fn transient_analysis_from(
     Ok(TransientResult { layout, times, solutions })
 }
 
-/// The time after which no independent source of `circuit` changes value
-/// (`+∞` if a pulse or sine source never stops changing).
-fn last_source_change(circuit: &Circuit) -> f64 {
-    circuit
-        .elements()
-        .iter()
-        .filter_map(|element| match element {
-            Element::VoltageSource { waveform, .. } | Element::CurrentSource { waveform, .. } => {
-                Some(waveform.last_change())
-            }
-            _ => None,
-        })
-        .fold(0.0, f64::max)
+/// The waveforms of `circuit`'s independent sources.
+fn source_waveforms(circuit: &Circuit) -> impl Iterator<Item = &SourceWaveform> {
+    circuit.elements().iter().filter_map(|element| match element {
+        Element::VoltageSource { waveform, .. } | Element::CurrentSource { waveform, .. } => {
+            Some(waveform)
+        }
+        _ => None,
+    })
 }
 
 /// Solves the time step `(t_new, h, method)` from `state` into `x_new`.
@@ -272,7 +296,6 @@ fn advance_state(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elements::SourceWaveform;
 
     #[test]
     fn rc_step_response_matches_analytic_solution() {
@@ -355,6 +378,49 @@ mod tests {
             transient_analysis(&sine, &TransientParams::new(f64::INFINITY, 1e-6)),
             Err(CircuitError::InvalidAnalysis { .. })
         ));
+        // Nor would a finite window of 1e306 steps.
+        assert!(matches!(
+            transient_analysis(&sine, &TransientParams::new(1e300, 1e-6)),
+            Err(CircuitError::InvalidAnalysis { .. })
+        ));
+    }
+
+    #[test]
+    fn the_quiet_lead_in_holds_the_operating_point_exactly() {
+        let (c, vout) = rc_driven_by(SourceWaveform::step(0.3, 1.0, 50e-6));
+        let op = dc_operating_point(&c).unwrap();
+        let result = transient_analysis(&c, &TransientParams::new(200e-6, 1e-6)).unwrap();
+        let vin = c.find_node("vin").unwrap();
+        let lead_in = result.times().iter().take_while(|&&t| t <= 50e-6).count();
+        assert_eq!(lead_in, 51);
+        for index in 0..lead_in {
+            for node in [vin, vout] {
+                assert_eq!(result.voltage(node, index).to_bits(), op.voltage(node).to_bits());
+            }
+            assert_eq!(result.branch_current(0, index), op.branch_current(0));
+        }
+        assert!((result.waveform(vout).final_value() - 1.0).abs() < 1e-6);
+        // A circuit whose sources never change still ends after one step.
+        let (dc, _) = rc_driven_by(SourceWaveform::dc(0.3));
+        assert_eq!(transient_analysis(&dc, &TransientParams::new(200e-6, 1e-6)).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_step_at_zero_has_no_lead_in_and_keeps_its_samples() {
+        // Its first step is solved, with backward Euler, as before the lead-in
+        // rule; the bits were captured before it.
+        let (c, vout) = rc_driven_by(SourceWaveform::step(0.0, 1.0, 0.0));
+        let result = transient_analysis(&c, &TransientParams::new(100e-6, 0.1e-6)).unwrap();
+        assert_eq!(result.len(), 252);
+        let pinned = [
+            (1, 0x3fb745d174540109),
+            (2, 0x3fc6b7f7224fbcc5),
+            (10, 0x3fe42e703408515c),
+            (251, 0x3fefffffff74dca0),
+        ];
+        for (index, bits) in pinned {
+            assert_eq!(result.voltage(vout, index).to_bits(), bits, "sample {index}");
+        }
     }
 
     /// An RC low-pass (τ = 1 µs) driven by `source`, with its output node.

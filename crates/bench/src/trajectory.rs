@@ -480,9 +480,10 @@ pub fn collect_screening() -> ScreeningReport {
 
     let device = SyntheticDevice::new(6, 1.8, 0.92);
     let monte_carlo = MonteCarloConfig::new(400).with_seed(7);
-    // Greedy examines `threads` candidates per speculative batch, so the
-    // thread count must exceed the shortlist for the screen to activate.
-    let config = CompactionConfig::paper_default().with_tolerance(0.05).with_threads(4);
+    // Greedy examines ⌈threads / 2⌉ candidates per speculative batch, so
+    // half the thread count must exceed the shortlist for the screen to
+    // activate.
+    let config = CompactionConfig::paper_default().with_tolerance(0.05).with_threads(8);
     points.push(screened_pair(
         &device,
         "synthetic-6",
@@ -501,7 +502,7 @@ pub fn collect_screening() -> ScreeningReport {
     let config = CompactionConfig::paper_default()
         .with_tolerance(0.05)
         .with_max_eliminated(2)
-        .with_threads(4);
+        .with_threads(8);
     points.push(screened_pair(
         &opamp,
         "opamp",

@@ -7,10 +7,11 @@
 //! runs one [`CompactionPipeline`](crate::CompactionPipeline) configuration
 //! across many [`DeviceUnderTest`] entries and measured populations,
 //! spreading the runs over the shared work-stealing [`crate::pool`] (each
-//! worker may additionally use the speculative candidate-evaluation threads
-//! of [`CompactionConfig::with_threads`](crate::CompactionConfig::with_threads))
-//! and sharing one Monte-Carlo [`PopulationCache`] so repeated runs over the
-//! same device + configuration never re-simulate.
+//! run may additionally train its search's models on the threads of
+//! [`CompactionConfig::with_threads`](crate::CompactionConfig::with_threads),
+//! two jobs per candidate: its strict and its loose model) and sharing one
+//! Monte-Carlo [`PopulationCache`] so repeated runs over the same device +
+//! configuration never re-simulate.
 //!
 //! Results are deterministic and independent of the worker count: the batch
 //! report equals the reports of the same pipelines run one by one.

@@ -5,7 +5,7 @@
 //! [`SearchStrategy`] proposes kept-set candidates through a
 //! [`CandidateEvaluator`](crate::search::CandidateEvaluator) (the only
 //! component that trains models — it owns the per-run model cache, the
-//! warm-start bookkeeping and the speculative thread pool), and this module
+//! warm-start bookkeeping and the worker threads), and this module
 //! validates the outcome, trains the deploy-stage model and assembles the
 //! [`CompactionResult`].  The paper's greedy backward elimination (Figure 2)
 //! is the default strategy and is byte-identical to the pre-0.5 hard-coded
@@ -38,8 +38,11 @@ pub struct CompactionConfig {
     pub guard_band: GuardBandConfig,
     /// Optional cap on how many tests may be eliminated (`None` = unlimited).
     pub max_eliminated: Option<usize>,
-    /// Worker threads used to evaluate candidate eliminations speculatively
-    /// (1 = sequential).  The result is identical for any thread count; see
+    /// Worker threads that train the search's models (1 = sequential).
+    /// Each candidate kept set trains as two jobs, its strict and its loose
+    /// model, so two threads train one candidate's pair at once, and greedy
+    /// elimination speculates on ⌈threads / 2⌉ candidates per batch.  The
+    /// result is identical for any thread count; see
     /// [`Compactor::compact_with`].
     pub threads: usize,
     /// Whether candidate trainings may warm-start from the cached model of
@@ -108,7 +111,8 @@ impl CompactionConfig {
         self
     }
 
-    /// Sets the number of worker threads used to evaluate candidates.
+    /// Sets the number of worker threads that train the search's models
+    /// (see [`CompactionConfig::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -173,10 +177,10 @@ pub struct CompactionStep {
 /// per run; re-requesting the same kept set — most prominently the
 /// final-model training after the loop, whose kept set was already evaluated
 /// when the last elimination was accepted, and kept sets revisited by the
-/// annealing walk — is a hit.  The counters are diagnostics: they depend
-/// on the speculative-evaluation thread count (discarded speculative
-/// trainings still count as misses) even though the compaction outcome does
-/// not.
+/// annealing walk — is a hit.  The counters are diagnostics: from three
+/// threads up they depend on the speculative-evaluation thread count
+/// (discarded speculative trainings still count as misses) even though the
+/// compaction outcome does not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ModelCacheStats {
     /// Kept-set requests served from the cache (trained model and test-set
@@ -386,7 +390,9 @@ impl Compactor {
     /// or below the tolerance the removal becomes permanent, otherwise the
     /// test is restored.  At least one test always remains.
     ///
-    /// With `config.threads > 1` the next few candidates are evaluated
+    /// Each candidate's strict and loose models train as two parallel jobs,
+    /// so `config.threads = 2` trains one candidate on both threads.  With
+    /// more threads the next ⌈threads / 2⌉ candidates are evaluated
     /// speculatively in parallel (each against the same eliminated set) and
     /// their verdicts are committed in order; evaluations invalidated by an
     /// earlier acceptance are discarded, so the result is identical to the

@@ -32,6 +32,41 @@ pub enum Prediction {
     GuardBand,
 }
 
+impl Prediction {
+    /// The verdict of a guard-banded pair from its strict and its loose
+    /// model's "passes" decisions: the rule every classification of a pair
+    /// applies.
+    pub(crate) fn of_pair(strict_good: bool, loose_good: bool) -> Prediction {
+        match (strict_good, loose_good) {
+            (true, true) => Prediction::Good,
+            (false, false) => Prediction::Bad,
+            _ => Prediction::GuardBand,
+        }
+    }
+}
+
+/// One model of a guard-banded pair.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Side {
+    /// Trained on labels with every range tightened by the guard band.
+    Strict,
+    /// Trained on labels with every range widened by the guard band.
+    Loose,
+}
+
+impl Side {
+    /// Both sides, strict first.
+    pub(crate) const BOTH: [Side; 2] = [Side::Strict, Side::Loose];
+
+    /// The labelling margin this side trains on.
+    fn label_margin(self, config: &GuardBandConfig) -> f64 {
+        match self {
+            Side::Strict => config.guard_band_fraction,
+            Side::Loose => -config.guard_band_fraction,
+        }
+    }
+}
+
 /// Hyper-parameters of the guard-banded classifier.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GuardBandConfig {
@@ -167,32 +202,75 @@ impl GuardBandedClassifier {
         config: &GuardBandConfig,
         warm: Option<&GuardBandedClassifier>,
     ) -> Result<Self> {
+        GuardBandedClassifier::check_training(training, kept, config)?;
+        let strict =
+            GuardBandedClassifier::train_side(backend, training, kept, config, Side::Strict, warm)?;
+        let loose =
+            GuardBandedClassifier::train_side(backend, training, kept, config, Side::Loose, warm)?;
+        Ok(GuardBandedClassifier::from_sides(backend, kept, config, strict, loose))
+    }
+
+    /// The checks a pair's training makes before either side trains: a
+    /// valid configuration, enough training instances, and a non-empty,
+    /// in-range kept set.
+    pub(crate) fn check_training(
+        training: &MeasurementSet,
+        kept: &[usize],
+        config: &GuardBandConfig,
+    ) -> Result<()> {
         config.validate()?;
         if training.len() < 10 {
             return Err(CompactionError::InsufficientData {
                 reason: format!("{} training instances is too few", training.len()),
             });
         }
-        let strict_view = TrainingView::new(training, kept, config.guard_band_fraction)?;
-        let loose_view = TrainingView::new(training, kept, -config.guard_band_fraction)?;
-        let (strict, loose) = match warm {
+        TrainingView::new(training, kept, 0.0).map(|_| ())
+    }
+
+    /// Trains one side of a pair that passed
+    /// [`GuardBandedClassifier::check_training`], warm-started from the same
+    /// side of `warm` (the two sides use different labelling margins, so
+    /// they never cross).
+    pub(crate) fn train_side(
+        backend: &dyn ClassifierFactory,
+        training: &MeasurementSet,
+        kept: &[usize],
+        config: &GuardBandConfig,
+        side: Side,
+        warm: Option<&GuardBandedClassifier>,
+    ) -> Result<Arc<dyn Classifier>> {
+        let view = TrainingView::new(training, kept, side.label_margin(config))?;
+        match warm {
             Some(parent) => {
-                let strict_hint = WarmStartContext::new(parent.strict.as_ref(), &parent.kept);
-                let loose_hint = WarmStartContext::new(parent.loose.as_ref(), &parent.kept);
-                (
-                    backend.train_warm(&strict_view, Some(&strict_hint))?,
-                    backend.train_warm(&loose_view, Some(&loose_hint))?,
-                )
+                let hint = WarmStartContext::new(parent.model(side), &parent.kept);
+                backend.train_warm(&view, Some(&hint))
             }
-            None => (backend.train(&strict_view)?, backend.train(&loose_view)?),
-        };
-        Ok(GuardBandedClassifier {
+            None => backend.train(&view),
+        }
+    }
+
+    /// Assembles a pair from its two trained sides.
+    pub(crate) fn from_sides(
+        backend: &dyn ClassifierFactory,
+        kept: &[usize],
+        config: &GuardBandConfig,
+        strict: Arc<dyn Classifier>,
+        loose: Arc<dyn Classifier>,
+    ) -> Self {
+        GuardBandedClassifier {
             kept: kept.to_vec(),
             strict,
             loose,
             config: *config,
             backend: backend.name().to_string(),
-        })
+        }
+    }
+
+    fn model(&self, side: Side) -> &dyn Classifier {
+        match side {
+            Side::Strict => self.strict.as_ref(),
+            Side::Loose => self.loose.as_ref(),
+        }
     }
 
     /// The measurement columns (specification indices) this classifier needs.
@@ -239,12 +317,8 @@ impl GuardBandedClassifier {
     ///
     /// Panics if the measurement set does not contain the kept columns.
     pub fn classify_instance(&self, data: &MeasurementSet, i: usize) -> Prediction {
-        if self.config.enforce_kept_ranges {
-            let fails_kept =
-                self.kept.iter().any(|&c| !data.specs().spec(c).passes(data.value(i, c)));
-            if fails_kept {
-                return Prediction::Bad;
-            }
+        if self.config.enforce_kept_ranges && fails_kept_range(data, &self.kept, i) {
+            return Prediction::Bad;
         }
         let features = data.features(i, &self.kept);
         self.classify_features(&features)
@@ -256,13 +330,7 @@ impl GuardBandedClassifier {
     ///
     /// Panics if the vector length does not match the number of kept columns.
     pub fn classify_features(&self, features: &[f64]) -> Prediction {
-        let strict_good = self.strict.predict_good(features);
-        let loose_good = self.loose.predict_good(features);
-        match (strict_good, loose_good) {
-            (true, true) => Prediction::Good,
-            (false, false) => Prediction::Bad,
-            _ => Prediction::GuardBand,
-        }
+        Prediction::of_pair(self.strict.predict_good(features), self.loose.predict_good(features))
     }
 
     /// Evaluates the classifier on a labelled population, producing the
@@ -292,12 +360,15 @@ impl GuardBandedClassifier {
     pub fn classify_within(&self, lower: &[f64], upper: &[f64]) -> Option<Prediction> {
         let strict = self.strict.predict_good_within(lower, upper)?;
         let loose = self.loose.predict_good_within(lower, upper)?;
-        Some(match (strict, loose) {
-            (true, true) => Prediction::Good,
-            (false, false) => Prediction::Bad,
-            _ => Prediction::GuardBand,
-        })
+        Some(Prediction::of_pair(strict, loose))
     }
+}
+
+/// Whether instance `i` of `data` fails the range of a kept specification:
+/// with [`GuardBandConfig::enforce_kept_ranges`] such a device is bad
+/// whatever the models say.
+pub(crate) fn fails_kept_range(data: &MeasurementSet, kept: &[usize], i: usize) -> bool {
+    kept.iter().any(|&c| !data.specs().spec(c).passes(data.value(i, c)))
 }
 
 #[cfg(test)]

@@ -54,12 +54,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::classifier::{BankStats, ClassifierFactory};
+use crate::classifier::{BankStats, Classifier, ClassifierFactory};
 use crate::compaction::{CompactionConfig, CompactionStep, ModelCacheStats, WarmStartStats};
 use crate::costmodel::TestCostModel;
 use crate::dataset::MeasurementSet;
-use crate::guardband::{GuardBandConfig, GuardBandedClassifier};
-use crate::metrics::ErrorBreakdown;
+use crate::guardband::{
+    fails_kept_range, GuardBandConfig, GuardBandedClassifier, Prediction, Side,
+};
+use crate::metrics::{evaluate_population, ErrorBreakdown};
 use crate::pool;
 use crate::{CompactionError, Result};
 
@@ -83,9 +85,11 @@ use crate::{CompactionError, Result};
 ///   finished — up to a whole evaluation batch (one speculative greedy
 ///   batch, or one cost-aware round), since iteration counts are only
 ///   known after each training completes,
-/// * with speculative evaluation threads, discarded speculative trainings
-///   consume budget too, so a budgeted [`GreedyBackward`] run may stop at a
-///   different frontier depending on the thread count.
+/// * from three threads up, [`GreedyBackward`] speculates on several
+///   candidates per batch and discarded speculative trainings consume
+///   budget too, so a budgeted greedy run may stop at a different frontier
+///   depending on the thread count (one and two threads train the same
+///   candidates).
 ///   [`SimulatedAnnealing`] evaluates one kept set at a time and stays
 ///   thread-count invariant under any budget,
 /// * the deploy-stage model of the final kept set is exempt: shipping the
@@ -96,7 +100,7 @@ pub struct SearchBudget {
     /// start; `None` = unlimited.
     pub max_trainings: Option<usize>,
     /// Maximum total solver iterations (as reported by
-    /// [`Classifier::solver_iterations`](crate::classifier::Classifier::solver_iterations))
+    /// [`Classifier::solver_iterations`])
     /// the search may consume; `None` = unlimited.  Backends without an
     /// iterative solver report zero iterations, so this limit only bites on
     /// iterative backends such as the ε-SVM.
@@ -429,15 +433,15 @@ pub struct FrontierSnapshot {
 ///
 /// Contract:
 ///
-/// * callbacks fire on the evaluator's worker threads and **block the
+/// * callbacks fire on the thread that drives the search and **block the
 ///   search**; implementations must be cheap and non-blocking (copy the
 ///   event into a channel or an atomic cell and return),
 /// * callbacks must not panic — a panic unwinds into the search and aborts
 ///   the run,
 /// * with speculative evaluation threads, [`ProgressObserver::on_training`]
-///   events may arrive out of commit order and include discarded
-///   speculative trainings; [`ProgressObserver::on_frontier`] snapshots are
-///   always committed frontiers in commit order,
+///   events may include discarded speculative trainings;
+///   [`ProgressObserver::on_frontier`] snapshots are always committed
+///   frontiers in commit order,
 /// * an unset observer costs one `Option` check per event — the seam is
 ///   free when unused.
 ///
@@ -457,6 +461,62 @@ pub trait ProgressObserver: Send + Sync + std::fmt::Debug {
 
 /// A cached trained model together with its held-out error breakdown.
 pub(crate) type CachedModel = Arc<(GuardBandedClassifier, ErrorBreakdown)>;
+
+/// The held-out devices a kept set's two models are scored on, computed
+/// once per kept set and shared by its strict and its loose job.
+#[derive(Debug)]
+struct HeldOut {
+    /// Held-out devices that pass every kept range (all of them when kept
+    /// ranges are not enforced).  The others are bad whatever the models
+    /// say.
+    rows: Vec<usize>,
+    /// The normalised kept features of those devices, one row after the
+    /// other.
+    features: Vec<f64>,
+    /// Features per row: the size of the kept set.
+    dimension: usize,
+}
+
+impl HeldOut {
+    fn new(testing: &MeasurementSet, kept: &[usize], enforce_kept_ranges: bool) -> Self {
+        let rows: Vec<usize> = (0..testing.len())
+            .filter(|&i| !enforce_kept_ranges || !fails_kept_range(testing, kept, i))
+            .collect();
+        let mut features = Vec::with_capacity(rows.len() * kept.len());
+        for &i in &rows {
+            features.extend(testing.features(i, kept));
+        }
+        HeldOut { rows, features, dimension: kept.len() }
+    }
+
+    /// One model's "passes" decision for every row.
+    fn decide(&self, model: &dyn Classifier) -> Vec<bool> {
+        self.features.chunks_exact(self.dimension).map(|row| model.predict_good(row)).collect()
+    }
+
+    /// The breakdown on `testing` of the pair whose sides decided `strict`
+    /// and `loose` on the rows: the same figures as
+    /// [`GuardBandedClassifier::evaluate`].
+    fn breakdown(
+        &self,
+        testing: &MeasurementSet,
+        strict: &[bool],
+        loose: &[bool],
+    ) -> ErrorBreakdown {
+        let mut predictions = vec![Prediction::Bad; testing.len()];
+        for ((&i, &strict_good), &loose_good) in self.rows.iter().zip(strict).zip(loose) {
+            predictions[i] = Prediction::of_pair(strict_good, loose_good);
+        }
+        evaluate_population(testing, |_, i| predictions[i])
+    }
+}
+
+/// One trained side of a pair and its decisions on the kept set's
+/// [`HeldOut`] rows.
+struct SideFit {
+    model: Arc<dyn Classifier>,
+    good: Vec<bool>,
+}
 
 /// Per-run cache of guard-banded models keyed by canonicalised kept set.
 ///
@@ -616,15 +676,22 @@ pub enum CandidateVerdict {
 /// compaction run that trains models.
 ///
 /// The evaluator owns the per-run model cache, the warm-start bookkeeping
-/// and the speculative thread pool.  Strategies name kept sets (directly or
-/// as removals/additions against a committed frontier) and receive
-/// held-out [`ErrorBreakdown`]s; every evaluation of a kept set this run
-/// has already trained is served from the cache, and cache-missing
-/// trainings are warm-started from the cached model of the *parent* kept
-/// set the strategy names.  Because the parent is always a committed
-/// frontier — never a function of speculative evaluation order — the
-/// trained models, and with them the search outcome, are identical for any
-/// thread count.
+/// and the worker threads.  Strategies name kept sets (directly or as
+/// removals/additions against a committed frontier) and receive held-out
+/// [`ErrorBreakdown`]s; every evaluation of a kept set this run has already
+/// trained is served from the cache, and cache-missing trainings are
+/// warm-started from the cached model of the *parent* kept set the strategy
+/// names.
+///
+/// The unit of parallel work is one model, not one kept set: a cache miss
+/// becomes two pool jobs, its strict and its loose model, each warm-started
+/// from the same side of the parent's pair and scored on the held-out
+/// devices that pass the kept ranges.  So a single evaluation keeps two
+/// threads busy, and a batch of `n` kept sets offers `2n` jobs to
+/// [`CandidateEvaluator::threads`] workers.  Because the parent is always a
+/// committed frontier — never a function of speculative evaluation order —
+/// the trained models, and with them the search outcome, are identical for
+/// any thread count.
 #[derive(Debug)]
 pub struct CandidateEvaluator<'a> {
     training: &'a MeasurementSet,
@@ -751,7 +818,8 @@ impl<'a> CandidateEvaluator<'a> {
         self.testing
     }
 
-    /// Worker threads available for speculative candidate evaluation.
+    /// Worker threads that train models: each kept set missing from the
+    /// cache trains as two jobs, its strict and its loose model.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -771,37 +839,129 @@ impl<'a> CandidateEvaluator<'a> {
         }
     }
 
-    /// Evaluates one kept set through the cache, warm-started from the
-    /// cached model of `warm_parent` when warm starts are enabled and the
-    /// parent was evaluated earlier in this run.  `mode` decides how a
-    /// cache-missing training settles its [`SearchBudget`] claim.
+    /// How many candidates one speculative batch holds: every candidate
+    /// trains as two pool jobs (its strict and its loose model), so
+    /// ⌈threads / 2⌉ candidates keep every worker busy.
+    pub(crate) fn candidates_per_batch(&self) -> usize {
+        self.threads.div_ceil(2)
+    }
+
+    /// Evaluates one kept set through [`CandidateEvaluator::evaluate_sets`].
     fn evaluate_cached(
         &self,
         kept: &[usize],
         warm_parent: Option<&[usize]>,
         mode: BudgetMode,
     ) -> Result<CachedModel> {
-        if let Some(entry) = self.cache.lookup(kept) {
-            return Ok(entry);
+        self.evaluate_sets(&[kept], warm_parent, mode).pop().expect("one outcome per kept set")
+    }
+
+    /// Evaluates kept sets through the cache and returns one outcome per
+    /// set, in order.  `mode` decides how a cache miss settles its
+    /// [`SearchBudget`] claim.
+    ///
+    /// Every miss becomes two pool jobs, its strict and its loose model.
+    /// Each job warm-starts from the same side of `warm_parent`'s cached
+    /// model (when warm starts are enabled and the parent was evaluated
+    /// earlier in this run) and then decides the held-out devices that pass
+    /// the kept ranges; those devices and their kept features are computed
+    /// once per set and shared by its two jobs.  A set whose strict side
+    /// fails reports the strict side's error, whatever the loose side did.
+    fn evaluate_sets(
+        &self,
+        sets: &[&[usize]],
+        warm_parent: Option<&[usize]>,
+        mode: BudgetMode,
+    ) -> Vec<Result<CachedModel>> {
+        /// What one set needs after the cache lookup.
+        enum Plan {
+            Done(Result<CachedModel>),
+            Train(HeldOut),
         }
-        if mode == BudgetMode::Charged && !self.ledger.try_claim_training() {
-            return Err(CompactionError::BudgetExhausted);
-        }
+        let plans: Vec<Plan> = sets
+            .iter()
+            .map(|kept| {
+                if let Some(entry) = self.cache.lookup(kept) {
+                    return Plan::Done(Ok(entry));
+                }
+                if mode == BudgetMode::Charged && !self.ledger.try_claim_training() {
+                    return Plan::Done(Err(CompactionError::BudgetExhausted));
+                }
+                match GuardBandedClassifier::check_training(self.training, kept, &self.guard_band) {
+                    Ok(()) => Plan::Train(HeldOut::new(
+                        self.testing,
+                        kept,
+                        self.guard_band.enforce_kept_ranges,
+                    )),
+                    Err(error) => Plan::Done(Err(error)),
+                }
+            })
+            .collect();
         let warm_entry = match warm_parent {
             Some(parent) if self.warm_start => self.cache.peek(parent),
             _ => None,
         };
         let warm = warm_entry.as_ref().map(|entry| &entry.0);
-        let classifier = GuardBandedClassifier::train_with_warm(
-            self.backend,
-            self.training,
-            kept,
-            &self.guard_band,
-            warm,
-        )?;
-        let breakdown = classifier.evaluate(self.testing);
+        let jobs: Vec<(&[usize], &HeldOut, Side)> = sets
+            .iter()
+            .zip(&plans)
+            .filter_map(|(kept, plan)| match plan {
+                Plan::Train(held_out) => Some((*kept, held_out)),
+                Plan::Done(_) => None,
+            })
+            .flat_map(|(kept, held_out)| Side::BOTH.map(|side| (kept, held_out, side)))
+            .collect();
+        let fits: Vec<Result<SideFit>> =
+            pool::run_indexed(jobs.len(), self.threads, &AtomicBool::new(false), |job| {
+                let (kept, held_out, side) = jobs[job];
+                let model = GuardBandedClassifier::train_side(
+                    self.backend,
+                    self.training,
+                    kept,
+                    &self.guard_band,
+                    side,
+                    warm,
+                )?;
+                Ok(SideFit { good: held_out.decide(model.as_ref()), model })
+            })
+            .into_iter()
+            // Nothing sets the stop flag, so every job has an outcome.
+            .flatten()
+            .collect();
+        let mut strict_job = 0;
+        plans
+            .into_iter()
+            .zip(sets)
+            .map(|(plan, kept)| {
+                let held_out = match plan {
+                    Plan::Done(outcome) => return outcome,
+                    Plan::Train(held_out) => held_out,
+                };
+                let pair = &fits[strict_job..strict_job + 2];
+                strict_job += 2;
+                let strict = pair[0].as_ref().map_err(Clone::clone)?;
+                let loose = pair[1].as_ref().map_err(Clone::clone)?;
+                let breakdown = held_out.breakdown(self.testing, &strict.good, &loose.good);
+                let classifier = GuardBandedClassifier::from_sides(
+                    self.backend,
+                    kept,
+                    &self.guard_band,
+                    Arc::clone(&strict.model),
+                    Arc::clone(&loose.model),
+                );
+                self.record_training(&classifier, warm.is_some(), mode);
+                let entry = Arc::new((classifier, breakdown));
+                self.cache.insert(kept, Arc::clone(&entry));
+                Ok(entry)
+            })
+            .collect()
+    }
+
+    /// Counts one trained pair in the diagnostics and the budget (unless
+    /// exempt) and reports it to the observer.
+    fn record_training(&self, classifier: &GuardBandedClassifier, warm: bool, mode: BudgetMode) {
         let iterations = classifier.solver_iterations();
-        self.tracker.record(warm.is_some(), iterations, classifier.bank_stats());
+        self.tracker.record(warm, iterations, classifier.bank_stats());
         if mode != BudgetMode::Exempt {
             self.ledger.record_iterations(iterations.unwrap_or(0));
         }
@@ -809,12 +969,9 @@ impl<'a> CandidateEvaluator<'a> {
             observer.on_training(&TrainingEvent {
                 trainings: self.ledger.trainings.load(Ordering::Relaxed),
                 solver_iterations: self.ledger.iterations.load(Ordering::Relaxed),
-                warm: warm.is_some(),
+                warm,
             });
         }
-        let entry = Arc::new((classifier, breakdown));
-        self.cache.insert(kept, Arc::clone(&entry));
-        Ok(entry)
     }
 
     /// Trains (or reuses) the model of an explicit kept set and returns its
@@ -895,10 +1052,12 @@ impl<'a> CandidateEvaluator<'a> {
     }
 
     /// Evaluates removing each candidate from the frontier committed by
-    /// `eliminated`, speculatively in parallel when the evaluator has
-    /// worker threads.
+    /// `eliminated`, in parallel when the evaluator has worker threads.
     ///
-    /// Every candidate's training is warm-started from the cached model of
+    /// Each candidate missing from the cache trains as two jobs, its strict
+    /// and its loose model, and all the batch's jobs share the worker
+    /// threads, so `n` candidates keep up to `2n` threads busy.  Every
+    /// training is warm-started from the same side of the cached model of
     /// the shared *parent* kept set (the frontier itself — the maximal
     /// overlap this run can have trained), so verdicts are identical for
     /// any thread count.
@@ -990,16 +1149,19 @@ impl<'a> CandidateEvaluator<'a> {
                 }
             })
             .collect();
-        let verdicts = pool::try_run_indexed(jobs.len(), self.threads, |job| {
-            match self.evaluate_cached(unique[jobs[job]], Some(warm_parent), BudgetMode::Prepaid) {
+        let admitted: Vec<&[usize]> = jobs.iter().map(|&index| unique[index]).collect();
+        let verdicts = self
+            .evaluate_sets(&admitted, Some(warm_parent), BudgetMode::Prepaid)
+            .into_iter()
+            .map(|outcome| match outcome {
                 Ok(entry) => Ok(CandidateVerdict::Scored(entry.1)),
                 Err(CompactionError::Classifier { .. })
                 | Err(CompactionError::InsufficientData { .. }) => {
                     Ok(CandidateVerdict::Untrainable)
                 }
                 Err(other) => Err(other),
-            }
-        })?;
+            })
+            .collect::<Result<Vec<_>>>()?;
         if let Some(pass) = &screen {
             self.record_screen_agreement(pass, &statuses_as_jobs(&statuses), &verdicts);
         }
@@ -1383,10 +1545,13 @@ pub trait SearchStrategy: std::fmt::Debug + Send + Sync {
 ///
 /// Every candidate (in the configured order) is tentatively removed; the
 /// removal becomes permanent when the held-out prediction error of the
-/// model trained without it stays at or below the tolerance.  With worker
-/// threads the next few candidates are evaluated speculatively against the
-/// same frontier and their verdicts committed in order; evaluations
-/// invalidated by an earlier acceptance are discarded.
+/// model trained without it stays at or below the tolerance.  Each
+/// candidate trains as two jobs (its strict and its loose model), so with
+/// `threads` workers the next ⌈threads / 2⌉ candidates are evaluated
+/// speculatively against the same frontier and their verdicts committed in
+/// order; evaluations invalidated by an earlier acceptance are discarded.
+/// At two threads that means both threads train the one candidate whose
+/// verdict comes next, and nothing is speculated.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GreedyBackward;
 
@@ -1401,7 +1566,7 @@ impl SearchStrategy for GreedyBackward {
         ctx: &SearchContext<'_>,
     ) -> Result<SearchOutcome> {
         let order = ctx.order();
-        let threads = eval.threads();
+        let width = eval.candidates_per_batch();
         let mut eliminated: Vec<usize> = Vec::new();
         let mut steps = Vec::new();
         let mut index = 0;
@@ -1409,12 +1574,12 @@ impl SearchStrategy for GreedyBackward {
             if !ctx.within_budget(eliminated.len()) {
                 break;
             }
-            // The next batch of examinations: up to `threads` order positions
+            // The next batch of examinations: up to `width` order positions
             // whose candidates are not yet eliminated, all speculatively
             // assuming the current eliminated set.
             let mut batch: Vec<usize> = Vec::new();
             let mut scan = index;
-            while scan < order.len() && batch.len() < threads {
+            while scan < order.len() && batch.len() < width {
                 if !eliminated.contains(&order[scan]) {
                     batch.push(scan);
                 }
@@ -1944,6 +2109,110 @@ mod tests {
         assert!(matches!(verdicts[1], CandidateVerdict::Scored(_)));
         assert!(!eval.budget_exhausted());
         assert_eq!(eval.budget_stats(FrontierProvenance::Completed).trainings, 1);
+    }
+
+    /// Two search threads train the one candidate whose verdict greedy
+    /// needs, one model per thread, instead of speculating on a second
+    /// candidate that an acceptance discards: on a run that eliminates
+    /// several candidates in a row, two threads train exactly what one
+    /// does.
+    #[test]
+    fn two_threads_train_no_candidate_that_one_thread_skips() {
+        let compactor = redundant_population();
+        let base = CompactionConfig::paper_default()
+            .with_tolerance(0.3)
+            .with_order(EliminationOrder::Functional(vec![0, 1, 2, 3, 4]));
+        let sequential = compactor.compact_with(&grid(), &base).unwrap();
+        let in_a_row =
+            sequential.steps.windows(2).any(|pair| pair[0].eliminated && pair[1].eliminated);
+        assert!(in_a_row, "steps {:?}", sequential.steps);
+        let threaded = compactor.compact_with(&grid(), &base.clone().with_threads(2)).unwrap();
+        assert_eq!(threaded, sequential);
+        assert_eq!(threaded.budget.trainings, sequential.budget.trainings);
+        assert_eq!(threaded.cache.misses, sequential.cache.misses);
+    }
+
+    /// Wraps the grid backend and fails chosen sides of the pair for kept
+    /// sets of one size: the strict side trains with a positive labelling
+    /// margin and the loose side with a negative one.
+    #[derive(Debug)]
+    struct FailingSides {
+        kept_len: usize,
+        strict: Option<CompactionError>,
+        loose: Option<CompactionError>,
+    }
+
+    impl ClassifierFactory for FailingSides {
+        fn name(&self) -> &str {
+            "failing-sides"
+        }
+
+        fn train(
+            &self,
+            view: &crate::classifier::TrainingView<'_>,
+        ) -> Result<Arc<dyn crate::classifier::Classifier>> {
+            let failure = if view.label_margin() > 0.0 { &self.strict } else { &self.loose };
+            match failure {
+                Some(error) if view.dimension() == self.kept_len => Err(error.clone()),
+                _ => grid().train(view),
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_side_makes_its_candidate_untrainable_or_propagates_strict_first() {
+        let compactor = redundant_population();
+        let classifier_error =
+            || CompactionError::Classifier { backend: "test".into(), message: "no fit".into() };
+        let config_error = |parameter| CompactionError::InvalidConfig { parameter, value: 0.0 };
+        for threads in [1, 2, 4] {
+            let config =
+                CompactionConfig::paper_default().with_tolerance(0.3).with_threads(threads);
+            let untrainable = [
+                (Some(classifier_error()), None),
+                (None, Some(classifier_error())),
+                (Some(classifier_error()), Some(config_error("loose"))),
+                (None, Some(CompactionError::InsufficientData { reason: "few".into() })),
+            ];
+            for (strict, loose) in untrainable {
+                let backend = FailingSides { kept_len: 4, strict, loose };
+                let eval = CandidateEvaluator::new(
+                    compactor.training(),
+                    compactor.testing(),
+                    &backend,
+                    &config,
+                );
+                let verdicts = eval.evaluate_removals(&[], &[0, 1, 2]).unwrap();
+                assert!(
+                    verdicts.iter().all(|verdict| matches!(verdict, CandidateVerdict::Untrainable)),
+                    "{backend:?} at {threads} threads: {verdicts:?}"
+                );
+                assert!(eval.try_evaluate(&[0, 1, 2, 3], None).unwrap().is_none());
+            }
+            let propagating = [
+                (Some(config_error("strict")), Some(config_error("loose")), "strict"),
+                (Some(config_error("strict")), Some(classifier_error()), "strict"),
+                (None, Some(config_error("loose")), "loose"),
+            ];
+            for (strict, loose, expected) in propagating {
+                let backend = FailingSides { kept_len: 4, strict, loose };
+                let eval = CandidateEvaluator::new(
+                    compactor.training(),
+                    compactor.testing(),
+                    &backend,
+                    &config,
+                );
+                for error in [
+                    eval.evaluate_removals(&[], &[0, 1, 2]).unwrap_err(),
+                    eval.evaluate(&[0, 1, 2, 3], None).unwrap_err(),
+                ] {
+                    assert!(
+                        matches!(error, CompactionError::InvalidConfig { parameter, .. } if parameter == expected),
+                        "{backend:?} at {threads} threads: {error:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

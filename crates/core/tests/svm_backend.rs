@@ -400,18 +400,18 @@ fn oversized_shortlist_screening_is_byte_identical_to_exact() {
 
 /// The 0.10 screen-then-verify seam, active screen: with a genuinely small
 /// shortlist the screen rejects candidates without exact verification.  The
-/// greedy loop's speculative batches are sized by the thread count, so the
-/// screen engages at `threads = 4`; on the bundled redundant population the
-/// kept and eliminated sets still match the exact run, strictly fewer exact
-/// trainings are charged, the outcome is stable across repeated runs, and
-/// screened-but-unverified candidates never consume `max_trainings` budget
-/// slots.
+/// greedy loop's speculative batches hold ⌈threads / 2⌉ candidates, so the
+/// screen engages at `threads = 8` (batches of 4); on the bundled redundant
+/// population the kept and eliminated sets still match the exact run,
+/// strictly fewer exact trainings are charged, the outcome is stable across
+/// repeated runs, and screened-but-unverified candidates never consume
+/// `max_trainings` budget slots.
 #[test]
 fn active_screening_matches_exact_decisions_with_fewer_trainings() {
     use stc_core::search::{ScreeningConfig, SearchBudget};
 
     let compactor = redundant_population();
-    let exact_config = CompactionConfig::paper_default().with_tolerance(0.05).with_threads(4);
+    let exact_config = CompactionConfig::paper_default().with_tolerance(0.05).with_threads(8);
     let exact = compactor.compact_with(&svm(), &exact_config).unwrap();
 
     let screen = ScreeningConfig::screened(48, 2);
@@ -441,4 +441,72 @@ fn active_screening_matches_exact_decisions_with_fewer_trainings() {
     assert_eq!(budgeted.kept, screened.kept);
     assert_eq!(budgeted.eliminated, screened.eliminated);
     assert!(!budgeted.budget.exhausted, "screened candidates consumed budget slots");
+}
+
+/// Records the evaluator's breakdowns of the complete suite, of every
+/// one-test removal from it (the batch path) and of one smaller kept set
+/// warm-started from the complete suite (the single path).
+#[derive(Debug, Default)]
+struct BreakdownProbe {
+    seen: std::sync::Mutex<Vec<(Vec<usize>, stc_core::ErrorBreakdown)>>,
+}
+
+impl stc_core::search::SearchStrategy for BreakdownProbe {
+    fn name(&self) -> &str {
+        "breakdown-probe"
+    }
+
+    fn search(
+        &self,
+        eval: &mut stc_core::search::CandidateEvaluator<'_>,
+        _ctx: &stc_core::search::SearchContext<'_>,
+    ) -> stc_core::Result<stc_core::search::SearchOutcome> {
+        let all: Vec<usize> = (0..eval.spec_count()).collect();
+        let mut seen = vec![(all.clone(), eval.evaluate(&all, None)?)];
+        let verdicts = eval.evaluate_removals(&[], &all)?;
+        for (&candidate, verdict) in all.iter().zip(verdicts) {
+            let stc_core::search::CandidateVerdict::Scored(breakdown) = verdict else {
+                panic!("candidate {candidate}: {verdict:?}");
+            };
+            seen.push((all.iter().copied().filter(|&c| c != candidate).collect(), breakdown));
+        }
+        let smaller = vec![0, 2, 4];
+        seen.push((smaller.clone(), eval.evaluate(&smaller, Some(&all))?));
+        *self.seen.lock().unwrap() = seen;
+        Ok(stc_core::search::SearchOutcome::keep_everything())
+    }
+}
+
+/// The evaluator trains each candidate's strict and loose models as two
+/// jobs and scores their decisions on the held-out devices that pass the
+/// kept ranges.  At any thread count, each breakdown it reports equals the
+/// breakdown of the pair `GuardBandedClassifier::train_with_warm` trains
+/// from the same warm parent, on a held-out set where some devices fail a
+/// kept range.
+#[test]
+fn evaluator_breakdowns_equal_the_trained_pairs_at_any_thread_count() {
+    let compactor = redundant_population();
+    let (train, test) = (compactor.training(), compactor.testing());
+    let guard_band = GuardBandConfig::paper_default();
+    let all: Vec<usize> = (0..train.specs().len()).collect();
+    let parent = GuardBandedClassifier::train_with(&svm(), train, &all, &guard_band).unwrap();
+    for threads in [1usize, 2, 4] {
+        let probe = BreakdownProbe::default();
+        let config = CompactionConfig::paper_default().with_threads(threads);
+        compactor.compact_with_strategy(&svm(), &config, &probe, None).unwrap();
+        let seen = probe.seen.into_inner().unwrap();
+        assert_eq!(seen.len(), all.len() + 2);
+        for (kept, breakdown) in &seen {
+            let warm = (kept != &all).then_some(&parent);
+            let reference =
+                GuardBandedClassifier::train_with_warm(&svm(), train, kept, &guard_band, warm)
+                    .unwrap()
+                    .evaluate(test);
+            assert_eq!(*breakdown, reference, "kept {kept:?} at {threads} threads");
+            let fails_a_kept_range =
+                |i: usize| kept.iter().any(|&c| !test.specs().spec(c).passes(test.value(i, c)));
+            let failing = (0..test.len()).filter(|&i| fails_a_kept_range(i)).count();
+            assert!(0 < failing && failing < test.len(), "kept {kept:?}: {failing} fail");
+        }
+    }
 }

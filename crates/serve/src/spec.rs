@@ -24,6 +24,13 @@ use stc_svm::SvmBackend;
 
 use crate::error::ServeError;
 
+/// The most threads a spec may ask for in `monte_carlo.threads`,
+/// `compaction.threads` or `shard_threads`.  Each count starts up to that
+/// many OS threads of the shared pool (one per instance, training job or
+/// shard at most), so without a bound one submitted spec could ask for
+/// millions.
+const MAX_THREADS: usize = 256;
+
 /// One device entry of a batch job.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum DeviceSpec {
@@ -203,7 +210,7 @@ pub struct JobSpec {
     #[serde(default)]
     pub sequential: Option<bool>,
     /// Worker threads the service spends on this job's shards (`0` means
-    /// one).
+    /// one, and at most 256).
     #[serde(default)]
     pub shard_threads: usize,
 }
@@ -271,12 +278,25 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Rejects an empty device list, measured entries with empty labels, and
-    /// synthetic devices without specifications, with a limit that is not
-    /// finite and positive, or with a non-finite correlation.
+    /// Rejects an empty device list, a `monte_carlo.threads`,
+    /// `compaction.threads` or `shard_threads` above 256, measured entries
+    /// with empty labels, and synthetic devices without specifications, with
+    /// a limit that is not finite and positive, or with a non-finite
+    /// correlation.
     pub fn validate(&self) -> Result<(), ServeError> {
         if self.devices.is_empty() {
             return Err(ServeError::InvalidSpec("a job needs at least one device".into()));
+        }
+        for (name, threads) in [
+            ("monte_carlo.threads", self.monte_carlo.threads),
+            ("compaction.threads", self.compaction.threads),
+            ("shard_threads", self.shard_threads),
+        ] {
+            if threads > MAX_THREADS {
+                return Err(ServeError::InvalidSpec(format!(
+                    "{name} is {threads}, above the limit of {MAX_THREADS}"
+                )));
+            }
         }
         for device in &self.devices {
             let problem = match device {

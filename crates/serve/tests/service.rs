@@ -280,3 +280,31 @@ fn malformed_synthetic_devices_are_rejected_at_submission() {
     let report = service.run_blocking(synthetic_pair_spec()).expect("valid job runs");
     assert_eq!(report.aggregate.devices, 2);
 }
+
+/// A thread count above 256 is refused at submission, before a worker
+/// could start that many threads, and 256 itself passes validation.  No
+/// spec here is ever run.
+#[test]
+fn oversized_thread_counts_are_rejected_at_submission() {
+    let service = CompactionService::new(1);
+    let setters: [fn(&mut JobSpec, usize); 3] = [
+        |spec, threads| spec.monte_carlo.threads = threads,
+        |spec, threads| spec.compaction.threads = threads,
+        |spec, threads| spec.shard_threads = threads,
+    ];
+    for set in setters {
+        for threads in [257, 1_000_000, usize::MAX] {
+            let mut spec = synthetic_pair_spec();
+            set(&mut spec, threads);
+            match service.submit(spec) {
+                Err(ServeError::InvalidSpec(message)) => {
+                    assert!(message.contains(&threads.to_string()), "{message}")
+                }
+                other => panic!("{threads} threads must be rejected, got {other:?}"),
+            }
+        }
+        let mut at_limit = synthetic_pair_spec();
+        set(&mut at_limit, 256);
+        assert!(at_limit.validate().is_ok());
+    }
+}

@@ -96,7 +96,9 @@ fn oversized_shortlist_keeps_the_opamp_pipeline_byte_identical() {
 /// An *active* screen (shortlist smaller than the greedy batch) still
 /// reproduces the exact path's kept and eliminated sets on the op-amp
 /// fixture while training strictly fewer exact models, and screened
-/// rejections never consume the training budget.
+/// rejections never consume the training budget.  Greedy's batches hold
+/// ⌈threads / 2⌉ candidates, so `threads = 6` examines the three
+/// step-response specs in one batch.
 #[test]
 fn active_screening_reproduces_exact_opamp_decisions_with_fewer_trainings() {
     let device = OpAmpDevice::paper_setup();
@@ -107,7 +109,7 @@ fn active_screening_reproduces_exact_opamp_decisions_with_fewer_trainings() {
     let config = CompactionConfig::paper_default()
         .with_tolerance(0.10)
         .with_order(EliminationOrder::Functional(vec![4, 6, 5]))
-        .with_threads(3);
+        .with_threads(6);
     let run = |screening: ScreeningConfig| {
         CompactionPipeline::for_device(&device)
             .monte_carlo(monte_carlo)

@@ -20,8 +20,8 @@
 //!
 //! Two more binaries write the deterministic reports CI byte-diffs against
 //! `crates/bench/snapshots/`: `jobs` runs a job-spec file through the
-//! service, and `trajectory` emits the solver, sequential-deploy and
-//! screening counters ([`trajectory`]).  Wall time is measured by the
+//! service, and `trajectory` emits the solver and sequential-deploy
+//! counters ([`trajectory`]).  Wall time is measured by the
 //! separate `perfbench` workspace, not by this crate.
 
 #![forbid(unsafe_code)]

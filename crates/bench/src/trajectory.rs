@@ -1,6 +1,6 @@
 //! Machine-readable performance trajectories for the compaction stack.
 //!
-//! Three reports, all deterministic and byte-diffed on CI:
+//! Two reports, both deterministic and byte-diffed on CI:
 //!
 //! * [`TrajectoryReport`] — **solver counters** (trainings, SMO iterations,
 //!   warm-start and cache statistics) for a fixed compaction workload across
@@ -13,27 +13,18 @@
 //!   decision-depth histograms, expected versus static cost) for fixed
 //!   pipelines under uniform and non-uniform cost models, diffed against
 //!   `BENCH_sequential.json`.
-//! * [`ScreeningReport`] — **screen-then-verify counters** (candidates
-//!   screened, verified and agreed, exact trainings saved) for fixed
-//!   workloads with the 0.10 Nyström screen on, including the paper's op-amp
-//!   at 10^4 simulated devices.  Every run is paired with the exact path and
-//!   the kept/eliminated sets are asserted byte-identical, so the committed
-//!   `BENCH_screening.json` is byte-diffed like the trajectory.
 //!
-//! All files are wrapped in the versioned `stc-serve` envelope
+//! Both files are wrapped in the versioned `stc-serve` envelope
 //! (`{"schema_version": 1, "payload": ...}`), produced and checked by the
 //! `trajectory` binary.  Wall time is not measured here: the `perfbench`
 //! workspace times the whole flow and each layer under it.
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
-use spec_test_compaction::adapters::OpAmpDevice;
-use stc_core::pipeline::{CompactionPipeline, PipelineReport};
-use stc_core::search::{CostAwareGreedy, GreedyBackward, ScreeningConfig, SearchStrategy};
+use stc_core::pipeline::CompactionPipeline;
+use stc_core::search::{CostAwareGreedy, SearchStrategy};
 use stc_core::{
-    generate_train_test, CompactionConfig, CompactionResult, Compactor, DeviceUnderTest,
-    MonteCarloConfig, SyntheticDevice, TestCostModel,
+    generate_train_test, CompactionConfig, CompactionResult, Compactor, MonteCarloConfig,
+    SyntheticDevice, TestCostModel,
 };
 use stc_svm::SvmBackend;
 
@@ -317,246 +308,9 @@ pub fn collect_sequential() -> SequentialReport {
     SequentialReport { points }
 }
 
-/// Deterministic screen-then-verify counters for one `(device, strategy)`
-/// workload, paired with the exact run of the same workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScreeningPoint {
-    /// Device label (`"opamp"`, `"synthetic-6"`, ...).
-    pub device: String,
-    /// Search strategy that produced this point.
-    pub strategy: String,
-    /// Specification count of the device.
-    pub specs: usize,
-    /// Training population size (devices).
-    pub train_devices: usize,
-    /// Held-out population size (devices).
-    pub test_devices: usize,
-    /// Nyström landmarks the screen trained with.
-    pub landmarks: usize,
-    /// Screened candidates promoted to exact verification per batch.
-    pub shortlist: usize,
-    /// Kept specification indices of the screened run.
-    pub kept: Vec<usize>,
-    /// Eliminated specification indices of the screened run, in order.
-    pub eliminated: Vec<usize>,
-    /// Whether the screened kept set is byte-identical to the exact run's.
-    pub kept_identical: bool,
-    /// Whether the screened elimination order is byte-identical to the
-    /// exact run's.
-    pub eliminated_identical: bool,
-    /// Exact trainings charged to the unscreened run.
-    pub exact_trainings: usize,
-    /// Exact trainings charged to the screened run.
-    pub screened_trainings: usize,
-    /// `exact_trainings - screened_trainings`.
-    pub trainings_saved: usize,
-    /// Candidates scored by the low-rank screen.
-    pub screened: usize,
-    /// Screened candidates promoted to exact verification.
-    pub verified: usize,
-    /// Batches where the screen's top-ranked candidate matched the exact
-    /// winner.
-    pub agreed: usize,
-    /// Candidate batches the screen was active on.
-    pub batches: usize,
-}
-
-/// The deterministic screen-then-verify trajectory (byte-diffed on CI).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScreeningReport {
-    /// One point per `(device, strategy)` workload, in workload order.
-    pub points: Vec<ScreeningPoint>,
-}
-
-impl ScreeningReport {
-    /// Structural sanity of a decoded report (used by `trajectory --check`).
-    /// The exactness contract — screened kept/eliminated sets byte-identical
-    /// to the exact path, with strictly fewer exact trainings — is part of
-    /// validity, so a regression fails the check, not just the byte diff.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.points.is_empty() {
-            return Err("screening report has no points".to_string());
-        }
-        for (i, point) in self.points.iter().enumerate() {
-            if point.kept.is_empty() {
-                return Err(format!("point {i}: kept set is empty"));
-            }
-            if point.kept.len() + point.eliminated.len() != point.specs {
-                return Err(format!("point {i}: kept + eliminated != specs"));
-            }
-            if !(point.kept_identical && point.eliminated_identical) {
-                return Err(format!("point {i}: screened run diverged from the exact run"));
-            }
-            if point.screened_trainings + point.trainings_saved != point.exact_trainings {
-                return Err(format!("point {i}: training ledger does not balance"));
-            }
-            if point.trainings_saved == 0 {
-                return Err(format!("point {i}: the screen saved no exact trainings"));
-            }
-            if point.batches == 0 || point.screened == 0 {
-                return Err(format!("point {i}: the screen never activated"));
-            }
-            if point.verified > point.screened || point.agreed > point.batches {
-                return Err(format!("point {i}: inconsistent screen counters"));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Runs one workload twice — exact, then screened — and folds both into a
-/// [`ScreeningPoint`].
-#[allow(clippy::too_many_arguments)]
-fn screened_pair(
-    device: &dyn DeviceUnderTest,
-    device_label: &str,
-    monte_carlo: &MonteCarloConfig,
-    train_devices: usize,
-    test_devices: usize,
-    config: &CompactionConfig,
-    strategy_label: &str,
-    strategy: Arc<dyn SearchStrategy>,
-    screening: ScreeningConfig,
-) -> ScreeningPoint {
-    let run = |screen: ScreeningConfig| -> PipelineReport {
-        CompactionPipeline::for_device(device)
-            .monte_carlo(*monte_carlo)
-            .test_instances(test_devices)
-            .compaction(config.clone().with_screening(screen))
-            .classifier(SvmBackend::paper_default())
-            .search_arc(Arc::clone(&strategy))
-            .run()
-            .expect("screening workload pipeline runs")
-    };
-    let exact = run(config.screening);
-    let screened = run(screening);
-    eprintln!(
-        "screening workload {device_label}/{strategy_label}: exact {} vs screened {} trainings",
-        exact.compaction.budget.trainings, screened.compaction.budget.trainings,
-    );
-    let stats = &screened.compaction.screening;
-    let exact_trainings = exact.compaction.budget.trainings;
-    let screened_trainings = screened.compaction.budget.trainings;
-    ScreeningPoint {
-        device: device_label.to_string(),
-        strategy: strategy_label.to_string(),
-        specs: screened.compaction.kept.len() + screened.compaction.eliminated.len(),
-        train_devices,
-        test_devices,
-        landmarks: screening.landmarks,
-        shortlist: screening.shortlist,
-        kept: screened.compaction.kept.clone(),
-        eliminated: screened.compaction.eliminated.clone(),
-        kept_identical: screened.compaction.kept == exact.compaction.kept,
-        eliminated_identical: screened.compaction.eliminated == exact.compaction.eliminated,
-        exact_trainings,
-        screened_trainings,
-        trainings_saved: exact_trainings.saturating_sub(screened_trainings),
-        screened: stats.screened,
-        verified: stats.verified,
-        agreed: stats.agreed,
-        batches: stats.batches,
-    }
-}
-
-/// The fixed workload behind [`ScreeningReport`]: a synthetic population
-/// compacted with the greedy loop, plus the paper's
-/// two-stage op-amp at production scale — 10^4 simulated devices — all on
-/// the ε-SVM backend with the 0.10 Nyström screen on.  Each workload also
-/// runs the exact path so the point pins byte-identical kept/eliminated
-/// sets next to the exact trainings the screen saved.  Sizes are fixed
-/// (independent of `STC_SCALE`) and every counter is a deterministic
-/// integer, so the report is byte-identical across machines.
-///
-/// # Panics
-///
-/// Panics if a pipeline run fails (a broken build, not bad input).
-pub fn collect_screening() -> ScreeningReport {
-    let mut points = Vec::new();
-
-    let device = SyntheticDevice::new(6, 1.8, 0.92);
-    let monte_carlo = MonteCarloConfig::new(400).with_seed(7);
-    // Greedy examines ⌈threads / 2⌉ candidates per speculative batch, so
-    // half the thread count must exceed the shortlist for the screen to
-    // activate.
-    let config = CompactionConfig::paper_default().with_tolerance(0.05).with_threads(8);
-    points.push(screened_pair(
-        &device,
-        "synthetic-6",
-        &monte_carlo,
-        400,
-        200,
-        &config,
-        "greedy",
-        Arc::new(GreedyBackward),
-        ScreeningConfig::screened(32, 3),
-    ));
-
-    let opamp = OpAmpDevice::paper_setup();
-    let monte_carlo =
-        MonteCarloConfig::new(10_000).with_seed(2005).with_calibration_quantiles(0.02, 0.98);
-    let config = CompactionConfig::paper_default()
-        .with_tolerance(0.05)
-        .with_max_eliminated(2)
-        .with_threads(8);
-    points.push(screened_pair(
-        &opamp,
-        "opamp",
-        &monte_carlo,
-        10_000,
-        5_000,
-        &config,
-        "greedy",
-        Arc::new(GreedyBackward),
-        ScreeningConfig::screened(64, 2),
-    ));
-
-    ScreeningReport { points }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn screening_validation_rejects_divergence_and_no_savings() {
-        let mut report = ScreeningReport {
-            points: vec![ScreeningPoint {
-                device: "synthetic-6".to_string(),
-                strategy: "greedy".to_string(),
-                specs: 6,
-                train_devices: 400,
-                test_devices: 200,
-                landmarks: 32,
-                shortlist: 3,
-                kept: vec![0, 2, 4, 5],
-                eliminated: vec![3, 1],
-                kept_identical: true,
-                eliminated_identical: true,
-                exact_trainings: 20,
-                screened_trainings: 12,
-                trainings_saved: 8,
-                screened: 11,
-                verified: 6,
-                agreed: 2,
-                batches: 2,
-            }],
-        };
-        report.validate().expect("consistent point validates");
-        report.points[0].kept_identical = false;
-        assert!(report.validate().is_err());
-        report.points[0].kept_identical = true;
-        report.points[0].trainings_saved = 0;
-        assert!(report.validate().is_err());
-        report.points[0].trainings_saved = 8;
-        report.points[0].screened_trainings = 13;
-        assert!(report.validate().is_err());
-        assert!(ScreeningReport { points: vec![] }.validate().is_err());
-    }
 
     #[test]
     fn sequential_validation_rejects_inconsistent_points() {

@@ -391,10 +391,6 @@ pub struct BatchAggregate {
     /// Greedy-loop warm-start diagnostics summed over all runs (trainings
     /// and solver iterations, split warm versus cold).
     pub warm_start: crate::WarmStartStats,
-    /// Screen-then-verify diagnostics summed over all runs (zero everywhere
-    /// when screening is off).
-    #[serde(default)]
-    pub screening: crate::ScreeningStats,
 }
 
 impl BatchAggregate {
@@ -414,7 +410,6 @@ impl BatchAggregate {
             model_cache_hits: 0,
             model_cache_misses: 0,
             warm_start: crate::WarmStartStats::default(),
-            screening: crate::ScreeningStats::default(),
         };
         for run in runs {
             let report = &run.report;
@@ -426,7 +421,6 @@ impl BatchAggregate {
             aggregate.model_cache_hits += report.compaction.cache.hits;
             aggregate.model_cache_misses += report.compaction.cache.misses;
             aggregate.warm_start.merge(&report.compaction.warm_start);
-            aggregate.screening.merge(&report.compaction.screening);
         }
         if devices > 0 {
             aggregate.mean_compaction_ratio /= devices as f64;

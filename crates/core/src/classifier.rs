@@ -381,24 +381,18 @@ pub trait ClassifierFactory: fmt::Debug + Send + Sync {
         self.train(view)
     }
 
-    /// Whether [`ClassifierFactory::train_screen`] returns a genuinely
-    /// cheaper approximate model.  The evaluator's screen-then-verify path
-    /// only engages when this is `true`; the default (`false`) keeps
-    /// screening inert for backends without an approximate trainer, so
-    /// enabling [`ScreeningConfig`](crate::search::ScreeningConfig) on such
-    /// a backend is a no-op rather than an error.
+    /// Whether [`ClassifierFactory::train_screen`] returns a cheaper
+    /// approximate model.  Inert: the library no longer calls it (the
+    /// search trains every candidate exactly) and no bundled backend
+    /// overrides it.  It stays so existing implementations keep compiling.
     fn supports_screening(&self) -> bool {
         false
     }
 
-    /// Trains a cheap *approximate* classifier used only to rank candidate
-    /// kept sets before exact verification (see
-    /// [`ScreeningConfig`](crate::search::ScreeningConfig)).  `landmarks`
-    /// bounds the approximation budget (for the SVM backend: Nyström
-    /// landmark count).  Implementations must be deterministic; accuracy
-    /// only matters for ranking quality, never for committed outcomes —
-    /// every screened winner is re-trained exactly.  The default falls back
-    /// to the exact [`ClassifierFactory::train`].
+    /// Trains a cheap approximate classifier with an approximation budget
+    /// of `landmarks`.  Inert: the library no longer calls it and no
+    /// bundled backend overrides it.  The default trains the exact model
+    /// with [`ClassifierFactory::train`].
     ///
     /// # Errors
     ///
@@ -428,18 +422,6 @@ impl<F: ClassifierFactory + ?Sized> ClassifierFactory for &F {
         warm: Option<&WarmStartContext<'_>>,
     ) -> Result<Arc<dyn Classifier>> {
         (**self).train_warm(view, warm)
-    }
-
-    fn supports_screening(&self) -> bool {
-        (**self).supports_screening()
-    }
-
-    fn train_screen(
-        &self,
-        view: &TrainingView<'_>,
-        landmarks: usize,
-    ) -> Result<Arc<dyn Classifier>> {
-        (**self).train_screen(view, landmarks)
     }
 }
 

@@ -20,8 +20,8 @@ use crate::guardband::{GuardBandConfig, GuardBandedClassifier};
 use crate::metrics::ErrorBreakdown;
 use crate::ordering::EliminationOrder;
 use crate::search::{
-    BudgetStats, CandidateEvaluator, GreedyBackward, ScreeningConfig, ScreeningStats, SearchBudget,
-    SearchContext, SearchOutcome, SearchStrategy,
+    BudgetStats, CandidateEvaluator, GreedyBackward, SearchBudget, SearchContext, SearchOutcome,
+    SearchStrategy,
 };
 use crate::{CompactionError, Result};
 
@@ -60,14 +60,6 @@ pub struct CompactionConfig {
     /// [`BudgetStats::exhausted`] set instead of failing.  See
     /// [`SearchBudget`] for the semantics and the reproducibility caveats.
     pub budget: SearchBudget,
-    /// Screen-then-verify candidate evaluation (off by default, making the
-    /// run byte-identical to pre-0.10 behaviour).  When enabled on a
-    /// backend with screening support, speculative evaluation batches are
-    /// first ranked by a cheap low-rank model and only the most promising
-    /// candidates are trained exactly; see [`ScreeningConfig`] for the
-    /// exactness guarantees and the budget semantics.
-    #[serde(default)]
-    pub screening: ScreeningConfig,
 }
 
 impl CompactionConfig {
@@ -83,7 +75,6 @@ impl CompactionConfig {
             threads: 1,
             warm_start: true,
             budget: SearchBudget::unlimited(),
-            screening: ScreeningConfig::default(),
         }
     }
 
@@ -132,13 +123,6 @@ impl CompactionConfig {
         self
     }
 
-    /// Sets the screen-then-verify configuration (off by default; see
-    /// [`CompactionConfig::screening`]).
-    pub fn with_screening(mut self, screening: ScreeningConfig) -> Self {
-        self.screening = screening;
-        self
-    }
-
     fn validate(&self) -> Result<()> {
         if !(self.error_tolerance >= 0.0 && self.error_tolerance < 1.0) {
             return Err(CompactionError::InvalidConfig {
@@ -146,7 +130,7 @@ impl CompactionConfig {
                 value: self.error_tolerance,
             });
         }
-        self.screening.validate()
+        Ok(())
     }
 }
 
@@ -270,11 +254,6 @@ pub struct CompactionResult {
     /// iterations consumed, whether the budget truncated the search, and
     /// the provenance of the returned frontier.
     pub budget: BudgetStats,
-    /// Screen-then-verify diagnostics of this run (all zeros when screening
-    /// never ran; see [`ScreeningConfig`]).  Like the other diagnostics,
-    /// ignored by equality.
-    #[serde(default)]
-    pub screening: ScreeningStats,
 }
 
 impl PartialEq for CompactionResult {
@@ -525,7 +504,6 @@ impl Compactor {
             cache: evaluator.cache_stats(),
             warm_start: evaluator.warm_start_stats(),
             budget: evaluator.budget_stats(provenance),
-            screening: evaluator.screening_stats(),
         };
         Ok((result, final_model))
     }

@@ -63,7 +63,8 @@ pub enum CompactionError {
     },
     /// A lookup-table tester model would be too large to build.
     LookupTableTooLarge {
-        /// Number of cells the requested table would need.
+        /// Number of cells the requested table would need (`u128::MAX` when
+        /// the count overflows).
         cells: u128,
         /// The configured limit.
         limit: u128,

@@ -133,7 +133,7 @@ impl LookupTableTester {
             });
         }
         let kept = classifier.kept().to_vec();
-        let cells = (cells_per_dim as u128).pow(kept.len() as u32);
+        let cells = (cells_per_dim as u128).saturating_pow(kept.len() as u32);
         if cells > LOOKUP_TABLE_CELL_LIMIT {
             return Err(CompactionError::LookupTableTooLarge {
                 cells,
@@ -393,5 +393,19 @@ mod tests {
             Err(CompactionError::LookupTableTooLarge { .. })
         ));
         assert!(LookupTableTester::build(&classifier, 1).is_err());
+    }
+
+    /// `(2^32)^4` cells do not fit a `u128`: the count saturates, so the
+    /// table is rejected rather than wrapped to a small count.
+    #[test]
+    fn tables_whose_cell_count_overflows_are_rejected() {
+        let device = SyntheticDevice::new(4, 1.5, 0.85);
+        let (train, _) =
+            generate_train_test(&device, &MonteCarloConfig::new(200).with_seed(77), 100).unwrap();
+        let classifier = train_pair(&train, &[0, 1, 2, 3]);
+        assert!(matches!(
+            LookupTableTester::build(&classifier, 1 << 32),
+            Err(CompactionError::LookupTableTooLarge { cells: u128::MAX, .. })
+        ));
     }
 }

@@ -108,9 +108,8 @@ pub use ordering::EliminationOrder;
 pub use pipeline::{CompactionPipeline, CostSummary, GuardBandStats, PipelineReport};
 pub use search::{
     AnnealingSchedule, BudgetStats, CandidateEvaluator, CandidateVerdict, CostAwareGreedy,
-    FrontierProvenance, FrontierSnapshot, GreedyBackward, ProgressObserver, ScreeningConfig,
-    ScreeningStats, SearchBudget, SearchContext, SearchOutcome, SearchStrategy, SimulatedAnnealing,
-    TrainingEvent,
+    FrontierProvenance, FrontierSnapshot, GreedyBackward, ProgressObserver, SearchBudget,
+    SearchContext, SearchOutcome, SearchStrategy, SimulatedAnnealing, TrainingEvent,
 };
 pub use spec::{Specification, SpecificationSet};
 pub use tester::{

@@ -43,9 +43,7 @@ use crate::device::DeviceUnderTest;
 use crate::metrics::ErrorBreakdown;
 use crate::montecarlo::{generate_train_test, MonteCarloConfig};
 use crate::report::percent;
-use crate::search::{
-    BudgetStats, GreedyBackward, ProgressObserver, ScreeningStats, SearchStrategy,
-};
+use crate::search::{BudgetStats, GreedyBackward, ProgressObserver, SearchStrategy};
 use crate::tester::{SequentialStats, TestPlan, TesterProgram};
 use crate::Result;
 
@@ -187,7 +185,7 @@ macro_rules! stage_setters {
         }
 
         /// Configures the compaction stage: tolerance, order, guard band,
-        /// search budget, screening and speculative threads.
+        /// search budget and speculative threads.
         ///
         /// Of the guard band, only `guard_band_fraction` and
         /// `enforce_kept_ranges` act here: the `svm_c` / `svm_gamma` fields
@@ -289,10 +287,9 @@ pub(crate) use stage_setters;
 /// Stages may be configured in any order; [`CompactionPipeline::run`]
 /// executes Monte-Carlo generation → greedy compaction → guard-banded final
 /// model → tester-program deployment → cost accounting and bundles everything
-/// into a [`PipelineReport`].  The guard band, the search budget and
-/// screening are part of the compaction stage
-/// ([`CompactionConfig::with_guard_band`], [`CompactionConfig::with_budget`],
-/// [`CompactionConfig::with_screening`]).
+/// into a [`PipelineReport`].  The guard band and the search budget are part
+/// of the compaction stage ([`CompactionConfig::with_guard_band`],
+/// [`CompactionConfig::with_budget`]).
 #[derive(Clone)]
 pub struct CompactionPipeline<'d> {
     device: &'d dyn DeviceUnderTest,
@@ -451,14 +448,6 @@ impl PipelineReport {
         &self.compaction.budget
     }
 
-    /// Screening diagnostics of the run: candidates scored by the low-rank
-    /// screen, candidates promoted to exact verification, and how often the
-    /// screen's favourite matched the exact winner (see
-    /// [`crate::CompactionConfig::with_screening`]).
-    pub fn screening(&self) -> &ScreeningStats {
-        &self.compaction.screening
-    }
-
     /// Error breakdown of the final compacted test set on the held-out data.
     pub fn final_breakdown(&self) -> &ErrorBreakdown {
         &self.compaction.final_breakdown
@@ -502,24 +491,10 @@ impl PipelineReport {
         } else {
             String::new()
         };
-        let screening = &self.compaction.screening;
-        let screening_note = if screening.any() {
-            format!(
-                "; screen scored {screened} candidates and verified {verified} \
-                 exactly over {batches} batches ({agreed} screen/exact agreements)",
-                screened = screening.screened,
-                verified = screening.verified,
-                batches = screening.batches,
-                agreed = screening.agreed,
-            )
-        } else {
-            String::new()
-        };
         format!(
             "{device} [{backend}, {search}]: eliminated {eliminated} of {total} tests \
              (yield loss {yl}, defect escape {de}, {retest} retested in a {band} \
-             band), cost reduced by \
-             {cost}{budget_note}{bank_note}{screening_note}{sequential_note}",
+             band), cost reduced by {cost}{budget_note}{bank_note}{sequential_note}",
             device = self.device,
             backend = self.backend,
             search = self.search,

@@ -144,151 +144,6 @@ impl SearchBudget {
     }
 }
 
-/// Screen-then-verify candidate evaluation (off by default).
-///
-/// When enabled on a backend that supports it
-/// ([`ClassifierFactory::supports_screening`]), every speculative
-/// evaluation batch is first scored with a cheap low-rank *screening*
-/// model ([`ClassifierFactory::train_screen`] — the Nyström approximation
-/// for the ε-SVM backend) and only the `shortlist` most promising
-/// candidates are trained exactly; the rest report
-/// [`CandidateVerdict::Screened`] without ever touching the
-/// [`SearchBudget`].  The shortlist serves both winner rules at once: its
-/// first slot is reserved for the *earliest* candidate the screen predicts
-/// within the search tolerance (the winner under the greedy
-/// commit-in-order rule) and the remaining slots fill by ascending
-/// predicted error (the argmin winner of frontier searches).  Screening
-/// changes wall-clock time, not semantics, under two guarantees:
-///
-/// * **default off ⇒ byte-identical**: a disabled screen (or a backend
-///   without screening support, or a batch no larger than the shortlist)
-///   takes exactly the pre-0.10 evaluation path,
-/// * **conditional exactness**: every shortlisted candidate is trained
-///   exactly before any frontier commit, so the kept/eliminated sets match
-///   the unscreened run whenever the shortlist contains the exact winner
-///   — with `shortlist` at least the batch size this holds always (pinned
-///   by the property tests).
-///
-/// Cache hits are always admitted for free and never screened; screened
-/// candidates never claim [`SearchBudget::max_trainings`] slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ScreeningConfig {
-    /// Whether screening is active (defaults to `false`: byte-identical to
-    /// the exact path).
-    #[serde(default)]
-    pub enabled: bool,
-    /// Landmark count of the low-rank screening model (the Nyström rank for
-    /// the SVM backend); higher is more faithful and more expensive.  A
-    /// spec file enabling the screen must set this explicitly (a missing
-    /// field deserializes to `0`, which an enabled screen rejects).
-    #[serde(default)]
-    pub landmarks: usize,
-    /// How many screened candidates per batch survive to exact training.
-    /// Like `landmarks`, required whenever the screen is enabled.
-    #[serde(default)]
-    pub shortlist: usize,
-}
-
-impl Default for ScreeningConfig {
-    fn default() -> Self {
-        ScreeningConfig {
-            enabled: false,
-            landmarks: Self::default_landmarks(),
-            shortlist: Self::default_shortlist(),
-        }
-    }
-}
-
-impl ScreeningConfig {
-    fn default_landmarks() -> usize {
-        32
-    }
-
-    fn default_shortlist() -> usize {
-        4
-    }
-
-    /// An enabled screen with explicit landmark and shortlist sizes.
-    pub fn screened(landmarks: usize, shortlist: usize) -> Self {
-        ScreeningConfig { enabled: true, landmarks, shortlist }
-    }
-
-    /// Enables (or disables) the screen.
-    pub fn with_enabled(mut self, enabled: bool) -> Self {
-        self.enabled = enabled;
-        self
-    }
-
-    /// Replaces the landmark count.
-    pub fn with_landmarks(mut self, landmarks: usize) -> Self {
-        self.landmarks = landmarks;
-        self
-    }
-
-    /// Replaces the shortlist size.
-    pub fn with_shortlist(mut self, shortlist: usize) -> Self {
-        self.shortlist = shortlist;
-        self
-    }
-
-    /// Validates the configuration (only an *enabled* screen constrains the
-    /// sizes, so a default-off config is always valid).
-    pub fn validate(&self) -> Result<()> {
-        if self.enabled && self.landmarks == 0 {
-            return Err(CompactionError::InvalidConfig {
-                parameter: "screening_landmarks",
-                value: 0.0,
-            });
-        }
-        if self.enabled && self.shortlist == 0 {
-            return Err(CompactionError::InvalidConfig {
-                parameter: "screening_shortlist",
-                value: 0.0,
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Screen-then-verify diagnostics of one search (see [`ScreeningConfig`]).
-///
-/// Fully deterministic for a fixed configuration — screening decisions are
-/// made from deterministically trained models over deterministically
-/// composed batches — and all zeros when screening never ran.  Like the
-/// other evaluator diagnostics,
-/// [`CompactionResult`](crate::CompactionResult) equality ignores this
-/// field.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ScreeningStats {
-    /// Candidates scored by the approximate screening model.
-    pub screened: usize,
-    /// Screened candidates that went on to exact training (shortlist
-    /// survivors actually admitted).
-    pub verified: usize,
-    /// Batches whose screen-preferred candidate also scored best in exact
-    /// training — the screen agreed with the exact ranking where it
-    /// mattered.
-    pub agreed: usize,
-    /// Evaluation batches on which screening actually ran (batches at or
-    /// under the shortlist size bypass the screen entirely).
-    pub batches: usize,
-}
-
-impl ScreeningStats {
-    /// Accumulates another run's counters into this one.
-    pub fn merge(&mut self, other: &ScreeningStats) {
-        self.screened += other.screened;
-        self.verified += other.verified;
-        self.agreed += other.agreed;
-        self.batches += other.batches;
-    }
-
-    /// Whether screening ever ran.
-    pub fn any(&self) -> bool {
-        self.batches > 0
-    }
-}
-
 /// How the frontier a search returned came to be.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
@@ -624,26 +479,6 @@ impl WarmStartTracker {
     }
 }
 
-/// Thread-safe accumulator behind [`ScreeningStats`].
-#[derive(Debug, Default)]
-struct ScreeningTracker {
-    screened: AtomicUsize,
-    verified: AtomicUsize,
-    agreed: AtomicUsize,
-    batches: AtomicUsize,
-}
-
-impl ScreeningTracker {
-    fn stats(&self) -> ScreeningStats {
-        ScreeningStats {
-            screened: self.screened.load(Ordering::Relaxed),
-            verified: self.verified.load(Ordering::Relaxed),
-            agreed: self.agreed.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// What one candidate evaluation produced.
 #[derive(Debug, Clone)]
 pub enum CandidateVerdict {
@@ -663,13 +498,6 @@ pub enum CandidateVerdict {
     /// frontier they have committed so far (never an error); see
     /// [`SearchOutcome::provenance`].
     Exhausted,
-    /// The screen-then-verify pass ([`ScreeningConfig`]) ranked this
-    /// candidate outside the shortlist: no exact model was trained and no
-    /// budget was spent.  Strategies must treat the candidate as "not
-    /// eliminated this round" and keep scanning — exactly like
-    /// [`CandidateVerdict::Untrainable`], but without an examination log
-    /// entry (the candidate was screened, not examined).
-    Screened,
 }
 
 /// The evaluation engine strategies drive: the only component of a
@@ -700,17 +528,8 @@ pub struct CandidateEvaluator<'a> {
     guard_band: GuardBandConfig,
     threads: usize,
     warm_start: bool,
-    screening: ScreeningConfig,
-    /// Error tolerance of the surrounding search — the screen uses it to
-    /// keep the earliest candidate it predicts acceptable in the shortlist
-    /// (the winner under the greedy commit rule).
-    tolerance: f64,
     cache: ModelCache,
     tracker: WarmStartTracker,
-    screen_tracker: ScreeningTracker,
-    /// Memoized approximate screen scores keyed by canonical kept set
-    /// (`None` = the screen could not train a model for that set).
-    screen_scores: Mutex<HashMap<Vec<usize>, Option<f64>>>,
     ledger: BudgetLedger,
     observer: Option<Arc<dyn ProgressObserver>>,
 }
@@ -725,41 +544,6 @@ enum BudgetMode {
     Prepaid,
     /// Exempt from the budget entirely (the deploy-stage final model).
     Exempt,
-}
-
-/// What the screen decided for one deduplicated evaluation batch.
-#[derive(Debug)]
-struct ScreenPass {
-    /// `(batch index, approximate score)` for every candidate the screen
-    /// scored (`None` score = the screen could not train a model, which
-    /// conservatively admits the candidate to exact verification).
-    scored: Vec<(usize, Option<f64>)>,
-    /// Per-batch-index: `true` when the candidate was ranked outside the
-    /// shortlist and must not be trained exactly.
-    rejected: Vec<bool>,
-}
-
-/// Adapter presenting a backend's *screening* trainer
-/// ([`ClassifierFactory::train_screen`]) as a plain factory, so the
-/// screen reuses [`GuardBandedClassifier`] — strict/loose margins,
-/// kept-range enforcement and the error metrics — unchanged.
-#[derive(Debug, Clone, Copy)]
-struct ScreenFactory<'a> {
-    inner: &'a dyn ClassifierFactory,
-    landmarks: usize,
-}
-
-impl ClassifierFactory for ScreenFactory<'_> {
-    fn name(&self) -> &str {
-        "screen"
-    }
-
-    fn train(
-        &self,
-        view: &crate::classifier::TrainingView<'_>,
-    ) -> Result<Arc<dyn crate::classifier::Classifier>> {
-        self.inner.train_screen(view, self.landmarks)
-    }
 }
 
 impl<'a> CandidateEvaluator<'a> {
@@ -783,12 +567,8 @@ impl<'a> CandidateEvaluator<'a> {
             guard_band: config.guard_band,
             threads: config.threads.max(1),
             warm_start: config.warm_start,
-            screening: config.screening,
-            tolerance: config.error_tolerance,
             cache: ModelCache::default(),
             tracker: WarmStartTracker::default(),
-            screen_tracker: ScreeningTracker::default(),
-            screen_scores: Mutex::new(HashMap::new()),
             ledger: BudgetLedger::new(config.budget),
             observer: None,
         }
@@ -1085,8 +865,7 @@ impl<'a> CandidateEvaluator<'a> {
     }
 
     /// The batch core behind [`CandidateEvaluator::evaluate_removals`]: a
-    /// deduplication pass, an optional screen-then-verify shortlist pass
-    /// ([`ScreeningConfig`]), then a deterministic budget pre-pass on the
+    /// deduplication pass, then a deterministic budget pre-pass on the
     /// caller's thread (in first-occurrence order: cache hits are free,
     /// misses claim a training slot, denials become
     /// [`CandidateVerdict::Exhausted`]) followed by the admitted
@@ -1101,19 +880,9 @@ impl<'a> CandidateEvaluator<'a> {
         kept_sets: &[Option<Vec<usize>>],
         warm_parent: &[usize],
     ) -> Result<Vec<CandidateVerdict>> {
-        /// What the admission passes decided for one distinct kept set.
-        #[derive(Clone, Copy, PartialEq, Eq)]
-        enum Status {
-            /// Admitted: evaluate exactly as job `index`.
-            Run(usize),
-            /// The budget denied the training.
-            Denied,
-            /// The screen ranked the candidate outside the shortlist.
-            Screened,
-        }
-        // Pass 1 — deduplicate, with no side effects on the budget: each
-        // candidate maps onto the first occurrence of its kept set (`None`
-        // = the removal would leave no test).
+        // Deduplicate, with no side effects on the budget: each candidate
+        // maps onto the first occurrence of its kept set (`None` = the
+        // removal would leave no test).
         let mut unique: Vec<&[usize]> = Vec::new();
         let slots: Vec<Option<usize>> = kept_sets
             .iter()
@@ -1128,28 +897,19 @@ impl<'a> CandidateEvaluator<'a> {
                 })
             })
             .collect();
-        // Pass 2 — the screen (inactive unless configured, supported by
-        // the backend, and the batch outgrows the shortlist).
-        let screen = self.screen_shortlist(&unique)?;
-        // Pass 3 — budget admission, in first-occurrence order exactly like
-        // the pre-0.10 single-pass code: cache hits are free, misses claim
-        // a training slot, denials latch exhaustion.
-        let mut jobs: Vec<usize> = Vec::new();
-        let statuses: Vec<Status> = unique
+        // Admit against the budget in first-occurrence order: cache hits
+        // are free, misses claim a training slot, denials latch exhaustion.
+        // Each distinct set is admitted as job `Some(index)` or denied.
+        let mut admitted: Vec<&[usize]> = Vec::new();
+        let jobs: Vec<Option<usize>> = unique
             .iter()
-            .enumerate()
-            .map(|(index, kept)| {
-                if screen.as_ref().is_some_and(|pass| pass.rejected[index]) {
-                    Status::Screened
-                } else if self.cache.contains(kept) || self.ledger.try_claim_training() {
-                    jobs.push(index);
-                    Status::Run(jobs.len() - 1)
-                } else {
-                    Status::Denied
-                }
+            .map(|&kept| {
+                (self.cache.contains(kept) || self.ledger.try_claim_training()).then(|| {
+                    admitted.push(kept);
+                    admitted.len() - 1
+                })
             })
             .collect();
-        let admitted: Vec<&[usize]> = jobs.iter().map(|&index| unique[index]).collect();
         let verdicts = self
             .evaluate_sets(&admitted, Some(warm_parent), BudgetMode::Prepaid)
             .into_iter()
@@ -1162,151 +922,14 @@ impl<'a> CandidateEvaluator<'a> {
                 Err(other) => Err(other),
             })
             .collect::<Result<Vec<_>>>()?;
-        if let Some(pass) = &screen {
-            self.record_screen_agreement(pass, &statuses_as_jobs(&statuses), &verdicts);
-        }
-        return Ok(slots
+        Ok(slots
             .into_iter()
-            .map(|slot| match slot {
+            .map(|slot| match slot.map(|index| jobs[index]) {
                 None => CandidateVerdict::LastTest,
-                Some(index) => match statuses[index] {
-                    Status::Screened => CandidateVerdict::Screened,
-                    Status::Denied => CandidateVerdict::Exhausted,
-                    Status::Run(job) => verdicts[job].clone(),
-                },
+                Some(None) => CandidateVerdict::Exhausted,
+                Some(Some(job)) => verdicts[job].clone(),
             })
-            .collect());
-
-        /// Projects the status list onto per-unique job indices (admitted
-        /// candidates only), for the agreement bookkeeping.
-        fn statuses_as_jobs(statuses: &[Status]) -> Vec<Option<usize>> {
-            statuses
-                .iter()
-                .map(|status| match status {
-                    Status::Run(job) => Some(*job),
-                    _ => None,
-                })
-                .collect()
-        }
-    }
-
-    /// The screen-then-verify pass over one deduplicated batch: scores
-    /// every cache-missing candidate with the approximate screening model
-    /// and rejects everything ranked outside the shortlist.  Returns `None`
-    /// when screening does not apply to this batch (disabled, unsupported
-    /// backend, or not enough cache misses to outgrow the shortlist) — the
-    /// caller then takes the exact path untouched.
-    fn screen_shortlist(&self, unique: &[&[usize]]) -> Result<Option<ScreenPass>> {
-        let config = self.screening;
-        if !config.enabled || !self.backend.supports_screening() || unique.len() <= config.shortlist
-        {
-            return Ok(None);
-        }
-        // Cache hits are admitted for free by the budget pass and never
-        // screened; only the candidates that would cost an exact training
-        // compete for shortlist slots.
-        let misses: Vec<usize> =
-            (0..unique.len()).filter(|&index| !self.cache.contains(unique[index])).collect();
-        if misses.len() <= config.shortlist {
-            return Ok(None);
-        }
-        // Score the cache misses with the approximate model, in parallel
-        // but collected in batch order (deterministic for any thread
-        // count).  A candidate the screen cannot train scores `None` and is
-        // conservatively ranked ahead of every scored candidate, so it is
-        // always verified exactly.
-        let scores: Vec<Option<f64>> = pool::try_run_indexed(misses.len(), self.threads, |job| {
-            Ok::<_, CompactionError>(self.screen_score(unique[misses[job]]))
-        })?;
-        let mut ranked: Vec<usize> = (0..misses.len()).collect();
-        ranked.sort_by(|&a, &b| {
-            let score_a = scores[a].unwrap_or(f64::NEG_INFINITY);
-            let score_b = scores[b].unwrap_or(f64::NEG_INFINITY);
-            score_a.partial_cmp(&score_b).expect("finite screen scores").then(a.cmp(&b))
-        });
-        // Two winner notions share the shortlist: the *earliest* candidate
-        // the screen predicts acceptable takes the first slot (the winner
-        // under the greedy commit-in-order rule), the remaining slots fill
-        // by ascending score (the low-error candidates a cost-aware round
-        // chooses among).
-        // An unscorable candidate (`None`) counts as predicted-acceptable —
-        // conservative on both axes.
-        if let Some(earliest) = (0..misses.len())
-            .find(|&index| scores[index].is_none_or(|score| score <= self.tolerance))
-        {
-            let position =
-                ranked.iter().position(|&rank| rank == earliest).expect("ranked is a permutation");
-            let slot = ranked.remove(position);
-            ranked.insert(0, slot);
-        }
-        let mut rejected = vec![false; unique.len()];
-        for &rank in ranked.iter().skip(config.shortlist) {
-            rejected[misses[rank]] = true;
-        }
-        self.screen_tracker.screened.fetch_add(misses.len(), Ordering::Relaxed);
-        self.screen_tracker.batches.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(ScreenPass { scored: misses.into_iter().zip(scores).collect(), rejected }))
-    }
-
-    /// Trains (or recalls) the approximate screening model of one kept set
-    /// and returns its held-out prediction error, `None` when the screen
-    /// cannot build a model for the set.  Scores are memoized for the run:
-    /// kept sets revisited by later rounds screen for free.
-    fn screen_score(&self, kept: &[usize]) -> Option<f64> {
-        let key = ModelCache::key(kept);
-        if let Some(score) = self.screen_scores.lock().expect("screen memo poisoned").get(&key) {
-            return *score;
-        }
-        let screen = ScreenFactory { inner: self.backend, landmarks: self.screening.landmarks };
-        let score =
-            GuardBandedClassifier::train_with(&screen, self.training, kept, &self.guard_band)
-                .ok()
-                .map(|classifier| classifier.evaluate(self.testing).prediction_error());
-        self.screen_scores.lock().expect("screen memo poisoned").insert(key, score);
-        score
-    }
-
-    /// Screen-agreement bookkeeping of one batch: did the screen's
-    /// top-ranked verified candidate also score best in exact training?
-    /// (Ties resolve to the lower batch index on both sides, mirroring the
-    /// shortlist ranking.)
-    fn record_screen_agreement(
-        &self,
-        pass: &ScreenPass,
-        jobs_of: &[Option<usize>],
-        verdicts: &[CandidateVerdict],
-    ) {
-        // The screened candidates that were admitted and trained exactly.
-        let verified: Vec<(usize, Option<f64>, usize)> = pass
-            .scored
-            .iter()
-            .filter(|(index, _)| !pass.rejected[*index])
-            .filter_map(|&(index, score)| jobs_of[index].map(|job| (index, score, job)))
-            .collect();
-        self.screen_tracker.verified.fetch_add(verified.len(), Ordering::Relaxed);
-        let screen_best = verified
-            .iter()
-            .min_by(|a, b| {
-                let score_a = a.1.unwrap_or(f64::NEG_INFINITY);
-                let score_b = b.1.unwrap_or(f64::NEG_INFINITY);
-                score_a.partial_cmp(&score_b).expect("finite screen scores").then(a.0.cmp(&b.0))
-            })
-            .map(|(index, _, _)| *index);
-        let exact_best = verified
-            .iter()
-            .filter_map(|&(index, _, job)| match &verdicts[job] {
-                CandidateVerdict::Scored(breakdown) => Some((index, breakdown.prediction_error())),
-                _ => None,
-            })
-            .min_by(|a, b| {
-                a.1.partial_cmp(&b.1).expect("finite prediction errors").then(a.0.cmp(&b.0))
-            })
-            .map(|(index, _)| index);
-        if let (Some(screen_best), Some(exact_best)) = (screen_best, exact_best) {
-            if screen_best == exact_best {
-                self.screen_tracker.agreed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+            .collect())
     }
 
     /// The deploy-stage model of the final kept set.  For every bundled
@@ -1326,12 +949,6 @@ impl<'a> CandidateEvaluator<'a> {
     /// Warm-start diagnostics accumulated so far.
     pub fn warm_start_stats(&self) -> WarmStartStats {
         self.tracker.stats()
-    }
-
-    /// Screen-then-verify diagnostics accumulated so far (all zeros when
-    /// screening never ran — see [`ScreeningConfig`]).
-    pub fn screening_stats(&self) -> ScreeningStats {
-        self.screen_tracker.stats()
     }
 
     /// Budget diagnostics accumulated so far, stamped with the provenance of
@@ -1617,9 +1234,6 @@ impl SearchStrategy for GreedyBackward {
                         // Model could not be built without this test: keep it.
                         steps.push(eval.step(candidate, false, ErrorBreakdown::default()));
                     }
-                    // Screened out: not eliminated this round, no exact
-                    // examination to log.
-                    CandidateVerdict::Screened => {}
                 }
             }
             if !accepted {

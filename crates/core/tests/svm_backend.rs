@@ -359,90 +359,6 @@ fn search_strategies_are_consistent_with_the_svm_backend() {
     }
 }
 
-/// The 0.10 screen-then-verify seam, oversized shortlist: a shortlist at
-/// least as large as any candidate batch never rejects anything, so the
-/// screened run must be byte-identical to the exact run — kept set,
-/// elimination order, examination steps and final breakdown — on every
-/// bundled fixture and strategy at every thread count.
-#[test]
-fn oversized_shortlist_screening_is_byte_identical_to_exact() {
-    use stc_core::search::{CostAwareGreedy, ScreeningConfig};
-
-    let device = SyntheticDevice::new(5, 1.8, 0.92);
-    for seed in [31u64, 99] {
-        let (train, test) =
-            generate_train_test(&device, &MonteCarloConfig::new(400).with_seed(seed), 200).unwrap();
-        let compactor = Compactor::new(train, test).unwrap();
-        for threads in [1usize, 4] {
-            let exact_config =
-                CompactionConfig::paper_default().with_tolerance(0.05).with_threads(threads);
-            let screened_config =
-                exact_config.clone().with_screening(ScreeningConfig::screened(24, 64));
-
-            let exact = compactor.compact_with(&svm(), &exact_config).unwrap();
-            let screened = compactor.compact_with(&svm(), &screened_config).unwrap();
-            assert_eq!(screened, exact, "greedy seed {seed} threads {threads}");
-            assert_eq!(screened.steps, exact.steps);
-            assert_eq!(screened.budget.trainings, exact.budget.trainings);
-            assert_eq!(screened.screening.batches, 0, "an oversized shortlist never activates");
-
-            let exact = compactor
-                .compact_with_strategy(&svm(), &exact_config, &CostAwareGreedy, None)
-                .unwrap();
-            let screened = compactor
-                .compact_with_strategy(&svm(), &screened_config, &CostAwareGreedy, None)
-                .unwrap();
-            assert_eq!(screened, exact, "cost-aware seed {seed} threads {threads}");
-            assert_eq!(screened.steps, exact.steps);
-        }
-    }
-}
-
-/// The 0.10 screen-then-verify seam, active screen: with a genuinely small
-/// shortlist the screen rejects candidates without exact verification.  The
-/// greedy loop's speculative batches hold ⌈threads / 2⌉ candidates, so the
-/// screen engages at `threads = 8` (batches of 4); on the bundled redundant
-/// population the kept and eliminated sets still match the exact run,
-/// strictly fewer exact trainings are charged, the outcome is stable across
-/// repeated runs, and screened-but-unverified candidates never consume
-/// `max_trainings` budget slots.
-#[test]
-fn active_screening_matches_exact_decisions_with_fewer_trainings() {
-    use stc_core::search::{ScreeningConfig, SearchBudget};
-
-    let compactor = redundant_population();
-    let exact_config = CompactionConfig::paper_default().with_tolerance(0.05).with_threads(8);
-    let exact = compactor.compact_with(&svm(), &exact_config).unwrap();
-
-    let screen = ScreeningConfig::screened(48, 2);
-    let screened_config = exact_config.clone().with_screening(screen);
-    let screened = compactor.compact_with(&svm(), &screened_config).unwrap();
-    assert_eq!(screened.kept, exact.kept);
-    assert_eq!(screened.eliminated, exact.eliminated);
-    assert!(
-        screened.budget.trainings < exact.budget.trainings,
-        "screen saved nothing: {} vs {}",
-        screened.budget.trainings,
-        exact.budget.trainings
-    );
-    assert!(screened.screening.batches > 0, "the screen never activated");
-    assert!(screened.screening.verified <= screened.screening.screened);
-
-    let again = compactor.compact_with(&svm(), &screened_config.clone()).unwrap();
-    assert_eq!(again, screened);
-    assert_eq!(again.screening, screened.screening);
-
-    // Screened-but-unverified candidates must not claim budget slots: a
-    // budget sized exactly to the screened run's own exact trainings still
-    // completes the identical search without exhausting.
-    let budgeted_config = screened_config
-        .with_budget(SearchBudget::unlimited().with_max_trainings(screened.budget.trainings));
-    let budgeted = compactor.compact_with(&svm(), &budgeted_config).unwrap();
-    assert_eq!(budgeted.kept, screened.kept);
-    assert_eq!(budgeted.eliminated, screened.eliminated);
-    assert!(!budgeted.budget.exhausted, "screened candidates consumed budget slots");
-}
-
 /// Records the evaluator's breakdowns of the complete suite, of every
 /// one-test removal from it (the batch path) and of one smaller kept set
 /// warm-started from the complete suite (the single path).

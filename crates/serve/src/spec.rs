@@ -13,8 +13,8 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use spec_test_compaction::adapters::{AccelerometerDevice, OpAmpDevice};
 use stc_core::search::{
-    AnnealingSchedule, CostAwareGreedy, GreedyBackward, ScreeningConfig, SearchBudget,
-    SearchStrategy, SimulatedAnnealing,
+    AnnealingSchedule, CostAwareGreedy, GreedyBackward, SearchBudget, SearchStrategy,
+    SimulatedAnnealing,
 };
 use stc_core::{
     ClassifierFactory, CompactionConfig, DeviceUnderTest, GridBackend, GuardBandConfig,
@@ -193,10 +193,6 @@ pub struct JobSpec {
     /// ([`CompactionConfig::with_budget`]).
     #[serde(default)]
     pub budget: Option<SearchBudget>,
-    /// Screen-then-verify override folded into `compaction`
-    /// ([`CompactionConfig::with_screening`]).
-    #[serde(default)]
-    pub screening: Option<ScreeningConfig>,
     /// Test-cost model (defaults to uniform unit costs).
     #[serde(default)]
     pub cost_model: Option<TestCostModel>,
@@ -232,7 +228,6 @@ impl JobSpec {
             classifier: ClassifierSpec::default(),
             guard_band: None,
             budget: None,
-            screening: None,
             cost_model: None,
             lookup_table: None,
             sequential: None,
@@ -241,8 +236,8 @@ impl JobSpec {
     }
 
     /// The job's stages as an empty batch: the one place a spec turns into
-    /// pipeline configuration.  The guard-band, budget and screening
-    /// overrides fold into the compaction stage.
+    /// pipeline configuration.  The guard-band and budget overrides fold
+    /// into the compaction stage.
     pub(crate) fn batch<'d>(&self) -> PipelineBatch<'d> {
         let mut compaction = self.compaction.clone();
         if let Some(guard_band) = self.guard_band {
@@ -250,9 +245,6 @@ impl JobSpec {
         }
         if let Some(budget) = self.budget {
             compaction = compaction.with_budget(budget);
-        }
-        if let Some(screening) = self.screening {
-            compaction = compaction.with_screening(screening);
         }
         let mut batch = PipelineBatch::new()
             .monte_carlo(self.monte_carlo)

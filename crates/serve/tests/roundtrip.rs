@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use stc_core::pipeline::CompactionPipeline;
-use stc_core::search::{CostAwareGreedy, FrontierSnapshot, ScreeningConfig, SearchBudget};
+use stc_core::search::{CostAwareGreedy, FrontierSnapshot, SearchBudget};
 use stc_core::{
     BatchReport, CacheStats, CompactionConfig, EliminationOrder, GuardBandConfig, MeasurementSet,
     MonteCarloConfig, PipelineBatch, PipelineReport, Specification, SpecificationSet,
@@ -65,8 +65,6 @@ proptest! {
         warm in 0usize..2,
         band in 0.0f64..0.2,
         trainings_cap in 1usize..500,
-        landmarks in 1usize..64,
-        shortlist in 1usize..16,
     ) {
         let mut config = CompactionConfig::paper_default()
             .with_tolerance(tolerance)
@@ -74,8 +72,7 @@ proptest! {
             .with_threads(threads)
             .with_warm_start(warm == 1)
             .with_guard_band(GuardBandConfig::paper_default().with_guard_band(band).unwrap())
-            .with_budget(SearchBudget::unlimited().with_max_trainings(trainings_cap))
-            .with_screening(ScreeningConfig::screened(landmarks, shortlist));
+            .with_budget(SearchBudget::unlimited().with_max_trainings(trainings_cap));
         if max_eliminated > 0 {
             config = config.with_max_eliminated(max_eliminated);
         }
@@ -151,7 +148,6 @@ proptest! {
         spec.classifier =
             if classifier_choice == 0 { ClassifierSpec::Grid } else { ClassifierSpec::Svm };
         spec.budget = Some(SearchBudget::unlimited().with_max_trainings(50));
-        spec.screening = Some(ScreeningConfig::screened(24, 3));
         spec.shard_threads = shard_threads;
         spec.sequential = match sequential_choice {
             0 => None,
@@ -201,20 +197,27 @@ fn pre_0_9_job_specs_still_parse() {
 
 #[test]
 fn pre_0_10_job_specs_still_parse() {
-    // A spec serialized before the `screening` field existed must keep
-    // parsing, with the field at its pipeline default (None = inherit the
-    // compaction config, which defaults to screening off).
+    // Specs written before 0.10 carry no `screening` keys.  Specs written
+    // by 0.10 to 0.18 carry one at the top level and one inside
+    // `compaction`, possibly enabled.  The screen is gone, so both keys
+    // are skipped: the job decodes to the spec without them and runs the
+    // exact search, which is what the screen promised to match.
     let spec = JobSpec::new(
         vec![DeviceSpec::OpAmp],
         MonteCarloConfig::new(50).with_seed(5),
         CompactionConfig::paper_default().with_tolerance(0.1),
     );
     let json = stc_serve::json::to_string(&spec).expect("serializes");
-    let legacy = json.replacen(r#""screening":null,"#, "", 1);
-    assert_ne!(json, legacy, "the screening field must be present to strip");
-    let back: JobSpec = stc_serve::json::from_str(&legacy).expect("legacy spec parses");
-    assert_eq!(back, spec);
-    assert!(!back.compaction.screening.enabled, "screening defaults off");
+    assert!(!json.contains("screening"), "{json}");
+    let screen = r#"{"enabled":true,"landmarks":24,"shortlist":3}"#;
+    let legacy = json
+        .replacen(r#"}},"strategy":"#, &format!(r#"}},"screening":{screen}}},"strategy":"#), 1)
+        .replacen(r#""cost_model":"#, &format!(r#""screening":{screen},"cost_model":"#), 1);
+    assert_eq!(legacy.matches(screen).count(), 2, "{legacy}");
+    for text in [&json, &legacy] {
+        let back: JobSpec = stc_serve::json::from_str(text).expect("legacy spec parses");
+        assert_eq!(back, spec);
+    }
 }
 
 #[test]
@@ -246,8 +249,10 @@ fn removed_strategy_specs_fail_with_a_typed_error() {
 
 #[test]
 fn pre_0_12_batch_reports_with_co_optimized_keys_still_decode() {
+    const SCREEN: &str = r#""screening":{"screened":0,"verified":0,"agreed":0,"batches":0}"#;
     // 0.11 reports carried a co-optimized guard band on every run and a
-    // count in the aggregate; unknown fields are skipped, so they decode.
+    // count in the aggregate, and 0.10 to 0.18 reports carried screen
+    // counters in both; unknown fields are skipped, so they decode.
     let device = SyntheticDevice::new(4, 1.8, 0.9);
     let report = PipelineBatch::new()
         .device(&device)
@@ -258,16 +263,21 @@ fn pre_0_12_batch_reports_with_co_optimized_keys_still_decode() {
     let encoded = envelope::encode(&report).expect("encodes");
     let legacy = encoded
         .replacen(r#""guard_band":{"#, r#""guard_band":{"co_optimized":false,"#, 1)
-        .replacen(r#""screening":{"#, r#""co_optimized_guard_band":null,"screening":{"#, 1)
+        .replacen(
+            r#""provenance":"Completed"}"#,
+            &format!(r#""provenance":"Completed"}},"co_optimized_guard_band":null,{SCREEN}"#),
+            1,
+        )
         .replacen(
             r#"}},"population_cache_hits""#,
-            r#"},"co_optimized_bands":0},"population_cache_hits""#,
+            &format!(r#"}},"co_optimized_bands":0,{SCREEN}}},"population_cache_hits""#),
             1,
         );
+    assert_eq!(legacy.matches(SCREEN).count(), 2, "{legacy}");
     for key in ["co_optimized", "co_optimized_guard_band", "co_optimized_bands"] {
         assert!(legacy.contains(&format!(r#""{key}":"#)), "the legacy report must carry {key}");
     }
-    let decoded: BatchReport = envelope::decode(&legacy).expect("0.11 report decodes");
+    let decoded: BatchReport = envelope::decode(&legacy).expect("legacy report decodes");
     assert_eq!(envelope::encode(&decoded).expect("re-encodes"), encoded);
 }
 

@@ -13,7 +13,6 @@ use stc_core::classifier::{
 use stc_core::{CompactionError, GuardBandConfig};
 
 use crate::engine::{DotRowBank, EngineUsage};
-use crate::nystrom::{NystromModel, NystromParams};
 use crate::{Dataset, Kernel, Svc, SvcParams, SvmError};
 
 impl From<SvmError> for CompactionError {
@@ -118,31 +117,6 @@ impl ClassifierFactory for SvmBackend {
             Svc::train_with_bank(&dataset, &self.params, warm_model, parent_bank)?;
         Ok(Arc::new(SvmClassifier { model, bank: Arc::new(bank), usage }))
     }
-
-    fn supports_screening(&self) -> bool {
-        true
-    }
-
-    /// Trains a Nyström low-rank approximation of this backend's SVM —
-    /// the screening model of the 0.10 screen-then-verify path (see
-    /// [`crate::nystrom`]).  The approximate model is a stand-alone
-    /// classifier: cheap to train (one `landmarks × n` kernel slab and a
-    /// small ridge solve instead of full SMO), deterministic, and never
-    /// reused as a warm-start hint — candidates it shortlists are
-    /// re-trained exactly before any frontier commit.
-    fn train_screen(
-        &self,
-        view: &TrainingView<'_>,
-        landmarks: usize,
-    ) -> stc_core::Result<Arc<dyn Classifier>> {
-        let dataset = dataset_from_view(view)?;
-        let params = NystromParams::new()
-            .with_landmarks(landmarks)
-            .with_kernel(self.params.kernel())
-            .with_kernel_path(self.params.kernel_path());
-        let model = NystromModel::train(&dataset, &params)?;
-        Ok(Arc::new(ScreenClassifier { model }))
-    }
 }
 
 /// Classifier wrapping a trained [`Svc`], together with the dot rows its
@@ -193,24 +167,6 @@ impl Classifier for SvmClassifier {
         } else {
             None
         }
-    }
-}
-
-/// Classifier wrapping a Nyström screening model ([`NystromModel`]).
-///
-/// Deliberately minimal: no `as_any` downcast (screening models must never
-/// be mistaken for exact parents by the warm-start machinery), no solver
-/// iterations (there is no iterative solver), no box decisions.  It exists
-/// only to rank candidate kept sets inside the screen-then-verify
-/// evaluator.
-#[derive(Debug, Clone)]
-struct ScreenClassifier {
-    model: NystromModel,
-}
-
-impl Classifier for ScreenClassifier {
-    fn decision(&self, features: &[f64]) -> f64 {
-        self.model.decision_function(features)
     }
 }
 

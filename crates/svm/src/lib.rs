@@ -50,7 +50,6 @@ mod svr;
 
 pub mod backend;
 pub mod engine;
-pub mod nystrom;
 pub mod smo;
 
 pub use backend::SvmBackend;
@@ -58,7 +57,6 @@ pub use dataset::{Dataset, Sample};
 pub use engine::{DotRowBank, EngineUsage, KernelEngine, KernelPath};
 pub use error::SvmError;
 pub use kernel::Kernel;
-pub use nystrom::{NystromModel, NystromParams};
 pub use svc::{Svc, SvcParams};
 pub use svr::{Svr, SvrParams};
 

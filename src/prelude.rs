@@ -8,8 +8,7 @@
 //! backends ([`SvmBackend`], [`GridBackend`]), the three bundled search
 //! strategies (the paper's [`GreedyBackward`], [`CostAwareGreedy`] for
 //! insertion-heavy cost models and the seeded [`SimulatedAnnealing`] walk),
-//! the [`SearchBudget`] limits that make every search anytime, the
-//! [`ScreeningConfig`] screen-then-verify switch, the staged
+//! the [`SearchBudget`] limits that make every search anytime, the staged
 //! sequential deploy types ([`TestPlan`], [`SequentialSession`],
 //! [`StepVerdict`], [`SequentialStats`]), the device adapters and every
 //! configuration type the pipeline stages take.
@@ -22,8 +21,8 @@ pub use stc_core::classifier::{
 pub use stc_core::pipeline::{CompactionPipeline, CostSummary, GuardBandStats, PipelineReport};
 pub use stc_core::search::{
     AnnealingSchedule, BudgetStats, CandidateEvaluator, CandidateVerdict, CostAwareGreedy,
-    FrontierProvenance, GreedyBackward, ScreeningConfig, ScreeningStats, SearchBudget,
-    SearchContext, SearchOutcome, SearchStrategy, SimulatedAnnealing,
+    FrontierProvenance, GreedyBackward, SearchBudget, SearchContext, SearchOutcome, SearchStrategy,
+    SimulatedAnnealing,
 };
 pub use stc_core::{
     baseline, generate_measurement_set, generate_train_test, gridmodel, run_monte_carlo,

@@ -41,8 +41,9 @@ pub struct CompactionConfig {
     /// Worker threads that train the search's models (1 = sequential).
     /// Each candidate kept set trains as two jobs, its strict and its loose
     /// model, so two threads train one candidate's pair at once, and greedy
-    /// elimination speculates on ⌈threads / 2⌉ candidates per batch.  The
-    /// result is identical for any thread count; see
+    /// elimination speculates on ⌈threads / 2⌉ candidates per batch.  A
+    /// pipeline run also deploys its tester on the held-out devices on this
+    /// many threads.  The result is identical for any thread count; see
     /// [`Compactor::compact_with`].
     pub threads: usize,
     /// Whether candidate trainings may warm-start from the cached model of
@@ -103,7 +104,7 @@ impl CompactionConfig {
     }
 
     /// Sets the number of worker threads that train the search's models
-    /// (see [`CompactionConfig::threads`]).
+    /// and deploy a pipeline's tester (see [`CompactionConfig::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self

@@ -133,19 +133,16 @@ impl Stages {
         // Evaluate the *shipped* program on the held-out data: when a lookup
         // table is substituted for the exact model pair, its numbers differ
         // from the loop's `final_breakdown`, and the report must describe the
-        // tester that is actually deployed.
-        let deployed = tester.try_evaluate(test)?;
+        // tester that is actually deployed.  Its cheapest-first sessions
+        // reach every device's final verdict, so one pass yields both the
+        // breakdown and the sequential statistics.
+        let plan = TestPlan::cheapest_first(&tester, &cost_model)?;
+        let (stats, deployed) = SequentialStats::deploy(&plan, &cost_model, test, config.threads)?;
+        let sequential = self.sequential.then_some(stats);
         let guard_band = GuardBandStats {
             band_fraction: config.guard_band.guard_band_fraction,
             retest_count: deployed.guard_band_count,
             retest_fraction: deployed.guard_band_fraction(),
-        };
-
-        let sequential = if self.sequential {
-            let plan = TestPlan::cheapest_first(&tester, &cost_model)?;
-            Some(SequentialStats::collect(&plan, &cost_model, test)?)
-        } else {
-            None
         };
 
         Ok(PipelineReport {
@@ -270,10 +267,12 @@ macro_rules! stage_setters {
         /// [`TestPlan`](crate::TestPlan) instead of measuring every kept test
         /// up front: decision-depth histogram, early-exit fraction and the
         /// expected cost per device next to the static kept-set cost.
-        /// One-shot deployment numbers
-        /// ([`PipelineReport::deployed`](crate::PipelineReport::deployed)) are
-        /// unaffected — the sequential session is verdict-identical by
-        /// construction.
+        /// The run drives these sessions either way, because it reads the
+        /// one-shot deployment numbers
+        /// ([`PipelineReport::deployed`](crate::PipelineReport::deployed))
+        /// off them (the sequential session is verdict-identical by
+        /// construction); disabling the stage only leaves the statistics
+        /// out of the report.
         pub fn sequential_deploy(mut self, enabled: bool) -> Self {
             self.stages.sequential = enabled;
             self
@@ -401,7 +400,10 @@ pub struct PipelineReport {
     pub compaction: CompactionResult,
     /// Error breakdown of the *deployed* tester program on the held-out data
     /// (identical to the loop's final breakdown for the exact model pair;
-    /// differs when a lookup table is substituted).
+    /// differs when a lookup table is substituted).  It comes from the
+    /// verdicts of the cheapest-first sessions that also yield
+    /// [`PipelineReport::sequential`], which equal
+    /// [`TesterProgram::try_evaluate`]'s.
     pub deployed: ErrorBreakdown,
     /// Guard-band retest statistics of the deployed program on the held-out
     /// population.
@@ -614,7 +616,7 @@ mod tests {
         let opted_out = pipeline(&device).sequential_deploy(false).run().unwrap();
         assert!(opted_out.sequential.is_none());
         assert!(!opted_out.summary().contains("sequential deploy"));
-        // The stage only adds accounting: the deployed program is unchanged.
+        // The stage only adds accounting: the deployed figures are unchanged.
         assert_eq!(opted_out.deployed, report.deployed);
     }
 

@@ -19,7 +19,11 @@ use crate::gridmodel::LookupTableTester;
 use crate::guardband::{GuardBandedClassifier, Prediction};
 use crate::metrics::ErrorBreakdown;
 use crate::spec::SpecificationSet;
-use crate::{CompactionError, Result};
+use crate::{pool, CompactionError, Result};
+
+/// Devices per pool job of [`SequentialStats::deploy`]: a population of at
+/// most this many runs inline on the caller's thread.
+const DEPLOY_CHUNK: usize = 256;
 
 /// How the acceptance region of the compacted test set is represented on the
 /// tester.
@@ -151,11 +155,35 @@ impl<'de> Deserialize<'de> for TesterModel {
 
 /// A complete tester program: which specifications to measure and how to turn
 /// the measurements into an accept/reject/retest decision.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Decoding checks the kept set: it must be non-empty, in range and free of
+/// duplicates, and it must be the model's own kept set (every
+/// specification in order for the complete suite).  A document that fails
+/// is a decode error, never a program that panics or skips a test.
+#[derive(Debug, Clone, Serialize)]
 pub struct TesterProgram {
     specs: SpecificationSet,
     kept: Vec<usize>,
     model: TesterModel,
+}
+
+impl<'de> Deserialize<'de> for TesterProgram {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        struct Wire {
+            specs: SpecificationSet,
+            kept: Vec<usize>,
+            model: TesterModel,
+        }
+        let Wire { specs, kept, model } = Wire::deserialize(deserializer)?;
+        let program = TesterProgram { specs, kept, model };
+        match program.kept_set_error() {
+            Some(message) => Err(serde::de::Error::custom(message)),
+            None => Ok(program),
+        }
+    }
 }
 
 impl TesterProgram {
@@ -190,6 +218,34 @@ impl TesterProgram {
             specs,
             kept: classifier.kept().to_vec(),
             model: TesterModel::LookupTable(table),
+        })
+    }
+
+    /// Why the kept set cannot be classified, if it cannot: the checks
+    /// [`TesterProgram`]'s decoder applies.
+    fn kept_set_error(&self) -> Option<String> {
+        let count = self.specs.len();
+        if self.kept.is_empty() {
+            return Some("tester program keeps no specification".to_owned());
+        }
+        for (position, &index) in self.kept.iter().enumerate() {
+            if index >= count {
+                return Some(format!(
+                    "tester program keeps specification {index}, but the set has {count}"
+                ));
+            }
+            if self.kept[..position].contains(&index) {
+                return Some(format!("tester program keeps specification {index} twice"));
+            }
+        }
+        let model_kept: Vec<usize> = match &self.model {
+            TesterModel::CompleteSuite => (0..count).collect(),
+            TesterModel::Exact(classifier) => classifier.kept().to_vec(),
+            TesterModel::LookupTable(table) => table.kept().to_vec(),
+            TesterModel::Detached { kept, .. } => kept.clone(),
+        };
+        (model_kept != self.kept).then(|| {
+            format!("tester program keeps {:?}, but its model covers {model_kept:?}", self.kept)
         })
     }
 
@@ -619,7 +675,13 @@ pub struct SequentialStats {
 
 impl SequentialStats {
     /// Drives every device of a population through the plan and collects
-    /// the depth histogram and per-device expected cost under `cost_model`.
+    /// the depth histogram and per-device expected cost under `cost_model`,
+    /// on the caller's thread.
+    ///
+    /// A pipeline run collects the same statistics in the pass that also
+    /// scores its deployed tester, on
+    /// [`CompactionConfig::threads`](crate::CompactionConfig::threads)
+    /// workers; the figures are identical at any thread count.
     ///
     /// # Errors
     ///
@@ -631,23 +693,53 @@ impl SequentialStats {
         cost_model: &TestCostModel,
         data: &MeasurementSet,
     ) -> Result<Self> {
+        Ok(SequentialStats::deploy(plan, cost_model, data, 1)?.0)
+    }
+
+    /// [`SequentialStats::collect`] on up to `threads` workers that also
+    /// scores each device's verdict against its ground truth.
+    ///
+    /// A session exits early only on its final verdict, and that verdict
+    /// is what [`TesterProgram::classify`] returns, so the breakdown equals
+    /// [`TesterProgram::try_evaluate`] on the plan's program.  Devices run
+    /// in fixed-size chunks whose counts are summed in chunk order, so
+    /// neither figure depends on the thread count.
+    pub(crate) fn deploy(
+        plan: &TestPlan<'_>,
+        cost_model: &TestCostModel,
+        data: &MeasurementSet,
+        threads: usize,
+    ) -> Result<(Self, ErrorBreakdown)> {
         let prefix_costs = plan.prefix_costs(cost_model)?;
-        let mut decision_depths = vec![0usize; plan.len()];
-        let mut early_exits = 0usize;
-        for i in 0..data.len() {
-            let mut session = plan.begin();
-            for &column in plan.stages() {
-                if let StepVerdict::Decided(_) = session.measure(data.value(i, column))? {
-                    break;
+        let truths = data.labels();
+        let chunks = pool::try_run_indexed(data.len().div_ceil(DEPLOY_CHUNK), threads, |chunk| {
+            let mut depths = vec![0usize; plan.len()];
+            let mut breakdown = ErrorBreakdown::default();
+            let devices = chunk * DEPLOY_CHUNK..data.len().min((chunk + 1) * DEPLOY_CHUNK);
+            for (i, &truth) in devices.clone().zip(&truths[devices]) {
+                let mut session = plan.begin();
+                for &column in plan.stages() {
+                    if let StepVerdict::Decided(prediction) =
+                        session.measure(data.value(i, column))?
+                    {
+                        breakdown.record(truth, prediction);
+                        break;
+                    }
                 }
+                depths[session.measured() - 1] += 1;
             }
-            let depth = session.measured();
-            decision_depths[depth - 1] += 1;
-            if depth < plan.len() {
-                early_exits += 1;
+            Ok((depths, breakdown))
+        })?;
+        let mut decision_depths = vec![0usize; plan.len()];
+        let mut deployed = ErrorBreakdown::default();
+        for (depths, breakdown) in &chunks {
+            for (total, count) in decision_depths.iter_mut().zip(depths) {
+                *total += count;
             }
+            deployed.merge(breakdown);
         }
         let devices = data.len();
+        let early_exits = devices - decision_depths.last().copied().unwrap_or(0);
         let scale = if devices == 0 { 0.0 } else { 1.0 / devices as f64 };
         let mean_depth = decision_depths
             .iter()
@@ -662,7 +754,7 @@ impl SequentialStats {
             .sum::<f64>()
             * scale;
         let static_cost = prefix_costs.last().copied().unwrap_or(0.0);
-        Ok(SequentialStats {
+        let stats = SequentialStats {
             stage_order: plan.stages().to_vec(),
             devices,
             early_exits,
@@ -670,7 +762,8 @@ impl SequentialStats {
             mean_depth,
             expected_cost,
             static_cost,
-        })
+        };
+        Ok((stats, deployed))
     }
 
     /// Fraction of devices decided before the last stage.

@@ -9,8 +9,8 @@ use stc_core::pipeline::CompactionPipeline;
 use stc_core::search::{CostAwareGreedy, FrontierSnapshot, SearchBudget};
 use stc_core::{
     BatchReport, CacheStats, CompactionConfig, EliminationOrder, GuardBandConfig, MeasurementSet,
-    MonteCarloConfig, PipelineBatch, PipelineReport, Specification, SpecificationSet,
-    SyntheticDevice, TestCostModel,
+    MonteCarloConfig, PipelineBatch, PipelineReport, Prediction, Specification, SpecificationSet,
+    SyntheticDevice, TestCostModel, TesterProgram,
 };
 use stc_serve::{envelope, ClassifierSpec, DeviceSpec, JobSpec, ServeError, StrategySpec};
 
@@ -352,5 +352,86 @@ fn unknown_schema_versions_are_rejected_with_a_typed_error() {
     match envelope::decode::<PipelineReport>(&bumped) {
         Err(ServeError::UnsupportedSchemaVersion { found: 2, supported: 1 }) => {}
         other => panic!("expected UnsupportedSchemaVersion, got {other:?}"),
+    }
+}
+
+/// A tester program whose kept set cannot be classified (empty, out of
+/// range, duplicated, or not the model's own) is a decode error: decoded,
+/// the first two used to panic in `classify` and the third checked one
+/// specification twice and passed a device that fails the other.
+#[test]
+fn tester_programs_with_unclassifiable_kept_sets_are_rejected() {
+    let specs = SpecificationSet::new(vec![
+        Specification::new("gain", "dB", 60.0, 55.0, 65.0).unwrap(),
+        Specification::new("offset", "mV", 0.0, -5.0, 5.0).unwrap(),
+    ])
+    .unwrap();
+    let program = TesterProgram::complete(specs);
+    let json = stc_serve::json::to_string(&program).expect("serializes");
+    let back: TesterProgram = json_round_trip(&program);
+    assert_eq!(back.classify(&[60.0, 60.0]).unwrap(), Prediction::Bad);
+
+    let kept = r#""kept":[0,1]"#;
+    assert!(json.contains(kept), "the kept literal must be present to replace: {json}");
+    for bad in [r#""kept":[]"#, r#""kept":[0,7]"#, r#""kept":[0,0]"#, r#""kept":[1,0]"#] {
+        let document = json.replacen(kept, bad, 1);
+        let decoded = stc_serve::json::from_str::<TesterProgram>(&document);
+        assert!(decoded.is_err(), "{bad} must not decode: {decoded:?}");
+    }
+
+    // A detached exact model must cover the program's kept set.
+    let detached = json.replacen(
+        r#""model":"CompleteSuite""#,
+        r#""model":{"Detached":{"backend":"svm","kept":[1]}}"#,
+        1,
+    );
+    assert_ne!(detached, json, "the model literal must be present to replace");
+    assert!(stc_serve::json::from_str::<TesterProgram>(&detached).is_err());
+    let matching = detached.replacen(kept, r#""kept":[1]"#, 1);
+    let program: TesterProgram = stc_serve::json::from_str(&matching).expect("consistent program");
+    assert_eq!(stc_serve::json::to_string(&program).unwrap(), matching);
+}
+
+/// An `Svc` document must hold `dimension` support-lane values and one
+/// support index per coefficient: a truncated document used to decode and
+/// then panic on its first decision, and a padded one decoded with values
+/// no decision read.
+#[test]
+fn svc_documents_with_mis_sized_support_lanes_are_rejected() {
+    use stc_svm::{Dataset, Kernel, Svc, SvcParams};
+
+    let mut data = Dataset::new(2).unwrap();
+    for i in 0..12 {
+        let x = i as f64 / 12.0;
+        data.push(vec![x, x + 0.4], 1.0).unwrap();
+        data.push(vec![x, x - 0.4], -1.0).unwrap();
+    }
+    let model = Svc::train(&data, &SvcParams::new().with_c(5.0).with_kernel(Kernel::rbf(0.5)))
+        .expect("trains");
+    let back = json_round_trip(&model);
+    assert_eq!(back, model);
+
+    let json = stc_serve::json::to_string(&model).unwrap();
+    let replace_list = |field: &str, edit: &dyn Fn(&mut Vec<&str>)| {
+        let key = format!("\"{field}\":[");
+        let start = json.find(&key).expect("field present") + key.len();
+        let end = start + json[start..].find(']').expect("list closes");
+        let mut items: Vec<&str> = json[start..end].split(',').collect();
+        edit(&mut items);
+        format!("{}{}{}", &json[..start], items.join(","), &json[end..])
+    };
+    let unchanged = replace_list("support_lanes", &|_| {});
+    assert_eq!(unchanged, json, "the list edit must reproduce the document");
+    for document in [
+        replace_list("support_lanes", &|items| {
+            items.pop();
+        }),
+        replace_list("support_lanes", &|items| items.push("0.5")),
+        replace_list("support_indices", &|items| {
+            items.pop();
+        }),
+    ] {
+        let decoded = stc_serve::json::from_str::<Svc>(&document);
+        assert!(decoded.is_err(), "{document} must not decode: {decoded:?}");
     }
 }

@@ -360,25 +360,24 @@ impl<'a> KernelEngine<'a> {
                 }
             }
             KernelPath::Blocked => {
-                let cached = {
-                    let recorded = self.recorded.borrow();
-                    recorded.get(&i).or_else(|| self.seeded.get(&i)).cloned()
-                };
-                let dots: Arc<[f64]> = match cached {
-                    Some(row) => {
-                        out.copy_from_slice(&row);
-                        row
-                    }
-                    None => {
+                {
+                    // A row takes a bank slot only while the bank has room,
+                    // so a dot row is copied into an `Arc` only then.
+                    let mut recorded = self.recorded.borrow_mut();
+                    let room = recorded.len() < self.record_cap;
+                    if let Some(row) = recorded.get(&i) {
+                        out.copy_from_slice(row);
+                    } else if let Some(row) = self.seeded.get(&i) {
+                        out.copy_from_slice(row);
+                        if room {
+                            recorded.insert(i, Arc::clone(row));
+                        }
+                    } else {
                         self.dot_row(i, out);
                         self.rebuilt.set(self.rebuilt.get() + 1);
-                        Arc::from(&out[..])
-                    }
-                };
-                {
-                    let mut recorded = self.recorded.borrow_mut();
-                    if recorded.len() < self.record_cap {
-                        recorded.entry(i).or_insert(dots);
+                        if room {
+                            recorded.insert(i, Arc::from(&out[..]));
+                        }
                     }
                 }
                 self.apply_kernel(i, out);
@@ -387,8 +386,7 @@ impl<'a> KernelEngine<'a> {
     }
 
     /// Writes `K(x_{i_r}, x_j)` for every requested row `i_r` of `indices`
-    /// and every `j` into `out`, row `r` occupying
-    /// `out[r * len .. (r + 1) * len]`.
+    /// and every `j` into `rows[r]`.
     ///
     /// Results and side effects are **identical** to calling
     /// [`KernelEngine::kernel_row`] once per index in order — same
@@ -401,37 +399,38 @@ impl<'a> KernelEngine<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if an index is out of range or
-    /// `out.len() != indices.len() * self.len()`.
-    pub fn kernel_rows(&self, indices: &[usize], out: &mut [f64]) {
+    /// Panics if an index is out of range, if `rows` and `indices` differ
+    /// in length, or if a row buffer's length is not [`KernelEngine::len`].
+    pub fn kernel_rows(&self, indices: &[usize], rows: &mut [&mut [f64]]) {
         let n = self.len();
-        assert_eq!(out.len(), indices.len() * n, "kernel rows buffer length mismatch");
+        assert!(
+            rows.len() == indices.len() && rows.iter().all(|row| row.len() == n),
+            "kernel rows buffer length mismatch"
+        );
         if self.path == KernelPath::Naive {
-            for (row, &i) in out.chunks_exact_mut(n).zip(indices) {
+            for (row, &i) in rows.iter_mut().zip(indices) {
                 self.kernel_row(i, row);
             }
             return;
         }
-        let mut rows: Vec<&mut [f64]> = out.chunks_exact_mut(n).collect();
-        // Resolve cached rows and find the scratch work: the first
-        // occurrence of each uncached index computes, later duplicates copy.
-        let mut cached: Vec<Option<Arc<[f64]>>> = vec![None; indices.len()];
-        let mut first_slot: BTreeMap<usize, usize> = BTreeMap::new();
+        // Resolve cached rows and find the scratch work: `first[slot]` is
+        // the slot whose scratch row an uncached index uses — its own for
+        // the first occurrence, which assembles it, and that occurrence's
+        // for a later duplicate, which copies it.
+        let mut first: Vec<Option<usize>> = vec![None; indices.len()];
         let mut pending: Vec<usize> = Vec::new();
         {
             let recorded = self.recorded.borrow();
             for (slot, &i) in indices.iter().enumerate() {
                 if let Some(row) = recorded.get(&i).or_else(|| self.seeded.get(&i)) {
                     rows[slot].copy_from_slice(row);
-                    cached[slot] = Some(Arc::clone(row));
-                } else if let std::collections::btree_map::Entry::Vacant(entry) =
-                    first_slot.entry(i)
-                {
-                    entry.insert(slot);
-                    pending.push(slot);
+                } else {
+                    let source = pending.iter().copied().find(|&p| indices[p] == i);
+                    if source.is_none() {
+                        pending.push(slot);
+                    }
+                    first[slot] = Some(source.unwrap_or(slot));
                 }
-                // An uncached duplicate copies its first occurrence's dot
-                // values after the block pass.
             }
         }
         // Blocked scratch assembly: per block, one pass over the columns.
@@ -451,27 +450,31 @@ impl<'a> KernelEngine<'a> {
         self.rebuilt.set(self.rebuilt.get() + pending.len());
         // Record and post-process in request order, replicating the exact
         // per-call bookkeeping of `kernel_row` (first `record_cap` distinct
-        // touches win a bank slot).  Duplicates copy the saved *dot* values
-        // — their first occurrence's buffer has already been mapped through
-        // the kernel in place by the time they run.
-        let mut computed: BTreeMap<usize, Arc<[f64]>> = BTreeMap::new();
+        // touches win a bank slot).  A first occurrence hands its *dot*
+        // values to its duplicates before the kernel maps it in place.
         for slot in 0..indices.len() {
             let i = indices[slot];
-            let dots: Arc<[f64]> = if let Some(row) = &cached[slot] {
-                Arc::clone(row)
-            } else if first_slot[&i] == slot {
-                let dots: Arc<[f64]> = Arc::from(&*rows[slot]);
-                computed.insert(i, Arc::clone(&dots));
-                dots
-            } else {
-                let dots = Arc::clone(&computed[&i]);
-                rows[slot].copy_from_slice(&dots);
-                dots
-            };
             {
                 let mut recorded = self.recorded.borrow_mut();
-                if recorded.len() < self.record_cap {
-                    recorded.entry(i).or_insert(dots);
+                let room = recorded.len() < self.record_cap;
+                match first[slot] {
+                    None => {
+                        if room && !recorded.contains_key(&i) {
+                            recorded.insert(i, Arc::clone(&self.seeded[&i]));
+                        }
+                    }
+                    Some(source) if source == slot => {
+                        if room {
+                            recorded.insert(i, Arc::from(&*rows[slot]));
+                        }
+                        let (head, tail) = rows.split_at_mut(slot + 1);
+                        for (row, &later) in tail.iter_mut().zip(&first[slot + 1..]) {
+                            if later == Some(slot) {
+                                row.copy_from_slice(head[slot]);
+                            }
+                        }
+                    }
+                    Some(_) => {}
                 }
             }
             self.apply_kernel(i, rows[slot]);
@@ -632,11 +635,11 @@ mod tests {
                 let sequential = KernelEngine::new(&data, kernel, path);
                 let batched = KernelEngine::new(&data, kernel, path);
                 let mut expected = vec![0.0; data.len()];
-                let mut out = vec![0.0; indices.len() * data.len()];
-                batched.kernel_rows(&indices, &mut out);
-                for (r, &i) in indices.iter().enumerate() {
+                let mut out = vec![vec![0.0; data.len()]; indices.len()];
+                let mut rows: Vec<&mut [f64]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+                batched.kernel_rows(&indices, &mut rows);
+                for (got, &i) in out.iter().zip(&indices) {
                     sequential.kernel_row(i, &mut expected);
-                    let got = &out[r * data.len()..(r + 1) * data.len()];
                     for (a, b) in got.iter().zip(expected.iter()) {
                         assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?} {path:?} row {i}");
                     }
@@ -665,8 +668,9 @@ mod tests {
         let child_data = parent_data.select_columns(&kept).unwrap();
         let seeded = KernelEngine::with_bank(&child_data, kernel, KernelPath::Blocked, Some(&bank));
         let indices: Vec<usize> = (0..child_data.len()).collect();
-        let mut out = vec![0.0; indices.len() * child_data.len()];
-        seeded.kernel_rows(&indices, &mut out);
+        let mut out = vec![vec![0.0; child_data.len()]; indices.len()];
+        let mut rows: Vec<&mut [f64]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+        seeded.kernel_rows(&indices, &mut rows);
         let usage = seeded.usage();
         assert_eq!(usage.seeded_rows, bank.len());
         assert_eq!(usage.rebuilt_rows, child_data.len() - bank.len());

@@ -113,13 +113,41 @@ impl Kernel {
     /// builds).
     pub fn eval(&self, x: &[f64], y: &[f64]) -> f64 {
         assert_eq!(x.len(), y.len(), "kernel arguments must have equal length");
+        let inner = if self.uses_distance() { squared_distance(x, y) } else { dot(x, y) };
+        self.finish(inner)
+    }
+
+    /// Whether the kernel is a function of the squared distance
+    /// `‖x − y‖²` (RBF) rather than of the dot product `x · y`.
+    pub(crate) fn uses_distance(&self) -> bool {
+        matches!(self, Kernel::Rbf { .. })
+    }
+
+    /// `K(x, y)` from its inner term: the squared distance when
+    /// [`Kernel::uses_distance`], the dot product otherwise.
+    pub(crate) fn finish(&self, inner: f64) -> f64 {
         match *self {
-            Kernel::Linear => dot(x, y),
+            Kernel::Linear => inner,
             Kernel::Polynomial { gamma, coef0, degree } => {
-                (gamma * dot(x, y) + coef0).powi(degree as i32)
+                (gamma * inner + coef0).powi(degree as i32)
             }
-            Kernel::Rbf { gamma } => (-gamma * squared_distance(x, y)).exp(),
-            Kernel::Sigmoid { gamma, coef0 } => (gamma * dot(x, y) + coef0).tanh(),
+            Kernel::Rbf { gamma } => (-gamma * inner).exp(),
+            Kernel::Sigmoid { gamma, coef0 } => (gamma * inner + coef0).tanh(),
+        }
+    }
+
+    /// Bounds of `K` from bounds `[lo, hi]` of its inner term (see
+    /// [`Kernel::finish`]).
+    pub(crate) fn finish_bounds(&self, lo: f64, hi: f64) -> (f64, f64) {
+        match *self {
+            Kernel::Linear => (lo, hi),
+            Kernel::Polynomial { gamma, coef0, degree } => {
+                powi_bounds(gamma * lo + coef0, gamma * hi + coef0, degree as i32)
+            }
+            Kernel::Rbf { gamma } => ((-gamma * hi).exp(), (-gamma * lo).exp()),
+            Kernel::Sigmoid { gamma, coef0 } => {
+                ((gamma * lo + coef0).tanh(), (gamma * hi + coef0).tanh())
+            }
         }
     }
 
@@ -148,21 +176,14 @@ impl Kernel {
     pub fn eval_bounds(&self, x: &[f64], lower: &[f64], upper: &[f64]) -> (f64, f64) {
         assert_eq!(x.len(), lower.len(), "kernel arguments must have equal length");
         assert_eq!(x.len(), upper.len(), "kernel arguments must have equal length");
-        match *self {
-            Kernel::Linear => dot_bounds(x, lower, upper),
-            Kernel::Polynomial { gamma, coef0, degree } => {
-                let (d_lo, d_hi) = dot_bounds(x, lower, upper);
-                powi_bounds(gamma * d_lo + coef0, gamma * d_hi + coef0, degree as i32)
-            }
-            Kernel::Rbf { gamma } => {
-                let (d2_lo, d2_hi) = squared_distance_bounds(x, lower, upper);
-                ((-gamma * d2_hi).exp(), (-gamma * d2_lo).exp())
-            }
-            Kernel::Sigmoid { gamma, coef0 } => {
-                let (d_lo, d_hi) = dot_bounds(x, lower, upper);
-                ((gamma * d_lo + coef0).tanh(), (gamma * d_hi + coef0).tanh())
-            }
+        let term = if self.uses_distance() { squared_offset_bounds } else { product_bounds };
+        let (mut lo, mut hi) = (0.0, 0.0);
+        for ((&a, &l), &u) in x.iter().zip(lower).zip(upper) {
+            let (t_lo, t_hi) = term(a, l, u);
+            lo += t_lo;
+            hi += t_hi;
         }
+        self.finish_bounds(lo, hi)
     }
 }
 
@@ -172,46 +193,48 @@ impl Default for Kernel {
     }
 }
 
+/// Start value of an inner-term sum (see [`Kernel::finish`]): `-0.0`, the
+/// additive identity `Iterator::sum` starts from, so a sum of `-0.0` terms
+/// stays `-0.0`.
+pub(crate) const INNER_START: f64 = -0.0;
+
 fn dot(x: &[f64], y: &[f64]) -> f64 {
-    x.iter().zip(y.iter()).map(|(a, b)| a * b).sum()
+    x.iter().zip(y).fold(INNER_START, |sum, (&a, &b)| sum + product(a, b))
 }
 
 fn squared_distance(x: &[f64], y: &[f64]) -> f64 {
-    x.iter()
-        .zip(y.iter())
-        .map(|(a, b)| {
-            let d = a - b;
-            d * d
-        })
-        .sum()
+    x.iter().zip(y).fold(INNER_START, |sum, (&a, &b)| sum + squared_offset(a, b))
 }
 
-/// Bounds of `x · y` with `y_j ∈ [l_j, u_j]`: each term `x_j * y_j` is
-/// monotone in `y_j`, so the extremes sit at the interval endpoints.
-fn dot_bounds(x: &[f64], lower: &[f64], upper: &[f64]) -> (f64, f64) {
-    let mut lo = 0.0;
-    let mut hi = 0.0;
-    for ((&a, &l), &u) in x.iter().zip(lower.iter()).zip(upper.iter()) {
-        let (t1, t2) = (a * l, a * u);
-        lo += t1.min(t2);
-        hi += t1.max(t2);
-    }
-    (lo, hi)
+/// One dot-product term `a · b`.
+#[inline]
+pub(crate) fn product(a: f64, b: f64) -> f64 {
+    a * b
 }
 
-/// Bounds of `||x - y||²` with `y_j ∈ [l_j, u_j]`: per dimension the
-/// squared offset is smallest at the projection of `x_j` onto the interval
-/// and largest at the farther endpoint.
-fn squared_distance_bounds(x: &[f64], lower: &[f64], upper: &[f64]) -> (f64, f64) {
-    let mut lo = 0.0;
-    let mut hi = 0.0;
-    for ((&a, &l), &u) in x.iter().zip(lower.iter()).zip(upper.iter()) {
-        let near = (l - a).max(a - u).max(0.0);
-        lo += near * near;
-        let (d1, d2) = (a - l, a - u);
-        hi += (d1 * d1).max(d2 * d2);
-    }
-    (lo, hi)
+/// One squared-distance term `(a − b)²`.
+#[inline]
+pub(crate) fn squared_offset(a: f64, b: f64) -> f64 {
+    let d = a - b;
+    d * d
+}
+
+/// Bounds of one dot-product term `a · y` with `y ∈ [l, u]`: the term is
+/// monotone in `y`, so the extremes sit at the interval endpoints.
+#[inline]
+pub(crate) fn product_bounds(a: f64, l: f64, u: f64) -> (f64, f64) {
+    let (t1, t2) = (a * l, a * u);
+    (t1.min(t2), t1.max(t2))
+}
+
+/// Bounds of one squared-distance term `(a − y)²` with `y ∈ [l, u]`: it is
+/// smallest at the projection of `a` onto the interval and largest at the
+/// farther endpoint.
+#[inline]
+pub(crate) fn squared_offset_bounds(a: f64, l: f64, u: f64) -> (f64, f64) {
+    let near = (l - a).max(a - u).max(0.0);
+    let (d1, d2) = (a - l, a - u);
+    (near * near, (d1 * d1).max(d2 * d2))
 }
 
 /// Bounds of `s^degree` for `s ∈ [lo, hi]`: monotone for odd degrees; for

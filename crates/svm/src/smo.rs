@@ -36,6 +36,28 @@ const TAU: f64 = 1e-12;
 /// Warm-start gradient rows fetched per batched [`QMatrix::rows`] call.
 const WARM_ROW_BLOCK: usize = 8;
 
+/// Status bit of a variable in the "up" index set (it can still grow along
+/// its sign: `y > 0` below its bound or `y < 0` above zero).
+const IN_UP: u8 = 1;
+/// Status bit of a variable in the "low" index set (`y > 0` above zero or
+/// `y < 0` below its bound).
+const IN_LOW: u8 = 2;
+/// Status bit of a variable shrunk out of the selection scans.
+const SHRUNK: u8 = 4;
+
+/// The up/low status bits of one variable, the solver's counterpart of
+/// LIBSVM's `alpha_status`.
+fn membership(y: f64, alpha: f64, c: f64) -> u8 {
+    let mut status = 0;
+    if (y > 0.0 && alpha < c) || (y < 0.0 && alpha > 0.0) {
+        status |= IN_UP;
+    }
+    if (y > 0.0 && alpha > 0.0) || (y < 0.0 && alpha < c) {
+        status |= IN_LOW;
+    }
+    status
+}
+
 /// Abstract view of the `Q` matrix (`Q[i][j] = y_i y_j K(i, j)`).
 ///
 /// Implementations compute rows on demand; the solver caches recently used
@@ -52,8 +74,8 @@ pub trait QMatrix {
     /// Writes row `i` of `Q` into `out` (which has length [`QMatrix::len`]).
     fn row(&self, i: usize, out: &mut [f64]);
 
-    /// Writes every row of `indices` into `out`, row `r` occupying
-    /// `out[r * len .. (r + 1) * len]`.
+    /// Writes row `indices[r]` into `out[r]` (of length [`QMatrix::len`])
+    /// for every `r`.
     ///
     /// Must be element-for-element identical to calling [`QMatrix::row`]
     /// once per index in order — the default does exactly that.
@@ -61,10 +83,9 @@ pub trait QMatrix {
     /// amortize memory traffic across the rows (used by the solver's
     /// warm-start gradient reconstruction, which touches one row per
     /// initially non-zero variable).
-    fn rows(&self, indices: &[usize], out: &mut [f64]) {
-        let n = self.len();
-        debug_assert_eq!(out.len(), indices.len() * n);
-        for (row, &i) in out.chunks_exact_mut(n).zip(indices) {
+    fn rows(&self, indices: &[usize], out: &mut [&mut [f64]]) {
+        debug_assert_eq!(out.len(), indices.len());
+        for (row, &i) in out.iter_mut().zip(indices) {
             self.row(i, row);
         }
     }
@@ -189,11 +210,55 @@ impl RowCache {
     /// Makes row `i` resident (computing it if needed, evicting the
     /// least-recently-used row when at capacity) and refreshes its recency.
     fn ensure<Q: QMatrix>(&mut self, q: &Q, i: usize) {
-        self.clock += 1;
-        if let Some((stamp, _)) = self.rows[i].as_mut() {
-            *stamp = self.clock;
+        if self.touch(i) {
             return;
         }
+        let mut row = vec![0.0; q.len()];
+        q.row(i, &mut row);
+        self.insert(i, row);
+    }
+
+    /// Makes every row of `batch` resident with one batched
+    /// [`QMatrix::rows`] fetch for the misses, which are fetched straight
+    /// into the buffers the cache keeps.
+    ///
+    /// Bookkeeping — recency stamps, eviction order, resident set — is
+    /// identical to calling [`RowCache::ensure`] on each index in order,
+    /// because the fetch is a pure function of the index and only the
+    /// insertion order touches the cache state.  `batch` must hold distinct
+    /// indices and be no longer than the cache capacity (so no row of the
+    /// batch can evict another).
+    fn ensure_batch<Q: QMatrix>(&mut self, q: &Q, batch: &[usize]) {
+        debug_assert!(batch.len() <= self.capacity);
+        let misses: Vec<usize> =
+            batch.iter().copied().filter(|&i| self.rows[i].is_none()).collect();
+        let mut fetched: Vec<Vec<f64>> = misses.iter().map(|_| vec![0.0; q.len()]).collect();
+        let mut out: Vec<&mut [f64]> = fetched.iter_mut().map(Vec::as_mut_slice).collect();
+        q.rows(&misses, &mut out);
+        let mut fetched = fetched.into_iter();
+        for &i in batch {
+            if !self.touch(i) {
+                self.insert(i, fetched.next().expect("one fetched row per miss"));
+            }
+        }
+    }
+
+    /// Advances the clock and refreshes row `i`'s recency; returns whether
+    /// the row is resident.
+    fn touch(&mut self, i: usize) -> bool {
+        self.clock += 1;
+        match self.rows[i].as_mut() {
+            Some((stamp, _)) => {
+                *stamp = self.clock;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Stores row `i` under the current clock, evicting the
+    /// least-recently-used row when the cache is at capacity.
+    fn insert(&mut self, i: usize, row: Vec<f64>) {
         if self.resident >= self.capacity {
             let evict = self
                 .rows
@@ -206,50 +271,8 @@ impl RowCache {
             self.rows[evict] = None;
             self.resident -= 1;
         }
-        let mut row = vec![0.0; q.len()];
-        q.row(i, &mut row);
         self.rows[i] = Some((self.clock, row));
         self.resident += 1;
-    }
-
-    /// Makes every row of `batch` resident with one batched
-    /// [`QMatrix::rows`] fetch for the misses.
-    ///
-    /// Bookkeeping — recency stamps, eviction order, resident set — is
-    /// identical to calling [`RowCache::ensure`] on each index in order,
-    /// because the fetch is a pure function of the index and only the
-    /// insertion order touches the cache state.  `batch` must hold distinct
-    /// indices and be no longer than the cache capacity (so no row of the
-    /// batch can evict another).
-    fn ensure_batch<Q: QMatrix>(&mut self, q: &Q, batch: &[usize]) {
-        debug_assert!(batch.len() <= self.capacity);
-        let misses: Vec<usize> =
-            batch.iter().copied().filter(|&i| self.rows[i].is_none()).collect();
-        let mut fetched = vec![0.0; misses.len() * q.len()];
-        q.rows(&misses, &mut fetched);
-        let mut chunks = fetched.chunks_exact(q.len());
-        for &i in batch {
-            self.clock += 1;
-            if let Some((stamp, _)) = self.rows[i].as_mut() {
-                *stamp = self.clock;
-                continue;
-            }
-            if self.resident >= self.capacity {
-                let evict = self
-                    .rows
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(t, slot)| slot.as_ref().map(|(stamp, _)| (*stamp, t)))
-                    .min()
-                    .map(|(_, t)| t)
-                    .expect("a full cache has a least-recently-used row");
-                self.rows[evict] = None;
-                self.resident -= 1;
-            }
-            let row = chunks.next().expect("one fetched row per miss").to_vec();
-            self.rows[i] = Some((self.clock, row));
-            self.resident += 1;
-        }
     }
 
     /// Borrows a row previously made resident with [`RowCache::ensure`].
@@ -378,7 +401,17 @@ pub fn solve<Q: QMatrix>(q: &Q, problem: &SmoProblem, params: &SmoParams) -> Res
     // dropped from the selection scan.  Gradients are maintained for all
     // variables, so restoring the full set is free and convergence is always
     // re-verified on the full problem before the solver returns.
-    let mut active: Vec<usize> = (0..n).collect();
+    //
+    // Each variable carries one status byte (up, low, shrunk), updated for
+    // the working pair after every step, so the scans below read flags
+    // instead of re-deriving the index sets from `alpha` and `C`; they visit
+    // the unshrunk variables in ascending index order.
+    let memberships = |alpha: &[f64]| -> Vec<u8> {
+        y.iter().zip(alpha).zip(c).map(|((&yt, &at), &ct)| membership(yt, at, ct)).collect()
+    };
+    let mut status = memberships(&alpha);
+    let mut shrunk = 0usize;
+    let diag: Vec<f64> = (0..n).map(|t| q.diag(t)).collect();
     let shrink_interval = n.clamp(1, 1000);
     let mut since_shrink = 0usize;
 
@@ -391,15 +424,16 @@ pub fn solve<Q: QMatrix>(q: &Q, problem: &SmoProblem, params: &SmoParams) -> Res
         let mut g_min = f64::INFINITY;
         let mut i_sel: Option<usize> = None;
         let mut low_sel: Option<usize> = None;
-        for &t in &active {
-            let value = -y[t] * grad[t];
-            let in_up = (y[t] > 0.0 && alpha[t] < c[t]) || (y[t] < 0.0 && alpha[t] > 0.0);
-            let in_low = (y[t] > 0.0 && alpha[t] > 0.0) || (y[t] < 0.0 && alpha[t] < c[t]);
-            if in_up && value > g_max {
+        for (t, ((&flags, &yt), &gt)) in status.iter().zip(y).zip(&grad).enumerate() {
+            if flags & SHRUNK != 0 {
+                continue;
+            }
+            let value = -yt * gt;
+            if flags & IN_UP != 0 && value > g_max {
                 g_max = value;
                 i_sel = Some(t);
             }
-            if in_low && value < g_min {
+            if flags & IN_LOW != 0 && value < g_min {
                 g_min = value;
                 low_sel = Some(t);
             }
@@ -413,12 +447,13 @@ pub fn solve<Q: QMatrix>(q: &Q, problem: &SmoProblem, params: &SmoParams) -> Res
             _ => true,
         };
         if converged {
-            if active.len() == n {
+            if shrunk == 0 {
                 break;
             }
             // The *shrunk* problem converged; restore every variable and
             // re-check optimality on the full set before accepting.
-            active = (0..n).collect();
+            status = memberships(&alpha);
+            shrunk = 0;
             since_shrink = 0;
             continue;
         }
@@ -438,20 +473,20 @@ pub fn solve<Q: QMatrix>(q: &Q, problem: &SmoProblem, params: &SmoParams) -> Res
         cache.ensure(q, i);
         let j = {
             let q_i = cache.row(i);
-            let diag_i = q.diag(i);
+            let (diag_i, y_i) = (diag[i], y[i]);
             let mut j_sel: Option<usize> = None;
             let mut best_gain = f64::NEG_INFINITY;
-            for &t in &active {
-                let in_low = (y[t] > 0.0 && alpha[t] > 0.0) || (y[t] < 0.0 && alpha[t] < c[t]);
-                if !in_low {
+            let scan = status.iter().zip(y).zip(&grad).zip(diag.iter().zip(q_i));
+            for (t, (((&flags, &yt), &gt), (&diag_t, &q_it))) in scan.enumerate() {
+                if flags & (IN_LOW | SHRUNK) != IN_LOW {
                     continue;
                 }
-                let grad_diff = g_max + y[t] * grad[t];
+                let grad_diff = g_max + yt * gt;
                 if grad_diff <= 0.0 {
                     continue;
                 }
                 // `a_it = K_ii + K_tt - 2 K_it`; `Q[i][t] = y_i y_t K_it`.
-                let mut quad = diag_i + q.diag(t) - 2.0 * y[i] * y[t] * q_i[t];
+                let mut quad = diag_i + diag_t - 2.0 * y_i * yt * q_it;
                 if quad <= 0.0 {
                     quad = TAU;
                 }
@@ -473,17 +508,22 @@ pub fn solve<Q: QMatrix>(q: &Q, problem: &SmoProblem, params: &SmoParams) -> Res
         since_shrink += 1;
         if since_shrink >= shrink_interval {
             since_shrink = 0;
-            active.retain(|&t| {
-                let value = -y[t] * grad[t];
-                let in_up = (y[t] > 0.0 && alpha[t] < c[t]) || (y[t] < 0.0 && alpha[t] > 0.0);
-                let in_low = (y[t] > 0.0 && alpha[t] > 0.0) || (y[t] < 0.0 && alpha[t] < c[t]);
-                match (in_up, in_low) {
+            for (flags, (&yt, &gt)) in status.iter_mut().zip(y.iter().zip(&grad)) {
+                if *flags & SHRUNK != 0 {
+                    continue;
+                }
+                let value = -yt * gt;
+                let keep = match (*flags & IN_UP != 0, *flags & IN_LOW != 0) {
                     (true, true) => true,
                     (true, false) => value >= g_min,
                     (false, true) => value <= g_max,
                     (false, false) => false,
+                };
+                if !keep {
+                    *flags |= SHRUNK;
+                    shrunk += 1;
                 }
-            });
+            }
         }
 
         cache.ensure(q, j);
@@ -494,7 +534,7 @@ pub fn solve<Q: QMatrix>(q: &Q, problem: &SmoProblem, params: &SmoParams) -> Res
 
         if (y[i] - y[j]).abs() > f64::EPSILON {
             // Opposite signs.
-            let mut quad = q.diag(i) + q.diag(j) + 2.0 * q_i[j];
+            let mut quad = diag[i] + diag[j] + 2.0 * q_i[j];
             if quad <= 0.0 {
                 quad = TAU;
             }
@@ -522,7 +562,7 @@ pub fn solve<Q: QMatrix>(q: &Q, problem: &SmoProblem, params: &SmoParams) -> Res
             }
         } else {
             // Same sign.
-            let mut quad = q.diag(i) + q.diag(j) - 2.0 * q_i[j];
+            let mut quad = diag[i] + diag[j] - 2.0 * q_i[j];
             if quad <= 0.0 {
                 quad = TAU;
             }
@@ -549,6 +589,9 @@ pub fn solve<Q: QMatrix>(q: &Q, problem: &SmoProblem, params: &SmoParams) -> Res
                 alpha[j] = sum;
             }
         }
+        for t in [i, j] {
+            status[t] = (status[t] & SHRUNK) | membership(y[t], alpha[t], c[t]);
+        }
 
         let delta_i = alpha[i] - old_ai;
         let delta_j = alpha[j] - old_aj;
@@ -556,15 +599,16 @@ pub fn solve<Q: QMatrix>(q: &Q, problem: &SmoProblem, params: &SmoParams) -> Res
             // Numerically stuck pair; the violating gap is below what the
             // arithmetic can resolve.  Restore any shrunk variables first so
             // the conclusion is reached on the full problem.
-            if active.len() == n {
+            if shrunk == 0 {
                 break;
             }
-            active = (0..n).collect();
+            status = memberships(&alpha);
+            shrunk = 0;
             since_shrink = 0;
             continue;
         }
-        for t in 0..n {
-            grad[t] += q_i[t] * delta_i + q_j[t] * delta_j;
+        for ((g, &q_it), &q_jt) in grad.iter_mut().zip(q_i).zip(q_j) {
+            *g += q_it * delta_i + q_jt * delta_j;
         }
     }
 
@@ -908,6 +952,103 @@ mod tests {
         assert_eq!(warm.iterations, 0, "restart from the optimum must not iterate");
         assert_eq!(warm.alpha, cold.alpha);
         assert!((warm.objective - cold.objective).abs() < 1e-9);
+    }
+
+    /// Two noisy, overlapping RBF classes in the unit square, drawn from a
+    /// splitmix64 stream: a fit with `C = 50` runs past `min(n, 1000)`
+    /// iterations, so shrinking fires.
+    fn shrinking_fixture(n: usize, seed: u64) -> (DenseQ, SmoProblem) {
+        let mut state = seed;
+        let mut uniform = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+        };
+        let mut xs = Vec::new();
+        let mut ys = Vec::new();
+        for _ in 0..n {
+            let x = vec![uniform(), uniform()];
+            ys.push(if x[0] + x[1] + 0.5 * uniform() > 1.25 { 1.0 } else { -1.0 });
+            xs.push(x);
+        }
+        let kernel = Kernel::rbf(3.0);
+        let q = DenseQ::from_fn(n, |i, j| ys[i] * ys[j] * kernel.eval(&xs[i], &xs[j]));
+        let problem = SmoProblem {
+            y: ys,
+            p: vec![-1.0; n],
+            upper_bound: vec![50.0; n],
+            initial_alpha: vec![0.0; n],
+        };
+        (q, problem)
+    }
+
+    /// Asserts a solution's iteration count, `rho` and every non-zero
+    /// `alpha` (as `(index, bits)`) to the bit; every other `alpha` is zero.
+    fn assert_solution(
+        solution: &SmoSolution,
+        iterations: usize,
+        rho: u64,
+        alpha: &[(usize, u64)],
+    ) {
+        let nonzero: Vec<(usize, u64)> = solution
+            .alpha
+            .iter()
+            .enumerate()
+            .filter(|(_, &a)| a != 0.0)
+            .map(|(i, a)| (i, a.to_bits()))
+            .collect();
+        assert_eq!(solution.iterations, iterations);
+        assert_eq!(solution.rho.to_bits(), rho, "rho {}", solution.rho);
+        assert_eq!(nonzero, alpha);
+    }
+
+    /// Pins cold fits that shrink (the 40-variable fit runs the shrink pass
+    /// three times, the 64-variable one twice, and both restore every
+    /// variable before they stop) and a warm fit from a clipped, repaired
+    /// start: any change
+    /// to the selection scans, the shrink rule or the status bookkeeping
+    /// that moves an SMO trajectory moves these bits.
+    #[test]
+    fn shrinking_fits_are_pinned_to_the_bit() {
+        let (q, problem) = shrinking_fixture(40, 1);
+        let cold = solve(&q, &problem, &SmoParams::default()).unwrap();
+        let bound = 0x4049000000000000; // 50.0
+        #[rustfmt::skip]
+        assert_solution(&cold, 124, 0x3fc4e49dbcecf310, &[
+            (1, bound), (2, 0x3fe28975fac4edf6), (3, bound), (4, bound), (5, 0x403fe6b95237ca87),
+            (9, bound), (14, bound), (15, 0x40348a68a3a0668c), (20, 0x40351a140c3c72c0),
+            (26, 0x403de125dc8aa3da), (30, bound), (34, 0x4041daf3765dc3ee),
+            (39, 0x40406eeb5ef933d3),
+        ]);
+
+        let (q, problem) = shrinking_fixture(64, 2005);
+        let cold = solve(&q, &problem, &SmoParams::default()).unwrap();
+        #[rustfmt::skip]
+        assert_solution(&cold, 164, 0xbff5244c717f6880, &[
+            (1, bound), (2, bound), (3, bound), (5, bound), (6, bound), (7, bound), (9, bound),
+            (10, bound), (14, bound), (15, 0x40269215aaaba48f), (19, 0x4008a5addd91b632),
+            (20, bound), (26, bound), (34, bound), (35, 0x40172bdf47ac3543), (38, bound),
+            (39, bound), (40, 0x40455819a2f5d984), (44, bound), (48, bound),
+            (49, 0x4017e01428769cda), (50, 0x403d15e47fff45fa), (53, bound), (54, bound),
+            (56, 0x402f5273ee79bd56), (58, bound), (61, 0x40476e9a57f3b8e9),
+        ]);
+
+        let mut alpha: Vec<f64> = cold.alpha.iter().map(|&a| a.min(5.0)).collect();
+        repair_equality_constraint(&mut alpha, &problem.y);
+        let warm_problem =
+            SmoProblem { upper_bound: vec![5.0; 64], initial_alpha: alpha, ..problem };
+        let warm = solve(&q, &warm_problem, &SmoParams::default()).unwrap();
+        let bound = 0x4014000000000000; // 5.0
+        #[rustfmt::skip]
+        assert_solution(&warm, 26, 0xbfc437c33feff3df, &[
+            (1, bound), (2, bound), (3, bound), (5, bound), (6, bound), (7, bound), (9, bound),
+            (10, bound), (13, 0x4012f35a29563556), (14, bound), (15, 0x400a0da7b29a0298),
+            (20, bound), (26, bound), (27, 0x3ff26c45114b6b92), (34, bound), (35, bound),
+            (38, bound), (39, bound), (40, 0x4012ae8af449a6dc), (44, bound), (48, bound),
+            (50, bound), (53, bound), (54, bound), (56, bound), (58, bound), (61, bound),
+        ]);
     }
 
     /// The equality-constraint repair drains surplus while staying in the

@@ -3,8 +3,14 @@
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{DotRowBank, EngineUsage, KernelEngine, KernelPath};
+use crate::kernel::{product, product_bounds, squared_offset, squared_offset_bounds, INNER_START};
 use crate::smo::{self, QMatrix, SmoParams, SmoProblem};
 use crate::{Dataset, Kernel, Result, SvmError};
+
+/// Support vectors scored together per feature sweep of
+/// [`Svc::decision_function`] and [`Svc::decision_bounds`].  Their inner
+/// terms live in fixed-size stack buffers, so a decision never allocates.
+const SV_BLOCK: usize = 64;
 
 /// Hyper-parameters for [`Svc::train`].
 ///
@@ -173,10 +179,9 @@ impl QMatrix for SvcQ<'_> {
         }
     }
 
-    fn rows(&self, indices: &[usize], out: &mut [f64]) {
+    fn rows(&self, indices: &[usize], out: &mut [&mut [f64]]) {
         self.engine.kernel_rows(indices, out);
-        let n = self.engine.len();
-        for (row, &i) in out.chunks_exact_mut(n).zip(indices) {
+        for (row, &i) in out.iter_mut().zip(indices) {
             let yi = self.labels[i];
             for (cell, &yj) in row.iter_mut().zip(self.labels) {
                 *cell *= yi * yj;
@@ -193,24 +198,82 @@ impl QMatrix for SvcQ<'_> {
 ///
 /// The decision function is `f(x) = Σ_i a_i y_i K(x_i, x) - rho`; prediction
 /// is `sign(f(x))` with ties broken toward the positive class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Support vectors are stored column-major, one lane per feature, so the
+/// decision functions accumulate every support vector's inner term one
+/// contiguous feature lane at a time.
+///
+/// Decoding checks the layout: a document whose `support_lanes` do not hold
+/// `dimension` values per coefficient, or whose `support_indices` do not
+/// hold one index per coefficient, is a decode error, never a model that
+/// panics or ignores values when it scores a device.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Svc {
     kernel: Kernel,
-    support_vectors: Vec<Vec<f64>>,
+    /// Feature `f` of support vector `k` sits at `f * count + k`, where
+    /// `count` is the number of support vectors.
+    support_lanes: Vec<f64>,
     coefficients: Vec<f64>,
     /// Training-instance index of each support vector, enabling warm starts
-    /// of related problems over the same training population.  Defaulted on
-    /// deserialization so 0.3-era models still load (they simply cannot seed
-    /// warm starts).
-    #[serde(default)]
+    /// of related problems over the same training population.
     support_indices: Vec<usize>,
     rho: f64,
     dimension: usize,
     bias_shift: f64,
-    /// SMO iterations spent training this model (0 for deserialized 0.3-era
-    /// models).
-    #[serde(default)]
+    /// SMO iterations spent training this model.
     iterations: usize,
+}
+
+impl<'de> Deserialize<'de> for Svc {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        struct Wire {
+            kernel: Kernel,
+            support_lanes: Vec<f64>,
+            coefficients: Vec<f64>,
+            support_indices: Vec<usize>,
+            rho: f64,
+            dimension: usize,
+            bias_shift: f64,
+            iterations: usize,
+        }
+        let Wire {
+            kernel,
+            support_lanes,
+            coefficients,
+            support_indices,
+            rho,
+            dimension,
+            bias_shift,
+            iterations,
+        } = Wire::deserialize(deserializer)?;
+        let count = coefficients.len();
+        if support_indices.len() != count {
+            return Err(serde::de::Error::custom(format!(
+                "svc has {count} coefficients but {} support indices",
+                support_indices.len()
+            )));
+        }
+        if dimension.checked_mul(count) != Some(support_lanes.len()) {
+            return Err(serde::de::Error::custom(format!(
+                "svc has {} support-lane values, but {count} support vectors of dimension \
+                 {dimension}",
+                support_lanes.len()
+            )));
+        }
+        Ok(Svc {
+            kernel,
+            support_lanes,
+            coefficients,
+            support_indices,
+            rho,
+            dimension,
+            bias_shift,
+            iterations,
+        })
+    }
 }
 
 impl Svc {
@@ -307,19 +370,22 @@ impl Svc {
         };
         let solution = smo::solve(&q, &problem, &smo_params)?;
 
-        let mut support_vectors = Vec::new();
         let mut coefficients = Vec::new();
         let mut support_indices = Vec::new();
         for (i, (&alpha, &label)) in solution.alpha.iter().zip(y.iter()).enumerate() {
             if alpha > 1e-12 {
-                support_vectors.push(data.features(i));
                 coefficients.push(alpha * label);
                 support_indices.push(i);
             }
         }
+        let support_lanes = data
+            .shared_columns()
+            .iter()
+            .flat_map(|column| support_indices.iter().map(|&i| column[i]))
+            .collect();
         let model = Svc {
             kernel: params.kernel,
-            support_vectors,
+            support_lanes,
             coefficients,
             support_indices,
             rho: solution.rho,
@@ -357,16 +423,43 @@ impl Svc {
         alpha
     }
 
+    /// Feature `feature` of every support vector, in support-vector order.
+    fn lane(&self, feature: usize) -> &[f64] {
+        let count = self.coefficients.len();
+        &self.support_lanes[feature * count..(feature + 1) * count]
+    }
+
     /// Signed distance-like score of `x`; positive means the positive class.
+    ///
+    /// Bit-identical to summing `coefficient · K(sv, x)` with
+    /// [`Kernel::eval`] in support-vector order: each support vector's
+    /// inner term still accumulates its features in ascending order from
+    /// the same start value, only the support vectors of a block advance
+    /// together.
     ///
     /// # Panics
     ///
     /// Panics if `x` does not have [`Svc::dimension`] entries.
     pub fn decision_function(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dimension, "feature vector has wrong dimension");
+        let distance = self.kernel.uses_distance();
+        let mut block = [0.0; SV_BLOCK];
         let mut sum = 0.0;
-        for (sv, &coef) in self.support_vectors.iter().zip(self.coefficients.iter()) {
-            sum += coef * self.kernel.eval(sv, x);
+        for (start, coefficients) in (0..).step_by(SV_BLOCK).zip(self.coefficients.chunks(SV_BLOCK))
+        {
+            let inner = &mut block[..coefficients.len()];
+            inner.fill(INNER_START);
+            for (feature, &value) in x.iter().enumerate() {
+                let lane = &self.lane(feature)[start..start + inner.len()];
+                if distance {
+                    add_terms(inner, lane, |sv| squared_offset(sv, value));
+                } else {
+                    add_terms(inner, lane, |sv| product(sv, value));
+                }
+            }
+            for (&coef, &term) in coefficients.iter().zip(inner.iter()) {
+                sum += coef * self.kernel.finish(term);
+            }
         }
         sum - self.rho + self.bias_shift
     }
@@ -374,8 +467,8 @@ impl Svc {
     /// Bounds of the decision function over the axis-aligned box
     /// `[lower, upper]`: returns `(min, max)` with
     /// `min <= f(y) <= max` for every `y` in the box, built from the
-    /// per-support-vector kernel bounds ([`Kernel::eval_bounds`]) weighted
-    /// by the sign of each coefficient.
+    /// per-support-vector kernel bounds ([`Kernel::eval_bounds`], to the
+    /// bit) weighted by the sign of each coefficient.
     ///
     /// A strictly positive `min` proves every point of the box is
     /// classified positive; a strictly negative `max` proves every point
@@ -388,16 +481,35 @@ impl Svc {
     pub fn decision_bounds(&self, lower: &[f64], upper: &[f64]) -> (f64, f64) {
         assert_eq!(lower.len(), self.dimension, "lower bound has wrong dimension");
         assert_eq!(upper.len(), self.dimension, "upper bound has wrong dimension");
+        let distance = self.kernel.uses_distance();
+        let mut block_lo = [0.0; SV_BLOCK];
+        let mut block_hi = [0.0; SV_BLOCK];
         let mut min = 0.0;
         let mut max = 0.0;
-        for (sv, &coef) in self.support_vectors.iter().zip(self.coefficients.iter()) {
-            let (k_lo, k_hi) = self.kernel.eval_bounds(sv, lower, upper);
-            if coef >= 0.0 {
-                min += coef * k_lo;
-                max += coef * k_hi;
-            } else {
-                min += coef * k_hi;
-                max += coef * k_lo;
+        for (start, coefficients) in (0..).step_by(SV_BLOCK).zip(self.coefficients.chunks(SV_BLOCK))
+        {
+            let inner_lo = &mut block_lo[..coefficients.len()];
+            let inner_hi = &mut block_hi[..coefficients.len()];
+            inner_lo.fill(0.0);
+            inner_hi.fill(0.0);
+            for (feature, (&l, &u)) in lower.iter().zip(upper).enumerate() {
+                let lane = &self.lane(feature)[start..start + inner_lo.len()];
+                if distance {
+                    add_term_bounds(inner_lo, inner_hi, lane, |sv| squared_offset_bounds(sv, l, u));
+                } else {
+                    add_term_bounds(inner_lo, inner_hi, lane, |sv| product_bounds(sv, l, u));
+                }
+            }
+            for ((&coef, &lo), &hi) in coefficients.iter().zip(inner_lo.iter()).zip(inner_hi.iter())
+            {
+                let (k_lo, k_hi) = self.kernel.finish_bounds(lo, hi);
+                if coef >= 0.0 {
+                    min += coef * k_lo;
+                    max += coef * k_hi;
+                } else {
+                    min += coef * k_hi;
+                    max += coef * k_lo;
+                }
             }
         }
         let offset = self.bias_shift - self.rho;
@@ -443,7 +555,7 @@ impl Svc {
 
     /// Number of support vectors retained by training.
     pub fn support_vector_count(&self) -> usize {
-        self.support_vectors.len()
+        self.coefficients.len()
     }
 
     /// Expected input dimension.
@@ -471,6 +583,24 @@ impl Svc {
     /// coefficient order.
     pub fn support_indices(&self) -> &[usize] {
         &self.support_indices
+    }
+}
+
+/// Adds one feature's terms `term(sv)` to the inner terms of a block of
+/// support vectors.
+fn add_terms(inner: &mut [f64], lane: &[f64], term: impl Fn(f64) -> f64) {
+    for (acc, &sv) in inner.iter_mut().zip(lane) {
+        *acc += term(sv);
+    }
+}
+
+/// Adds one feature's bound terms `term(sv)` to the inner-term bounds of a
+/// block of support vectors.
+fn add_term_bounds(lo: &mut [f64], hi: &mut [f64], lane: &[f64], term: impl Fn(f64) -> (f64, f64)) {
+    for ((lo, hi), &sv) in lo.iter_mut().zip(hi.iter_mut()).zip(lane) {
+        let (t_lo, t_hi) = term(sv);
+        *lo += t_lo;
+        *hi += t_hi;
     }
 }
 
@@ -656,6 +786,109 @@ mod tests {
         for sample in narrow.iter() {
             assert_eq!(warm.predict(&sample.features), cold.predict(&sample.features));
         }
+    }
+
+    /// Deterministic splitmix64 stream mapped to `[0, 1)`.
+    fn uniform(state: &mut u64) -> f64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+    }
+
+    /// The decision function as a plain per-support-vector sum of
+    /// [`Kernel::eval`] terms, in support-vector order.
+    fn reference_decision(model: &Svc, data: &Dataset, x: &[f64]) -> f64 {
+        let mut sum = 0.0;
+        for (&i, &coef) in model.support_indices.iter().zip(&model.coefficients) {
+            sum += coef * model.kernel.eval(&data.features(i), x);
+        }
+        sum - model.rho + model.bias_shift
+    }
+
+    /// The decision bounds as a plain per-support-vector sum of
+    /// [`Kernel::eval_bounds`] terms, in support-vector order.
+    fn reference_bounds(model: &Svc, data: &Dataset, lower: &[f64], upper: &[f64]) -> (f64, f64) {
+        let (mut min, mut max) = (0.0, 0.0);
+        for (&i, &coef) in model.support_indices.iter().zip(&model.coefficients) {
+            let (k_lo, k_hi) = model.kernel.eval_bounds(&data.features(i), lower, upper);
+            if coef >= 0.0 {
+                min += coef * k_lo;
+                max += coef * k_hi;
+            } else {
+                min += coef * k_hi;
+                max += coef * k_lo;
+            }
+        }
+        let offset = model.bias_shift - model.rho;
+        (min + offset, max + offset)
+    }
+
+    /// `decision_function` and `decision_bounds` equal, to the bit, the
+    /// per-support-vector sums of `Kernel::eval` and `Kernel::eval_bounds`
+    /// for every kernel family, over random models (some with more support
+    /// vectors than one block), points and boxes.
+    #[test]
+    fn decisions_equal_the_per_support_vector_kernel_sums_bit_for_bit() {
+        let kernels = [
+            Kernel::linear(),
+            Kernel::rbf(1.3),
+            Kernel::polynomial(0.7, 0.4, 3),
+            Kernel::polynomial(0.5, -0.2, 2),
+            Kernel::sigmoid(0.3, -0.1),
+        ];
+        let mut state = 2005;
+        let mut largest = 0;
+        for case in 0..12 {
+            let dimension = 1 + case % 5;
+            let samples = 40 + (uniform(&mut state) * 360.0) as usize;
+            let mut data = Dataset::new(dimension).unwrap();
+            for i in 0..samples {
+                let x: Vec<f64> = (0..dimension).map(|_| uniform(&mut state) * 2.0 - 0.5).collect();
+                // Overlapping classes keep many support vectors.
+                let label = if x[0] + 0.6 * uniform(&mut state) > 0.8 { 1.0 } else { -1.0 };
+                let label = if i < 2 { [1.0, -1.0][i] } else { label };
+                data.push(x, label).unwrap();
+            }
+            for kernel in kernels {
+                let params =
+                    SvcParams::new().with_c(0.5 + 10.0 * uniform(&mut state)).with_kernel(kernel);
+                let trained = Svc::train(&data, &params).unwrap();
+                largest = largest.max(trained.support_vector_count());
+                let model = trained.with_bias_shift(uniform(&mut state) - 0.5);
+                for _ in 0..6 {
+                    let x: Vec<f64> =
+                        (0..dimension).map(|_| uniform(&mut state) * 2.0 - 0.5).collect();
+                    let got = model.decision_function(&x);
+                    let expected = reference_decision(&model, &data, &x);
+                    assert_eq!(
+                        got.to_bits(),
+                        expected.to_bits(),
+                        "{kernel:?} case {case}: {got} vs {expected}"
+                    );
+                    let (lower, upper): (Vec<f64>, Vec<f64>) = x
+                        .iter()
+                        .map(|&value| {
+                            let width =
+                                if uniform(&mut state) < 0.3 { 0.0 } else { uniform(&mut state) };
+                            (value - width, value + width * uniform(&mut state))
+                        })
+                        .unzip();
+                    let got = model.decision_bounds(&lower, &upper);
+                    let expected = reference_bounds(&model, &data, &lower, &upper);
+                    assert_eq!(
+                        (got.0.to_bits(), got.1.to_bits()),
+                        (expected.0.to_bits(), expected.1.to_bits()),
+                        "{kernel:?} case {case}: {got:?} vs {expected:?}"
+                    );
+                }
+            }
+        }
+        assert!(
+            largest > 2 * 64,
+            "some model must span several blocks ({largest} support vectors)"
+        );
     }
 
     /// A warm model from an unrelated (larger) population is ignored rather

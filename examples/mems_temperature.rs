@@ -1,6 +1,9 @@
 //! Predicts the hot and cold temperature-test outcomes of the MEMS
 //! accelerometer from its room-temperature measurements (the paper's second
-//! case study), eliminating the expensive thermal insertions.
+//! case study), eliminating the expensive thermal insertions, and asserts
+//! the seed-2005 outcome: the Table 3 breakdown of each thermal group and
+//! the staged pipeline's kept set, deployed counts and kernel-row bank
+//! counters.
 //!
 //! ```text
 //! cargo run --release --example mems_temperature
@@ -31,8 +34,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hot = AccelerometerDevice::temperature_group(TestTemperature::Hot);
     let both: Vec<usize> = cold.iter().chain(hot.iter()).copied().collect();
 
-    for (label, group) in [("cold (-40C)", &cold), ("hot (+80C)", &hot), ("both", &both)] {
+    // Good kept, bad rejected, yield losses, defect escapes and guard-band
+    // devices of the 400 held-out accelerometers.
+    let expected = [[282, 92, 0, 0, 26], [282, 92, 0, 0, 26], [279, 92, 0, 0, 29]];
+    for ((label, group), counts) in
+        [("cold (-40C)", &cold), ("hot (+80C)", &hot), ("both", &both)].into_iter().zip(expected)
+    {
         let breakdown = compactor.eliminate_group_with(&svm, group, &guard_band)?;
+        assert_eq!(breakdown_counts(&breakdown), counts, "eliminating {label}");
         let kept: Vec<usize> = (0..12).filter(|c| !group.contains(c)).collect();
         println!(
             "eliminate {label:<12}: defect escape {:.1}%, yield loss {:.1}%, guard band {:.1}%, cost saved {:.0}%",
@@ -67,5 +76,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .run()?;
     println!("{}", report.summary());
+
+    // Every thermal test goes; the four room-temperature tests stay.
+    assert_eq!(report.kept(), [4, 5, 6, 7]);
+    assert_eq!(breakdown_counts(&report.deployed), [145, 42, 1, 0, 12]);
+    let bank = &report.warm_start().bank;
+    assert_eq!((bank.seeded_rows, bank.rebuilt_rows, bank.ignored_banks), (1302, 265, 0));
     Ok(())
+}
+
+/// `[true good, true bad, yield losses, defect escapes, guard band]`.
+fn breakdown_counts(breakdown: &ErrorBreakdown) -> [usize; 5] {
+    [
+        breakdown.true_good,
+        breakdown.true_bad,
+        breakdown.yield_loss_count,
+        breakdown.defect_escape_count,
+        breakdown.guard_band_count,
+    ]
 }

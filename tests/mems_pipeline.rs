@@ -87,3 +87,55 @@ fn mems_pipeline_runs_with_both_backends() {
         }
     }
 }
+
+/// The `mems_search` benchmark's run at full scale, pinned: 4,000 + 4,000
+/// accelerometers at seed 2005, calibrated at the 7.5 % and 92.5 %
+/// quantiles, compacted by the paper's SVM under the thermal-insertion cost
+/// model.  Kept set, deployed and sequential figures, solver iterations and
+/// kernel-row bank counters are the same at one and two threads.
+#[test]
+fn full_scale_mems_run_is_pinned() {
+    let device = AccelerometerDevice::paper_setup();
+    let monte_carlo = MonteCarloConfig::new(4000)
+        .with_seed(2005)
+        .with_threads(2)
+        .with_calibration_quantiles(0.075, 0.925);
+    let (train, test) = generate_train_test(&device, &monte_carlo, 4000).expect("MEMS MC succeeds");
+    for threads in [1, 2] {
+        let report = CompactionPipeline::for_device(&device)
+            .monte_carlo(monte_carlo)
+            .test_instances(4000)
+            .compaction(CompactionConfig::paper_default().with_threads(threads))
+            .cost_model(AccelerometerDevice::cost_model())
+            .classifier(SvmBackend::paper_default())
+            .run_with_population(train.clone(), test.clone())
+            .expect("MEMS pipeline runs");
+        assert_eq!(report.kept(), [10, 11], "threads {threads}");
+        let deployed = &report.deployed;
+        assert_eq!(
+            (
+                deployed.true_good,
+                deployed.true_bad,
+                deployed.yield_loss_count,
+                deployed.defect_escape_count,
+                deployed.guard_band_count
+            ),
+            (2845, 798, 1, 11, 345),
+            "threads {threads}"
+        );
+        let sequential = report.sequential.as_ref().expect("sequential stats ship by default");
+        assert_eq!(sequential.decision_depths, [598, 3402], "threads {threads}");
+        let warm_start = report.warm_start();
+        assert_eq!(
+            (warm_start.warm_iterations, warm_start.cold_iterations),
+            (8234, 1297),
+            "threads {threads}"
+        );
+        let bank = &warm_start.bank;
+        assert_eq!(
+            (bank.seeded_rows, bank.rebuilt_rows, bank.ignored_banks),
+            (1728, 9236, 4),
+            "threads {threads}"
+        );
+    }
+}

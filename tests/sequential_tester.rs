@@ -197,3 +197,52 @@ fn opamp_sequential_deploy_prices_below_the_static_kept_set() {
     assert!(stats.early_exits > 0);
     assert!(stats.early_exit_fraction() > 0.0);
 }
+
+/// A pipeline scores its deployed tester in the pass that collects the
+/// sequential statistics, on
+/// `CompactionConfig::threads` workers.  At every thread count the report's
+/// breakdown equals `try_evaluate` and its statistics equal
+/// `SequentialStats::collect`, for an exact tester on a held-out population
+/// with kept-range failures and for a lookup-table tester.
+#[test]
+fn one_pass_deploy_matches_the_separate_passes_at_any_thread_count() {
+    let device = SyntheticDevice::new(5, 1.8, 0.9);
+    let monte_carlo = MonteCarloConfig::new(300).with_seed(17);
+    // More held-out devices than one deploy chunk, so the pass splits.
+    let (train, test) = generate_train_test(&device, &monte_carlo, 700).expect("population");
+    let cost_model = TestCostModel::uniform(5);
+    for lookup in [None, Some(16)] {
+        let mut first = None;
+        for threads in 1..=4 {
+            let mut pipeline = CompactionPipeline::for_device(&device)
+                .monte_carlo(monte_carlo)
+                .compaction(
+                    CompactionConfig::paper_default().with_tolerance(0.05).with_threads(threads),
+                )
+                .cost_model(cost_model.clone())
+                .classifier(SvmBackend::paper_default());
+            if let Some(cells) = lookup {
+                pipeline = pipeline.lookup_table(cells);
+            }
+            let report = pipeline.run_with_population(train.clone(), test.clone()).unwrap();
+            let program = &report.tester;
+            match lookup {
+                None => assert!(matches!(program.model(), TesterModel::Exact(_))),
+                Some(_) => assert!(matches!(program.model(), TesterModel::LookupTable(_))),
+            }
+            let fails_kept_range = |i: usize| {
+                program.kept().iter().any(|&c| !test.specs().spec(c).passes(test.value(i, c)))
+            };
+            assert!((0..test.len()).any(fails_kept_range), "no held-out device fails a kept range");
+            assert_eq!(report.deployed, program.try_evaluate(&test).unwrap(), "threads {threads}");
+            let plan = TestPlan::cheapest_first(program, &cost_model).unwrap();
+            let stats = SequentialStats::collect(&plan, &cost_model, &test).unwrap();
+            assert_eq!(report.sequential.as_ref(), Some(&stats), "threads {threads}");
+            let outcome = (report.deployed, stats);
+            match &first {
+                None => first = Some(outcome),
+                Some(first) => assert_eq!(first, &outcome, "threads {threads}"),
+            }
+        }
+    }
+}

@@ -103,7 +103,12 @@ pub fn compress_training_data(
 /// into a regular grid and each cell centre is classified once by the
 /// statistical model; production devices are then classified by a table
 /// lookup, which costs almost nothing on the tester.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Decoding checks that the table can classify: it keeps at least one
+/// specification, has at least two cells per dimension and one attribute
+/// per cell (`cells_per_dim ^ kept`), and spans a finite, non-empty range.
+/// A document that fails is a decode error, never a table that panics.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LookupTableTester {
     kept: Vec<usize>,
     cells_per_dim: usize,
@@ -112,6 +117,43 @@ pub struct LookupTableTester {
     lower: f64,
     upper: f64,
     attributes: Vec<Prediction>,
+}
+
+impl<'de> Deserialize<'de> for LookupTableTester {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        struct Wire {
+            kept: Vec<usize>,
+            cells_per_dim: usize,
+            lower: f64,
+            upper: f64,
+            attributes: Vec<Prediction>,
+        }
+        let Wire { kept, cells_per_dim, lower, upper, attributes } =
+            Wire::deserialize(deserializer)?;
+        let error = |message: String| Err(serde::de::Error::custom(message));
+        if kept.is_empty() {
+            return error("lookup table keeps no specification".to_owned());
+        }
+        if cells_per_dim < 2 {
+            return error(format!("lookup table has {cells_per_dim} cells per dimension"));
+        }
+        let cells = u32::try_from(kept.len()).ok().and_then(|dims| cells_per_dim.checked_pow(dims));
+        if cells != Some(attributes.len()) {
+            return error(format!(
+                "lookup table has {} attributes, but {cells_per_dim} cells per dimension over {} \
+                 kept specifications",
+                attributes.len(),
+                kept.len()
+            ));
+        }
+        if !(lower.is_finite() && upper.is_finite() && lower < upper) {
+            return error(format!("lookup table spans [{lower}, {upper}]"));
+        }
+        Ok(LookupTableTester { kept, cells_per_dim, lower, upper, attributes })
+    }
 }
 
 impl LookupTableTester {

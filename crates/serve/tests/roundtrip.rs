@@ -392,6 +392,46 @@ fn tester_programs_with_unclassifiable_kept_sets_are_rejected() {
     assert_eq!(stc_serve::json::to_string(&program).unwrap(), matching);
 }
 
+/// A lookup-table tester must be able to classify what it decodes: it keeps
+/// a specification, has at least two cells per dimension and one attribute
+/// per cell, and spans a finite, non-empty range.  A table cut to one of its
+/// four attributes used to decode and then panic with an index out of
+/// bounds in `classify`.
+#[test]
+fn lookup_tables_that_cannot_classify_are_rejected() {
+    let device = SyntheticDevice::new(2, 1.8, 0.9);
+    let report = CompactionPipeline::for_device(&device)
+        .monte_carlo(MonteCarloConfig::new(80).with_seed(3))
+        .lookup_table(4)
+        .run()
+        .expect("tiny pipeline runs");
+    assert_eq!(report.kept(), &[1]);
+    let json = stc_serve::json::to_string(&report.tester).expect("serializes");
+    let back: TesterProgram = json_round_trip(&report.tester);
+    for value in [-2.0, -0.5, 0.0, 0.5, 2.0] {
+        assert_eq!(back.classify(&[value]).unwrap(), report.tester.classify(&[value]).unwrap());
+    }
+
+    let model = &json[json.find(r#""LookupTable":"#).expect("a lookup-table model")..];
+    let attributes = &model[model.find(r#""attributes":["#).expect("attributes")..];
+    let attributes = &attributes[..=attributes.find(']').expect("the list closes")];
+    assert_eq!(attributes.matches(',').count(), 3, "four attributes: {attributes}");
+    let one_attribute = format!("{}]", &attributes[..attributes.find(',').unwrap()]);
+    let edits = [
+        (attributes, one_attribute.as_str()),
+        (r#""cells_per_dim":4"#, r#""cells_per_dim":1"#),
+        (r#""lower":-0.25"#, r#""lower":1.25"#),
+        (r#""lower":-0.25"#, r#""lower":2"#),
+        (r#""kept":[1]"#, r#""kept":[]"#),
+    ];
+    for (from, to) in edits {
+        assert!(json.contains(from), "{from} must be present to replace: {json}");
+        let document = json.replace(from, to);
+        let decoded = stc_serve::json::from_str::<TesterProgram>(&document);
+        assert!(decoded.is_err(), "{document} must not decode: {decoded:?}");
+    }
+}
+
 /// An `Svc` document must hold `dimension` support-lane values and one
 /// support index per coefficient: a truncated document used to decode and
 /// then panic on its first decision, and a padded one decoded with values

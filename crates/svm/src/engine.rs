@@ -287,20 +287,23 @@ impl<'a> KernelEngine<'a> {
             if *index >= n || parent_row.len() != n {
                 continue;
             }
-            let mut adjusted = parent_row.to_vec();
+            // One copy, straight into the `Arc` the engine keeps, adjusted
+            // in place.
+            let mut adjusted: Arc<[f64]> = Arc::from(&parent_row[..]);
+            let values = Arc::get_mut(&mut adjusted).expect("a new Arc is unique");
             for column in &removed {
                 let xi = column[*index];
-                for (value, &xj) in adjusted.iter_mut().zip(column.iter()) {
+                for (value, &xj) in values.iter_mut().zip(column.iter()) {
                     *value -= xi * xj;
                 }
             }
             for column in &added {
                 let xi = column[*index];
-                for (value, &xj) in adjusted.iter_mut().zip(column.iter()) {
+                for (value, &xj) in values.iter_mut().zip(column.iter()) {
                     *value += xi * xj;
                 }
             }
-            self.seeded.insert(*index, adjusted.into());
+            self.seeded.insert(*index, adjusted);
         }
     }
 

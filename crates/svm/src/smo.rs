@@ -26,6 +26,25 @@
 //! accepted, and a start near the optimum (for example the projected
 //! solution of a closely related problem) converges in a small fraction of
 //! the cold-start iterations.
+//!
+//! # Row memory
+//!
+//! Each solve caches up to [`SmoParams::cache_rows`] rows of `Q`, one
+//! buffer of [`QMatrix::len`] values per row.  The buffers come from a
+//! process-wide free list, and a row the cache evicts, or still holds when
+//! the solve returns, goes back on it instead of to the allocator, so the
+//! next training (on whichever thread) reuses memory that is already
+//! mapped instead of faulting fresh pages in.  The list is the same for
+//! every thread because the search trains on scoped workers that end with
+//! each step.  It holds at most 4 Mi values (32 MiB, `FREE_ROW_VALUE_BUDGET`):
+//! the rows of two concurrent 512-row caches at 4,000 variables.  A row
+//! beyond the budget is freed, and up to the budget stays allocated after
+//! the last solve until the process exits.  A recycled buffer still holds
+//! another row's values; every [`QMatrix::row`]/[`QMatrix::rows`] writes
+//! every entry before the solver reads one, so those values never reach a
+//! result.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::{Result, SvmError};
 
@@ -58,6 +77,44 @@ fn membership(y: f64, alpha: f64, c: f64) -> u8 {
     status
 }
 
+/// Working-set selection, first pass: the maximal violator over the
+/// unshrunk "up" set, and the minimal value over the unshrunk "low" set for
+/// the stopping test (`m(a) - M(a) <= tolerance`, Keerthi et al.), both of
+/// `-y_t G_t`.  Returns `(g_max, i, g_min, low)`; an index is `None` when
+/// no value beats the initial `-inf` / `+inf`, for example when its set is
+/// empty.
+///
+/// The scan is branch-free on the status bytes: a variable outside the up
+/// set (or shrunk) competes as `-inf`, which never beats `g_max`, and one
+/// outside the low set as `+inf`, which never beats `g_min`.  The strict
+/// comparisons keep the first index of a tie and never take a NaN, so the
+/// result equals, to the bit, that of skipping those variables.
+fn select_first(
+    status: &[u8],
+    y: &[f64],
+    grad: &[f64],
+) -> (f64, Option<usize>, f64, Option<usize>) {
+    let mut g_max = f64::NEG_INFINITY;
+    let mut g_min = f64::INFINITY;
+    let mut i_sel = usize::MAX;
+    let mut low_sel = usize::MAX;
+    for (t, ((&flags, &yt), &gt)) in status.iter().zip(y).zip(grad).enumerate() {
+        let value = -yt * gt;
+        let up = if flags & (IN_UP | SHRUNK) == IN_UP { value } else { f64::NEG_INFINITY };
+        let low = if flags & (IN_LOW | SHRUNK) == IN_LOW { value } else { f64::INFINITY };
+        if up > g_max {
+            g_max = up;
+            i_sel = t;
+        }
+        if low < g_min {
+            g_min = low;
+            low_sel = t;
+        }
+    }
+    let found = |t: usize| (t != usize::MAX).then_some(t);
+    (g_max, found(i_sel), g_min, found(low_sel))
+}
+
 /// Abstract view of the `Q` matrix (`Q[i][j] = y_i y_j K(i, j)`).
 ///
 /// Implementations compute rows on demand; the solver caches recently used
@@ -72,6 +129,9 @@ pub trait QMatrix {
     }
 
     /// Writes row `i` of `Q` into `out` (which has length [`QMatrix::len`]).
+    ///
+    /// Every entry must be written: `out` is a recycled buffer that may
+    /// still hold another row's values (see the [module docs](self)).
     fn row(&self, i: usize, out: &mut [f64]);
 
     /// Writes row `indices[r]` into `out[r]` (of length [`QMatrix::len`])
@@ -183,6 +243,61 @@ pub struct SmoSolution {
     pub iterations: usize,
 }
 
+/// Most values the free list of row buffers keeps (see the
+/// [module docs](self)).
+const FREE_ROW_VALUE_BUDGET: usize = 4 << 20;
+
+/// Row buffers released by [`RowCache`]s, kept for the next cache instead
+/// of being freed.
+struct FreeRows {
+    rows: Vec<Vec<f64>>,
+    /// Sum of the held buffers' capacities, at most
+    /// [`FREE_ROW_VALUE_BUDGET`].
+    values: usize,
+}
+
+static FREE_ROWS: Mutex<FreeRows> = Mutex::new(FreeRows { rows: Vec::new(), values: 0 });
+
+/// Locks the free list.  No panic can strike between the updates of its
+/// two fields (at worst `values` over-counts, which only shrinks the
+/// budget), so a poisoned lock is recovered instead of failing the solve.
+fn free_rows() -> MutexGuard<'static, FreeRows> {
+    FREE_ROWS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl FreeRows {
+    /// A buffer of `n` values, recycled when one is held.  Its contents are
+    /// unspecified.
+    fn take(&mut self, n: usize) -> Vec<f64> {
+        let mut row = self.rows.pop().unwrap_or_default();
+        self.values -= row.capacity();
+        row.resize(n, 0.0);
+        #[cfg(test)]
+        if POISON_TAKEN_ROWS.with(std::cell::Cell::get) {
+            row.fill(f64::NAN);
+        }
+        row
+    }
+
+    /// Keeps `row` for a later cache while the budget allows, and frees it
+    /// otherwise.
+    fn give(&mut self, row: Vec<f64>) {
+        let capacity = row.capacity();
+        if self.values + capacity <= FREE_ROW_VALUE_BUDGET {
+            self.rows.push(row);
+            self.values += capacity;
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: while set, every buffer this thread takes from the free
+    /// list is filled with NaN first, so a `Q` value the solver read without
+    /// its `QMatrix` writing it would reach the result.
+    static POISON_TAKEN_ROWS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// LRU row cache keyed by row index.
 ///
 /// Every access refreshes a row's recency stamp, so the rows of the current
@@ -193,7 +308,8 @@ pub struct SmoSolution {
 ///
 /// Residency ([`RowCache::ensure`]) is separated from access
 /// ([`RowCache::row`]) so the solver can hold shared borrows of several rows
-/// at once instead of copying them out.
+/// at once instead of copying them out.  Row buffers come from and return
+/// to the free list ([`FREE_ROWS`]).
 struct RowCache {
     capacity: usize,
     clock: u64,
@@ -213,7 +329,7 @@ impl RowCache {
         if self.touch(i) {
             return;
         }
-        let mut row = vec![0.0; q.len()];
+        let mut row = free_rows().take(q.len());
         q.row(i, &mut row);
         self.insert(i, row);
     }
@@ -232,7 +348,10 @@ impl RowCache {
         debug_assert!(batch.len() <= self.capacity);
         let misses: Vec<usize> =
             batch.iter().copied().filter(|&i| self.rows[i].is_none()).collect();
-        let mut fetched: Vec<Vec<f64>> = misses.iter().map(|_| vec![0.0; q.len()]).collect();
+        let mut fetched: Vec<Vec<f64>> = {
+            let mut free = free_rows();
+            misses.iter().map(|_| free.take(q.len())).collect()
+        };
         let mut out: Vec<&mut [f64]> = fetched.iter_mut().map(Vec::as_mut_slice).collect();
         q.rows(&misses, &mut out);
         let mut fetched = fetched.into_iter();
@@ -268,7 +387,9 @@ impl RowCache {
                 .min()
                 .map(|(_, t)| t)
                 .expect("a full cache has a least-recently-used row");
-            self.rows[evict] = None;
+            if let Some((_, row)) = self.rows[evict].take() {
+                free_rows().give(row);
+            }
             self.resident -= 1;
         }
         self.rows[i] = Some((self.clock, row));
@@ -282,6 +403,16 @@ impl RowCache {
     /// Panics if the row is not resident.
     fn row(&self, i: usize) -> &[f64] {
         self.rows[i].as_ref().map(|(_, row)| row.as_slice()).expect("row is resident")
+    }
+}
+
+impl Drop for RowCache {
+    /// Hands every resident row back to the free list.
+    fn drop(&mut self) {
+        let mut free = free_rows();
+        for (_, row) in self.rows.iter_mut().filter_map(Option::take) {
+            free.give(row);
+        }
     }
 }
 
@@ -417,27 +548,7 @@ pub fn solve<Q: QMatrix>(q: &Q, problem: &SmoProblem, params: &SmoParams) -> Res
 
     let mut iterations = 0;
     loop {
-        // Working-set selection, first pass: the maximal violator `i` over
-        // the active set's "up" index set, plus the minimal "low" value for
-        // the stopping test (`m(a) - M(a) <= tolerance`, Keerthi et al.).
-        let mut g_max = f64::NEG_INFINITY;
-        let mut g_min = f64::INFINITY;
-        let mut i_sel: Option<usize> = None;
-        let mut low_sel: Option<usize> = None;
-        for (t, ((&flags, &yt), &gt)) in status.iter().zip(y).zip(&grad).enumerate() {
-            if flags & SHRUNK != 0 {
-                continue;
-            }
-            let value = -yt * gt;
-            if flags & IN_UP != 0 && value > g_max {
-                g_max = value;
-                i_sel = Some(t);
-            }
-            if flags & IN_LOW != 0 && value < g_min {
-                g_min = value;
-                low_sel = Some(t);
-            }
-        }
+        let (g_max, i_sel, g_min, low_sel) = select_first(&status, y, &grad);
 
         // `None` pair: every variable is stuck at a bound in a way that
         // leaves one of the index sets empty — the current point is optimal
@@ -1049,6 +1160,242 @@ mod tests {
             (38, bound), (39, bound), (40, 0x4012ae8af449a6dc), (44, bound), (48, bound),
             (50, bound), (53, bound), (54, bound), (56, bound), (58, bound), (61, bound),
         ]);
+    }
+
+    /// Every buffer the row cache takes is filled with NaN first, so a `Q`
+    /// value the solver read from a recycled buffer's old contents instead
+    /// of from its `QMatrix` would reach the result.  The pinned shrinking
+    /// fits, warm fits that follow a fit of a different size, and fits whose
+    /// 8-row cache evicts must all equal the unpoisoned fits bit for bit.
+    #[test]
+    fn recycled_row_buffers_never_reach_a_result() {
+        let fits = || {
+            let (q40, problem40) = shrinking_fixture(40, 1);
+            let (q64, problem64) = shrinking_fixture(64, 2005);
+            let evicting = SmoParams { cache_rows: 8, ..SmoParams::default() };
+            let warm =
+                |q: &DenseQ, problem: &SmoProblem, cold: &SmoSolution, params: &SmoParams| {
+                    let mut alpha: Vec<f64> = cold.alpha.iter().map(|&a| a.min(5.0)).collect();
+                    repair_equality_constraint(&mut alpha, &problem.y);
+                    let upper_bound = vec![5.0; alpha.len()];
+                    let problem =
+                        SmoProblem { upper_bound, initial_alpha: alpha, ..problem.clone() };
+                    solve(q, &problem, params).unwrap()
+                };
+            let default = SmoParams::default();
+            let cold40 = solve(&q40, &problem40, &default).unwrap();
+            let cold64 = solve(&q64, &problem64, &default).unwrap();
+            let warm64 = warm(&q64, &problem64, &cold64, &default);
+            let warm40 = warm(&q40, &problem40, &cold40, &evicting);
+            let evicting64 = solve(&q64, &problem64, &evicting).unwrap();
+            let warm64_evicting = warm(&q64, &problem64, &cold64, &evicting);
+            [cold40, cold64, warm64, warm40, evicting64, warm64_evicting]
+        };
+        let clean = fits();
+        POISON_TAKEN_ROWS.with(|poison| poison.set(true));
+        let poisoned = fits();
+        POISON_TAKEN_ROWS.with(|poison| poison.set(false));
+        let bits = |solution: &SmoSolution| -> Vec<u64> {
+            solution.alpha.iter().map(|a| a.to_bits()).collect()
+        };
+        for (clean, poisoned) in clean.iter().zip(&poisoned) {
+            assert!(clean.iterations > 0);
+            assert_eq!(poisoned.iterations, clean.iterations);
+            assert_eq!(poisoned.rho.to_bits(), clean.rho.to_bits());
+            assert_eq!(bits(poisoned), bits(clean));
+        }
+    }
+
+    /// The row cache computes the rows a reference LRU misses, in the same
+    /// order, hits where it hits and evicts what it evicts, and every row it
+    /// serves holds that row's values, whichever buffer it recycled.
+    #[test]
+    fn row_cache_follows_a_reference_lru() {
+        use std::cell::RefCell;
+
+        struct LoggingQ {
+            inner: DenseQ,
+            computed: RefCell<Vec<usize>>,
+        }
+        impl QMatrix for LoggingQ {
+            fn len(&self) -> usize {
+                self.inner.len()
+            }
+            fn row(&self, i: usize, out: &mut [f64]) {
+                self.computed.borrow_mut().push(i);
+                self.inner.row(i, out);
+            }
+            fn diag(&self, i: usize) -> f64 {
+                self.inner.diag(i)
+            }
+        }
+
+        /// Resident rows, least recently used first, and what the requests
+        /// so far cost.
+        #[derive(Default)]
+        struct ReferenceLru {
+            order: Vec<usize>,
+            misses: Vec<usize>,
+            hits: usize,
+            evictions: usize,
+        }
+        impl ReferenceLru {
+            /// Requests row `i`; returns whether it was resident.
+            fn request(&mut self, i: usize, capacity: usize) -> bool {
+                let hit = match self.order.iter().position(|&r| r == i) {
+                    Some(at) => {
+                        self.order.remove(at);
+                        self.hits += 1;
+                        true
+                    }
+                    None => {
+                        if self.order.len() == capacity {
+                            self.order.remove(0);
+                            self.evictions += 1;
+                        }
+                        self.misses.push(i);
+                        false
+                    }
+                };
+                self.order.push(i);
+                hit
+            }
+        }
+
+        let (n, capacity) = (24, 5);
+        let q = LoggingQ {
+            inner: DenseQ::from_fn(n, |i, j| (i * n + j) as f64),
+            computed: RefCell::new(Vec::new()),
+        };
+        let mut cache = RowCache::new(capacity, n);
+        let mut reference = ReferenceLru::default();
+        let request = |cache: &mut RowCache, reference: &mut ReferenceLru, batch: &[usize]| {
+            for &i in batch {
+                let resident = cache.rows[i].is_some();
+                assert_eq!(resident, reference.request(i, capacity), "row {i}");
+            }
+            match batch {
+                [i] => cache.ensure(&q, *i),
+                _ => cache.ensure_batch(&q, batch),
+            }
+            let mut expected = reference.order.clone();
+            expected.sort_unstable();
+            let resident: Vec<usize> = (0..n).filter(|&i| cache.rows[i].is_some()).collect();
+            assert_eq!(resident, expected);
+            assert_eq!(cache.resident, expected.len());
+            assert_eq!(*q.computed.borrow(), reference.misses);
+            for &i in batch {
+                let row: Vec<f64> = (0..n).map(|j| (i * n + j) as f64).collect();
+                assert_eq!(cache.row(i), row.as_slice());
+            }
+        };
+
+        // Two blocks of a fresh cache, as `solve` fetches its warm-start
+        // rows (out of index order, so a reordered fetch shows), then a hot
+        // row among random ones, and one batch mixing the most recent row
+        // with new ones.
+        for block in [[7, 0, 8, 3], [23, 11, 19, 12]] {
+            request(&mut cache, &mut reference, &block);
+        }
+        let mut state = 0x2005_u64;
+        for step in 0..300 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let i = if step % 3 == 0 { 4 } else { (state >> 33) as usize % n };
+            request(&mut cache, &mut reference, &[i]);
+        }
+        let mut batch = vec![*reference.order.last().unwrap()];
+        batch.extend((0..n).filter(|i| !reference.order.contains(i)).take(capacity - 1));
+        request(&mut cache, &mut reference, &batch);
+        assert!(
+            reference.hits > 50 && reference.evictions > 50,
+            "{} hits, {} evictions",
+            reference.hits,
+            reference.evictions
+        );
+    }
+
+    /// The first selection pass `select_first` replaced: shrunk variables
+    /// are skipped, and each set's members compete by strict comparison.
+    fn sequential_first_pass(
+        status: &[u8],
+        y: &[f64],
+        grad: &[f64],
+    ) -> (f64, Option<usize>, f64, Option<usize>) {
+        let mut g_max = f64::NEG_INFINITY;
+        let mut g_min = f64::INFINITY;
+        let mut i_sel: Option<usize> = None;
+        let mut low_sel: Option<usize> = None;
+        for (t, ((&flags, &yt), &gt)) in status.iter().zip(y).zip(grad).enumerate() {
+            if flags & SHRUNK != 0 {
+                continue;
+            }
+            let value = -yt * gt;
+            if flags & IN_UP != 0 && value > g_max {
+                g_max = value;
+                i_sel = Some(t);
+            }
+            if flags & IN_LOW != 0 && value < g_min {
+                g_min = value;
+                low_sel = Some(t);
+            }
+        }
+        (g_max, i_sel, g_min, low_sel)
+    }
+
+    /// The branch-free first pass selects the same indices and the same
+    /// `g_max`/`g_min` bits as the sequential scan, on random vectors, ties
+    /// (+0 against -0 among them), NaN and infinite gradients, an all-shrunk
+    /// set and empty up and low sets.
+    #[test]
+    fn branch_free_first_pass_equals_the_sequential_scan() {
+        let check = |status: &[u8], y: &[f64], grad: &[f64]| {
+            let (g_max, i, g_min, low) = select_first(status, y, grad);
+            let (want_max, want_i, want_min, want_low) = sequential_first_pass(status, y, grad);
+            let context = format!("status {status:?}, y {y:?}, grad {grad:?}");
+            assert_eq!((i, low), (want_i, want_low), "{context}");
+            assert_eq!(g_max.to_bits(), want_max.to_bits(), "g_max {g_max}, {context}");
+            assert_eq!(g_min.to_bits(), want_min.to_bits(), "g_min {g_min}, {context}");
+        };
+        let mut state = 104_729_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        let special =
+            [0.0, -0.0, 1.0, -1.0, 0.25, f64::NAN, -f64::NAN, f64::INFINITY, -f64::INFINITY];
+        for case in 0..2000 {
+            let n = 1 + next() as usize % 40;
+            let status: Vec<u8> =
+                (0..n).map(|_| next() as u8 & (IN_UP | IN_LOW | SHRUNK)).collect();
+            let y: Vec<f64> = (0..n).map(|_| if next() % 2 == 0 { 1.0 } else { -1.0 }).collect();
+            let grad: Vec<f64> = (0..n)
+                .map(|_| match case % 3 {
+                    // Random values, few ties.
+                    0 => (next() as f64 / (1u64 << 31) as f64) * 4.0 - 2.0,
+                    // Ties, +0 and -0 among them.
+                    1 => special[next() as usize % 5],
+                    // Ties, NaN and infinities.
+                    _ => special[next() as usize % special.len()],
+                })
+                .collect();
+            check(&status, &y, &grad);
+            let shrunk: Vec<u8> = status.iter().map(|&flags| flags | SHRUNK).collect();
+            check(&shrunk, &y, &grad);
+            let no_up: Vec<u8> = status.iter().map(|&flags| flags & !IN_UP).collect();
+            check(&no_up, &y, &grad);
+            let no_low: Vec<u8> = status.iter().map(|&flags| flags & !IN_LOW).collect();
+            check(&no_low, &y, &grad);
+        }
+        check(&[], &[], &[]);
+        // +0 and -0 tie: the first index and its sign are kept.
+        let both = [IN_UP | IN_LOW; 2];
+        assert_eq!(select_first(&both, &[1.0, 1.0], &[0.0, -0.0]).1, Some(0));
+        assert_eq!(select_first(&both, &[1.0, 1.0], &[0.0, -0.0]).0.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(select_first(&both, &[1.0, 1.0], &[-0.0, 0.0]).0.to_bits(), 0.0f64.to_bits());
     }
 
     /// The equality-constraint repair drains surplus while staying in the

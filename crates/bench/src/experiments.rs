@@ -10,12 +10,6 @@ use stc_core::{
 use stc_mems::TestTemperature;
 use stc_svm::{Kernel, SvmBackend, Svr, SvrParams};
 
-/// The classifier backend the paper's tables are produced with: the ε-SVM,
-/// configured from the guard-band settings of each experiment.
-fn svm(guard_band: &GuardBandConfig) -> SvmBackend {
-    SvmBackend::from_guard_band(guard_band)
-}
-
 /// Indices of the eleven op-amp specifications in measurement order
 /// (see `OpAmpMeasurements::names`).
 pub mod opamp_spec {
@@ -89,7 +83,7 @@ pub fn figure5(
 ) -> (Vec<CompactionStep>, String) {
     let compactor = Compactor::new(train.clone(), test.clone()).expect("populations are valid");
     let steps = compactor
-        .elimination_sweep_with(&svm(guard_band), &opamp_functional_order(), guard_band)
+        .elimination_sweep_with(&SvmBackend::paper_default(), &opamp_functional_order(), guard_band)
         .expect("elimination sweep failed");
     let header = vec![
         "Eliminated test (cumulative)".to_string(),
@@ -134,7 +128,7 @@ pub fn figure6(
         .map(|&size| {
             compactor
                 .eliminate_single_with(
-                    &svm(guard_band),
+                    &SvmBackend::paper_default(),
                     opamp_spec::BANDWIDTH_3DB,
                     size,
                     guard_band,
@@ -215,7 +209,7 @@ pub fn table3(
     let mut rows = Vec::new();
     for (label, group) in &cases {
         let breakdown = compactor
-            .eliminate_group_with(&svm(guard_band), group, guard_band)
+            .eliminate_group_with(&SvmBackend::paper_default(), group, guard_band)
             .expect("temperature-group elimination failed");
         let kept: Vec<usize> = (0..12).filter(|c| !group.contains(c)).collect();
         let reduction = cost_model.cost_reduction(&kept).expect("kept set is valid");
@@ -257,7 +251,7 @@ pub fn ablation_classification_vs_regression(
 
     // Classification path (the paper's method).
     let (_, classification) = compactor
-        .evaluate_kept_set_with(&svm(guard_band), &kept, guard_band)
+        .evaluate_kept_set_with(&SvmBackend::paper_default(), &kept, guard_band)
         .expect("classification model trains");
 
     // Regression path: fit the eliminated specification from the kept ones,
@@ -321,7 +315,7 @@ pub fn ablation_guardband(
             let config =
                 GuardBandConfig::paper_default().with_guard_band(width).expect("finite width");
             let (_, breakdown) = compactor
-                .evaluate_kept_set_with(&svm(&config), &kept, &config)
+                .evaluate_kept_set_with(&SvmBackend::paper_default(), &kept, &config)
                 .expect("guard-band model trains");
             vec![
                 percent(width),
@@ -369,8 +363,9 @@ pub fn ablation_ordering(
                 .with_tolerance(tolerance)
                 .with_order(order)
                 .with_guard_band(*guard_band);
-            let result =
-                compactor.compact_with(&svm(guard_band), &config).expect("compaction run failed");
+            let result = compactor
+                .compact_with(&SvmBackend::paper_default(), &config)
+                .expect("compaction run failed");
             vec![
                 label.to_string(),
                 format!("{} of {}", result.eliminated.len(), train.specs().len()),
@@ -411,7 +406,10 @@ pub fn ablation_grid(
     let mut rows = Vec::new();
     // Reference: no compression.
     let reference = Compactor::new(train.clone(), test.clone())
-        .and_then(|c| c.evaluate_kept_set_with(&svm(guard_band), &kept, guard_band).map(|(_, b)| b))
+        .and_then(|c| {
+            c.evaluate_kept_set_with(&SvmBackend::paper_default(), &kept, guard_band)
+                .map(|(_, b)| b)
+        })
         .expect("reference model trains");
     rows.push(vec![
         "none".to_string(),
@@ -425,7 +423,7 @@ pub fn ablation_grid(
         let compactor =
             Compactor::new(compressed.clone(), test.clone()).expect("populations are valid");
         let (_, breakdown) = compactor
-            .evaluate_kept_set_with(&svm(guard_band), &kept, guard_band)
+            .evaluate_kept_set_with(&SvmBackend::paper_default(), &kept, guard_band)
             .expect("compressed model trains");
         rows.push(vec![
             resolution.to_string(),
@@ -454,7 +452,7 @@ pub fn ablation_adhoc(
 ) -> String {
     let compactor = Compactor::new(train.clone(), test.clone()).expect("populations are valid");
     let statistical = compactor
-        .eliminate_group_with(&svm(guard_band), dropped, guard_band)
+        .eliminate_group_with(&SvmBackend::paper_default(), dropped, guard_band)
         .expect("statistical model trains");
     let adhoc = baseline::evaluate_adhoc(test, dropped).expect("ad-hoc evaluation succeeds");
     let names: Vec<&str> = dropped.iter().map(|&c| train.specs().spec(c).name()).collect();

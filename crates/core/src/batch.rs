@@ -517,15 +517,6 @@ mod tests {
         batch
     }
 
-    #[test]
-    fn sequential_deploy_knob_threads_through() {
-        let devices = vec![SyntheticDevice::new(4, 1.8, 0.9)];
-        let on = batch(&devices).run().unwrap();
-        assert!(on.runs[0].report.sequential.is_some());
-        let off = batch(&devices).sequential_deploy(false).run().unwrap();
-        assert!(off.runs[0].report.sequential.is_none());
-    }
-
     fn devices() -> Vec<SyntheticDevice> {
         (0..4).map(|i| SyntheticDevice::new(3 + i % 3, 1.8, 0.9)).collect()
     }

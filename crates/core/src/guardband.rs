@@ -73,11 +73,6 @@ pub struct GuardBandConfig {
     /// Guard-band half-width as a fraction of each acceptability range
     /// (the paper uses 5 % for the op-amp and the accelerometer).
     pub guard_band_fraction: f64,
-    /// Soft-margin penalty adopted by SVM-based backends
-    /// (see `stc_svm::SvmBackend::from_guard_band`).
-    pub svm_c: f64,
-    /// RBF kernel width adopted by SVM-based backends.
-    pub svm_gamma: f64,
     /// If `true`, a device whose *kept* measurements violate their own
     /// acceptability ranges is classified bad regardless of the model (the
     /// tester still applies those tests, so this information is free).
@@ -85,14 +80,9 @@ pub struct GuardBandConfig {
 }
 
 impl GuardBandConfig {
-    /// The paper's settings: 5 % guard band, RBF SVM.
+    /// The paper's settings: a 5 % guard band, with kept ranges enforced.
     pub fn paper_default() -> Self {
-        GuardBandConfig {
-            guard_band_fraction: 0.05,
-            svm_c: 10.0,
-            svm_gamma: 1.0,
-            enforce_kept_ranges: true,
-        }
+        GuardBandConfig { guard_band_fraction: 0.05, enforce_kept_ranges: true }
     }
 
     /// Sets the guard-band fraction.
@@ -114,13 +104,6 @@ impl GuardBandConfig {
         Ok(self)
     }
 
-    /// Sets the SVM hyper-parameters used by SVM-based backends.
-    pub fn with_svm(mut self, c: f64, gamma: f64) -> Self {
-        self.svm_c = c;
-        self.svm_gamma = gamma;
-        self
-    }
-
     /// Disables the tester-side range check on kept specifications.
     pub fn without_kept_range_check(mut self) -> Self {
         self.enforce_kept_ranges = false;
@@ -132,15 +115,6 @@ impl GuardBandConfig {
             return Err(CompactionError::InvalidConfig {
                 parameter: "guard_band_fraction",
                 value: self.guard_band_fraction,
-            });
-        }
-        if !(self.svm_c > 0.0) {
-            return Err(CompactionError::InvalidConfig { parameter: "svm_c", value: self.svm_c });
-        }
-        if !(self.svm_gamma > 0.0) {
-            return Err(CompactionError::InvalidConfig {
-                parameter: "svm_gamma",
-                value: self.svm_gamma,
             });
         }
         Ok(())
@@ -496,10 +470,6 @@ mod tests {
         // configs they never train) and rejected at training time.
         let bad_band = GuardBandConfig::paper_default().with_guard_band(0.9).unwrap();
         assert!(GuardBandedClassifier::train_with(&grid(), &train, &[0], &bad_band).is_err());
-        let bad_c = GuardBandConfig::paper_default().with_svm(0.0, 1.0);
-        assert!(GuardBandedClassifier::train_with(&grid(), &train, &[0], &bad_c).is_err());
-        let bad_gamma = GuardBandConfig::paper_default().with_svm(1.0, -1.0);
-        assert!(GuardBandedClassifier::train_with(&grid(), &train, &[0], &bad_gamma).is_err());
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub(crate) struct Stages {
     pub(crate) search: Arc<dyn SearchStrategy>,
     pub(crate) lookup_table: Option<usize>,
     pub(crate) observer: Option<Arc<dyn ProgressObserver>>,
-    pub(crate) sequential: bool,
 }
 
 impl Default for Stages {
@@ -75,7 +74,6 @@ impl Default for Stages {
             search: Arc::new(GreedyBackward),
             lookup_table: None,
             observer: None,
-            sequential: true,
         }
     }
 }
@@ -137,8 +135,8 @@ impl Stages {
         // reach every device's final verdict, so one pass yields both the
         // breakdown and the sequential statistics.
         let plan = TestPlan::cheapest_first(&tester, &cost_model)?;
-        let (stats, deployed) = SequentialStats::deploy(&plan, &cost_model, test, config.threads)?;
-        let sequential = self.sequential.then_some(stats);
+        let (sequential, deployed) =
+            SequentialStats::deploy(&plan, &cost_model, test, config.threads)?;
         let guard_band = GuardBandStats {
             band_fraction: config.guard_band.guard_band_fraction,
             retest_count: deployed.guard_band_count,
@@ -158,7 +156,7 @@ impl Stages {
             guard_band,
             tester,
             cost,
-            sequential,
+            sequential: Some(sequential),
         })
     }
 }
@@ -182,13 +180,9 @@ macro_rules! stage_setters {
         }
 
         /// Configures the compaction stage: tolerance, order, guard band,
-        /// search budget and speculative threads.
-        ///
-        /// Of the guard band, only `guard_band_fraction` and
-        /// `enforce_kept_ranges` act here: the `svm_c` / `svm_gamma` fields
-        /// are *hints for SVM backends* and are not applied to the classifier
-        /// stage automatically.  To adopt them, construct the backend from
-        /// the same config — `.classifier(SvmBackend::from_guard_band(&gb))`.
+        /// search budget and speculative threads.  The classifier's own
+        /// hyper-parameters belong to the [`classifier`](Self::classifier)
+        /// stage.
         pub fn compaction(mut self, config: $crate::CompactionConfig) -> Self {
             self.stages.compaction = config;
             self
@@ -254,27 +248,6 @@ macro_rules! stage_setters {
         /// trait for the callback contract).
         pub fn observer(mut self, observer: std::sync::Arc<dyn $crate::ProgressObserver>) -> Self {
             self.stages.observer = Some(observer);
-            self
-        }
-
-        /// Enables or disables the staged sequential deploy accounting
-        /// (default: enabled).
-        ///
-        /// When enabled, the report's
-        /// [`PipelineReport::sequential`](crate::PipelineReport::sequential)
-        /// carries the per-device expected-cost statistics of driving the
-        /// deployed program through a cheapest-first
-        /// [`TestPlan`](crate::TestPlan) instead of measuring every kept test
-        /// up front: decision-depth histogram, early-exit fraction and the
-        /// expected cost per device next to the static kept-set cost.
-        /// The run drives these sessions either way, because it reads the
-        /// one-shot deployment numbers
-        /// ([`PipelineReport::deployed`](crate::PipelineReport::deployed))
-        /// off them (the sequential session is verdict-identical by
-        /// construction); disabling the stage only leaves the statistics
-        /// out of the report.
-        pub fn sequential_deploy(mut self, enabled: bool) -> Self {
-            self.stages.sequential = enabled;
             self
         }
     };
@@ -413,9 +386,13 @@ pub struct PipelineReport {
     /// Cost savings the compaction buys.
     pub cost: CostSummary,
     /// Per-device expected-cost statistics of the staged sequential deploy
-    /// over the held-out population (`None` when the
-    /// [`CompactionPipeline::sequential_deploy`] stage disabled it, or when
-    /// the report predates the field on the wire).
+    /// over the held-out population: the decision-depth histogram, the
+    /// early-exit fraction and the expected cost per device of driving the
+    /// deployed program through a cheapest-first [`TestPlan`] instead of
+    /// measuring every kept test up front, next to the static kept-set
+    /// cost.  A run always fills it; `None` only in a report that predates
+    /// the field on the wire, or that was produced with the sequential
+    /// stage turned off before 0.22.
     #[serde(default)]
     pub sequential: Option<SequentialStats>,
 }
@@ -604,20 +581,14 @@ mod tests {
     }
 
     #[test]
-    fn sequential_stats_ship_by_default_and_can_be_disabled() {
+    fn sequential_stats_ship_with_every_report() {
         let device = SyntheticDevice::new(5, 1.8, 0.92);
         let report = pipeline(&device).run().unwrap();
-        let stats = report.sequential.as_ref().expect("sequential deploy is on by default");
+        let stats = report.sequential.as_ref().expect("every run reports sequential stats");
         assert_eq!(stats.devices, report.test_instances);
         assert_eq!(stats.stage_order.len(), report.kept().len());
         assert!(stats.expected_cost <= stats.static_cost + 1e-12);
         assert!(report.summary().contains("sequential deploy"));
-
-        let opted_out = pipeline(&device).sequential_deploy(false).run().unwrap();
-        assert!(opted_out.sequential.is_none());
-        assert!(!opted_out.summary().contains("sequential deploy"));
-        // The stage only adds accounting: the deployed figures are unchanged.
-        assert_eq!(opted_out.deployed, report.deployed);
     }
 
     #[test]

@@ -9,14 +9,32 @@ use crate::{CompactionError, Result};
 /// acceptability range.
 ///
 /// A device is *good* when every measured specification value falls inside its
-/// range and *bad* otherwise.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// range and *bad* otherwise.  Decoding makes the checks of
+/// [`Specification::new`].
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Specification {
     name: String,
     unit: String,
     nominal: f64,
     lower: f64,
     upper: f64,
+}
+
+impl<'de> Deserialize<'de> for Specification {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        struct Wire {
+            name: String,
+            unit: String,
+            nominal: f64,
+            lower: f64,
+            upper: f64,
+        }
+        let Wire { name, unit, nominal, lower, upper } = Wire::deserialize(deserializer)?;
+        Specification::new(&name, &unit, nominal, lower, upper).map_err(serde::de::Error::custom)
+    }
 }
 
 impl Specification {
@@ -96,10 +114,24 @@ impl Specification {
 }
 
 /// An ordered set of specifications — the complete specification-based test
-/// set `T` of the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// set `T` of the paper.  Decoding makes the checks of
+/// [`SpecificationSet::new`].
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SpecificationSet {
     specs: Vec<Specification>,
+}
+
+impl<'de> Deserialize<'de> for SpecificationSet {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        struct Wire {
+            specs: Vec<Specification>,
+        }
+        let Wire { specs } = Wire::deserialize(deserializer)?;
+        SpecificationSet::new(specs).map_err(serde::de::Error::custom)
+    }
 }
 
 impl SpecificationSet {

@@ -427,6 +427,15 @@ fn run_job(
     let devices: Vec<ResolvedDevice<'_>> = spec.devices.iter().map(DeviceSpec::resolve).collect();
     let labels: Vec<String> =
         devices.iter().enumerate().map(|(index, device)| device.label(index)).collect();
+    // Each shard runs as its own batch, so check the labels across shards
+    // the way `PipelineBatch::run` checks its entries.
+    for (index, label) in labels.iter().enumerate() {
+        if labels[..index].contains(label) {
+            return Err(JobError::Shard(CompactionError::DuplicateBatchLabel {
+                label: label.clone(),
+            }));
+        }
+    }
     progress.lock().expect("progress poisoned").shards = labels
         .iter()
         .map(|label| ShardProgress { label: label.clone(), ..ShardProgress::default() })

@@ -200,11 +200,6 @@ pub struct JobSpec {
     /// models.
     #[serde(default)]
     pub lookup_table: Option<usize>,
-    /// Staged sequential deploy accounting (`None` keeps the pipeline
-    /// default, which is enabled; `Some(false)` opts a job out — see
-    /// [`stc_core::CompactionPipeline::sequential_deploy`]).
-    #[serde(default)]
-    pub sequential: Option<bool>,
     /// Worker threads the service spends on this job's shards (`0` means
     /// one, and at most 256).
     #[serde(default)]
@@ -230,7 +225,6 @@ impl JobSpec {
             budget: None,
             cost_model: None,
             lookup_table: None,
-            sequential: None,
             shard_threads: 0,
         }
     }
@@ -259,9 +253,6 @@ impl JobSpec {
         }
         if let Some(cells) = self.lookup_table {
             batch = batch.lookup_table(cells);
-        }
-        if let Some(sequential) = self.sequential {
-            batch = batch.sequential_deploy(sequential);
         }
         batch
     }

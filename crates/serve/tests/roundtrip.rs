@@ -129,7 +129,6 @@ proptest! {
         strategy_choice in 0usize..3,
         classifier_choice in 0usize..2,
         shard_threads in 0usize..4,
-        sequential_choice in 0usize..3,
     ) {
         let strategy = match strategy_choice {
             0 => StrategySpec::Greedy,
@@ -149,11 +148,6 @@ proptest! {
             if classifier_choice == 0 { ClassifierSpec::Grid } else { ClassifierSpec::Svm };
         spec.budget = Some(SearchBudget::unlimited().with_max_trainings(50));
         spec.shard_threads = shard_threads;
-        spec.sequential = match sequential_choice {
-            0 => None,
-            1 => Some(false),
-            _ => Some(true),
-        };
         prop_assert_eq!(json_round_trip(&spec), spec);
     }
 }
@@ -181,18 +175,84 @@ fn pipeline_report_round_trips_byte_for_byte() {
 
 #[test]
 fn pre_0_9_job_specs_still_parse() {
-    // A spec serialized before the `sequential` field existed must keep
-    // parsing, with the field at its pipeline default (None = enabled).
+    // Specs written before 0.9 carry no `sequential` key, and neither do
+    // specs written since 0.22, which dropped the opt-out.  Specs written
+    // by 0.9 to 0.21 carry one, possibly `false`: it is skipped, and the
+    // job reports its sequential statistics like any other.
     let spec = JobSpec::new(
         vec![DeviceSpec::OpAmp],
         MonteCarloConfig::new(50).with_seed(5),
         CompactionConfig::paper_default().with_tolerance(0.1),
     );
     let json = stc_serve::json::to_string(&spec).expect("serializes");
-    let legacy = json.replacen(r#""sequential":null,"#, "", 1);
-    assert_ne!(json, legacy, "the sequential field must be present to strip");
-    let back: JobSpec = stc_serve::json::from_str(&legacy).expect("legacy spec parses");
+    assert!(!json.contains("sequential"), "{json}");
+    let back: JobSpec = stc_serve::json::from_str(&json).expect("spec parses");
     assert_eq!(back, spec);
+    for value in ["null", "false", "true"] {
+        let legacy = json.replacen(
+            r#""shard_threads":"#,
+            &format!(r#""sequential":{value},"shard_threads":"#),
+            1,
+        );
+        assert_ne!(json, legacy, "the shard_threads field must be present to prefix");
+        let back: JobSpec = stc_serve::json::from_str(&legacy).expect("legacy spec parses");
+        assert_eq!(back, spec);
+    }
+}
+
+/// The checked-in job fixture was written when `GuardBandConfig` still
+/// carried `svm_c`/`svm_gamma`, which no classifier ever read.  It decodes
+/// to the spec without them: re-encoding yields the fixture minus exactly
+/// those two keys.
+#[test]
+fn the_job_fixture_decodes_without_its_svm_hints() {
+    let fixture = include_str!("../../bench/fixtures/jobspec_synthetic.json").trim_end();
+    let hints = r#""svm_c":10,"svm_gamma":1,"#;
+    assert!(fixture.contains(hints), "the fixture must carry the hints: {fixture}");
+    let spec: JobSpec = envelope::decode(fixture).expect("the fixture decodes");
+    assert_eq!(spec.compaction.guard_band, GuardBandConfig::paper_default());
+    assert_eq!(envelope::encode(&spec).expect("encodes"), fixture.replacen(hints, "", 1));
+}
+
+/// A decoded specification passes the checks `Specification::new` and
+/// `SpecificationSet::new` make.  A tester program with a reversed range
+/// used to decode and then reject the nominal device.
+#[test]
+fn specifications_are_checked_on_decode() {
+    let specs = SpecificationSet::new(vec![
+        Specification::new("gain", "dB", 60.0, 55.0, 65.0).unwrap(),
+        Specification::new("offset", "mV", 0.0, -5.0, 5.0).unwrap(),
+    ])
+    .unwrap();
+    let program = TesterProgram::complete(specs);
+    let back = json_round_trip(&program);
+    assert_eq!(back.specs(), program.specs());
+    let json = stc_serve::json::to_string(&program).unwrap();
+    let edits = [
+        (r#""lower":55,"upper":65"#, r#""lower":65,"upper":55"#),
+        (r#""lower":55,"upper":65"#, r#""lower":60,"upper":60"#),
+        (r#""name":"offset""#, r#""name":"""#),
+        (r#""name":"offset""#, r#""name":"gain""#),
+    ];
+    for (from, to) in edits {
+        assert!(json.contains(from), "{from} must be present to replace: {json}");
+        let document = json.replace(from, to);
+        let decoded = stc_serve::json::from_str::<TesterProgram>(&document);
+        assert!(decoded.is_err(), "{document} must not decode: {decoded:?}");
+    }
+    let empty = stc_serve::json::from_str::<SpecificationSet>(r#"{"specs":[]}"#);
+    assert!(empty.is_err(), "an empty set must not decode: {empty:?}");
+    // A measured population decodes its specifications the same way.
+    let population = MeasurementSet::new(program.specs().clone(), vec![vec![60.0, 0.0]]).unwrap();
+    let json = stc_serve::json::to_string(&population).unwrap();
+    let reversed = json.replace(r#""lower":55,"upper":65"#, r#""lower":65,"upper":55"#);
+    assert_ne!(reversed, json, "the range must be present to reverse");
+    let decoded = stc_serve::json::from_str::<MeasurementSet>(&reversed);
+    assert!(decoded.is_err(), "{reversed} must not decode: {decoded:?}");
+
+    let snapshot = include_str!("../../bench/snapshots/BENCH_pipeline.json").trim_end();
+    let report: BatchReport = envelope::decode(snapshot).expect("the snapshot decodes");
+    assert_eq!(envelope::encode(&report).expect("encodes"), snapshot);
 }
 
 #[test]
@@ -428,6 +488,44 @@ fn lookup_tables_that_cannot_classify_are_rejected() {
         assert!(json.contains(from), "{from} must be present to replace: {json}");
         let document = json.replace(from, to);
         let decoded = stc_serve::json::from_str::<TesterProgram>(&document);
+        assert!(decoded.is_err(), "{document} must not decode: {decoded:?}");
+    }
+}
+
+/// An `Svc` document names the RBF kernel, and the `bias_shift` that
+/// documents written before 0.22 carry must be zero: a document with a
+/// kernel family or a bias shift the crate no longer has is a decode error,
+/// never a different model.
+#[test]
+fn svc_documents_with_removed_kernels_or_a_bias_shift_are_rejected() {
+    use stc_svm::{Dataset, Kernel, Svc, SvcParams};
+
+    let mut data = Dataset::new(2).unwrap();
+    for i in 0..12 {
+        let x = i as f64 / 12.0;
+        data.push(vec![x, x + 0.4], 1.0).unwrap();
+        data.push(vec![x, x - 0.4], -1.0).unwrap();
+    }
+    let model = Svc::train(&data, &SvcParams::new().with_c(5.0).with_kernel(Kernel::rbf(0.5)))
+        .expect("trains");
+    assert_eq!(json_round_trip(&model), model);
+    let json = stc_serve::json::to_string(&model).unwrap();
+    let rbf = r#""kernel":{"Rbf":{"gamma":0.5}}"#;
+    let iterations = r#""iterations":"#;
+    // Documents written before 0.22 carry a zero `bias_shift`.
+    let unshifted = json.replacen(iterations, r#""bias_shift":0,"iterations":"#, 1);
+    assert_eq!(stc_serve::json::from_str::<Svc>(&unshifted).expect("decodes"), model);
+    let edits = [
+        (rbf, r#""kernel":"Linear""#),
+        (rbf, r#""kernel":{"Polynomial":{"gamma":0.5,"coef0":1,"degree":2}}"#),
+        (rbf, r#""kernel":{"Sigmoid":{"gamma":0.5,"coef0":0}}"#),
+        (iterations, r#""bias_shift":0.25,"iterations":"#),
+        (iterations, r#""bias_shift":-1e-300,"iterations":"#),
+    ];
+    for (from, to) in edits {
+        assert!(json.contains(from), "{from} must be present to replace: {json}");
+        let document = json.replace(from, to);
+        let decoded = stc_serve::json::from_str::<Svc>(&document);
         assert!(decoded.is_err(), "{document} must not decode: {decoded:?}");
     }
 }

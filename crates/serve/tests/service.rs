@@ -233,6 +233,35 @@ fn measured_job_matches_a_direct_run_and_skips_the_population_cache() {
     );
 }
 
+/// A job whose shard labels repeat fails with the error a direct
+/// `PipelineBatch::run` over the same entries returns, instead of finishing
+/// with two runs under one label.
+#[test]
+fn a_job_with_repeated_shard_labels_fails_like_a_direct_batch() {
+    let (train, test) = generate_train_test(
+        &SyntheticDevice::new(4, 1.8, 0.9),
+        &MonteCarloConfig::new(120).with_seed(5),
+        60,
+    )
+    .expect("population simulates");
+    let compaction = CompactionConfig::paper_default().with_tolerance(0.1);
+    let direct = PipelineBatch::new()
+        .compaction(compaction.clone())
+        .measured("x", train.clone(), test.clone())
+        .measured("x", train.clone(), test.clone())
+        .run()
+        .expect_err("a direct batch refuses a repeated label");
+
+    let measured = DeviceSpec::Measured { label: "x".to_string(), train, test };
+    let mut spec = synthetic_pair_spec();
+    spec.devices = vec![measured.clone(), measured];
+    spec.shard_threads = 2;
+    match CompactionService::new(1).run_blocking(spec) {
+        Err(ServeError::JobFailed(error)) => assert_eq!(error, direct.to_string()),
+        other => panic!("the job must fail like the direct batch, got {other:?}"),
+    }
+}
+
 /// A job that panics inside its pipeline fails alone: it ends `Failed`
 /// with the panic message, and the one worker survives to run the next job.
 #[test]

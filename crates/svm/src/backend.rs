@@ -10,7 +10,7 @@ use std::sync::Arc;
 use stc_core::classifier::{
     BankStats, Classifier, ClassifierFactory, TrainingView, WarmStartContext,
 };
-use stc_core::{CompactionError, GuardBandConfig};
+use stc_core::CompactionError;
 
 use crate::engine::{DotRowBank, EngineUsage};
 use crate::{Dataset, Kernel, Svc, SvcParams, SvmError};
@@ -54,15 +54,6 @@ impl SvmBackend {
     /// The paper's settings: `C = 10`, RBF kernel with `gamma = 1`.
     pub fn paper_default() -> Self {
         SvmBackend::new(SvcParams::new().with_c(10.0).with_kernel(Kernel::rbf(1.0)))
-    }
-
-    /// A backend with the SVM hyper-parameters a guard-band configuration
-    /// carries (`svm_c`, `svm_gamma`), matching the behaviour of the old
-    /// hard-wired elimination loop.
-    pub fn from_guard_band(config: &GuardBandConfig) -> Self {
-        SvmBackend::new(
-            SvcParams::new().with_c(config.svm_c).with_kernel(Kernel::rbf(config.svm_gamma)),
-        )
     }
 
     /// The SVC hyper-parameters this backend trains with.
@@ -246,14 +237,6 @@ mod tests {
         let view = TrainingView::new(&data, &[0], 0.0).unwrap();
         let error = SvmBackend::paper_default().train(&view).unwrap_err();
         assert!(matches!(error, CompactionError::Classifier { .. }));
-    }
-
-    #[test]
-    fn guard_band_parameters_are_adopted() {
-        let config = GuardBandConfig::paper_default().with_svm(5.0, 0.5);
-        let backend = SvmBackend::from_guard_band(&config);
-        assert_eq!(backend.params().c(), 5.0);
-        assert_eq!(backend.name(), "svm");
     }
 
     #[test]

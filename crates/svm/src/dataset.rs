@@ -1,13 +1,14 @@
-//! Training/test data containers.
+//! The training data container.
 //!
-//! Since 0.8 the [`Dataset`] stores features **column-major** in `Arc`-shared
+//! A [`Dataset`] stores features **column-major** in `Arc`-shared
 //! allocations: one contiguous slice per feature, shared (not copied) with
 //! whatever produced it — in the compaction flow, the normalized-column cache
 //! of `stc_core`'s `MeasurementSet`.  This is the layout the SMO kernel
 //! engine ([`crate::engine`]) consumes: kernel rows are assembled as fused
 //! per-column passes over contiguous lanes, and column `Arc` identity lets
 //! consecutive candidate kept sets (which differ by one column) reuse each
-//! other's per-column dot-product contributions.
+//! other's per-column dot-product contributions.  A dataset lives only in
+//! memory; nothing serializes one.
 //!
 //! Validation happens **once, at construction**: every constructor rejects
 //! ragged shapes and non-finite values, so the kernel and solver hot paths
@@ -15,37 +16,17 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, SvmError};
-
-/// A single labelled sample: a feature vector and its target value.
-///
-/// For classification the label is `+1.0` or `-1.0`; for regression it is any
-/// finite real number.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Sample {
-    /// Feature values.
-    pub features: Vec<f64>,
-    /// Target value (class label or regression target).
-    pub label: f64,
-}
-
-impl Sample {
-    /// Creates a new sample from a feature vector and a label.
-    pub fn new(features: Vec<f64>, label: f64) -> Self {
-        Sample { features, label }
-    }
-}
 
 /// A dense, fixed-dimension collection of labelled samples, stored
 /// column-major.
 ///
 /// The dataset validates every inserted value so that downstream training
 /// code can assume consistent, finite data.  Feature columns are `Arc`-shared
-/// slices: [`Dataset::select_columns`] and [`Dataset::relabel`] are zero-copy
-/// over the feature storage, and [`Dataset::from_shared_columns`] adopts
-/// caller-owned allocations without copying.
+/// slices: [`Dataset::select_columns`] is zero-copy over the feature storage,
+/// and [`Dataset::from_shared_columns`] adopts caller-owned allocations
+/// without copying.  For classification a label is `+1.0` or `-1.0`; for
+/// regression it is any finite real number.
 ///
 /// Row-oriented accessors remain available — [`Dataset::features`] *gathers*
 /// a row into an owned vector, which is the slow path; hot code should read
@@ -66,10 +47,6 @@ impl Sample {
 /// # Ok(())
 /// # }
 /// ```
-///
-/// **Serialisation:** the wire format is unchanged from the row-major era —
-/// `{dimension, samples: [{features, label}]}` — so persisted datasets and
-/// models keep round-tripping.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     dimension: usize,
@@ -156,8 +133,8 @@ impl Dataset {
     /// normalized columns cached on a `stc_core` measurement set flow
     /// straight into SVM training, and because two candidate kept sets that
     /// share a specification receive pointer-identical `Arc`s, the kernel
-    /// engine can recognise shared columns across datasets via
-    /// [`Dataset::shares_column_with`].
+    /// engine can recognise shared columns across datasets by pointer
+    /// identity.
     ///
     /// # Errors
     ///
@@ -234,17 +211,6 @@ impl Dataset {
         &self.columns
     }
 
-    /// Whether feature `c` of this dataset and feature `other_c` of `other`
-    /// are views of the *same allocation* (`Arc` pointer identity, not value
-    /// equality).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of bounds.
-    pub fn shares_column_with(&self, c: usize, other: &Dataset, other_c: usize) -> bool {
-        Arc::ptr_eq(&self.columns[c], &other.columns[other_c])
-    }
-
     /// Feature vector of sample `i`, gathered from the column storage into an
     /// owned vector.
     ///
@@ -268,26 +234,6 @@ impl Dataset {
     /// All labels, in insertion order.
     pub fn labels(&self) -> &[f64] {
         &self.labels
-    }
-
-    /// Iterator over samples (each gathered into an owned [`Sample`]).
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = Sample> + '_ {
-        (0..self.len()).map(|i| Sample::new(self.features(i), self.labels[i]))
-    }
-
-    /// Returns a new dataset containing only the samples at `indices`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        let columns = self
-            .columns
-            .iter()
-            .map(|column| indices.iter().map(|&i| column[i]).collect())
-            .collect();
-        let labels = indices.iter().map(|&i| self.labels[i]).collect();
-        Dataset { dimension: self.dimension, columns, labels }
     }
 
     /// Returns a new dataset keeping only the feature columns in `columns`
@@ -315,24 +261,9 @@ impl Dataset {
         })
     }
 
-    /// Replaces every label using `f(old_label, features) -> new_label`,
-    /// sharing the feature columns with `self`.
-    pub fn relabel<F>(&self, mut f: F) -> Dataset
-    where
-        F: FnMut(f64, &[f64]) -> f64,
-    {
-        let labels = (0..self.len()).map(|i| f(self.labels[i], &self.features(i))).collect();
-        Dataset { dimension: self.dimension, columns: self.columns.clone(), labels }
-    }
-
     /// Counts samples with a strictly positive label.
     pub fn positive_count(&self) -> usize {
         self.labels.iter().filter(|&&l| l > 0.0).count()
-    }
-
-    /// Counts samples with a non-positive label.
-    pub fn negative_count(&self) -> usize {
-        self.len() - self.positive_count()
     }
 }
 
@@ -363,109 +294,6 @@ fn validate_labels(labels: &[f64]) -> Result<()> {
         return Err(SvmError::NonFiniteFeature { index: usize::MAX, value: label });
     }
     Ok(())
-}
-
-impl Serialize for Dataset {
-    fn serialize<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let samples: Vec<Sample> = self.iter().collect();
-        let mut state = serializer.serialize_struct("Dataset", 2)?;
-        state.serialize_field("dimension", &self.dimension)?;
-        state.serialize_field("samples", &samples)?;
-        state.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for Dataset {
-    /// Deserialises the row-major wire format through the validating
-    /// constructors, so a decoded dataset upholds the same shape/finiteness
-    /// invariants as a constructed one.
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        use serde::de::{Error as _, IgnoredAny, MapAccess, Visitor};
-        struct DatasetVisitor;
-        impl<'de> Visitor<'de> for DatasetVisitor {
-            type Value = Dataset;
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str("a dataset as {dimension, samples}")
-            }
-            fn visit_map<A: MapAccess<'de>>(
-                self,
-                mut map: A,
-            ) -> std::result::Result<Dataset, A::Error> {
-                let mut dimension: Option<usize> = None;
-                let mut samples: Option<Vec<Sample>> = None;
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "dimension" => dimension = Some(map.next_value()?),
-                        "samples" => samples = Some(map.next_value()?),
-                        _ => {
-                            map.next_value::<IgnoredAny>()?;
-                        }
-                    }
-                }
-                let dimension = dimension.ok_or_else(|| A::Error::missing_field("dimension"))?;
-                let samples = samples.ok_or_else(|| A::Error::missing_field("samples"))?;
-                let mut data = Dataset::new(dimension)
-                    .map_err(|error| A::Error::custom(format!("invalid dataset: {error}")))?;
-                if samples.is_empty() {
-                    return Ok(data);
-                }
-                let (rows, labels): (Vec<Vec<f64>>, Vec<f64>) =
-                    samples.into_iter().map(|s| (s.features, s.label)).unzip();
-                data = Dataset::from_rows(&rows, &labels)
-                    .map_err(|error| A::Error::custom(format!("invalid dataset: {error}")))?;
-                if data.dimension() != dimension {
-                    return Err(A::Error::custom(format!(
-                        "invalid dataset: declared dimension {dimension}, samples have {}",
-                        data.dimension()
-                    )));
-                }
-                Ok(data)
-            }
-        }
-        deserializer.deserialize_any(DatasetVisitor)
-    }
-}
-
-/// Owning iterator over gathered samples (column-major storage has no
-/// borrowed rows to hand out).
-pub struct SampleIter<'a> {
-    data: &'a Dataset,
-    next: usize,
-}
-
-impl Iterator for SampleIter<'_> {
-    type Item = Sample;
-
-    fn next(&mut self) -> Option<Sample> {
-        if self.next >= self.data.len() {
-            return None;
-        }
-        let i = self.next;
-        self.next += 1;
-        Some(Sample::new(self.data.features(i), self.data.label(i)))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.data.len() - self.next;
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for SampleIter<'_> {}
-
-impl<'a> IntoIterator for &'a Dataset {
-    type Item = Sample;
-    type IntoIter = SampleIter<'a>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        SampleIter { data: self, next: 0 }
-    }
 }
 
 #[cfg(test)]
@@ -512,25 +340,14 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_counts() {
-        let d = toy();
-        assert_eq!(d.positive_count(), 2);
-        assert_eq!(d.negative_count(), 1);
-        let s = d.subset(&[0, 2]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.label(1), 1.0);
-        assert_eq!(s.features(1), &[7.0, 8.0, 9.0]);
-    }
-
-    #[test]
     fn select_columns_keeps_order_and_validates() {
         let d = toy();
         let projected = d.select_columns(&[2, 0]).unwrap();
         assert_eq!(projected.dimension(), 2);
         assert_eq!(projected.features(0), &[3.0, 1.0]);
         // Zero-copy: the projection shares the parent's column allocations.
-        assert!(projected.shares_column_with(0, &d, 2));
-        assert!(projected.shares_column_with(1, &d, 0));
+        assert!(Arc::ptr_eq(&projected.shared_columns()[0], &d.shared_columns()[2]));
+        assert!(Arc::ptr_eq(&projected.shared_columns()[1], &d.shared_columns()[0]));
         assert!(d.select_columns(&[]).is_err());
         assert!(d.select_columns(&[5]).is_err());
     }
@@ -567,15 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn relabel_applies_function_and_shares_columns() {
-        let d = toy();
-        let flipped = d.relabel(|l, _| -l);
-        assert_eq!(flipped.label(0), -1.0);
-        assert_eq!(flipped.label(1), 1.0);
-        assert!(flipped.shares_column_with(0, &d, 0));
-    }
-
-    #[test]
     fn from_rows_round_trip() {
         let rows = vec![vec![0.0, 1.0], vec![2.0, 3.0]];
         let labels = vec![1.0, -1.0];
@@ -586,14 +394,5 @@ mod tests {
         // Row/label count mismatches are rejected, not silently truncated.
         assert!(Dataset::from_rows(&rows, &[1.0]).is_err());
         assert!(Dataset::from_rows(&[vec![0.0], vec![1.0, 2.0]], &[1.0, -1.0]).is_err());
-    }
-
-    #[test]
-    fn iteration_yields_all_samples() {
-        let d = toy();
-        assert_eq!(d.iter().count(), 3);
-        assert_eq!((&d).into_iter().count(), 3);
-        let gathered: Vec<Sample> = d.iter().collect();
-        assert_eq!(gathered[2], Sample::new(vec![7.0, 8.0, 9.0], 1.0));
     }
 }

@@ -4,7 +4,7 @@
 //! the dominant cost of the compaction loop: the solver asks its `QMatrix`
 //! for `Q[i][·]` once per working-set iteration, and the pre-0.8 path
 //! answered by calling [`Kernel::eval`] per element over gathered row-major
-//! slices — recomputing every dot product and squared distance from scratch.
+//! slices — recomputing every squared distance from scratch.
 //!
 //! [`KernelEngine`] replaces that with three cooperating optimizations:
 //!
@@ -13,16 +13,13 @@
 //!    sample `i` against *all* samples are accumulated one feature column at
 //!    a time (`out[j] += x[i][c] * x[j][c]` over a contiguous column slice).
 //!    Each pass is a bounds-check-free axpy the compiler auto-vectorizes,
-//!    and — because the per-`j` accumulator starts at `0.0` and the columns
-//!    are visited in ascending feature order — the result is **bit-identical**
-//!    to the sequential `dot()` the naive path computes per pair.
+//!    and the per-`j` accumulator starts at `0.0` and visits the columns in
+//!    ascending feature order, so a row is a pure function of the data.
 //! 2. **Precomputed squared norms.** `‖x_i‖²` is computed once per dataset,
 //!    so an RBF row reduces to the fused dot-row pass plus one vectorizable
 //!    `exp` loop via `‖x_i − x_j‖² = ‖x_i‖² + ‖x_j‖² − 2·x_i·x_j` (clamped
 //!    at zero: the expansion can go negative by one ulp where the true
-//!    distance vanishes).  Polynomial and sigmoid rows likewise become one
-//!    `powi`/`tanh` loop over the dot row, and those two are *exactly* equal
-//!    to the naive path (same dot value, same scalar postprocessing).
+//!    distance vanishes).
 //! 3. **Incremental candidate rows.** Consecutive candidates of the
 //!    backward searches differ from their committed parent by one feature
 //!    column, and every candidate dataset of a run shares its column
@@ -37,9 +34,8 @@
 //!
 //! * `KernelPath::Naive` reproduces the pre-engine numerics **bit for bit**:
 //!   rows are gathered once and every element goes through [`Kernel::eval`].
-//! * `KernelPath::Blocked` without a bank is bit-identical to `Naive` for
-//!   linear, polynomial and sigmoid kernels and within one ulp of the
-//!   per-element result for RBF off-diagonal entries (the norm expansion
+//! * `KernelPath::Blocked` without a bank is within one ulp of the
+//!   per-element result for off-diagonal entries (the norm expansion
 //!   reassociates the subtraction); the diagonal is exactly `1.0` either
 //!   way.  Property tests in `tests/properties.rs` pin both statements.
 //! * Bank-seeded rows reassociate further (one fused multiply-add per
@@ -319,27 +315,14 @@ impl<'a> KernelEngine<'a> {
         }
     }
 
-    /// Applies the kernel's scalar map to a dot row in place.
+    /// Maps a dot row to kernel values in place, through the squared
+    /// norms.
     fn apply_kernel(&self, i: usize, out: &mut [f64]) {
-        match self.kernel {
-            Kernel::Linear => {}
-            Kernel::Polynomial { gamma, coef0, degree } => {
-                for value in out.iter_mut() {
-                    *value = (gamma * *value + coef0).powi(degree as i32);
-                }
-            }
-            Kernel::Rbf { gamma } => {
-                let norm_i = self.norms[i];
-                for (value, &norm_j) in out.iter_mut().zip(&self.norms) {
-                    let distance = (norm_i + norm_j - 2.0 * *value).max(0.0);
-                    *value = (-gamma * distance).exp();
-                }
-            }
-            Kernel::Sigmoid { gamma, coef0 } => {
-                for value in out.iter_mut() {
-                    *value = (gamma * *value + coef0).tanh();
-                }
-            }
+        let Kernel::Rbf { gamma } = self.kernel;
+        let norm_i = self.norms[i];
+        for (value, &norm_j) in out.iter_mut().zip(&self.norms) {
+            let distance = (norm_i + norm_j - 2.0 * *value).max(0.0);
+            *value = (-gamma * distance).exp();
         }
     }
 
@@ -398,7 +381,7 @@ impl<'a> KernelEngine<'a> {
     /// recorded-row bank contents.  The win is bandwidth: scratch rows are
     /// assembled `ROW_BLOCK` at a time, so each shared column lane
     /// streams from memory once per block instead of once per row, and the
-    /// RBF/poly/sigmoid scalar pass runs per row afterwards as before.
+    /// `exp` pass runs per row afterwards as before.
     ///
     /// # Panics
     ///
@@ -495,15 +478,8 @@ impl<'a> KernelEngine<'a> {
                 let row = &self.naive_rows[i];
                 self.kernel.eval(row, row)
             }
-            KernelPath::Blocked => match self.kernel {
-                Kernel::Linear => self.norms[i],
-                Kernel::Polynomial { gamma, coef0, degree } => {
-                    (gamma * self.norms[i] + coef0).powi(degree as i32)
-                }
-                // ‖x−x‖² is exactly zero, so the RBF diagonal is exactly one.
-                Kernel::Rbf { .. } => 1.0,
-                Kernel::Sigmoid { gamma, coef0 } => (gamma * self.norms[i] + coef0).tanh(),
-            },
+            // ‖x−x‖² is exactly zero, so the diagonal is exactly one.
+            KernelPath::Blocked => 1.0,
         }
     }
 
@@ -537,12 +513,7 @@ mod tests {
     }
 
     fn all_kernels() -> Vec<Kernel> {
-        vec![
-            Kernel::linear(),
-            Kernel::rbf(0.45),
-            Kernel::polynomial(0.8, 0.5, 3),
-            Kernel::sigmoid(0.3, 0.2),
-        ]
+        vec![Kernel::rbf(0.05), Kernel::rbf(0.45), Kernel::rbf(2.0)]
     }
 
     #[test]
@@ -557,14 +528,9 @@ mod tests {
                 blocked.kernel_row(i, &mut b);
                 naive.kernel_row(i, &mut n);
                 for j in 0..data.len() {
-                    let tolerance = match kernel {
-                        // Exact: same dot value, same scalar postprocessing.
-                        Kernel::Linear | Kernel::Polynomial { .. } | Kernel::Sigmoid { .. } => 0.0,
-                        // Norm expansion reassociates the subtraction.
-                        Kernel::Rbf { .. } => 1e-12,
-                    };
+                    // The norm expansion reassociates the subtraction.
                     assert!(
-                        (b[j] - n[j]).abs() <= tolerance,
+                        (b[j] - n[j]).abs() <= 1e-12,
                         "{kernel:?} row {i} col {j}: {} vs {}",
                         b[j],
                         n[j]
@@ -611,7 +577,7 @@ mod tests {
     #[test]
     fn unrelated_bank_is_ignored() {
         let parent_data = toy(4, 20);
-        let kernel = Kernel::linear();
+        let kernel = Kernel::rbf(0.5);
         let parent = KernelEngine::new(&parent_data, kernel, KernelPath::Blocked);
         let mut buffer = vec![0.0; parent_data.len()];
         parent.kernel_row(0, &mut buffer);
@@ -683,7 +649,7 @@ mod tests {
     #[test]
     fn usage_reports_ignored_banks() {
         let parent_data = toy(4, 20);
-        let kernel = Kernel::linear();
+        let kernel = Kernel::rbf(0.5);
         let parent = KernelEngine::new(&parent_data, kernel, KernelPath::Blocked);
         let mut buffer = vec![0.0; parent_data.len()];
         parent.kernel_row(0, &mut buffer);

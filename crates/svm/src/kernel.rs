@@ -1,15 +1,17 @@
-//! Kernel functions for SVM training and prediction.
+//! The RBF kernel the compaction flow trains with.
 
 use serde::{Deserialize, Serialize};
 
 use crate::{Result, SvmError};
 
-/// A positive-definite kernel `K(x, y)` used by [`crate::Svc`] and
+/// The Gaussian radial-basis-function kernel
+/// `K(x, y) = exp(-gamma * ||x - y||^2)` used by [`crate::Svc`] and
 /// [`crate::Svr`].
 ///
-/// The paper's test-compaction flow uses an RBF kernel (the decision boundary
-/// of a mixed analog/MEMS acceptance region is curved, see Figure 3); the
-/// linear kernel is retained for the simpler cases and for fast unit tests.
+/// The paper's test-compaction flow uses an RBF kernel: the decision
+/// boundary of a mixed analog/MEMS acceptance region is curved (see its
+/// Figure 3).  `Rbf` is the only variant; a document naming another kernel
+/// fails to decode.
 ///
 /// # Example
 ///
@@ -23,50 +25,17 @@ use crate::{Result, SvmError};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum Kernel {
-    /// `K(x, y) = x · y`
-    Linear,
-    /// `K(x, y) = (gamma * x · y + coef0)^degree`
-    Polynomial {
-        /// Scale applied to the dot product.
-        gamma: f64,
-        /// Additive constant.
-        coef0: f64,
-        /// Polynomial degree.
-        degree: u32,
-    },
     /// `K(x, y) = exp(-gamma * ||x - y||^2)`
     Rbf {
         /// Width parameter; larger values make the kernel more local.
         gamma: f64,
     },
-    /// `K(x, y) = tanh(gamma * x · y + coef0)`
-    Sigmoid {
-        /// Scale applied to the dot product.
-        gamma: f64,
-        /// Additive constant.
-        coef0: f64,
-    },
 }
 
 impl Kernel {
-    /// Linear kernel.
-    pub fn linear() -> Self {
-        Kernel::Linear
-    }
-
     /// Gaussian radial-basis-function kernel with the given `gamma`.
     pub fn rbf(gamma: f64) -> Self {
         Kernel::Rbf { gamma }
-    }
-
-    /// Polynomial kernel `(gamma x·y + coef0)^degree`.
-    pub fn polynomial(gamma: f64, coef0: f64, degree: u32) -> Self {
-        Kernel::Polynomial { gamma, coef0, degree }
-    }
-
-    /// Sigmoid (hyperbolic tangent) kernel.
-    pub fn sigmoid(gamma: f64, coef0: f64) -> Self {
-        Kernel::Sigmoid { gamma, coef0 }
     }
 
     /// Validates the kernel hyper-parameters.
@@ -74,26 +43,13 @@ impl Kernel {
     /// # Errors
     ///
     /// Returns [`SvmError::InvalidParameter`] when `gamma` is not strictly
-    /// positive or `degree` is zero.
+    /// positive and finite.
     pub fn validate(&self) -> Result<()> {
-        match *self {
-            Kernel::Linear => Ok(()),
-            Kernel::Rbf { gamma } | Kernel::Sigmoid { gamma, .. } => {
-                if gamma > 0.0 && gamma.is_finite() {
-                    Ok(())
-                } else {
-                    Err(SvmError::InvalidParameter { name: "gamma", value: gamma })
-                }
-            }
-            Kernel::Polynomial { gamma, degree, .. } => {
-                if !(gamma > 0.0 && gamma.is_finite()) {
-                    Err(SvmError::InvalidParameter { name: "gamma", value: gamma })
-                } else if degree == 0 {
-                    Err(SvmError::InvalidParameter { name: "degree", value: 0.0 })
-                } else {
-                    Ok(())
-                }
-            }
+        let Kernel::Rbf { gamma } = *self;
+        if gamma > 0.0 && gamma.is_finite() {
+            Ok(())
+        } else {
+            Err(SvmError::InvalidParameter { name: "gamma", value: gamma })
         }
     }
 
@@ -113,62 +69,29 @@ impl Kernel {
     /// builds).
     pub fn eval(&self, x: &[f64], y: &[f64]) -> f64 {
         assert_eq!(x.len(), y.len(), "kernel arguments must have equal length");
-        let inner = if self.uses_distance() { squared_distance(x, y) } else { dot(x, y) };
-        self.finish(inner)
+        self.finish(squared_distance(x, y))
     }
 
-    /// Whether the kernel is a function of the squared distance
-    /// `‖x − y‖²` (RBF) rather than of the dot product `x · y`.
-    pub(crate) fn uses_distance(&self) -> bool {
-        matches!(self, Kernel::Rbf { .. })
+    /// `K(x, y)` from the squared distance `‖x − y‖²`.
+    pub(crate) fn finish(&self, distance: f64) -> f64 {
+        let Kernel::Rbf { gamma } = *self;
+        (-gamma * distance).exp()
     }
 
-    /// `K(x, y)` from its inner term: the squared distance when
-    /// [`Kernel::uses_distance`], the dot product otherwise.
-    pub(crate) fn finish(&self, inner: f64) -> f64 {
-        match *self {
-            Kernel::Linear => inner,
-            Kernel::Polynomial { gamma, coef0, degree } => {
-                (gamma * inner + coef0).powi(degree as i32)
-            }
-            Kernel::Rbf { gamma } => (-gamma * inner).exp(),
-            Kernel::Sigmoid { gamma, coef0 } => (gamma * inner + coef0).tanh(),
-        }
-    }
-
-    /// Bounds of `K` from bounds `[lo, hi]` of its inner term (see
-    /// [`Kernel::finish`]).
+    /// Bounds of `K` from bounds `[lo, hi]` of the squared distance: the
+    /// kernel falls as the distance grows.
     pub(crate) fn finish_bounds(&self, lo: f64, hi: f64) -> (f64, f64) {
-        match *self {
-            Kernel::Linear => (lo, hi),
-            Kernel::Polynomial { gamma, coef0, degree } => {
-                powi_bounds(gamma * lo + coef0, gamma * hi + coef0, degree as i32)
-            }
-            Kernel::Rbf { gamma } => ((-gamma * hi).exp(), (-gamma * lo).exp()),
-            Kernel::Sigmoid { gamma, coef0 } => {
-                ((gamma * lo + coef0).tanh(), (gamma * hi + coef0).tanh())
-            }
-        }
-    }
-
-    /// A reasonable default `gamma` for RBF kernels: `1 / dimension`,
-    /// matching the common LIBSVM heuristic.
-    pub fn default_gamma(dimension: usize) -> f64 {
-        if dimension == 0 {
-            1.0
-        } else {
-            1.0 / dimension as f64
-        }
+        let Kernel::Rbf { gamma } = *self;
+        ((-gamma * hi).exp(), (-gamma * lo).exp())
     }
 
     /// Bounds of `K(x, y)` as `y` ranges over the axis-aligned box
     /// `[lower, upper]` (per-dimension inclusive bounds): returns
     /// `(min, max)` such that `min <= K(x, y) <= max` for every `y` in the
     /// box.  The bounds are exact per dimension (interval arithmetic over
-    /// the dot product / squared distance, pushed through the monotone or
-    /// piecewise-monotone outer function), which is what lets
-    /// [`crate::Svc::decision_bounds`] prove a constant decision sign over a
-    /// partially measured device.
+    /// the squared distance, pushed through the monotone outer function),
+    /// which is what lets [`crate::Svc::decision_bounds`] prove a constant
+    /// decision sign over a partially measured device.
     ///
     /// # Panics
     ///
@@ -176,10 +99,9 @@ impl Kernel {
     pub fn eval_bounds(&self, x: &[f64], lower: &[f64], upper: &[f64]) -> (f64, f64) {
         assert_eq!(x.len(), lower.len(), "kernel arguments must have equal length");
         assert_eq!(x.len(), upper.len(), "kernel arguments must have equal length");
-        let term = if self.uses_distance() { squared_offset_bounds } else { product_bounds };
         let (mut lo, mut hi) = (0.0, 0.0);
         for ((&a, &l), &u) in x.iter().zip(lower).zip(upper) {
-            let (t_lo, t_hi) = term(a, l, u);
+            let (t_lo, t_hi) = squared_offset_bounds(a, l, u);
             lo += t_lo;
             hi += t_hi;
         }
@@ -193,23 +115,13 @@ impl Default for Kernel {
     }
 }
 
-/// Start value of an inner-term sum (see [`Kernel::finish`]): `-0.0`, the
-/// additive identity `Iterator::sum` starts from, so a sum of `-0.0` terms
-/// stays `-0.0`.
+/// Start value of a squared-distance sum (see [`Kernel::finish`]): `-0.0`,
+/// the additive identity `Iterator::sum` starts from, so a sum of `-0.0`
+/// terms stays `-0.0`.
 pub(crate) const INNER_START: f64 = -0.0;
-
-fn dot(x: &[f64], y: &[f64]) -> f64 {
-    x.iter().zip(y).fold(INNER_START, |sum, (&a, &b)| sum + product(a, b))
-}
 
 fn squared_distance(x: &[f64], y: &[f64]) -> f64 {
     x.iter().zip(y).fold(INNER_START, |sum, (&a, &b)| sum + squared_offset(a, b))
-}
-
-/// One dot-product term `a · b`.
-#[inline]
-pub(crate) fn product(a: f64, b: f64) -> f64 {
-    a * b
 }
 
 /// One squared-distance term `(a − b)²`.
@@ -217,14 +129,6 @@ pub(crate) fn product(a: f64, b: f64) -> f64 {
 pub(crate) fn squared_offset(a: f64, b: f64) -> f64 {
     let d = a - b;
     d * d
-}
-
-/// Bounds of one dot-product term `a · y` with `y ∈ [l, u]`: the term is
-/// monotone in `y`, so the extremes sit at the interval endpoints.
-#[inline]
-pub(crate) fn product_bounds(a: f64, l: f64, u: f64) -> (f64, f64) {
-    let (t1, t2) = (a * l, a * u);
-    (t1.min(t2), t1.max(t2))
 }
 
 /// Bounds of one squared-distance term `(a − y)²` with `y ∈ [l, u]`: it is
@@ -237,28 +141,9 @@ pub(crate) fn squared_offset_bounds(a: f64, l: f64, u: f64) -> (f64, f64) {
     (near * near, (d1 * d1).max(d2 * d2))
 }
 
-/// Bounds of `s^degree` for `s ∈ [lo, hi]`: monotone for odd degrees; for
-/// even degrees the minimum is 0 when the interval straddles zero.
-fn powi_bounds(lo: f64, hi: f64, degree: i32) -> (f64, f64) {
-    let (p_lo, p_hi) = (lo.powi(degree), hi.powi(degree));
-    if degree % 2 != 0 {
-        (p_lo, p_hi)
-    } else if lo <= 0.0 && hi >= 0.0 {
-        (0.0, p_lo.max(p_hi))
-    } else {
-        (p_lo.min(p_hi), p_lo.max(p_hi))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn linear_kernel_is_dot_product() {
-        let k = Kernel::linear();
-        assert_eq!(k.eval(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-    }
 
     #[test]
     fn rbf_is_one_at_zero_distance_and_decays() {
@@ -271,33 +156,12 @@ mod tests {
     }
 
     #[test]
-    fn polynomial_matches_manual_expansion() {
-        let k = Kernel::polynomial(1.0, 1.0, 2);
-        // (x·y + 1)^2 with x·y = 2
-        assert!((k.eval(&[1.0, 1.0], &[1.0, 1.0]) - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sigmoid_is_bounded() {
-        let k = Kernel::sigmoid(0.5, 0.0);
-        let v = k.eval(&[10.0, 10.0], &[10.0, 10.0]);
-        assert!((-1.0..=1.0).contains(&v));
-    }
-
-    #[test]
     fn validate_rejects_bad_parameters() {
         assert!(Kernel::rbf(0.0).validate().is_err());
         assert!(Kernel::rbf(-1.0).validate().is_err());
         assert!(Kernel::rbf(f64::NAN).validate().is_err());
-        assert!(Kernel::polynomial(1.0, 0.0, 0).validate().is_err());
-        assert!(Kernel::linear().validate().is_ok());
+        assert!(Kernel::rbf(f64::INFINITY).validate().is_err());
         assert!(Kernel::rbf(0.7).validate().is_ok());
-    }
-
-    #[test]
-    fn default_gamma_follows_libsvm_heuristic() {
-        assert_eq!(Kernel::default_gamma(4), 0.25);
-        assert_eq!(Kernel::default_gamma(0), 1.0);
     }
 
     #[test]
@@ -305,20 +169,14 @@ mod tests {
     fn eval_rejects_mismatched_lengths_in_all_builds() {
         // Regression guard: this used to be a debug_assert, so release
         // builds silently truncated to the shorter vector.
-        Kernel::linear().eval(&[1.0, 2.0], &[1.0]);
+        Kernel::rbf(1.0).eval(&[1.0, 2.0], &[1.0]);
     }
 
     /// `eval_bounds` encloses the kernel value for every point of the box,
     /// and collapses to the exact value on a degenerate (point) box.
     #[test]
     fn eval_bounds_enclose_every_point_of_the_box() {
-        let kernels = [
-            Kernel::linear(),
-            Kernel::rbf(0.8),
-            Kernel::polynomial(0.5, 1.0, 2),
-            Kernel::polynomial(0.5, -2.0, 3),
-            Kernel::sigmoid(0.4, -0.1),
-        ];
+        let kernels = [Kernel::rbf(0.05), Kernel::rbf(0.8), Kernel::rbf(3.0)];
         let x = [0.7, -0.3, 1.4];
         let lower = [-0.5, 0.0, 0.2];
         let upper = [0.5, 1.0, 1.6];
@@ -351,12 +209,7 @@ mod tests {
 
     #[test]
     fn kernels_are_symmetric() {
-        let kernels = [
-            Kernel::linear(),
-            Kernel::rbf(0.3),
-            Kernel::polynomial(0.5, 1.0, 3),
-            Kernel::sigmoid(0.2, 0.1),
-        ];
+        let kernels = [Kernel::rbf(0.05), Kernel::rbf(0.3), Kernel::rbf(2.5)];
         let x = [0.3, -1.2, 2.5];
         let y = [1.1, 0.4, -0.9];
         for k in kernels {

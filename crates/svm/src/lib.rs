@@ -16,7 +16,8 @@
 //!   LIBSVM-style SMO solver ([`smo`]),
 //! * [`Svr`] — ε-support-vector regression, used only for the
 //!   classification-vs-regression ablation of Section 4.1,
-//! * [`Kernel`] — linear, polynomial, RBF and sigmoid kernels.
+//! * [`Kernel`] — the Gaussian RBF kernel, the one kernel the paper's flow
+//!   trains with.
 //!
 //! ## Example
 //!
@@ -24,14 +25,15 @@
 //! use stc_svm::{Dataset, Kernel, SvcParams, Svc};
 //!
 //! # fn main() -> Result<(), stc_svm::SvmError> {
-//! // A linearly separable toy problem: class +1 above the diagonal.
+//! // A separable toy problem: class +1 above the diagonal.
 //! let mut data = Dataset::new(2)?;
 //! for i in 0..40 {
 //!     let x = i as f64 / 40.0;
 //!     data.push(vec![x, x + 0.3], 1.0)?;
 //!     data.push(vec![x, x - 0.3], -1.0)?;
 //! }
-//! let params = SvcParams::new().with_c(10.0).with_kernel(Kernel::linear());
+//! // The paper's settings: C = 10, RBF kernel with gamma = 1.
+//! let params = SvcParams::new().with_c(10.0).with_kernel(Kernel::rbf(1.0));
 //! let model = Svc::train(&data, &params)?;
 //! assert_eq!(model.predict(&[0.5, 0.9]), 1.0);
 //! assert_eq!(model.predict(&[0.5, 0.1]), -1.0);
@@ -53,7 +55,7 @@ pub mod engine;
 pub mod smo;
 
 pub use backend::SvmBackend;
-pub use dataset::{Dataset, Sample};
+pub use dataset::Dataset;
 pub use engine::{DotRowBank, EngineUsage, KernelEngine, KernelPath};
 pub use error::SvmError;
 pub use kernel::Kernel;

@@ -813,13 +813,13 @@ mod tests {
 
     /// Tiny hand-checkable SVC problem: two points at -1 and +1 on a line.
     /// The optimal separating hyperplane is x = 0 with margin 1, which for the
-    /// linear kernel gives alpha_1 = alpha_2 = 0.5 (when C is large).
+    /// linear kernel `K(x, y) = x · y` gives alpha_1 = alpha_2 = 0.5 (when C
+    /// is large).
     #[test]
     fn two_point_classification_recovers_known_alphas() {
-        let xs = [vec![-1.0], vec![1.0]];
+        let xs = [-1.0, 1.0];
         let ys = [-1.0, 1.0];
-        let kernel = Kernel::linear();
-        let q = DenseQ::from_fn(2, |i, j| ys[i] * ys[j] * kernel.eval(&xs[i], &xs[j]));
+        let q = DenseQ::from_fn(2, |i, j| ys[i] * ys[j] * xs[i] * xs[j]);
         let problem = SmoProblem {
             y: ys.to_vec(),
             p: vec![-1.0; 2],

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{DotRowBank, EngineUsage, KernelEngine, KernelPath};
-use crate::kernel::{product, product_bounds, squared_offset, squared_offset_bounds, INNER_START};
+use crate::kernel::{squared_offset, squared_offset_bounds, INNER_START};
 use crate::smo::{self, QMatrix, SmoParams, SmoProblem};
 use crate::{Dataset, Kernel, Result, SvmError};
 
@@ -31,8 +31,6 @@ pub struct SvcParams {
     kernel: Kernel,
     tolerance: f64,
     max_iterations: usize,
-    positive_weight: f64,
-    negative_weight: f64,
     /// Kernel row-assembly implementation (defaulted on deserialization so
     /// pre-0.8 configs still load).
     #[serde(default)]
@@ -48,8 +46,6 @@ impl SvcParams {
             kernel: Kernel::default(),
             tolerance: 1e-3,
             max_iterations: 200_000,
-            positive_weight: 1.0,
-            negative_weight: 1.0,
             kernel_path: KernelPath::default(),
         }
     }
@@ -75,15 +71,6 @@ impl SvcParams {
     /// Sets the SMO iteration budget.
     pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
         self.max_iterations = max_iterations;
-        self
-    }
-
-    /// Sets per-class weights, multiplying `C` for the positive/negative
-    /// class respectively.  Useful when one class is much rarer (for example
-    /// bad devices in a high-yield population).
-    pub fn with_class_weights(mut self, positive: f64, negative: f64) -> Self {
-        self.positive_weight = positive;
-        self.negative_weight = negative;
         self
     }
 
@@ -116,18 +103,6 @@ impl SvcParams {
     fn validate(&self) -> Result<()> {
         if !(self.c > 0.0 && self.c.is_finite()) {
             return Err(SvmError::InvalidParameter { name: "C", value: self.c });
-        }
-        if !(self.positive_weight > 0.0) {
-            return Err(SvmError::InvalidParameter {
-                name: "positive_weight",
-                value: self.positive_weight,
-            });
-        }
-        if !(self.negative_weight > 0.0) {
-            return Err(SvmError::InvalidParameter {
-                name: "negative_weight",
-                value: self.negative_weight,
-            });
         }
         self.kernel.validate()
     }
@@ -206,7 +181,10 @@ impl QMatrix for SvcQ<'_> {
 /// Decoding checks the layout: a document whose `support_lanes` do not hold
 /// `dimension` values per coefficient, or whose `support_indices` do not
 /// hold one index per coefficient, is a decode error, never a model that
-/// panics or ignores values when it scores a device.
+/// panics or ignores values when it scores a device.  A document whose
+/// kernel is not [`Kernel::Rbf`], or whose `bias_shift` (a field documents
+/// written before 0.22 carry, zero for every trained model) is not zero, is a
+/// decode error too.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Svc {
     kernel: Kernel,
@@ -219,7 +197,6 @@ pub struct Svc {
     support_indices: Vec<usize>,
     rho: f64,
     dimension: usize,
-    bias_shift: f64,
     /// SMO iterations spent training this model.
     iterations: usize,
 }
@@ -236,6 +213,7 @@ impl<'de> Deserialize<'de> for Svc {
             support_indices: Vec<usize>,
             rho: f64,
             dimension: usize,
+            #[serde(default)]
             bias_shift: f64,
             iterations: usize,
         }
@@ -249,6 +227,11 @@ impl<'de> Deserialize<'de> for Svc {
             bias_shift,
             iterations,
         } = Wire::deserialize(deserializer)?;
+        if bias_shift != 0.0 {
+            return Err(serde::de::Error::custom(format!(
+                "svc has bias_shift {bias_shift}; only 0 is supported"
+            )));
+        }
         let count = coefficients.len();
         if support_indices.len() != count {
             return Err(serde::de::Error::custom(format!(
@@ -263,16 +246,7 @@ impl<'de> Deserialize<'de> for Svc {
                 support_lanes.len()
             )));
         }
-        Ok(Svc {
-            kernel,
-            support_lanes,
-            coefficients,
-            support_indices,
-            rho,
-            dimension,
-            bias_shift,
-            iterations,
-        })
+        Ok(Svc { kernel, support_lanes, coefficients, support_indices, rho, dimension, iterations })
     }
 }
 
@@ -347,16 +321,7 @@ impl Svc {
 
         let n = data.len();
         let y = data.labels().to_vec();
-        let upper_bound: Vec<f64> = y
-            .iter()
-            .map(|&label| {
-                if label > 0.0 {
-                    params.c * params.positive_weight
-                } else {
-                    params.c * params.negative_weight
-                }
-            })
-            .collect();
+        let upper_bound = vec![params.c; n];
         let initial_alpha = match warm {
             Some(model) => model.project_alphas(&y, &upper_bound),
             None => vec![0.0; n],
@@ -390,7 +355,6 @@ impl Svc {
             support_indices,
             rho: solution.rho,
             dimension: data.dimension(),
-            bias_shift: 0.0,
             iterations: solution.iterations,
         };
         let usage = q.usage();
@@ -442,7 +406,6 @@ impl Svc {
     /// Panics if `x` does not have [`Svc::dimension`] entries.
     pub fn decision_function(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dimension, "feature vector has wrong dimension");
-        let distance = self.kernel.uses_distance();
         let mut block = [0.0; SV_BLOCK];
         let mut sum = 0.0;
         for (start, coefficients) in (0..).step_by(SV_BLOCK).zip(self.coefficients.chunks(SV_BLOCK))
@@ -451,17 +414,15 @@ impl Svc {
             inner.fill(INNER_START);
             for (feature, &value) in x.iter().enumerate() {
                 let lane = &self.lane(feature)[start..start + inner.len()];
-                if distance {
-                    add_terms(inner, lane, |sv| squared_offset(sv, value));
-                } else {
-                    add_terms(inner, lane, |sv| product(sv, value));
+                for (acc, &sv) in inner.iter_mut().zip(lane) {
+                    *acc += squared_offset(sv, value);
                 }
             }
             for (&coef, &term) in coefficients.iter().zip(inner.iter()) {
                 sum += coef * self.kernel.finish(term);
             }
         }
-        sum - self.rho + self.bias_shift
+        sum - self.rho
     }
 
     /// Bounds of the decision function over the axis-aligned box
@@ -481,7 +442,6 @@ impl Svc {
     pub fn decision_bounds(&self, lower: &[f64], upper: &[f64]) -> (f64, f64) {
         assert_eq!(lower.len(), self.dimension, "lower bound has wrong dimension");
         assert_eq!(upper.len(), self.dimension, "upper bound has wrong dimension");
-        let distance = self.kernel.uses_distance();
         let mut block_lo = [0.0; SV_BLOCK];
         let mut block_hi = [0.0; SV_BLOCK];
         let mut min = 0.0;
@@ -494,10 +454,10 @@ impl Svc {
             inner_hi.fill(0.0);
             for (feature, (&l, &u)) in lower.iter().zip(upper).enumerate() {
                 let lane = &self.lane(feature)[start..start + inner_lo.len()];
-                if distance {
-                    add_term_bounds(inner_lo, inner_hi, lane, |sv| squared_offset_bounds(sv, l, u));
-                } else {
-                    add_term_bounds(inner_lo, inner_hi, lane, |sv| product_bounds(sv, l, u));
+                for ((lo, hi), &sv) in inner_lo.iter_mut().zip(inner_hi.iter_mut()).zip(lane) {
+                    let (t_lo, t_hi) = squared_offset_bounds(sv, l, u);
+                    *lo += t_lo;
+                    *hi += t_hi;
                 }
             }
             for ((&coef, &lo), &hi) in coefficients.iter().zip(inner_lo.iter()).zip(inner_hi.iter())
@@ -512,8 +472,7 @@ impl Svc {
                 }
             }
         }
-        let offset = self.bias_shift - self.rho;
-        (min + offset, max + offset)
+        (min - self.rho, max - self.rho)
     }
 
     /// Predicted class label (`+1.0` or `-1.0`).
@@ -527,30 +486,6 @@ impl Svc {
         } else {
             -1.0
         }
-    }
-
-    /// Fraction of samples in `data` whose predicted label matches the truth.
-    pub fn accuracy(&self, data: &Dataset) -> f64 {
-        if data.is_empty() {
-            return 1.0;
-        }
-        let correct = data
-            .iter()
-            .filter(|s| (self.predict(&s.features) - s.label).abs() < f64::EPSILON)
-            .count();
-        correct as f64 / data.len() as f64
-    }
-
-    /// Returns a copy of this classifier whose decision threshold is shifted
-    /// by `delta` (`f'(x) = f(x) + delta`).
-    ///
-    /// The guard-banding scheme of the paper (Section 4.2) builds two such
-    /// perturbed models — one biased toward predicting *good*, one toward
-    /// *bad* — and places devices on which they disagree into the guard band.
-    pub fn with_bias_shift(&self, delta: f64) -> Svc {
-        let mut shifted = self.clone();
-        shifted.bias_shift += delta;
-        shifted
     }
 
     /// Number of support vectors retained by training.
@@ -586,24 +521,6 @@ impl Svc {
     }
 }
 
-/// Adds one feature's terms `term(sv)` to the inner terms of a block of
-/// support vectors.
-fn add_terms(inner: &mut [f64], lane: &[f64], term: impl Fn(f64) -> f64) {
-    for (acc, &sv) in inner.iter_mut().zip(lane) {
-        *acc += term(sv);
-    }
-}
-
-/// Adds one feature's bound terms `term(sv)` to the inner-term bounds of a
-/// block of support vectors.
-fn add_term_bounds(lo: &mut [f64], hi: &mut [f64], lane: &[f64], term: impl Fn(f64) -> (f64, f64)) {
-    for ((lo, hi), &sv) in lo.iter_mut().zip(hi.iter_mut()).zip(lane) {
-        let (t_lo, t_hi) = term(sv);
-        *lo += t_lo;
-        *hi += t_hi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,12 +552,19 @@ mod tests {
         d
     }
 
+    /// Fraction of the samples of `data` that `model` labels correctly.
+    fn accuracy(model: &Svc, data: &Dataset) -> f64 {
+        let correct =
+            (0..data.len()).filter(|&i| model.predict(&data.features(i)) == data.label(i)).count();
+        correct as f64 / data.len() as f64
+    }
+
     #[test]
     fn separable_data_is_classified_perfectly() {
         let data = linearly_separable(30);
-        let params = SvcParams::new().with_c(10.0).with_kernel(Kernel::linear());
+        let params = SvcParams::new().with_c(10.0).with_kernel(Kernel::rbf(1.0));
         let model = Svc::train(&data, &params).unwrap();
-        assert_eq!(model.accuracy(&data), 1.0);
+        assert_eq!(accuracy(&model, &data), 1.0);
         assert_eq!(model.predict(&[0.5, 1.0]), 1.0);
         assert_eq!(model.predict(&[0.5, 0.0]), -1.0);
     }
@@ -650,7 +574,7 @@ mod tests {
         let data = xor_data();
         let params = SvcParams::new().with_c(50.0).with_kernel(Kernel::rbf(4.0));
         let model = Svc::train(&data, &params).unwrap();
-        assert!(model.accuracy(&data) > 0.98, "accuracy {}", model.accuracy(&data));
+        assert!(accuracy(&model, &data) > 0.98, "accuracy {}", accuracy(&model, &data));
         assert_eq!(model.predict(&[0.02, 0.02]), 1.0);
         assert_eq!(model.predict(&[0.98, 0.05]), -1.0);
     }
@@ -674,76 +598,18 @@ mod tests {
         let data = linearly_separable(5);
         assert!(Svc::train(&data, &SvcParams::new().with_c(-1.0)).is_err());
         assert!(Svc::train(&data, &SvcParams::new().with_kernel(Kernel::rbf(0.0))).is_err());
-        assert!(Svc::train(&data, &SvcParams::new().with_class_weights(0.0, 1.0)).is_err());
-    }
-
-    #[test]
-    fn bias_shift_moves_the_boundary_monotonically() {
-        let data = linearly_separable(20);
-        let params = SvcParams::new().with_c(5.0).with_kernel(Kernel::linear());
-        let model = Svc::train(&data, &params).unwrap();
-        let x = [0.5, 0.45];
-        let base = model.decision_function(&x);
-        let up = model.with_bias_shift(0.3).decision_function(&x);
-        let down = model.with_bias_shift(-0.3).decision_function(&x);
-        assert!((up - base - 0.3).abs() < 1e-12);
-        assert!((base - down - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn positively_shifted_model_never_predicts_bad_where_base_predicts_good() {
-        let data = xor_data();
-        let params = SvcParams::new().with_c(10.0).with_kernel(Kernel::rbf(2.0));
-        let model = Svc::train(&data, &params).unwrap();
-        let optimistic = model.with_bias_shift(0.2);
-        for s in data.iter() {
-            if model.predict(&s.features) > 0.0 {
-                assert!(optimistic.predict(&s.features) > 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn class_weights_bias_the_boundary_toward_the_weighted_class() {
-        // Imbalanced, overlapping data: 40 positive, 8 negative.
-        let mut d = Dataset::new(1).unwrap();
-        for i in 0..40 {
-            d.push(vec![0.4 + 0.01 * i as f64], 1.0).unwrap();
-        }
-        for i in 0..8 {
-            d.push(vec![0.35 - 0.01 * i as f64], -1.0).unwrap();
-        }
-        let kernel = Kernel::rbf(2.0);
-        let plain = Svc::train(&d, &SvcParams::new().with_c(1.0).with_kernel(kernel)).unwrap();
-        let weighted = Svc::train(
-            &d,
-            &SvcParams::new().with_c(1.0).with_kernel(kernel).with_class_weights(1.0, 10.0),
-        )
-        .unwrap();
-        // The negatively-weighted model should score the ambiguous midpoint
-        // lower (more likely negative) than the unweighted model.
-        let x = [0.37];
-        assert!(weighted.decision_function(&x) <= plain.decision_function(&x) + 1e-9);
-    }
-
-    #[test]
-    fn accuracy_of_empty_dataset_is_one() {
-        let data = linearly_separable(5);
-        let model = Svc::train(&data, &SvcParams::new().with_kernel(Kernel::linear())).unwrap();
-        let empty = Dataset::new(2).unwrap();
-        assert_eq!(model.accuracy(&empty), 1.0);
     }
 
     #[test]
     fn model_exposes_metadata() {
         let data = linearly_separable(10);
-        let params = SvcParams::new().with_c(2.0).with_kernel(Kernel::linear());
+        let params = SvcParams::new().with_c(2.0).with_kernel(Kernel::rbf(1.0));
         let model = Svc::train(&data, &params).unwrap();
         assert_eq!(model.dimension(), 2);
         assert!(model.support_vector_count() > 0);
         assert_eq!(model.support_indices().len(), model.support_vector_count());
         assert!(model.support_indices().iter().all(|&i| i < data.len()));
-        assert_eq!(model.kernel(), Kernel::linear());
+        assert_eq!(model.kernel(), Kernel::rbf(1.0));
         assert!(model.rho().is_finite());
         assert!(model.iterations() > 0);
     }
@@ -762,8 +628,9 @@ mod tests {
             warm.iterations(),
             cold.iterations()
         );
-        for sample in data.iter() {
-            assert_eq!(warm.predict(&sample.features), cold.predict(&sample.features));
+        for i in 0..data.len() {
+            let x = data.features(i);
+            assert_eq!(warm.predict(&x), cold.predict(&x));
         }
     }
 
@@ -783,8 +650,9 @@ mod tests {
         assert_eq!(warm.dimension(), 1);
         // Both satisfy the same KKT tolerance; on this well-separated data
         // their decisions agree everywhere.
-        for sample in narrow.iter() {
-            assert_eq!(warm.predict(&sample.features), cold.predict(&sample.features));
+        for i in 0..narrow.len() {
+            let x = narrow.features(i);
+            assert_eq!(warm.predict(&x), cold.predict(&x));
         }
     }
 
@@ -804,7 +672,7 @@ mod tests {
         for (&i, &coef) in model.support_indices.iter().zip(&model.coefficients) {
             sum += coef * model.kernel.eval(&data.features(i), x);
         }
-        sum - model.rho + model.bias_shift
+        sum - model.rho
     }
 
     /// The decision bounds as a plain per-support-vector sum of
@@ -821,22 +689,21 @@ mod tests {
                 max += coef * k_lo;
             }
         }
-        let offset = model.bias_shift - model.rho;
-        (min + offset, max + offset)
+        (min - model.rho, max - model.rho)
     }
 
     /// `decision_function` and `decision_bounds` equal, to the bit, the
     /// per-support-vector sums of `Kernel::eval` and `Kernel::eval_bounds`
-    /// for every kernel family, over random models (some with more support
-    /// vectors than one block), points and boxes.
+    /// at several kernel widths, over random models (some with more support
+    /// vectors than two blocks), points and boxes.
     #[test]
     fn decisions_equal_the_per_support_vector_kernel_sums_bit_for_bit() {
         let kernels = [
-            Kernel::linear(),
+            Kernel::rbf(0.05),
+            Kernel::rbf(0.4),
             Kernel::rbf(1.3),
-            Kernel::polynomial(0.7, 0.4, 3),
-            Kernel::polynomial(0.5, -0.2, 2),
-            Kernel::sigmoid(0.3, -0.1),
+            Kernel::rbf(4.0),
+            Kernel::rbf(12.0),
         ];
         let mut state = 2005;
         let mut largest = 0;
@@ -854,9 +721,8 @@ mod tests {
             for kernel in kernels {
                 let params =
                     SvcParams::new().with_c(0.5 + 10.0 * uniform(&mut state)).with_kernel(kernel);
-                let trained = Svc::train(&data, &params).unwrap();
-                largest = largest.max(trained.support_vector_count());
-                let model = trained.with_bias_shift(uniform(&mut state) - 0.5);
+                let model = Svc::train(&data, &params).unwrap();
+                largest = largest.max(model.support_vector_count());
                 for _ in 0..6 {
                     let x: Vec<f64> =
                         (0..dimension).map(|_| uniform(&mut state) * 2.0 - 0.5).collect();
@@ -897,7 +763,7 @@ mod tests {
     fn mismatched_warm_models_fall_back_to_cold_training() {
         let big = linearly_separable(40);
         let small = linearly_separable(6);
-        let params = SvcParams::new().with_c(5.0).with_kernel(Kernel::linear());
+        let params = SvcParams::new().with_c(5.0).with_kernel(Kernel::rbf(1.0));
         let parent = Svc::train(&big, &params).unwrap();
         assert!(parent.support_indices().iter().any(|&i| i >= small.len()));
         let cold = Svc::train(&small, &params).unwrap();

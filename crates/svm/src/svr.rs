@@ -35,10 +35,6 @@ pub struct SvrParams {
     kernel: Kernel,
     tolerance: f64,
     max_iterations: usize,
-    /// Kernel row-assembly implementation (defaulted on deserialization so
-    /// pre-0.8 configs still load).
-    #[serde(default)]
-    kernel_path: KernelPath,
 }
 
 impl SvrParams {
@@ -50,7 +46,6 @@ impl SvrParams {
             kernel: Kernel::default(),
             tolerance: 1e-3,
             max_iterations: 200_000,
-            kernel_path: KernelPath::default(),
         }
     }
 
@@ -99,17 +94,6 @@ impl SvrParams {
         self.kernel
     }
 
-    /// Selects the kernel row-assembly implementation (see [`KernelPath`]).
-    pub fn with_kernel_path(mut self, kernel_path: KernelPath) -> Self {
-        self.kernel_path = kernel_path;
-        self
-    }
-
-    /// The configured kernel row-assembly implementation.
-    pub fn kernel_path(&self) -> KernelPath {
-        self.kernel_path
-    }
-
     fn validate(&self) -> Result<()> {
         if !(self.c > 0.0 && self.c.is_finite()) {
             return Err(SvmError::InvalidParameter { name: "C", value: self.c });
@@ -141,8 +125,8 @@ struct SvrQ<'a> {
 }
 
 impl<'a> SvrQ<'a> {
-    fn new(data: &'a Dataset, kernel: Kernel, path: KernelPath) -> Self {
-        let engine = KernelEngine::new(data, kernel, path);
+    fn new(data: &'a Dataset, kernel: Kernel) -> Self {
+        let engine = KernelEngine::new(data, kernel, KernelPath::Blocked);
         let l = data.len();
         let mut diag = vec![0.0; 2 * l];
         for i in 0..l {
@@ -199,12 +183,6 @@ pub struct Svr {
     kernel: Kernel,
     support_vectors: Vec<Vec<f64>>,
     coefficients: Vec<f64>,
-    /// Training-instance index of each support vector, enabling warm starts
-    /// of related problems over the same training population.  Defaulted on
-    /// deserialization so 0.3-era models still load (they simply cannot seed
-    /// warm starts).
-    #[serde(default)]
-    support_indices: Vec<usize>,
     bias: f64,
     dimension: usize,
     /// SMO iterations spent training this model (0 for deserialized 0.3-era
@@ -221,24 +199,6 @@ impl Svr {
     /// Returns an error when the dataset is empty, the hyper-parameters are
     /// invalid, or the SMO solver fails to converge.
     pub fn train(data: &Dataset, params: &SvrParams) -> Result<Self> {
-        Svr::train_warm(data, params, None)
-    }
-
-    /// [`Svr::train`] with an optional warm start from a regressor trained
-    /// on the *same training instances* (typically over an overlapping
-    /// feature subset).
-    ///
-    /// The warm model's `beta_i = alpha_i - alpha*_i` coefficients are split
-    /// back into the expanded `(alpha, alpha*)` pair on the instance that
-    /// produced them, clipped to the feasible box, the equality constraint
-    /// is repaired, and SMO solves from that point.  The returned model
-    /// satisfies exactly the same KKT stopping tolerance as a cold start; a
-    /// warm model that does not line up with `data` is ignored.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Svr::train`].
-    pub fn train_warm(data: &Dataset, params: &SvrParams, warm: Option<&Svr>) -> Result<Self> {
         params.validate()?;
         if data.is_empty() {
             return Err(SvmError::EmptyDataset);
@@ -253,12 +213,8 @@ impl Svr {
             y[i + l] = -1.0;
         }
         let upper_bound = vec![params.c; 2 * l];
-        let initial_alpha = match warm {
-            Some(model) => model.project_alphas(l, &y, &upper_bound),
-            None => vec![0.0; 2 * l],
-        };
-        let problem = SmoProblem { y, p, upper_bound, initial_alpha };
-        let q = SvrQ::new(data, params.kernel, params.kernel_path);
+        let problem = SmoProblem { y, p, upper_bound, initial_alpha: vec![0.0; 2 * l] };
+        let q = SvrQ::new(data, params.kernel);
         let smo_params = SmoParams {
             tolerance: params.tolerance,
             max_iterations: params.max_iterations,
@@ -268,47 +224,21 @@ impl Svr {
 
         let mut support_vectors = Vec::new();
         let mut coefficients = Vec::new();
-        let mut support_indices = Vec::new();
         for i in 0..l {
             let beta = solution.alpha[i] - solution.alpha[i + l];
             if beta.abs() > 1e-12 {
                 support_vectors.push(data.features(i));
                 coefficients.push(beta);
-                support_indices.push(i);
             }
         }
         Ok(Svr {
             kernel: params.kernel,
             support_vectors,
             coefficients,
-            support_indices,
             bias: -solution.rho,
             dimension: data.dimension(),
             iterations: solution.iterations,
         })
-    }
-
-    /// Projects this model's `beta` coefficients onto the expanded
-    /// `2l`-variable dual of a related problem over the same `l` training
-    /// instances (`alpha_i = max(beta_i, 0)`, `alpha*_i = max(-beta_i, 0)`,
-    /// which holds at any optimum by complementarity), clips to the box and
-    /// repairs the equality constraint.  Returns the zero vector when the
-    /// model does not line up with the new problem.
-    fn project_alphas(&self, l: usize, y: &[f64], upper_bound: &[f64]) -> Vec<f64> {
-        let mut alpha = vec![0.0; 2 * l];
-        for (&index, &beta) in self.support_indices.iter().zip(self.coefficients.iter()) {
-            if index >= l {
-                // Trained on a different (larger) population: cold start.
-                return vec![0.0; 2 * l];
-            }
-            if beta >= 0.0 {
-                alpha[index] = beta.min(upper_bound[index]);
-            } else {
-                alpha[index + l] = (-beta).min(upper_bound[index + l]);
-            }
-        }
-        smo::repair_equality_constraint(&mut alpha, y);
-        alpha
     }
 
     /// Predicted target value for `x`.
@@ -325,21 +255,6 @@ impl Svr {
         sum
     }
 
-    /// Root-mean-square prediction error over a dataset.
-    pub fn rmse(&self, data: &Dataset) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = data
-            .iter()
-            .map(|s| {
-                let e = self.predict(&s.features) - s.label;
-                e * e
-            })
-            .sum();
-        (sum / data.len() as f64).sqrt()
-    }
-
     /// Number of support vectors.
     pub fn support_vector_count(&self) -> usize {
         self.support_vectors.len()
@@ -353,12 +268,6 @@ impl Svr {
     /// SMO iterations the solver spent training this model.
     pub fn iterations(&self) -> usize {
         self.iterations
-    }
-
-    /// Training-instance indices of the support vectors, aligned with the
-    /// coefficient order.
-    pub fn support_indices(&self) -> &[usize] {
-        &self.support_indices
     }
 }
 
@@ -376,13 +285,24 @@ mod tests {
         d
     }
 
+    /// Root-mean-square prediction error of `model` over `data`.
+    fn rmse(model: &Svr, data: &Dataset) -> f64 {
+        let sum: f64 = (0..data.len())
+            .map(|i| {
+                let e = model.predict(&data.features(i)) - data.label(i);
+                e * e
+            })
+            .sum();
+        (sum / data.len() as f64).sqrt()
+    }
+
     #[test]
-    fn fits_a_line_with_linear_kernel() {
+    fn fits_a_line_with_an_rbf_kernel() {
         let data = linear_data();
         let params =
-            SvrParams::new().with_c(100.0).with_epsilon(0.01).with_kernel(Kernel::linear());
+            SvrParams::new().with_c(100.0).with_epsilon(0.01).with_kernel(Kernel::rbf(1.0));
         let model = Svr::train(&data, &params).unwrap();
-        assert!(model.rmse(&data) < 0.05, "rmse {}", model.rmse(&data));
+        assert!(rmse(&model, &data) < 0.05, "rmse {}", rmse(&model, &data));
         assert!((model.predict(&[0.5]) - 2.0).abs() < 0.1);
     }
 
@@ -396,7 +316,7 @@ mod tests {
         let params =
             SvrParams::new().with_c(100.0).with_epsilon(0.01).with_kernel(Kernel::rbf(10.0));
         let model = Svr::train(&d, &params).unwrap();
-        assert!(model.rmse(&d) < 0.1, "rmse {}", model.rmse(&d));
+        assert!(rmse(&model, &d) < 0.1, "rmse {}", rmse(&model, &d));
     }
 
     #[test]
@@ -404,12 +324,12 @@ mod tests {
         let data = linear_data();
         let tight = Svr::train(
             &data,
-            &SvrParams::new().with_c(10.0).with_epsilon(0.001).with_kernel(Kernel::linear()),
+            &SvrParams::new().with_c(10.0).with_epsilon(0.001).with_kernel(Kernel::rbf(1.0)),
         )
         .unwrap();
         let loose = Svr::train(
             &data,
-            &SvrParams::new().with_c(10.0).with_epsilon(0.5).with_kernel(Kernel::linear()),
+            &SvrParams::new().with_c(10.0).with_epsilon(0.5).with_kernel(Kernel::rbf(1.0)),
         )
         .unwrap();
         // A wider tube tolerates more error and needs at most as many SVs.
@@ -423,33 +343,5 @@ mod tests {
         assert!(Svr::train(&data, &SvrParams::new().with_epsilon(-1.0)).is_err());
         let empty = Dataset::new(1).unwrap();
         assert!(matches!(Svr::train(&empty, &SvrParams::new()), Err(SvmError::EmptyDataset)));
-    }
-
-    /// Warm-starting from a regressor of the same problem converges in a
-    /// small fraction of the cold iterations with matching predictions.
-    #[test]
-    fn warm_start_from_itself_is_nearly_free() {
-        let data = linear_data();
-        let params = SvrParams::new().with_c(10.0).with_epsilon(0.05).with_kernel(Kernel::rbf(3.0));
-        let cold = Svr::train(&data, &params).unwrap();
-        assert!(cold.iterations() > 0);
-        let warm = Svr::train_warm(&data, &params, Some(&cold)).unwrap();
-        assert!(
-            warm.iterations() <= cold.iterations() / 4,
-            "warm {} vs cold {}",
-            warm.iterations(),
-            cold.iterations()
-        );
-        for sample in data.iter() {
-            assert!((warm.predict(&sample.features) - cold.predict(&sample.features)).abs() < 0.05);
-        }
-    }
-
-    #[test]
-    fn rmse_of_empty_dataset_is_zero() {
-        let data = linear_data();
-        let model = Svr::train(&data, &SvrParams::new().with_c(10.0).with_kernel(Kernel::linear()))
-            .unwrap();
-        assert_eq!(model.rmse(&Dataset::new(1).unwrap()), 0.0);
     }
 }

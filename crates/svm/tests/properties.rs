@@ -19,14 +19,13 @@ fn alternating_labels(len: usize) -> Vec<f64> {
 }
 
 proptest! {
-    /// Every kernel is symmetric in its arguments.
+    /// The kernel is symmetric in its arguments at every width.
     #[test]
     fn kernels_are_symmetric(x in finite_vector(5), y in finite_vector(5), gamma in 0.01f64..5.0) {
-        for kernel in [Kernel::linear(), Kernel::rbf(gamma), Kernel::polynomial(gamma, 1.0, 2)] {
-            let forward = kernel.eval(&x, &y);
-            let backward = kernel.eval(&y, &x);
-            prop_assert!((forward - backward).abs() <= 1e-9 * forward.abs().max(1.0));
-        }
+        let kernel = Kernel::rbf(gamma);
+        let forward = kernel.eval(&x, &y);
+        let backward = kernel.eval(&y, &x);
+        prop_assert!((forward - backward).abs() <= 1e-9 * forward.abs().max(1.0));
     }
 
     /// The RBF kernel is bounded in [0, 1] (it may underflow to exactly 0 for
@@ -40,7 +39,7 @@ proptest! {
     }
 
     /// A linearly separable problem with a generous margin is always solved
-    /// perfectly by a linear-kernel SVC, wherever the threshold sits.
+    /// perfectly by the paper's RBF SVC, wherever the threshold sits.
     #[test]
     fn separable_problems_are_learned(threshold in -0.5f64..0.5, count in 10usize..40) {
         let mut data = Dataset::new(1).unwrap();
@@ -51,10 +50,12 @@ proptest! {
         }
         let model = Svc::train(
             &data,
-            &SvcParams::new().with_c(100.0).with_kernel(Kernel::linear()),
+            &SvcParams::new().with_c(100.0).with_kernel(Kernel::rbf(1.0)),
         )
         .unwrap();
-        prop_assert_eq!(model.accuracy(&data), 1.0);
+        for i in 0..data.len() {
+            prop_assert_eq!(model.predict(&data.features(i)), data.label(i));
+        }
         prop_assert_eq!(model.predict(&[threshold + 1.0]), 1.0);
         prop_assert_eq!(model.predict(&[threshold - 1.0]), -1.0);
     }
@@ -83,8 +84,9 @@ proptest! {
             warm.iterations() <= cold.iterations(),
             "warm {} vs cold {}", warm.iterations(), cold.iterations()
         );
-        for sample in data.iter() {
-            prop_assert_eq!(warm.predict(&sample.features), cold.predict(&sample.features));
+        for i in 0..data.len() {
+            let x = data.features(i);
+            prop_assert_eq!(warm.predict(&x), cold.predict(&x));
         }
     }
 
@@ -116,10 +118,10 @@ proptest! {
         let parent = Svc::train(&narrow, &params).unwrap();
         let cold = Svc::train(&data, &params).unwrap();
         let warm = Svc::train_warm(&data, &params, Some(&parent)).unwrap();
-        for sample in data.iter() {
-            let confidence = cold.decision_function(&sample.features);
-            if confidence.abs() > 0.25 {
-                prop_assert_eq!(warm.predict(&sample.features), cold.predict(&sample.features));
+        for i in 0..data.len() {
+            let x = data.features(i);
+            if cold.decision_function(&x).abs() > 0.25 {
+                prop_assert_eq!(warm.predict(&x), cold.predict(&x));
             }
         }
     }
@@ -144,20 +146,18 @@ proptest! {
         let narrow = data.select_columns(&[1]).unwrap();
         let cold = Svc::train(&narrow, &params).unwrap();
         let warm = Svc::train_warm(&narrow, &params, Some(&parent)).unwrap();
-        for sample in narrow.iter() {
-            let confidence = cold.decision_function(&sample.features);
-            if confidence.abs() > 0.25 {
-                prop_assert_eq!(warm.predict(&sample.features), cold.predict(&sample.features));
+        for i in 0..narrow.len() {
+            let x = narrow.features(i);
+            if cold.decision_function(&x).abs() > 0.25 {
+                prop_assert_eq!(warm.predict(&x), cold.predict(&x));
             }
         }
     }
 
     /// The blocked kernel engine (precomputed norms, columnar dot rows)
-    /// reproduces the naive per-element [`Kernel::eval`] rows: bit-exactly
-    /// for the linear and polynomial kernels (the columnar accumulation
-    /// order matches the sequential dot product), and to within `1e-12` for
-    /// the RBF and sigmoid kernels (the RBF norm expansion rounds
-    /// differently from the explicit squared distance).
+    /// reproduces the naive per-element [`Kernel::eval`] rows to within
+    /// `1e-12` (the norm expansion rounds differently from the explicit
+    /// squared distance).
     #[test]
     fn blocked_kernel_rows_match_naive_eval(
         rows in prop::collection::vec(moderate_vector(6), 4..24),
@@ -165,43 +165,30 @@ proptest! {
     ) {
         let labels = alternating_labels(rows.len());
         let data = Dataset::from_rows(&rows, &labels).unwrap();
-        let kernels = [
-            (Kernel::linear(), 0.0),
-            (Kernel::polynomial(gamma, 1.0, 3), 0.0),
-            (Kernel::rbf(gamma), 1e-12),
-            (Kernel::sigmoid(gamma, 0.5), 1e-12),
-        ];
-        for (kernel, tolerance) in kernels {
-            let blocked = KernelEngine::new(&data, kernel, KernelPath::Blocked);
-            let naive = KernelEngine::new(&data, kernel, KernelPath::Naive);
-            let mut fast = vec![0.0; data.len()];
-            let mut reference = vec![0.0; data.len()];
-            for i in 0..data.len() {
-                blocked.kernel_row(i, &mut fast);
-                naive.kernel_row(i, &mut reference);
-                let row_i = data.features(i);
-                for j in 0..data.len() {
-                    // The naive path *is* per-element eval over gathered rows.
-                    prop_assert_eq!(reference[j], kernel.eval(&row_i, &data.features(j)));
-                    if tolerance == 0.0 {
-                        prop_assert_eq!(fast[j], reference[j]);
-                    } else {
-                        prop_assert!(
-                            (fast[j] - reference[j]).abs() <= tolerance,
-                            "kernel {:?} ({i},{j}): {} vs {}", kernel, fast[j], reference[j]
-                        );
-                    }
-                }
-                prop_assert!((blocked.diag(i) - naive.diag(i)).abs() <= tolerance);
+        let kernel = Kernel::rbf(gamma);
+        let blocked = KernelEngine::new(&data, kernel, KernelPath::Blocked);
+        let naive = KernelEngine::new(&data, kernel, KernelPath::Naive);
+        let mut fast = vec![0.0; data.len()];
+        let mut reference = vec![0.0; data.len()];
+        for i in 0..data.len() {
+            blocked.kernel_row(i, &mut fast);
+            naive.kernel_row(i, &mut reference);
+            let row_i = data.features(i);
+            for j in 0..data.len() {
+                // The naive path *is* per-element eval over gathered rows.
+                prop_assert_eq!(reference[j], kernel.eval(&row_i, &data.features(j)));
+                prop_assert!(
+                    (fast[j] - reference[j]).abs() <= 1e-12,
+                    "({i},{j}): {} vs {}", fast[j], reference[j]
+                );
             }
+            prop_assert!((blocked.diag(i) - naive.diag(i)).abs() <= 1e-12);
         }
     }
 
     /// Incrementally seeded candidate rows (a parent's [`DotRowBank`]
     /// adjusted by the dropped column) match rows computed from scratch to
-    /// within `1e-12` *relative* error, for every kernel family (a
-    /// polynomial kernel raises the few-ulp dot-row adjustment to the
-    /// degree, so the absolute error scales with the kernel value).
+    /// within `1e-12` *relative* error.
     #[test]
     fn bank_seeded_candidate_rows_match_scratch(
         rows in prop::collection::vec(moderate_vector(6), 4..24),
@@ -214,37 +201,31 @@ proptest! {
         // Zero-copy projection: the child shares the parent's column Arcs,
         // exactly like consecutive candidate kept sets in the greedy loop.
         let child_data = parent_data.select_columns(&kept).unwrap();
-        for kernel in [
-            Kernel::linear(),
-            Kernel::polynomial(gamma, 1.0, 3),
-            Kernel::rbf(gamma),
-            Kernel::sigmoid(gamma, 0.5),
-        ] {
-            let parent = KernelEngine::new(&parent_data, kernel, KernelPath::Blocked);
-            let mut scratch_row = vec![0.0; parent_data.len()];
-            for i in 0..parent_data.len() {
-                parent.kernel_row(i, &mut scratch_row); // record dot rows
-            }
-            let bank = parent.into_bank();
-            let seeded = KernelEngine::with_bank(
-                &child_data,
-                kernel,
-                KernelPath::Blocked,
-                Some(&bank),
-            );
-            prop_assert!(seeded.seeded_rows() > 0, "bank must apply to the child");
-            let fresh = KernelEngine::new(&child_data, kernel, KernelPath::Blocked);
-            let mut fast = vec![0.0; child_data.len()];
-            let mut reference = vec![0.0; child_data.len()];
-            for i in 0..child_data.len() {
-                seeded.kernel_row(i, &mut fast);
-                fresh.kernel_row(i, &mut reference);
-                for j in 0..child_data.len() {
-                    prop_assert!(
-                        (fast[j] - reference[j]).abs() <= 1e-12 * reference[j].abs().max(1.0),
-                        "kernel {:?} ({i},{j}): {} vs {}", kernel, fast[j], reference[j]
-                    );
-                }
+        let kernel = Kernel::rbf(gamma);
+        let parent = KernelEngine::new(&parent_data, kernel, KernelPath::Blocked);
+        let mut scratch_row = vec![0.0; parent_data.len()];
+        for i in 0..parent_data.len() {
+            parent.kernel_row(i, &mut scratch_row); // record dot rows
+        }
+        let bank = parent.into_bank();
+        let seeded = KernelEngine::with_bank(
+            &child_data,
+            kernel,
+            KernelPath::Blocked,
+            Some(&bank),
+        );
+        prop_assert!(seeded.seeded_rows() > 0, "bank must apply to the child");
+        let fresh = KernelEngine::new(&child_data, kernel, KernelPath::Blocked);
+        let mut fast = vec![0.0; child_data.len()];
+        let mut reference = vec![0.0; child_data.len()];
+        for i in 0..child_data.len() {
+            seeded.kernel_row(i, &mut fast);
+            fresh.kernel_row(i, &mut reference);
+            for j in 0..child_data.len() {
+                prop_assert!(
+                    (fast[j] - reference[j]).abs() <= 1e-12 * reference[j].abs().max(1.0),
+                    "kernel {:?} ({i},{j}): {} vs {}", kernel, fast[j], reference[j]
+                );
             }
         }
     }

@@ -12,8 +12,6 @@
 
 use std::f64::consts::FRAC_1_SQRT_2;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ac::{ac_analysis, ac_sweep_until, log_frequency_sweep, AcSweep};
 use crate::dc::{dc_operating_point, DcSolution};
 use crate::elements::{MosfetModel, MosfetPolarity, SourceWaveform};
@@ -37,7 +35,7 @@ const STEP_DELAY: f64 = 0.2e-6;
 /// All transistor geometries are in metres; the defaults are a textbook
 /// 0.5 µm-class sizing.  Monte-Carlo process variation perturbs these fields
 /// (see [`crate::variation`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpAmpParams {
     /// Differential-pair width (M1, M2).
     pub w_diff: f64,
@@ -147,7 +145,7 @@ impl Default for OpAmpParams {
 }
 
 /// The eleven specification measurements of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpAmpMeasurements {
     /// Open-loop DC gain (V/V).
     pub gain: f64,
@@ -224,7 +222,7 @@ struct CoreNodes {
 }
 
 /// A two-stage CMOS operational amplifier with its measurement testbenches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpAmp {
     params: OpAmpParams,
 }

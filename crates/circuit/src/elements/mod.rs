@@ -1,16 +1,13 @@
 //! Circuit element definitions.
 //!
 //! Elements are a closed set modelled as the [`Element`] enum; the crate's
-//! (private) MNA assembler pattern-matches over it.  Device equations for
-//! the nonlinear elements live in [`diode`] and [`mosfet`].
+//! (private) MNA assembler pattern-matches over it.  The set is what the
+//! op-amp testbenches build: R, L, C, independent voltage and current sources
+//! and the MOSFET, whose device equations live in [`mosfet`].
 
-pub mod diode;
 pub mod mosfet;
 pub mod sources;
 
-use serde::{Deserialize, Serialize};
-
-pub use diode::DiodeModel;
 pub use mosfet::{MosfetModel, MosfetOperatingPoint, MosfetPolarity};
 pub use sources::SourceWaveform;
 
@@ -20,7 +17,7 @@ use crate::netlist::NodeId;
 ///
 /// Node fields refer to [`NodeId`]s of the owning [`crate::Circuit`]; the
 /// circuit validates them when the element is added.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Element {
     /// Linear resistor between `a` and `b`.
@@ -85,49 +82,6 @@ pub enum Element {
         /// Small-signal AC magnitude used by AC analysis.
         ac_magnitude: f64,
     },
-    /// Voltage-controlled voltage source: `V(out_pos, out_neg) = gain * V(in_pos, in_neg)`
-    /// (adds one branch-current unknown).
-    Vcvs {
-        /// Instance name.
-        name: String,
-        /// Positive output terminal.
-        out_pos: NodeId,
-        /// Negative output terminal.
-        out_neg: NodeId,
-        /// Positive controlling terminal.
-        in_pos: NodeId,
-        /// Negative controlling terminal.
-        in_neg: NodeId,
-        /// Voltage gain.
-        gain: f64,
-    },
-    /// Voltage-controlled current source:
-    /// `I(out_pos -> out_neg) = transconductance * V(in_pos, in_neg)`.
-    Vccs {
-        /// Instance name.
-        name: String,
-        /// Terminal the controlled current leaves.
-        out_pos: NodeId,
-        /// Terminal the controlled current enters.
-        out_neg: NodeId,
-        /// Positive controlling terminal.
-        in_pos: NodeId,
-        /// Negative controlling terminal.
-        in_neg: NodeId,
-        /// Transconductance in siemens.
-        transconductance: f64,
-    },
-    /// Junction diode from `anode` to `cathode`.
-    Diode {
-        /// Instance name.
-        name: String,
-        /// Anode terminal.
-        anode: NodeId,
-        /// Cathode terminal.
-        cathode: NodeId,
-        /// Device model.
-        model: DiodeModel,
-    },
     /// Square-law (SPICE level-1) MOSFET.
     Mosfet {
         /// Instance name.
@@ -158,19 +112,13 @@ impl Element {
             | Element::Inductor { name, .. }
             | Element::VoltageSource { name, .. }
             | Element::CurrentSource { name, .. }
-            | Element::Vcvs { name, .. }
-            | Element::Vccs { name, .. }
-            | Element::Diode { name, .. }
             | Element::Mosfet { name, .. } => name,
         }
     }
 
     /// Whether this element introduces an extra MNA branch-current unknown.
     pub fn needs_branch_current(&self) -> bool {
-        matches!(
-            self,
-            Element::VoltageSource { .. } | Element::Inductor { .. } | Element::Vcvs { .. }
-        )
+        matches!(self, Element::VoltageSource { .. } | Element::Inductor { .. })
     }
 
     /// All node indices referenced by the element.
@@ -182,18 +130,8 @@ impl Element {
             Element::VoltageSource { pos, neg, .. } | Element::CurrentSource { pos, neg, .. } => {
                 vec![pos, neg]
             }
-            Element::Vcvs { out_pos, out_neg, in_pos, in_neg, .. }
-            | Element::Vccs { out_pos, out_neg, in_pos, in_neg, .. } => {
-                vec![out_pos, out_neg, in_pos, in_neg]
-            }
-            Element::Diode { anode, cathode, .. } => vec![anode, cathode],
             Element::Mosfet { drain, gate, source, .. } => vec![drain, gate, source],
         }
-    }
-
-    /// Whether the element is nonlinear (requires Newton iteration).
-    pub fn is_nonlinear(&self) -> bool {
-        matches!(self, Element::Diode { .. } | Element::Mosfet { .. })
     }
 }
 
@@ -216,6 +154,5 @@ mod tests {
         assert!(!r.needs_branch_current());
         assert_eq!(v.name(), "v1");
         assert_eq!(r.nodes(), vec![NodeId(1), NodeId(0)]);
-        assert!(!r.is_nonlinear());
     }
 }

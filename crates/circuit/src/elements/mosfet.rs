@@ -7,10 +7,8 @@
 //! compensation and load capacitors, which is sufficient for reproducing the
 //! statistical behaviour the paper relies on.
 
-use serde::{Deserialize, Serialize};
-
 /// N-channel or P-channel device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MosfetPolarity {
     /// N-channel (conducts for positive `Vgs` above threshold).
     Nmos,
@@ -22,7 +20,7 @@ pub enum MosfetPolarity {
 ///
 /// The same card is shared by all transistors of one polarity in a design;
 /// geometry (`W`, `L`) is per-instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MosfetModel {
     /// Threshold voltage magnitude in volts.
     pub threshold_voltage: f64,
@@ -53,7 +51,7 @@ impl MosfetModel {
 /// `ids` is the current flowing from the drain terminal through the channel to
 /// the source terminal; `d_vg`, `d_vd`, `d_vs` are its partial derivatives
 /// with respect to the gate, drain and source node voltages.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MosfetOperatingPoint {
     /// Drain-to-source channel current in amperes.
     pub ids: f64,

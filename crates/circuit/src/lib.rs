@@ -11,17 +11,18 @@
 //!   stepping,
 //! * [`ac_analysis`] — small-signal frequency sweeps around the operating
 //!   point, which is linearised once per sweep,
-//! * [`transient_analysis`] — fixed-step trapezoidal/backward-Euler time
-//!   integration that records the operating point, without solving, until a
-//!   source first leaves its DC value, and ends once the circuit has settled
-//!   after its last source change (no node moving by more than the 1 nV
-//!   Newton tolerance over the rest of the window).
+//! * [`transient_analysis`] — fixed-step trapezoidal time integration
+//!   (backward Euler on the first step) that records the operating point,
+//!   without solving, until a source first leaves its DC value, and ends once
+//!   the circuit has settled after its last source change (no node moving by
+//!   more than the 1 nV Newton tolerance over the rest of the window).
 //!
 //! Circuits are built programmatically with [`Circuit`]; the element set
-//! (R, L, C, independent and controlled sources, diodes and level-1 MOSFETs)
-//! is enough for the two-stage CMOS operational amplifier of the paper's
-//! first case study, which is available ready-made in [`devices::opamp`]
-//! together with testbenches for all eleven Table 1 specifications.
+//! (R, L, C, independent voltage and current sources held constant or
+//! stepped, and level-1 MOSFETs) is what the two-stage CMOS operational
+//! amplifier of the paper's first case study needs.  The amplifier is
+//! available ready-made in [`devices::opamp`] together with testbenches for
+//! all eleven Table 1 specifications.
 //!
 //! ## Example
 //!
@@ -59,13 +60,11 @@ pub mod linalg;
 pub mod variation;
 
 pub use ac::{ac_analysis, log_frequency_sweep, AcSweep};
-pub use dc::{dc_operating_point, dc_operating_point_from, DcSolution};
-pub use elements::{DiodeModel, Element, MosfetModel, MosfetPolarity, SourceWaveform};
+pub use dc::{dc_operating_point, DcSolution};
+pub use elements::{Element, MosfetModel, MosfetPolarity, SourceWaveform};
 pub use error::CircuitError;
-pub use measure::{
-    bandwidth_3db, dc_gain, peak_frequency, phase_margin, quality_factor, unity_gain_frequency,
-};
-pub use mna::{IntegrationMethod, MnaLayout};
+pub use measure::{bandwidth_3db, dc_gain, unity_gain_frequency};
+pub use mna::MnaLayout;
 pub use netlist::{Circuit, NodeId};
 pub use transient::{
     transient_analysis, transient_analysis_from, TransientParams, TransientResult,

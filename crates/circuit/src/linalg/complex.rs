@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A double-precision complex number `re + j·im`.
 ///
 /// # Example
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(z.norm(), 5.0);
 /// assert_eq!((z * Complex::j()).re, -4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

@@ -1,7 +1,5 @@
 //! Dense matrices and LU solves (real and complex).
 
-use serde::{Deserialize, Serialize};
-
 use super::Complex;
 use crate::CircuitError;
 
@@ -21,7 +19,7 @@ use crate::CircuitError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix<T> {
     n: usize,
     values: Vec<T>,

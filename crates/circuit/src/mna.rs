@@ -2,7 +2,7 @@
 //!
 //! The unknown vector `x` contains the voltages of every non-ground node
 //! followed by one branch current per element that requires it (voltage
-//! sources, inductors, VCVS).  The assembler produces `A x = b` systems for
+//! sources and inductors).  The assembler produces `A x = b` systems for
 //! DC / transient Newton iterations (real) and for AC small-signal analysis
 //! (complex).
 
@@ -10,12 +10,13 @@ use crate::elements::{mosfet, Element};
 use crate::linalg::{Complex, Matrix};
 use crate::netlist::{Circuit, NodeId};
 
-/// Time-integration scheme used by the transient analysis.
+/// Time-integration scheme of one transient step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntegrationMethod {
-    /// First-order backward Euler (used for the first step and as a fallback).
+pub(crate) enum IntegrationMethod {
+    /// First-order backward Euler (the first step and the half-step retry).
     BackwardEuler,
-    /// Second-order trapezoidal rule (default; preserves ringing/overshoot).
+    /// Second-order trapezoidal rule (every other step; preserves
+    /// ringing/overshoot).
     Trapezoidal,
 }
 
@@ -254,40 +255,6 @@ pub fn assemble_real(
                 stamps.add_b(layout.node_row(*pos), -value);
                 stamps.add_b(layout.node_row(*neg), value);
             }
-            Element::Vcvs { out_pos, out_neg, in_pos, in_neg, gain, .. } => {
-                let rop = layout.node_row(*out_pos);
-                let ron = layout.node_row(*out_neg);
-                let rip = layout.node_row(*in_pos);
-                let rin = layout.node_row(*in_neg);
-                let br = layout.branch_row(index);
-                stamps.add_a(rop, br, 1.0);
-                stamps.add_a(ron, br, -1.0);
-                stamps.add_a(br, rop, 1.0);
-                stamps.add_a(br, ron, -1.0);
-                stamps.add_a(br, rip, -gain);
-                stamps.add_a(br, rin, *gain);
-            }
-            Element::Vccs { out_pos, out_neg, in_pos, in_neg, transconductance, .. } => {
-                let rop = layout.node_row(*out_pos);
-                let ron = layout.node_row(*out_neg);
-                let rip = layout.node_row(*in_pos);
-                let rin = layout.node_row(*in_neg);
-                let gm = *transconductance;
-                stamps.add_a(rop, rip, gm);
-                stamps.add_a(rop, rin, -gm);
-                stamps.add_a(ron, rip, -gm);
-                stamps.add_a(ron, rin, gm);
-            }
-            Element::Diode { anode, cathode, model, .. } => {
-                let ra = layout.node_row(*anode);
-                let rc = layout.node_row(*cathode);
-                let v = layout.voltage(x_guess, *anode) - layout.voltage(x_guess, *cathode);
-                let (current, conductance) = model.evaluate(v);
-                let ieq = current - conductance * v;
-                stamps.conductance(ra, rc, conductance);
-                stamps.add_b(ra, -ieq);
-                stamps.add_b(rc, ieq);
-            }
             Element::Mosfet { drain, gate, source, polarity, model, width, length, .. } => {
                 let rd = layout.node_row(*drain);
                 let rg = layout.node_row(*gate);
@@ -464,39 +431,6 @@ fn stamp_small_signal(
             Element::CurrentSource { pos, neg, ac_magnitude, .. } => {
                 stamps.add_b(layout.node_row(*pos), Complex::real(-ac_magnitude));
                 stamps.add_b(layout.node_row(*neg), Complex::real(*ac_magnitude));
-            }
-            Element::Vcvs { out_pos, out_neg, in_pos, in_neg, gain, .. } => {
-                let rop = layout.node_row(*out_pos);
-                let ron = layout.node_row(*out_neg);
-                let rip = layout.node_row(*in_pos);
-                let rin = layout.node_row(*in_neg);
-                let br = layout.branch_row(index);
-                stamps.add_a(rop, br, Complex::one());
-                stamps.add_a(ron, br, -Complex::one());
-                stamps.add_a(br, rop, Complex::one());
-                stamps.add_a(br, ron, -Complex::one());
-                stamps.add_a(br, rip, Complex::real(-gain));
-                stamps.add_a(br, rin, Complex::real(*gain));
-            }
-            Element::Vccs { out_pos, out_neg, in_pos, in_neg, transconductance, .. } => {
-                let rop = layout.node_row(*out_pos);
-                let ron = layout.node_row(*out_neg);
-                let rip = layout.node_row(*in_pos);
-                let rin = layout.node_row(*in_neg);
-                let gm = Complex::real(*transconductance);
-                stamps.add_a(rop, rip, gm);
-                stamps.add_a(rop, rin, -gm);
-                stamps.add_a(ron, rip, -gm);
-                stamps.add_a(ron, rin, gm);
-            }
-            Element::Diode { anode, cathode, model, .. } => {
-                let v = layout.voltage(op_x, *anode) - layout.voltage(op_x, *cathode);
-                let (_, conductance) = model.evaluate(v);
-                stamps.admittance(
-                    layout.node_row(*anode),
-                    layout.node_row(*cathode),
-                    Complex::real(conductance),
-                );
             }
             Element::Mosfet { drain, gate, source, polarity, model, width, length, .. } => {
                 let rd = layout.node_row(*drain);

@@ -1,12 +1,10 @@
 //! Circuit (netlist) construction.
 
-use serde::{Deserialize, Serialize};
-
-use crate::elements::{DiodeModel, Element, MosfetModel, MosfetPolarity, SourceWaveform};
+use crate::elements::{Element, MosfetModel, MosfetPolarity, SourceWaveform};
 use crate::{CircuitError, Result};
 
 /// Identifier of a circuit node.  Node `0` is always ground.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl NodeId {
@@ -44,7 +42,7 @@ impl NodeId {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Circuit {
     node_names: Vec<String>,
     elements: Vec<Element>,
@@ -98,11 +96,6 @@ impl Circuit {
     /// Finds an element index by instance name.
     pub fn find_element(&self, name: &str) -> Option<usize> {
         self.elements.iter().position(|e| e.name() == name)
-    }
-
-    /// Whether the circuit contains any nonlinear element.
-    pub fn is_nonlinear(&self) -> bool {
-        self.elements.iter().any(Element::is_nonlinear)
     }
 
     fn check_node(&self, node: NodeId) -> Result<()> {
@@ -231,62 +224,6 @@ impl Circuit {
         })
     }
 
-    /// Adds a voltage-controlled voltage source.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown nodes.
-    pub fn vcvs(
-        &mut self,
-        name: &str,
-        out_pos: NodeId,
-        out_neg: NodeId,
-        in_pos: NodeId,
-        in_neg: NodeId,
-        gain: f64,
-    ) -> Result<usize> {
-        self.push(Element::Vcvs { name: name.to_string(), out_pos, out_neg, in_pos, in_neg, gain })
-    }
-
-    /// Adds a voltage-controlled current source.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown nodes.
-    pub fn vccs(
-        &mut self,
-        name: &str,
-        out_pos: NodeId,
-        out_neg: NodeId,
-        in_pos: NodeId,
-        in_neg: NodeId,
-        transconductance: f64,
-    ) -> Result<usize> {
-        self.push(Element::Vccs {
-            name: name.to_string(),
-            out_pos,
-            out_neg,
-            in_pos,
-            in_neg,
-            transconductance,
-        })
-    }
-
-    /// Adds a junction diode.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown nodes.
-    pub fn diode(
-        &mut self,
-        name: &str,
-        anode: NodeId,
-        cathode: NodeId,
-        model: DiodeModel,
-    ) -> Result<usize> {
-        self.push(Element::Diode { name: name.to_string(), anode, cathode, model })
-    }
-
     /// Adds a MOSFET.
     ///
     /// # Errors
@@ -379,10 +316,9 @@ mod tests {
         let mut c = Circuit::new();
         let a = c.node("a");
         c.resistor("R1", a, Circuit::ground(), 10.0).unwrap();
-        c.diode("D1", a, Circuit::ground(), DiodeModel::silicon()).unwrap();
+        c.capacitor("C1", a, Circuit::ground(), 1e-9).unwrap();
         assert_eq!(c.elements().len(), 2);
-        assert_eq!(c.find_element("D1"), Some(1));
+        assert_eq!(c.find_element("C1"), Some(1));
         assert_eq!(c.find_element("Q9"), None);
-        assert!(c.is_nonlinear());
     }
 }

@@ -2,16 +2,14 @@
 //!
 //! The paper generates training instances "by randomly altering the MOSFET
 //! lengths and widths and capacitor values within ±x % of their nominal
-//! values" (Section 5.1).  [`VariationModel`] reproduces that scheme and also
-//! offers a Gaussian alternative for sensitivity studies.
+//! values" (Section 5.1).  [`VariationModel`] reproduces that scheme.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::devices::opamp::OpAmpParams;
 
 /// Distribution used to perturb each geometric parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum VariationModel {
     /// Uniform multiplicative variation: each parameter is scaled by a factor
@@ -19,12 +17,6 @@ pub enum VariationModel {
     Uniform {
         /// Half-width of the relative variation (0.1 = ±10 %).
         spread: f64,
-    },
-    /// Gaussian multiplicative variation with relative standard deviation
-    /// `sigma`, truncated at ±4σ to avoid non-physical negative geometry.
-    Gaussian {
-        /// Relative standard deviation of the scale factor.
-        sigma: f64,
     },
 }
 
@@ -38,13 +30,6 @@ impl VariationModel {
     pub fn draw_factor<R: Rng>(&self, rng: &mut R) -> f64 {
         match *self {
             VariationModel::Uniform { spread } => rng.gen_range(1.0 - spread..=1.0 + spread),
-            VariationModel::Gaussian { sigma } => {
-                // Box-Muller transform; truncate to keep geometry positive.
-                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
-                let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                1.0 + sigma * z.clamp(-4.0, 4.0)
-            }
         }
     }
 
@@ -74,18 +59,6 @@ mod tests {
             let f = model.draw_factor(&mut rng);
             assert!((0.9..=1.1).contains(&f));
         }
-    }
-
-    #[test]
-    fn gaussian_factors_have_requested_spread() {
-        let model = VariationModel::Gaussian { sigma: 0.05 };
-        let mut rng = StdRng::seed_from_u64(2);
-        let samples: Vec<f64> = (0..5000).map(|_| model.draw_factor(&mut rng)).collect();
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / samples.len() as f64;
-        assert!((mean - 1.0).abs() < 0.01, "mean {mean}");
-        assert!((var.sqrt() - 0.05).abs() < 0.01, "sd {}", var.sqrt());
-        assert!(samples.iter().all(|f| *f > 0.0));
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Time-domain waveforms and the measurements the specification tests need.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CircuitError, Result};
 
 /// A sampled time-domain signal.
@@ -17,7 +15,7 @@ use crate::{CircuitError, Result};
 /// );
 /// assert_eq!(w.final_value(), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Waveform {
     times: Vec<f64>,
     values: Vec<f64>,

@@ -1,7 +1,5 @@
 //! The accelerometer device model and its specification measurements.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::AccelerometerGeometry;
 use crate::lumped::{derive_lumped_model, LumpedModel};
 use crate::material::Material;
@@ -12,7 +10,7 @@ use crate::{MemsError, Result};
 const STANDARD_GRAVITY: f64 = 9.80665;
 
 /// The four specifications of Table 2, measured at one temperature.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccelerometerMeasurements {
     /// Capacitive readout scale factor in millivolts per g.
     pub scale_factor: f64,
@@ -59,7 +57,7 @@ impl AccelerometerMeasurements {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Accelerometer {
     geometry: AccelerometerGeometry,
     material: Material,

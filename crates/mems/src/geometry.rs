@@ -1,7 +1,5 @@
 //! Layout geometry of the surface-micromachined accelerometer.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{MemsError, Result};
 
 /// Geometric description of the accelerometer (all lengths in metres, angles
@@ -13,7 +11,7 @@ use crate::{MemsError, Result};
 /// sensing.  These are exactly the quantities the paper perturbs to create
 /// Monte-Carlo instances ("component lengths, widths and relative angles",
 /// Section 5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccelerometerGeometry {
     /// Proof-mass plate edge length along the sense axis.
     pub plate_length: f64,

@@ -6,8 +6,6 @@
 //! expression, so the device is ultimately a second-order system whose
 //! coefficients depend on geometry, material and temperature.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::AccelerometerGeometry;
 use crate::material::Material;
 use crate::{MemsError, Result};
@@ -26,7 +24,7 @@ const DAMPING_FIT: f64 = 8.3;
 const ANCHOR_STRAIN_TRANSFER: f64 = 0.6;
 
 /// Lumped second-order model of the accelerometer at one temperature.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LumpedModel {
     /// Moving mass in kilograms.
     pub mass: f64,

@@ -1,10 +1,8 @@
 //! Material and ambient properties used by the accelerometer model.
 
-use serde::{Deserialize, Serialize};
-
 /// Mechanical properties of the structural layer (polysilicon by default)
 /// and of the surrounding gas.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Material {
     /// Young's modulus in pascals.
     pub youngs_modulus: f64,

@@ -1,12 +1,10 @@
 //! Test-insertion temperatures.
 
-use serde::{Deserialize, Serialize};
-
 /// The three temperatures at which the paper tests the accelerometer
 /// (Section 5.2): hot and cold insertions are expensive because the chip must
 /// soak to a steady-state temperature, which is exactly the cost the
 /// compaction flow removes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TestTemperature {
     /// -40 °C cold insertion.
     Cold,

@@ -4,12 +4,11 @@
 //! component lengths, widths and relative angles" (Section 5.2).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::accelerometer::Accelerometer;
 
 /// Perturbation model for the accelerometer geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemsVariation {
     /// Relative half-width of the uniform variation applied to lengths and
     /// widths (0.05 = ±5 %).

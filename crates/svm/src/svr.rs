@@ -9,8 +9,6 @@
 
 use std::cell::RefCell;
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::{KernelEngine, KernelPath};
 use crate::smo::{self, QMatrix, SmoParams, SmoProblem};
 use crate::{Dataset, Kernel, Result, SvmError};
@@ -28,7 +26,7 @@ use crate::{Dataset, Kernel, Result, SvmError};
 ///     .with_kernel(Kernel::rbf(1.0));
 /// assert_eq!(params.epsilon(), 0.05);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvrParams {
     c: f64,
     epsilon: f64,
@@ -178,16 +176,14 @@ impl QMatrix for SvrQ<'_> {
 ///
 /// The prediction is `f(x) = Σ_i beta_i K(x_i, x) + b` where
 /// `beta_i = alpha_i - alpha*_i`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Svr {
     kernel: Kernel,
     support_vectors: Vec<Vec<f64>>,
     coefficients: Vec<f64>,
     bias: f64,
     dimension: usize,
-    /// SMO iterations spent training this model (0 for deserialized 0.3-era
-    /// models).
-    #[serde(default)]
+    /// SMO iterations spent training this model.
     iterations: usize,
 }
 

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use stc_circuit::devices::opamp::{OpAmp, OpAmpMeasurements, OpAmpParams};
 use stc_circuit::variation::VariationModel;
 use stc_core::pipeline::CompactionPipeline;
-use stc_core::{DeviceUnderTest, MonteCarloConfig, Specification, SpecificationSet};
+use stc_core::{DeviceUnderTest, MonteCarloConfig};
 use stc_mems::{Accelerometer, AccelerometerMeasurements, MemsVariation, TestTemperature};
 use stc_svm::SvmBackend;
 
@@ -30,7 +30,6 @@ use stc_svm::SvmBackend;
 pub struct OpAmpDevice {
     nominal: OpAmpParams,
     variation: VariationModel,
-    ranges: Option<SpecificationSet>,
 }
 
 impl OpAmpDevice {
@@ -38,30 +37,7 @@ impl OpAmpDevice {
     /// every transistor width/length and capacitor, ranges calibrated from
     /// the training population.
     pub fn paper_setup() -> Self {
-        OpAmpDevice {
-            nominal: OpAmpParams::nominal(),
-            variation: VariationModel::paper_default(),
-            ranges: None,
-        }
-    }
-
-    /// Overrides the nominal design parameters.
-    pub fn with_nominal(mut self, nominal: OpAmpParams) -> Self {
-        self.nominal = nominal;
-        self
-    }
-
-    /// Overrides the process-variation model.
-    pub fn with_variation(mut self, variation: VariationModel) -> Self {
-        self.variation = variation;
-        self
-    }
-
-    /// Supplies explicit acceptability ranges instead of calibrating them
-    /// from the population.
-    pub fn with_ranges(mut self, ranges: SpecificationSet) -> Self {
-        self.ranges = Some(ranges);
-        self
+        OpAmpDevice { nominal: OpAmpParams::nominal(), variation: VariationModel::paper_default() }
     }
 
     /// A [`CompactionPipeline`] preconfigured the way the paper runs this
@@ -95,10 +71,6 @@ impl DeviceUnderTest for OpAmpDevice {
         Ok(measurements.to_vec())
     }
 
-    fn specification_set(&self) -> Option<SpecificationSet> {
-        self.ranges.clone()
-    }
-
     /// Nominal sizing and process-variation settings drive the simulation
     /// but are invisible to the default fingerprint.
     fn fingerprint(&self) -> String {
@@ -117,7 +89,6 @@ impl DeviceUnderTest for OpAmpDevice {
 pub struct AccelerometerDevice {
     nominal: Accelerometer,
     variation: MemsVariation,
-    ranges: Option<SpecificationSet>,
 }
 
 impl AccelerometerDevice {
@@ -128,27 +99,7 @@ impl AccelerometerDevice {
         AccelerometerDevice {
             nominal: Accelerometer::nominal(),
             variation: MemsVariation::paper_default(),
-            ranges: None,
         }
-    }
-
-    /// Overrides the nominal device.
-    pub fn with_nominal(mut self, nominal: Accelerometer) -> Self {
-        self.nominal = nominal;
-        self
-    }
-
-    /// Overrides the process-variation model.
-    pub fn with_variation(mut self, variation: MemsVariation) -> Self {
-        self.variation = variation;
-        self
-    }
-
-    /// Supplies explicit acceptability ranges instead of calibrating them
-    /// from the population.
-    pub fn with_ranges(mut self, ranges: SpecificationSet) -> Self {
-        self.ranges = Some(ranges);
-        self
     }
 
     /// Indices of the four tests applied at `temperature`
@@ -215,43 +166,11 @@ impl DeviceUnderTest for AccelerometerDevice {
         instance.measure_all_temperatures().map_err(|e| e.to_string())
     }
 
-    fn specification_set(&self) -> Option<SpecificationSet> {
-        self.ranges.clone()
-    }
-
     /// Nominal design and variation settings drive the simulation but are
     /// invisible to the default fingerprint.
     fn fingerprint(&self) -> String {
         format!("{self:?}")
     }
-}
-
-/// Builds the paper's Table 1 specification table from explicit ranges
-/// expressed as fractions of a nominal measurement vector.
-///
-/// Used by examples that want fixed, human-readable ranges rather than
-/// population-calibrated ones.
-///
-/// # Errors
-///
-/// Propagates specification-construction errors.
-pub fn opamp_specs_from_nominal(
-    nominal: &OpAmpMeasurements,
-    relative_band: f64,
-) -> stc_core::Result<SpecificationSet> {
-    let names = OpAmpMeasurements::names();
-    let units = OpAmpMeasurements::units();
-    let values = nominal.to_vec();
-    let specs = names
-        .iter()
-        .zip(units.iter())
-        .zip(values.iter())
-        .map(|((name, unit), &value)| {
-            let half = relative_band * value.abs().max(1e-9);
-            Specification::new(name, unit, value, value - half, value + half)
-        })
-        .collect::<stc_core::Result<Vec<_>>>()?;
-    SpecificationSet::new(specs)
 }
 
 #[cfg(test)]
@@ -299,13 +218,5 @@ mod tests {
         let model = AccelerometerDevice::cost_model();
         let room_only: Vec<usize> = AccelerometerDevice::temperature_group(TestTemperature::Room);
         assert!(model.cost_reduction(&room_only).unwrap() > 0.5);
-    }
-
-    #[test]
-    fn nominal_range_helper_builds_a_full_table() {
-        let nominal = OpAmp::default().measure().expect("nominal op-amp simulates");
-        let specs = opamp_specs_from_nominal(&nominal, 0.3).unwrap();
-        assert_eq!(specs.len(), 11);
-        assert!(specs.passes(&nominal.to_vec()));
     }
 }

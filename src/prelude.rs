@@ -13,7 +13,7 @@
 //! [`StepVerdict`], [`SequentialStats`]), the device adapters and every
 //! configuration type the pipeline stages take.
 
-pub use crate::adapters::{opamp_specs_from_nominal, AccelerometerDevice, OpAmpDevice};
+pub use crate::adapters::{AccelerometerDevice, OpAmpDevice};
 
 pub use stc_core::classifier::{
     Classifier, ClassifierFactory, GridBackend, TrainingView, WarmStartContext,

@@ -4,9 +4,17 @@
 //! assembly yields the frequency-independent system and the reactive stamps,
 //! and each frequency adds `j·ω` times those stamps to a copy of that system
 //! and solves it in place, in buffers allocated once per sweep.
+//!
+//! Every system of a sweep has the same structure, the frequency-independent
+//! nonzeros and the reactive positions, so the sweep solves through a
+//! factorization plan (see [`crate::linalg`]): each point replays the pivot
+//! order of the last dense LU on those entries, and a point that leaves the
+//! plan is reloaded and solved by the dense LU, which plans the points after
+//! it.  Each solution has the dense LU's bits, except that an exact zero may
+//! have the other sign.
 
 use crate::dc::DcSolution;
-use crate::linalg::{solve_complex_into, Complex, Matrix};
+use crate::linalg::{Complex, LuPlan, Matrix, Replay};
 use crate::mna::{AcSystem, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
 use crate::{CircuitError, Result};
@@ -110,15 +118,21 @@ pub(crate) fn ac_sweep_until(
     let system = AcSystem::new(circuit, &layout, op.solution_vector());
     let mut a = Matrix::zeros(size);
     let mut b = vec![Complex::zero(); size];
+    let structure = system.structure();
+    let mut plan = LuPlan::default();
     let mut sweep = AcSweep {
         layout,
         frequencies: Vec::with_capacity(frequencies.len()),
         solutions: vec![Complex::zero(); frequencies.len() * size],
     };
     for (index, &frequency) in frequencies.iter().enumerate() {
-        system.load(std::f64::consts::TAU * frequency, &mut a, &mut b);
+        let omega = std::f64::consts::TAU * frequency;
+        system.load(omega, &mut a, &mut b);
         let x = &mut sweep.solutions[index * size..(index + 1) * size];
-        solve_complex_into(&mut a, &mut b, x)?;
+        if plan.solve(&mut a, &mut b, x)? == Replay::Fallback {
+            system.load(omega, &mut a, &mut b);
+            plan.solve_dense(&mut a, &mut b, x, &structure)?;
+        }
         sweep.frequencies.push(frequency);
         if stop(&sweep) {
             break;

@@ -1,6 +1,12 @@
 //! DC operating-point analysis (Newton–Raphson with gmin and source stepping).
+//!
+//! The Newton iterations of one analysis (a DC operating point here, every
+//! time step of a transient) stamp the same Jacobian entries, so they solve
+//! through one factorization plan (see [`crate::linalg`]), rebuilt whenever
+//! the pivot order of the dense LU changes.  Each solution has the dense
+//! LU's bits, except that an exact zero may have the other sign.
 
-use crate::linalg::{lu_solve_into, Matrix};
+use crate::linalg::{LuPlan, Matrix, Replay};
 use crate::mna::{assemble_real, AssemblyOptions, DynamicState, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
 use crate::{CircuitError, Result};
@@ -52,11 +58,17 @@ impl DcSolution {
 }
 
 /// The buffers one analysis's Newton iterations assemble, factorize and
-/// solve into, allocated once per analysis.
+/// solve into, allocated once per analysis, and the analysis's
+/// factorization plan.
 pub(crate) struct NewtonWorkspace {
     jacobian: Matrix<f64>,
     rhs: Vec<f64>,
     next: Vec<f64>,
+    /// Replays the last dense LU's pivot order on the Jacobian's stamped
+    /// entries.
+    plan: LuPlan,
+    /// The entries the last recorded assembly stamped, row-major.
+    structure: Vec<bool>,
 }
 
 impl NewtonWorkspace {
@@ -65,6 +77,8 @@ impl NewtonWorkspace {
             jacobian: Matrix::zeros(size),
             rhs: vec![0.0; size],
             next: vec![0.0; size],
+            plan: LuPlan::default(),
+            structure: Vec::new(),
         }
     }
 }
@@ -72,6 +86,11 @@ impl NewtonWorkspace {
 /// Runs one Newton–Raphson solve, iterating in place from the initial guess
 /// in `x`.  On success `x` holds the solution; on failure its contents are
 /// unspecified.
+///
+/// Each iteration solves its Jacobian with the workspace's plan.  When the
+/// system leaves the plan, it is assembled again, recording the entries the
+/// stamps touch, and solved by the dense LU, whose pivot order and those
+/// entries make the plan of the next iterations.
 pub(crate) fn newton_solve(
     circuit: &Circuit,
     layout: &MnaLayout,
@@ -83,8 +102,13 @@ pub(crate) fn newton_solve(
     let node_rows = layout.node_count() - 1;
     let analysis = if options.time_step.is_some() { "transient" } else { "dc" };
     for _iteration in 0..MAX_NEWTON_ITERATIONS {
-        assemble_real(circuit, layout, x, dynamic, options, &mut work.jacobian, &mut work.rhs);
-        lu_solve_into(&mut work.jacobian, &mut work.rhs, &mut work.next)?;
+        let (jacobian, rhs) = (&mut work.jacobian, &mut work.rhs);
+        assemble_real(circuit, layout, x, dynamic, options, jacobian, rhs, None);
+        if work.plan.solve(jacobian, rhs, &mut work.next)? == Replay::Fallback {
+            let structure = Some(&mut work.structure);
+            assemble_real(circuit, layout, x, dynamic, options, jacobian, rhs, structure);
+            work.plan.solve_dense(jacobian, rhs, &mut work.next, &work.structure)?;
+        }
         let x_new = &work.next;
         // Largest node-voltage change decides convergence and damping; branch
         // currents follow the voltages.
@@ -111,9 +135,10 @@ pub(crate) fn newton_solve(
 
 /// Computes the DC operating point of a circuit.
 ///
-/// Linear circuits are solved directly; nonlinear circuits use Newton–Raphson
-/// and fall back to gmin stepping and then source stepping when the plain
-/// iteration fails to converge.
+/// Every circuit, linear or not, is solved by Newton–Raphson from all zeros,
+/// with each iteration's node-voltage step limited to 0.5 V, falling back to
+/// gmin stepping and then source stepping when the plain iteration fails to
+/// converge.
 ///
 /// # Errors
 ///

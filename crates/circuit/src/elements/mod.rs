@@ -69,7 +69,8 @@ pub enum Element {
         ac_magnitude: f64,
     },
     /// Independent current source; the current flows from `pos` through the
-    /// source to `neg` (SPICE convention).
+    /// source to `neg` (SPICE convention).  It has no AC component, so AC
+    /// analysis sees an open circuit.
     CurrentSource {
         /// Instance name.
         name: String,
@@ -79,8 +80,6 @@ pub enum Element {
         neg: NodeId,
         /// Time-domain waveform (also provides the DC value).
         waveform: SourceWaveform,
-        /// Small-signal AC magnitude used by AC analysis.
-        ac_magnitude: f64,
     },
     /// Square-law (SPICE level-1) MOSFET.
     Mosfet {

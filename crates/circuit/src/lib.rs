@@ -17,6 +17,12 @@
 //!   the circuit has settled after its last source change (no node moving by
 //!   more than the 1 nV Newton tolerance over the rest of the window).
 //!
+//! Each analysis solves its many linear systems of one structure through a
+//! factorization plan that replays the dense LU's pivot order over the
+//! structural nonzeros, and falls back to the dense LU when the pivot order
+//! changes or a value is not finite (see [`linalg`]).  Every result has the
+//! dense LU's bits, except that an exact zero may have the other sign.
+//!
 //! Circuits are built programmatically with [`Circuit`]; the element set
 //! (R, L, C, independent voltage and current sources held constant or
 //! stepped, and level-1 MOSFETs) is what the two-stage CMOS operational

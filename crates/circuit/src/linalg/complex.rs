@@ -68,14 +68,16 @@ impl Complex {
         Complex { re: self.re, im: -self.im }
     }
 
-    /// Multiplicative inverse.
+    /// Multiplicative inverse.  A NaN part gives NaN parts, and a number
+    /// whose squared magnitude underflows to zero gives infinite or NaN
+    /// parts.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if the number is exactly zero.
     pub fn recip(&self) -> Self {
+        debug_assert!(self.re != 0.0 || self.im != 0.0, "reciprocal of zero");
         let d = self.norm_sqr();
-        debug_assert!(d > 0.0, "reciprocal of zero");
         Complex { re: self.re / d, im: -self.im / d }
     }
 
@@ -197,6 +199,14 @@ mod tests {
         assert_eq!(z.conj(), Complex::new(2.0, 3.0));
         let r = z.recip() * z;
         assert!((r.re - 1.0).abs() < 1e-12 && r.im.abs() < 1e-12);
+    }
+
+    #[test]
+    fn recip_of_nan_or_of_a_tiny_number_is_not_finite() {
+        // Only an exact zero is refused; an AC system with a NaN entry must
+        // reach the LU, which reports it, in debug builds too.
+        assert!(Complex::new(f64::NAN, 1.0).recip().re.is_nan());
+        assert!(!Complex::new(1e-170, 0.0).recip().is_finite());
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Dense matrices and LU solves (real and complex).
+//! Dense matrices and the dense LU solve (real and complex).
+
+use std::ops::{Div, Mul, SubAssign};
 
 use super::Complex;
 use crate::CircuitError;
@@ -43,6 +45,16 @@ impl<T: Copy + Default> Matrix<T> {
         }
     }
 
+    /// The entries, row-major.
+    pub(crate) fn values(&self) -> &[T] {
+        &self.values
+    }
+
+    /// The entries, row-major, for writing.
+    pub(super) fn values_mut(&mut self) -> &mut [T] {
+        &mut self.values
+    }
+
     /// Overwrites every entry with `other`'s, keeping the allocation.
     ///
     /// # Panics
@@ -81,6 +93,77 @@ impl Matrix<Complex> {
     }
 }
 
+/// A scalar the LU factorizations run over: `f64` for DC and transient
+/// systems, [`Complex`] for AC ones.
+pub(crate) trait LuScalar:
+    Copy + Default + SubAssign + Mul<Output = Self> + Div<Output = Self>
+{
+    /// The magnitude partial pivoting compares.
+    fn magnitude(self) -> f64;
+
+    /// What the factors of the pivot `self` are computed from: the pivot
+    /// itself for `f64`, its reciprocal for [`Complex`].
+    fn scale(self) -> Self;
+
+    /// The factor of the entry `self` below a pivot of scale `scale`.
+    fn factor(self, scale: Self) -> Self;
+
+    /// Whether the value is exactly zero (either sign).
+    fn is_zero(self) -> bool;
+
+    /// Whether the value is finite.
+    fn is_finite(self) -> bool;
+}
+
+impl LuScalar for f64 {
+    fn magnitude(self) -> f64 {
+        self.abs()
+    }
+
+    fn scale(self) -> f64 {
+        self
+    }
+
+    fn factor(self, pivot: f64) -> f64 {
+        self / pivot
+    }
+
+    fn is_zero(self) -> bool {
+        self == 0.0
+    }
+
+    fn is_finite(self) -> bool {
+        f64::is_finite(self)
+    }
+}
+
+impl LuScalar for Complex {
+    fn magnitude(self) -> f64 {
+        self.norm()
+    }
+
+    fn scale(self) -> Complex {
+        self.recip()
+    }
+
+    // `Div` multiplies by the reciprocal, so each factor has the bits of
+    // `entry / pivot`.
+    fn factor(self, inverse: Complex) -> Complex {
+        self * inverse
+    }
+
+    fn is_zero(self) -> bool {
+        self.re == 0.0 && self.im == 0.0
+    }
+
+    fn is_finite(self) -> bool {
+        Complex::is_finite(&self)
+    }
+}
+
+/// The smallest pivot magnitude an LU factorization accepts.
+pub(crate) const MIN_PIVOT: f64 = 1e-300;
+
 /// Solves `A x = b` for real `A` by LU factorization with partial pivoting.
 ///
 /// Consumes the matrix (the factorization is done in place).
@@ -92,67 +175,8 @@ impl Matrix<Complex> {
 /// source loop.
 pub fn solve_real(mut a: Matrix<f64>, mut b: Vec<f64>) -> Result<Vec<f64>, CircuitError> {
     let mut x = vec![0.0; a.size()];
-    lu_solve_into(&mut a, &mut b, &mut x)?;
+    lu_solve_into(&mut a, &mut b, &mut x, &mut Vec::new())?;
     Ok(x)
-}
-
-/// [`solve_real`] into caller buffers: factorizes `a` in place, overwrites
-/// `b` with the forward-eliminated right-hand side and writes the solution
-/// to `x`, whose previous contents are never read.
-///
-/// # Errors
-///
-/// See [`solve_real`].
-pub(crate) fn lu_solve_into(
-    a: &mut Matrix<f64>,
-    b: &mut [f64],
-    x: &mut [f64],
-) -> Result<(), CircuitError> {
-    let n = a.size();
-    assert_eq!(b.len(), n, "rhs length must match matrix size");
-    assert_eq!(x.len(), n, "solution length must match matrix size");
-    for k in 0..n {
-        // Partial pivoting.
-        let mut pivot_row = k;
-        let mut pivot_mag = a[(k, k)].abs();
-        for r in (k + 1)..n {
-            let mag = a[(r, k)].abs();
-            if mag > pivot_mag {
-                pivot_mag = mag;
-                pivot_row = r;
-            }
-        }
-        if pivot_mag < 1e-300 {
-            return Err(CircuitError::SingularMatrix { pivot: k });
-        }
-        if pivot_row != k {
-            let (above, from_pivot) = a.values.split_at_mut(pivot_row * n);
-            above[k * n..(k + 1) * n].swap_with_slice(&mut from_pivot[..n]);
-            b.swap(k, pivot_row);
-        }
-        let (upper, lower) = a.values.split_at_mut((k + 1) * n);
-        let pivot_slice = &upper[k * n + k..];
-        let pivot = pivot_slice[0];
-        for (r, row) in lower.chunks_exact_mut(n).enumerate() {
-            let factor = row[k] / pivot;
-            if factor == 0.0 {
-                continue;
-            }
-            for (entry, &v) in row[k..].iter_mut().zip(pivot_slice) {
-                *entry -= factor * v;
-            }
-            b[k + 1 + r] -= factor * b[k];
-        }
-    }
-    // Back substitution.
-    for k in (0..n).rev() {
-        let mut sum = b[k];
-        for c in (k + 1)..n {
-            sum -= a[(k, c)] * x[c];
-        }
-        x[k] = sum / a[(k, k)];
-    }
-    Ok(())
 }
 
 /// Solves `A x = b` for complex `A` by LU factorization with partial pivoting.
@@ -165,38 +189,49 @@ pub fn solve_complex(
     mut b: Vec<Complex>,
 ) -> Result<Vec<Complex>, CircuitError> {
     let mut x = vec![Complex::zero(); a.size()];
-    solve_complex_into(&mut a, &mut b, &mut x)?;
+    lu_solve_into(&mut a, &mut b, &mut x, &mut Vec::new())?;
     Ok(x)
 }
 
-/// [`solve_complex`] into caller buffers, like [`lu_solve_into`]: factorizes
-/// `a` in place, overwrites `b` with the forward-eliminated right-hand side
-/// and writes the solution to `x`, whose previous contents are never read.
+/// The dense LU of [`solve_real`] and [`solve_complex`] into caller buffers:
+/// factorizes `a` in place, overwrites `b` with the forward-eliminated
+/// right-hand side, writes the solution to `x`, whose previous contents are
+/// never read, and records in `pivots` the position of the row each step
+/// swapped into place, the order a [`super::LuPlan`] replays.
+///
+/// Each step picks the first row, in position order, whose entry in the
+/// pivot column is strictly largest in magnitude.
 ///
 /// # Errors
 ///
-/// See [`solve_complex`].
-pub(crate) fn solve_complex_into(
-    a: &mut Matrix<Complex>,
-    b: &mut [Complex],
-    x: &mut [Complex],
+/// See [`solve_real`]; `pivots` then holds the steps before the failing one.
+pub(crate) fn lu_solve_into<T: LuScalar>(
+    a: &mut Matrix<T>,
+    b: &mut [T],
+    x: &mut [T],
+    pivots: &mut Vec<usize>,
 ) -> Result<(), CircuitError> {
+    #[cfg(test)]
+    super::plan::count_factorization(false);
     let n = a.size();
     assert_eq!(b.len(), n, "rhs length must match matrix size");
     assert_eq!(x.len(), n, "solution length must match matrix size");
+    pivots.clear();
     for k in 0..n {
+        // Partial pivoting.
         let mut pivot_row = k;
-        let mut pivot_mag = a[(k, k)].norm();
+        let mut pivot_mag = a[(k, k)].magnitude();
         for r in (k + 1)..n {
-            let mag = a[(r, k)].norm();
+            let mag = a[(r, k)].magnitude();
             if mag > pivot_mag {
                 pivot_mag = mag;
                 pivot_row = r;
             }
         }
-        if pivot_mag < 1e-300 {
+        if pivot_mag < MIN_PIVOT {
             return Err(CircuitError::SingularMatrix { pivot: k });
         }
+        pivots.push(pivot_row);
         if pivot_row != k {
             let (above, from_pivot) = a.values.split_at_mut(pivot_row * n);
             above[k * n..(k + 1) * n].swap_with_slice(&mut from_pivot[..n]);
@@ -204,19 +239,20 @@ pub(crate) fn solve_complex_into(
         }
         let (upper, lower) = a.values.split_at_mut((k + 1) * n);
         let pivot_slice = &upper[k * n + k..];
-        // `Div` multiplies by the reciprocal, so each factor keeps its bits.
-        let inverse = pivot_slice[0].recip();
+        let scale = pivot_slice[0].scale();
         for (r, row) in lower.chunks_exact_mut(n).enumerate() {
-            let factor = row[k] * inverse;
-            if factor.re == 0.0 && factor.im == 0.0 {
+            let factor = row[k].factor(scale);
+            if factor.is_zero() {
                 continue;
             }
             for (entry, &v) in row[k..].iter_mut().zip(pivot_slice) {
                 *entry -= factor * v;
             }
-            b[k + 1 + r] -= factor * b[k];
+            let pivot_b = b[k];
+            b[k + 1 + r] -= factor * pivot_b;
         }
     }
+    // Back substitution.
     for k in (0..n).rev() {
         let mut sum = b[k];
         for c in (k + 1)..n {

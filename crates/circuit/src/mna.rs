@@ -116,12 +116,17 @@ impl Default for AssemblyOptions {
 struct RealStamps<'a> {
     a: &'a mut Matrix<f64>,
     b: &'a mut [f64],
+    /// Marks each stamped entry, row-major, when recording.
+    structure: Option<&'a mut [bool]>,
 }
 
 impl RealStamps<'_> {
     fn add_a(&mut self, row: Option<usize>, col: Option<usize>, value: f64) {
         if let (Some(r), Some(c)) = (row, col) {
             self.a.add(r, c, value);
+            if let Some(structure) = self.structure.as_deref_mut() {
+                structure[r * self.b.len() + c] = true;
+            }
         }
     }
 
@@ -143,6 +148,12 @@ impl RealStamps<'_> {
 /// Assembles the real MNA system `a x = b` for a DC or transient Newton
 /// iteration, linearised around the iterate `x_guess`.  Both buffers are
 /// cleared first, so they can be reused from one iteration to the next.
+///
+/// With `structure`, also records which entries the stamps touch, row-major,
+/// as the structure of a [`crate::linalg::LuPlan`].  The entries stamped
+/// depend only on the circuit and on whether the assembly is DC or transient,
+/// never on a value, so every system of one analysis shares them.
+#[allow(clippy::too_many_arguments)]
 pub fn assemble_real(
     circuit: &Circuit,
     layout: &MnaLayout,
@@ -151,10 +162,16 @@ pub fn assemble_real(
     options: &AssemblyOptions,
     a: &mut Matrix<f64>,
     b: &mut [f64],
+    structure: Option<&mut Vec<bool>>,
 ) {
     a.clear();
     b.fill(0.0);
-    let mut stamps = RealStamps { a, b };
+    let structure = structure.map(|structure| {
+        structure.clear();
+        structure.resize(b.len() * b.len(), false);
+        structure.as_mut_slice()
+    });
+    let mut stamps = RealStamps { a, b, structure };
 
     // gmin from every node to ground keeps floating nodes and cut-off devices
     // from producing a singular Jacobian.
@@ -337,6 +354,18 @@ impl AcSystem {
         AcSystem { a: stamps.a, b: stamps.b, reactive }
     }
 
+    /// The structure of every system [`AcSystem::load`] writes, row-major:
+    /// the frequency-independent nonzeros and the reactive positions.
+    pub fn structure(&self) -> Vec<bool> {
+        let mut structure: Vec<bool> =
+            self.a.values().iter().map(|value| value.re != 0.0 || value.im != 0.0).collect();
+        let n = self.a.size();
+        for &(row, col, _) in &self.reactive {
+            structure[row * n + col] = true;
+        }
+        structure
+    }
+
     /// Writes the system at angular frequency `omega` into `a` and `b`.
     ///
     /// Each entry gets the bits that stamping at `omega` in element order
@@ -428,10 +457,9 @@ fn stamp_small_signal(
                 stamps.add_a(br, rn, -Complex::one());
                 stamps.add_b(br, Complex::real(*ac_magnitude));
             }
-            Element::CurrentSource { pos, neg, ac_magnitude, .. } => {
-                stamps.add_b(layout.node_row(*pos), Complex::real(-ac_magnitude));
-                stamps.add_b(layout.node_row(*neg), Complex::real(*ac_magnitude));
-            }
+            // An independent current source has no AC component: an open
+            // circuit.
+            Element::CurrentSource { .. } => {}
             Element::Mosfet { drain, gate, source, polarity, model, width, length, .. } => {
                 let rd = layout.node_row(*drain);
                 let rg = layout.node_row(*gate);
@@ -485,7 +513,7 @@ mod tests {
         let layout = MnaLayout::new(&c);
         let x0 = vec![0.0; layout.size()];
         let (mut a, mut b) = (Matrix::zeros(layout.size()), vec![0.0; layout.size()]);
-        assemble_real(&c, &layout, &x0, None, &AssemblyOptions::default(), &mut a, &mut b);
+        assemble_real(&c, &layout, &x0, None, &AssemblyOptions::default(), &mut a, &mut b, None);
         let x = solve_real(a, b).unwrap();
         assert!((layout.voltage(&x, vin) - 2.0).abs() < 1e-9);
         assert!((layout.voltage(&x, vout) - 1.0).abs() < 1e-6);
@@ -503,7 +531,7 @@ mod tests {
         let layout = MnaLayout::new(&c);
         let x0 = vec![0.0; layout.size()];
         let (mut m, mut b) = (Matrix::zeros(layout.size()), vec![0.0; layout.size()]);
-        assemble_real(&c, &layout, &x0, None, &AssemblyOptions::default(), &mut m, &mut b);
+        assemble_real(&c, &layout, &x0, None, &AssemblyOptions::default(), &mut m, &mut b, None);
         let x = solve_real(m, b).unwrap();
         // Current leaves node a through the source => node a is pulled low.
         assert!((layout.voltage(&x, a) + 1.0).abs() < 1e-9);

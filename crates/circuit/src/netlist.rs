@@ -114,6 +114,25 @@ impl Circuit {
         }
     }
 
+    fn check_finite(&self, name: &str, parameter: &'static str, value: f64) -> Result<()> {
+        if value.is_finite() {
+            Ok(())
+        } else {
+            Err(CircuitError::InvalidParameter { element: name.to_string(), parameter, value })
+        }
+    }
+
+    fn check_waveform(&self, name: &str, waveform: &SourceWaveform) -> Result<()> {
+        match *waveform {
+            SourceWaveform::Dc(value) => self.check_finite(name, "dc value", value),
+            SourceWaveform::Step { initial, final_value, delay } => {
+                self.check_finite(name, "step initial value", initial)?;
+                self.check_finite(name, "step final value", final_value)?;
+                self.check_finite(name, "step delay", delay)
+            }
+        }
+    }
+
     fn push(&mut self, element: Element) -> Result<usize> {
         for node in element.nodes() {
             self.check_node(node)?;
@@ -162,7 +181,8 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown nodes.
+    /// Returns an error for unknown nodes or a non-finite waveform value (DC
+    /// value, step level or step delay).
     pub fn voltage_source(
         &mut self,
         name: &str,
@@ -170,13 +190,7 @@ impl Circuit {
         neg: NodeId,
         waveform: SourceWaveform,
     ) -> Result<usize> {
-        self.push(Element::VoltageSource {
-            name: name.to_string(),
-            pos,
-            neg,
-            waveform,
-            ac_magnitude: 0.0,
-        })
+        self.ac_voltage_source(name, pos, neg, waveform, 0.0)
     }
 
     /// Adds an independent voltage source that also acts as the AC stimulus
@@ -184,7 +198,8 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown nodes.
+    /// Returns an error for unknown nodes, a non-finite waveform value or a
+    /// non-finite AC magnitude.
     pub fn ac_voltage_source(
         &mut self,
         name: &str,
@@ -193,6 +208,8 @@ impl Circuit {
         waveform: SourceWaveform,
         ac_magnitude: f64,
     ) -> Result<usize> {
+        self.check_waveform(name, &waveform)?;
+        self.check_finite(name, "ac magnitude", ac_magnitude)?;
         self.push(Element::VoltageSource {
             name: name.to_string(),
             pos,
@@ -203,11 +220,11 @@ impl Circuit {
     }
 
     /// Adds an independent current source (current flows from `pos` through
-    /// the source to `neg`).
+    /// the source to `neg`).  It has no AC component.
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown nodes.
+    /// Returns an error for unknown nodes or a non-finite waveform value.
     pub fn current_source(
         &mut self,
         name: &str,
@@ -215,13 +232,8 @@ impl Circuit {
         neg: NodeId,
         waveform: SourceWaveform,
     ) -> Result<usize> {
-        self.push(Element::CurrentSource {
-            name: name.to_string(),
-            pos,
-            neg,
-            waveform,
-            ac_magnitude: 0.0,
-        })
+        self.check_waveform(name, &waveform)?;
+        self.push(Element::CurrentSource { name: name.to_string(), pos, neg, waveform })
     }
 
     /// Adds a MOSFET.
@@ -299,6 +311,66 @@ mod tests {
                 1e-6
             )
             .is_err());
+    }
+
+    #[test]
+    fn non_finite_source_values_are_rejected() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let gnd = Circuit::ground();
+        let rejects = |result: Result<usize>, expected: &str| {
+            assert!(
+                matches!(&result, Err(CircuitError::InvalidParameter { parameter, value, .. })
+                    if *parameter == expected && !value.is_finite()),
+                "{expected}: {result:?}"
+            );
+        };
+        rejects(c.voltage_source("V1", a, gnd, SourceWaveform::dc(f64::NAN)), "dc value");
+        rejects(c.current_source("I1", a, gnd, SourceWaveform::dc(f64::INFINITY)), "dc value");
+        let step = |initial, final_value, delay| SourceWaveform::step(initial, final_value, delay);
+        rejects(c.voltage_source("V2", a, gnd, step(f64::NAN, 1.0, 0.0)), "step initial value");
+        rejects(
+            c.current_source("I2", a, gnd, step(0.0, f64::NEG_INFINITY, 0.0)),
+            "step final value",
+        );
+        rejects(c.voltage_source("V3", a, gnd, step(0.0, 1.0, f64::NAN)), "step delay");
+        rejects(
+            c.ac_voltage_source("V4", a, gnd, SourceWaveform::dc(0.0), f64::NAN),
+            "ac magnitude",
+        );
+        rejects(
+            c.ac_voltage_source("V5", a, gnd, SourceWaveform::dc(f64::INFINITY), 1.0),
+            "dc value",
+        );
+        assert!(c.elements().is_empty());
+    }
+
+    #[test]
+    fn a_nan_supply_fails_where_it_enters() {
+        // Accepted, it would reach `dc_operating_point`, which spent 900 Newton
+        // iterations (plain Newton, the first gmin level and the first source
+        // step) before reporting a misleading `NoConvergence`.
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let result = c.voltage_source("VDD", vdd, Circuit::ground(), SourceWaveform::dc(f64::NAN));
+        assert!(matches!(
+            result,
+            Err(CircuitError::InvalidParameter { parameter: "dc value", .. })
+        ));
+    }
+
+    #[test]
+    fn a_nan_step_delay_is_not_a_step_at_zero() {
+        // Accepted, `value_at(t) = if t <= NaN { initial } else { final }`
+        // would read the final value at every t, a step at t = 0.
+        let step = SourceWaveform::step(0.0, 1.0, f64::NAN);
+        assert_eq!(step.value_at(0.0), 1.0);
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        assert!(matches!(
+            c.voltage_source("VIN", a, Circuit::ground(), step),
+            Err(CircuitError::InvalidParameter { parameter: "step delay", .. })
+        ));
     }
 
     #[test]

@@ -45,9 +45,9 @@ pub struct TrajectoryPoint {
     pub kept: Vec<usize>,
     /// Eliminated specification indices, in elimination order.
     pub eliminated: Vec<usize>,
-    /// Total classifier trainings charged to the run.
+    /// Model trainings the run started: one per model-cache miss.
     pub trainings: usize,
-    /// Total SMO iterations across all trainings.
+    /// Total SMO iterations across all trainings, warm and cold.
     pub solver_iterations: usize,
     /// Trainings that warm-started from a parent model.
     pub warm_trainings: usize,
@@ -80,8 +80,8 @@ impl TrajectoryPoint {
             tolerance,
             kept: result.kept.clone(),
             eliminated: result.eliminated.clone(),
-            trainings: result.budget.trainings,
-            solver_iterations: result.budget.solver_iterations,
+            trainings: result.cache.misses,
+            solver_iterations: result.warm_start.total_iterations(),
             warm_trainings: result.warm_start.warm_trainings,
             cold_trainings: result.warm_start.cold_trainings,
             warm_iterations: result.warm_start.warm_iterations,

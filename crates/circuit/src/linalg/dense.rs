@@ -102,8 +102,11 @@ pub(crate) trait LuScalar:
     fn magnitude(self) -> f64;
 
     /// What the factors of the pivot `self` are computed from: the pivot
-    /// itself for `f64`, its reciprocal for [`Complex`].
-    fn scale(self) -> Self;
+    /// itself for `f64`, its reciprocal for [`Complex`].  `None` when the
+    /// pivot cannot be inverted: a complex pivot whose reciprocal is not
+    /// finite (its squared magnitude underflows, or it is not finite) or is
+    /// exactly zero (its squared magnitude overflows).
+    fn scale(self) -> Option<Self>;
 
     /// The factor of the entry `self` below a pivot of scale `scale`.
     fn factor(self, scale: Self) -> Self;
@@ -120,8 +123,8 @@ impl LuScalar for f64 {
         self.abs()
     }
 
-    fn scale(self) -> f64 {
-        self
+    fn scale(self) -> Option<f64> {
+        Some(self)
     }
 
     fn factor(self, pivot: f64) -> f64 {
@@ -142,8 +145,9 @@ impl LuScalar for Complex {
         self.norm()
     }
 
-    fn scale(self) -> Complex {
-        self.recip()
+    fn scale(self) -> Option<Complex> {
+        let inverse = self.recip();
+        (inverse.is_finite() && !inverse.is_zero()).then_some(inverse)
     }
 
     // `Div` multiplies by the reciprocal, so each factor has the bits of
@@ -183,7 +187,10 @@ pub fn solve_real(mut a: Matrix<f64>, mut b: Vec<f64>) -> Result<Vec<f64>, Circu
 ///
 /// # Errors
 ///
-/// Returns [`CircuitError::SingularMatrix`] when a pivot magnitude vanishes.
+/// Returns [`CircuitError::SingularMatrix`] when a pivot magnitude vanishes,
+/// or when a pivot's reciprocal is not finite or is zero (magnitudes below
+/// about 1.5e-154 or above about 1.3e154, where its squared magnitude
+/// underflows or overflows).
 pub fn solve_complex(
     mut a: Matrix<Complex>,
     mut b: Vec<Complex>,
@@ -204,7 +211,9 @@ pub fn solve_complex(
 ///
 /// # Errors
 ///
-/// See [`solve_real`]; `pivots` then holds the steps before the failing one.
+/// See [`solve_real`]: a pivot below [`MIN_PIVOT`] in magnitude, or a
+/// complex pivot [`LuScalar::scale`] cannot invert, is singular.  `pivots`
+/// then holds the steps before the failing one.
 pub(crate) fn lu_solve_into<T: LuScalar>(
     a: &mut Matrix<T>,
     b: &mut [T],
@@ -231,6 +240,9 @@ pub(crate) fn lu_solve_into<T: LuScalar>(
         if pivot_mag < MIN_PIVOT {
             return Err(CircuitError::SingularMatrix { pivot: k });
         }
+        let Some(scale) = a[(pivot_row, k)].scale() else {
+            return Err(CircuitError::SingularMatrix { pivot: k });
+        };
         pivots.push(pivot_row);
         if pivot_row != k {
             let (above, from_pivot) = a.values.split_at_mut(pivot_row * n);
@@ -239,7 +251,6 @@ pub(crate) fn lu_solve_into<T: LuScalar>(
         }
         let (upper, lower) = a.values.split_at_mut((k + 1) * n);
         let pivot_slice = &upper[k * n + k..];
-        let scale = pivot_slice[0].scale();
         for (r, row) in lower.chunks_exact_mut(n).enumerate() {
             let factor = row[k].factor(scale);
             if factor.is_zero() {

@@ -28,12 +28,12 @@ use crate::CircuitError;
 /// dense LU's bits, and only the sign of an exact zero may differ.  Four
 /// cases leave the plan, and the caller then reassembles or reloads the
 /// system and calls [`LuPlan::solve_dense`], which plans the next systems
-/// after it: a pivot that differs from the plan's; a pivot whose scale (the
-/// pivot in `f64`, its reciprocal in [`super::Complex`]) or a factor that is
-/// not finite, for the dense LU would then spread NaN over entries the plan
-/// skips (`0 / NaN`, `0 · ∞`); and a solution that is not finite.  A
-/// vanishing pivot is the dense LU's [`CircuitError::SingularMatrix`] at the
-/// same step.
+/// after it: a pivot that differs from the plan's; an `f64` pivot or a
+/// factor that is not finite, for the dense LU would then spread NaN over
+/// entries the plan skips (`0 / NaN`, `0 · ∞`); and a solution that is not
+/// finite.  A vanishing pivot, or a complex pivot whose reciprocal is not
+/// finite or is zero, is the dense LU's [`CircuitError::SingularMatrix`] at
+/// the same step.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LuPlan {
     /// Matrix size; 0 before the first build.
@@ -208,7 +208,9 @@ impl LuPlan {
                 return Ok(Replay::Fallback);
             }
             let pivot_at = step.pivot_row * n;
-            let scale = values[pivot_at + k].scale();
+            let Some(scale) = values[pivot_at + k].scale() else {
+                return Err(CircuitError::SingularMatrix { pivot: k });
+            };
             if !scale.is_finite() {
                 // The dense LU would give the rows the plan skips a NaN factor.
                 return Ok(Replay::Fallback);
@@ -289,7 +291,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    use super::super::Complex;
+    use super::super::{solve_complex, Complex};
     use super::*;
 
     /// What one system did, counted so that the property test shows it met
@@ -332,9 +334,10 @@ mod tests {
                 .collect();
             // Each structure starts from the plan of a full one whose pivots
             // stay in place, which its systems either happen to fit or leave.
+            // Its pivots must be invertible.
             let mut identity = Matrix::<T>::zeros(n);
             for k in 0..n {
-                while identity[(k, k)].is_zero() {
+                while identity[(k, k)].is_zero() || identity[(k, k)].scale().is_none() {
                     identity[(k, k)] = draw(&mut rng);
                 }
             }
@@ -428,6 +431,35 @@ mod tests {
             planned_solves_match_dense(seed, draw, non_finite, |v| vec![v.to_bits()], &mut cases);
         }
         assert_every_case_met(&cases);
+    }
+
+    /// `[[s, 0], [s, 1]] x = [s, s + 1]`, whose solution is `[1, 1]`, has a
+    /// complex pivot `s` whose reciprocal is not finite at s = 1e-170 (its
+    /// squared magnitude underflows) and is zero at s = 1e170 (it
+    /// overflows).  Both are singular, densely and through a plan: an LU
+    /// that took them would return `[NaN, NaN]` and `[0, 1e170]`.
+    #[test]
+    fn complex_pivots_without_a_usable_reciprocal_are_singular() {
+        let singular = CircuitError::SingularMatrix { pivot: 0 };
+        for s in [1e-170, 1e170].map(Complex::real) {
+            let mut a = Matrix::zeros(2);
+            a[(0, 0)] = s;
+            a[(1, 0)] = s;
+            a[(1, 1)] = Complex::one();
+            let b = vec![s, s + Complex::one()];
+            assert_eq!(solve_complex(a.clone(), b.clone()), Err(singular.clone()), "s = {s}");
+
+            // A plan of the full structure whose pivots stay in place, as the
+            // system's would.
+            let mut plan = LuPlan::default();
+            let mut identity = Matrix::zeros(2);
+            identity[(0, 0)] = Complex::one();
+            identity[(1, 1)] = Complex::one();
+            let (mut rhs, mut x) = (vec![Complex::zero(); 2], vec![Complex::zero(); 2]);
+            plan.solve_dense(&mut identity, &mut rhs, &mut x, &[true; 4]).unwrap();
+            let mut b = b;
+            assert_eq!(plan.solve(&mut a, &mut b, &mut x), Err(singular.clone()), "s = {s}");
+        }
     }
 
     #[test]

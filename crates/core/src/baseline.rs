@@ -56,20 +56,6 @@ pub fn evaluate_adhoc(data: &MeasurementSet, dropped: &[usize]) -> Result<AdHocR
     Ok(AdHocResult { kept, dropped: dropped.to_vec(), breakdown })
 }
 
-/// Evaluates every ad-hoc compaction that drops exactly the same
-/// specifications as a statistical compaction run, so the two strategies can
-/// be compared head-to-head on the same kept set.
-///
-/// Returns `(adhoc, statistical)` defect-escape fractions.
-pub fn compare_with_statistical(
-    data: &MeasurementSet,
-    dropped: &[usize],
-    statistical: &ErrorBreakdown,
-) -> Result<(f64, f64)> {
-    let adhoc = evaluate_adhoc(data, dropped)?;
-    Ok((adhoc.breakdown.defect_escape(), statistical.defect_escape()))
-}
-
 /// Labels a population with the complete specification test set: the
 /// reference point with zero yield loss and zero defect escape (the starting
 /// point of the compaction loop, "no initial escape or yield loss").
@@ -121,15 +107,6 @@ mod tests {
         assert_eq!(breakdown.defect_escape_count, 0);
         assert_eq!(breakdown.yield_loss_count, 0);
         assert_eq!(breakdown.total, 6);
-    }
-
-    #[test]
-    fn comparison_returns_both_numbers() {
-        let data = population();
-        let statistical = ErrorBreakdown { total: 6, ..ErrorBreakdown::default() };
-        let (adhoc, stat) = compare_with_statistical(&data, &[1], &statistical).unwrap();
-        assert!(adhoc > 0.0);
-        assert_eq!(stat, 0.0);
     }
 
     #[test]

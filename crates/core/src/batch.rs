@@ -169,10 +169,8 @@ struct BatchEntry<'d> {
 
 /// Where an entry's population comes from.
 enum Population<'d> {
-    /// Simulated through the shared Monte-Carlo stage and population cache,
-    /// optionally under a per-entry seed (`None` = the shared seed), so one
-    /// device model can contribute several independent populations.
-    Simulated { device: &'d dyn DeviceUnderTest, seed: Option<u64> },
+    /// Simulated through the shared Monte-Carlo stage and population cache.
+    Simulated(&'d dyn DeviceUnderTest),
     /// Measured data: no simulation, no population cache.
     Measured { train: MeasurementSet, test: MeasurementSet },
 }
@@ -181,8 +179,8 @@ enum Population<'d> {
 /// across many devices.
 ///
 /// The stage setters are the single-device pipeline's, and every stage
-/// applies to each entry on its own: a search budget caps each entry's run,
-/// it is not shared across the batch.  With several batch threads, observer
+/// applies to each entry on its own: each entry runs its own search over
+/// its own population.  With several batch threads, observer
 /// events of different entries interleave; observers that need per-entry
 /// streams should run entries through per-entry batches (or pipelines) with
 /// distinct observers.  Devices are appended with [`PipelineBatch::device`]
@@ -228,7 +226,7 @@ impl<'d> PipelineBatch<'d> {
     /// Appends a device, labelled `"<device name>#<index>"`.
     pub fn device(self, device: &'d dyn DeviceUnderTest) -> Self {
         let label = format!("{}#{}", device.name(), self.entries.len());
-        self.push(label, Population::Simulated { device, seed: None })
+        self.push(label, Population::Simulated(device))
     }
 
     /// Appends a device under an explicit label (the label keys the
@@ -238,15 +236,7 @@ impl<'d> PipelineBatch<'d> {
         label: impl Into<String>,
         device: &'d dyn DeviceUnderTest,
     ) -> Self {
-        self.push(label.into(), Population::Simulated { device, seed: None })
-    }
-
-    /// Appends an independent *population* of an already-used device model:
-    /// the entry runs with the given Monte-Carlo seed instead of the shared
-    /// one, so N seeds of one device model behave like N devices.
-    pub fn device_seeded(self, device: &'d dyn DeviceUnderTest, seed: u64) -> Self {
-        let label = format!("{}#{}@{seed}", device.name(), self.entries.len());
-        self.push(label, Population::Simulated { device, seed: Some(seed) })
+        self.push(label.into(), Population::Simulated(device))
     }
 
     /// Appends a measured (non-simulated) population, for example production
@@ -292,15 +282,11 @@ impl<'d> PipelineBatch<'d> {
             Population::Measured { train, test } => {
                 self.stages.run_with_population(&entry.label, train.clone(), test.clone())
             }
-            Population::Simulated { device, seed } => {
-                let mut monte_carlo = self.stages.monte_carlo;
-                if let Some(seed) = seed {
-                    monte_carlo = monte_carlo.with_seed(*seed);
-                }
+            Population::Simulated(device) => {
                 let population = self.populations.get_or_generate(
                     &entry.label,
                     *device,
-                    &monte_carlo,
+                    &self.stages.monte_carlo,
                     self.stages.resolved_test_instances(),
                 )?;
                 self.stages.run_with_population(
@@ -462,29 +448,15 @@ impl BatchReport {
         }
     }
 
-    /// Number of runs whose search budget was exhausted before the search
-    /// finished on its own.
-    pub fn budget_exhausted_runs(&self) -> usize {
-        self.runs.iter().filter(|run| run.report.budget().exhausted).count()
-    }
-
     /// One-paragraph human-readable summary of the batch.  Mirrors
-    /// [`PipelineReport::summary`]: the search-strategy name is always named
-    /// and budget exhaustion is called out explicitly with the number of
-    /// truncated runs.
+    /// [`PipelineReport::summary`]: the search-strategy name is always
+    /// named.
     pub fn summary(&self) -> String {
-        let budget_note = match self.budget_exhausted_runs() {
-            0 => String::new(),
-            exhausted => format!(
-                "; search budget exhausted in {exhausted} of {devices} runs",
-                devices = self.aggregate.devices,
-            ),
-        };
         format!(
             "{devices} devices [{search}]: eliminated {eliminated} of {total} tests \
              (mean compaction {ratio}, mean cost reduction {cost}; \
              aggregate yield loss {yl}, defect escape {de}; \
-             model cache {hits} hits / {misses} misses){budget_note}",
+             model cache {hits} hits / {misses} misses)",
             devices = self.aggregate.devices,
             search = self.search_strategy(),
             eliminated = self.aggregate.total_eliminated,
@@ -663,22 +635,6 @@ mod tests {
         for (a, b) in first.runs.iter().zip(second.runs.iter()) {
             assert_eq!(a.report.compaction, b.report.compaction);
         }
-    }
-
-    #[test]
-    fn seeded_entries_are_independent_populations() {
-        let device = SyntheticDevice::new(4, 1.8, 0.9);
-        let report = PipelineBatch::new()
-            .monte_carlo(MonteCarloConfig::new(150))
-            .test_instances(80)
-            .compaction(CompactionConfig::paper_default().with_tolerance(0.05))
-            .device_seeded(&device, 1)
-            .device_seeded(&device, 2)
-            .run()
-            .unwrap();
-        assert_eq!(report.runs.len(), 2);
-        assert_ne!(report.runs[0].report.train_yield, report.runs[1].report.train_yield);
-        assert!(report.runs[0].label.contains("@1"));
     }
 
     #[test]

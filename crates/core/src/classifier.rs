@@ -126,27 +126,6 @@ impl<'a> TrainingView<'a> {
         self.data.label_with_margin(i, self.label_margin)
     }
 
-    /// The raw (unnormalised) measurement column backing feature `j` —
-    /// zero-copy into the shared population allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= dimension()`.
-    pub fn raw_column(&self, j: usize) -> &'a [f64] {
-        self.data.matrix().column(self.kept[j])
-    }
-
-    /// The normalised values of feature `j` for every instance, as an owned
-    /// vector.  Prefer [`TrainingView::shared_column`] in hot paths — it
-    /// returns the memoized shared allocation without copying.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= dimension()`.
-    pub fn normalized_column(&self, j: usize) -> Vec<f64> {
-        self.shared_column(j).to_vec()
-    }
-
     /// The normalised values of feature `j`, memoized on the underlying
     /// measurement set ([`MeasurementSet::normalized_column_shared`]).
     ///
@@ -166,17 +145,6 @@ impl<'a> TrainingView<'a> {
     /// specification, in feature order.
     pub fn shared_feature_columns(&self) -> Vec<Arc<[f64]>> {
         (0..self.dimension()).map(|j| self.shared_column(j)).collect()
-    }
-
-    /// All normalised feature columns, one owned `Vec` per kept
-    /// specification.
-    pub fn feature_columns(&self) -> Vec<Vec<f64>> {
-        (0..self.dimension()).map(|j| self.normalized_column(j)).collect()
-    }
-
-    /// All feature vectors, one per instance.
-    pub fn feature_rows(&self) -> Vec<Vec<f64>> {
-        (0..self.len()).map(|i| self.features(i)).collect()
     }
 
     /// Margin-adjusted labels of every instance (one columnar pass).
@@ -285,14 +253,12 @@ pub trait Classifier: fmt::Debug + Send + Sync {
 
 /// Warm-start hint handed to [`ClassifierFactory::train_warm`]: a model this
 /// factory previously trained on the *same training population* over an
-/// overlapping kept set, together with the parent-candidate relation
-/// between the two kept sets ([`WarmStartContext::removed_columns`] /
-/// [`WarmStartContext::added_columns`]).
+/// overlapping kept set, together with the kept columns it was trained on.
 ///
 /// In the backward-elimination strategies the hint is the model of the
 /// committed frontier (the candidate's kept set plus the candidate column
 /// itself), so the two training problems differ by exactly one feature
-/// column; forward selection hands the frontier as a *subset* of the
+/// column; an annealing restore hands the frontier as a *subset* of the
 /// candidate kept set instead.  Either way the instances — and therefore
 /// their pass/fail labels, which depend only on the full specification set
 /// — are identical, which is what makes the parent's dual solution a
@@ -326,20 +292,6 @@ impl<'a> WarmStartContext<'a> {
     /// this is `false`.
     pub fn overlaps(&self, child_kept: &[usize]) -> bool {
         self.kept.iter().any(|column| child_kept.contains(column))
-    }
-
-    /// The columns this parent was trained on that a child kept set
-    /// dropped.  In backward-elimination strategies this is exactly the
-    /// candidate under examination (one column).
-    pub fn removed_columns(&self, child_kept: &[usize]) -> Vec<usize> {
-        self.kept.iter().copied().filter(|column| !child_kept.contains(column)).collect()
-    }
-
-    /// The columns a child kept set adds over this parent — the annealing
-    /// walk's restore moves, where the parent is the current kept set and
-    /// the child extends it by the restored test.
-    pub fn added_columns(&self, child_kept: &[usize]) -> Vec<usize> {
-        child_kept.iter().copied().filter(|column| !self.kept.contains(column)).collect()
     }
 }
 
@@ -432,41 +384,15 @@ impl<F: ClassifierFactory + ?Sized> ClassifierFactory for &F {
 /// classified by the net vote of its own cell, or — when the cell is empty or
 /// tied — by the nearest occupied cell with a decisive vote.  Training is a
 /// single pass over the data, which makes this backend far cheaper than the
-/// SVM at a modest accuracy cost.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GridBackend {
-    cells_per_dim: usize,
-}
+/// SVM at a modest accuracy cost.  The grid has 12 cells per feature
+/// dimension; build the backend with `GridBackend::default()`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct GridBackend;
 
-impl GridBackend {
-    /// A backend with the given grid resolution per feature dimension.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompactionError::InvalidConfig`] when `cells_per_dim < 2`.
-    pub fn with_resolution(cells_per_dim: usize) -> Result<Self> {
-        if cells_per_dim < 2 {
-            return Err(CompactionError::InvalidConfig {
-                parameter: "cells_per_dim",
-                value: cells_per_dim as f64,
-            });
-        }
-        Ok(GridBackend { cells_per_dim })
-    }
-
-    /// The grid resolution per feature dimension.
-    pub fn cells_per_dim(&self) -> usize {
-        self.cells_per_dim
-    }
-}
-
-impl Default for GridBackend {
-    /// A 12-cells-per-dimension grid, a good balance for the population sizes
-    /// the paper uses.
-    fn default() -> Self {
-        GridBackend { cells_per_dim: 12 }
-    }
-}
+/// Cells per feature dimension of the [`GridBackend`] grid: a good balance
+/// for the population sizes the paper uses.
+const GRID_CELLS_PER_DIM: usize = 12;
 
 impl ClassifierFactory for GridBackend {
     fn name(&self) -> &str {
@@ -486,7 +412,7 @@ impl ClassifierFactory for GridBackend {
             .map(|j| {
                 view.shared_column(j)
                     .iter()
-                    .map(|&value| grid_cell(value, self.cells_per_dim))
+                    .map(|&value| grid_cell(value, GRID_CELLS_PER_DIM))
                     .collect()
             })
             .collect();
@@ -506,7 +432,6 @@ impl ClassifierFactory for GridBackend {
             votes.into_iter().filter(|(_, vote)| *vote != 0).collect();
         cells.sort_unstable();
         Ok(Arc::new(GridClassifier {
-            cells_per_dim: self.cells_per_dim,
             dimension: view.dimension(),
             cells,
             majority: if net >= 0 { 1.0 } else { -1.0 },
@@ -517,7 +442,6 @@ impl ClassifierFactory for GridBackend {
 /// Classifier trained by [`GridBackend`].
 #[derive(Debug, Clone)]
 struct GridClassifier {
-    cells_per_dim: usize,
     dimension: usize,
     /// Occupied cells with a decisive net vote, sorted by cell key.
     cells: Vec<(Vec<u16>, i64)>,
@@ -529,7 +453,7 @@ impl Classifier for GridClassifier {
     fn decision(&self, features: &[f64]) -> f64 {
         assert_eq!(features.len(), self.dimension, "feature vector length mismatch");
         let key: Vec<u16> =
-            features.iter().map(|&value| grid_cell(value, self.cells_per_dim)).collect();
+            features.iter().map(|&value| grid_cell(value, GRID_CELLS_PER_DIM)).collect();
         if let Ok(index) = self.cells.binary_search_by(|(cell, _)| cell.cmp(&key)) {
             return self.cells[index].1 as f64;
         }
@@ -587,7 +511,6 @@ mod tests {
         let view = TrainingView::new(&data, &[1], 0.05).unwrap();
         assert_eq!(view.dimension(), 1);
         assert_eq!(view.len(), 200);
-        assert_eq!(view.feature_rows().len(), 200);
         assert_eq!(view.class_labels().len(), 200);
         assert_eq!(view.kept(), &[1]);
         assert!(!view.is_empty());
@@ -598,15 +521,14 @@ mod tests {
     fn columnar_accessors_match_the_row_major_view() {
         let data = linear_population();
         let view = TrainingView::new(&data, &[1, 0], 0.05).unwrap();
-        let columns = view.feature_columns();
-        let rows = view.feature_rows();
+        let columns = view.shared_feature_columns();
         assert_eq!(columns.len(), 2);
-        for (i, row) in rows.iter().enumerate() {
+        for i in 0..view.len() {
+            let row = view.features(i);
             for (j, column) in columns.iter().enumerate() {
                 assert_eq!(row[j], column[i], "instance {i} feature {j}");
             }
         }
-        assert_eq!(view.raw_column(0), data.column(1));
         let labels = view.labels();
         for (i, &label) in labels.iter().enumerate() {
             assert_eq!(label, view.label(i));
@@ -621,12 +543,10 @@ mod tests {
         let strict = TrainingView::new(&data, &[0, 1], 0.2).unwrap();
         let loose = TrainingView::new(&data, &[1], -0.2).unwrap();
         assert!(Arc::ptr_eq(&strict.shared_column(1), &loose.shared_column(0)));
-        assert_eq!(strict.shared_column(0).as_ref(), strict.normalized_column(0).as_slice());
         let shared = strict.shared_feature_columns();
-        let owned = strict.feature_columns();
-        assert_eq!(shared.len(), owned.len());
-        for (a, b) in shared.iter().zip(&owned) {
-            assert_eq!(a.as_ref(), b.as_slice());
+        assert_eq!(shared.len(), 2);
+        for (j, column) in shared.iter().enumerate() {
+            assert!(Arc::ptr_eq(column, &strict.shared_column(j)));
         }
     }
 
@@ -669,13 +589,5 @@ mod tests {
         let model = GridBackend::default().train(&view).unwrap();
         assert!(model.predict_good(&[0.5]));
         assert!(model.predict_good(&[42.0]));
-    }
-
-    #[test]
-    fn resolution_is_validated() {
-        assert!(GridBackend::with_resolution(1).is_err());
-        let backend = GridBackend::with_resolution(8).unwrap();
-        assert_eq!(backend.cells_per_dim(), 8);
-        assert_eq!(backend.name(), "grid");
     }
 }

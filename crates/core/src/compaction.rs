@@ -19,10 +19,7 @@ use crate::dataset::MeasurementSet;
 use crate::guardband::{GuardBandConfig, GuardBandedClassifier};
 use crate::metrics::ErrorBreakdown;
 use crate::ordering::EliminationOrder;
-use crate::search::{
-    BudgetStats, CandidateEvaluator, GreedyBackward, SearchBudget, SearchContext, SearchOutcome,
-    SearchStrategy,
-};
+use crate::search::{CandidateEvaluator, GreedyBackward, SearchContext, SearchStrategy};
 use crate::{CompactionError, Result};
 
 /// Configuration of the compaction loop.
@@ -55,12 +52,6 @@ pub struct CompactionConfig {
     /// differ by devices sitting within the solver tolerance of a decision
     /// boundary.  Disable to measure the cold-start baseline.
     pub warm_start: bool,
-    /// Limits on the training effort the search may spend (unlimited by
-    /// default).  Enforced centrally by the evaluator, so every strategy is
-    /// anytime: a truncated run returns its best committed frontier with
-    /// [`BudgetStats::exhausted`] set instead of failing.  See
-    /// [`SearchBudget`] for the semantics and the reproducibility caveats.
-    pub budget: SearchBudget,
 }
 
 impl CompactionConfig {
@@ -75,7 +66,6 @@ impl CompactionConfig {
             max_eliminated: None,
             threads: 1,
             warm_start: true,
-            budget: SearchBudget::unlimited(),
         }
     }
 
@@ -114,13 +104,6 @@ impl CompactionConfig {
     /// default; see [`CompactionConfig::warm_start`] for the guarantees).
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
         self.warm_start = warm_start;
-        self
-    }
-
-    /// Sets the [`SearchBudget`] the search may spend (unlimited by
-    /// default).
-    pub fn with_budget(mut self, budget: SearchBudget) -> Self {
-        self.budget = budget;
         self
     }
 
@@ -231,8 +214,7 @@ impl WarmStartStats {
 ///
 /// Equality compares the compaction outcome (kept/eliminated sets, steps and
 /// final breakdown) and deliberately ignores the
-/// [`CompactionResult::cache`],
-/// [`CompactionResult::warm_start`] and [`CompactionResult::budget`]
+/// [`CompactionResult::cache`] and [`CompactionResult::warm_start`]
 /// diagnostics: those counters vary with the speculative thread count (and
 /// with warm starts being on or off) while the outcome is guaranteed not to.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -251,10 +233,6 @@ pub struct CompactionResult {
     /// Warm-start diagnostics of this run (trainings and solver iterations,
     /// split warm versus cold).
     pub warm_start: WarmStartStats,
-    /// [`SearchBudget`] diagnostics of this run: trainings and solver
-    /// iterations consumed, whether the budget truncated the search, and
-    /// the provenance of the returned frontier.
-    pub budget: BudgetStats,
 }
 
 impl PartialEq for CompactionResult {
@@ -275,8 +253,8 @@ impl CompactionResult {
     /// This is **not** the relative cost saving — a run that eliminates one
     /// test of an expensive thermal insertion and a run that eliminates one
     /// free ride-along test report the same ratio here.  For the quantity
-    /// cost-aware runs optimise, see
-    /// [`CompactionResult::cost_reduction_ratio`].
+    /// cost-aware runs optimise, see [`TestCostModel::cost_reduction`] of
+    /// the kept set.
     pub fn compaction_ratio(&self) -> f64 {
         let total = self.kept.len() + self.eliminated.len();
         if total == 0 {
@@ -284,20 +262,6 @@ impl CompactionResult {
         } else {
             self.eliminated.len() as f64 / total as f64
         }
-    }
-
-    /// Relative test-cost reduction of the kept set under a cost model
-    /// (0 = no saving, 1 = everything free) — the quantity
-    /// [`CostAwareGreedy`](crate::search::CostAwareGreedy) runs optimise,
-    /// and the cost-weighted companion of
-    /// [`CompactionResult::compaction_ratio`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates index errors when the cost model does not cover every
-    /// kept specification.
-    pub fn cost_reduction_ratio(&self, cost_model: &TestCostModel) -> Result<f64> {
-        cost_model.cost_reduction(&self.kept)
     }
 }
 
@@ -451,16 +415,7 @@ impl Compactor {
         evaluator.set_observer(observer);
         let context =
             SearchContext::new(&order, config.error_tolerance, config.max_eliminated, cost_model);
-        // Anytime safety net: a strategy that propagates the evaluator's
-        // budget denial instead of handling it still yields a valid (if
-        // maximally conservative) truncated outcome — never an error.
-        let outcome = match strategy.search(&mut evaluator, &context) {
-            Err(CompactionError::BudgetExhausted) => {
-                SearchOutcome::truncated(Vec::new(), Vec::new())
-            }
-            other => other?,
-        };
-        let provenance = outcome.provenance;
+        let outcome = strategy.search(&mut evaluator, &context)?;
         let eliminated = outcome.eliminated;
         let steps = outcome.steps;
 
@@ -504,7 +459,6 @@ impl Compactor {
             final_breakdown,
             cache: evaluator.cache_stats(),
             warm_start: evaluator.warm_start_stats(),
-            budget: evaluator.budget_stats(provenance),
         };
         Ok((result, final_model))
     }

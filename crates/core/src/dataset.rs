@@ -627,22 +627,6 @@ impl MeasurementSet {
         }
     }
 
-    /// Builds a borrowed training view over the kept columns with a labelling
-    /// margin — the input classifier backends train on (see
-    /// [`crate::classifier::TrainingView`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompactionError::EmptyTestSet`] when `kept` is empty and
-    /// [`CompactionError::UnknownSpecification`] for an out-of-range column.
-    pub fn training_view<'a>(
-        &'a self,
-        kept: &'a [usize],
-        label_margin: f64,
-    ) -> Result<crate::classifier::TrainingView<'a>> {
-        crate::classifier::TrainingView::new(self, kept, label_margin)
-    }
-
     /// Normalised kept-column feature vector of instance `i` (the tester-side
     /// view of the measurements after compaction).
     ///
@@ -678,6 +662,7 @@ impl MeasurementSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::TrainingView;
     use crate::spec::Specification;
 
     fn two_spec_set() -> SpecificationSet {
@@ -870,7 +855,7 @@ mod tests {
     fn training_view_uses_normalised_kept_columns() {
         let set = sample_set();
         let kept = [1usize];
-        let view = set.training_view(&kept, 0.0).unwrap();
+        let view = TrainingView::new(&set, &kept, 0.0).unwrap();
         assert_eq!(view.dimension(), 1);
         assert_eq!(view.len(), 4);
         // Column b of instance 0 is 5.0 in range [0, 10] -> 0.5.
@@ -878,15 +863,15 @@ mod tests {
         // Labels reflect the *overall* pass/fail, not just the kept column:
         // instance 2 passes spec b but fails spec a, so its label is bad.
         assert_eq!(view.label(2), DeviceLabel::Bad);
-        assert!(set.training_view(&[], 0.0).is_err());
-        assert!(set.training_view(&[9], 0.0).is_err());
+        assert!(TrainingView::new(&set, &[], 0.0).is_err());
+        assert!(TrainingView::new(&set, &[9], 0.0).is_err());
     }
 
     #[test]
     fn features_match_training_view_rows() {
         let set = sample_set();
         let kept = [0usize, 1];
-        let view = set.training_view(&kept, 0.0).unwrap();
+        let view = TrainingView::new(&set, &kept, 0.0).unwrap();
         for i in 0..set.len() {
             assert_eq!(set.features(i, &[0, 1]), view.features(i));
         }

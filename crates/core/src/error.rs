@@ -86,12 +86,6 @@ pub enum CompactionError {
     },
     /// A pipeline batch was run without any device entries.
     EmptyBatch,
-    /// The [`SearchBudget`](crate::search::SearchBudget) was exhausted
-    /// before the requested evaluation could train its model.  Bundled
-    /// strategies never propagate this: they stop searching and return
-    /// their best committed frontier instead; the compaction shell maps an
-    /// escaped instance to the conservative keep-everything outcome.
-    BudgetExhausted,
 }
 
 impl fmt::Display for CompactionError {
@@ -132,9 +126,6 @@ impl fmt::Display for CompactionError {
             }
             CompactionError::EmptyBatch => {
                 write!(f, "pipeline batch has no device entries")
-            }
-            CompactionError::BudgetExhausted => {
-                write!(f, "search budget exhausted before the evaluation could train")
             }
         }
     }

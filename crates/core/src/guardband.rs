@@ -68,21 +68,21 @@ impl Side {
 }
 
 /// Hyper-parameters of the guard-banded classifier.
+///
+/// A device whose *kept* measurements violate their own acceptability
+/// ranges is always classified bad, whatever the models say: the tester
+/// applies those tests anyway, so the information is free.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GuardBandConfig {
     /// Guard-band half-width as a fraction of each acceptability range
     /// (the paper uses 5 % for the op-amp and the accelerometer).
     pub guard_band_fraction: f64,
-    /// If `true`, a device whose *kept* measurements violate their own
-    /// acceptability ranges is classified bad regardless of the model (the
-    /// tester still applies those tests, so this information is free).
-    pub enforce_kept_ranges: bool,
 }
 
 impl GuardBandConfig {
-    /// The paper's settings: a 5 % guard band, with kept ranges enforced.
+    /// The paper's settings: a 5 % guard band.
     pub fn paper_default() -> Self {
-        GuardBandConfig { guard_band_fraction: 0.05, enforce_kept_ranges: true }
+        GuardBandConfig { guard_band_fraction: 0.05 }
     }
 
     /// Sets the guard-band fraction.
@@ -102,12 +102,6 @@ impl GuardBandConfig {
         }
         self.guard_band_fraction = fraction;
         Ok(self)
-    }
-
-    /// Disables the tester-side range check on kept specifications.
-    pub fn without_kept_range_check(mut self) -> Self {
-        self.enforce_kept_ranges = false;
-        self
     }
 
     fn validate(&self) -> Result<()> {
@@ -285,13 +279,14 @@ impl GuardBandedClassifier {
         }
     }
 
-    /// Classifies instance `i` of a measurement set.
+    /// Classifies instance `i` of a measurement set: bad when it fails a
+    /// kept range, the pair's verdict otherwise.
     ///
     /// # Panics
     ///
     /// Panics if the measurement set does not contain the kept columns.
     pub fn classify_instance(&self, data: &MeasurementSet, i: usize) -> Prediction {
-        if self.config.enforce_kept_ranges && fails_kept_range(data, &self.kept, i) {
+        if fails_kept_range(data, &self.kept, i) {
             return Prediction::Bad;
         }
         let features = data.features(i, &self.kept);
@@ -339,8 +334,7 @@ impl GuardBandedClassifier {
 }
 
 /// Whether instance `i` of `data` fails the range of a kept specification:
-/// with [`GuardBandConfig::enforce_kept_ranges`] such a device is bad
-/// whatever the models say.
+/// such a device is bad whatever the models say.
 pub(crate) fn fails_kept_range(data: &MeasurementSet, kept: &[usize], i: usize) -> bool {
     kept.iter().any(|&c| !data.specs().spec(c).passes(data.value(i, c)))
 }

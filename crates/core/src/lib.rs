@@ -17,9 +17,7 @@
 //!    remaining measurements; the search procedure is pluggable (see
 //!    [`search`]): the paper's greedy elimination loop (Figure 2) is the
 //!    default, with cost-aware and simulated-annealing strategies bundled,
-//!    and every strategy is *anytime* under
-//!    an optional [`search::SearchBudget`] (a truncated run returns its best
-//!    committed frontier, never an error),
+//!    and every strategy runs to completion, as the paper's loop does,
 //! 3. the guard band, set in the same compaction configuration
 //!    ([`CompactionConfig::with_guard_band`]), brackets the decision boundary
 //!    with a strict/loose model pair (Section 4.2); devices on which they
@@ -107,9 +105,9 @@ pub use montecarlo::{
 pub use ordering::EliminationOrder;
 pub use pipeline::{CompactionPipeline, CostSummary, GuardBandStats, PipelineReport};
 pub use search::{
-    AnnealingSchedule, BudgetStats, CandidateEvaluator, CandidateVerdict, CostAwareGreedy,
-    FrontierProvenance, FrontierSnapshot, GreedyBackward, ProgressObserver, SearchBudget,
-    SearchContext, SearchOutcome, SearchStrategy, SimulatedAnnealing, TrainingEvent,
+    AnnealingSchedule, CandidateEvaluator, CandidateVerdict, CostAwareGreedy, FrontierSnapshot,
+    GreedyBackward, ProgressObserver, SearchContext, SearchOutcome, SearchStrategy,
+    SimulatedAnnealing, TrainingEvent,
 };
 pub use spec::{Specification, SpecificationSet};
 pub use tester::{

@@ -43,7 +43,7 @@ use crate::device::DeviceUnderTest;
 use crate::metrics::ErrorBreakdown;
 use crate::montecarlo::{generate_train_test, MonteCarloConfig};
 use crate::report::percent;
-use crate::search::{BudgetStats, GreedyBackward, ProgressObserver, SearchStrategy};
+use crate::search::{GreedyBackward, ProgressObserver, SearchStrategy};
 use crate::tester::{SequentialStats, TestPlan, TesterProgram};
 use crate::Result;
 
@@ -180,7 +180,7 @@ macro_rules! stage_setters {
         }
 
         /// Configures the compaction stage: tolerance, order, guard band,
-        /// search budget and speculative threads.  The classifier's own
+        /// elimination cap, threads and warm starts.  The classifier's own
         /// hyper-parameters belong to the [`classifier`](Self::classifier)
         /// stage.
         pub fn compaction(mut self, config: $crate::CompactionConfig) -> Self {
@@ -217,12 +217,7 @@ macro_rules! stage_setters {
         /// [`SearchStrategy`](crate::SearchStrategy)).
         ///
         /// Cost-aware strategies read the [`cost_model`](Self::cost_model)
-        /// stage (uniform unit costs when none is attached).  Every strategy
-        /// is anytime under a
-        /// [`CompactionConfig::with_budget`](crate::CompactionConfig::with_budget)
-        /// budget: a truncated run returns its best committed frontier with
-        /// [`BudgetStats::exhausted`](crate::BudgetStats::exhausted) set,
-        /// never an error.
+        /// stage (uniform unit costs when none is attached).
         pub fn search(mut self, strategy: impl $crate::SearchStrategy + 'static) -> Self {
             self.stages.search = std::sync::Arc::new(strategy);
             self
@@ -257,11 +252,11 @@ pub(crate) use stage_setters;
 /// Staged builder for the end-to-end compaction flow.
 ///
 /// Stages may be configured in any order; [`CompactionPipeline::run`]
-/// executes Monte-Carlo generation → greedy compaction → guard-banded final
-/// model → tester-program deployment → cost accounting and bundles everything
-/// into a [`PipelineReport`].  The guard band and the search budget are part
-/// of the compaction stage ([`CompactionConfig::with_guard_band`],
-/// [`CompactionConfig::with_budget`]).
+/// executes Monte-Carlo generation → the compaction search (greedy by
+/// default), run to completion → guard-banded final model → tester-program
+/// deployment → cost accounting and bundles everything into a
+/// [`PipelineReport`].  The guard band is part of the compaction stage
+/// ([`CompactionConfig::with_guard_band`]).
 #[derive(Clone)]
 pub struct CompactionPipeline<'d> {
     device: &'d dyn DeviceUnderTest,
@@ -420,34 +415,13 @@ impl PipelineReport {
         &self.compaction.warm_start
     }
 
-    /// Search-budget diagnostics of the run: effort consumed, whether the
-    /// budget truncated the search, and the provenance of the returned
-    /// frontier (see [`crate::CompactionConfig::with_budget`]).
-    pub fn budget(&self) -> &BudgetStats {
-        &self.compaction.budget
-    }
-
     /// Error breakdown of the final compacted test set on the held-out data.
     pub fn final_breakdown(&self) -> &ErrorBreakdown {
         &self.compaction.final_breakdown
     }
 
-    /// One-paragraph human-readable summary of the deployed program.  A
-    /// budget-truncated search is called out explicitly, with the effort it
-    /// consumed and the provenance of the frontier it shipped.
+    /// One-paragraph human-readable summary of the deployed program.
     pub fn summary(&self) -> String {
-        let budget = &self.compaction.budget;
-        let budget_note = if budget.exhausted {
-            format!(
-                "; search budget exhausted after {trainings} trainings / \
-                 {iterations} solver iterations ({provenance} frontier)",
-                trainings = budget.trainings,
-                iterations = budget.solver_iterations,
-                provenance = budget.provenance,
-            )
-        } else {
-            String::new()
-        };
         let sequential_note = match &self.sequential {
             Some(stats) => format!(
                 "; sequential deploy expects {expected:.3} per device against a \
@@ -473,7 +447,7 @@ impl PipelineReport {
         format!(
             "{device} [{backend}, {search}]: eliminated {eliminated} of {total} tests \
              (yield loss {yl}, defect escape {de}, {retest} retested in a {band} \
-             band), cost reduced by {cost}{budget_note}{bank_note}{sequential_note}",
+             band), cost reduced by {cost}{bank_note}{sequential_note}",
             device = self.device,
             backend = self.backend,
             search = self.search,

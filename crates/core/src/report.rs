@@ -4,7 +4,6 @@
 //! module keeps the formatting in one place so tables look consistent across
 //! experiments.
 
-use crate::compaction::CompactionStep;
 use crate::metrics::ErrorBreakdown;
 use crate::spec::SpecificationSet;
 
@@ -63,30 +62,6 @@ pub fn render_specification_table(specs: &SpecificationSet) -> String {
                 s.unit().to_string(),
                 format_value(s.nominal()),
                 format!("{} - {}", format_value(s.lower()), format_value(s.upper())),
-            ]
-        })
-        .collect();
-    render_table(&header, &rows)
-}
-
-/// Renders the per-step output of an elimination sweep in the layout of the
-/// paper's Figure 5: one row per cumulatively eliminated test with yield
-/// loss, defect escape and guard-band percentages.
-pub fn render_sweep(steps: &[CompactionStep]) -> String {
-    let header = vec![
-        "Eliminated test".to_string(),
-        "Yield loss".to_string(),
-        "Defect escape".to_string(),
-        "In guard band".to_string(),
-    ];
-    let rows: Vec<Vec<String>> = steps
-        .iter()
-        .map(|step| {
-            vec![
-                step.spec_name.clone(),
-                percent(step.breakdown.yield_loss()),
-                percent(step.breakdown.defect_escape()),
-                percent(step.breakdown.guard_band_fraction()),
             ]
         })
         .collect();

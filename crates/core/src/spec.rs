@@ -180,11 +180,6 @@ impl SpecificationSet {
         &self.specs[index]
     }
 
-    /// Finds a specification index by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.specs.iter().position(|s| s.name() == name)
-    }
-
     /// Iterator over the specifications.
     pub fn iter(&self) -> std::slice::Iter<'_, Specification> {
         self.specs.iter()
@@ -371,8 +366,6 @@ mod tests {
         assert!(!set.passes(&[15_000.0, 0.6]));
         assert!(!set.passes(&[9_000.0, 0.4]));
         assert_eq!(set.normalize(&[15_000.0, 0.45]), vec![0.5, 0.5]);
-        assert_eq!(set.index_of("slew"), Some(1));
-        assert_eq!(set.index_of("nope"), None);
         assert_eq!(set.ranges()[1], (0.35, 0.55));
         assert_eq!(set.iter().count(), 2);
         assert_eq!((&set).into_iter().count(), 2);

@@ -374,32 +374,6 @@ impl<'p> TestPlan<'p> {
         TestPlan::with_stages(program, stages)
     }
 
-    /// Orders the kept set by an externally resolved ranking (for example an
-    /// [`EliminationOrder`](crate::EliminationOrder) resolved against the
-    /// training population): kept columns are measured in the order they
-    /// appear in `order`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompactionError::InvalidConfig`] when a kept column does
-    /// not appear in `order`.
-    pub fn ordered_by(program: &'p TesterProgram, order: &[usize]) -> Result<Self> {
-        let mut stages: Vec<usize> = Vec::with_capacity(program.kept.len());
-        for &column in order {
-            if program.kept.contains(&column) && !stages.contains(&column) {
-                stages.push(column);
-            }
-        }
-        if stages.len() != program.kept.len() {
-            let missing = program.kept.iter().find(|c| !stages.contains(c)).copied().unwrap_or(0);
-            return Err(CompactionError::InvalidConfig {
-                parameter: "order",
-                value: missing as f64,
-            });
-        }
-        TestPlan::with_stages(program, stages)
-    }
-
     /// A plan with an explicit stage order.
     ///
     /// # Errors
@@ -630,11 +604,6 @@ impl SequentialSession<'_> {
     /// measurements.
     pub fn verdict(&self) -> Option<Prediction> {
         self.verdict
-    }
-
-    /// Whether the verdict is settled.
-    pub fn is_decided(&self) -> bool {
-        self.verdict.is_some()
     }
 
     /// Specification column of the next stage, or `None` when the session
@@ -877,7 +846,7 @@ mod tests {
         let program = TesterProgram::with_model(train.specs().clone(), classifier);
         let mut session = program.begin();
         assert_eq!(session.measure(99.0).unwrap(), StepVerdict::Decided(Prediction::Bad));
-        assert!(session.is_decided());
+        assert_eq!(session.verdict(), Some(Prediction::Bad));
         assert_eq!(session.next_stage(), None);
         assert!(session.measure(0.0).is_err());
     }
@@ -890,8 +859,6 @@ mod tests {
         assert!(TestPlan::with_stages(&program, vec![0, 2]).is_err());
         assert!(TestPlan::with_stages(&program, vec![0, 0]).is_err());
         assert!(TestPlan::with_stages(&program, vec![1, 0]).is_ok());
-        assert!(TestPlan::ordered_by(&program, &[2, 1, 0]).is_ok());
-        assert!(TestPlan::ordered_by(&program, &[1, 2]).is_err());
     }
 
     #[test]

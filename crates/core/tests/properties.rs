@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use stc_core::classifier::{ClassifierFactory, GridBackend};
-use stc_core::search::{CostAwareGreedy, GreedyBackward, SearchBudget, SimulatedAnnealing};
+use stc_core::search::{CostAwareGreedy, GreedyBackward, SimulatedAnnealing};
 use stc_core::{
     baseline, generate_train_test, CompactionConfig, CompactionError, CompactionStep, Compactor,
     DeviceLabel, ErrorBreakdown, GuardBandConfig, MeasurementSet, MonteCarloConfig, Specification,
@@ -357,17 +357,15 @@ proptest! {
         }
     }
 
-    /// The 0.6 anytime contract: an explicit unlimited budget is a no-op
-    /// for every deterministic strategy (byte-identical to the 0.5
-    /// results), a budgeted sequential greedy run never exceeds its
-    /// training budget and truncates to a prefix of the unbudgeted
-    /// elimination sequence, and a truncated run is still a valid result
-    /// flagged `exhausted`.
+    /// The stochastic strategy is byte-identical across speculative thread
+    /// counts for a fixed seed — the evaluator owns all training, and the
+    /// walk evaluates one kept set at a time and draws every random number
+    /// on the search thread.
     #[test]
-    fn budgets_cap_trainings_and_truncate_to_committed_frontiers(
+    fn stochastic_strategies_are_thread_invariant(
         seed in 0u64..10_000,
         tolerance in 0.05f64..0.3,
-        max_trainings in 0usize..12,
+        threads in 2usize..5,
     ) {
         let device = SyntheticDevice::new(4, 1.8, 0.9);
         let (train, test) =
@@ -375,55 +373,6 @@ proptest! {
         let compactor = Compactor::new(train, test).unwrap();
         let backend = GridBackend::default();
         let base = CompactionConfig::paper_default().with_tolerance(tolerance);
-
-        let unbudgeted = compactor.compact_with(&backend, &base).unwrap();
-        let unlimited = compactor
-            .compact_with(&backend, &base.clone().with_budget(SearchBudget::unlimited()))
-            .unwrap();
-        prop_assert_eq!(&unbudgeted, &unlimited);
-        prop_assert!(!unlimited.budget.exhausted);
-
-        let budgeted = compactor
-            .compact_with(
-                &backend,
-                &base.clone().with_budget(
-                    SearchBudget::unlimited().with_max_trainings(max_trainings),
-                ),
-            )
-            .unwrap();
-        prop_assert!(budgeted.budget.trainings <= max_trainings);
-        prop_assert!(!budgeted.kept.is_empty());
-        // Sequential greedy walks the same examination sequence, so the
-        // truncated eliminations are a prefix of the full run's.
-        prop_assert!(budgeted.eliminated.len() <= unbudgeted.eliminated.len());
-        prop_assert_eq!(
-            &budgeted.eliminated[..],
-            &unbudgeted.eliminated[..budgeted.eliminated.len()]
-        );
-        if budgeted.eliminated.len() < unbudgeted.eliminated.len() {
-            prop_assert!(budgeted.budget.exhausted);
-        }
-    }
-
-    /// The stochastic strategy is byte-identical across speculative thread
-    /// counts for a fixed seed, under any training budget — the evaluator
-    /// owns all training and budget claims are made deterministically on
-    /// the search thread.
-    #[test]
-    fn stochastic_strategies_are_thread_invariant_under_any_budget(
-        seed in 0u64..10_000,
-        tolerance in 0.05f64..0.3,
-        threads in 2usize..5,
-        max_trainings in 1usize..25,
-    ) {
-        let device = SyntheticDevice::new(4, 1.8, 0.9);
-        let (train, test) =
-            generate_train_test(&device, &MonteCarloConfig::new(160).with_seed(seed), 80).unwrap();
-        let compactor = Compactor::new(train, test).unwrap();
-        let backend = GridBackend::default();
-        let base = CompactionConfig::paper_default().with_tolerance(tolerance).with_budget(
-            SearchBudget::unlimited().with_max_trainings(max_trainings),
-        );
         let annealing = SimulatedAnnealing::new(seed ^ 0x5eed);
         let sequential = compactor.compact_with_strategy(&backend, &base, &annealing, None).unwrap();
         let parallel = compactor
@@ -431,9 +380,9 @@ proptest! {
             .unwrap();
         prop_assert_eq!(&sequential, &parallel);
         prop_assert_eq!(&sequential.steps, &parallel.steps);
-        // Even the consumed budget is invariant.
-        prop_assert_eq!(sequential.budget, parallel.budget);
-        prop_assert!(sequential.budget.trainings <= max_trainings);
+        // Even the trainings and their solver iterations are invariant.
+        prop_assert_eq!(sequential.cache, parallel.cache);
+        prop_assert_eq!(sequential.warm_start, parallel.warm_start);
     }
 }
 

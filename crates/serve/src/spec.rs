@@ -13,8 +13,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use spec_test_compaction::adapters::{AccelerometerDevice, OpAmpDevice};
 use stc_core::search::{
-    AnnealingSchedule, CostAwareGreedy, GreedyBackward, SearchBudget, SearchStrategy,
-    SimulatedAnnealing,
+    AnnealingSchedule, CostAwareGreedy, GreedyBackward, SearchStrategy, SimulatedAnnealing,
 };
 use stc_core::{
     ClassifierFactory, CompactionConfig, DeviceUnderTest, GridBackend, GuardBandConfig,
@@ -168,6 +167,12 @@ impl ClassifierSpec {
 /// compaction stage; everything else defaults to the corresponding
 /// [`stc_core::CompactionPipeline`] default, so a minimal JSON spec is just
 /// `{"devices": [...], "monte_carlo": {...}, "compaction": {...}}`.
+///
+/// Decoding skips unknown keys, so a spec written by an older version
+/// still decodes without the settings that have since gone: a search
+/// `budget` (here or in `compaction`) or a guard-band flag that turned the
+/// kept-range check off is ignored, and the job runs the full search with
+/// every kept range checked.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobSpec {
     /// Devices to compact; each becomes one shard of the job.
@@ -189,10 +194,6 @@ pub struct JobSpec {
     /// ([`CompactionConfig::with_guard_band`]).
     #[serde(default)]
     pub guard_band: Option<GuardBandConfig>,
-    /// Search-budget override folded into `compaction`
-    /// ([`CompactionConfig::with_budget`]).
-    #[serde(default)]
-    pub budget: Option<SearchBudget>,
     /// Test-cost model (defaults to uniform unit costs).
     #[serde(default)]
     pub cost_model: Option<TestCostModel>,
@@ -222,7 +223,6 @@ impl JobSpec {
             strategy: StrategySpec::default(),
             classifier: ClassifierSpec::default(),
             guard_band: None,
-            budget: None,
             cost_model: None,
             lookup_table: None,
             shard_threads: 0,
@@ -230,15 +230,12 @@ impl JobSpec {
     }
 
     /// The job's stages as an empty batch: the one place a spec turns into
-    /// pipeline configuration.  The guard-band and budget overrides fold
-    /// into the compaction stage.
+    /// pipeline configuration.  The guard-band override folds into the
+    /// compaction stage.
     pub(crate) fn batch<'d>(&self) -> PipelineBatch<'d> {
         let mut compaction = self.compaction.clone();
         if let Some(guard_band) = self.guard_band {
             compaction = compaction.with_guard_band(guard_band);
-        }
-        if let Some(budget) = self.budget {
-            compaction = compaction.with_budget(budget);
         }
         let mut batch = PipelineBatch::new()
             .monte_carlo(self.monte_carlo)

@@ -2,17 +2,17 @@
 //! `value -> JSON -> value` (equality for `PartialEq` types) and
 //! `JSON -> value -> JSON` (byte-for-byte reserialization for reports).
 
-use std::time::Duration;
-
 use proptest::prelude::*;
 use stc_core::pipeline::CompactionPipeline;
-use stc_core::search::{CostAwareGreedy, FrontierSnapshot, SearchBudget};
+use stc_core::search::{CostAwareGreedy, FrontierSnapshot};
 use stc_core::{
     BatchReport, CacheStats, CompactionConfig, EliminationOrder, GuardBandConfig, MeasurementSet,
     MonteCarloConfig, PipelineBatch, PipelineReport, Prediction, Specification, SpecificationSet,
     SyntheticDevice, TestCostModel, TesterProgram,
 };
-use stc_serve::{envelope, ClassifierSpec, DeviceSpec, JobSpec, ServeError, StrategySpec};
+use stc_serve::{
+    envelope, ClassifierSpec, CompactionService, DeviceSpec, JobSpec, ServeError, StrategySpec,
+};
 
 fn json_round_trip<T>(value: &T) -> T
 where
@@ -64,41 +64,17 @@ proptest! {
         threads in 1usize..5,
         warm in 0usize..2,
         band in 0.0f64..0.2,
-        trainings_cap in 1usize..500,
     ) {
         let mut config = CompactionConfig::paper_default()
             .with_tolerance(tolerance)
             .with_order(order_from(order_choice, order_seed, functional))
             .with_threads(threads)
             .with_warm_start(warm == 1)
-            .with_guard_band(GuardBandConfig::paper_default().with_guard_band(band).unwrap())
-            .with_budget(SearchBudget::unlimited().with_max_trainings(trainings_cap));
+            .with_guard_band(GuardBandConfig::paper_default().with_guard_band(band).unwrap());
         if max_eliminated > 0 {
             config = config.with_max_eliminated(max_eliminated);
         }
         prop_assert_eq!(json_round_trip(&config), config);
-    }
-
-    #[test]
-    fn search_budget_round_trips(
-        trainings in 0usize..2,
-        trainings_cap in 1usize..10_000,
-        iterations in 0usize..2,
-        iterations_cap in 1usize..1_000_000,
-        deadline in 0usize..2,
-        deadline_millis in 1u64..100_000,
-    ) {
-        let mut budget = SearchBudget::unlimited();
-        if trainings == 1 {
-            budget = budget.with_max_trainings(trainings_cap);
-        }
-        if iterations == 1 {
-            budget = budget.with_max_solver_iterations(iterations_cap);
-        }
-        if deadline == 1 {
-            budget = budget.with_deadline(Duration::from_millis(deadline_millis));
-        }
-        prop_assert_eq!(json_round_trip(&budget), budget);
     }
 
     #[test]
@@ -146,7 +122,6 @@ proptest! {
         spec.strategy = strategy;
         spec.classifier =
             if classifier_choice == 0 { ClassifierSpec::Grid } else { ClassifierSpec::Svm };
-        spec.budget = Some(SearchBudget::unlimited().with_max_trainings(50));
         spec.shard_threads = shard_threads;
         prop_assert_eq!(json_round_trip(&spec), spec);
     }
@@ -201,17 +176,65 @@ fn pre_0_9_job_specs_still_parse() {
 }
 
 /// The checked-in job fixture was written when `GuardBandConfig` still
-/// carried `svm_c`/`svm_gamma`, which no classifier ever read.  It decodes
-/// to the spec without them: re-encoding yields the fixture minus exactly
-/// those two keys.
+/// carried `svm_c`/`svm_gamma`, which no classifier ever read, and the
+/// kept-range flag, and when a spec still carried search budgets (all
+/// unlimited in the fixture).  It decodes to the spec without them:
+/// re-encoding yields the fixture minus exactly those keys.
 #[test]
 fn the_job_fixture_decodes_without_its_svm_hints() {
     let fixture = include_str!("../../bench/fixtures/jobspec_synthetic.json").trim_end();
-    let hints = r#""svm_c":10,"svm_gamma":1,"#;
-    assert!(fixture.contains(hints), "the fixture must carry the hints: {fixture}");
+    let legacy = [
+        r#","svm_c":10,"svm_gamma":1,"enforce_kept_ranges":true"#,
+        r#","budget":{"max_trainings":null,"max_solver_iterations":null,"deadline":null}"#,
+        r#","budget":null"#,
+    ];
+    let mut expected = fixture.to_string();
+    for keys in legacy {
+        assert!(fixture.contains(keys), "the fixture must carry {keys}: {fixture}");
+        expected = expected.replacen(keys, "", 1);
+    }
     let spec: JobSpec = envelope::decode(fixture).expect("the fixture decodes");
     assert_eq!(spec.compaction.guard_band, GuardBandConfig::paper_default());
-    assert_eq!(envelope::encode(&spec).expect("encodes"), fixture.replacen(hints, "", 1));
+    assert_eq!(envelope::encode(&spec).expect("encodes"), expected);
+}
+
+/// Specs written before 0.25 could carry a search budget at the top level
+/// and inside `compaction`, and could turn the kept-range check off.  The
+/// budget and the flag are gone and their keys are skipped: such a spec
+/// decodes to the spec without them and runs the full search with every
+/// kept range checked, even where its budget would have stopped the search
+/// after one training.
+#[test]
+fn pre_0_25_job_specs_carrying_budgets_run_the_full_search() {
+    let spec = JobSpec::new(
+        vec![DeviceSpec::Synthetic { specs: 4, limit: 1.8, correlation: 0.9 }],
+        MonteCarloConfig::new(120).with_seed(42),
+        CompactionConfig::paper_default().with_tolerance(0.1),
+    );
+    let json = envelope::encode(&spec).expect("encodes");
+    assert!(!json.contains("budget"), "{json}");
+    let budget =
+        r#"{"max_trainings":1,"max_solver_iterations":null,"deadline":{"secs":0,"nanos":0}}"#;
+    let legacy = json
+        .replacen(r#""warm_start":true}"#, &format!(r#""warm_start":true,"budget":{budget}}}"#), 1)
+        .replacen(r#""cost_model":"#, &format!(r#""budget":{budget},"cost_model":"#), 1)
+        .replacen(
+            r#""guard_band_fraction":0.05}"#,
+            r#""guard_band_fraction":0.05,"enforce_kept_ranges":false}"#,
+            1,
+        );
+    assert_eq!(legacy.matches(budget).count(), 2, "{legacy}");
+    assert!(legacy.contains(r#""enforce_kept_ranges":false"#), "{legacy}");
+    let decoded: JobSpec = envelope::decode(&legacy).expect("the legacy spec decodes");
+    assert_eq!(decoded, spec);
+    let service = CompactionService::new(1);
+    let report = service.run_blocking(spec).expect("the spec runs");
+    let legacy_report = service.run_blocking(decoded).expect("the legacy spec runs");
+    assert!(report.runs[0].report.compaction.cache.misses > 1, "{:?}", report.runs[0].report);
+    assert_eq!(
+        envelope::encode(&legacy_report).expect("encodes"),
+        envelope::encode(&report).expect("encodes")
+    );
 }
 
 /// A decoded specification passes the checks `Specification::new` and
@@ -271,7 +294,7 @@ fn pre_0_10_job_specs_still_parse() {
     assert!(!json.contains("screening"), "{json}");
     let screen = r#"{"enabled":true,"landmarks":24,"shortlist":3}"#;
     let legacy = json
-        .replacen(r#"}},"strategy":"#, &format!(r#"}},"screening":{screen}}},"strategy":"#), 1)
+        .replacen(r#"},"strategy":"#, &format!(r#","screening":{screen}}},"strategy":"#), 1)
         .replacen(r#""cost_model":"#, &format!(r#""screening":{screen},"cost_model":"#), 1);
     assert_eq!(legacy.matches(screen).count(), 2, "{legacy}");
     for text in [&json, &legacy] {
@@ -321,11 +344,15 @@ fn pre_0_12_batch_reports_with_co_optimized_keys_still_decode() {
         .run()
         .expect("tiny batch runs");
     let encoded = envelope::encode(&report).expect("encodes");
+    // The end of the first run's compaction result, after its warm-start
+    // counters.
+    let compaction_end = r#"}},"deployed":"#;
+    assert!(encoded.contains(compaction_end), "{encoded}");
     let legacy = encoded
         .replacen(r#""guard_band":{"#, r#""guard_band":{"co_optimized":false,"#, 1)
         .replacen(
-            r#""provenance":"Completed"}"#,
-            &format!(r#""provenance":"Completed"}},"co_optimized_guard_band":null,{SCREEN}"#),
+            compaction_end,
+            &format!(r#"}},"co_optimized_guard_band":null,{SCREEN}}},"deployed":"#),
             1,
         )
         .replacen(
@@ -336,6 +363,42 @@ fn pre_0_12_batch_reports_with_co_optimized_keys_still_decode() {
     assert_eq!(legacy.matches(SCREEN).count(), 2, "{legacy}");
     for key in ["co_optimized", "co_optimized_guard_band", "co_optimized_bands"] {
         assert!(legacy.contains(&format!(r#""{key}":"#)), "the legacy report must carry {key}");
+    }
+    let decoded: BatchReport = envelope::decode(&legacy).expect("legacy report decodes");
+    assert_eq!(envelope::encode(&decoded).expect("re-encodes"), encoded);
+}
+
+/// Reports written before 0.25 carried the search-budget counters of each
+/// run at the end of its compaction result.  They are skipped: such a
+/// report decodes and re-encodes without them, whatever they say.
+#[test]
+fn pre_0_25_batch_reports_carrying_budget_stats_still_decode() {
+    let alpha = SyntheticDevice::new(4, 1.8, 0.9);
+    let beta = SyntheticDevice::new(3, 1.5, 0.7);
+    let report = PipelineBatch::new()
+        .device(&alpha)
+        .device(&beta)
+        .monte_carlo(MonteCarloConfig::new(80).with_seed(3))
+        .compaction(CompactionConfig::paper_default().with_tolerance(0.1))
+        .run()
+        .expect("tiny batch runs");
+    let encoded = envelope::encode(&report).expect("encodes");
+    assert!(!encoded.contains("budget"), "{encoded}");
+    let compaction_end = r#"}},"deployed":"#;
+    assert_eq!(encoded.matches(compaction_end).count(), 2, "{encoded}");
+    let budgets = [
+        r#""budget":{"trainings":3,"solver_iterations":0,"exhausted":false,"provenance":"Completed"}"#,
+        r#""budget":{"trainings":1,"solver_iterations":7,"exhausted":true,"provenance":"Truncated"}"#,
+    ];
+    // Each run's counters go after its warm-start counters.
+    let mut runs = encoded.split(compaction_end);
+    let mut legacy = runs.next().expect("text before the first run's end").to_string();
+    for (rest, budget) in runs.zip(budgets) {
+        legacy += &format!(r#"}},{budget}}},"deployed":"#);
+        legacy += rest;
+    }
+    for budget in budgets {
+        assert!(legacy.contains(budget), "{legacy}");
     }
     let decoded: BatchReport = envelope::decode(&legacy).expect("legacy report decodes");
     assert_eq!(envelope::encode(&decoded).expect("re-encodes"), encoded);

@@ -1,8 +1,8 @@
-//! Service-level behaviour: shard/direct parity, cancellation semantics,
-//! budget exhaustion, and streaming progress.
+//! Service-level behaviour: shard/direct parity, cancellation semantics
+//! and streaming progress.
 
 use stc_core::montecarlo::generate_train_test;
-use stc_core::search::{SearchBudget, SimulatedAnnealing};
+use stc_core::search::SimulatedAnnealing;
 use stc_core::{
     CompactionConfig, CompactionPipeline, DeviceUnderTest, MonteCarloConfig, PipelineBatch,
     SyntheticDevice,
@@ -75,27 +75,6 @@ fn cancelling_a_queued_job_never_trains() {
     assert!(first.report().is_some(), "first job should complete: {first:?}");
     // Cancelling a finished job reports `false`.
     assert!(!service.cancel(running).expect("cancel finished"));
-}
-
-/// A budget too small to finish the search must still produce `Done` — the
-/// anytime contract — with the exhaustion recorded in the report, never a
-/// `Failed` status.
-#[test]
-fn budget_exhausted_jobs_complete_as_done() {
-    let mut spec = synthetic_pair_spec();
-    spec.budget = Some(SearchBudget::unlimited().with_max_trainings(1));
-    let service = CompactionService::new(1);
-    let id = service.submit(spec).expect("job queues");
-    let status = service.await_result(id).expect("await");
-    let report = match status {
-        JobStatus::Done { report } => report,
-        other => panic!("budget exhaustion must not fail the job: {other:?}"),
-    };
-    assert_eq!(report.budget_exhausted_runs(), 2);
-    for run in &report.runs {
-        assert!(run.report.budget().exhausted, "run {} should be truncated", run.label);
-    }
-    assert!(report.summary().contains("search budget exhausted in 2 of 2 runs"));
 }
 
 /// While a job runs, `status` must expose at least one `Running` snapshot

@@ -8,8 +8,7 @@
 //! backends ([`SvmBackend`], [`GridBackend`]), the three bundled search
 //! strategies (the paper's [`GreedyBackward`], [`CostAwareGreedy`] for
 //! insertion-heavy cost models and the seeded [`SimulatedAnnealing`] walk),
-//! the [`SearchBudget`] limits that make every search anytime, the staged
-//! sequential deploy types ([`TestPlan`], [`SequentialSession`],
+//! the staged sequential deploy types ([`TestPlan`], [`SequentialSession`],
 //! [`StepVerdict`], [`SequentialStats`]), the device adapters and every
 //! configuration type the pipeline stages take.
 
@@ -20,9 +19,8 @@ pub use stc_core::classifier::{
 };
 pub use stc_core::pipeline::{CompactionPipeline, CostSummary, GuardBandStats, PipelineReport};
 pub use stc_core::search::{
-    AnnealingSchedule, BudgetStats, CandidateEvaluator, CandidateVerdict, CostAwareGreedy,
-    FrontierProvenance, GreedyBackward, SearchBudget, SearchContext, SearchOutcome, SearchStrategy,
-    SimulatedAnnealing,
+    AnnealingSchedule, CandidateEvaluator, CandidateVerdict, CostAwareGreedy, GreedyBackward,
+    SearchContext, SearchOutcome, SearchStrategy, SimulatedAnnealing,
 };
 pub use stc_core::{
     baseline, generate_measurement_set, generate_train_test, gridmodel, run_monte_carlo,

@@ -168,3 +168,24 @@ fn guard_band_devices_are_never_counted_as_errors() {
         }
     }
 }
+
+#[test]
+fn stochastic_strategies_run_end_to_end_on_the_svm_backend() {
+    let device = SyntheticDevice::new(5, 1.8, 0.92);
+    let annealing = CompactionPipeline::for_device(&device)
+        .monte_carlo(MonteCarloConfig::new(200).with_seed(29))
+        .test_instances(100)
+        .compaction(CompactionConfig::paper_default().with_tolerance(0.1))
+        .classifier(SvmBackend::paper_default())
+        .search(
+            SimulatedAnnealing::new(11)
+                .with_schedule(AnnealingSchedule { steps: 40, ..AnnealingSchedule::default() }),
+        )
+        .run()
+        .unwrap();
+    assert_eq!(annealing.search, "simulated-annealing");
+    assert!(!annealing.kept().is_empty());
+    if !annealing.eliminated().is_empty() {
+        assert!(annealing.final_breakdown().prediction_error() <= 0.1 + 1e-9);
+    }
+}

@@ -21,10 +21,9 @@
 
 use serde::{Deserialize, Serialize};
 use stc_core::pipeline::CompactionPipeline;
-use stc_core::search::{CostAwareGreedy, SearchStrategy};
 use stc_core::{
     generate_train_test, CompactionConfig, CompactionResult, Compactor, MonteCarloConfig,
-    SyntheticDevice, TestCostModel,
+    SearchStrategy, SyntheticDevice, TestCostModel,
 };
 use stc_svm::SvmBackend;
 
@@ -159,13 +158,13 @@ pub fn collect_trajectory() -> TrajectoryReport {
         ));
 
         let aware = compactor
-            .compact_with_strategy(&backend, &config, &CostAwareGreedy, None)
+            .compact_with_strategy(&backend, &config, SearchStrategy::CostAware, None)
             .expect("strategy compaction runs");
         points.push(TrajectoryPoint::from_result(
             train_devices,
             test_devices,
             specs,
-            CostAwareGreedy.name(),
+            SearchStrategy::CostAware.name(),
             tolerance,
             &aware,
         ));

@@ -74,15 +74,6 @@ impl Circuit {
         self.node_names.iter().position(|n| n == name).map(NodeId)
     }
 
-    /// Name of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not exist.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.node_names[node.0]
-    }
-
     /// Total number of nodes including ground.
     pub fn node_count(&self) -> usize {
         self.node_names.len()
@@ -285,7 +276,6 @@ mod tests {
         let a2 = c.node("a");
         assert_eq!(a, a2);
         assert_eq!(c.node_count(), 2);
-        assert_eq!(c.node_name(a), "a");
         assert_eq!(c.find_node("a"), Some(a));
         assert_eq!(c.find_node("zz"), None);
         assert!(Circuit::ground().is_ground());

@@ -64,7 +64,6 @@ struct PopulationKey {
     seed: u64,
     test_instances: usize,
     quantile_bits: (u64, u64),
-    skip_failures: bool,
 }
 
 impl PopulationKey {
@@ -84,7 +83,6 @@ impl PopulationKey {
                 config.calibration_quantiles.0.to_bits(),
                 config.calibration_quantiles.1.to_bits(),
             ),
-            skip_failures: config.skip_failures,
         }
     }
 }
@@ -639,17 +637,18 @@ mod tests {
 
     #[test]
     fn batch_carries_the_search_strategy_to_every_entry() {
-        use crate::search::CostAwareGreedy;
+        use crate::search::SearchStrategy;
 
         let devices = devices();
-        let report = batch(&devices).search(CostAwareGreedy).batch_threads(2).run().unwrap();
+        let report =
+            batch(&devices).search(SearchStrategy::CostAware).batch_threads(2).run().unwrap();
         for run in &report.runs {
             assert_eq!(run.report.search, "cost-aware-greedy");
         }
         assert_eq!(report.search_strategy(), "cost-aware-greedy");
         // Every entry runs the strategy it was given: the parallel batch
         // equals a sequential one.
-        let sequential = batch(&devices).search(CostAwareGreedy).run().unwrap();
+        let sequential = batch(&devices).search(SearchStrategy::CostAware).run().unwrap();
         for (a, b) in report.runs.iter().zip(sequential.runs.iter()) {
             assert_eq!(a.report.compaction, b.report.compaction);
         }

@@ -1,15 +1,14 @@
 //! The compaction shell: configuration, result assembly and the
-//! [`Compactor`] entry points over the pluggable search layer.
+//! [`Compactor`] entry points over the search layer.
 //!
-//! As of 0.5 the actual search lives in [`crate::search`]: a
-//! [`SearchStrategy`] proposes kept-set candidates through a
-//! [`CandidateEvaluator`](crate::search::CandidateEvaluator) (the only
-//! component that trains models — it owns the per-run model cache, the
-//! warm-start bookkeeping and the worker threads), and this module
-//! validates the outcome, trains the deploy-stage model and assembles the
-//! [`CompactionResult`].  The paper's greedy backward elimination (Figure 2)
-//! is the default strategy and is byte-identical to the pre-0.5 hard-coded
-//! loop.
+//! The search itself lives in [`crate::search`]: the chosen
+//! [`SearchStrategy`] proposes kept-set candidates through the run's
+//! candidate evaluator (the only component that trains models — it owns
+//! the per-run model cache, the warm-start bookkeeping and the worker
+//! threads), and this module takes the eliminations it committed, reuses
+//! the deploy-stage model and assembles the [`CompactionResult`].  The
+//! paper's greedy backward elimination (Figure 2) is the default strategy
+//! and is byte-identical to the pre-0.5 hard-coded loop.
 
 use serde::{Deserialize, Serialize};
 
@@ -19,7 +18,7 @@ use crate::dataset::MeasurementSet;
 use crate::guardband::{GuardBandConfig, GuardBandedClassifier};
 use crate::metrics::ErrorBreakdown;
 use crate::ordering::EliminationOrder;
-use crate::search::{CandidateEvaluator, GreedyBackward, SearchContext, SearchStrategy};
+use crate::search::{CandidateEvaluator, ProgressObserver, SearchStrategy};
 use crate::{CompactionError, Result};
 
 /// Configuration of the compaction loop.
@@ -352,53 +351,49 @@ impl Compactor {
         backend: &dyn ClassifierFactory,
         config: &CompactionConfig,
     ) -> Result<CompactionResult> {
-        self.compact_search_observed(backend, config, &GreedyBackward, None, None)
+        self.compact_search_observed(backend, config, SearchStrategy::Greedy, None, None)
             .map(|(result, _)| result)
     }
 
     /// Runs the compaction with an explicit [`SearchStrategy`] — cost-aware
-    /// greedy, simulated annealing, or a user-defined procedure — instead of
-    /// the default greedy backward elimination.
+    /// greedy or simulated annealing — instead of the default greedy
+    /// backward elimination.
     ///
-    /// `cost_model` feeds cost-aware strategies (and defaults to a uniform
-    /// unit cost per test); strategies that do not consult costs ignore it.
-    /// All strategies share the evaluation machinery: the per-run model
+    /// `cost_model` feeds the cost-aware and annealing strategies (and
+    /// defaults to a uniform unit cost per test); greedy elimination ignores
+    /// it.  All strategies share the evaluation machinery: the per-run model
     /// cache, warm-started trainings and speculative evaluation threads of
     /// [`Compactor::compact_with`].
     ///
     /// # Errors
     ///
-    /// Returns configuration/data errors, and rejects malformed strategy
-    /// outcomes (out-of-range or duplicated eliminations, or an empty kept
-    /// set); per-candidate training failures are handled inside the
+    /// Returns configuration/data errors, including an invalid annealing
+    /// schedule; per-candidate training failures are handled inside the
     /// strategies as "cannot eliminate".
     pub fn compact_with_strategy(
         &self,
         backend: &dyn ClassifierFactory,
         config: &CompactionConfig,
-        strategy: &dyn SearchStrategy,
+        strategy: SearchStrategy,
         cost_model: Option<&TestCostModel>,
     ) -> Result<CompactionResult> {
         self.compact_search_observed(backend, config, strategy, cost_model, None)
             .map(|(result, _)| result)
     }
 
-    /// The strategy-driven core every compaction entry point funnels into:
-    /// resolve the order, hand a [`CandidateEvaluator`] to the strategy,
-    /// validate its [`SearchOutcome`](crate::search::SearchOutcome) and
-    /// assemble the [`CompactionResult`] plus the deploy-stage model (`None`
-    /// when nothing was eliminated, in which case the complete suite needs
-    /// no model).  An attached
-    /// [`ProgressObserver`](crate::search::ProgressObserver) streams
-    /// per-training events and committed-frontier snapshots while the
-    /// search runs.
+    /// The core every compaction entry point funnels into: resolve the
+    /// order, run the strategy over a [`CandidateEvaluator`] and assemble
+    /// the [`CompactionResult`] plus the deploy-stage model (`None` when
+    /// nothing was eliminated, in which case the complete suite needs no
+    /// model).  An attached [`ProgressObserver`] streams per-training events
+    /// and committed-frontier snapshots while the search runs.
     pub(crate) fn compact_search_observed(
         &self,
         backend: &dyn ClassifierFactory,
         config: &CompactionConfig,
-        strategy: &dyn SearchStrategy,
+        strategy: SearchStrategy,
         cost_model: Option<&TestCostModel>,
-        observer: Option<std::sync::Arc<dyn crate::search::ProgressObserver>>,
+        observer: Option<std::sync::Arc<dyn ProgressObserver>>,
     ) -> Result<(CompactionResult, Option<GuardBandedClassifier>)> {
         config.validate()?;
         let spec_count = self.training.specs().len();
@@ -413,41 +408,25 @@ impl Compactor {
         };
         let mut evaluator = CandidateEvaluator::new(&self.training, &self.testing, backend, config);
         evaluator.set_observer(observer);
-        let context =
-            SearchContext::new(&order, config.error_tolerance, config.max_eliminated, cost_model);
-        let outcome = strategy.search(&mut evaluator, &context)?;
-        let eliminated = outcome.eliminated;
-        let steps = outcome.steps;
-
-        // Defensive validation: a strategy is arbitrary user code, so its
-        // outcome is checked before it becomes a result.
-        if let Some(&bad) = eliminated.iter().find(|&&c| c >= spec_count) {
-            return Err(CompactionError::UnknownSpecification { index: bad, count: spec_count });
-        }
-        let mut deduped = eliminated.clone();
-        deduped.sort_unstable();
-        deduped.dedup();
-        if deduped.len() != eliminated.len() {
-            return Err(CompactionError::InvalidConfig {
-                parameter: "eliminated",
-                value: eliminated.len() as f64,
-            });
-        }
+        let (eliminated, steps) = strategy.search(&evaluator, &order, config, cost_model)?;
         let kept: Vec<usize> = (0..spec_count).filter(|c| !eliminated.contains(c)).collect();
-        if kept.is_empty() {
-            return Err(CompactionError::EmptyTestSet);
-        }
+        // Every strategy draws its candidates from the validated order,
+        // eliminates each at most once and never the last test.
+        debug_assert!(
+            !kept.is_empty() && kept.len() + eliminated.len() == spec_count,
+            "{} eliminated {eliminated:?} of {spec_count} tests",
+            strategy.name()
+        );
 
         let (final_breakdown, final_model) = if eliminated.is_empty() {
             // Nothing was removed: the complete test set has no prediction
             // error by construction, and deployment needs no model.
             (crate::baseline::evaluate_complete_test_set(&self.testing), None)
         } else {
-            // Every bundled strategy evaluated the final kept set when its
-            // last elimination was accepted, so this is a guaranteed cache
-            // hit: the search's last accepted model doubles as the deployed
-            // model.  (A custom strategy that never evaluated it trains it
-            // here, cold.)
+            // Every strategy evaluated the final kept set when its last
+            // elimination was accepted, so this is a guaranteed cache hit:
+            // the search's last accepted model doubles as the deployed
+            // model.
             let entry = evaluator.final_entry(&kept)?;
             (entry.1, Some(entry.0.clone()))
         };
@@ -469,8 +448,8 @@ impl Compactor {
     /// paper (yield loss / defect escape / guard band versus eliminated
     /// tests).
     ///
-    /// Since 0.5 the sweep is a thin wrapper over the
-    /// [`CandidateEvaluator`]: every cumulative kept set goes through the
+    /// Since 0.5 the sweep is a thin wrapper over the run's candidate
+    /// evaluator: every cumulative kept set goes through the
     /// per-run model cache and warm-starts from the previous step's model
     /// (consecutive sweep steps are exact parent/child kept sets — the
     /// ideal warm-start chain), so long sweeps on iterative backends cost a
@@ -755,7 +734,7 @@ mod tests {
         let config = CompactionConfig::paper_default().with_tolerance(0.05);
         let implicit = compactor.compact_with(&grid(), &config).unwrap();
         let explicit = compactor
-            .compact_with_strategy(&grid(), &config, &crate::search::GreedyBackward, None)
+            .compact_with_strategy(&grid(), &config, SearchStrategy::Greedy, None)
             .unwrap();
         assert_eq!(implicit, explicit);
     }

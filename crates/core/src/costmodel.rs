@@ -26,40 +26,15 @@ impl<'de> Deserialize<'de> for TestCostModel {
     fn deserialize<D: serde::Deserializer<'de>>(
         deserializer: D,
     ) -> std::result::Result<Self, D::Error> {
-        use serde::de::{Error as _, IgnoredAny, MapAccess, Visitor};
-        struct ModelVisitor;
-        impl<'de> Visitor<'de> for ModelVisitor {
-            type Value = TestCostModel;
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str("a test-cost model as {per_test, insertion_of_test, insertion_cost}")
-            }
-            fn visit_map<A: MapAccess<'de>>(
-                self,
-                mut map: A,
-            ) -> std::result::Result<TestCostModel, A::Error> {
-                let mut per_test: Option<Vec<f64>> = None;
-                let mut insertion_of_test: Option<Vec<usize>> = None;
-                let mut insertion_cost: Option<Vec<f64>> = None;
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "per_test" => per_test = Some(map.next_value()?),
-                        "insertion_of_test" => insertion_of_test = Some(map.next_value()?),
-                        "insertion_cost" => insertion_cost = Some(map.next_value()?),
-                        _ => {
-                            map.next_value::<IgnoredAny>()?;
-                        }
-                    }
-                }
-                TestCostModel::new(
-                    per_test.ok_or_else(|| A::Error::missing_field("per_test"))?,
-                    insertion_of_test
-                        .ok_or_else(|| A::Error::missing_field("insertion_of_test"))?,
-                    insertion_cost.ok_or_else(|| A::Error::missing_field("insertion_cost"))?,
-                )
-                .map_err(|error| A::Error::custom(format!("invalid cost model: {error}")))
-            }
+        #[derive(Deserialize)]
+        struct Wire {
+            per_test: Vec<f64>,
+            insertion_of_test: Vec<usize>,
+            insertion_cost: Vec<f64>,
         }
-        deserializer.deserialize_any(ModelVisitor)
+        let Wire { per_test, insertion_of_test, insertion_cost } = Wire::deserialize(deserializer)?;
+        TestCostModel::new(per_test, insertion_of_test, insertion_cost)
+            .map_err(|error| serde::de::Error::custom(format!("invalid cost model: {error}")))
     }
 }
 

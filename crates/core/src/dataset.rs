@@ -284,38 +284,19 @@ impl Serialize for MeasurementMatrix {
 }
 
 impl<'de> Deserialize<'de> for MeasurementMatrix {
+    /// Deserialises through [`MeasurementMatrix::from_rows`], so a decoded
+    /// matrix holds finite values in rows of `columns` values each.
     fn deserialize<D: serde::Deserializer<'de>>(
         deserializer: D,
     ) -> std::result::Result<Self, D::Error> {
-        use serde::de::{Error as _, IgnoredAny, MapAccess, Visitor};
-        struct MatrixVisitor;
-        impl<'de> Visitor<'de> for MatrixVisitor {
-            type Value = MeasurementMatrix;
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str("a measurement matrix as {columns, rows}")
-            }
-            fn visit_map<A: MapAccess<'de>>(
-                self,
-                mut map: A,
-            ) -> std::result::Result<MeasurementMatrix, A::Error> {
-                let mut columns: Option<usize> = None;
-                let mut rows: Option<Vec<Vec<f64>>> = None;
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "columns" => columns = Some(map.next_value()?),
-                        "rows" => rows = Some(map.next_value()?),
-                        _ => {
-                            map.next_value::<IgnoredAny>()?;
-                        }
-                    }
-                }
-                let columns = columns.ok_or_else(|| A::Error::missing_field("columns"))?;
-                let rows = rows.ok_or_else(|| A::Error::missing_field("rows"))?;
-                MeasurementMatrix::from_rows(rows, columns)
-                    .map_err(|error| A::Error::custom(format!("invalid matrix: {error}")))
-            }
+        #[derive(Deserialize)]
+        struct Wire {
+            columns: usize,
+            rows: Vec<Vec<f64>>,
         }
-        deserializer.deserialize_any(MatrixVisitor)
+        let Wire { columns, rows } = Wire::deserialize(deserializer)?;
+        MeasurementMatrix::from_rows(rows, columns)
+            .map_err(|error| serde::de::Error::custom(format!("invalid matrix: {error}")))
     }
 }
 
@@ -397,35 +378,14 @@ impl<'de> Deserialize<'de> for MeasurementSet {
     fn deserialize<D: serde::Deserializer<'de>>(
         deserializer: D,
     ) -> std::result::Result<Self, D::Error> {
-        use serde::de::{Error as _, IgnoredAny, MapAccess, Visitor};
-        struct SetVisitor;
-        impl<'de> Visitor<'de> for SetVisitor {
-            type Value = MeasurementSet;
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str("a measurement set as {specs, matrix}")
-            }
-            fn visit_map<A: MapAccess<'de>>(
-                self,
-                mut map: A,
-            ) -> std::result::Result<MeasurementSet, A::Error> {
-                let mut specs: Option<SpecificationSet> = None;
-                let mut matrix: Option<MeasurementMatrix> = None;
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "specs" => specs = Some(map.next_value()?),
-                        "matrix" => matrix = Some(map.next_value()?),
-                        _ => {
-                            map.next_value::<IgnoredAny>()?;
-                        }
-                    }
-                }
-                let specs = specs.ok_or_else(|| A::Error::missing_field("specs"))?;
-                let matrix = matrix.ok_or_else(|| A::Error::missing_field("matrix"))?;
-                MeasurementSet::from_matrix(specs, matrix)
-                    .map_err(|error| A::Error::custom(format!("invalid measurement set: {error}")))
-            }
+        #[derive(Deserialize)]
+        struct Wire {
+            specs: SpecificationSet,
+            matrix: MeasurementMatrix,
         }
-        deserializer.deserialize_any(SetVisitor)
+        let Wire { specs, matrix } = Wire::deserialize(deserializer)?;
+        MeasurementSet::from_matrix(specs, matrix)
+            .map_err(|error| serde::de::Error::custom(format!("invalid measurement set: {error}")))
     }
 }
 

@@ -14,10 +14,10 @@
 //!    (Figure 1 of the paper) through any [`DeviceUnderTest`] implementation,
 //! 2. the **compaction** stage searches for a small kept set, training a
 //!    classifier per candidate that predicts overall pass/fail from the
-//!    remaining measurements; the search procedure is pluggable (see
-//!    [`search`]): the paper's greedy elimination loop (Figure 2) is the
-//!    default, with cost-aware and simulated-annealing strategies bundled,
-//!    and every strategy runs to completion, as the paper's loop does,
+//!    remaining measurements; the [`SearchStrategy`] is the paper's greedy
+//!    elimination loop (Figure 2) by default, or cost-aware greedy or
+//!    simulated annealing (see [`search`]), and every strategy runs to
+//!    completion, as the paper's loop does,
 //! 3. the guard band, set in the same compaction configuration
 //!    ([`CompactionConfig::with_guard_band`]), brackets the decision boundary
 //!    with a strict/loose model pair (Section 4.2); devices on which they
@@ -105,9 +105,7 @@ pub use montecarlo::{
 pub use ordering::EliminationOrder;
 pub use pipeline::{CompactionPipeline, CostSummary, GuardBandStats, PipelineReport};
 pub use search::{
-    AnnealingSchedule, CandidateEvaluator, CandidateVerdict, CostAwareGreedy, FrontierSnapshot,
-    GreedyBackward, ProgressObserver, SearchContext, SearchOutcome, SearchStrategy,
-    SimulatedAnnealing, TrainingEvent,
+    AnnealingSchedule, FrontierSnapshot, ProgressObserver, SearchStrategy, TrainingEvent,
 };
 pub use spec::{Specification, SpecificationSet};
 pub use tester::{

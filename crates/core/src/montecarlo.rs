@@ -14,6 +14,12 @@ use crate::spec::SpecificationSet;
 use crate::{CompactionError, Result};
 
 /// Configuration of a Monte-Carlo data-generation run.
+///
+/// An instance whose simulation fails is skipped and replaced by the next
+/// pre-drawn seed (see [`run_monte_carlo`]).  A failure is an error
+/// returned by the device model, a panic inside it, a row whose length
+/// differs from the device's specification count, or a row with a NaN or
+/// infinite value.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MonteCarloConfig {
     /// Number of device instances to simulate.
@@ -22,12 +28,6 @@ pub struct MonteCarloConfig {
     pub seed: u64,
     /// Number of worker threads (1 = sequential).
     pub threads: usize,
-    /// If `true`, instances whose simulation fails are skipped and replaced by
-    /// the next pre-drawn seeds; if `false` the first failure aborts the run.
-    /// A failure is an error returned by the device model, a panic inside
-    /// it, a row whose length differs from the device's specification count,
-    /// or a row with a NaN or infinite value.
-    pub skip_failures: bool,
     /// Quantiles used to calibrate acceptability ranges when the device does
     /// not define explicit ranges (see
     /// [`SpecificationSet::from_population_quantiles`]).
@@ -41,7 +41,6 @@ impl MonteCarloConfig {
             instances,
             seed: 0x5eed,
             threads: 1,
-            skip_failures: true,
             calibration_quantiles: (0.015, 0.985),
         }
     }
@@ -61,12 +60,6 @@ impl MonteCarloConfig {
     /// Sets the range-calibration quantiles.
     pub fn with_calibration_quantiles(mut self, lower: f64, upper: f64) -> Self {
         self.calibration_quantiles = (lower, upper);
-        self
-    }
-
-    /// Aborts instead of skipping when an instance fails to simulate.
-    pub fn fail_fast(mut self) -> Self {
-        self.skip_failures = false;
         self
     }
 }
@@ -93,10 +86,9 @@ pub struct MonteCarloRun {
 ///
 /// # Errors
 ///
-/// Returns [`CompactionError::SimulationFailed`] when `skip_failures` is off
-/// and an instance fails (the lowest failing attempt is reported), or when
-/// so many instances fail that the seed list runs out before `instances`
-/// rows are complete.
+/// Returns [`CompactionError::SimulationFailed`] when so many instances
+/// fail that the seed list runs out before `instances` rows are complete;
+/// its message names the first failure.
 pub fn run_monte_carlo(
     device: &dyn DeviceUnderTest,
     config: &MonteCarloConfig,
@@ -114,6 +106,7 @@ pub fn run_monte_carlo(
 
     let mut rows = Vec::with_capacity(config.instances);
     let mut skipped = 0usize;
+    let mut first_failure = None;
     let mut next = 0;
     while rows.len() < config.instances && next < seeds.len() {
         // A round simulates exactly as many seeds as rows are missing, so the
@@ -126,25 +119,24 @@ pub fn run_monte_carlo(
             });
         // Nothing sets the stop flag, so every attempt has an outcome, and
         // walking them in attempt order keeps the rows thread-count free.
-        for (offset, outcome) in outcomes.into_iter().flatten().enumerate() {
+        for outcome in outcomes.into_iter().flatten() {
             match outcome {
                 Ok(row) => rows.push(row),
-                Err(_) if config.skip_failures => skipped += 1,
                 Err(message) => {
-                    return Err(CompactionError::SimulationFailed {
-                        instance: next + offset,
-                        message,
-                    })
+                    skipped += 1;
+                    first_failure.get_or_insert(message);
                 }
             }
         }
         next += round;
     }
     if rows.len() < config.instances {
+        // Every attempt ran and some failed, so there is a first failure.
+        let first = first_failure.unwrap_or_default();
         return Err(CompactionError::SimulationFailed {
             instance: rows.len(),
             message: format!(
-                "only {} of {} instances could be simulated within a {attempt_budget}-attempt budget ({skipped} failures)",
+                "only {} of {} instances could be simulated within a {attempt_budget}-attempt budget ({skipped} failures, the first: {first})",
                 rows.len(),
                 config.instances
             ),
@@ -382,15 +374,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn failures_are_skipped_or_fatal_depending_on_config() {
-        let skipping = run_monte_carlo(&FlakyDevice, &MonteCarloConfig::new(20)).unwrap();
-        assert_eq!(skipping.rows.len(), 20);
-        assert!(skipping.skipped > 0);
-        let strict = run_monte_carlo(&FlakyDevice, &MonteCarloConfig::new(20).fail_fast());
-        assert!(matches!(strict, Err(CompactionError::SimulationFailed { .. })));
-    }
-
     /// A device that always fails: even the skip budget cannot save it.
     struct BrokenDevice;
 
@@ -409,10 +392,18 @@ mod tests {
         }
     }
 
+    /// A device that always fails exhausts the seed list, and the error
+    /// says why its first attempt failed.
     #[test]
     fn exhausted_attempt_budget_is_an_error() {
-        let result = run_monte_carlo(&BrokenDevice, &MonteCarloConfig::new(10));
-        assert!(matches!(result, Err(CompactionError::SimulationFailed { .. })));
+        match run_monte_carlo(&BrokenDevice, &MonteCarloConfig::new(10)) {
+            Err(CompactionError::SimulationFailed { instance: 0, message }) => assert_eq!(
+                message,
+                "only 0 of 10 instances could be simulated within a 62-attempt budget \
+                 (62 failures, the first: always fails)"
+            ),
+            other => panic!("expected SimulationFailed, got {other:?}"),
+        }
     }
 
     /// How [`FaultyDevice`] goes wrong.
@@ -465,12 +456,10 @@ mod tests {
                 run_monte_carlo(&device, &MonteCarloConfig::new(200).with_threads(4)).unwrap();
             assert!(run.skipped > 0, "{fault:?}");
             assert!(run.rows.iter().all(|row| row.len() == 2 && row.iter().all(|v| v.is_finite())));
-            match run_monte_carlo(&device, &MonteCarloConfig::new(200).fail_fast()) {
-                Err(CompactionError::SimulationFailed { message: reported, .. }) => {
-                    assert_eq!(reported, message, "{fault:?}");
-                }
-                other => panic!("{fault:?}: expected SimulationFailed, got {other:?}"),
-            }
+            // The first seed whose draw faults fails its attempt with the
+            // fault's message.
+            let failure = (0..).find_map(|seed| simulate_attempt(&device, seed, 2).err());
+            assert_eq!(failure.as_deref(), Some(message), "{fault:?}");
         }
     }
 }

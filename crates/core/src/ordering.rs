@@ -98,10 +98,9 @@ impl EliminationOrder {
     /// [`EliminationOrder::resolve`] with the validation every search
     /// strategy relies on: the returned order is guaranteed to reference
     /// only specifications of `training` and to name each at most once, so
-    /// strategies can treat it as a trusted, duplicate-free candidate pool
-    /// (resolved orders are the *input* of a
-    /// [`SearchStrategy`](crate::search::SearchStrategy), via
-    /// [`SearchContext::order`](crate::search::SearchContext::order)).
+    /// every [`SearchStrategy`](crate::search::SearchStrategy) draws its
+    /// candidates from it as a duplicate-free pool and never eliminates a
+    /// test twice.
     ///
     /// # Errors
     ///

@@ -43,7 +43,7 @@ use crate::device::DeviceUnderTest;
 use crate::metrics::ErrorBreakdown;
 use crate::montecarlo::{generate_train_test, MonteCarloConfig};
 use crate::report::percent;
-use crate::search::{GreedyBackward, ProgressObserver, SearchStrategy};
+use crate::search::{ProgressObserver, SearchStrategy};
 use crate::tester::{SequentialStats, TestPlan, TesterProgram};
 use crate::Result;
 
@@ -57,7 +57,7 @@ pub(crate) struct Stages {
     pub(crate) compaction: CompactionConfig,
     pub(crate) cost_model: Option<TestCostModel>,
     pub(crate) classifier: Arc<dyn ClassifierFactory>,
-    pub(crate) search: Arc<dyn SearchStrategy>,
+    pub(crate) search: SearchStrategy,
     pub(crate) lookup_table: Option<usize>,
     pub(crate) observer: Option<Arc<dyn ProgressObserver>>,
 }
@@ -71,7 +71,7 @@ impl Default for Stages {
             compaction: CompactionConfig::paper_default(),
             cost_model: None,
             classifier: Arc::new(GridBackend::default()),
-            search: Arc::new(GreedyBackward),
+            search: SearchStrategy::Greedy,
             lookup_table: None,
             observer: None,
         }
@@ -99,7 +99,7 @@ impl Stages {
         let (compaction, final_model) = compactor.compact_search_observed(
             backend,
             config,
-            self.search.as_ref(),
+            self.search,
             self.cost_model.as_ref(),
             self.observer.clone(),
         )?;
@@ -210,23 +210,23 @@ macro_rules! stage_setters {
             self
         }
 
-        /// Selects the search strategy the compaction stage runs (defaults to
-        /// the paper's [`GreedyBackward`](crate::GreedyBackward) elimination;
-        /// see [`crate::search`] for the bundled alternatives — cost-aware
-        /// greedy and simulated annealing — or plug in a custom
+        /// Selects the search strategy the compaction stage runs: the
+        /// paper's greedy elimination by default, or one of the two
+        /// alternatives, cost-aware greedy and simulated annealing (see
         /// [`SearchStrategy`](crate::SearchStrategy)).
         ///
-        /// Cost-aware strategies read the [`cost_model`](Self::cost_model)
-        /// stage (uniform unit costs when none is attached).
-        pub fn search(mut self, strategy: impl $crate::SearchStrategy + 'static) -> Self {
-            self.stages.search = std::sync::Arc::new(strategy);
+        /// Both alternatives read the [`cost_model`](Self::cost_model) stage
+        /// (uniform unit costs when none is attached).
+        pub fn search(mut self, strategy: $crate::SearchStrategy) -> Self {
+            self.stages.search = strategy;
             self
         }
 
-        /// Selects an already-shared search strategy.
-        pub fn search_arc(mut self, strategy: std::sync::Arc<dyn $crate::SearchStrategy>) -> Self {
-            self.stages.search = strategy;
-            self
+        /// The same as [`search`](Self::search): the benchmark harness under
+        /// `perfbench/` still selects its job strategies through this name.
+        #[doc(hidden)]
+        pub fn search_arc(self, strategy: $crate::SearchStrategy) -> Self {
+            self.search(strategy)
         }
 
         /// Deploys the final model as a grid lookup table with the given
@@ -538,18 +538,17 @@ mod tests {
 
     #[test]
     fn search_stage_selects_the_strategy() {
-        use crate::search::{CostAwareGreedy, SimulatedAnnealing};
-
         let device = SyntheticDevice::new(5, 1.8, 0.92);
         let default_run = pipeline(&device).run().unwrap();
         assert_eq!(default_run.search, "greedy-backward");
         assert!(default_run.summary().contains("greedy-backward"));
 
-        let aware_run = pipeline(&device).search(CostAwareGreedy).run().unwrap();
+        let aware_run = pipeline(&device).search(SearchStrategy::CostAware).run().unwrap();
         assert_eq!(aware_run.search, "cost-aware-greedy");
         assert!(aware_run.final_breakdown().prediction_error() <= 0.05 + 1e-9);
 
-        let annealing_run = pipeline(&device).search(SimulatedAnnealing::new(3)).run().unwrap();
+        let annealing = SearchStrategy::Annealing { seed: 3, schedule: Default::default() };
+        let annealing_run = pipeline(&device).search(annealing).run().unwrap();
         assert_eq!(annealing_run.search, "simulated-annealing");
         assert!(annealing_run.final_breakdown().prediction_error() <= 0.05 + 1e-9);
     }

@@ -1,41 +1,41 @@
-//! Pluggable search strategies for specification-test compaction.
+//! The compaction search: which kept sets a run examines and which
+//! eliminations it accepts.
 //!
-//! The paper explores the defect-level/test-cost trade-off with one
-//! hard-coded greedy backward elimination (Figure 2), but the *search
-//! procedure* is orthogonal to the evaluation machinery this crate has been
-//! optimising (the per-run model cache, warm-started trainings and the
-//! speculative evaluation threads).  This module separates the two:
+//! The paper explores the defect-level/test-cost trade-off with one greedy
+//! backward elimination (Figure 2), but the *search procedure* is
+//! orthogonal to the evaluation machinery this crate has been optimising
+//! (the per-run model cache, warm-started trainings and the worker
+//! threads).  This module keeps the two apart:
 //!
-//! * [`CandidateEvaluator`] owns the expensive part — it is the only thing
-//!   that trains models.  Every kept set it evaluates goes through a per-run
-//!   model cache and, when enabled, warm-starts from the cached model of an
-//!   explicitly named *parent* kept set, so every strategy inherits the
-//!   accelerators for free.  The warm-start source is always a committed
-//!   frontier a strategy names, never an artefact of speculative evaluation
-//!   order, so results stay identical for any thread count.
-//! * [`SearchStrategy`] decides *which* kept sets to examine and which
-//!   eliminations to accept against the error tolerance; it returns a
-//!   [`SearchOutcome`] that the [`Compactor`](crate::Compactor) shell turns
-//!   into a [`CompactionResult`](crate::CompactionResult).
+//! * the crate-private candidate evaluator owns the expensive part — it is
+//!   the only thing that trains models.  Every kept set it evaluates goes
+//!   through a per-run model cache and, when enabled, warm-starts from the
+//!   cached model of an explicitly named *parent* kept set, so every
+//!   strategy inherits the accelerators for free.  The warm-start source is
+//!   always a committed frontier, never an artefact of speculative
+//!   evaluation order, so results stay identical for any thread count.
+//! * [`SearchStrategy`] names the loop that decides *which* kept sets to
+//!   examine and which eliminations to accept against the error tolerance;
+//!   the [`Compactor`](crate::Compactor) shell turns what it committed into
+//!   a [`CompactionResult`](crate::CompactionResult).
 //!
-//! Three strategies ship with the crate, each kept because it ships the
-//! cheapest tester on some measured workload:
+//! Three strategies exist, each kept because it ships the cheapest tester
+//! on some measured workload:
 //!
-//! * [`GreedyBackward`] — the paper's Figure 2 loop, byte-identical to the
-//!   pre-0.5 hard-coded implementation (pinned by the property tests),
-//! * [`CostAwareGreedy`] — accepts the elimination maximising
+//! * [`SearchStrategy::Greedy`] — the paper's Figure 2 loop, byte-identical
+//!   to the pre-0.5 hard-coded implementation (pinned by the property
+//!   tests),
+//! * [`SearchStrategy::CostAware`] — accepts the elimination maximising
 //!   [`TestCostModel`] saving per unit prediction error instead of raw spec
 //!   count, so expensive insertions are dismantled first (strictly cheaper
 //!   than greedy on the op-amp under a per-insertion cost model),
-//! * [`SimulatedAnnealing`] — seeded single-flip annealing over kept sets,
-//!   escaping greedy local minima (on the accelerometer it drops both the
-//!   hot and the cold insertion, which greedy cannot).
+//! * [`SearchStrategy::Annealing`] — seeded single-flip annealing over kept
+//!   sets, escaping greedy local minima (on the accelerometer it drops both
+//!   the hot and the cold insertion, which greedy cannot).
 //!
-//! Custom procedures plug in through the [`SearchStrategy`] trait.
-//!
-//! Every bundled strategy runs to completion, as the paper's loop does:
-//! greedy stops when no remaining candidate meets the tolerance, and
-//! annealing when its schedule ends.
+//! Every strategy runs to completion, as the paper's loop does: greedy
+//! stops when no remaining candidate meets the tolerance, and annealing
+//! when its schedule ends.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -276,7 +276,7 @@ impl WarmStartTracker {
 
 /// What one candidate evaluation produced.
 #[derive(Debug, Clone)]
-pub enum CandidateVerdict {
+pub(crate) enum Verdict {
     /// Removing the candidate would leave no test at all: the elimination is
     /// categorically impossible (only produced by
     /// [`CandidateEvaluator::evaluate_removals`]).
@@ -285,8 +285,8 @@ pub enum CandidateVerdict {
     /// held-out population.
     Scored(ErrorBreakdown),
     /// The backend could not build a model for this kept set (for example a
-    /// single-class training population); strategies must treat the
-    /// candidate as "cannot eliminate" rather than aborting.
+    /// single-class training population); strategies treat the candidate as
+    /// "cannot eliminate" rather than aborting.
     Untrainable,
 }
 
@@ -305,13 +305,13 @@ pub enum CandidateVerdict {
 /// becomes two pool jobs, its strict and its loose model, each warm-started
 /// from the same side of the parent's pair and scored on the held-out
 /// devices that pass the kept ranges.  So a single evaluation keeps two
-/// threads busy, and a batch of `n` kept sets offers `2n` jobs to
-/// [`CandidateEvaluator::threads`] workers.  Because the parent is always a
+/// threads busy, and a batch of `n` kept sets offers `2n` jobs to the
+/// [`CompactionConfig::threads`] workers.  Because the parent is always a
 /// committed frontier — never a function of speculative evaluation order —
 /// the trained models, and with them the search outcome, are identical for
 /// any thread count.
 #[derive(Debug)]
-pub struct CandidateEvaluator<'a> {
+pub(crate) struct CandidateEvaluator<'a> {
     training: &'a MeasurementSet,
     testing: &'a MeasurementSet,
     backend: &'a dyn ClassifierFactory,
@@ -351,37 +351,12 @@ impl<'a> CandidateEvaluator<'a> {
     }
 
     /// Number of specifications in the populations.
-    pub fn spec_count(&self) -> usize {
+    fn spec_count(&self) -> usize {
         self.training.specs().len()
     }
 
-    /// Name of specification `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn spec_name(&self, index: usize) -> &str {
-        self.training.specs().spec(index).name()
-    }
-
-    /// The training population models are fitted on.
-    pub fn training(&self) -> &MeasurementSet {
-        self.training
-    }
-
-    /// The held-out population breakdowns are scored on.
-    pub fn testing(&self) -> &MeasurementSet {
-        self.testing
-    }
-
-    /// Worker threads that train models: each kept set missing from the
-    /// cache trains as two jobs, its strict and its loose model.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// A [`CompactionStep`] log entry for an examined candidate.
-    pub fn step(
+    fn step(
         &self,
         candidate: usize,
         eliminated: bool,
@@ -389,7 +364,7 @@ impl<'a> CandidateEvaluator<'a> {
     ) -> CompactionStep {
         CompactionStep {
             spec_index: candidate,
-            spec_name: self.spec_name(candidate).to_string(),
+            spec_name: self.training.specs().spec(candidate).name().to_string(),
             eliminated,
             breakdown,
         }
@@ -398,7 +373,7 @@ impl<'a> CandidateEvaluator<'a> {
     /// How many candidates one speculative batch holds: every candidate
     /// trains as two pool jobs (its strict and its loose model), so
     /// ⌈threads / 2⌉ candidates keep every worker busy.
-    pub(crate) fn candidates_per_batch(&self) -> usize {
+    fn candidates_per_batch(&self) -> usize {
         self.threads.div_ceil(2)
     }
 
@@ -527,7 +502,7 @@ impl<'a> CandidateEvaluator<'a> {
     /// # Errors
     ///
     /// Propagates backend training failures and data errors.
-    pub fn evaluate(
+    pub(crate) fn evaluate(
         &self,
         kept: &[usize],
         warm_parent: Option<&[usize]>,
@@ -537,14 +512,14 @@ impl<'a> CandidateEvaluator<'a> {
 
     /// [`CandidateEvaluator::evaluate`], treating "the backend cannot build
     /// a model for this kept set" as `Ok(None)` instead of an error — the
-    /// per-candidate rule every bundled strategy follows.
+    /// per-candidate rule every strategy follows.
     ///
     /// # Errors
     ///
     /// Propagates configuration and data errors other than
     /// [`CompactionError::Classifier`] /
     /// [`CompactionError::InsufficientData`].
-    pub fn try_evaluate(
+    fn try_evaluate(
         &self,
         kept: &[usize],
         warm_parent: Option<&[usize]>,
@@ -560,10 +535,8 @@ impl<'a> CandidateEvaluator<'a> {
     /// Reports a committed frontier to the attached [`ProgressObserver`]
     /// (free when none is attached).  The snapshot's prediction error is
     /// looked up from the run's model cache, so strategies only name the
-    /// eliminated set.  Every bundled strategy calls this at its commit
-    /// points; custom strategies should too, or their progress stream stays
-    /// silent between trainings.
-    pub fn notify_frontier(&self, eliminated: &[usize]) {
+    /// eliminated set.  Every strategy calls this at its commit points.
+    fn notify_frontier(&self, eliminated: &[usize]) {
         let Some(observer) = &self.observer else { return };
         let kept = self.kept_without(eliminated, None);
         let prediction_error = self.cache.peek(&kept).map(|entry| entry.1.prediction_error());
@@ -593,12 +566,12 @@ impl<'a> CandidateEvaluator<'a> {
     /// # Errors
     ///
     /// Propagates configuration and data errors; per-candidate training
-    /// failures surface as [`CandidateVerdict::Untrainable`].
-    pub fn evaluate_removals(
+    /// failures surface as [`Verdict::Untrainable`].
+    fn evaluate_removals(
         &self,
         eliminated: &[usize],
         candidates: &[usize],
-    ) -> Result<Vec<CandidateVerdict>> {
+    ) -> Result<Vec<Verdict>> {
         let parent = self.kept_without(eliminated, None);
         let kept_sets: Vec<Option<Vec<usize>>> = candidates
             .iter()
@@ -614,7 +587,7 @@ impl<'a> CandidateEvaluator<'a> {
     /// The batch core behind [`CandidateEvaluator::evaluate_removals`]: a
     /// deduplication pass on the caller's thread, then the evaluations over
     /// the worker pool.  `None` entries stand for "the removal would leave
-    /// no test" and report [`CandidateVerdict::LastTest`].  Duplicates of
+    /// no test" and report [`Verdict::LastTest`].  Duplicates of
     /// the same kept set (ascending, as [`CandidateEvaluator::kept_without`]
     /// builds them) collapse onto their first occurrence: one training, one
     /// shared verdict.
@@ -622,7 +595,7 @@ impl<'a> CandidateEvaluator<'a> {
         &self,
         kept_sets: &[Option<Vec<usize>>],
         warm_parent: &[usize],
-    ) -> Result<Vec<CandidateVerdict>> {
+    ) -> Result<Vec<Verdict>> {
         // Each candidate maps onto the first occurrence of its kept set
         // (`None` = the removal would leave no test).
         let mut unique: Vec<&[usize]> = Vec::new();
@@ -643,183 +616,59 @@ impl<'a> CandidateEvaluator<'a> {
             .evaluate_sets(&unique, Some(warm_parent))
             .into_iter()
             .map(|outcome| match outcome {
-                Ok(entry) => Ok(CandidateVerdict::Scored(entry.1)),
+                Ok(entry) => Ok(Verdict::Scored(entry.1)),
                 Err(CompactionError::Classifier { .. })
-                | Err(CompactionError::InsufficientData { .. }) => {
-                    Ok(CandidateVerdict::Untrainable)
-                }
+                | Err(CompactionError::InsufficientData { .. }) => Ok(Verdict::Untrainable),
                 Err(other) => Err(other),
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(slots
             .into_iter()
             .map(|slot| match slot {
-                None => CandidateVerdict::LastTest,
+                None => Verdict::LastTest,
                 Some(index) => verdicts[index].clone(),
             })
             .collect())
     }
 
-    /// The deploy-stage model of the final kept set.  For every bundled
-    /// strategy the final kept set was already evaluated when its last
-    /// elimination was accepted, so this is a guaranteed cache hit.
+    /// The deploy-stage model of the final kept set.  Every strategy
+    /// evaluated the final kept set when it accepted its last elimination,
+    /// so this is a guaranteed cache hit.
     pub(crate) fn final_entry(&self, kept: &[usize]) -> Result<CachedModel> {
         self.evaluate_cached(kept, None)
     }
 
     /// Model-cache hit/miss counters accumulated so far.
-    pub fn cache_stats(&self) -> ModelCacheStats {
+    pub(crate) fn cache_stats(&self) -> ModelCacheStats {
         self.cache.stats()
     }
 
     /// Warm-start diagnostics accumulated so far.
-    pub fn warm_start_stats(&self) -> WarmStartStats {
+    pub(crate) fn warm_start_stats(&self) -> WarmStartStats {
         self.tracker.stats()
     }
 }
 
-/// Immutable inputs of one search: the resolved examination order, the
-/// acceptance tolerance, the elimination budget and the test-cost model
-/// cost-aware strategies optimise against.
-#[derive(Debug, Clone, Copy)]
-pub struct SearchContext<'a> {
-    order: &'a [usize],
-    tolerance: f64,
-    max_eliminated: Option<usize>,
-    cost_model: &'a TestCostModel,
-}
-
-impl<'a> SearchContext<'a> {
-    /// Bundles the inputs of one search.  `order` must already be resolved
-    /// (see [`EliminationOrder::resolve_validated`](
-    /// crate::EliminationOrder::resolve_validated)): strategies treat it as
-    /// the candidate pool and examination preference.
-    pub fn new(
-        order: &'a [usize],
-        tolerance: f64,
-        max_eliminated: Option<usize>,
-        cost_model: &'a TestCostModel,
-    ) -> Self {
-        SearchContext { order, tolerance, max_eliminated, cost_model }
-    }
-
-    /// The resolved examination order: which specifications may be
-    /// eliminated, and in which preference order.  Specifications absent
-    /// from the order are kept unconditionally.
-    pub fn order(&self) -> &'a [usize] {
-        self.order
-    }
-
-    /// Error tolerance an accepted frontier must meet (`e_T` in the paper).
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
-    }
-
-    /// Optional cap on how many tests may be eliminated.
-    pub fn max_eliminated(&self) -> Option<usize> {
-        self.max_eliminated
-    }
-
-    /// The test-cost model of this run (uniform unit costs unless the
-    /// caller attached one).
-    pub fn cost_model(&self) -> &'a TestCostModel {
-        self.cost_model
-    }
-
-    /// Whether a frontier with `eliminated_len` eliminations may still grow.
-    pub fn within_budget(&self, eliminated_len: usize) -> bool {
-        self.max_eliminated.is_none_or(|max| eliminated_len < max)
-    }
-
-    /// The candidate pool: the order with duplicates removed (first
-    /// occurrence wins), preserving examination preference.
-    pub fn candidate_pool(&self) -> Vec<usize> {
-        let mut pool: Vec<usize> = Vec::with_capacity(self.order.len());
-        for &candidate in self.order {
-            if !pool.contains(&candidate) {
-                pool.push(candidate);
-            }
-        }
-        pool
-    }
-}
-
-/// What a search decided: the eliminations it committed and its
-/// examination log.
-#[derive(Debug, Clone, Default)]
-pub struct SearchOutcome {
-    /// Indices of the eliminated specifications, in elimination order.
-    /// Must be duplicate-free, in range, and leave at least one test kept.
-    pub eliminated: Vec<usize>,
-    /// Per-examination log (strategy-specific granularity: the greedy loop
-    /// logs every examined candidate, cost-aware greedy logs each accepted
-    /// elimination and the annealing strategy logs each accepted move).
-    pub steps: Vec<CompactionStep>,
-}
-
-impl SearchOutcome {
-    /// The outcome of a search that committed `eliminated` and logged
-    /// `steps`.
-    pub fn completed(eliminated: Vec<usize>, steps: Vec<CompactionStep>) -> Self {
-        SearchOutcome { eliminated, steps }
-    }
-
-    /// The conservative outcome: eliminate nothing, keep the complete
-    /// suite.
-    pub fn keep_everything() -> Self {
-        SearchOutcome::default()
-    }
-}
-
-/// A search procedure over kept-set candidates.
+/// The search procedure of a compaction run: the paper's greedy backward
+/// elimination (the default) or one of the two alternatives that each ship
+/// a cheaper tester on a measured workload.
 ///
-/// Strategies propose kept sets through the [`CandidateEvaluator`] (which
-/// owns all model training, caching and warm starts) and decide which
-/// eliminations to accept against [`SearchContext::tolerance`].  The
-/// [`Compactor`](crate::Compactor) shell validates the outcome, trains the
-/// deploy-stage model and assembles the
-/// [`CompactionResult`](crate::CompactionResult).
-///
-/// # Implementing a custom strategy
-///
-/// A strategy only needs the two methods.  This one eliminates a caller
-/// supplied blocklist in one shot when the remaining tests meet the
-/// tolerance, and keeps everything otherwise:
+/// Every strategy proposes kept sets through the run's candidate evaluator,
+/// which owns all model training, caching and warm starts, and accepts an
+/// elimination only when the held-out prediction error of the model
+/// trained without it meets the tolerance (`e_T` in the paper).  Each one
+/// draws its candidates from the validated elimination order, eliminates a
+/// test at most once and never eliminates the last one.  A strategy
+/// encodes as its variant name (`"Greedy"`, `"CostAware"` or
+/// `{"Annealing":{"seed":…,"schedule":…}}`); an annealing document without
+/// a schedule runs the default one.
 ///
 /// ```
 /// use stc_core::classifier::GridBackend;
-/// use stc_core::search::{CandidateEvaluator, SearchContext, SearchOutcome, SearchStrategy};
 /// use stc_core::{
-///     generate_train_test, CompactionConfig, Compactor, MonteCarloConfig, SyntheticDevice,
+///     generate_train_test, CompactionConfig, Compactor, MonteCarloConfig, SearchStrategy,
+///     SyntheticDevice,
 /// };
-///
-/// /// All-or-nothing elimination of a fixed set of tests.
-/// #[derive(Debug)]
-/// struct DropSet {
-///     drop: Vec<usize>,
-/// }
-///
-/// impl SearchStrategy for DropSet {
-///     fn name(&self) -> &str {
-///         "drop-set"
-///     }
-///
-///     fn search(
-///         &self,
-///         eval: &mut CandidateEvaluator<'_>,
-///         ctx: &SearchContext<'_>,
-///     ) -> stc_core::Result<SearchOutcome> {
-///         let kept: Vec<usize> =
-///             (0..eval.spec_count()).filter(|c| !self.drop.contains(c)).collect();
-///         let steps = Vec::new();
-///         match eval.try_evaluate(&kept, None)? {
-///             Some(b) if b.prediction_error() <= ctx.tolerance() => {
-///                 Ok(SearchOutcome::completed(self.drop.clone(), steps))
-///             }
-///             _ => Ok(SearchOutcome::keep_everything()),
-///         }
-///     }
-/// }
 ///
 /// # fn main() -> Result<(), stc_core::CompactionError> {
 /// let device = SyntheticDevice::new(4, 1.8, 0.9);
@@ -827,207 +676,275 @@ impl SearchOutcome {
 ///     generate_train_test(&device, &MonteCarloConfig::new(200).with_seed(1), 100)?;
 /// let compactor = Compactor::new(train, test)?;
 /// let config = CompactionConfig::paper_default().with_tolerance(0.1);
-/// let result = compactor.compact_with_strategy(
-///     &GridBackend::default(),
-///     &config,
-///     &DropSet { drop: vec![3] },
-///     None,
-/// )?;
+/// let annealing = SearchStrategy::Annealing { seed: 3, schedule: Default::default() };
+/// let result =
+///     compactor.compact_with_strategy(&GridBackend::default(), &config, annealing, None)?;
 /// assert_eq!(result.kept.len() + result.eliminated.len(), 4);
+/// assert_eq!(annealing.name(), "simulated-annealing");
 /// # Ok(())
 /// # }
 /// ```
-pub trait SearchStrategy: std::fmt::Debug + Send + Sync {
-    /// Short strategy name used in reports (for example `"greedy-backward"`
-    /// or `"simulated-annealing"`).
-    fn name(&self) -> &str;
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub enum SearchStrategy {
+    /// The paper's greedy backward elimination (Figure 2), byte-identical
+    /// to the pre-0.5 hard-coded loop for any thread count.
+    ///
+    /// Every candidate (in the configured order) is tentatively removed;
+    /// the removal becomes permanent when the held-out prediction error of
+    /// the model trained without it stays at or below the tolerance.  Each
+    /// candidate trains as two jobs (its strict and its loose model), so
+    /// with `threads` workers the next ⌈threads / 2⌉ candidates are
+    /// evaluated speculatively against the same frontier and their
+    /// verdicts committed in order; evaluations invalidated by an earlier
+    /// acceptance are discarded.  At two threads that means both threads
+    /// train the one candidate whose verdict comes next, and nothing is
+    /// speculated.  The steps log every examined candidate.
+    #[default]
+    Greedy,
+    /// Cost-aware greedy backward elimination: each round evaluates
+    /// removing *every* remaining candidate and accepts the one maximising
+    /// [`TestCostModel`] saving per unit prediction error (instead of the
+    /// first acceptable candidate in order), until no candidate passes the
+    /// tolerance.
+    ///
+    /// With an insertion-heavy cost model this dismantles expensive setup
+    /// groups (for example the thermal soaks of the accelerometer's hot and
+    /// cold insertions) before spending tolerance on cheap tests, which
+    /// regularly yields a strictly cheaper kept set than count-greedy
+    /// elimination.  Under the default uniform cost model every saving is
+    /// identical, so the strategy degenerates to lowest-error-first
+    /// backward elimination.  The steps log one entry per accepted
+    /// elimination.
+    CostAware,
+    /// Seeded simulated annealing over kept sets: a single-flip random walk
+    /// through the elimination lattice with Boltzmann acceptance.
+    ///
+    /// Each proposal flips one random candidate of the examination order —
+    /// eliminating a kept test or restoring an eliminated one — and
+    /// evaluates the resulting kept set (warm-started from the current
+    /// state's cached model).  Proposals whose model misses the tolerance
+    /// (or cannot be trained) are rejected outright; feasible proposals are
+    /// accepted when they lower the [`TestCostModel`] cost of the kept set,
+    /// or with probability `exp(-Δcost / T)` otherwise, and `T` cools
+    /// geometrically.  The best feasible state ever visited is returned.
+    ///
+    /// The walk is fully deterministic for a fixed `seed`, *and*
+    /// thread-count invariant: it evaluates exactly one kept set per
+    /// proposal and draws every random number on the search thread, so the
+    /// worker pool never influences the trajectory.  The steps log one
+    /// entry per accepted move (`eliminated` reflects the flip direction).
+    Annealing {
+        /// RNG seed driving proposal selection and acceptance draws.
+        seed: u64,
+        /// Cooling schedule of the walk (the default one when a document
+        /// omits it).
+        #[serde(default)]
+        schedule: AnnealingSchedule,
+    },
+}
 
-    /// Runs the search over the evaluator and returns the committed
-    /// eliminations plus the examination log.
+impl SearchStrategy {
+    /// Short strategy name used in reports: `"greedy-backward"`,
+    /// `"cost-aware-greedy"` or `"simulated-annealing"`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            SearchStrategy::Greedy => "greedy-backward",
+            SearchStrategy::CostAware => "cost-aware-greedy",
+            SearchStrategy::Annealing { .. } => "simulated-annealing",
+        }
+    }
+
+    /// The strategy itself: the benchmark harness under `perfbench/` still
+    /// builds each job's strategy from its spec this way.
+    #[doc(hidden)]
+    pub fn build(&self) -> SearchStrategy {
+        *self
+    }
+
+    /// Runs the search and returns the committed eliminations, in
+    /// elimination order, with the examination log.  `order` is the
+    /// validated elimination order.
     ///
     /// # Errors
     ///
-    /// Propagates configuration/data errors from the evaluator; strategies
-    /// must treat per-candidate training failures
-    /// ([`CandidateVerdict::Untrainable`]) as "cannot eliminate".
-    fn search(
+    /// Propagates configuration and data errors from the evaluator and
+    /// rejects an invalid annealing schedule; a candidate the backend
+    /// cannot train is one that cannot be eliminated.
+    pub(crate) fn search(
         &self,
-        eval: &mut CandidateEvaluator<'_>,
-        ctx: &SearchContext<'_>,
-    ) -> Result<SearchOutcome>;
-}
-
-/// The paper's greedy backward elimination (Figure 2), byte-identical to
-/// the pre-0.5 hard-coded loop for any speculative thread count.
-///
-/// Every candidate (in the configured order) is tentatively removed; the
-/// removal becomes permanent when the held-out prediction error of the
-/// model trained without it stays at or below the tolerance.  Each
-/// candidate trains as two jobs (its strict and its loose model), so with
-/// `threads` workers the next ⌈threads / 2⌉ candidates are evaluated
-/// speculatively against the same frontier and their verdicts committed in
-/// order; evaluations invalidated by an earlier acceptance are discarded.
-/// At two threads that means both threads train the one candidate whose
-/// verdict comes next, and nothing is speculated.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GreedyBackward;
-
-impl SearchStrategy for GreedyBackward {
-    fn name(&self) -> &str {
-        "greedy-backward"
-    }
-
-    fn search(
-        &self,
-        eval: &mut CandidateEvaluator<'_>,
-        ctx: &SearchContext<'_>,
-    ) -> Result<SearchOutcome> {
-        let order = ctx.order();
-        let width = eval.candidates_per_batch();
-        let mut eliminated: Vec<usize> = Vec::new();
-        let mut steps = Vec::new();
-        let mut index = 0;
-        'outer: while index < order.len() {
-            if !ctx.within_budget(eliminated.len()) {
-                break;
-            }
-            // The next batch of examinations: up to `width` order positions
-            // whose candidates are not yet eliminated, all speculatively
-            // assuming the current eliminated set.
-            let mut batch: Vec<usize> = Vec::new();
-            let mut scan = index;
-            while scan < order.len() && batch.len() < width {
-                if !eliminated.contains(&order[scan]) {
-                    batch.push(scan);
-                }
-                scan += 1;
-            }
-            if batch.is_empty() {
-                break;
-            }
-            let candidates: Vec<usize> = batch.iter().map(|&position| order[position]).collect();
-            let verdicts = eval.evaluate_removals(&eliminated, &candidates)?;
-
-            // Commit verdicts in examination order; an acceptance invalidates
-            // the later speculative evaluations, which are simply discarded.
-            let mut accepted = false;
-            for (&position, verdict) in batch.iter().zip(verdicts) {
-                let candidate = order[position];
-                index = position + 1;
-                match verdict {
-                    CandidateVerdict::LastTest => break 'outer,
-                    CandidateVerdict::Scored(breakdown) => {
-                        let eliminate = breakdown.prediction_error() <= ctx.tolerance();
-                        if eliminate {
-                            eliminated.push(candidate);
-                            eval.notify_frontier(&eliminated);
-                        }
-                        steps.push(eval.step(candidate, eliminate, breakdown));
-                        if eliminate {
-                            accepted = true;
-                            break;
-                        }
-                    }
-                    CandidateVerdict::Untrainable => {
-                        // Model could not be built without this test: keep it.
-                        steps.push(eval.step(candidate, false, ErrorBreakdown::default()));
-                    }
-                }
-            }
-            if !accepted {
-                index = index.max(scan);
+        eval: &CandidateEvaluator<'_>,
+        order: &[usize],
+        config: &CompactionConfig,
+        cost_model: &TestCostModel,
+    ) -> Result<(Vec<usize>, Vec<CompactionStep>)> {
+        let ctx = Inputs {
+            order,
+            tolerance: config.error_tolerance,
+            max_eliminated: config.max_eliminated,
+            cost_model,
+        };
+        match *self {
+            SearchStrategy::Greedy => greedy_backward(eval, &ctx),
+            SearchStrategy::CostAware => cost_aware_greedy(eval, &ctx),
+            SearchStrategy::Annealing { seed, schedule } => {
+                simulated_annealing(eval, &ctx, seed, &schedule)
             }
         }
-        Ok(SearchOutcome::completed(eliminated, steps))
     }
+}
+
+/// Immutable inputs of one search.
+struct Inputs<'a> {
+    /// The examination order: which specifications may be eliminated, and
+    /// in which preference order.  It references only existing
+    /// specifications, each at most once
+    /// ([`EliminationOrder::resolve_validated`](
+    /// crate::EliminationOrder::resolve_validated)); specifications absent
+    /// from it are kept unconditionally.
+    order: &'a [usize],
+    /// Error tolerance an accepted frontier must meet (`e_T` in the paper).
+    tolerance: f64,
+    /// Optional cap on how many tests may be eliminated.
+    max_eliminated: Option<usize>,
+    /// The run's test-cost model (uniform unit costs unless the caller
+    /// attached one).
+    cost_model: &'a TestCostModel,
+}
+
+impl Inputs<'_> {
+    /// Whether a frontier with `eliminated_len` eliminations may still grow.
+    fn within_budget(&self, eliminated_len: usize) -> bool {
+        self.max_eliminated.is_none_or(|max| eliminated_len < max)
+    }
+}
+
+/// The loop of [`SearchStrategy::Greedy`].
+fn greedy_backward(
+    eval: &CandidateEvaluator<'_>,
+    ctx: &Inputs<'_>,
+) -> Result<(Vec<usize>, Vec<CompactionStep>)> {
+    let order = ctx.order;
+    let width = eval.candidates_per_batch();
+    let mut eliminated: Vec<usize> = Vec::new();
+    let mut steps = Vec::new();
+    let mut index = 0;
+    'outer: while index < order.len() {
+        if !ctx.within_budget(eliminated.len()) {
+            break;
+        }
+        // The next batch of examinations: up to `width` order positions
+        // whose candidates are not yet eliminated, all speculatively
+        // assuming the current eliminated set.
+        let mut batch: Vec<usize> = Vec::new();
+        let mut scan = index;
+        while scan < order.len() && batch.len() < width {
+            if !eliminated.contains(&order[scan]) {
+                batch.push(scan);
+            }
+            scan += 1;
+        }
+        if batch.is_empty() {
+            break;
+        }
+        let candidates: Vec<usize> = batch.iter().map(|&position| order[position]).collect();
+        let verdicts = eval.evaluate_removals(&eliminated, &candidates)?;
+
+        // Commit verdicts in examination order; an acceptance invalidates
+        // the later speculative evaluations, which are simply discarded.
+        let mut accepted = false;
+        for (&position, verdict) in batch.iter().zip(verdicts) {
+            let candidate = order[position];
+            index = position + 1;
+            match verdict {
+                Verdict::LastTest => break 'outer,
+                Verdict::Scored(breakdown) => {
+                    let eliminate = breakdown.prediction_error() <= ctx.tolerance;
+                    if eliminate {
+                        eliminated.push(candidate);
+                        eval.notify_frontier(&eliminated);
+                    }
+                    steps.push(eval.step(candidate, eliminate, breakdown));
+                    if eliminate {
+                        accepted = true;
+                        break;
+                    }
+                }
+                Verdict::Untrainable => {
+                    // Model could not be built without this test: keep it.
+                    steps.push(eval.step(candidate, false, ErrorBreakdown::default()));
+                }
+            }
+        }
+        if !accepted {
+            index = index.max(scan);
+        }
+    }
+    Ok((eliminated, steps))
 }
 
 /// Guards the saving-per-error ratio against division by zero when a
 /// candidate model makes no held-out errors at all.
 const COST_ERROR_FLOOR: f64 = 1e-9;
 
-/// Cost-aware greedy backward elimination: each round evaluates removing
-/// *every* remaining candidate and accepts the one maximising
-/// [`TestCostModel`] saving per unit prediction error (instead of the first
-/// acceptable candidate in order), until no candidate passes the
-/// tolerance.
-///
-/// With an insertion-heavy cost model this dismantles expensive setup
-/// groups (for example the thermal soaks of the accelerometer's hot and
-/// cold insertions) before spending tolerance budget on cheap tests, which
-/// regularly yields a strictly cheaper kept set than count-greedy
-/// elimination.  Under the default uniform cost model every saving is
-/// identical, so the strategy degenerates to lowest-error-first backward
-/// elimination.  [`SearchOutcome::steps`] logs one entry per accepted
-/// elimination.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CostAwareGreedy;
-
-impl SearchStrategy for CostAwareGreedy {
-    fn name(&self) -> &str {
-        "cost-aware-greedy"
-    }
-
-    fn search(
-        &self,
-        eval: &mut CandidateEvaluator<'_>,
-        ctx: &SearchContext<'_>,
-    ) -> Result<SearchOutcome> {
-        let pool = ctx.candidate_pool();
-        let cost_model = ctx.cost_model();
-        let mut eliminated: Vec<usize> = Vec::new();
-        let mut steps: Vec<CompactionStep> = Vec::new();
-        loop {
-            if !ctx.within_budget(eliminated.len()) {
-                break;
-            }
-            let remaining: Vec<usize> =
-                pool.iter().copied().filter(|c| !eliminated.contains(c)).collect();
-            if remaining.is_empty() {
-                break;
-            }
-            let kept_now = eval.kept_without(&eliminated, None);
-            let current_cost = cost_model.cost_of(&kept_now)?;
-            let verdicts = eval.evaluate_removals(&eliminated, &remaining)?;
-            // The acceptable candidate with the best saving-per-error ratio;
-            // ties fall to the higher absolute saving, then to examination
-            // order (the iteration order below).
-            let mut best: Option<(f64, f64, usize, ErrorBreakdown)> = None;
-            for (&candidate, verdict) in remaining.iter().zip(verdicts) {
-                let CandidateVerdict::Scored(breakdown) = verdict else { continue };
-                let error = breakdown.prediction_error();
-                if error > ctx.tolerance() {
-                    continue;
-                }
-                let kept_without: Vec<usize> =
-                    kept_now.iter().copied().filter(|&c| c != candidate).collect();
-                if kept_without.is_empty() {
-                    // Never eliminate the last remaining test.
-                    continue;
-                }
-                let saving = current_cost - cost_model.cost_of(&kept_without)?;
-                let score = saving / (error + COST_ERROR_FLOOR);
-                let better = match &best {
-                    None => true,
-                    Some((incumbent_score, incumbent_saving, _, _)) => {
-                        score > *incumbent_score
-                            || (score == *incumbent_score && saving > *incumbent_saving)
-                    }
-                };
-                if better {
-                    best = Some((score, saving, candidate, breakdown));
-                }
-            }
-            let Some((_, _, candidate, breakdown)) = best else { break };
-            eliminated.push(candidate);
-            eval.notify_frontier(&eliminated);
-            steps.push(eval.step(candidate, true, breakdown));
+/// The loop of [`SearchStrategy::CostAware`].
+fn cost_aware_greedy(
+    eval: &CandidateEvaluator<'_>,
+    ctx: &Inputs<'_>,
+) -> Result<(Vec<usize>, Vec<CompactionStep>)> {
+    let pool = ctx.order;
+    let cost_model = ctx.cost_model;
+    let mut eliminated: Vec<usize> = Vec::new();
+    let mut steps: Vec<CompactionStep> = Vec::new();
+    loop {
+        if !ctx.within_budget(eliminated.len()) {
+            break;
         }
-        Ok(SearchOutcome::completed(eliminated, steps))
+        let remaining: Vec<usize> =
+            pool.iter().copied().filter(|c| !eliminated.contains(c)).collect();
+        if remaining.is_empty() {
+            break;
+        }
+        let kept_now = eval.kept_without(&eliminated, None);
+        let current_cost = cost_model.cost_of(&kept_now)?;
+        let verdicts = eval.evaluate_removals(&eliminated, &remaining)?;
+        // The acceptable candidate with the best saving-per-error ratio;
+        // ties fall to the higher absolute saving, then to examination
+        // order (the iteration order below).
+        let mut best: Option<(f64, f64, usize, ErrorBreakdown)> = None;
+        for (&candidate, verdict) in remaining.iter().zip(verdicts) {
+            let Verdict::Scored(breakdown) = verdict else { continue };
+            let error = breakdown.prediction_error();
+            if error > ctx.tolerance {
+                continue;
+            }
+            let kept_without: Vec<usize> =
+                kept_now.iter().copied().filter(|&c| c != candidate).collect();
+            if kept_without.is_empty() {
+                // Never eliminate the last remaining test.
+                continue;
+            }
+            let saving = current_cost - cost_model.cost_of(&kept_without)?;
+            let score = saving / (error + COST_ERROR_FLOOR);
+            let better = match &best {
+                None => true,
+                Some((incumbent_score, incumbent_saving, _, _)) => {
+                    score > *incumbent_score
+                        || (score == *incumbent_score && saving > *incumbent_saving)
+                }
+            };
+            if better {
+                best = Some((score, saving, candidate, breakdown));
+            }
+        }
+        let Some((_, _, candidate, breakdown)) = best else { break };
+        eliminated.push(candidate);
+        eval.notify_frontier(&eliminated);
+        steps.push(eval.step(candidate, true, breakdown));
     }
+    Ok((eliminated, steps))
 }
 
-/// Cooling schedule of a [`SimulatedAnnealing`] search.
+/// Cooling schedule of a [`SearchStrategy::Annealing`] search.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AnnealingSchedule {
     /// Starting temperature of the Boltzmann acceptance rule (must be
@@ -1065,125 +982,81 @@ impl AnnealingSchedule {
     }
 }
 
-/// Seeded simulated annealing over kept sets: a single-flip random walk
-/// through the elimination lattice with Boltzmann acceptance.
-///
-/// Each proposal flips one random candidate of the examination order —
-/// eliminating a kept test or restoring an eliminated one — and evaluates
-/// the resulting kept set (warm-started from the current state's cached
-/// model).  Proposals whose model misses the tolerance (or cannot be
-/// trained) are rejected outright; feasible proposals are accepted when they
-/// lower the [`TestCostModel`] cost of the kept set, or with probability
-/// `exp(-Δcost / T)` otherwise, and `T` cools geometrically.  The best
-/// feasible state ever visited is returned.
-///
-/// The walk is fully deterministic for a fixed `seed`, *and* thread-count
-/// invariant: the strategy evaluates exactly one kept set
-/// per proposal and draws every random number on the search thread, so the
-/// speculative worker pool never influences the trajectory.
-/// [`SearchOutcome::steps`] logs one entry per accepted move (`eliminated`
-/// reflects the flip direction).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimulatedAnnealing {
-    /// RNG seed driving proposal selection and acceptance draws.
-    pub seed: u64,
-    /// Cooling schedule of the walk.
-    pub schedule: AnnealingSchedule,
-}
-
-impl SimulatedAnnealing {
-    /// An annealing search with the default schedule.
-    pub fn new(seed: u64) -> Self {
-        SimulatedAnnealing { seed, schedule: AnnealingSchedule::default() }
+/// The walk of [`SearchStrategy::Annealing`].
+fn simulated_annealing(
+    eval: &CandidateEvaluator<'_>,
+    ctx: &Inputs<'_>,
+    seed: u64,
+    schedule: &AnnealingSchedule,
+) -> Result<(Vec<usize>, Vec<CompactionStep>)> {
+    schedule.validate()?;
+    let pool = ctx.order;
+    if pool.is_empty() {
+        return Ok((Vec::new(), Vec::new()));
     }
-
-    /// Replaces the cooling schedule.
-    pub fn with_schedule(mut self, schedule: AnnealingSchedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-}
-
-impl SearchStrategy for SimulatedAnnealing {
-    fn name(&self) -> &str {
-        "simulated-annealing"
-    }
-
-    fn search(
-        &self,
-        eval: &mut CandidateEvaluator<'_>,
-        ctx: &SearchContext<'_>,
-    ) -> Result<SearchOutcome> {
-        self.schedule.validate()?;
-        let pool = ctx.candidate_pool();
-        if pool.is_empty() {
-            return Ok(SearchOutcome::keep_everything());
+    let cost_model = ctx.cost_model;
+    let mut rng = StdRng::seed_from_u64(seed);
+    // The walk starts at the complete suite: trivially feasible (zero
+    // prediction error by construction) at the full test cost.
+    let mut current: Vec<usize> = Vec::new();
+    let mut current_cost = cost_model.full_cost();
+    let mut best: Vec<usize> = current.clone();
+    let mut best_cost = current_cost;
+    let mut steps: Vec<CompactionStep> = Vec::new();
+    let mut temperature = schedule.initial_temperature;
+    for step in 0..schedule.steps {
+        // Cool after every proposal: the first one sees the initial
+        // temperature (rejected and skipped proposals cool too).
+        if step > 0 {
+            temperature *= schedule.cooling;
         }
-        let cost_model = ctx.cost_model();
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        // The walk starts at the complete suite: trivially feasible (zero
-        // prediction error by construction) at the full test cost.
-        let mut current: Vec<usize> = Vec::new();
-        let mut current_cost = cost_model.full_cost();
-        let mut best: Vec<usize> = current.clone();
-        let mut best_cost = current_cost;
-        let mut steps: Vec<CompactionStep> = Vec::new();
-        let mut temperature = self.schedule.initial_temperature;
-        for step in 0..self.schedule.steps {
-            // Cool after every proposal: the first one sees the initial
-            // temperature (rejected and skipped proposals cool too).
-            if step > 0 {
-                temperature *= self.schedule.cooling;
-            }
-            let flip = pool[rng.gen_range(0..pool.len())];
-            let restoring = current.contains(&flip);
-            if !restoring && !ctx.within_budget(current.len()) {
-                // The elimination cap is reached: only restores may move.
-                continue;
-            }
-            let proposal: Vec<usize> = if restoring {
-                current.iter().copied().filter(|&c| c != flip).collect()
-            } else {
-                let mut grown = current.clone();
-                grown.push(flip);
-                grown
-            };
-            let kept = eval.kept_without(&proposal, None);
-            if kept.is_empty() {
-                // Never eliminate the last remaining test.
-                continue;
-            }
-            // Warm-start from the current state's cached model (the initial
-            // complete suite has none, which simply falls back to cold).
-            let parent = eval.kept_without(&current, None);
-            let Some(breakdown) = eval.try_evaluate(&kept, Some(&parent))? else {
-                // Untrainable proposal: reject and walk on.
-                continue;
-            };
-            if breakdown.prediction_error() > ctx.tolerance() {
-                continue;
-            }
-            let proposal_cost = cost_model.cost_of(&kept)?;
-            let delta = proposal_cost - current_cost;
-            let accept = delta < 0.0 || {
-                let heat = temperature.max(f64::MIN_POSITIVE);
-                rng.gen::<f64>() < (-delta / heat).exp()
-            };
-            if !accept {
-                continue;
-            }
-            steps.push(eval.step(flip, !restoring, breakdown));
-            current = proposal;
-            current_cost = proposal_cost;
-            if current_cost < best_cost || (current_cost == best_cost && current.len() > best.len())
-            {
-                best = current.clone();
-                best_cost = current_cost;
-                eval.notify_frontier(&best);
-            }
+        let flip = pool[rng.gen_range(0..pool.len())];
+        let restoring = current.contains(&flip);
+        if !restoring && !ctx.within_budget(current.len()) {
+            // The elimination cap is reached: only restores may move.
+            continue;
         }
-        Ok(SearchOutcome::completed(best, steps))
+        let proposal: Vec<usize> = if restoring {
+            current.iter().copied().filter(|&c| c != flip).collect()
+        } else {
+            let mut grown = current.clone();
+            grown.push(flip);
+            grown
+        };
+        let kept = eval.kept_without(&proposal, None);
+        if kept.is_empty() {
+            // Never eliminate the last remaining test.
+            continue;
+        }
+        // Warm-start from the current state's cached model (the initial
+        // complete suite has none, which simply falls back to cold).
+        let parent = eval.kept_without(&current, None);
+        let Some(breakdown) = eval.try_evaluate(&kept, Some(&parent))? else {
+            // Untrainable proposal: reject and walk on.
+            continue;
+        };
+        if breakdown.prediction_error() > ctx.tolerance {
+            continue;
+        }
+        let proposal_cost = cost_model.cost_of(&kept)?;
+        let delta = proposal_cost - current_cost;
+        let accept = delta < 0.0 || {
+            let heat = temperature.max(f64::MIN_POSITIVE);
+            rng.gen::<f64>() < (-delta / heat).exp()
+        };
+        if !accept {
+            continue;
+        }
+        steps.push(eval.step(flip, !restoring, breakdown));
+        current = proposal;
+        current_cost = proposal_cost;
+        if current_cost < best_cost || (current_cost == best_cost && current.len() > best.len()) {
+            best = current.clone();
+            best_cost = current_cost;
+            eval.notify_frontier(&best);
+        }
     }
+    Ok((best, steps))
 }
 
 #[cfg(test)]
@@ -1197,6 +1070,10 @@ mod tests {
 
     fn grid() -> GridBackend {
         GridBackend::default()
+    }
+
+    fn annealing(seed: u64) -> SearchStrategy {
+        SearchStrategy::Annealing { seed, schedule: AnnealingSchedule::default() }
     }
 
     /// Five specs where consecutive specs are strongly correlated: several
@@ -1223,10 +1100,10 @@ mod tests {
         let cost =
             TestCostModel::new(vec![1.0, 1.0, 1.0, 1.0, 100.0], vec![0; 5], vec![0.0]).unwrap();
         let greedy = compactor
-            .compact_with_strategy(&grid(), &config, &GreedyBackward, Some(&cost))
+            .compact_with_strategy(&grid(), &config, SearchStrategy::Greedy, Some(&cost))
             .unwrap();
         let aware = compactor
-            .compact_with_strategy(&grid(), &config, &CostAwareGreedy, Some(&cost))
+            .compact_with_strategy(&grid(), &config, SearchStrategy::CostAware, Some(&cost))
             .unwrap();
         // Greedy eliminates in examination order and strands the expensive
         // test 4 as the survivor; the cost-aware strategy spends its budget
@@ -1249,8 +1126,9 @@ mod tests {
     fn cost_aware_greedy_respects_budget_and_tolerance() {
         let compactor = redundant_population();
         let config = CompactionConfig::paper_default().with_tolerance(0.3).with_max_eliminated(2);
-        let result =
-            compactor.compact_with_strategy(&grid(), &config, &CostAwareGreedy, None).unwrap();
+        let result = compactor
+            .compact_with_strategy(&grid(), &config, SearchStrategy::CostAware, None)
+            .unwrap();
         assert!(result.eliminated.len() <= 2);
         assert!(result.final_breakdown.prediction_error() <= 0.3 + 1e-9);
         // Steps log exactly the accepted eliminations.
@@ -1262,8 +1140,7 @@ mod tests {
     fn alternative_strategies_are_thread_count_invariant() {
         let compactor = redundant_population();
         let base = CompactionConfig::paper_default().with_tolerance(0.1);
-        let strategies: [&dyn SearchStrategy; 2] = [&CostAwareGreedy, &SimulatedAnnealing::new(7)];
-        for strategy in strategies {
+        for strategy in [SearchStrategy::CostAware, annealing(7)] {
             let sequential =
                 compactor.compact_with_strategy(&grid(), &base, strategy, None).unwrap();
             let threaded = compactor
@@ -1285,8 +1162,8 @@ mod tests {
         // The duplicate collapses onto the first occurrence: both score, and
         // one model pair is trained (cold: the complete suite was never
         // evaluated, so there is no parent to warm-start from).
-        assert!(matches!(verdicts[0], CandidateVerdict::Scored(_)));
-        assert!(matches!(verdicts[1], CandidateVerdict::Scored(_)));
+        assert!(matches!(verdicts[0], Verdict::Scored(_)));
+        assert!(matches!(verdicts[1], Verdict::Scored(_)));
         assert_eq!(eval.cache_stats(), ModelCacheStats { hits: 0, misses: 1 });
         let warm_start = eval.warm_start_stats();
         assert_eq!((warm_start.warm_trainings, warm_start.cold_trainings), (0, 1));
@@ -1364,7 +1241,7 @@ mod tests {
                 );
                 let verdicts = eval.evaluate_removals(&[], &[0, 1, 2]).unwrap();
                 assert!(
-                    verdicts.iter().all(|verdict| matches!(verdict, CandidateVerdict::Untrainable)),
+                    verdicts.iter().all(|verdict| matches!(verdict, Verdict::Untrainable)),
                     "{backend:?} at {threads} threads: {verdicts:?}"
                 );
                 assert!(eval.try_evaluate(&[0, 1, 2, 3], None).unwrap().is_none());
@@ -1398,12 +1275,12 @@ mod tests {
     #[test]
     fn annealing_is_seed_deterministic_and_thread_invariant() {
         let compactor = redundant_population();
-        let strategy = SimulatedAnnealing::new(42);
+        let strategy = annealing(42);
         let base = CompactionConfig::paper_default().with_tolerance(0.3);
-        let sequential = compactor.compact_with_strategy(&grid(), &base, &strategy, None).unwrap();
-        let repeated = compactor.compact_with_strategy(&grid(), &base, &strategy, None).unwrap();
+        let sequential = compactor.compact_with_strategy(&grid(), &base, strategy, None).unwrap();
+        let repeated = compactor.compact_with_strategy(&grid(), &base, strategy, None).unwrap();
         let threaded = compactor
-            .compact_with_strategy(&grid(), &base.clone().with_threads(4), &strategy, None)
+            .compact_with_strategy(&grid(), &base.clone().with_threads(4), strategy, None)
             .unwrap();
         assert_eq!(sequential, repeated);
         assert_eq!(sequential, threaded);
@@ -1417,9 +1294,7 @@ mod tests {
     fn annealing_finds_eliminations_on_a_redundant_population() {
         let compactor = redundant_population();
         let config = CompactionConfig::paper_default().with_tolerance(0.4);
-        let result = compactor
-            .compact_with_strategy(&grid(), &config, &SimulatedAnnealing::new(5), None)
-            .unwrap();
+        let result = compactor.compact_with_strategy(&grid(), &config, annealing(5), None).unwrap();
         assert!(!result.eliminated.is_empty(), "kept {:?}", result.kept);
         assert!(result.final_breakdown.prediction_error() <= 0.4 + 1e-9);
         // Accepted moves are logged; the best state is reachable from them.
@@ -1430,9 +1305,7 @@ mod tests {
     fn annealing_respects_the_elimination_cap() {
         let compactor = redundant_population();
         let config = CompactionConfig::paper_default().with_tolerance(0.5).with_max_eliminated(2);
-        let result = compactor
-            .compact_with_strategy(&grid(), &config, &SimulatedAnnealing::new(5), None)
-            .unwrap();
+        let result = compactor.compact_with_strategy(&grid(), &config, annealing(5), None).unwrap();
         assert!(result.eliminated.len() <= 2, "eliminated {:?}", result.eliminated);
     }
 
@@ -1447,65 +1320,11 @@ mod tests {
             AnnealingSchedule { cooling: 1.5, ..AnnealingSchedule::default() },
             AnnealingSchedule { cooling: f64::NAN, ..AnnealingSchedule::default() },
         ] {
-            let strategy = SimulatedAnnealing::new(1).with_schedule(schedule);
+            let strategy = SearchStrategy::Annealing { seed: 1, schedule };
             assert!(
-                compactor.compact_with_strategy(&grid(), &config, &strategy, None).is_err(),
+                compactor.compact_with_strategy(&grid(), &config, strategy, None).is_err(),
                 "schedule {schedule:?} must be rejected"
             );
         }
-    }
-
-    #[test]
-    fn strategy_outcomes_are_validated_by_the_shell() {
-        /// A deliberately broken strategy eliminating everything.
-        #[derive(Debug)]
-        struct EliminateAll;
-        impl SearchStrategy for EliminateAll {
-            fn name(&self) -> &str {
-                "eliminate-all"
-            }
-            fn search(
-                &self,
-                eval: &mut CandidateEvaluator<'_>,
-                _ctx: &SearchContext<'_>,
-            ) -> Result<SearchOutcome> {
-                Ok(SearchOutcome::completed((0..eval.spec_count()).collect(), Vec::new()))
-            }
-        }
-        /// A strategy reporting an out-of-range elimination.
-        #[derive(Debug)]
-        struct OutOfRange;
-        impl SearchStrategy for OutOfRange {
-            fn name(&self) -> &str {
-                "out-of-range"
-            }
-            fn search(
-                &self,
-                _eval: &mut CandidateEvaluator<'_>,
-                _ctx: &SearchContext<'_>,
-            ) -> Result<SearchOutcome> {
-                Ok(SearchOutcome::completed(vec![99], Vec::new()))
-            }
-        }
-        /// A strategy reporting a duplicate elimination.
-        #[derive(Debug)]
-        struct Duplicated;
-        impl SearchStrategy for Duplicated {
-            fn name(&self) -> &str {
-                "duplicated"
-            }
-            fn search(
-                &self,
-                _eval: &mut CandidateEvaluator<'_>,
-                _ctx: &SearchContext<'_>,
-            ) -> Result<SearchOutcome> {
-                Ok(SearchOutcome::completed(vec![0, 0], Vec::new()))
-            }
-        }
-        let compactor = redundant_population();
-        let config = CompactionConfig::paper_default().with_tolerance(0.1);
-        assert!(compactor.compact_with_strategy(&grid(), &config, &EliminateAll, None).is_err());
-        assert!(compactor.compact_with_strategy(&grid(), &config, &OutOfRange, None).is_err());
-        assert!(compactor.compact_with_strategy(&grid(), &config, &Duplicated, None).is_err());
     }
 }

@@ -5,17 +5,16 @@
 
 use proptest::prelude::*;
 use stc_core::classifier::{ClassifierFactory, GridBackend};
-use stc_core::search::{CostAwareGreedy, GreedyBackward, SimulatedAnnealing};
 use stc_core::{
     baseline, generate_train_test, CompactionConfig, CompactionError, CompactionStep, Compactor,
-    DeviceLabel, ErrorBreakdown, GuardBandConfig, MeasurementSet, MonteCarloConfig, Specification,
-    SpecificationSet, SyntheticDevice,
+    DeviceLabel, ErrorBreakdown, GuardBandConfig, MeasurementSet, MonteCarloConfig, SearchStrategy,
+    Specification, SpecificationSet, SyntheticDevice,
 };
 use stc_svm::SvmBackend;
 
 /// The pre-0.5 greedy backward elimination (the 0.4 `compact_with` loop),
 /// reimplemented sequentially, cold and uncached, as the reference the
-/// `SearchStrategy` seam must reproduce byte for byte: same kept and
+/// search layer must reproduce byte for byte: same kept and
 /// eliminated sets, same per-candidate steps, same final breakdown.
 #[allow(clippy::type_complexity)]
 fn reference_greedy_loop(
@@ -285,7 +284,7 @@ proptest! {
 }
 
 proptest! {
-    /// `GreedyBackward` through the 0.5 `SearchStrategy` seam is
+    /// `SearchStrategy::Greedy` through the search layer is
     /// byte-identical to the pre-refactor hard-coded loop on the grid
     /// backend — kept and eliminated sets, every per-candidate step and the
     /// final breakdown — for any speculative thread count.
@@ -306,10 +305,10 @@ proptest! {
             .with_threads(threads);
         let (kept, eliminated, steps, final_breakdown) =
             reference_greedy_loop(&compactor, &backend, &config);
-        // Both entry points route through the seam; pin both anyway.
+        // Both entry points route through the search layer; pin both anyway.
         let via_compact = compactor.compact_with(&backend, &config).unwrap();
         let via_strategy = compactor
-            .compact_with_strategy(&backend, &config, &GreedyBackward, None)
+            .compact_with_strategy(&backend, &config, SearchStrategy::Greedy, None)
             .unwrap();
         for result in [&via_compact, &via_strategy] {
             prop_assert_eq!(&result.kept, &kept);
@@ -335,10 +334,8 @@ proptest! {
         let compactor = Compactor::new(train, test).unwrap();
         let backend = GridBackend::default();
         let base = CompactionConfig::paper_default().with_tolerance(tolerance);
-        let annealing = SimulatedAnnealing::new(seed);
-        let strategies: [&dyn stc_core::SearchStrategy; 3] =
-            [&GreedyBackward, &CostAwareGreedy, &annealing];
-        for strategy in strategies {
+        let annealing = SearchStrategy::Annealing { seed, schedule: Default::default() };
+        for strategy in [SearchStrategy::Greedy, SearchStrategy::CostAware, annealing] {
             let sequential =
                 compactor.compact_with_strategy(&backend, &base, strategy, None).unwrap();
             let parallel = compactor
@@ -373,10 +370,11 @@ proptest! {
         let compactor = Compactor::new(train, test).unwrap();
         let backend = GridBackend::default();
         let base = CompactionConfig::paper_default().with_tolerance(tolerance);
-        let annealing = SimulatedAnnealing::new(seed ^ 0x5eed);
-        let sequential = compactor.compact_with_strategy(&backend, &base, &annealing, None).unwrap();
+        let annealing =
+            SearchStrategy::Annealing { seed: seed ^ 0x5eed, schedule: Default::default() };
+        let sequential = compactor.compact_with_strategy(&backend, &base, annealing, None).unwrap();
         let parallel = compactor
-            .compact_with_strategy(&backend, &base.clone().with_threads(threads), &annealing, None)
+            .compact_with_strategy(&backend, &base.clone().with_threads(threads), annealing, None)
             .unwrap();
         prop_assert_eq!(&sequential, &parallel);
         prop_assert_eq!(&sequential.steps, &parallel.steps);
@@ -389,8 +387,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The seam identity on the ε-SVM backend (the paper's model family):
-    /// with warm starts disabled the seam must reproduce the pre-refactor
+    /// The same identity on the ε-SVM backend (the paper's model family):
+    /// with warm starts disabled the search must reproduce the pre-refactor
     /// loop byte for byte (warm-started runs are pinned against cold runs
     /// separately, on curated seeds, because KKT-equivalent solutions may
     /// disagree on boundary devices).  Fewer cases: each one trains dozens

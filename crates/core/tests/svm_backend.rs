@@ -285,8 +285,7 @@ fn single_class_population_compacts_to_the_complete_suite() {
 /// accept/reject decision.
 #[test]
 fn blocked_kernel_path_reproduces_the_naive_kept_sets() {
-    use stc_core::search::{CostAwareGreedy, SearchStrategy};
-    use stc_core::CompactionResult;
+    use stc_core::{CompactionResult, SearchStrategy};
     use stc_svm::{Kernel, KernelPath, SvcParams};
 
     fn decisions(result: &CompactionResult) -> (Vec<usize>, Vec<usize>, Vec<(usize, bool)>) {
@@ -319,32 +318,29 @@ fn blocked_kernel_path_reproduces_the_naive_kept_sets() {
                 "greedy seed {seed} threads {threads}"
             );
 
-            let fast =
-                compactor.compact_with_strategy(&svm(), &config, &CostAwareGreedy, None).unwrap();
-            let reference =
-                compactor.compact_with_strategy(&naive, &config, &CostAwareGreedy, None).unwrap();
+            let aware = SearchStrategy::CostAware;
+            let fast = compactor.compact_with_strategy(&svm(), &config, aware, None).unwrap();
+            let reference = compactor.compact_with_strategy(&naive, &config, aware, None).unwrap();
             assert_eq!(
                 decisions(&fast),
                 decisions(&reference),
                 "strategy {} seed {seed} threads {threads}",
-                CostAwareGreedy.name()
+                aware.name()
             );
         }
     }
 }
 
-/// The 0.5 search seam on the paper's backend: every bundled strategy is
-/// thread-count invariant with the ε-SVM, warm starts and all, and meets
-/// the tolerance.
+/// The search strategies on the paper's backend: each one is thread-count
+/// invariant with the ε-SVM, warm starts and all, and meets the tolerance.
 #[test]
 fn search_strategies_are_consistent_with_the_svm_backend() {
-    use stc_core::search::{CostAwareGreedy, GreedyBackward, SearchStrategy, SimulatedAnnealing};
+    use stc_core::SearchStrategy;
 
     let compactor = redundant_population();
     let config = CompactionConfig::paper_default().with_tolerance(0.05);
-    let strategies: [&dyn SearchStrategy; 3] =
-        [&GreedyBackward, &CostAwareGreedy, &SimulatedAnnealing::new(5)];
-    for strategy in strategies {
+    let annealing = SearchStrategy::Annealing { seed: 5, schedule: Default::default() };
+    for strategy in [SearchStrategy::Greedy, SearchStrategy::CostAware, annealing] {
         let sequential = compactor.compact_with_strategy(&svm(), &config, strategy, None).unwrap();
         let threaded = compactor
             .compact_with_strategy(&svm(), &config.clone().with_threads(4), strategy, None)
@@ -359,70 +355,52 @@ fn search_strategies_are_consistent_with_the_svm_backend() {
     }
 }
 
-/// Records the evaluator's breakdowns of the complete suite, of every
-/// one-test removal from it (the batch path) and of one smaller kept set
-/// warm-started from the complete suite (the single path).
-#[derive(Debug, Default)]
-struct BreakdownProbe {
-    seen: std::sync::Mutex<Vec<(Vec<usize>, stc_core::ErrorBreakdown)>>,
-}
-
-impl stc_core::search::SearchStrategy for BreakdownProbe {
-    fn name(&self) -> &str {
-        "breakdown-probe"
-    }
-
-    fn search(
-        &self,
-        eval: &mut stc_core::search::CandidateEvaluator<'_>,
-        _ctx: &stc_core::search::SearchContext<'_>,
-    ) -> stc_core::Result<stc_core::search::SearchOutcome> {
-        let all: Vec<usize> = (0..eval.spec_count()).collect();
-        let mut seen = vec![(all.clone(), eval.evaluate(&all, None)?)];
-        let verdicts = eval.evaluate_removals(&[], &all)?;
-        for (&candidate, verdict) in all.iter().zip(verdicts) {
-            let stc_core::search::CandidateVerdict::Scored(breakdown) = verdict else {
-                panic!("candidate {candidate}: {verdict:?}");
-            };
-            seen.push((all.iter().copied().filter(|&c| c != candidate).collect(), breakdown));
-        }
-        let smaller = vec![0, 2, 4];
-        seen.push((smaller.clone(), eval.evaluate(&smaller, Some(&all))?));
-        *self.seen.lock().unwrap() = seen;
-        Ok(stc_core::search::SearchOutcome::keep_everything())
-    }
-}
-
-/// The evaluator trains each candidate's strict and loose models as two
-/// jobs and scores their decisions on the held-out devices that pass the
-/// kept ranges.  At any thread count, each breakdown it reports equals the
-/// breakdown of the pair `GuardBandedClassifier::train_with_warm` trains
-/// from the same warm parent, on a held-out set where some devices fail a
-/// kept range.
+/// The search trains each candidate's strict and loose models as two jobs
+/// and scores their decisions on the held-out devices that pass the kept
+/// ranges.  At any thread count, each breakdown greedy elimination logs
+/// equals the breakdown of the pair `GuardBandedClassifier::train_with_warm`
+/// trains warm-started from the current frontier's pair (the complete suite,
+/// the first frontier, has none), on a held-out set where some devices fail
+/// a kept range.
 #[test]
 fn evaluator_breakdowns_equal_the_trained_pairs_at_any_thread_count() {
     let compactor = redundant_population();
     let (train, test) = (compactor.training(), compactor.testing());
     let guard_band = GuardBandConfig::paper_default();
-    let all: Vec<usize> = (0..train.specs().len()).collect();
-    let parent = GuardBandedClassifier::train_with(&svm(), train, &all, &guard_band).unwrap();
+    let spec_count = train.specs().len();
     for threads in [1usize, 2, 4] {
-        let probe = BreakdownProbe::default();
-        let config = CompactionConfig::paper_default().with_threads(threads);
-        compactor.compact_with_strategy(&svm(), &config, &probe, None).unwrap();
-        let seen = probe.seen.into_inner().unwrap();
-        assert_eq!(seen.len(), all.len() + 2);
-        for (kept, breakdown) in &seen {
-            let warm = (kept != &all).then_some(&parent);
-            let reference =
-                GuardBandedClassifier::train_with_warm(&svm(), train, kept, &guard_band, warm)
-                    .unwrap()
-                    .evaluate(test);
-            assert_eq!(*breakdown, reference, "kept {kept:?} at {threads} threads");
+        let config = CompactionConfig::paper_default().with_tolerance(0.03).with_threads(threads);
+        let result = compactor.compact_with(&svm(), &config).unwrap();
+        let accepted = result.steps.iter().position(|step| step.eliminated);
+        assert!(
+            accepted.is_some_and(|first| first + 1 < result.steps.len()),
+            "some step must follow an elimination at {threads} threads: {:?}",
+            result.steps
+        );
+        let mut eliminated: Vec<usize> = Vec::new();
+        let mut frontier: Option<GuardBandedClassifier> = None;
+        for step in &result.steps {
+            let kept: Vec<usize> = (0..spec_count)
+                .filter(|&c| c != step.spec_index && !eliminated.contains(&c))
+                .collect();
+            let pair = GuardBandedClassifier::train_with_warm(
+                &svm(),
+                train,
+                &kept,
+                &guard_band,
+                frontier.as_ref(),
+            )
+            .unwrap();
+            assert_eq!(step.breakdown, pair.evaluate(test), "kept {kept:?} at {threads} threads");
             let fails_a_kept_range =
                 |i: usize| kept.iter().any(|&c| !test.specs().spec(c).passes(test.value(i, c)));
             let failing = (0..test.len()).filter(|&i| fails_a_kept_range(i)).count();
             assert!(0 < failing && failing < test.len(), "kept {kept:?}: {failing} fail");
+            if step.eliminated {
+                eliminated.push(step.spec_index);
+                frontier = Some(pair);
+            }
         }
+        assert_eq!(eliminated, result.eliminated);
     }
 }

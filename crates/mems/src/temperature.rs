@@ -42,18 +42,6 @@ impl TestTemperature {
             TestTemperature::Hot => "80C",
         }
     }
-
-    /// Relative cost of applying one specification test at this temperature,
-    /// normalised to a room-temperature test.  Temperature insertions need a
-    /// thermal soak, which the paper reports as dominating test cost ("this
-    /// level of compaction would reduce test cost by more than half").
-    pub fn relative_test_cost(self) -> f64 {
-        match self {
-            TestTemperature::Room => 1.0,
-            TestTemperature::Hot => 2.5,
-            TestTemperature::Cold => 3.0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -68,16 +56,7 @@ mod tests {
         assert_eq!(TestTemperature::Room.delta_from_room(), 0.0);
         assert_eq!(TestTemperature::Hot.delta_from_room(), 53.0);
         assert_eq!(TestTemperature::Cold.delta_from_room(), -67.0);
-    }
-
-    #[test]
-    fn labels_and_costs_are_consistent() {
-        for t in TestTemperature::all() {
-            assert!(!t.label().is_empty());
-            assert!(t.relative_test_cost() >= 1.0);
-        }
-        assert!(
-            TestTemperature::Cold.relative_test_cost() > TestTemperature::Room.relative_test_cost()
-        );
+        let labels: Vec<&str> = TestTemperature::all().iter().map(|t| t.label()).collect();
+        assert_eq!(labels, ["-40C", "27C", "80C"]);
     }
 }

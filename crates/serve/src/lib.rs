@@ -14,9 +14,9 @@
 //!   [`ServeError::UnsupportedSchemaVersion`] *before* the payload is
 //!   parsed.
 //! * [`spec`] — the wire-side job description: devices (bundled fixtures,
-//!   synthetic models, or pre-measured populations), search strategy,
-//!   classifier backend and every pipeline knob, all plain serializable
-//!   data.
+//!   synthetic models, or pre-measured populations), the
+//!   [`stc_core::SearchStrategy`] to run, classifier backend and every
+//!   pipeline knob, all plain serializable data.
 //! * [`service`] — [`CompactionService`]: `submit` / `status` / `cancel` /
 //!   `await_result` over a worker pool; running jobs expose
 //!   [`JobStatus::Running`] with per-shard best-frontier-so-far snapshots
@@ -57,4 +57,4 @@ pub mod spec;
 pub use envelope::{Envelope, SCHEMA_VERSION};
 pub use error::ServeError;
 pub use service::{CompactionService, JobId, JobProgress, JobStatus, ShardProgress};
-pub use spec::{ClassifierSpec, DeviceSpec, JobSpec, StrategySpec};
+pub use spec::{ClassifierSpec, DeviceSpec, JobSpec};

@@ -85,11 +85,6 @@ impl JobProgress {
     pub fn eliminated_so_far(&self) -> usize {
         self.shards.iter().map(|shard| shard.best_frontier.len()).sum()
     }
-
-    /// Total models trained across all shards so far.
-    pub fn trainings_so_far(&self) -> usize {
-        self.shards.iter().map(|shard| shard.trainings).sum()
-    }
 }
 
 /// The externally visible lifecycle of a job.

@@ -12,12 +12,10 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use spec_test_compaction::adapters::{AccelerometerDevice, OpAmpDevice};
-use stc_core::search::{
-    AnnealingSchedule, CostAwareGreedy, GreedyBackward, SearchStrategy, SimulatedAnnealing,
-};
 use stc_core::{
     ClassifierFactory, CompactionConfig, DeviceUnderTest, GridBackend, GuardBandConfig,
-    MeasurementSet, MonteCarloConfig, PipelineBatch, SyntheticDevice, TestCostModel,
+    MeasurementSet, MonteCarloConfig, PipelineBatch, SearchStrategy, SyntheticDevice,
+    TestCostModel,
 };
 use stc_svm::SvmBackend;
 
@@ -108,39 +106,6 @@ impl DeviceSpec {
     }
 }
 
-/// The search strategy a job runs, by name (resolved via
-/// [`StrategySpec::build`]).  A spec naming any other strategy fails to
-/// decode with a typed error.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub enum StrategySpec {
-    /// The paper's greedy backward elimination ([`GreedyBackward`]).
-    #[default]
-    Greedy,
-    /// Cost-weighted greedy elimination ([`CostAwareGreedy`]).
-    CostAware,
-    /// Seeded simulated annealing ([`SimulatedAnnealing`]).
-    Annealing {
-        /// RNG seed of the walk.
-        seed: u64,
-        /// Cooling schedule (defaults to [`AnnealingSchedule::default`]).
-        #[serde(default)]
-        schedule: AnnealingSchedule,
-    },
-}
-
-impl StrategySpec {
-    /// Instantiates the described [`SearchStrategy`].
-    pub fn build(&self) -> Arc<dyn SearchStrategy> {
-        match self {
-            StrategySpec::Greedy => Arc::new(GreedyBackward),
-            StrategySpec::CostAware => Arc::new(CostAwareGreedy),
-            StrategySpec::Annealing { seed, schedule } => {
-                Arc::new(SimulatedAnnealing::new(*seed).with_schedule(*schedule))
-            }
-        }
-    }
-}
-
 /// The classifier backend a job trains at every elimination step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ClassifierSpec {
@@ -168,11 +133,18 @@ impl ClassifierSpec {
 /// [`stc_core::CompactionPipeline`] default, so a minimal JSON spec is just
 /// `{"devices": [...], "monte_carlo": {...}, "compaction": {...}}`.
 ///
+/// The strategy is a [`SearchStrategy`] and encodes as its variant name:
+/// `"Greedy"`, `"CostAware"` or `{"Annealing":{"seed":…,"schedule":…}}`,
+/// where an annealing strategy without a `schedule` runs the default one.
+/// A spec naming any other strategy fails to decode with a typed error.
+///
 /// Decoding skips unknown keys, so a spec written by an older version
 /// still decodes without the settings that have since gone: a search
 /// `budget` (here or in `compaction`) or a guard-band flag that turned the
 /// kept-range check off is ignored, and the job runs the full search with
-/// every kept range checked.
+/// every kept range checked.  A `skip_failures` key in `monte_carlo` is
+/// ignored too: a failed simulation is always skipped and replaced, so a
+/// legacy `false` now skips failures as well.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobSpec {
     /// Devices to compact; each becomes one shard of the job.
@@ -186,7 +158,7 @@ pub struct JobSpec {
     pub compaction: CompactionConfig,
     /// Search strategy (defaults to the paper's greedy elimination).
     #[serde(default)]
-    pub strategy: StrategySpec,
+    pub strategy: SearchStrategy,
     /// Classifier backend (defaults to the grid model).
     #[serde(default)]
     pub classifier: ClassifierSpec,
@@ -220,7 +192,7 @@ impl JobSpec {
             monte_carlo,
             test_instances: None,
             compaction,
-            strategy: StrategySpec::default(),
+            strategy: SearchStrategy::default(),
             classifier: ClassifierSpec::default(),
             guard_band: None,
             cost_model: None,
@@ -240,7 +212,7 @@ impl JobSpec {
         let mut batch = PipelineBatch::new()
             .monte_carlo(self.monte_carlo)
             .compaction(compaction)
-            .search_arc(self.strategy.build())
+            .search(self.strategy)
             .classifier_arc(self.classifier.build());
         if let Some(instances) = self.test_instances {
             batch = batch.test_instances(instances);

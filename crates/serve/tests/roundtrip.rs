@@ -4,15 +4,13 @@
 
 use proptest::prelude::*;
 use stc_core::pipeline::CompactionPipeline;
-use stc_core::search::{CostAwareGreedy, FrontierSnapshot};
+use stc_core::search::FrontierSnapshot;
 use stc_core::{
-    BatchReport, CacheStats, CompactionConfig, EliminationOrder, GuardBandConfig, MeasurementSet,
-    MonteCarloConfig, PipelineBatch, PipelineReport, Prediction, Specification, SpecificationSet,
-    SyntheticDevice, TestCostModel, TesterProgram,
+    AnnealingSchedule, BatchReport, CacheStats, CompactionConfig, EliminationOrder,
+    GuardBandConfig, MeasurementSet, MonteCarloConfig, PipelineBatch, PipelineReport, Prediction,
+    SearchStrategy, Specification, SpecificationSet, SyntheticDevice, TestCostModel, TesterProgram,
 };
-use stc_serve::{
-    envelope, ClassifierSpec, CompactionService, DeviceSpec, JobSpec, ServeError, StrategySpec,
-};
+use stc_serve::{envelope, ClassifierSpec, CompactionService, DeviceSpec, JobSpec, ServeError};
 
 fn json_round_trip<T>(value: &T) -> T
 where
@@ -42,15 +40,13 @@ proptest! {
         instances in 1usize..2000,
         seed in 0u64..u64::MAX,
         threads in 1usize..9,
-        skip in 0usize..2,
         q_low in 0.0f64..0.2,
         q_high in 0.8f64..1.0,
     ) {
-        let mut config = MonteCarloConfig::new(instances)
+        let config = MonteCarloConfig::new(instances)
             .with_seed(seed)
             .with_threads(threads)
             .with_calibration_quantiles(q_low, q_high);
-        config.skip_failures = skip == 1;
         prop_assert_eq!(json_round_trip(&config), config);
     }
 
@@ -107,9 +103,9 @@ proptest! {
         shard_threads in 0usize..4,
     ) {
         let strategy = match strategy_choice {
-            0 => StrategySpec::Greedy,
-            1 => StrategySpec::CostAware,
-            _ => StrategySpec::Annealing { seed, schedule: Default::default() },
+            0 => SearchStrategy::Greedy,
+            1 => SearchStrategy::CostAware,
+            _ => SearchStrategy::Annealing { seed, schedule: Default::default() },
         };
         let mut spec = JobSpec::new(
             vec![
@@ -177,13 +173,15 @@ fn pre_0_9_job_specs_still_parse() {
 
 /// The checked-in job fixture was written when `GuardBandConfig` still
 /// carried `svm_c`/`svm_gamma`, which no classifier ever read, and the
-/// kept-range flag, and when a spec still carried search budgets (all
-/// unlimited in the fixture).  It decodes to the spec without them:
-/// re-encoding yields the fixture minus exactly those keys.
+/// kept-range flag, when a spec still carried search budgets (all
+/// unlimited in the fixture) and when `MonteCarloConfig` still carried
+/// `skip_failures`.  It decodes to the spec without them: re-encoding
+/// yields the fixture minus exactly those keys.
 #[test]
 fn the_job_fixture_decodes_without_its_svm_hints() {
     let fixture = include_str!("../../bench/fixtures/jobspec_synthetic.json").trim_end();
     let legacy = [
+        r#","skip_failures":true"#,
         r#","svm_c":10,"svm_gamma":1,"enforce_kept_ranges":true"#,
         r#","budget":{"max_trainings":null,"max_solver_iterations":null,"deadline":null}"#,
         r#","budget":null"#,
@@ -231,6 +229,78 @@ fn pre_0_25_job_specs_carrying_budgets_run_the_full_search() {
     let report = service.run_blocking(spec).expect("the spec runs");
     let legacy_report = service.run_blocking(decoded).expect("the legacy spec runs");
     assert!(report.runs[0].report.compaction.cache.misses > 1, "{:?}", report.runs[0].report);
+    assert_eq!(
+        envelope::encode(&legacy_report).expect("encodes"),
+        envelope::encode(&report).expect("encodes")
+    );
+}
+
+/// A spec as 0.25 wrote it for each strategy, when stc-serve still kept
+/// its own copy of the strategy list.  The list is `SearchStrategy` now
+/// and encodes the same way: each document decodes to the spec built with
+/// the enum and re-encodes to its own bytes, less the `skip_failures` key
+/// that `MonteCarloConfig` no longer has.  An annealing strategy written
+/// without a schedule runs the default one.
+#[test]
+fn job_specs_written_by_0_25_decode_to_the_same_strategies() {
+    let written = [
+        r#"{"schema_version":1,"payload":{"devices":[{"Synthetic":{"specs":4,"limit":1.8,"correlation":0.9}}],"monte_carlo":{"instances":120,"seed":42,"threads":1,"skip_failures":true,"calibration_quantiles":[0.015,0.985]},"test_instances":null,"compaction":{"error_tolerance":0.1,"order":"ByClassificationPower","guard_band":{"guard_band_fraction":0.05},"max_eliminated":null,"threads":1,"warm_start":true},"strategy":"Greedy","classifier":"Grid","guard_band":null,"cost_model":null,"lookup_table":null,"shard_threads":0}}"#,
+        r#"{"schema_version":1,"payload":{"devices":[{"Synthetic":{"specs":4,"limit":1.8,"correlation":0.9}}],"monte_carlo":{"instances":120,"seed":42,"threads":1,"skip_failures":true,"calibration_quantiles":[0.015,0.985]},"test_instances":null,"compaction":{"error_tolerance":0.1,"order":"ByClassificationPower","guard_band":{"guard_band_fraction":0.05},"max_eliminated":null,"threads":1,"warm_start":true},"strategy":"CostAware","classifier":"Grid","guard_band":null,"cost_model":null,"lookup_table":null,"shard_threads":0}}"#,
+        r#"{"schema_version":1,"payload":{"devices":[{"Synthetic":{"specs":4,"limit":1.8,"correlation":0.9}}],"monte_carlo":{"instances":120,"seed":42,"threads":1,"skip_failures":true,"calibration_quantiles":[0.015,0.985]},"test_instances":null,"compaction":{"error_tolerance":0.1,"order":"ByClassificationPower","guard_band":{"guard_band_fraction":0.05},"max_eliminated":null,"threads":1,"warm_start":true},"strategy":{"Annealing":{"seed":7,"schedule":{"initial_temperature":0.5,"cooling":0.9,"steps":40}}},"classifier":"Grid","guard_band":null,"cost_model":null,"lookup_table":null,"shard_threads":0}}"#,
+    ];
+    let schedule = AnnealingSchedule { initial_temperature: 0.5, cooling: 0.9, steps: 40 };
+    let strategies = [
+        SearchStrategy::Greedy,
+        SearchStrategy::CostAware,
+        SearchStrategy::Annealing { seed: 7, schedule },
+    ];
+    for (document, strategy) in written.iter().zip(strategies) {
+        let mut spec = JobSpec::new(
+            vec![DeviceSpec::Synthetic { specs: 4, limit: 1.8, correlation: 0.9 }],
+            MonteCarloConfig::new(120).with_seed(42),
+            CompactionConfig::paper_default().with_tolerance(0.1),
+        );
+        spec.strategy = strategy;
+        let decoded: JobSpec = envelope::decode(document).expect("the 0.25 spec decodes");
+        assert_eq!(decoded, spec);
+        let skipped = r#","skip_failures":true"#;
+        assert!(document.contains(skipped), "{document}");
+        assert_eq!(envelope::encode(&decoded).expect("encodes"), document.replacen(skipped, "", 1));
+    }
+    let scheduled = r#""seed":7,"schedule":{"initial_temperature":0.5,"cooling":0.9,"steps":40}"#;
+    assert!(written[2].contains(scheduled), "{}", written[2]);
+    let unscheduled = written[2].replacen(scheduled, r#""seed":7"#, 1);
+    let decoded: JobSpec = envelope::decode(&unscheduled).expect("decodes without a schedule");
+    assert_eq!(
+        decoded.strategy,
+        SearchStrategy::Annealing { seed: 7, schedule: AnnealingSchedule::default() }
+    );
+}
+
+/// `MonteCarloConfig` has no `skip_failures` since 0.26: a failed
+/// simulation is always skipped and replaced from the seed list.  A spec
+/// written with `"skip_failures":false` decodes to the spec without the key
+/// and runs to the same report.
+#[test]
+fn specs_with_fatal_simulation_failures_run_to_the_same_report() {
+    let spec = JobSpec::new(
+        vec![DeviceSpec::Synthetic { specs: 4, limit: 1.8, correlation: 0.9 }],
+        MonteCarloConfig::new(120).with_seed(42),
+        CompactionConfig::paper_default().with_tolerance(0.1),
+    );
+    let json = envelope::encode(&spec).expect("encodes");
+    assert!(!json.contains("skip_failures"), "{json}");
+    let legacy = json.replacen(
+        r#""threads":1,"calibration_quantiles":"#,
+        r#""threads":1,"skip_failures":false,"calibration_quantiles":"#,
+        1,
+    );
+    assert!(legacy.contains(r#""skip_failures":false"#), "{legacy}");
+    let decoded: JobSpec = envelope::decode(&legacy).expect("the legacy spec decodes");
+    assert_eq!(decoded, spec);
+    let service = CompactionService::new(1);
+    let report = service.run_blocking(spec).expect("the spec runs");
+    let legacy_report = service.run_blocking(decoded).expect("the legacy spec runs");
     assert_eq!(
         envelope::encode(&legacy_report).expect("encodes"),
         envelope::encode(&report).expect("encodes")
@@ -413,7 +483,7 @@ fn batch_report_round_trips_byte_for_byte() {
         .device(&beta)
         .monte_carlo(MonteCarloConfig::new(80).with_seed(3))
         .compaction(CompactionConfig::paper_default().with_tolerance(0.1))
-        .search(CostAwareGreedy)
+        .search(SearchStrategy::CostAware)
         .run()
         .expect("tiny batch runs");
     let back = json_round_trip(&report);

@@ -2,14 +2,12 @@
 //! and streaming progress.
 
 use stc_core::montecarlo::generate_train_test;
-use stc_core::search::SimulatedAnnealing;
 use stc_core::{
     CompactionConfig, CompactionPipeline, DeviceUnderTest, MonteCarloConfig, PipelineBatch,
-    SyntheticDevice,
+    SearchStrategy, SyntheticDevice,
 };
 use stc_serve::{
     envelope, ClassifierSpec, CompactionService, DeviceSpec, JobSpec, JobStatus, ServeError,
-    StrategySpec,
 };
 
 fn synthetic_pair_spec() -> JobSpec {
@@ -135,7 +133,8 @@ fn unknown_jobs_and_empty_specs_are_rejected() {
 #[test]
 fn annealing_jobs_match_direct_batches() {
     let mut spec = synthetic_pair_spec();
-    spec.strategy = StrategySpec::Annealing { seed: 11, schedule: Default::default() };
+    let annealing = SearchStrategy::Annealing { seed: 11, schedule: Default::default() };
+    spec.strategy = annealing;
     let service = CompactionService::new(1);
     let report = service.run_blocking(spec).expect("annealing job runs");
     assert_eq!(report.search_strategy(), "simulated-annealing");
@@ -147,7 +146,7 @@ fn annealing_jobs_match_direct_batches() {
         .device(&beta)
         .monte_carlo(MonteCarloConfig::new(120).with_seed(42))
         .compaction(CompactionConfig::paper_default().with_tolerance(0.1))
-        .search(SimulatedAnnealing::new(11))
+        .search(annealing)
         .run()
         .expect("direct batch runs");
     let direct_json = envelope::encode(&direct).expect("direct encodes");

@@ -56,8 +56,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::dataset::Dataset;
 use crate::kernel::Kernel;
 
@@ -66,7 +64,7 @@ use crate::kernel::Kernel;
 /// The default is [`KernelPath::Blocked`]; [`KernelPath::Naive`] reproduces
 /// the pre-0.8 per-element [`Kernel::eval`] numerics bit-for-bit and exists
 /// as the property-test reference and as an escape hatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPath {
     /// Blocked columnar dot rows with precomputed norms and (when a parent
     /// bank is available) incremental candidate-row adjustment.

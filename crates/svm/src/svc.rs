@@ -19,35 +19,24 @@ const SV_BLOCK: usize = 64;
 /// ```
 /// use stc_svm::{Kernel, SvcParams};
 ///
-/// let params = SvcParams::new()
-///     .with_c(10.0)
-///     .with_kernel(Kernel::rbf(0.5))
-///     .with_tolerance(1e-3);
+/// let params = SvcParams::new().with_c(10.0).with_kernel(Kernel::rbf(0.5));
 /// assert_eq!(params.c(), 10.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// The SMO solver stops at the LIBSVM tolerance of `1e-3` on the maximal
+/// KKT violation and reports [`SvmError::NotConverged`] after 200,000
+/// iterations.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvcParams {
     c: f64,
     kernel: Kernel,
-    tolerance: f64,
-    max_iterations: usize,
-    /// Kernel row-assembly implementation (defaulted on deserialization so
-    /// pre-0.8 configs still load).
-    #[serde(default)]
     kernel_path: KernelPath,
 }
 
 impl SvcParams {
-    /// Default parameters: `C = 1`, RBF kernel with `gamma = 1`, LIBSVM
-    /// tolerance `1e-3`.
+    /// Default parameters: `C = 1`, RBF kernel with `gamma = 1`.
     pub fn new() -> Self {
-        SvcParams {
-            c: 1.0,
-            kernel: Kernel::default(),
-            tolerance: 1e-3,
-            max_iterations: 200_000,
-            kernel_path: KernelPath::default(),
-        }
+        SvcParams { c: 1.0, kernel: Kernel::default(), kernel_path: KernelPath::default() }
     }
 
     /// Sets the soft-margin penalty `C`.
@@ -62,18 +51,6 @@ impl SvcParams {
         self
     }
 
-    /// Sets the SMO stopping tolerance.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// Sets the SMO iteration budget.
-    pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.max_iterations = max_iterations;
-        self
-    }
-
     /// The soft-margin penalty.
     pub fn c(&self) -> f64 {
         self.c
@@ -82,11 +59,6 @@ impl SvcParams {
     /// The configured kernel.
     pub fn kernel(&self) -> Kernel {
         self.kernel
-    }
-
-    /// The SMO stopping tolerance.
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
     }
 
     /// Selects the kernel row-assembly implementation (see [`KernelPath`]).
@@ -328,12 +300,7 @@ impl Svc {
         };
         let problem = SmoProblem { y: y.clone(), p: vec![-1.0; n], upper_bound, initial_alpha };
         let q = SvcQ::new(data, params.kernel, params.kernel_path, parent_bank);
-        let smo_params = SmoParams {
-            tolerance: params.tolerance,
-            max_iterations: params.max_iterations,
-            ..SmoParams::default()
-        };
-        let solution = smo::solve(&q, &problem, &smo_params)?;
+        let solution = smo::solve(&q, &problem, &SmoParams::default())?;
 
         let mut coefficients = Vec::new();
         let mut support_indices = Vec::new();

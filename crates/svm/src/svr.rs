@@ -26,25 +26,21 @@ use crate::{Dataset, Kernel, Result, SvmError};
 ///     .with_kernel(Kernel::rbf(1.0));
 /// assert_eq!(params.epsilon(), 0.05);
 /// ```
+///
+/// The SMO solver stops at the LIBSVM tolerance of `1e-3` on the maximal
+/// KKT violation and reports [`SvmError::NotConverged`] after 200,000
+/// iterations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvrParams {
     c: f64,
     epsilon: f64,
     kernel: Kernel,
-    tolerance: f64,
-    max_iterations: usize,
 }
 
 impl SvrParams {
     /// Default parameters: `C = 1`, `epsilon = 0.1`, RBF kernel.
     pub fn new() -> Self {
-        SvrParams {
-            c: 1.0,
-            epsilon: 0.1,
-            kernel: Kernel::default(),
-            tolerance: 1e-3,
-            max_iterations: 200_000,
-        }
+        SvrParams { c: 1.0, epsilon: 0.1, kernel: Kernel::default() }
     }
 
     /// Sets the penalty `C`.
@@ -62,18 +58,6 @@ impl SvrParams {
     /// Sets the kernel.
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
-        self
-    }
-
-    /// Sets the SMO stopping tolerance.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// Sets the SMO iteration budget.
-    pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.max_iterations = max_iterations;
         self
     }
 
@@ -211,12 +195,7 @@ impl Svr {
         let upper_bound = vec![params.c; 2 * l];
         let problem = SmoProblem { y, p, upper_bound, initial_alpha: vec![0.0; 2 * l] };
         let q = SvrQ::new(data, params.kernel);
-        let smo_params = SmoParams {
-            tolerance: params.tolerance,
-            max_iterations: params.max_iterations,
-            ..SmoParams::default()
-        };
-        let solution = smo::solve(&q, &problem, &smo_params)?;
+        let solution = smo::solve(&q, &problem, &SmoParams::default())?;
 
         let mut support_vectors = Vec::new();
         let mut coefficients = Vec::new();

@@ -1,4 +1,4 @@
-//! The three bundled search strategies: the paper's greedy loop against the
+//! The three search strategies: the paper's greedy loop against the
 //! two alternatives, each on a workload where it ships a strictly cheaper
 //! tester.
 //!
@@ -7,10 +7,10 @@
 //! ```
 //!
 //! The greedy backward elimination of the paper commits to the *first*
-//! acceptable elimination in examination order; the `SearchStrategy` seam
-//! makes the search procedure pluggable while every strategy shares the
-//! same evaluation machinery (model cache, warm starts, speculative
-//! threads).  Two cases, each pinned by an assertion:
+//! acceptable elimination in examination order; `SearchStrategy` selects
+//! one of two alternatives instead, and every strategy shares the same
+//! evaluation machinery (model cache, warm starts, speculative threads).
+//! Two cases, each pinned by an assertion:
 //!
 //! * a synthetic device with strongly correlated specifications — so the
 //!   *choice* of surviving tests is up to the strategy — under a cost model
@@ -70,7 +70,7 @@ fn cost_aware_beats_greedy_on_a_thermal_outlier() -> Result<(), CompactionError>
     };
 
     let greedy = pipeline().run()?;
-    let aware = pipeline().search(CostAwareGreedy).run()?;
+    let aware = pipeline().search(SearchStrategy::CostAware).run()?;
     print_table(&[&greedy, &aware]);
 
     let greedy_cost = cost.cost_of(greedy.kept())?;
@@ -106,7 +106,9 @@ fn annealing_drops_both_thermal_insertions_on_the_accelerometer() -> Result<(), 
     };
 
     let greedy = pipeline().run()?;
-    let annealing = pipeline().search(SimulatedAnnealing::new(6)).run()?;
+    let annealing = pipeline()
+        .search(SearchStrategy::Annealing { seed: 6, schedule: AnnealingSchedule::default() })
+        .run()?;
     print_table(&[&greedy, &annealing]);
 
     let room = AccelerometerDevice::temperature_group(TestTemperature::Room);

@@ -5,9 +5,10 @@
 //! ```
 //!
 //! brings in the [`CompactionPipeline`] builder, both bundled classifier
-//! backends ([`SvmBackend`], [`GridBackend`]), the three bundled search
-//! strategies (the paper's [`GreedyBackward`], [`CostAwareGreedy`] for
-//! insertion-heavy cost models and the seeded [`SimulatedAnnealing`] walk),
+//! backends ([`SvmBackend`], [`GridBackend`]), the [`SearchStrategy`]
+//! choice (the paper's greedy elimination, cost-aware greedy for
+//! insertion-heavy cost models and the seeded annealing walk with its
+//! [`AnnealingSchedule`]),
 //! the staged sequential deploy types ([`TestPlan`], [`SequentialSession`],
 //! [`StepVerdict`], [`SequentialStats`]), the device adapters and every
 //! configuration type the pipeline stages take.
@@ -18,10 +19,7 @@ pub use stc_core::classifier::{
     Classifier, ClassifierFactory, GridBackend, TrainingView, WarmStartContext,
 };
 pub use stc_core::pipeline::{CompactionPipeline, CostSummary, GuardBandStats, PipelineReport};
-pub use stc_core::search::{
-    AnnealingSchedule, CandidateEvaluator, CandidateVerdict, CostAwareGreedy, GreedyBackward,
-    SearchContext, SearchOutcome, SearchStrategy, SimulatedAnnealing,
-};
+pub use stc_core::search::{AnnealingSchedule, SearchStrategy};
 pub use stc_core::{
     baseline, generate_measurement_set, generate_train_test, gridmodel, run_monte_carlo,
     BatchAggregate, BatchReport, BatchRun, CompactionConfig, CompactionError, CompactionResult,

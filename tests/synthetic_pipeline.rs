@@ -177,10 +177,10 @@ fn stochastic_strategies_run_end_to_end_on_the_svm_backend() {
         .test_instances(100)
         .compaction(CompactionConfig::paper_default().with_tolerance(0.1))
         .classifier(SvmBackend::paper_default())
-        .search(
-            SimulatedAnnealing::new(11)
-                .with_schedule(AnnealingSchedule { steps: 40, ..AnnealingSchedule::default() }),
-        )
+        .search(SearchStrategy::Annealing {
+            seed: 11,
+            schedule: AnnealingSchedule { steps: 40, ..AnnealingSchedule::default() },
+        })
         .run()
         .unwrap();
     assert_eq!(annealing.search, "simulated-annealing");

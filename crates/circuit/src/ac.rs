@@ -6,15 +6,15 @@
 //! and solves it in place, in buffers allocated once per sweep.
 //!
 //! Every system of a sweep has the same structure, the frequency-independent
-//! nonzeros and the reactive positions, so the sweep solves through a
-//! factorization plan (see [`crate::linalg`]): each point replays the pivot
-//! order of the last dense LU on those entries, and a point that leaves the
-//! plan is reloaded and solved by the dense LU, which plans the points after
-//! it.  Each solution has the dense LU's bits, except that an exact zero may
-//! have the other sign.
+//! nonzeros and the reactive positions, so the sweep solves through the
+//! thread's factorization plans for that structure (see [`crate::linalg`]):
+//! each point replays the plan that solved the last point (at the first
+//! point, the last sweep's of that structure), and a point that leaves it is
+//! reloaded and tries the structure's other plans, then the dense LU.  Each
+//! solution has the dense LU's bits.
 
 use crate::dc::DcSolution;
-use crate::linalg::{Complex, LuPlan, Matrix, Replay};
+use crate::linalg::{Complex, Matrix, Planner};
 use crate::mna::{AcSystem, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
 use crate::{CircuitError, Result};
@@ -118,8 +118,7 @@ pub(crate) fn ac_sweep_until(
     let system = AcSystem::new(circuit, &layout, op.solution_vector());
     let mut a = Matrix::zeros(size);
     let mut b = vec![Complex::zero(); size];
-    let structure = system.structure();
-    let mut plan = LuPlan::default();
+    let mut planner = Planner::new(system.structure());
     let mut sweep = AcSweep {
         layout,
         frequencies: Vec::with_capacity(frequencies.len()),
@@ -127,12 +126,8 @@ pub(crate) fn ac_sweep_until(
     };
     for (index, &frequency) in frequencies.iter().enumerate() {
         let omega = std::f64::consts::TAU * frequency;
-        system.load(omega, &mut a, &mut b);
         let x = &mut sweep.solutions[index * size..(index + 1) * size];
-        if plan.solve(&mut a, &mut b, x)? == Replay::Fallback {
-            system.load(omega, &mut a, &mut b);
-            plan.solve_dense(&mut a, &mut b, x, &structure)?;
-        }
+        planner.solve(&mut a, &mut b, x, |a, b| system.load(omega, a, b))?;
         sweep.frequencies.push(frequency);
         if stop(&sweep) {
             break;

@@ -1,13 +1,17 @@
 //! DC operating-point analysis (Newton–Raphson with gmin and source stepping).
 //!
 //! The Newton iterations of one analysis (a DC operating point here, every
-//! time step of a transient) stamp the same Jacobian entries, so they solve
-//! through one factorization plan (see [`crate::linalg`]), rebuilt whenever
-//! the pivot order of the dense LU changes.  Each solution has the dense
-//! LU's bits, except that an exact zero may have the other sign.
+//! time step of a transient) assemble their Jacobians from one
+//! [`StampProgram`], compiled once per analysis, and stamp the same entries,
+//! whose structure the program reports up front.  So they solve through the
+//! thread's factorization plans for that structure (see [`crate::linalg`]):
+//! each iteration replays the plan that solved the last system on a copy of
+//! the assembled system, and one that leaves it is copied again for each of
+//! the structure's other plans, then for the dense LU.  Each solution has
+//! the dense LU's bits.
 
-use crate::linalg::{LuPlan, Matrix, Replay};
-use crate::mna::{assemble_real, AssemblyOptions, DynamicState, MnaLayout};
+use crate::linalg::{Matrix, Planner};
+use crate::mna::{AssemblyOptions, DynamicState, MnaLayout, StampProgram};
 use crate::netlist::{Circuit, NodeId};
 use crate::{CircuitError, Result};
 
@@ -57,28 +61,40 @@ impl DcSolution {
     }
 }
 
-/// The buffers one analysis's Newton iterations assemble, factorize and
-/// solve into, allocated once per analysis, and the analysis's
-/// factorization plan.
+/// One analysis's stamp program, which assembles each Newton iteration's
+/// system into its own buffers, the buffers a copy of that system is
+/// factorized and solved in, allocated once per analysis, and the analysis's
+/// planner.
 pub(crate) struct NewtonWorkspace {
+    program: StampProgram,
+    /// Whether the iterations assemble transient systems (else DC ones).
+    transient: bool,
+    /// Node rows, which come first in the solution vector.
+    node_rows: usize,
+    /// The copy of the assembled system a factorization overwrites.
     jacobian: Matrix<f64>,
     rhs: Vec<f64>,
     next: Vec<f64>,
-    /// Replays the last dense LU's pivot order on the Jacobian's stamped
-    /// entries.
-    plan: LuPlan,
-    /// The entries the last recorded assembly stamped, row-major.
-    structure: Vec<bool>,
+    planner: Planner,
 }
 
 impl NewtonWorkspace {
-    pub(crate) fn new(size: usize) -> Self {
+    /// The workspace of DC or, with `transient`, transient Newton solves of
+    /// `circuit`.
+    pub(crate) fn new(circuit: &Circuit, layout: &MnaLayout, transient: bool) -> Self {
+        let program = StampProgram::new(circuit, layout);
+        let structure =
+            if transient { program.transient_structure() } else { program.dc_structure() };
+        let planner = Planner::new(structure.to_vec());
+        let size = layout.size();
         NewtonWorkspace {
+            program,
+            transient,
+            node_rows: layout.node_count() - 1,
             jacobian: Matrix::zeros(size),
             rhs: vec![0.0; size],
             next: vec![0.0; size],
-            plan: LuPlan::default(),
-            structure: Vec::new(),
+            planner,
         }
     }
 }
@@ -87,28 +103,26 @@ impl NewtonWorkspace {
 /// in `x`.  On success `x` holds the solution; on failure its contents are
 /// unspecified.
 ///
-/// Each iteration solves its Jacobian with the workspace's plan.  When the
-/// system leaves the plan, it is assembled again, recording the entries the
-/// stamps touch, and solved by the dense LU, whose pivot order and those
-/// entries make the plan of the next iterations.
+/// Each iteration assembles its Jacobian once and solves a copy of it
+/// through the workspace's planner, which copies it again before every
+/// further try.
 pub(crate) fn newton_solve(
-    circuit: &Circuit,
-    layout: &MnaLayout,
     x: &mut Vec<f64>,
     dynamic: Option<&DynamicState>,
     options: &AssemblyOptions,
     work: &mut NewtonWorkspace,
 ) -> Result<()> {
-    let node_rows = layout.node_count() - 1;
-    let analysis = if options.time_step.is_some() { "transient" } else { "dc" };
+    debug_assert_eq!(options.time_step.is_some(), work.transient, "assembly of another kind");
+    let node_rows = work.node_rows;
+    let analysis = if work.transient { "transient" } else { "dc" };
     for _iteration in 0..MAX_NEWTON_ITERATIONS {
-        let (jacobian, rhs) = (&mut work.jacobian, &mut work.rhs);
-        assemble_real(circuit, layout, x, dynamic, options, jacobian, rhs, None);
-        if work.plan.solve(jacobian, rhs, &mut work.next)? == Replay::Fallback {
-            let structure = Some(&mut work.structure);
-            assemble_real(circuit, layout, x, dynamic, options, jacobian, rhs, structure);
-            work.plan.solve_dense(jacobian, rhs, &mut work.next, &work.structure)?;
-        }
+        work.program.assemble(x, dynamic, options);
+        let (matrix, rhs) = work.program.system();
+        let load = |jacobian: &mut Matrix<f64>, jacobian_rhs: &mut [f64]| {
+            jacobian.values_mut().copy_from_slice(matrix);
+            jacobian_rhs.copy_from_slice(rhs);
+        };
+        work.planner.solve(&mut work.jacobian, &mut work.rhs, &mut work.next, load)?;
         let x_new = &work.next;
         // Largest node-voltage change decides convergence and damping; branch
         // currents follow the voltages.
@@ -168,12 +182,11 @@ pub fn dc_operating_point(circuit: &Circuit) -> Result<DcSolution> {
         return Err(CircuitError::EmptyCircuit);
     }
     let layout = MnaLayout::new(circuit);
-    let mut work = NewtonWorkspace::new(layout.size());
+    let mut work = NewtonWorkspace::new(circuit, &layout, false);
 
     // 1. Plain Newton from all zeros.
     let mut x = vec![0.0; layout.size()];
-    if newton_solve(circuit, &layout, &mut x, None, &AssemblyOptions::default(), &mut work).is_ok()
-    {
+    if newton_solve(&mut x, None, &AssemblyOptions::default(), &mut work).is_ok() {
         return Ok(DcSolution::new(layout, x));
     }
 
@@ -183,7 +196,7 @@ pub fn dc_operating_point(circuit: &Circuit) -> Result<DcSolution> {
         [-3.0f64, -4.0, -5.0, -6.0, -7.0, -8.0, -9.0, -10.0, -11.0, -12.0].iter().all(|exponent| {
             let options =
                 AssemblyOptions { gmin: 10f64.powf(*exponent), ..AssemblyOptions::default() };
-            newton_solve(circuit, &layout, &mut x, None, &options, &mut work).is_ok()
+            newton_solve(&mut x, None, &options, &mut work).is_ok()
         });
     if gmin_ok {
         return Ok(DcSolution::new(layout, x));
@@ -194,7 +207,7 @@ pub fn dc_operating_point(circuit: &Circuit) -> Result<DcSolution> {
     for step in 1..=10 {
         let options =
             AssemblyOptions { source_scale: step as f64 / 10.0, ..AssemblyOptions::default() };
-        newton_solve(circuit, &layout, &mut x, None, &options, &mut work)?;
+        newton_solve(&mut x, None, &options, &mut work)?;
     }
     Ok(DcSolution::new(layout, x))
 }

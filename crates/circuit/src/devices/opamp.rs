@@ -434,11 +434,8 @@ impl OpAmp {
     fn open_loop_sweep(&self) -> Result<(AcSweep, NodeId)> {
         let (circuit, out) = self.ac_testbench(false)?;
         let op = dc_operating_point(&circuit)?;
-        let sweep = ac_sweep_until(&circuit, &op, &open_loop_frequencies(), |sweep| {
-            let magnitude = sweep.phasor(out, sweep.len() - 1).norm();
-            // The levels `unity_gain_frequency` and `bandwidth_3db` test with `<`.
-            magnitude < 1.0 && magnitude < sweep.phasor(out, 0).norm() * FRAC_1_SQRT_2
-        })?;
+        let sweep =
+            ac_sweep_until(&circuit, &op, &open_loop_frequencies(), below_both_levels(out))?;
         Ok((sweep, out))
     }
 
@@ -467,6 +464,16 @@ impl OpAmp {
         let current =
             op.branch_current(ammeter).expect("voltage sources always carry a branch current");
         Ok(current.abs() * 1e6)
+    }
+}
+
+/// The open-loop sweep's stop rule: whether the last point's magnitude at
+/// `out` is below both unity and the −3 dB level of the first point.
+fn below_both_levels(out: NodeId) -> impl FnMut(&AcSweep) -> bool {
+    move |sweep| {
+        let magnitude = sweep.phasor(out, sweep.len() - 1).norm();
+        // The levels `unity_gain_frequency` and `bandwidth_3db` test with `<`.
+        magnitude < 1.0 && magnitude < sweep.phasor(out, 0).norm() * FRAC_1_SQRT_2
     }
 }
 
@@ -544,43 +551,79 @@ mod tests {
         }
     }
 
-    /// The share of factorizations each analysis replays from its plan
-    /// instead of running the dense LU: the bits alone would not show a plan
-    /// that is never used.
+    /// The share of factorizations each analysis replays from a plan instead
+    /// of running the dense LU: the bits alone would not show a plan that is
+    /// never used, nor a plan book that never keeps one.  After one instance
+    /// has filled the books of a fresh thread, the next instances' sweeps run
+    /// no dense LU, and their DC solves and slew-rate transients one only
+    /// where they meet a pivot order the thread has not seen: simulated
+    /// again, they run none at all.
     #[test]
     fn every_analysis_replays_its_factorization_plan() {
-        let model = VariationModel::paper_default();
-        let mut totals = [Factorizations::default(); 3];
-        let mut add = |analysis: usize| {
-            let counts = take_factorizations();
-            totals[analysis].replayed += counts.replayed;
-            totals[analysis].dense += counts.dense;
-        };
-        for seed in 0..8 {
-            let params =
-                model.perturb_opamp(&OpAmpParams::nominal(), &mut StdRng::seed_from_u64(seed));
-            let opamp = OpAmp::new(params);
-            let large_step = SourceWaveform::step(-1.0, 1.0, STEP_DELAY);
-            let (circuit, _) = opamp.buffer_testbench(large_step, 0.0).unwrap();
-            take_factorizations();
-            let op = dc_operating_point(&circuit).unwrap();
-            add(0);
-            let params = TransientParams::new(6e-6, 4e-9);
-            transient_analysis_from(&circuit, &params, Some(&op)).unwrap();
-            add(1);
-            let (circuit, _) = opamp.ac_testbench(false).unwrap();
-            let op = dc_operating_point(&circuit).unwrap();
-            take_factorizations();
-            ac_analysis(&circuit, &op, &open_loop_frequencies()).unwrap();
-            add(2);
-        }
-        // Shares seen when the plan went in: 69 % (9 of 13 per DC solve),
-        // 98.8 % (348–422 of 353–425 per transient) and 84 % (102 of 121).
-        let least = [("dc", 0.5), ("slew-rate transient", 0.95), ("open-loop sweep", 0.75)];
-        for ((analysis, share), counts) in least.into_iter().zip(totals) {
-            let replayed = counts.replayed as f64 / (counts.replayed + counts.dense) as f64;
-            assert!(replayed >= share, "{analysis}: {counts:?}");
-        }
+        std::thread::spawn(|| {
+            let model = VariationModel::paper_default();
+            let perturbed = |seed| {
+                let params =
+                    model.perturb_opamp(&OpAmpParams::nominal(), &mut StdRng::seed_from_u64(seed));
+                OpAmp::new(params)
+            };
+            perturbed(100).measure().unwrap();
+            let analyses = ["DC solves", "open-loop sweep", "10 Hz points", "slew-rate transient"];
+            let pass = || {
+                let mut totals = [Factorizations::default(); 4];
+                let mut add = |analysis: usize| {
+                    let counts = take_factorizations();
+                    totals[analysis].replayed += counts.replayed;
+                    totals[analysis].dense += counts.dense;
+                };
+                for seed in 0..8 {
+                    let opamp = perturbed(seed);
+                    take_factorizations();
+                    let (circuit, out) = opamp.ac_testbench(false).unwrap();
+                    let op = dc_operating_point(&circuit).unwrap();
+                    add(0);
+                    let frequencies = open_loop_frequencies();
+                    ac_sweep_until(&circuit, &op, &frequencies, below_both_levels(out)).unwrap();
+                    add(1);
+                    let ps_input = SourceWaveform::dc(0.0);
+                    for circuit in [
+                        opamp.ac_testbench(true).unwrap().0,
+                        opamp.buffer_testbench(ps_input, 1.0).unwrap().0,
+                    ] {
+                        let op = dc_operating_point(&circuit).unwrap();
+                        add(0);
+                        ac_analysis(&circuit, &op, &[10.0]).unwrap();
+                        add(2);
+                    }
+                    let large_step = SourceWaveform::step(-1.0, 1.0, STEP_DELAY);
+                    let (circuit, _) = opamp.buffer_testbench(large_step, 0.0).unwrap();
+                    take_factorizations();
+                    let op = dc_operating_point(&circuit).unwrap();
+                    add(0);
+                    let params = TransientParams::new(6e-6, 4e-9);
+                    transient_analysis_from(&circuit, &params, Some(&op)).unwrap();
+                    add(3);
+                    opamp.short_circuit_current().unwrap();
+                    add(0);
+                }
+                totals
+            };
+            // Shares seen when the book went in: 519 of 520 systems of the DC
+            // solves, every point of the sweeps, and 99.99 % of the
+            // transients' factorizations.
+            let first = pass();
+            for ((analysis, least), counts) in
+                analyses.iter().zip([0.99, 1.0, 1.0, 0.99]).zip(first)
+            {
+                let replayed = counts.replayed as f64 / (counts.replayed + counts.dense) as f64;
+                assert!(replayed >= least, "{analysis}: {counts:?}");
+            }
+            for (analysis, counts) in analyses.iter().zip(pass()) {
+                assert_eq!(counts.dense, 0, "{analysis} simulated again: {counts:?}");
+            }
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -110,31 +110,81 @@ pub fn linearize(
     vd: f64,
     vs: f64,
 ) -> MosfetOperatingPoint {
-    let beta = model.transconductance * width / length;
-    let vth = model.threshold_voltage.abs();
-    let lambda = model.lambda;
+    MosfetConstants::new(model, polarity, width, length).linearize(vg, vd, vs)
+}
 
-    match polarity {
-        MosfetPolarity::Nmos => {
-            if vd >= vs {
-                let (id, gm, gds) = nmos_equations(vg - vs, vd - vs, vth, beta, lambda);
-                MosfetOperatingPoint { ids: id, d_vg: gm, d_vd: gds, d_vs: -(gm + gds), gm, gds }
-            } else {
-                // Source and drain exchange roles; channel current reverses.
-                let (id, gm, gds) = nmos_equations(vg - vd, vs - vd, vth, beta, lambda);
-                MosfetOperatingPoint { ids: -id, d_vg: -gm, d_vd: gm + gds, d_vs: -gds, gm, gds }
-            }
+/// The parts of [`linearize`] that depend only on the device: its polarity,
+/// `β = k′·W/L`, `|V_th|` and `λ`, computed once by the expressions
+/// `linearize` uses, so that [`MosfetConstants::linearize`] returns its bits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MosfetConstants {
+    polarity: MosfetPolarity,
+    beta: f64,
+    vth: f64,
+    lambda: f64,
+}
+
+impl MosfetConstants {
+    pub(crate) fn new(
+        model: &MosfetModel,
+        polarity: MosfetPolarity,
+        width: f64,
+        length: f64,
+    ) -> Self {
+        MosfetConstants {
+            polarity,
+            beta: model.transconductance * width / length,
+            vth: model.threshold_voltage.abs(),
+            lambda: model.lambda,
         }
-        MosfetPolarity::Pmos => {
-            // Evaluate the symmetric N-type equations in the source-referred
-            // frame (vsg, vsd); the channel current then flows source->drain,
-            // i.e. ids (drain->source) is negative in normal operation.
-            if vs >= vd {
-                let (id, gm, gds) = nmos_equations(vs - vg, vs - vd, vth, beta, lambda);
-                MosfetOperatingPoint { ids: -id, d_vg: gm, d_vd: gds, d_vs: -(gm + gds), gm, gds }
-            } else {
-                let (id, gm, gds) = nmos_equations(vd - vg, vd - vs, vth, beta, lambda);
-                MosfetOperatingPoint { ids: id, d_vg: -gm, d_vd: gm + gds, d_vs: -gds, gm, gds }
+    }
+
+    /// [`linearize`] at the given absolute terminal voltages.
+    pub(crate) fn linearize(&self, vg: f64, vd: f64, vs: f64) -> MosfetOperatingPoint {
+        let MosfetConstants { polarity, beta, vth, lambda } = *self;
+        match polarity {
+            MosfetPolarity::Nmos => {
+                if vd >= vs {
+                    let (id, gm, gds) = nmos_equations(vg - vs, vd - vs, vth, beta, lambda);
+                    MosfetOperatingPoint {
+                        ids: id,
+                        d_vg: gm,
+                        d_vd: gds,
+                        d_vs: -(gm + gds),
+                        gm,
+                        gds,
+                    }
+                } else {
+                    // Source and drain exchange roles; channel current reverses.
+                    let (id, gm, gds) = nmos_equations(vg - vd, vs - vd, vth, beta, lambda);
+                    MosfetOperatingPoint {
+                        ids: -id,
+                        d_vg: -gm,
+                        d_vd: gm + gds,
+                        d_vs: -gds,
+                        gm,
+                        gds,
+                    }
+                }
+            }
+            MosfetPolarity::Pmos => {
+                // Evaluate the symmetric N-type equations in the source-referred
+                // frame (vsg, vsd); the channel current then flows source->drain,
+                // i.e. ids (drain->source) is negative in normal operation.
+                if vs >= vd {
+                    let (id, gm, gds) = nmos_equations(vs - vg, vs - vd, vth, beta, lambda);
+                    MosfetOperatingPoint {
+                        ids: -id,
+                        d_vg: gm,
+                        d_vd: gds,
+                        d_vs: -(gm + gds),
+                        gm,
+                        gds,
+                    }
+                } else {
+                    let (id, gm, gds) = nmos_equations(vd - vg, vd - vs, vth, beta, lambda);
+                    MosfetOperatingPoint { ids: id, d_vg: -gm, d_vd: gm + gds, d_vs: -gds, gm, gds }
+                }
             }
         }
     }

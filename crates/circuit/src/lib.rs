@@ -19,9 +19,11 @@
 //!
 //! Each analysis solves its many linear systems of one structure through a
 //! factorization plan that replays the dense LU's pivot order over the
-//! structural nonzeros, and falls back to the dense LU when the pivot order
-//! changes or a value is not finite (see [`linalg`]).  Every result has the
-//! dense LU's bits, except that an exact zero may have the other sign.
+//! structural nonzeros.  Every thread keeps the plans it has built, per
+//! structure, and a system whose pivot order differs from one plan's tries
+//! the thread's other plans of its structure before the dense LU (see
+//! [`linalg`]).  Every result has the dense LU's bits, so it never depends on
+//! what the thread simulated before.
 //!
 //! Circuits are built programmatically with [`Circuit`]; the element set
 //! (R, L, C, independent voltage and current sources held constant or

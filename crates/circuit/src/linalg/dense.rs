@@ -51,7 +51,7 @@ impl<T: Copy + Default> Matrix<T> {
     }
 
     /// The entries, row-major, for writing.
-    pub(super) fn values_mut(&mut self) -> &mut [T] {
+    pub(crate) fn values_mut(&mut self) -> &mut [T] {
         &mut self.values
     }
 
@@ -204,7 +204,7 @@ pub fn solve_complex(
 /// factorizes `a` in place, overwrites `b` with the forward-eliminated
 /// right-hand side, writes the solution to `x`, whose previous contents are
 /// never read, and records in `pivots` the position of the row each step
-/// swapped into place, the order a [`super::LuPlan`] replays.
+/// swapped into place, the order a [`super::plan::LuPlan`] replays.
 ///
 /// Each step picks the first row, in position order, whose entry in the
 /// pivot column is strictly largest in magnitude.

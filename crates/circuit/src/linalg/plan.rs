@@ -2,18 +2,18 @@
 
 use std::ops::Range;
 
-use super::dense::{lu_solve_into, LuScalar, Matrix, MIN_PIVOT};
+use super::dense::{LuScalar, Matrix, MIN_PIVOT};
 use crate::CircuitError;
 
 /// A factorization plan: the elimination a dense LU ran on a system, cut to
 /// the entries that can be nonzero.
 ///
-/// [`LuPlan::solve_dense`] solves a system with the dense LU and builds the
-/// plan from the pivot positions it chose and the system's structure, every
-/// entry that any system of one analysis may hold nonzero.  The build follows
-/// the dense LU's row swaps symbolically, once, to find the fill and the rows
-/// and columns each step touches.  [`LuPlan::solve`] then replays that LU on
-/// the next system of the same structure, without moving its rows:
+/// [`LuPlan::rebuild`] builds the plan from the pivot positions a dense LU
+/// (`lu_solve_into`) chose and the system's structure, every entry that any
+/// system of that structure may hold nonzero.  The build follows the dense
+/// LU's row swaps symbolically, once, to find the fill and the rows and
+/// columns each step touches.  [`LuPlan::solve`] then replays that LU on a
+/// system of the same structure, without moving its rows:
 ///
 /// * the same pivot test: the magnitudes of the rows that may hold the
 ///   pivot, scanned in the dense LU's position order with a strict `>`;
@@ -26,14 +26,18 @@ use crate::CircuitError;
 /// An entry outside the structure is an exact zero, and the dense LU only
 /// adds or subtracts exact zeros for it.  So every nonzero result has the
 /// dense LU's bits, and only the sign of an exact zero may differ.  Four
-/// cases leave the plan, and the caller then reassembles or reloads the
-/// system and calls [`LuPlan::solve_dense`], which plans the next systems
-/// after it: a pivot that differs from the plan's; an `f64` pivot or a
-/// factor that is not finite, for the dense LU would then spread NaN over
-/// entries the plan skips (`0 / NaN`, `0 · ∞`); and a solution that is not
-/// finite.  A vanishing pivot, or a complex pivot whose reciprocal is not
-/// finite or is zero, is the dense LU's [`CircuitError::SingularMatrix`] at
-/// the same step.
+/// cases leave the plan, and the caller then restores the system and tries
+/// another plan or the dense LU (see [`super::book`]): a pivot that differs
+/// from the plan's; an `f64` pivot or a factor that is not finite, for the
+/// dense LU would then spread NaN over entries the plan skips (`0 / NaN`,
+/// `0 · ∞`); and a solution that is not finite.  A vanishing pivot, or a
+/// complex pivot whose reciprocal is not finite or is zero, is the dense
+/// LU's [`CircuitError::SingularMatrix`] at the same step.
+///
+/// A replay that completes has chosen, at every step, the pivot the dense
+/// LU's rule chooses on that system, so two plans of one structure that both
+/// complete on a system are the same plan: which plan solves a system never
+/// changes its bits.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LuPlan {
     /// Matrix size; 0 before the first build.
@@ -44,9 +48,8 @@ pub(crate) struct LuPlan {
     rows: Vec<usize>,
     /// The pivot-row columns of every step.
     columns: Vec<usize>,
-    /// The structure the plan was built from, row-major.
-    structure: Vec<bool>,
-    /// The pivot positions the last dense LU chose.
+    /// The pivot positions of the dense LU the plan replays, which with the
+    /// structure determine the plan.
     pivots: Vec<usize>,
     /// Build scratch: the structure with the fill so far.
     filled: Vec<bool>,
@@ -79,50 +82,33 @@ pub(crate) enum Replay {
     /// The system is solved.
     Solved,
     /// The system left the plan, and its buffers hold partial results: the
-    /// caller reassembles it and calls [`LuPlan::solve_dense`].
+    /// caller restores it before solving it another way.
     Fallback,
 }
 
 impl LuPlan {
-    /// Solves `a x = b` with the dense LU (`lu_solve_into`) and, if it
-    /// succeeds, rebuilds the plan, reusing its buffers, from the pivot
-    /// positions it chose and `structure`, a row-major map of every entry
-    /// that a system the plan will solve may hold nonzero.
-    ///
-    /// # Errors
-    ///
-    /// Returns the dense LU's [`CircuitError::SingularMatrix`]; the plan is
-    /// then unchanged.
+    /// The pivot positions of the dense LU the plan replays.
+    pub(crate) fn pivots(&self) -> &[usize] {
+        &self.pivots
+    }
+
+    /// Builds, reusing the plan's buffers, the plan of `structure`, a
+    /// row-major map of every entry that a system the plan will solve may
+    /// hold nonzero, and `pivots`, the positions a dense LU of such a system
+    /// chose.
     ///
     /// # Panics
     ///
-    /// Panics unless `structure` has an entry for each of `a`'s.
-    pub(crate) fn solve_dense<T: LuScalar>(
-        &mut self,
-        a: &mut Matrix<T>,
-        b: &mut [T],
-        x: &mut [T],
-        structure: &[bool],
-    ) -> Result<(), CircuitError> {
-        assert_eq!(structure.len(), a.values().len(), "structure must cover the matrix");
-        let mut pivots = std::mem::take(&mut self.pivots);
-        let solved = lu_solve_into(a, b, x, &mut pivots);
-        if solved.is_ok() {
-            self.rebuild(structure, &pivots);
-        }
-        self.pivots = pivots;
-        solved
-    }
-
-    /// Builds the plan of `structure` and the dense LU's `pivots`.
-    fn rebuild(&mut self, structure: &[bool], pivots: &[usize]) {
+    /// Panics unless `structure` has `pivots.len()²` entries.
+    pub(crate) fn rebuild(&mut self, structure: &[bool], pivots: &[usize]) {
         let n = pivots.len();
+        assert_eq!(structure.len(), n * n, "structure must cover the matrix");
         self.n = n;
         self.steps.clear();
         self.rows.clear();
         self.columns.clear();
-        self.structure.clear();
-        self.structure.extend_from_slice(structure);
+        self.pivots.clear();
+        self.pivots.extend_from_slice(pivots);
         self.filled.clear();
         self.filled.extend_from_slice(structure);
         self.position.clear();
@@ -166,7 +152,8 @@ impl LuPlan {
     /// previous contents are never read.  An empty plan, or one of another
     /// size, falls back at once.
     ///
-    /// Every entry of `a` outside the plan's structure must be zero.
+    /// Every entry of `a` outside the structure the plan was built from must
+    /// be zero.
     ///
     /// # Errors
     ///
@@ -182,13 +169,6 @@ impl LuPlan {
         if a.size() != n {
             return Ok(Replay::Fallback);
         }
-        debug_assert!(
-            a.values()
-                .iter()
-                .zip(&self.structure)
-                .all(|(value, &structural)| structural || value.is_zero()),
-            "a nonzero entry lies outside the plan's structure"
-        );
         let values = a.values_mut();
         for (k, step) in self.steps.iter().enumerate() {
             let candidates = &self.rows[step.candidates.clone()];
@@ -291,6 +271,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    use super::super::book::{PlanBook, PLANS_PER_STRUCTURE};
+    use super::super::dense::lu_solve_into;
     use super::super::{solve_complex, Complex};
     use super::*;
 
@@ -298,25 +280,38 @@ mod tests {
     /// every case it is meant to.
     #[derive(Debug, Default)]
     struct Cases {
-        replayed: usize,
-        /// Finite systems that left the plan: a changed pivot order (or a
+        /// Systems the plan that solved the last system of their structure
+        /// solved.
+        replayed_first: usize,
+        /// Systems another plan of the book solved.
+        replayed_other: usize,
+        /// Finite systems that left every plan: a changed pivot order (or a
         /// factor that overflowed).
         finite_fallbacks: usize,
         non_finite_fallbacks: usize,
         singular_in_plan: usize,
         singular_dense: usize,
-    }
-
-    /// Bits of each solution value with −0 read as +0.
-    fn bits<T: LuScalar>(x: &[T], to_bits: impl Fn(T) -> Vec<u64>) -> Vec<u64> {
-        let plus_zero = |bits: u64| if bits == (-0.0f64).to_bits() { 0 } else { bits };
-        x.iter().flat_map(|&value| to_bits(value)).map(plus_zero).collect()
+        /// Dense LUs whose new plan took the place of a shelf's least
+        /// recently used one.
+        plans_dropped: usize,
+        /// Structures the book dropped and met again.
+        shelves_dropped: usize,
+        /// Solutions holding an exact zero of a system without a `−0`
+        /// entry, whose bits must match the dense LU's zeros included.
+        exact_zeros: usize,
     }
 
     /// Solves a sequence of random systems of random sparse structures both
-    /// densely and through a plan rebuilt after each fallback, as the
-    /// analyses do, checks that both give the same singular pivot or the
-    /// same solution bits, and counts the cases met in `cases`.
+    /// densely and through a plan book, as the analyses do, checks that both
+    /// give the same singular pivot or the same solution bits, and counts
+    /// the cases met in `cases`.
+    ///
+    /// The structures outnumber the shelves a book keeps, and the systems
+    /// of one structure redraw some of their entries from one system to the
+    /// next, like the iterations of an analysis, so that their pivot orders
+    /// recur, change and come back.  Only the sign of an exact zero may
+    /// differ from the dense LU, and not even that for a system without a
+    /// `−0` entry, which is every system an analysis assembles.
     fn planned_solves_match_dense<T: LuScalar + std::fmt::Debug>(
         seed: u64,
         mut draw: impl FnMut(&mut StdRng) -> T,
@@ -325,32 +320,30 @@ mod tests {
         cases: &mut Cases,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut plan = LuPlan::default();
+        let mut book = PlanBook::new();
+        let structures: Vec<Vec<bool>> = (0..40)
+            .map(|_| {
+                let n = rng.gen_range(1..10usize);
+                let density = rng.gen_range(0.1..0.6);
+                (0..n * n)
+                    .map(|i| rng.gen_range(0.0..1.0) < if i / n == i % n { 0.85 } else { density })
+                    .collect()
+            })
+            .collect();
+        let mut shelves = vec![0u64; structures.len()];
         for _ in 0..400 {
-            let n = rng.gen_range(1..10usize);
-            let density = rng.gen_range(0.1..0.6);
-            let structure: Vec<bool> = (0..n * n)
-                .map(|i| rng.gen_range(0.0..1.0) < if i / n == i % n { 0.85 } else { density })
-                .collect();
-            // Each structure starts from the plan of a full one whose pivots
-            // stay in place, which its systems either happen to fit or leave.
-            // Its pivots must be invertible.
-            let mut identity = Matrix::<T>::zeros(n);
-            for k in 0..n {
-                while identity[(k, k)].is_zero() || identity[(k, k)].scale().is_none() {
-                    identity[(k, k)] = draw(&mut rng);
-                }
-            }
-            let (mut b, mut x) = (vec![T::default(); n], vec![T::default(); n]);
-            plan.solve_dense(&mut identity, &mut b, &mut x, &vec![true; n * n]).unwrap();
+            let which = rng.gen_range(0..structures.len());
+            let structure = &structures[which];
+            let n = (structure.len() as f64).sqrt() as usize;
+            let mut a = Matrix::zeros(n);
             for system in 0..8 {
-                let mut a = Matrix::zeros(n);
                 for (i, &structural) in structure.iter().enumerate() {
-                    if structural {
+                    if structural && (system == 0 || rng.gen_range(0.0..1.0) < 0.3) {
                         a[(i / n, i % n)] = draw(&mut rng);
                     }
                 }
                 let mut b: Vec<T> = (0..n).map(|_| draw(&mut rng)).collect();
+                let mut a = a.clone();
                 let has_non_finite = system == 7 && rng.gen_range(0.0..1.0) < 0.5;
                 if has_non_finite {
                     let i = rng.gen_range(0..n * n + n);
@@ -370,49 +363,82 @@ mod tests {
                     }
                 }
                 let non_finite_input = !a.values().iter().chain(&b).all(|v| v.is_finite());
+                let negative_zero = (-0.0f64).to_bits();
+                let exact =
+                    !a.values().iter().chain(&b).any(|&v| to_bits(v).contains(&negative_zero));
 
                 let (mut dense_a, mut dense_b, mut dense_x) =
                     (a.clone(), b.clone(), vec![T::default(); n]);
                 let dense =
-                    lu_solve_into(&mut dense_a, &mut dense_b, &mut dense_x, &mut Vec::new())
-                        .map(|()| bits(&dense_x, to_bits));
+                    lu_solve_into(&mut dense_a, &mut dense_b, &mut dense_x, &mut Vec::new()).map(
+                        |()| dense_x.iter().flat_map(|&value| to_bits(value)).collect::<Vec<_>>(),
+                    );
 
                 let (mut plan_a, mut plan_b, mut plan_x) =
                     (a.clone(), b.clone(), vec![T::default(); n]);
-                let planned = match plan.solve(&mut plan_a, &mut plan_b, &mut plan_x) {
-                    Ok(Replay::Solved) => {
-                        cases.replayed += 1;
-                        Ok(bits(&plan_x, to_bits))
-                    }
-                    Err(error) => {
-                        cases.singular_in_plan += 1;
-                        Err(error)
-                    }
-                    Ok(Replay::Fallback) => {
-                        if non_finite_input {
-                            cases.non_finite_fallbacks += 1;
-                        } else {
-                            cases.finite_fallbacks += 1;
-                        }
-                        let (mut a, mut b) = (a.clone(), b.clone());
-                        let solved = plan.solve_dense(&mut a, &mut b, &mut plan_x, &structure);
-                        if solved.is_err() {
-                            cases.singular_dense += 1;
-                        }
-                        solved.map(|()| bits(&plan_x, to_bits))
-                    }
+                let known = shelves[which];
+                let shelf = book.shelf(&mut shelves[which], structure);
+                if known != 0 && shelves[which] != known {
+                    cases.shelves_dropped += 1;
+                }
+                let before: Vec<Vec<usize>> =
+                    shelf.plans().iter().map(|plan| plan.pivots().to_vec()).collect();
+                take_factorizations();
+                let load = |plan_a: &mut Matrix<T>, plan_b: &mut [T]| {
+                    plan_a.copy_from(&a);
+                    plan_b.copy_from_slice(&b);
                 };
-                assert_eq!(planned, dense, "n = {n}, system {system}: {a:?}, {b:?}");
+                let planned = shelf.solve(&mut plan_a, &mut plan_b, &mut plan_x, load);
+                let counts = take_factorizations();
+                let after: Vec<Vec<usize>> =
+                    shelf.plans().iter().map(|plan| plan.pivots().to_vec()).collect();
+                match (&planned, counts.dense) {
+                    (Ok(()), 0) if before.first() == after.first() => cases.replayed_first += 1,
+                    (Ok(()), 0) => cases.replayed_other += 1,
+                    (Err(_), 0) => cases.singular_in_plan += 1,
+                    (Err(_), _) => cases.singular_dense += 1,
+                    (Ok(()), _) if non_finite_input => cases.non_finite_fallbacks += 1,
+                    (Ok(()), _) => cases.finite_fallbacks += 1,
+                }
+                if counts.dense > 0 && planned.is_ok() && !before.contains(&after[0]) {
+                    if before.len() == after.len() {
+                        cases.plans_dropped += 1;
+                    }
+                    assert!(after.len() <= PLANS_PER_STRUCTURE, "{} plans", after.len());
+                }
+                let planned = planned
+                    .map(|()| plan_x.iter().flat_map(|&value| to_bits(value)).collect::<Vec<_>>());
+                if exact {
+                    if matches!(&planned, Ok(x) if x.iter().any(|&bits| bits << 1 == 0)) {
+                        cases.exact_zeros += 1;
+                    }
+                    assert_eq!(planned, dense, "n = {n}, system {system}: {a:?}, {b:?}");
+                } else {
+                    let plus_zero = |x: Vec<u64>| {
+                        x.into_iter()
+                            .map(|bits| if bits == negative_zero { 0 } else { bits })
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        planned.map(plus_zero),
+                        dense.map(plus_zero),
+                        "n = {n}, system {system}: {a:?}, {b:?}"
+                    );
+                }
             }
         }
     }
 
     fn assert_every_case_met(cases: &Cases) {
-        assert!(cases.replayed > 1000, "{cases:?}");
+        assert!(cases.replayed_first > 500, "{cases:?}");
+        assert!(cases.replayed_other > 100, "{cases:?}");
         assert!(cases.finite_fallbacks > 100, "{cases:?}");
         assert!(cases.non_finite_fallbacks > 20, "{cases:?}");
         assert!(cases.singular_in_plan > 20, "{cases:?}");
         assert!(cases.singular_dense > 20, "{cases:?}");
+        assert!(cases.plans_dropped > 20, "{cases:?}");
+        assert!(cases.shelves_dropped > 20, "{cases:?}");
+        assert!(cases.exact_zeros > 20, "{cases:?}");
     }
 
     #[test]
@@ -452,12 +478,8 @@ mod tests {
             // A plan of the full structure whose pivots stay in place, as the
             // system's would.
             let mut plan = LuPlan::default();
-            let mut identity = Matrix::zeros(2);
-            identity[(0, 0)] = Complex::one();
-            identity[(1, 1)] = Complex::one();
-            let (mut rhs, mut x) = (vec![Complex::zero(); 2], vec![Complex::zero(); 2]);
-            plan.solve_dense(&mut identity, &mut rhs, &mut x, &[true; 4]).unwrap();
-            let mut b = b;
+            plan.rebuild(&[true; 4], &[0, 1]);
+            let (mut b, mut x) = (b, vec![Complex::zero(); 2]);
             assert_eq!(plan.solve(&mut a, &mut b, &mut x), Err(singular.clone()), "s = {s}");
         }
     }

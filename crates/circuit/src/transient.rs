@@ -188,7 +188,7 @@ pub fn transient_analysis_from(
         DynamicState { x: initial_x.to_vec(), capacitor_currents: vec![0.0; element_count] };
     let mut times = vec![0.0];
     let mut solutions = state.x.clone();
-    let mut work = NewtonWorkspace::new(layout.size());
+    let mut work = NewtonWorkspace::new(circuit, &layout, true);
     let mut x_new = vec![0.0; layout.size()];
 
     let mut time = 0.0;
@@ -208,15 +208,15 @@ pub fn transient_analysis_from(
             } else {
                 IntegrationMethod::Trapezoidal
             };
-            if step(circuit, &layout, &state, &mut x_new, (t_new, h, method), &mut work).is_err() {
+            if step(&state, &mut x_new, (t_new, h, method), &mut work).is_err() {
                 // Retry with the more robust combination: backward Euler and
                 // two half-steps.
                 let half = h / 2.0;
                 let be = IntegrationMethod::BackwardEuler;
                 let mut mid_state = state.clone();
-                step(circuit, &layout, &mid_state, &mut x_new, (time + half, half, be), &mut work)?;
+                step(&mid_state, &mut x_new, (time + half, half, be), &mut work)?;
                 advance_state(circuit, &layout, &mut mid_state, &mut x_new, half, be);
-                step(circuit, &layout, &mid_state, &mut x_new, (t_new, half, be), &mut work)?;
+                step(&mid_state, &mut x_new, (t_new, half, be), &mut work)?;
             }
             advance_state(circuit, &layout, &mut state, &mut x_new, h, method);
         }
@@ -250,8 +250,6 @@ fn source_waveforms(circuit: &Circuit) -> impl Iterator<Item = &SourceWaveform> 
 
 /// Solves the time step `(t_new, h, method)` from `state` into `x_new`.
 fn step(
-    circuit: &Circuit,
-    layout: &MnaLayout,
     state: &DynamicState,
     x_new: &mut Vec<f64>,
     time_step: (f64, f64, IntegrationMethod),
@@ -259,7 +257,7 @@ fn step(
 ) -> Result<()> {
     let options = AssemblyOptions { gmin: 1e-12, source_scale: 1.0, time_step: Some(time_step) };
     x_new.copy_from_slice(&state.x);
-    newton_solve(circuit, layout, x_new, Some(state), &options, work)
+    newton_solve(x_new, Some(state), &options, work)
 }
 
 /// Accepts the step to `x_new`: updates the capacitor currents in place and

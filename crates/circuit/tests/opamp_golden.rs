@@ -35,6 +35,26 @@ fn opamp_measurements_keep_their_golden_bits() {
     }
 }
 
+/// Every thread keeps the factorization plans it has built and solves later
+/// systems through them, so which plan solves a system depends on what the
+/// thread simulated before.  The bits must not: seed 2005 measures the same
+/// on a fresh thread and on one that first simulated the op-amps of seeds
+/// 0..64.
+#[test]
+fn measurements_do_not_depend_on_what_the_thread_simulated_before() {
+    let fresh = std::thread::spawn(|| measurement_bits(&perturbed(2005))).join().unwrap();
+    let after_others = std::thread::spawn(|| {
+        for seed in 0..64 {
+            perturbed(seed).measure().expect("instance simulates");
+        }
+        measurement_bits(&perturbed(2005))
+    })
+    .join()
+    .unwrap();
+    assert_eq!(fresh, GOLDEN_SEED_2005);
+    assert_eq!(after_others, fresh);
+}
+
 /// Ending each transient once the circuit has settled moves its final value
 /// by at most the 1 nV Newton tolerance, so rise time and overshoot, which are
 /// measured against the final value, stay within a hair of the full-window

@@ -1,7 +1,7 @@
 //! Grid-based training-data compaction and the lookup-table tester model
 //! (paper Sections 4.3 and 3.3).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -19,7 +19,9 @@ const LOOKUP_TABLE_CELL_LIMIT: u128 = 4_000_000;
 /// single representative at the cell centre.
 ///
 /// Returns the compressed rows (in original measurement units) so they can be
-/// wrapped in a new [`MeasurementSet`].
+/// wrapped in a new [`MeasurementSet`]: the cells in ascending order of
+/// their grid coordinates, a boundary cell's instances in population order.
+/// The same population therefore always compresses to the same rows.
 ///
 /// # Errors
 ///
@@ -65,7 +67,7 @@ pub fn compress_training_data(
         })
         .collect();
     let labels = data.labels();
-    let mut cells: HashMap<Vec<u16>, Cell> = HashMap::new();
+    let mut cells: BTreeMap<Vec<u16>, Cell> = BTreeMap::new();
     for (i, &label) in labels.iter().enumerate() {
         let key: Vec<u16> = cell_columns.iter().map(|column| column[i]).collect();
         let cell = cells.entry(key).or_default();
@@ -329,7 +331,7 @@ mod tests {
     use super::*;
     use crate::device::SyntheticDevice;
     use crate::guardband::GuardBandConfig;
-    use crate::montecarlo::{generate_train_test, MonteCarloConfig};
+    use crate::montecarlo::{generate_measurement_set, generate_train_test, MonteCarloConfig};
 
     fn train_pair(train: &MeasurementSet, kept: &[usize]) -> GuardBandedClassifier {
         GuardBandedClassifier::train_with(
@@ -369,6 +371,26 @@ mod tests {
             compact_error <= full_error + 0.06,
             "compressed-model error {compact_error} vs {full_error}"
         );
+    }
+
+    /// The rows come in cell order, not in the order of a hash map, which
+    /// differs from one map to the next: every call on one population gives
+    /// the same bytes, and so trains the same model.
+    #[test]
+    fn compression_is_deterministic() {
+        let device = SyntheticDevice::new(3, 1.5, 0.85);
+        let train =
+            generate_measurement_set(&device, &MonteCarloConfig::new(300).with_seed(5)).unwrap();
+        let bytes = |set: &MeasurementSet| -> Vec<u64> {
+            (0..set.len()).flat_map(|i| set.row_values(i)).map(f64::to_bits).collect()
+        };
+        let first = compress_training_data(&train, 6).unwrap();
+        assert!(first.len() > 20 && first.len() < train.len(), "{} rows", first.len());
+        for _ in 0..4 {
+            let again = compress_training_data(&train, 6).unwrap();
+            assert_eq!(bytes(&again), bytes(&first));
+            assert_eq!(again.labels(), first.labels());
+        }
     }
 
     #[test]

@@ -584,51 +584,36 @@ impl<'a> CandidateEvaluator<'a> {
         self.evaluate_candidate_sets(&kept_sets, &parent)
     }
 
-    /// The batch core behind [`CandidateEvaluator::evaluate_removals`]: a
-    /// deduplication pass on the caller's thread, then the evaluations over
-    /// the worker pool.  `None` entries stand for "the removal would leave
-    /// no test" and report [`Verdict::LastTest`].  Duplicates of
-    /// the same kept set (ascending, as [`CandidateEvaluator::kept_without`]
-    /// builds them) collapse onto their first occurrence: one training, one
-    /// shared verdict.
+    /// The batch core behind [`CandidateEvaluator::evaluate_removals`]: the
+    /// evaluations over the worker pool.  `None` entries stand for "the
+    /// removal would leave no test" and report [`Verdict::LastTest`].  A
+    /// batch never names one kept set twice: every strategy draws its
+    /// candidates from the validated, duplicate-free elimination order.
     fn evaluate_candidate_sets(
         &self,
         kept_sets: &[Option<Vec<usize>>],
         warm_parent: &[usize],
     ) -> Result<Vec<Verdict>> {
-        // Each candidate maps onto the first occurrence of its kept set
-        // (`None` = the removal would leave no test).
-        let mut unique: Vec<&[usize]> = Vec::new();
-        let slots: Vec<Option<usize>> = kept_sets
+        let sets: Vec<&[usize]> = kept_sets.iter().flatten().map(Vec::as_slice).collect();
+        debug_assert!(
+            sets.iter().enumerate().all(|(i, kept)| !sets[..i].contains(kept)),
+            "a batch names one kept set twice: {sets:?}"
+        );
+        let mut verdicts = self.evaluate_sets(&sets, Some(warm_parent)).into_iter();
+        kept_sets
             .iter()
-            .map(|candidate| {
-                let kept = candidate.as_deref()?;
-                Some(match unique.iter().position(|seen| *seen == kept) {
-                    Some(found) => found,
-                    None => {
-                        unique.push(kept);
-                        unique.len() - 1
-                    }
-                })
+            .map(|kept| {
+                if kept.is_none() {
+                    return Ok(Verdict::LastTest);
+                }
+                match verdicts.next().expect("one outcome per kept set") {
+                    Ok(entry) => Ok(Verdict::Scored(entry.1)),
+                    Err(CompactionError::Classifier { .. })
+                    | Err(CompactionError::InsufficientData { .. }) => Ok(Verdict::Untrainable),
+                    Err(other) => Err(other),
+                }
             })
-            .collect();
-        let verdicts = self
-            .evaluate_sets(&unique, Some(warm_parent))
-            .into_iter()
-            .map(|outcome| match outcome {
-                Ok(entry) => Ok(Verdict::Scored(entry.1)),
-                Err(CompactionError::Classifier { .. })
-                | Err(CompactionError::InsufficientData { .. }) => Ok(Verdict::Untrainable),
-                Err(other) => Err(other),
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(slots
-            .into_iter()
-            .map(|slot| match slot {
-                None => Verdict::LastTest,
-                Some(index) => verdicts[index].clone(),
-            })
-            .collect())
+            .collect()
     }
 
     /// The deploy-stage model of the final kept set.  Every strategy
@@ -1148,25 +1133,6 @@ mod tests {
                 .unwrap();
             assert_eq!(sequential, threaded, "strategy {:?}", strategy);
         }
-    }
-
-    #[test]
-    fn duplicate_kept_sets_in_a_batch_share_one_training() {
-        let compactor = redundant_population();
-        let backend = grid();
-        let config = CompactionConfig::paper_default().with_tolerance(0.05).with_threads(4);
-        let eval =
-            CandidateEvaluator::new(compactor.training(), compactor.testing(), &backend, &config);
-        // Removing the same candidate twice names the same kept set twice.
-        let verdicts = eval.evaluate_removals(&[], &[3, 3]).unwrap();
-        // The duplicate collapses onto the first occurrence: both score, and
-        // one model pair is trained (cold: the complete suite was never
-        // evaluated, so there is no parent to warm-start from).
-        assert!(matches!(verdicts[0], Verdict::Scored(_)));
-        assert!(matches!(verdicts[1], Verdict::Scored(_)));
-        assert_eq!(eval.cache_stats(), ModelCacheStats { hits: 0, misses: 1 });
-        let warm_start = eval.warm_start_stats();
-        assert_eq!((warm_start.warm_trainings, warm_start.cold_trainings), (0, 1));
     }
 
     /// Two search threads train the one candidate whose verdict greedy

@@ -80,13 +80,6 @@ pub struct JobProgress {
     pub shards: Vec<ShardProgress>,
 }
 
-impl JobProgress {
-    /// Total tests eliminated across all best frontiers so far.
-    pub fn eliminated_so_far(&self) -> usize {
-        self.shards.iter().map(|shard| shard.best_frontier.len()).sum()
-    }
-}
-
 /// The externally visible lifecycle of a job.
 //
 // The `Done` report dwarfs the other variants, but the wire shape is pinned

@@ -91,7 +91,8 @@ fn running_jobs_stream_non_empty_frontiers() {
         match service.status(id).expect("status") {
             JobStatus::Queued => std::thread::yield_now(),
             JobStatus::Running { progress } => {
-                if progress.eliminated_so_far() > 0 {
+                if progress.shards.iter().map(|shard| shard.best_frontier.len()).sum::<usize>() > 0
+                {
                     saw_running_frontier = true;
                 }
                 std::thread::yield_now();

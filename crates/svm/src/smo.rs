@@ -313,14 +313,18 @@ thread_local! {
 struct RowCache {
     capacity: usize,
     clock: u64,
-    resident: usize,
+    /// The indices of the resident rows, at most `capacity`, which an
+    /// eviction scans instead of every slot.
+    resident: Vec<usize>,
     /// One slot per row: `(last-use stamp, row values)` when resident.
     rows: Vec<Option<(u64, Vec<f64>)>>,
 }
 
 impl RowCache {
     fn new(capacity: usize, n: usize) -> Self {
-        RowCache { capacity: capacity.max(2), clock: 0, resident: 0, rows: vec![None; n] }
+        let capacity = capacity.max(2);
+        let resident = Vec::with_capacity(capacity.min(n));
+        RowCache { capacity, clock: 0, resident, rows: vec![None; n] }
     }
 
     /// Makes row `i` resident (computing it if needed, evicting the
@@ -376,24 +380,23 @@ impl RowCache {
     }
 
     /// Stores row `i` under the current clock, evicting the
-    /// least-recently-used row when the cache is at capacity.
+    /// least-recently-used row (the one with the least stamp, which no other
+    /// row shares) when the cache is at capacity.
     fn insert(&mut self, i: usize, row: Vec<f64>) {
-        if self.resident >= self.capacity {
-            let evict = self
-                .rows
+        if self.resident.len() >= self.capacity {
+            let (at, _) = self
+                .resident
                 .iter()
                 .enumerate()
-                .filter_map(|(t, slot)| slot.as_ref().map(|(stamp, _)| (*stamp, t)))
-                .min()
-                .map(|(_, t)| t)
+                .min_by_key(|&(_, &t)| self.rows[t].as_ref().map(|(stamp, _)| *stamp))
                 .expect("a full cache has a least-recently-used row");
+            let evict = self.resident.swap_remove(at);
             if let Some((_, row)) = self.rows[evict].take() {
                 free_rows().give(row);
             }
-            self.resident -= 1;
         }
         self.rows[i] = Some((self.clock, row));
-        self.resident += 1;
+        self.resident.push(i);
     }
 
     /// Borrows a row previously made resident with [`RowCache::ensure`].
@@ -982,7 +985,7 @@ mod tests {
             assert_eq!(cache.row(0)[3], 3.0);
         }
         // Only the capacity's worth of rows is resident.
-        assert_eq!(cache.resident, 2);
+        assert_eq!(cache.resident.len(), 2);
         assert_eq!(cache.rows.iter().filter(|slot| slot.is_some()).count(), 2);
     }
 
@@ -1282,7 +1285,9 @@ mod tests {
             expected.sort_unstable();
             let resident: Vec<usize> = (0..n).filter(|&i| cache.rows[i].is_some()).collect();
             assert_eq!(resident, expected);
-            assert_eq!(cache.resident, expected.len());
+            let mut listed = cache.resident.clone();
+            listed.sort_unstable();
+            assert_eq!(listed, expected);
             assert_eq!(*q.computed.borrow(), reference.misses);
             for &i in batch {
                 let row: Vec<f64> = (0..n).map(|j| (i * n + j) as f64).collect();

@@ -1,10 +1,5 @@
-//! Shared Monte-Carlo populations for the experiments.
-//!
-//! Building the op-amp population is the expensive part of every experiment
-//! (thousands of transistor-level simulations), so the harness builds it once
-//! per process and shares it behind a lock.
-
-use std::sync::Mutex;
+//! The Monte-Carlo populations of the experiments, with the calibration
+//! quantiles that put their training yields near the paper's.
 
 use spec_test_compaction::adapters::{AccelerometerDevice, OpAmpDevice};
 use stc_core::{generate_train_test, MeasurementSet, MonteCarloConfig};
@@ -19,14 +14,7 @@ const OPAMP_QUANTILES: (f64, f64) = (0.02, 0.98);
 /// so the per-spec tails must be much wider than 1/12th of the target).
 const MEMS_QUANTILES: (f64, f64) = (0.075, 0.925);
 
-/// Cache key: (train instances, test instances, seed).
-type PopulationKey = (usize, usize, u64);
-type PopulationCache = Mutex<Option<(PopulationKey, (MeasurementSet, MeasurementSet))>>;
-
-static OPAMP_CACHE: PopulationCache = Mutex::new(None);
-static MEMS_CACHE: PopulationCache = Mutex::new(None);
-
-/// Builds (or returns the cached) op-amp training/test population.
+/// Builds the op-amp training/test population.
 ///
 /// # Panics
 ///
@@ -38,26 +26,17 @@ pub fn opamp_population(
     seed: u64,
     threads: usize,
 ) -> (MeasurementSet, MeasurementSet) {
-    let key = (train_instances, test_instances, seed);
-    let mut cache = OPAMP_CACHE.lock().expect("population cache poisoned");
-    if let Some((cached_key, population)) = cache.as_ref() {
-        if *cached_key == key {
-            return population.clone();
-        }
-    }
     let device = OpAmpDevice::paper_setup();
     let config = MonteCarloConfig::new(train_instances)
         .with_seed(seed)
         .with_threads(threads)
         .with_calibration_quantiles(OPAMP_QUANTILES.0, OPAMP_QUANTILES.1);
-    let population = generate_train_test(&device, &config, test_instances)
-        .expect("op-amp population generation failed");
-    *cache = Some((key, population.clone()));
-    population
+    generate_train_test(&device, &config, test_instances)
+        .expect("op-amp population generation failed")
 }
 
-/// Builds (or returns the cached) accelerometer training/test population with
-/// all twelve temperature tests.
+/// Builds the accelerometer training/test population with all twelve
+/// temperature tests.
 ///
 /// # Panics
 ///
@@ -68,22 +47,13 @@ pub fn mems_population(
     seed: u64,
     threads: usize,
 ) -> (MeasurementSet, MeasurementSet) {
-    let key = (train_instances, test_instances, seed);
-    let mut cache = MEMS_CACHE.lock().expect("population cache poisoned");
-    if let Some((cached_key, population)) = cache.as_ref() {
-        if *cached_key == key {
-            return population.clone();
-        }
-    }
     let device = AccelerometerDevice::paper_setup();
     let config = MonteCarloConfig::new(train_instances)
         .with_seed(seed)
         .with_threads(threads)
         .with_calibration_quantiles(MEMS_QUANTILES.0, MEMS_QUANTILES.1);
-    let population = generate_train_test(&device, &config, test_instances)
-        .expect("accelerometer population generation failed");
-    *cache = Some((key, population.clone()));
-    population
+    generate_train_test(&device, &config, test_instances)
+        .expect("accelerometer population generation failed")
 }
 
 #[cfg(test)]
@@ -96,7 +66,7 @@ mod tests {
         assert_eq!(train.len(), 40);
         assert_eq!(test.len(), 20);
         assert_eq!(train.specs().len(), 11);
-        // Second call with the same key returns the cached population.
+        // The same arguments build the same population.
         let (train2, _) = opamp_population(40, 20, 11, 4);
         assert_eq!(train.row_values(0), train2.row_values(0));
     }

@@ -58,11 +58,6 @@ impl Complex {
         self.re * self.re + self.im * self.im
     }
 
-    /// Phase angle in radians.
-    pub fn arg(&self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Multiplicative inverse.  A NaN part gives NaN parts, and a number
     /// whose squared magnitude underflows to zero gives infinite or NaN
     /// parts.
@@ -184,7 +179,7 @@ mod tests {
     fn norm_and_arg() {
         let z = Complex::new(0.0, 2.0);
         assert_eq!(z.norm(), 2.0);
-        assert!((z.arg() - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
+        assert!((z.im.atan2(z.re) - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
         assert_eq!(Complex::real(-1.0).norm(), 1.0);
     }
 

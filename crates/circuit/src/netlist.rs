@@ -69,11 +69,6 @@ impl Circuit {
         }
     }
 
-    /// Looks up an existing node by name.
-    pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.node_names.iter().position(|n| n == name).map(NodeId)
-    }
-
     /// Total number of nodes including ground.
     pub fn node_count(&self) -> usize {
         self.node_names.len()
@@ -276,8 +271,6 @@ mod tests {
         let a2 = c.node("a");
         assert_eq!(a, a2);
         assert_eq!(c.node_count(), 2);
-        assert_eq!(c.find_node("a"), Some(a));
-        assert_eq!(c.find_node("zz"), None);
         assert!(Circuit::ground().is_ground());
         assert!(!a.is_ground());
     }

@@ -356,10 +356,10 @@ mod tests {
 
     #[test]
     fn the_quiet_lead_in_holds_the_operating_point_exactly() {
-        let (c, vout) = rc_driven_by(SourceWaveform::step(0.3, 1.0, 50e-6));
+        let (mut c, vout) = rc_driven_by(SourceWaveform::step(0.3, 1.0, 50e-6));
+        let vin = c.node("vin");
         let op = dc_operating_point(&c).unwrap();
         let result = transient_analysis(&c, &TransientParams::new(200e-6, 1e-6)).unwrap();
-        let vin = c.find_node("vin").unwrap();
         let lead_in = result.times().iter().take_while(|&&t| t <= 50e-6).count();
         assert_eq!(lead_in, 51);
         for index in 0..lead_in {

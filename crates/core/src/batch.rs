@@ -9,9 +9,11 @@
 //! spreading the runs over the shared work-stealing [`crate::pool`] (each
 //! run may additionally train its search's models on the threads of
 //! [`CompactionConfig::with_threads`](crate::CompactionConfig::with_threads),
-//! two jobs per candidate: its strict and its loose model) and sharing one
-//! Monte-Carlo [`PopulationCache`] so repeated runs over the same device +
-//! configuration never re-simulate.
+//! two jobs per candidate: its strict and its loose model).  Each device
+//! entry simulates its population on every run; to run several batches
+//! over one population, generate it once with
+//! [`generate_train_test`](crate::generate_train_test) and add the sets with
+//! [`PipelineBatch::measured`].
 //!
 //! Results are deterministic and independent of the worker count: the batch
 //! report equals the reports of the same pipelines run one by one.
@@ -37,127 +39,15 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::MeasurementSet;
 use crate::device::DeviceUnderTest;
 use crate::metrics::ErrorBreakdown;
-use crate::montecarlo::{generate_train_test, MonteCarloConfig};
 use crate::pipeline::{stage_setters, PipelineReport, Stages};
 use crate::pool;
 use crate::report::percent;
 use crate::Result;
-
-/// Cache key for one generated population: the batch entry label, a device
-/// fingerprint and every configuration value that influences the simulated
-/// data.  Quantiles are stored as bit patterns so the key can be hashed
-/// exactly.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PopulationKey {
-    label: String,
-    device_fingerprint: String,
-    instances: usize,
-    seed: u64,
-    test_instances: usize,
-    quantile_bits: (u64, u64),
-}
-
-impl PopulationKey {
-    fn new(
-        label: &str,
-        device: &dyn DeviceUnderTest,
-        config: &MonteCarloConfig,
-        test_instances: usize,
-    ) -> Self {
-        PopulationKey {
-            label: label.to_string(),
-            device_fingerprint: device.fingerprint(),
-            instances: config.instances,
-            seed: config.seed,
-            test_instances,
-            quantile_bits: (
-                config.calibration_quantiles.0.to_bits(),
-                config.calibration_quantiles.1.to_bits(),
-            ),
-        }
-    }
-}
-
-/// Shared cache of Monte-Carlo populations keyed by batch-entry label +
-/// generation configuration.
-///
-/// Simulating the population dominates every experiment on the real device
-/// models (thousands of transistor-level simulations), so a batch generates
-/// each population once and every later [`PipelineBatch::run`] against the
-/// same cache reuses it.  Cached measurement sets are `Arc`-shared columnar
-/// views, so a hit costs no measurement copies.
-///
-/// Entries are keyed by the entry *label* plus the device's
-/// [`fingerprint`](DeviceUnderTest::fingerprint).  A cache shared across
-/// batches therefore assumes equal labels + fingerprints mean the same
-/// device model; implement `fingerprint` for device types whose simulation
-/// depends on parameters the default fingerprint cannot see.
-#[derive(Debug, Default)]
-pub struct PopulationCache {
-    populations: Mutex<HashMap<PopulationKey, Arc<(MeasurementSet, MeasurementSet)>>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
-impl PopulationCache {
-    /// An empty cache, ready to be shared across batches via `Arc`.
-    pub fn new() -> Self {
-        PopulationCache::default()
-    }
-
-    /// Returns the cached population for the key, or generates, caches and
-    /// returns it.
-    fn get_or_generate(
-        &self,
-        label: &str,
-        device: &dyn DeviceUnderTest,
-        config: &MonteCarloConfig,
-        test_instances: usize,
-    ) -> Result<Arc<(MeasurementSet, MeasurementSet)>> {
-        let key = PopulationKey::new(label, device, config, test_instances);
-        if let Some(found) = self.populations.lock().expect("population cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(found));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Generate outside the lock so concurrent workers build *different*
-        // populations in parallel; duplicate keys racing is harmless because
-        // generation is deterministic for a fixed key.
-        let population = Arc::new(generate_train_test(device, config, test_instances)?);
-        self.populations
-            .lock()
-            .expect("population cache poisoned")
-            .entry(key)
-            .or_insert_with(|| Arc::clone(&population));
-        Ok(population)
-    }
-
-    /// Hit/miss counters accumulated over the cache's lifetime.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Hit/miss counters of a [`PopulationCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Populations served from the cache.
-    pub hits: usize,
-    /// Populations generated because the key was absent.
-    pub misses: usize,
-}
 
 /// One entry of a batch.
 struct BatchEntry<'d> {
@@ -167,9 +57,9 @@ struct BatchEntry<'d> {
 
 /// Where an entry's population comes from.
 enum Population<'d> {
-    /// Simulated through the shared Monte-Carlo stage and population cache.
+    /// Simulated through the batch's Monte-Carlo stage.
     Simulated(&'d dyn DeviceUnderTest),
-    /// Measured data: no simulation, no population cache.
+    /// Measured data: no simulation.
     Measured { train: MeasurementSet, test: MeasurementSet },
 }
 
@@ -189,7 +79,6 @@ pub struct PipelineBatch<'d> {
     entries: Vec<BatchEntry<'d>>,
     stages: Stages,
     batch_threads: usize,
-    populations: Arc<PopulationCache>,
 }
 
 impl std::fmt::Debug for PipelineBatch<'_> {
@@ -213,12 +102,7 @@ impl<'d> PipelineBatch<'d> {
     /// [`GridBackend`](crate::GridBackend) classifier (mirrors
     /// [`CompactionPipeline::for_device`](crate::CompactionPipeline::for_device)).
     pub fn new() -> Self {
-        PipelineBatch {
-            entries: Vec::new(),
-            stages: Stages::default(),
-            batch_threads: 1,
-            populations: Arc::new(PopulationCache::new()),
-        }
+        PipelineBatch { entries: Vec::new(), stages: Stages::default(), batch_threads: 1 }
     }
 
     /// Appends a device, labelled `"<device name>#<index>"`.
@@ -227,8 +111,8 @@ impl<'d> PipelineBatch<'d> {
         self.push(label, Population::Simulated(device))
     }
 
-    /// Appends a device under an explicit label (the label keys the
-    /// population cache and the per-run report).
+    /// Appends a device under an explicit label (the label names the
+    /// entry's run in the report).
     pub fn device_labelled(
         self,
         label: impl Into<String>,
@@ -238,10 +122,11 @@ impl<'d> PipelineBatch<'d> {
     }
 
     /// Appends a measured (non-simulated) population, for example production
-    /// data: the entry skips the Monte-Carlo stage and the population cache
-    /// (it counts neither a hit nor a miss) and reports `label` as its
-    /// device.  Measurement sets are zero-copy views over `Arc`-shared
-    /// columnar storage, so they are cheap to pass by value.
+    /// data or a population from
+    /// [`generate_train_test`](crate::generate_train_test) that several
+    /// batches reuse: the entry skips the Monte-Carlo stage and reports
+    /// `label` as its device.  Measurement sets are zero-copy views over
+    /// `Arc`-shared columnar storage, so they are cheap to pass by value.
     pub fn measured(
         self,
         label: impl Into<String>,
@@ -266,33 +151,14 @@ impl<'d> PipelineBatch<'d> {
         self
     }
 
-    /// Shares an external population cache (for example one cache across
-    /// several batches sweeping classifier backends over the same devices).
-    pub fn with_population_cache(mut self, cache: Arc<PopulationCache>) -> Self {
-        self.populations = cache;
-        self
-    }
-
-    /// Runs one entry: its measured population, or the cached (or freshly
-    /// generated) simulated one, then the compaction pipeline stages.
+    /// Runs one entry: its measured population, or one it simulates, then
+    /// the compaction pipeline stages.
     fn run_entry(&self, entry: &BatchEntry<'d>) -> Result<PipelineReport> {
         match &entry.population {
             Population::Measured { train, test } => {
                 self.stages.run_with_population(&entry.label, train.clone(), test.clone())
             }
-            Population::Simulated(device) => {
-                let population = self.populations.get_or_generate(
-                    &entry.label,
-                    *device,
-                    &self.stages.monte_carlo,
-                    self.stages.resolved_test_instances(),
-                )?;
-                self.stages.run_with_population(
-                    device.name(),
-                    population.0.clone(),
-                    population.1.clone(),
-                )
-            }
+            Population::Simulated(device) => self.stages.run_device(*device),
         }
     }
 
@@ -307,8 +173,8 @@ impl<'d> PipelineBatch<'d> {
     /// Returns [`CompactionError::EmptyBatch`](crate::CompactionError) when
     /// no device was added and
     /// [`CompactionError::DuplicateBatchLabel`](crate::CompactionError) when
-    /// two entries share a label (labels key the population cache, so a
-    /// collision would silently run one entry on the other's population);
+    /// two entries share a label (labels name the report's runs, so a
+    /// collision would leave two runs that cannot be told apart);
     /// propagates the lowest-index per-entry error.  An entry failure
     /// cancels the entries that have not started yet, so the error path
     /// does not pay for simulating the rest of the batch.
@@ -333,13 +199,7 @@ impl<'d> PipelineBatch<'d> {
             .map(|(entry, report)| BatchRun { label: entry.label.clone(), report })
             .collect();
         let aggregate = BatchAggregate::from_runs(&runs);
-        let population_cache = self.populations.stats();
-        Ok(BatchReport {
-            runs,
-            aggregate,
-            population_cache_hits: population_cache.hits,
-            population_cache_misses: population_cache.misses,
-        })
+        Ok(BatchReport { runs, aggregate })
     }
 }
 
@@ -421,11 +281,6 @@ pub struct BatchReport {
     pub runs: Vec<BatchRun>,
     /// Aggregate compaction/cost statistics.
     pub aggregate: BatchAggregate,
-    /// Population-cache hits of the cache used for this run (lifetime
-    /// counters when the cache is shared across batches).
-    pub population_cache_hits: usize,
-    /// Population-cache misses.
-    pub population_cache_misses: usize,
 }
 
 impl BatchReport {
@@ -474,7 +329,7 @@ mod tests {
     use super::*;
     use crate::device::SyntheticDevice;
     use crate::pipeline::CompactionPipeline;
-    use crate::CompactionConfig;
+    use crate::{CompactionConfig, MonteCarloConfig};
 
     fn batch(devices: &[SyntheticDevice]) -> PipelineBatch<'_> {
         let mut batch = PipelineBatch::new()
@@ -528,40 +383,6 @@ mod tests {
             .device(&good)
             .run();
         assert!(matches!(result, Err(crate::CompactionError::SimulationFailed { .. })));
-    }
-
-    #[test]
-    fn shared_cache_distinguishes_devices_behind_one_label() {
-        // Two *different* device models under the same label across two
-        // batches: the device fingerprint keeps their populations apart.
-        let a = SyntheticDevice::new(3, 1.8, 0.9);
-        let b = SyntheticDevice::new(3, 1.2, 0.9);
-        let cache = Arc::new(PopulationCache::new());
-        let run = |device: &SyntheticDevice| {
-            PipelineBatch::new()
-                .monte_carlo(MonteCarloConfig::new(150).with_seed(9))
-                .test_instances(80)
-                .device_labelled("corner", device)
-                .with_population_cache(Arc::clone(&cache))
-                .run()
-                .unwrap()
-        };
-        let first = run(&a);
-        let second = run(&b);
-        // The second batch must NOT reuse the first device's population.
-        assert_eq!(second.population_cache_hits, 0);
-        assert_eq!(second.population_cache_misses, 2);
-        assert_ne!(first.runs[0].report.train_yield, second.runs[0].report.train_yield);
-        // The same device under the same label does hit.
-        let third = run(&a);
-        assert_eq!(third.population_cache_hits, 1);
-        // A device differing only in an *unobservable* parameter (the
-        // correlation) is still distinguished, via the overridden
-        // `DeviceUnderTest::fingerprint`.
-        let c = SyntheticDevice::new(3, 1.8, 0.2);
-        let fourth = run(&c);
-        assert_eq!(fourth.population_cache_hits, 1);
-        assert_eq!(fourth.population_cache_misses, 3);
     }
 
     #[test]
@@ -620,22 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn population_cache_hits_on_the_second_run() {
-        let devices = devices();
-        let batch = batch(&devices);
-        let first = batch.run().unwrap();
-        assert_eq!(first.population_cache_hits, 0);
-        assert_eq!(first.population_cache_misses, devices.len());
-        let second = batch.run().unwrap();
-        assert_eq!(second.population_cache_hits, devices.len());
-        assert_eq!(second.population_cache_misses, devices.len());
-        // Cached populations reproduce the same reports.
-        for (a, b) in first.runs.iter().zip(second.runs.iter()) {
-            assert_eq!(a.report.compaction, b.report.compaction);
-        }
-    }
-
-    #[test]
     fn batch_carries_the_search_strategy_to_every_entry() {
         use crate::search::SearchStrategy;
 
@@ -668,15 +473,5 @@ mod tests {
             report.reports().map(|r| r.deployed.total).sum::<usize>()
         );
         assert!(report.summary().contains("4 devices"));
-    }
-
-    #[test]
-    fn shared_caches_span_batches() {
-        let devices = devices();
-        let cache = Arc::new(PopulationCache::new());
-        let first = batch(&devices).with_population_cache(Arc::clone(&cache)).run().unwrap();
-        let second = batch(&devices).with_population_cache(Arc::clone(&cache)).run().unwrap();
-        assert_eq!(first.population_cache_misses, devices.len());
-        assert_eq!(second.population_cache_hits, devices.len());
     }
 }

@@ -532,26 +532,6 @@ impl MeasurementSet {
         good as f64 / self.len() as f64
     }
 
-    /// Fraction of instances that pass specification `column` alone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompactionError::UnknownSpecification`] for a bad column.
-    pub fn per_spec_yield(&self, column: usize) -> Result<f64> {
-        if column >= self.specs.len() {
-            return Err(CompactionError::UnknownSpecification {
-                index: column,
-                count: self.specs.len(),
-            });
-        }
-        if self.is_empty() {
-            return Ok(1.0);
-        }
-        let spec = self.specs.spec(column);
-        let pass = self.matrix.column(column).iter().filter(|&&v| spec.passes(v)).count();
-        Ok(pass as f64 / self.len() as f64)
-    }
-
     /// Splits the instances into two measurement sets at `index`
     /// (first `index` rows, remaining rows).  Both halves are zero-copy views
     /// sharing this set's allocation.
@@ -771,9 +751,10 @@ mod tests {
     #[test]
     fn per_spec_yield_isolates_columns() {
         let set = sample_set();
-        assert_eq!(set.per_spec_yield(0).unwrap(), 0.75);
-        assert_eq!(set.per_spec_yield(1).unwrap(), 0.75);
-        assert!(set.per_spec_yield(7).is_err());
+        for column in 0..2 {
+            let spec = set.specs().spec(column);
+            assert_eq!(set.column(column).iter().filter(|&&v| spec.passes(v)).count(), 3);
+        }
     }
 
     #[test]
@@ -862,6 +843,5 @@ mod tests {
         let empty = MeasurementSet::new(two_spec_set(), vec![]).unwrap();
         assert!(empty.is_empty());
         assert_eq!(empty.yield_fraction(), 1.0);
-        assert_eq!(empty.per_spec_yield(0).unwrap(), 1.0);
     }
 }

@@ -34,8 +34,8 @@ pub trait DeviceUnderTest: Sync {
     /// # Errors
     ///
     /// Returns a human-readable message when the instance cannot be
-    /// simulated or measured; the Monte-Carlo driver either skips or reports
-    /// the failure depending on its configuration.
+    /// simulated or measured; [`crate::montecarlo::run_monte_carlo`] skips
+    /// the failed instance and simulates the next seed in its place.
     fn simulate_instance(&self, rng: &mut StdRng) -> Result<Vec<f64>, String>;
 
     /// The acceptability ranges for this device, if the device family defines
@@ -46,29 +46,11 @@ pub trait DeviceUnderTest: Sync {
         None
     }
 
-    /// A stable identity string for this device *model*, used to key cached
-    /// Monte-Carlo populations (see [`crate::batch::PopulationCache`]): two
-    /// devices with equal fingerprints are assumed to simulate identically
-    /// for equal seeds.
-    ///
-    /// The default covers the observable identity — name, specification
-    /// names, explicit ranges.  Implementations whose simulation depends on
-    /// parameters *not* visible through those accessors (process-variation
-    /// settings, internal correlations, nominal sizings) should override
-    /// this to include them; a `format!("{:?}", self)` of a `Debug` struct
-    /// capturing every parameter is usually enough.
+    /// Nothing calls this: the device wrapper of the benchmark harness under
+    /// `perfbench/` still forwards it.
+    #[doc(hidden)]
     fn fingerprint(&self) -> String {
-        use std::fmt::Write;
-        let mut out = self.name().to_string();
-        for name in self.spec_names() {
-            let _ = write!(out, "|{name}");
-        }
-        if let Some(specs) = self.specification_set() {
-            for spec in specs.iter() {
-                let _ = write!(out, "|{:x}:{:x}", spec.lower().to_bits(), spec.upper().to_bits());
-            }
-        }
-        out
+        self.name().to_string()
     }
 }
 
@@ -139,13 +121,6 @@ impl DeviceUnderTest for SyntheticDevice {
             })
             .collect();
         Some(SpecificationSet::new(specs).expect("synthetic set is non-empty"))
-    }
-
-    /// The correlation does not show up in the name or the ranges, so the
-    /// default fingerprint cannot distinguish two synthetic devices that
-    /// differ only in it.
-    fn fingerprint(&self) -> String {
-        format!("{self:?}")
     }
 }
 

@@ -78,8 +78,9 @@ pub enum CompactionError {
         /// Human-readable reason.
         message: String,
     },
-    /// Two batch entries share a label.  Labels key the population cache, so
-    /// a collision would silently reuse one entry's population for the other.
+    /// Two batch entries share a label.  Labels name the runs of a batch
+    /// report, so a collision would leave two runs that cannot be told
+    /// apart.
     DuplicateBatchLabel {
         /// The colliding label.
         label: String,

@@ -217,11 +217,6 @@ impl LookupTableTester {
         &self.kept
     }
 
-    /// Number of cells in the table.
-    pub fn cell_count(&self) -> usize {
-        self.attributes.len()
-    }
-
     /// Classifies a normalised kept-column feature vector by table lookup.
     ///
     /// # Panics
@@ -406,7 +401,7 @@ mod tests {
         let (train, test) = population();
         let classifier = train_pair(&train, &[0, 1]);
         let table = LookupTableTester::build(&classifier, 48).unwrap();
-        assert_eq!(table.cell_count(), 48 * 48);
+        assert_eq!(table.attributes.len(), 48 * 48);
         assert_eq!(table.kept(), &[0, 1]);
         let agreement = table.agreement_with(&classifier, &test);
         assert!(agreement > 0.93, "agreement {agreement}");

@@ -84,9 +84,7 @@ pub mod report;
 pub mod search;
 pub mod tester;
 
-pub use batch::{
-    BatchAggregate, BatchReport, BatchRun, CacheStats, PipelineBatch, PopulationCache,
-};
+pub use batch::{BatchAggregate, BatchReport, BatchRun, PipelineBatch};
 pub use classifier::{
     BankStats, Classifier, ClassifierFactory, GridBackend, TrainingView, WarmStartContext,
 };

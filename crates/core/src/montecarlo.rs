@@ -30,7 +30,8 @@ pub struct MonteCarloConfig {
     pub threads: usize,
     /// Quantiles used to calibrate acceptability ranges when the device does
     /// not define explicit ranges (see
-    /// [`SpecificationSet::from_population_quantiles`]).
+    /// [`SpecificationSet::from_population_quantiles`]).  Every run checks
+    /// them, whether or not the device uses them.
     pub calibration_quantiles: (f64, f64),
 }
 
@@ -86,15 +87,21 @@ pub struct MonteCarloRun {
 ///
 /// # Errors
 ///
-/// Returns [`CompactionError::SimulationFailed`] when so many instances
-/// fail that the seed list runs out before `instances` rows are complete;
-/// its message names the first failure.
+/// Returns [`CompactionError::InvalidConfig`], before any instance
+/// simulates, for zero instances and for calibration quantiles other than
+/// `0 < lower < upper < 1`, and [`CompactionError::SimulationFailed`] when
+/// so many instances fail that the seed list runs out before `instances`
+/// rows are complete; its message names the first failure.
 pub fn run_monte_carlo(
     device: &dyn DeviceUnderTest,
     config: &MonteCarloConfig,
 ) -> Result<MonteCarloRun> {
     if config.instances == 0 {
         return Err(CompactionError::InvalidConfig { parameter: "instances", value: 0.0 });
+    }
+    let (lower, upper) = config.calibration_quantiles;
+    if !(lower > 0.0 && upper < 1.0 && lower < upper) {
+        return Err(CompactionError::InvalidConfig { parameter: "quantiles", value: lower });
     }
     // Pre-draw one independent seed per attempt so results do not depend on
     // the number of threads.  The budget leaves generous room for devices
@@ -263,6 +270,29 @@ mod tests {
     fn zero_instances_is_rejected() {
         let device = SyntheticDevice::new(2, 2.0, 0.0);
         assert!(run_monte_carlo(&device, &MonteCarloConfig::new(0)).is_err());
+    }
+
+    /// Quantiles that cannot calibrate a range fail the run before any
+    /// instance simulates, also for a device with its own ranges, which
+    /// never calibrates.
+    #[test]
+    fn invalid_calibration_quantiles_fail_before_any_simulation() {
+        for (lower, upper) in [(0.9, 0.1), (0.5, 0.5), (f64::NAN, 0.9), (0.0, 0.5)] {
+            let device = Counted {
+                inner: SyntheticDevice::new(3, 1.8, 0.9),
+                simulations: AtomicUsize::new(0),
+            };
+            let config = MonteCarloConfig::new(50).with_calibration_quantiles(lower, upper);
+            let result = generate_train_test(&device, &config, 20);
+            assert!(
+                matches!(
+                    result,
+                    Err(CompactionError::InvalidConfig { parameter: "quantiles", .. })
+                ),
+                "({lower}, {upper}): {result:?}"
+            );
+            assert_eq!(device.simulations.load(Ordering::Relaxed), 0, "({lower}, {upper})");
+        }
     }
 
     #[test]

@@ -79,10 +79,14 @@ impl Default for Stages {
 }
 
 impl Stages {
-    /// The held-out population size (the explicit test-instance count or
-    /// the default of half the training population).
-    pub(crate) fn resolved_test_instances(&self) -> usize {
-        self.test_instances.unwrap_or_else(|| (self.monte_carlo.instances / 2).max(1))
+    /// Simulates the device's training and held-out populations (the
+    /// held-out size is the explicit test-instance count or the default of
+    /// half the training population), then runs the remaining stages.
+    pub(crate) fn run_device(&self, device: &dyn DeviceUnderTest) -> Result<PipelineReport> {
+        let test_instances =
+            self.test_instances.unwrap_or_else(|| (self.monte_carlo.instances / 2).max(1));
+        let (train, test) = generate_train_test(device, &self.monte_carlo, test_instances)?;
+        self.run_with_population(device.name(), train, test)
     }
 
     /// Runs the compaction/guard-band/deployment/cost stages on an existing
@@ -288,12 +292,7 @@ impl<'d> CompactionPipeline<'d> {
     /// Propagates simulation, configuration and training errors from the
     /// individual stages.
     pub fn run(&self) -> Result<PipelineReport> {
-        let (train, test) = generate_train_test(
-            self.device,
-            &self.stages.monte_carlo,
-            self.stages.resolved_test_instances(),
-        )?;
-        self.run_with_population(train, test)
+        self.stages.run_device(self.device)
     }
 
     /// Runs the compaction/guard-band/deployment/cost stages on an existing

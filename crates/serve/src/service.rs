@@ -2,9 +2,9 @@
 //!
 //! [`CompactionService`] owns a bounded pool of worker threads draining a
 //! FIFO queue of [`JobSpec`]s.  Each job is sharded into one single-entry
-//! [`PipelineBatch`](stc_core::PipelineBatch) per device; the shards share
-//! a single fresh [`PopulationCache`] and run on the shared work-stealing
-//! [`stc_core::pool`] (`shard_threads` wide), so the assembled
+//! [`PipelineBatch`](stc_core::PipelineBatch) per device; the shards run
+//! on the shared work-stealing [`stc_core::pool`] (`shard_threads` wide),
+//! each simulating its own population, so the assembled
 //! [`BatchReport`] is *identical* — field for field, byte for byte once
 //! serialized — to what a direct
 //! [`PipelineBatch::run`](stc_core::PipelineBatch::run) over the same
@@ -26,7 +26,7 @@ use std::thread::JoinHandle;
 use serde::{Deserialize, Serialize};
 use stc_core::pool;
 use stc_core::search::{FrontierSnapshot, ProgressObserver, TrainingEvent};
-use stc_core::{BatchAggregate, BatchReport, CompactionError, PopulationCache};
+use stc_core::{BatchAggregate, BatchReport, CompactionError};
 
 use crate::error::ServeError;
 use crate::spec::{DeviceSpec, JobSpec, ResolvedDevice};
@@ -402,11 +402,11 @@ impl ProgressObserver for ShardObserver {
     }
 }
 
-/// Runs every shard of one job on the shared pool over one population cache
-/// and assembles the batch report ([`BatchAggregate::from_runs`] keeps the
-/// statistics identical to a direct
-/// [`PipelineBatch::run`](stc_core::PipelineBatch::run)).  Each shard is a
-/// single-entry batch, so it streams into its own progress slot.
+/// Runs every shard of one job on the shared pool and assembles the batch
+/// report ([`BatchAggregate::from_runs`] keeps the statistics identical to
+/// a direct [`PipelineBatch::run`](stc_core::PipelineBatch::run)).  Each
+/// shard is a single-entry batch, so it streams into its own progress
+/// slot.
 fn run_job(
     spec: &JobSpec,
     progress: &Arc<Mutex<JobProgress>>,
@@ -432,11 +432,10 @@ fn run_job(
         return Err(JobError::Cancelled);
     }
 
-    let populations = Arc::new(PopulationCache::new());
     let outcomes = pool::run_indexed(devices.len(), spec.shard_threads, cancelled, |index| {
         progress.lock().expect("progress poisoned").shards[index].started = true;
         let observer = Arc::new(ShardObserver { index, progress: Arc::clone(progress) });
-        let batch = spec.batch().with_population_cache(Arc::clone(&populations)).observer(observer);
+        let batch = spec.batch().observer(observer);
         let outcome = devices[index].add_to(batch, &labels[index]).run();
         progress.lock().expect("progress poisoned").shards[index].finished = outcome.is_ok();
         outcome
@@ -455,11 +454,5 @@ fn run_job(
         }
     }
     let aggregate = BatchAggregate::from_runs(&runs);
-    let population_cache = populations.stats();
-    Ok(BatchReport {
-        runs,
-        aggregate,
-        population_cache_hits: population_cache.hits,
-        population_cache_misses: population_cache.misses,
-    })
+    Ok(BatchReport { runs, aggregate })
 }

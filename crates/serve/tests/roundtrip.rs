@@ -6,9 +6,9 @@ use proptest::prelude::*;
 use stc_core::pipeline::CompactionPipeline;
 use stc_core::search::FrontierSnapshot;
 use stc_core::{
-    AnnealingSchedule, BatchReport, CacheStats, CompactionConfig, EliminationOrder,
-    GuardBandConfig, MeasurementSet, MonteCarloConfig, PipelineBatch, PipelineReport, Prediction,
-    SearchStrategy, Specification, SpecificationSet, SyntheticDevice, TestCostModel, TesterProgram,
+    AnnealingSchedule, BatchReport, CompactionConfig, EliminationOrder, GuardBandConfig,
+    MeasurementSet, MonteCarloConfig, PipelineBatch, PipelineReport, Prediction, SearchStrategy,
+    Specification, SpecificationSet, SyntheticDevice, TestCostModel, TesterProgram,
 };
 use stc_serve::{envelope, ClassifierSpec, CompactionService, DeviceSpec, JobSpec, ServeError};
 
@@ -85,12 +85,6 @@ proptest! {
             vec![insertion_cost],
         ).expect("valid cost model");
         prop_assert_eq!(json_round_trip(&model), model);
-    }
-
-    #[test]
-    fn cache_stats_round_trip(hits in 0usize..10_000, misses in 0usize..10_000) {
-        let stats = CacheStats { hits, misses };
-        prop_assert_eq!(json_round_trip(&stats), stats);
     }
 
     #[test]
@@ -418,18 +412,17 @@ fn pre_0_12_batch_reports_with_co_optimized_keys_still_decode() {
     // counters.
     let compaction_end = r#"}},"deployed":"#;
     assert!(encoded.contains(compaction_end), "{encoded}");
-    let legacy = encoded
+    let mut legacy = encoded
         .replacen(r#""guard_band":{"#, r#""guard_band":{"co_optimized":false,"#, 1)
         .replacen(
             compaction_end,
             &format!(r#"}},"co_optimized_guard_band":null,{SCREEN}}},"deployed":"#),
             1,
-        )
-        .replacen(
-            r#"}},"population_cache_hits""#,
-            &format!(r#"}},"co_optimized_bands":0,{SCREEN}}},"population_cache_hits""#),
-            1,
         );
+    // The aggregate is the payload's last field: after its warm-start
+    // counters, its closing brace is the third from the end.
+    assert!(legacy.ends_with(r#""ignored_banks":0}}}}}"#), "{legacy}");
+    legacy.insert_str(legacy.len() - 3, &format!(r#","co_optimized_bands":0,{SCREEN}"#));
     assert_eq!(legacy.matches(SCREEN).count(), 2, "{legacy}");
     for key in ["co_optimized", "co_optimized_guard_band", "co_optimized_bands"] {
         assert!(legacy.contains(&format!(r#""{key}":"#)), "the legacy report must carry {key}");
@@ -470,6 +463,33 @@ fn pre_0_25_batch_reports_carrying_budget_stats_still_decode() {
     for budget in budgets {
         assert!(legacy.contains(budget), "{legacy}");
     }
+    let decoded: BatchReport = envelope::decode(&legacy).expect("legacy report decodes");
+    assert_eq!(envelope::encode(&decoded).expect("re-encodes"), encoded);
+}
+
+/// Reports written before 0.28 carried the batch's population-cache
+/// counters after its aggregate.  They are skipped: such a report decodes
+/// and re-encodes without them, whatever they say.
+#[test]
+fn pre_0_28_batch_reports_with_population_cache_counters_still_decode() {
+    let alpha = SyntheticDevice::new(4, 1.8, 0.9);
+    let beta = SyntheticDevice::new(3, 1.5, 0.7);
+    let report = PipelineBatch::new()
+        .device(&alpha)
+        .device(&beta)
+        .monte_carlo(MonteCarloConfig::new(80).with_seed(3))
+        .compaction(CompactionConfig::paper_default().with_tolerance(0.1))
+        .run()
+        .expect("tiny batch runs");
+    let encoded = envelope::encode(&report).expect("encodes");
+    assert!(!encoded.contains("population_cache"), "{encoded}");
+    // The counters followed the aggregate, the payload's last field, so
+    // they go before the payload's closing brace, the second from the end.
+    assert!(encoded.ends_with(r#""ignored_banks":0}}}}}"#), "{encoded}");
+    let counters = r#","population_cache_hits":3,"population_cache_misses":2"#;
+    let mut legacy = encoded.clone();
+    legacy.insert_str(legacy.len() - 2, counters);
+    assert!(legacy.ends_with(&format!("}}}}}}{counters}}}}}")), "{legacy}");
     let decoded: BatchReport = envelope::decode(&legacy).expect("legacy report decodes");
     assert_eq!(envelope::encode(&decoded).expect("re-encodes"), encoded);
 }

@@ -178,10 +178,9 @@ impl DeviceUnderTest for NameOnly {
 }
 
 /// A measured population runs through the service exactly like a direct
-/// `run_with_population` on the same sets, and never touches the
-/// population cache: the job's one synthetic device is its only miss.
+/// `run_with_population` on the same sets.
 #[test]
-fn measured_job_matches_a_direct_run_and_skips_the_population_cache() {
+fn measured_job_matches_a_direct_run() {
     let (train, test) = generate_train_test(
         &SyntheticDevice::new(5, 1.5, 0.8),
         &MonteCarloConfig::new(150).with_seed(77),
@@ -197,8 +196,6 @@ fn measured_job_matches_a_direct_run_and_skips_the_population_cache() {
     });
     let service = CompactionService::new(1);
     let report = service.run_blocking(spec.clone()).expect("measured job runs");
-    assert_eq!(report.population_cache_hits, 0);
-    assert_eq!(report.population_cache_misses, 1);
 
     let measured = &report.runs[1];
     assert_eq!(measured.label, "lot-7");
@@ -258,6 +255,23 @@ fn a_panicking_job_fails_and_the_worker_survives() {
     }
     let report = service.await_result(next).expect("await").report().cloned();
     assert_eq!(report.expect("the next job completes").aggregate.devices, 2);
+}
+
+/// A job whose calibration quantiles are not `0 < lower < upper < 1`
+/// fails, although its synthetic devices bring their own ranges and never
+/// calibrate.
+#[test]
+fn jobs_with_invalid_calibration_quantiles_fail() {
+    let service = CompactionService::new(1);
+    for (lower, upper) in [(0.9, 0.1), (0.5, 0.5), (f64::NAN, 0.9), (0.0, 0.5)] {
+        let mut spec = synthetic_pair_spec();
+        spec.monte_carlo = spec.monte_carlo.with_calibration_quantiles(lower, upper);
+        let id = service.submit(spec).expect("job queues");
+        match service.await_result(id).expect("await") {
+            JobStatus::Failed { error } => assert!(error.contains("quantiles"), "{error}"),
+            other => panic!("quantiles ({lower}, {upper}) must fail the job, got {other:?}"),
+        }
+    }
 }
 
 /// Malformed synthetic devices are refused at submission with a typed

@@ -8,9 +8,7 @@
 //! Sweeps four synthetic device variants (increasingly tight acceptance
 //! limits) through the same ε-SVM compaction flow with a work-stealing
 //! worker pool, then prints the per-device outcomes and the batch aggregate.
-//! A one-thread batch on a fresh cache must reproduce the four-thread one,
-//! and running the batch twice demonstrates the shared Monte-Carlo
-//! population cache: the second run reuses every simulated population.
+//! A one-thread batch must reproduce the four-thread one.
 
 use spec_test_compaction::prelude::*;
 
@@ -33,33 +31,19 @@ fn main() -> Result<(), CompactionError> {
         batch
     };
 
-    let parallel = batch(4);
-    let report = parallel.run()?;
+    let report = batch(4).run()?;
     for run in &report.runs {
         println!("{:<14} {}", run.label, run.report.summary());
     }
     println!("\n{}", report.summary());
-    println!(
-        "population cache: {} hits / {} misses",
-        report.population_cache_hits, report.population_cache_misses
-    );
 
-    // The worker count never changes the outcome: a one-thread batch on a
-    // fresh cache reproduces every entry and the aggregate.
+    // The worker count never changes the outcome: a one-thread batch
+    // reproduces every entry and the aggregate.
     let sequential = batch(1).run()?;
     for (a, b) in report.runs.iter().zip(&sequential.runs) {
         assert_eq!(a.report.compaction, b.report.compaction, "{}", a.label);
         assert_eq!(a.report.deployed, b.report.deployed, "{}", a.label);
     }
     assert_eq!(report.aggregate, sequential.aggregate);
-
-    // Same batch again: every population comes from the shared cache now.
-    let again = parallel.run()?;
-    println!(
-        "second run:       {} hits / {} misses",
-        again.population_cache_hits, again.population_cache_misses
-    );
-    assert_eq!(again.population_cache_hits - report.population_cache_hits, variants.len());
-    assert_eq!(again.population_cache_misses, report.population_cache_misses);
     Ok(())
 }

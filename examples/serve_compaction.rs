@@ -9,20 +9,20 @@
 //! two-worker [`CompactionService`], plus a third (synthetic) job that is
 //! cancelled while still queued.  While the jobs run, the example polls
 //! [`CompactionService::status`] and prints the streaming anytime view —
-//! models trained and best elimination frontier so far, per shard — then
-//! prints each final report and round-trips one through the versioned JSON
-//! envelope.
+//! models trained and best elimination frontier so far, per shard — to
+//! stderr, since what a poll catches depends on timing.  It then prints
+//! each job's outcome in submission order and round-trips one report
+//! through the versioned JSON envelope, so stdout is the same in every run.
 //!
 //! Population sizes honour `STC_SCALE` (e.g. `STC_SCALE=0.05` for a smoke
 //! run).
 
-use std::collections::HashSet;
 use std::time::Duration;
 
 use spec_test_compaction::adapters::AccelerometerDevice;
 use stc_core::{CompactionConfig, MonteCarloConfig};
 use stc_serve::{
-    envelope, ClassifierSpec, CompactionService, DeviceSpec, JobId, JobSpec, JobStatus, ServeError,
+    envelope, ClassifierSpec, CompactionService, DeviceSpec, JobSpec, JobStatus, ServeError,
 };
 
 fn scaled(count: usize) -> usize {
@@ -71,46 +71,46 @@ fn main() -> Result<(), ServeError> {
     service.cancel(doomed)?;
     println!("cancelled {doomed} while queued\n");
 
-    // Poll the running jobs and print the anytime progress stream.
-    let mut pending: Vec<JobId> = vec![opamp_id, mems_id, doomed];
-    let mut reported: HashSet<u64> = HashSet::new();
-    while !pending.is_empty() {
-        pending.retain(|&id| {
-            let status = service.status(id).expect("job ids stay valid");
-            match status {
-                JobStatus::Queued => true,
-                JobStatus::Running { progress } => {
-                    for shard in &progress.shards {
-                        if shard.started && !shard.finished {
-                            println!(
-                                "  {id} [{}] {} trainings, best frontier so far: {:?}",
-                                shard.label, shard.trainings, shard.best_frontier
-                            );
-                        }
-                    }
-                    true
-                }
-                JobStatus::Done { report } => {
-                    if reported.insert(id.as_u64()) {
-                        println!("\n{id} done: {}\n", report.summary());
-                        for run in &report.runs {
-                            println!("  [{}] {}", run.label, run.report.summary());
-                        }
-                        println!();
-                    }
-                    false
-                }
-                JobStatus::Failed { error } => {
-                    println!("{id} failed: {error}");
-                    false
-                }
-                JobStatus::Cancelled => {
-                    println!("{id} cancelled (never trained)");
-                    false
+    // Poll the jobs until every one has ended, printing the anytime progress
+    // stream.
+    let jobs = [opamp_id, mems_id, doomed];
+    loop {
+        let mut running = false;
+        for id in jobs {
+            let status = service.status(id)?;
+            running |= !status.is_terminal();
+            if let JobStatus::Running { progress } = status {
+                for shard in progress.shards.iter().filter(|shard| shard.started && !shard.finished)
+                {
+                    eprintln!(
+                        "  {id} [{}] {} trainings, best frontier so far: {:?}",
+                        shard.label, shard.trainings, shard.best_frontier
+                    );
                 }
             }
-        });
+        }
+        if !running {
+            break;
+        }
         std::thread::sleep(Duration::from_millis(150));
+    }
+
+    // The outcomes, in submission order.
+    for id in jobs {
+        match service.await_result(id)? {
+            JobStatus::Done { report } => {
+                println!("{id} done: {}\n", report.summary());
+                for run in &report.runs {
+                    println!("  [{}] {}", run.label, run.report.summary());
+                }
+                println!();
+            }
+            JobStatus::Failed { error } => println!("{id} failed: {error}"),
+            JobStatus::Cancelled => println!("{id} cancelled (never trained)\n"),
+            JobStatus::Queued | JobStatus::Running { .. } => {
+                unreachable!("await_result returns a terminal status")
+            }
+        }
     }
 
     // Reports are wire-ready: round-trip the op-amp report through the

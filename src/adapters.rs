@@ -70,12 +70,6 @@ impl DeviceUnderTest for OpAmpDevice {
         let measurements = OpAmp::new(params).measure().map_err(|e| e.to_string())?;
         Ok(measurements.to_vec())
     }
-
-    /// Nominal sizing and process-variation settings drive the simulation
-    /// but are invisible to the default fingerprint.
-    fn fingerprint(&self) -> String {
-        format!("{self:?}")
-    }
 }
 
 /// The MEMS accelerometer case study (paper Section 5.2): four specifications
@@ -164,12 +158,6 @@ impl DeviceUnderTest for AccelerometerDevice {
     fn simulate_instance(&self, rng: &mut StdRng) -> Result<Vec<f64>, String> {
         let instance = self.variation.perturb(&self.nominal, rng);
         instance.measure_all_temperatures().map_err(|e| e.to_string())
-    }
-
-    /// Nominal design and variation settings drive the simulation but are
-    /// invisible to the default fingerprint.
-    fn fingerprint(&self) -> String {
-        format!("{self:?}")
     }
 }
 

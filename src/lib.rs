@@ -60,10 +60,10 @@
 //!
 //! To sweep one configuration across a whole device family, wrap the same
 //! stages in a [`PipelineBatch`](prelude::PipelineBatch): devices run on a
-//! work-stealing worker pool, simulated populations are cached and
-//! `Arc`-shared (storage is column-major and zero-copy as of 0.3), and the
-//! [`BatchReport`](prelude::BatchReport) aggregates the per-device outcomes
-//! (see the `batch_compaction` example).
+//! work-stealing worker pool, populations are `Arc`-shared column-major
+//! storage (a population generated once can be added to several batches as
+//! a measured entry), and the [`BatchReport`](prelude::BatchReport)
+//! aggregates the per-device outcomes (see the `batch_compaction` example).
 //!
 //! The experiment harness reproducing every table and figure of the paper
 //! lives in the `stc-bench` crate (`cargo run -p stc-bench --bin table1`,

@@ -25,9 +25,9 @@ pub use stc_core::{
     BatchAggregate, BatchReport, BatchRun, CompactionConfig, CompactionError, CompactionResult,
     CompactionStep, Compactor, DeviceLabel, DeviceUnderTest, EliminationOrder, ErrorBreakdown,
     GuardBandConfig, GuardBandedClassifier, MeasurementMatrix, MeasurementSet, ModelCacheStats,
-    MonteCarloConfig, PipelineBatch, PopulationCache, Prediction, SequentialSession,
-    SequentialStats, Specification, SpecificationSet, StepVerdict, SyntheticDevice, TestCostModel,
-    TestPlan, TesterModel, TesterProgram, WarmStartStats,
+    MonteCarloConfig, PipelineBatch, Prediction, SequentialSession, SequentialStats, Specification,
+    SpecificationSet, StepVerdict, SyntheticDevice, TestCostModel, TestPlan, TesterModel,
+    TesterProgram, WarmStartStats,
 };
 
 pub use stc_svm::SvmBackend;

@@ -1,9 +1,8 @@
 //! Integration tests of the batched pipeline layer: a `PipelineBatch` over N
 //! devices must be indistinguishable from N independent
-//! `CompactionPipeline::run` calls, for any worker count, with the population
-//! cache only changing wall-clock time.
-
-use std::sync::Arc;
+//! `CompactionPipeline::run` calls, for any worker count, and a population
+//! simulated once and added as a measured entry must run like the device
+//! entry that simulates it.
 
 use proptest::prelude::*;
 use spec_test_compaction::prelude::*;
@@ -76,24 +75,32 @@ fn worker_pool_size_does_not_change_the_batch_outcome() {
     }
 }
 
+/// The route for running several batches over one population: simulate it
+/// once with `generate_train_test` and add the sets with
+/// `PipelineBatch::measured`.  Each measured entry reports what the device
+/// entry simulating the same population reports, under its label.
 #[test]
-fn shared_population_cache_reuses_simulated_populations() {
+fn measured_populations_run_like_the_devices_that_simulate_them() {
     let devices = devices(3);
-    let cache = Arc::new(PopulationCache::new());
-    let first = batch(&devices, 47, 2)
-        .with_population_cache(Arc::clone(&cache))
-        .run()
-        .expect("first batch runs");
-    assert_eq!(first.population_cache_misses, devices.len());
-    assert_eq!(first.population_cache_hits, 0);
-    let second = batch(&devices, 47, 2)
-        .with_population_cache(Arc::clone(&cache))
-        .run()
-        .expect("second batch runs");
-    assert_eq!(second.population_cache_hits, devices.len());
-    for (a, b) in first.runs.iter().zip(second.runs.iter()) {
-        assert_reports_equal(&a.report, &b.report);
+    let simulated = batch(&devices, 47, 2).run().expect("simulated batch runs");
+    let mut measured = PipelineBatch::new()
+        .compaction(CompactionConfig::paper_default().with_tolerance(0.05))
+        .classifier(SvmBackend::paper_default())
+        .batch_threads(2);
+    for (device, run) in devices.iter().zip(&simulated.runs) {
+        let (train, test) =
+            generate_train_test(device, &MonteCarloConfig::new(200).with_seed(47), 100)
+                .expect("population simulates");
+        measured = measured.measured(run.label.clone(), train, test);
     }
+    let measured = measured.run().expect("measured batch runs");
+    for (a, b) in simulated.runs.iter().zip(&measured.runs) {
+        assert_eq!(a.label, b.label);
+        assert_eq!(b.report.device, b.label);
+        let renamed = PipelineReport { device: a.report.device.clone(), ..b.report.clone() };
+        assert_reports_equal(&a.report, &renamed);
+    }
+    assert_eq!(simulated.aggregate, measured.aggregate);
 }
 
 #[test]
